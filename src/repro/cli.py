@@ -685,8 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="engine to run (see 'repro info' for capabilities; "
                            "default: multilogvc)")
     comp.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="worker threads for the deterministic parallel interval "
-                           "executor (multilogvc; results are identical at any N)")
+                      help="simulated worker lanes of the overlap model (multilogvc; "
+                           "results are identical at any N, only the scheduler.* "
+                           "overlay accounting changes)")
     comp.add_argument("--devices", type=int, default=None, metavar="N",
                       help="simulated SSD device-array size (DESIGN.md §14; "
                            "results are identical at any N, only the device.* "

@@ -33,11 +33,11 @@ MIB = 1024 * 1024
 
 
 def _default_num_workers() -> int:
-    """Default worker count for the parallel interval executor.
+    """Default simulated worker-lane count.
 
     Reads ``REPRO_NUM_WORKERS`` so the CI matrix can run the whole test
     suite at ``num_workers=4`` without touching any call site; results
-    are bit-identical at any worker count (DESIGN.md §11), so this is a
+    are bit-identical at any lane count (DESIGN.md §11), so this is a
     coverage knob, not a tuning knob.
     """
     try:
@@ -305,19 +305,13 @@ class SimConfig:
     #: ``memory.cache_bytes_default`` (the ``cache_fraction`` share of
     #: host DRAM).  Ignored while ``cache_policy="none"``.
     cache_bytes: Optional[int] = None
-    #: How many interval groups the superstep pipeline may prepare ahead
-    #: of the group being processed (§V-A3 / §VI overlap of log loading
-    #: with compute).  ``0`` disables the prefetch thread and reproduces
-    #: strictly serial group execution (the ablation baseline); any depth
-    #: produces bit-identical results and accounting because prefetched
-    #: I/O charges are deferred and replayed in serial order.
-    pipeline_depth: int = 1
-    #: Worker threads for the deterministic parallel interval executor
-    #: (DESIGN.md §11).  ``1`` reproduces strictly serial group
-    #: execution; any count yields bit-identical values, records and
-    #: traces because workers compute speculatively and commit in
-    #: canonical interval order.  The default honours the
-    #: ``REPRO_NUM_WORKERS`` environment variable (CI matrix knob).
+    #: Simulated worker lanes (DESIGN.md §11).  Groups always run one
+    #: after another on the calling thread, so values, records and
+    #: traces are bit-identical at any count; with more than one lane
+    #: the engine also reports the modelled lane/channel overlap
+    #: (``scheduler.*`` gauges, ``parallel_stats`` events).  The default
+    #: honours the ``REPRO_NUM_WORKERS`` environment variable (CI matrix
+    #: knob).
     num_workers: int = field(default_factory=_default_num_workers)
     #: Superstep I/O planner (DESIGN.md §13).  ``"off"`` (the default)
     #: reproduces the seed's per-path device batches exactly;
@@ -371,8 +365,6 @@ class SimConfig:
             raise ConfigError("page_efficiency_threshold must be in (0, 1)")
         if self.mutation_merge_threshold < 1:
             raise ConfigError("mutation_merge_threshold must be >= 1")
-        if self.pipeline_depth < 0:
-            raise ConfigError("pipeline_depth must be >= 0")
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
         if self.cache_policy not in ("none", "clock"):
@@ -414,12 +406,8 @@ class SimConfig:
         """Return a copy with a different SSD channel count."""
         return dataclasses.replace(self, ssd=dataclasses.replace(self.ssd, channels=channels))
 
-    def with_pipeline_depth(self, depth: int) -> "SimConfig":
-        """Return a copy with a different group-prefetch depth."""
-        return dataclasses.replace(self, pipeline_depth=depth)
-
     def with_workers(self, num_workers: int) -> "SimConfig":
-        """Return a copy with a different parallel-executor worker count."""
+        """Return a copy with a different simulated worker-lane count."""
         return dataclasses.replace(self, num_workers=num_workers)
 
     def with_stream(

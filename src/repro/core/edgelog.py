@@ -24,7 +24,6 @@ the trailing partial page is flushed at superstep end.
 
 from __future__ import annotations
 
-import threading
 from typing import Tuple
 
 import numpy as np
@@ -57,10 +56,6 @@ class EdgeLogOptimizer:
         self.budget = budget
         self.name = name
         self.io_time_us = 0.0
-        # The read path may run on the prefetch thread while the write
-        # path logs on the accounting thread; guard the shared
-        # (diagnostic) time accumulator against torn updates.
-        self._io_lock = threading.Lock()
         self._gen = 0
         # Current generation: what this superstep's loader may read.
         self._cur_first = np.full(n_vertices, -1, dtype=np.int64)
@@ -99,8 +94,7 @@ class EdgeLogOptimizer:
         self._next_last[v] = last
         if len(completed):
             _, t = self._file_next.append_pages([None] * len(completed))
-            with self._io_lock:
-                self.io_time_us += t
+            self.io_time_us += t
         self.vertices_logged += 1
         self.total_logged += 1
         return True
@@ -128,36 +122,26 @@ class EdgeLogOptimizer:
         pages = np.repeat(firsts, counts) + offsets
         return np.unique(pages)
 
-    def charge_read(self, hit_vertices: np.ndarray, defer: bool = False, plan=None) -> Tuple[float, int]:
+    def charge_read(self, hit_vertices: np.ndarray, plan=None) -> Tuple[float, int]:
         """Charge reads of the log pages covering the given hit vertices.
-
-        ``defer=True`` (parallel executor, worker thread) skips the
-        cumulative accumulators -- they are checkpointed and gauge-read,
-        so their update order must stay canonical; the caller applies
-        them with :meth:`apply_read_tally` at the group's commit point.
-        The device charge itself is already deferred by the caller's
-        thread-local charge queue.
 
         With ``plan`` (DESIGN.md §13) the page demand is queued on the
         group's I/O plan; the caller attributes the coalesced wave time
         via :meth:`apply_read_tally` after the plan executes, so the
-        accumulators are skipped here regardless of ``defer``.
+        accumulators are skipped here.
         """
         pages = self.pages_of(hit_vertices)
         if pages.size == 0 or self._file_cur is None:
             return 0.0, 0
         _, t = self._file_cur.read_pages(pages, plan=plan)
-        if plan is None and not defer:
-            with self._io_lock:
-                self.io_time_us += t
-                self.pages_read_total += int(pages.size)
+        if plan is None:
+            self.apply_read_tally(t, pages.size)
         return t, int(pages.size)
 
     def apply_read_tally(self, t: float, n_pages: int) -> None:
-        """Apply a deferred read's accumulator deltas (commit point)."""
-        with self._io_lock:
-            self.io_time_us += t
-            self.pages_read_total += int(n_pages)
+        """Add one read's time and page count to the cumulative tallies."""
+        self.io_time_us += t
+        self.pages_read_total += int(n_pages)
 
     # -- superstep boundary -------------------------------------------------------
 

@@ -44,10 +44,10 @@ from .active import ActiveTracker
 from .api import InitialState, VertexContext, VertexProgram
 from .edgelog import KLASS_EDGELOG, EdgeLogOptimizer
 from .loader import GraphLoaderUnit
-from .multilog import KLASS_MLOG, ConsumeLedger, MultiLogUnit
+from .multilog import KLASS_MLOG, MultiLogUnit
 from .mutation import MutationBuffer
 from .pipeline import GroupPipeline, PreparedGroup, charge_rollup
-from .scheduler import GroupWork, OverlapModel, ParallelGroupScheduler, VertexWork
+from .scheduler import ParallelGroupScheduler
 from .results import ComputeMeter, RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
 from .update import DATA_DTYPE, SRC_DTYPE, UpdateBatch
@@ -203,8 +203,6 @@ class MultiLogVC:
         self.fs.device.tracer = tracer
         if tracer.enabled:
             # Simulated clock: committed storage time + compute time.
-            # Deferred (prefetched) charges only advance it at the replay
-            # point, keeping stamps identical across pipeline depths.
             dev = self.fs.device
             tracer.bind_clock(lambda: dev.now_us + meter.time_us)
             tracer.set_step(-1)
@@ -238,8 +236,7 @@ class MultiLogVC:
         # extent reads plus channel-balanced waves.  Values and records
         # are bit-identical with the planner on or off; only batching
         # and simulated storage time change.  Read-ahead needs a cache
-        # to prefetch into (and the cache already forces serial
-        # execution, which keeps its CLOCK state deterministic).
+        # to prefetch into.
         planner = None
         if cfg.io_plan != "off":
             planner = SuperstepIOPlanner(
@@ -285,41 +282,22 @@ class MultiLogVC:
                 else:
                     mutations.remove_edge(src, dst)
 
-        # Group prefetch (§V-A3 overlap): asynchronous same-superstep
-        # update injection and structural mutation both depend on the
-        # processing of earlier groups, so they force serial preparation.
-        # An armed fault plan also forces serial mode, so injected
-        # faults land at the same point in the operation order at any
-        # configured depth (traces/stats are depth-invariant already).
-        depth = cfg.pipeline_depth
+        # Simulated worker lanes (DESIGN.md §11): groups always run in
+        # one synchronous in-order loop; with lanes > 1 the iterator also
+        # keeps the lane/channel overlap overlay.  The overlay models
+        # independent groups, so it is off where groups depend on each
+        # other (async injection, structural mutation) and where its
+        # inputs are order-dependent (armed fault plan, page cache).
+        lanes = cfg.num_workers
         if self.mode != "sync" or mutations is not None:
-            depth = 0
-        if self.fs.device.fault_plan is not None:
-            depth = 0
-        if self.fs.cache is not None:
-            # CLOCK state mutates on every access, so hit patterns are
-            # order-dependent; keep all cache traffic on the accounting
-            # thread so stats and traces stay deterministic.
-            depth = 0
-        # Parallel interval executor (DESIGN.md §11): speculate several
-        # groups concurrently, commit in canonical order.  The same
-        # conditions that force serial preparation force workers = 1 --
-        # they make group effects order-dependent before the commit
-        # point.  With workers > 1 the scheduler subsumes the depth-1
-        # group-prefetch pipeline entirely.
-        workers = cfg.num_workers
-        if self.mode != "sync" or mutations is not None:
-            workers = 1
+            lanes = 1
         if self.fs.device.fault_plan is not None or self.fs.cache is not None:
-            workers = 1
-        scheduler = None
+            lanes = 1
         overlap = None
-        if workers > 1:
-            depth = 0
-            scheduler = ParallelGroupScheduler(self.fs.device, workers)
-            overlap = OverlapModel(self.fs.device, workers)
+        if lanes > 1:
+            overlap = ParallelGroupScheduler(self.fs.device, lanes, meter)
             overlap.register_metrics(reg)
-        pipeline = GroupPipeline(self.fs.device, depth)
+        pipeline = overlap if overlap is not None else GroupPipeline(self.fs.device)
 
         converged = False
         try:
@@ -327,14 +305,10 @@ class MultiLogVC:
                 max_supersteps, records, pipeline, meter, tracker,
                 mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
                 mutate_cb, values, prog, cfg, rng, start_step, ckpt_mgr,
-                scheduler, overlap, planner,
+                overlap, planner,
             )
         except _Converged:
             converged = True
-        finally:
-            pipeline.close()
-            if scheduler is not None:
-                scheduler.close()
 
         if mutations is not None:
             mutations.merge_all()
@@ -426,7 +400,7 @@ class MultiLogVC:
         self, max_supersteps, records, pipeline, meter, tracker,
         mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
         mutate_cb, values, prog, cfg, rng, start_step=0, ckpt_mgr=None,
-        scheduler=None, overlap=None, planner=None,
+        overlap=None, planner=None,
     ) -> None:
         """Run supersteps until convergence (raises :class:`_Converged`)."""
         tracer = self.tracer
@@ -470,29 +444,31 @@ class MultiLogVC:
                         self.intervals.span(ng[-1])[1],
                     )
 
-            def prepare(group, mlog=mlog_cur, mnext=mlog_next, ids=active_ids, ledger=None):
+            def prepare(group):
                 plan = planner.new_plan() if planner is not None else None
                 extra: Optional[UpdateBatch] = None
                 if self.mode == "async":
-                    extra = mnext.consume(group)
+                    # Same-superstep updates earlier groups already sent.
+                    extra = mlog_next.consume(group)
                 sg = sortgroup.load_group(
-                    mlog, group, combine=prog.combine, extra=extra,
-                    charge_sort=False, ledger=ledger, plan=plan,
+                    mlog_cur, group, combine=prog.combine, extra=extra,
+                    charge_sort=False, plan=plan,
                 )
-                self_act = ids[(ids >= sg.vertex_lo) & (ids < sg.vertex_hi)]
+                in_span = (active_ids >= sg.vertex_lo) & (active_ids < sg.vertex_hi)
+                self_act = active_ids[in_span]
                 verts = np.union1d(sg.unique_dests.astype(np.int64), self_act)
                 report = None
                 if verts.size:
                     report = loader.load_active(
                         verts, prog.needs_weights, prog.uses_edge_state, edgelog,
-                        defer=ledger is not None, plan=plan,
+                        plan=plan,
                     )
                 outcome = None
                 if plan is not None:
                     span = next_span.get(tuple(group))
                     if span is not None:
                         planner.collect_readahead(
-                            plan, self.storage, edgelog, ids, span[0], span[1],
+                            plan, self.storage, edgelog, active_ids, span[0], span[1],
                             prog.needs_weights or prog.uses_edge_state,
                         )
                     outcome = plan.execute()
@@ -501,15 +477,10 @@ class MultiLogVC:
                     # calls all returned 0.0).
                     for klass, t in outcome.times.items():
                         if klass == KLASS_MLOG:
-                            if ledger is None:
-                                mlog.io_time_us += t
-                            else:
-                                ledger.io_times.append(t)
+                            mlog_cur.io_time_us += t
                         elif klass == KLASS_EDGELOG:
-                            report.edgelog_io_time_us += t
                             report.io_time_us += t
-                            if ledger is None and edgelog is not None:
-                                edgelog.apply_read_tally(t, report.edgelog_pages)
+                            edgelog.apply_read_tally(t, report.edgelog_pages)
                         elif klass != KLASS_READAHEAD and report is not None:
                             report.io_time_us += t
                 return PreparedGroup(list(group), sg, verts, report, io_plan=outcome)
@@ -519,28 +490,12 @@ class MultiLogVC:
             edges_scanned = 0
             ineff_pages = 0
             accessed_pages = 0
-            hypo_ineff = 0
             avoided_ineff = 0
             avoided_pages = 0
-            if scheduler is not None:
-                # Parallel executor path (DESIGN.md §11): speculate on
-                # worker threads, commit in canonical group order.  The
-                # serial loop below then sees an empty plan.
-                (
-                    processed, updates_processed, edges_scanned, ineff_pages,
-                    accessed_pages, hypo_ineff, avoided_ineff, avoided_pages,
-                ) = self._run_groups_parallel(
-                    groups, prepare, scheduler, overlap, meter, tracker,
-                    mlog_cur, mlog_next, sortgroup, loader, edgelog,
-                    values, prog, cfg, rng, step, planner,
-                )
-            serial_groups = groups if scheduler is None else []
-            for g_index, (prepared, charges) in enumerate(pipeline.run(serial_groups, prepare)):
-                # Replay prefetched I/O charges and the deferred sort
-                # charge here, where serial execution would record them.
-                # This is also the trace emission site for prepared work:
-                # group_load is stamped after the commit, so traces are
-                # bit-identical at any pipeline depth.
+            for g_index, (prepared, charges) in enumerate(pipeline.run(groups, prepare)):
+                # Record the group's deferred I/O charges, then the sort
+                # charge.  group_load is stamped after the commit, so it
+                # carries the group's storage time.
                 self.fs.device.commit(charges)
                 if planner is not None:
                     planner.apply(prepared.io_plan)
@@ -570,7 +525,6 @@ class MultiLogVC:
                     frac = useful / cfg.ssd.page_size
                     ineff_pages += int(((useful > 0) & (frac < cfg.page_efficiency_threshold)).sum())
                 accessed_pages += report.data_pages
-                hypo_ineff += report.hypo_inefficient
                 avoided_ineff += report.avoided_inefficient
                 # Pages the edge log saved: the hypothetical no-edge-log
                 # colidx page set minus the adjacency pages actually read.
@@ -773,268 +727,6 @@ class MultiLogVC:
             if prog.is_converged(values):
                 raise _Converged
 
-    # -- parallel interval executor (DESIGN.md §11) --------------------
-
-    def _speculate_group(self, group, prepare, prog, values, rng, step):
-        """Worker-thread half of the speculate/commit protocol.
-
-        Prepares the group (consume + sort + load) with all shared
-        accounting deferred -- device charges to the thread-local queue,
-        unit tallies to the group's :class:`ConsumeLedger`, loader
-        tallies to the :class:`LoadReport` -- then runs the vertex
-        program with every ``send`` buffered into the returned
-        :class:`GroupWork` instead of the live next-generation
-        multi-log.  Vertex-value and edge-state writes happen in place:
-        each vertex's slots are touched only by its own processing, so
-        the final array state is independent of group completion order.
-        """
-        ledger = ConsumeLedger()
-        prepared = prepare(group, ledger=ledger)
-        work = GroupWork(prepared=prepared, ledger=ledger)
-        verts = prepared.verts
-        if verts.size == 0:
-            return work
-        sg = prepared.sg
-        if prog.supports_batch:
-            sends = work.sends
-
-            def send_batch(dests, srcs, datas):
-                # Copy: the program may reuse its buffers after the
-                # call, and these batches outlive the speculation.
-                sends.append(
-                    UpdateBatch.of(
-                        np.array(dests, copy=True),
-                        np.array(srcs, copy=True),
-                        np.array(datas, copy=True),
-                    )
-                )
-
-            bctx, es_plan = self._build_batch(
-                sg, verts, prog, send_batch, rng, step, values
-            )
-            if prog.process_batch(bctx):
-                work.handled = True
-                work.bctx = bctx
-                work.es_plan = es_plan
-                return work
-            # Program declined the batch; any sends it made are kept and
-            # replayed before the scalar results, exactly as they would
-            # have landed inline.
-
-        upos = np.searchsorted(sg.unique_dests, verts)
-        k_updates = sg.unique_dests.shape[0]
-        for idx in range(verts.shape[0]):
-            v = int(verts[idx])
-            p = int(upos[idx])
-            if p < k_updates and sg.unique_dests[p] == v:
-                usrc, udata = sg.updates_for(p)
-            else:
-                usrc, udata = _EMPTY_SRC, _EMPTY_DATA
-            nb = self.storage.neighbors(v)
-            wt = (
-                self.storage.weights(v)
-                if (prog.needs_weights or prog.uses_edge_state)
-                else None
-            )
-            ops: List[tuple] = []
-
-            def send(dest, src, data, _ops=ops):
-                _ops.append(("send", int(dest), int(src), float(data)))
-
-            def send_many(dests, src, datas, _ops=ops):
-                _ops.append(
-                    (
-                        "send_many",
-                        np.array(dests, copy=True),
-                        int(src),
-                        np.array(datas, copy=True),
-                    )
-                )
-
-            ctx = VertexContext(
-                vid=v,
-                superstep=step,
-                values=values,
-                updates_src=usrc,
-                updates_data=udata,
-                out_neighbors=nb,
-                out_weights=wt if prog.needs_weights else None,
-                edge_state=wt if prog.uses_edge_state else None,
-                send=send,
-                send_many=send_many,
-                rng=rng,
-                mutate=None,
-            )
-            prog.process(ctx)
-            work.vertex_work.append(
-                VertexWork(
-                    vid=v,
-                    ops=ops,
-                    deactivated=ctx.deactivated,
-                    edge_state_dirty=ctx.edge_state_dirty,
-                    degree=int(nb.shape[0]),
-                    n_updates=int(usrc.shape[0]),
-                )
-            )
-        return work
-
-    def _run_groups_parallel(
-        self, groups, prepare, scheduler, overlap, meter, tracker,
-        mlog_cur, mlog_next, sortgroup, loader, edgelog,
-        values, prog, cfg, rng, step, planner=None,
-    ):
-        """Commit speculated groups in canonical order (accounting thread).
-
-        Replays, per group and in exactly the serial code path's order:
-        the deferred device charges, the unit ledgers, the sort-cost
-        meter charge, the buffered sends into the live multi-log, the
-        active-tracker updates, the edge-log decisions (whose prediction
-        reads tracker state mutated by earlier groups' sends -- the
-        reason they cannot run during speculation), the edge-state
-        scatter/writeback and the trace events.  Returns the eight
-        superstep tallies the serial loop accumulates.
-        """
-        tracer = self.tracer
-        processed = 0
-        updates_processed = 0
-        edges_scanned = 0
-        ineff_pages = 0
-        accessed_pages = 0
-        hypo_ineff = 0
-        avoided_ineff = 0
-        avoided_pages = 0
-
-        def speculate(group):
-            return self._speculate_group(group, prepare, prog, values, rng, step)
-
-        for g_index, (work, charges) in enumerate(scheduler.run(groups, speculate)):
-            compute_before = meter.time_us
-            io_us = sum(op[4] for op in charges)
-            self.fs.device.commit(charges)
-            if planner is not None:
-                planner.apply(work.prepared.io_plan)
-            mlog_cur.apply_consume_ledger(work.ledger)
-            sortgroup.apply_ledger(work.ledger)
-            prepared = work.prepared
-            sg = prepared.sg
-            verts = prepared.verts
-            report = prepared.report
-            if report is not None:
-                loader.apply_report(report, edgelog)
-            meter.charge_sort(sg.sort_items)
-            if tracer.enabled:
-                io = charge_rollup(charges)
-                tracer.emit(
-                    "group_load",
-                    group=g_index,
-                    intervals=len(prepared.interval_ids),
-                    records=int(sg.sort_items),
-                    pages_by_class=io["read_pages_by_class"],
-                    io_time_us=io["io_time_us"],
-                )
-                tracer.emit(
-                    "group_sort",
-                    group=g_index,
-                    records=int(sg.sort_items),
-                    unique_dests=int(sg.unique_dests.shape[0]),
-                )
-            if verts.size == 0:
-                overlap.note_group(
-                    g_index, charges, io_us, meter.time_us - compute_before
-                )
-                continue
-            for useful in report.colidx_useful:
-                frac = useful / cfg.ssd.page_size
-                ineff_pages += int(
-                    ((useful > 0) & (frac < cfg.page_efficiency_threshold)).sum()
-                )
-            accessed_pages += report.data_pages
-            hypo_ineff += report.hypo_inefficient
-            avoided_ineff += report.avoided_inefficient
-            avoided_pages += max(0, report.hypo_pages - report.data_pages)
-            g_processed = 0
-            g_updates = 0
-            g_edges = 0
-            elog_before = edgelog.vertices_logged if edgelog is not None else 0
-
-            # Batch-path sends land inside process_batch in the serial
-            # order, before any tracker/meter updates -- replay first.
-            for b in work.sends:
-                mlog_next.ingest(b)
-            if work.handled:
-                bctx = work.bctx
-                stay = verts[bctx._stay_mask]
-                if stay.size:
-                    tracker.next_self[stay] = True
-                degs = bctx.degrees
-                g_processed = verts.shape[0]
-                g_updates = bctx.total_updates
-                g_edges = int(degs.sum())
-                meter.charge_vertices(verts.shape[0])
-                meter.charge_updates(int(sg.batch.n))
-                meter.charge_edges(g_edges)
-                if edgelog is not None:
-                    predicted = tracker.predict_active_next_many(verts)
-                    cand = predicted & report.vertex_page_inefficient & (degs > 0)
-                    for idx in np.flatnonzero(cand):
-                        edgelog.consider(int(verts[idx]), int(degs[idx]), True, True)
-                if work.es_plan is not None:
-                    off = 0
-                    for files, idx in work.es_plan:
-                        files.values.array[idx] = bctx.es_flat[off : off + idx.shape[0]]
-                        off += idx.shape[0]
-                    dirty_verts = verts[bctx._es_dirty]
-                    if dirty_verts.size:
-                        loader.writeback_edge_state(dirty_verts)
-            else:
-                dirty: List[int] = []
-                for idx, vw in enumerate(work.vertex_work):
-                    for op in vw.ops:
-                        if op[0] == "send":
-                            mlog_next.send(op[1], op[2], op[3])
-                        else:
-                            mlog_next.send_many(op[1], op[2], op[3])
-                    if not vw.deactivated:
-                        tracker.note_self_active(vw.vid)
-                    if vw.edge_state_dirty:
-                        dirty.append(vw.vid)
-                    g_processed += 1
-                    g_updates += vw.n_updates
-                    g_edges += vw.degree
-                    if edgelog is not None:
-                        predicted = tracker.predict_active_next(vw.vid)
-                        inefficient = bool(report.vertex_page_inefficient[idx])
-                        edgelog.consider(vw.vid, vw.degree, predicted, inefficient)
-                meter.charge_vertices(verts.shape[0])
-                meter.charge_updates(int(sg.batch.n))
-                meter.charge_edges(g_edges)
-                if dirty:
-                    loader.writeback_edge_state(np.asarray(dirty))
-
-            processed += g_processed
-            updates_processed += g_updates
-            edges_scanned += g_edges
-            if tracer.enabled:
-                tracer.emit(
-                    "group_process",
-                    group=g_index,
-                    vertices=int(g_processed),
-                    updates=int(g_updates),
-                    edges=int(g_edges),
-                    batched=work.handled,
-                )
-                if edgelog is not None:
-                    tracer.emit(
-                        "edgelog_decisions",
-                        group=g_index,
-                        logged=int(edgelog.vertices_logged - elog_before),
-                    )
-            overlap.note_group(g_index, charges, io_us, meter.time_us - compute_before)
-        return (
-            processed, updates_processed, edges_scanned, ineff_pages,
-            accessed_pages, hypo_ineff, avoided_ineff, avoided_pages,
-        )
-
     # ------------------------------------------------------------------
 
     def _build_batch(self, sg, verts, prog, send_batch, rng, step, values):
@@ -1048,10 +740,8 @@ class MultiLogVC:
         can write mutations back (per-vertex ranges are disjoint, so
         gather/mutate/scatter is equivalent to scalar in-place writes).
 
-        ``send_batch`` is the outgoing-update sink: the inline path
-        routes straight into the next-generation multi-log, the parallel
-        executor buffers into the group's :class:`GroupWork` for replay
-        at commit.
+        ``send_batch`` is the outgoing-update sink (the next-generation
+        multi-log's ``ingest``).
         """
         from .batch import BatchContext, flatten_ranges
 

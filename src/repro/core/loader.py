@@ -45,10 +45,6 @@ class LoadReport:
     val_pages: int = 0
     edgelog_pages: int = 0
     edgelog_hits: int = 0
-    #: edge-log portion of ``io_time_us``, kept separable so a deferred
-    #: load (parallel executor) can apply the edge-log unit's cumulative
-    #: tallies at the commit point
-    edgelog_io_time_us: float = 0.0
     #: useful bytes of each actually read colidx page (Fig. 3 histogram)
     colidx_useful: List[np.ndarray] = field(default_factory=list)
     #: hypothetical (no edge log) colidx page counts for Fig. 9
@@ -79,7 +75,6 @@ class GraphLoaderUnit:
         self._page_size = config.ssd.page_size
         self._threshold = config.page_efficiency_threshold
         #: cumulative load tallies; updated once per load_active call
-        #: (the prefetch worker is the only writer, so no races)
         self.loads = 0
         self.rowptr_pages = 0
         self.colidx_pages = 0
@@ -99,7 +94,6 @@ class GraphLoaderUnit:
         need_weights: bool,
         use_edge_state: bool,
         edgelog: Optional[EdgeLogOptimizer] = None,
-        defer: bool = False,
         plan=None,
     ) -> LoadReport:
         """Charge the page loads for a sorted array of active vertices.
@@ -109,12 +103,6 @@ class GraphLoaderUnit:
         actual adjacency *data* is read by the engine straight from the
         storage arrays (simulation shortcut -- the I/O cost is what is
         modelled here).
-
-        ``defer=True`` (parallel executor, worker thread) leaves this
-        unit's and the edge log's shared cumulative tallies untouched;
-        the caller applies them from the report at the group's commit
-        point via :meth:`apply_report` (page reads themselves are
-        already deferred by the device's thread-local charge queue).
 
         With ``plan`` (DESIGN.md §13) every page read is queued on the
         group's I/O plan instead of charged per range; the report's time
@@ -202,28 +190,17 @@ class GraphLoaderUnit:
         if edgelog is not None:
             hits_all = active[hit_all_mask]
             if hits_all.size:
-                t, n_pages = edgelog.charge_read(hits_all, defer=defer, plan=plan)
+                t, n_pages = edgelog.charge_read(hits_all, plan=plan)
                 report.io_time_us += t
-                report.edgelog_io_time_us += t
                 report.edgelog_pages += n_pages
         report.vertex_page_inefficient = ineff_flags
-        if not defer:
-            self._tally(report)
-        return report
-
-    def _tally(self, report: LoadReport) -> None:
         self.loads += 1
         self.rowptr_pages += report.rowptr_pages
         self.colidx_pages += report.colidx_pages
         self.val_pages += report.val_pages
         self.edgelog_pages += report.edgelog_pages
         self.edgelog_hits += report.edgelog_hits
-
-    def apply_report(self, report: LoadReport, edgelog: Optional[EdgeLogOptimizer]) -> None:
-        """Apply a deferred load's cumulative tallies (commit point)."""
-        self._tally(report)
-        if edgelog is not None and report.edgelog_pages:
-            edgelog.apply_read_tally(report.edgelog_io_time_us, report.edgelog_pages)
+        return report
 
     def writeback_edge_state(self, dirty: np.ndarray) -> float:
         """Charge value-page writes for vertices whose edge state changed.

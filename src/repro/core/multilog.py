@@ -40,31 +40,6 @@ from .update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch
 KLASS_MLOG = "mlog"
 
 
-class ConsumeLedger:
-    """Deferred shared-scalar deltas from a worker-thread group prepare.
-
-    The parallel interval executor (DESIGN.md §11) runs
-    :meth:`MultiLogUnit.consume` and the sort/group step on worker
-    threads speculatively.  Per-interval state (buffers, files,
-    counters) is disjoint across groups and safe to touch in place, but
-    the units' *cumulative* scalars (float I/O-time accumulators, page
-    and record tallies) are shared: mutating them from workers would
-    race, and float accumulation order would depend on scheduling.  A
-    ledger records those deltas instead; the accounting thread applies
-    them at the group's commit point, in canonical group order.
-    ``io_times`` keeps the individual per-read durations (not a sum) so
-    float accumulation replays the exact serial addition sequence.
-    """
-
-    __slots__ = ("io_times", "pages_delta", "sort_groups", "sort_records")
-
-    def __init__(self) -> None:
-        self.io_times: List[float] = []
-        self.pages_delta = 0
-        self.sort_groups = 0
-        self.sort_records = 0
-
-
 class MultiLogUnit:
     """Per-interval update logs with page-buffered, watermarked eviction."""
 
@@ -310,64 +285,36 @@ class MultiLogUnit:
 
     # -- consumption (sort-and-group read path) ----------------------------------------
 
-    def consume(
-        self, interval_ids: List[int], ledger: Optional[ConsumeLedger] = None, plan=None
-    ) -> UpdateBatch:
+    def consume(self, interval_ids: List[int], plan=None) -> UpdateBatch:
         """Load and clear the logs of an interval group.
 
         Reads each interval's flushed pages back from flash (charged to
         this unit's ``io_time_us``), drains the still-buffered records,
         and resets counters.  Returns the concatenated unsorted batch.
 
-        With ``ledger`` (parallel executor, worker thread), the shared
-        cumulative scalars -- ``io_time_us`` and the buffered-page count
-        -- are recorded on the ledger instead of mutated in place; the
-        caller applies them via :meth:`apply_consume_ledger` at the
-        group's commit point.  Per-interval state is group-local and is
-        still cleared in place.
-
         With ``plan`` (DESIGN.md §13), each log's page demand is queued
         on the plan instead of charged per file -- crucially *before*
         the ``truncate()`` below moves the file's page ids -- and the
         caller attributes the coalesced wave time after the plan
-        executes, so per-read durations are not appended here.
+        executes, so per-read durations are not added here.
         """
         parts: List[UpdateBatch] = []
         for i in interval_ids:
             f = self._files[i]
             if f is not None and f.n_pages:
                 payloads, t = f.read_all(plan=plan)
-                if plan is not None:
-                    pass  # wave time attributed from the plan outcome
-                elif ledger is None:
+                if plan is None:
                     self.io_time_us += t
-                else:
-                    ledger.io_times.append(t)
                 for dest, src, data in payloads:
                     parts.append(UpdateBatch.of(dest, src, data))
                 f.truncate()
             buf = self._buffers[i]
-            if ledger is None:
-                self._pages_used -= buf.pages_used
-            else:
-                ledger.pages_delta -= buf.pages_used
+            self._pages_used -= buf.pages_used
             dest, src, data = buf.drain_all()
             if dest.shape[0]:
                 parts.append(UpdateBatch.of(dest, src, data))
             self.counters[i] = 0
         return UpdateBatch.concat(parts)
-
-    def apply_consume_ledger(self, ledger: ConsumeLedger) -> None:
-        """Apply a worker-thread consume's deferred deltas (commit point).
-
-        The individual float durations are re-added one by one so the
-        accumulator goes through the exact same sequence of partial sums
-        as a serial run -- bit-identical ``io_time_us`` at any worker
-        count (it is exported into checkpoints and metrics gauges).
-        """
-        for t in ledger.io_times:
-            self.io_time_us += t
-        self._pages_used += ledger.pages_delta
 
     def reset(self) -> None:
         """Drop all buffered and flushed updates (end of run)."""

@@ -1,47 +1,22 @@
-"""Pipelined interval-group prefetch (paper §V-A3 / §VI overlap).
+"""In-order interval-group iteration (DESIGN.md §11).
 
-The paper overlaps log loading and eviction with compute so all SSD
-channels stay busy.  The engine's analog: while group ``g`` is being
-processed on the main thread, a single background worker *prepares*
-group ``g + 1`` -- ``MultiLogUnit.consume``, the in-memory dest-sort,
-and ``GraphLoaderUnit.load_active`` -- up to ``pipeline_depth`` groups
-ahead.  NumPy's sort/searchsorted/fancy-index kernels release the GIL,
-so preparation genuinely overlaps batch-kernel compute.
+The engine walks a superstep's interval groups in plan order on the
+calling thread.  Each group is *prepared* -- ``MultiLogUnit.consume``,
+the in-memory dest-sort and ``GraphLoaderUnit.load_active`` -- inside
+:meth:`~repro.ssd.device.SimulatedSSD.deferred`, so the group's I/O
+comes back as one charge list.  The engine commits that list, charges
+the sort (``charge_sort=False`` during preparation) and only then
+processes the group's vertices: every group's storage time lands on the
+simulated clock before its compute time, and the list doubles as the
+input of the ``group_load`` trace roll-up and of the lane overlay
+(:mod:`repro.core.scheduler`).
 
-Determinism contract
---------------------
-Prepared results must be *bit-identical* to serial execution, including
-every accounting stream:
-
-* **SSD stats**: the worker runs inside
-  :meth:`~repro.ssd.device.SimulatedSSD.deferred`, so its I/O charges are
-  queued, not recorded.  The consumer replays each group's queue with
-  :meth:`~repro.ssd.device.SimulatedSSD.commit` at the exact point the
-  same charges would land under serial execution, preserving the global
-  record order (and therefore every per-superstep snapshot delta and
-  float accumulation).
-* **Compute meter**: preparation skips the sort charge
-  (``charge_sort=False``); the consumer charges
-  ``SortedGroup.sort_items`` itself, again in serial order.
-* **Data**: in synchronous mode the current-generation multi-log
-  receives no new messages during the superstep and the loader reads
-  only the *current* edge-log generation, so preparing group ``g + 1``
-  early reads exactly what serial execution would read.  Asynchronous
-  mode (same-superstep update injection) and structural mutation break
-  that independence, so the engine forces depth 0 for them.
-
-Depth 0 runs the same code path inline (prepare, commit, process per
-group) and is the ablation baseline; any depth yields identical results.
-
-The worker is a single thread: groups are prepared strictly in order,
-which keeps intra-unit accumulators (``MultiLogUnit.io_time_us``) in
-serial order too.
+The paper's overlap of log loading with compute (§V-A3) is a property of
+its device and core model; here it is simulated time, not host threads.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -72,109 +47,44 @@ PrepareFn = Callable[[List[int]], PreparedGroup]
 
 
 def charge_rollup(charges: List[ChargeOp]) -> dict:
-    """Summarise a deferred-charge queue by direction and storage class.
+    """Summarise a deferred-charge queue: read pages by class, total time.
 
-    The engine calls this at the replay point (right after
-    :meth:`~repro.ssd.device.SimulatedSSD.commit`) to emit one
+    The engine calls this right after
+    :meth:`~repro.ssd.device.SimulatedSSD.commit` to emit one
     ``group_load`` trace event describing exactly the I/O the group's
     preparation performed -- per-class page counts and total simulated
-    time.  Because the queue is identical whether the group was
-    prepared inline (depth 0) or ahead on the worker thread, the
-    resulting trace is bit-identical across pipeline depths.
+    time.
     """
     read_pages: dict = {}
-    write_pages: dict = {}
     time_us = 0.0
     for op in charges:
         is_read, klass, pages, _nbytes, t = op[:5]
-        table = read_pages if is_read else write_pages
-        table[klass] = table.get(klass, 0) + pages
+        if is_read:
+            read_pages[klass] = read_pages.get(klass, 0) + pages
         time_us += t
-    return {
-        "read_pages_by_class": read_pages,
-        "write_pages_by_class": write_pages,
-        "io_time_us": time_us,
-    }
+    return {"read_pages_by_class": read_pages, "io_time_us": time_us}
 
 
 class GroupPipeline:
-    """Depth-bounded, order-preserving group prefetcher.
+    """The one group iterator: prepare each group, in order, deferred.
 
     One instance serves a whole engine run; :meth:`run` is called once
-    per superstep with that superstep's group plan and prepare closure.
+    per superstep.
     """
 
-    def __init__(self, device: SimulatedSSD, depth: int) -> None:
-        if depth < 0:
-            raise ValueError(f"pipeline depth must be >= 0, got {depth}")
+    def __init__(self, device: SimulatedSSD) -> None:
         self.device = device
-        self.depth = depth
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="group-prefetch"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "GroupPipeline":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- iteration ------------------------------------------------------
 
     def run(
-        self,
-        groups: Iterable[List[int]],
-        prepare: PrepareFn,
-        depth: Optional[int] = None,
+        self, groups: Iterable[List[int]], prepare: PrepareFn
     ) -> Iterator[Tuple[PreparedGroup, List[ChargeOp]]]:
         """Yield ``(prepared, deferred_charges)`` for each group, in order.
 
-        ``depth`` overrides the instance depth for this superstep (the
-        engine passes 0 for modes that must stay serial).  The caller
-        must :meth:`~repro.ssd.device.SimulatedSSD.commit` each charge
-        queue before processing the group.
+        A group is prepared when the consumer asks for it, never ahead.
+        The caller must :meth:`~repro.ssd.device.SimulatedSSD.commit`
+        each charge list before processing the group.
         """
-        d = self.depth if depth is None else depth
-
-        def job(group: List[int]) -> Tuple[PreparedGroup, List[ChargeOp]]:
+        for group in groups:
             with self.device.deferred() as charges:
                 prepared = prepare(group)
-            return prepared, charges
-
-        if d <= 0:
-            for group in groups:
-                yield job(group)
-            return
-
-        executor = self._ensure_executor()
-        pending: "deque[Future]" = deque()
-        it = iter(groups)
-
-        def submit_next() -> None:
-            try:
-                group = next(it)
-            except StopIteration:
-                return
-            pending.append(executor.submit(job, group))
-
-        for _ in range(d):
-            submit_next()
-        while pending:
-            fut = pending.popleft()
-            result = fut.result()
-            # Keep the pipe full: request the next group before handing
-            # this one to the consumer, so preparation overlaps compute.
-            submit_next()
-            yield result
+            yield prepared, charges

@@ -1,190 +1,49 @@
-"""Deterministic parallel interval executor (DESIGN.md §11).
+"""Simulated worker lanes over the in-order group loop (DESIGN.md §11).
 
 MultiLogVC's central claim is that concurrent processing of independent
 vertex intervals keeps the flash channels saturated (paper §V, Fig. 3).
-This module supplies the compute half of that claim: a thread-pool
-executor that *speculatively* prepares and processes several interval
-groups of one superstep at once, plus the bookkeeping that commits their
-effects in canonical interval order.
-
-Speculate/commit split
-----------------------
-A superstep's interval groups are independent in synchronous mode: each
-group consumes its own multi-log intervals, reads only the *current*
-edge-log generation, and touches only its own vertices' values and edge
-state.  What is **not** independent is the accounting -- simulated-time
-charges, trace events, the active tracker, the next-generation multi-log
-and the next edge-log generation all have a serial order that the
-determinism contract (bit-exact results at any worker count) requires.
-
-So each worker runs the *speculation* phase for one group:
-
-* multi-log ``consume`` + dest-sort + ``load_active`` with the device's
-  thread-local deferred-charge queue armed and the units' shared
-  cumulative scalars routed into a :class:`ConsumeLedger`;
-* the vertex program, with ``send``/``send_many``/``send_batch`` routed
-  into per-group buffers instead of the live next-generation multi-log.
-
-The accounting thread then *commits* groups strictly in canonical order:
-replays the deferred device charges, applies the ledgers, replays the
-buffered sends through the live multi-log, evaluates the edge-log
-decisions (whose active-vertex prediction depends on earlier groups'
-sends, so it must happen here, not during speculation), charges the
-compute meter and emits trace events -- producing exactly the state and
-event sequence of a serial run.
-
-Overlap model
--------------
-The committed accounting is worker-count-invariant by design, so the
-simulated-latency win of parallel execution is reported *alongside* it:
-:class:`OverlapModel` assigns each group to a lane (``group % workers``)
-and derives a per-superstep makespan from the busiest lane and the
-busiest flash channel (:func:`repro.ssd.device.merge_overlap`).  The
-cumulative counters feed the ``parallel_stats`` trace event and the
-``scheduler.*`` metrics gauges; the bench's ``--workers`` column is
-computed from them.
+``num_workers`` models that concurrency in simulated time only: groups
+still run one after another on the calling thread, so values, records,
+stats and traces cannot depend on the lane count, and the win is
+reported *alongside* the committed accounting.  Each group is assigned
+to a lane (``group % workers``); a superstep's overlapped bound is the
+busiest lane or the busiest flash channel, whichever is larger
+(:func:`repro.ssd.device.merge_overlap`).  The cumulative counters feed
+the ``parallel_stats`` trace event and the ``scheduler.*`` gauges; the
+bench's ``--workers`` column is computed from them.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..ssd.device import ChargeOp, SimulatedSSD, merge_overlap
-from .multilog import ConsumeLedger
-from .pipeline import PreparedGroup
-
-#: One buffered scalar-path send: ``("send", dest, src, data)`` or
-#: ``("send_many", dests, src, datas)`` -- replayed verbatim, in order,
-#: through the live multi-log at commit.
-SendOp = Tuple[Any, ...]
+from .pipeline import GroupPipeline, PreparedGroup, PrepareFn
+from .results import ComputeMeter
 
 
-@dataclass
-class VertexWork:
-    """Speculative outcome of one scalar-path ``process()`` call."""
+class ParallelGroupScheduler(GroupPipeline):
+    """The group iterator plus lane/channel overlap accounting.
 
-    vid: int
-    ops: List[SendOp]
-    deactivated: bool
-    edge_state_dirty: bool
-    degree: int
-    n_updates: int
-
-
-@dataclass
-class GroupWork:
-    """Everything a worker speculated for one group, awaiting commit."""
-
-    prepared: PreparedGroup
-    ledger: ConsumeLedger
-    #: batch fast path taken (``process_batch`` returned True)
-    handled: bool = False
-    #: batch path: the context (stay mask, degrees, es_flat) and the
-    #: buffered ingest batches, in send order
-    bctx: Any = None
-    es_plan: Any = None
-    sends: List[Any] = field(default_factory=list)
-    #: scalar path: per-vertex speculation outcomes, in vertex order
-    vertex_work: List[VertexWork] = field(default_factory=list)
-
-
-SpeculateFn = Callable[[List[int]], GroupWork]
-
-
-class ParallelGroupScheduler:
-    """Window-bounded speculative executor yielding in canonical order.
-
-    ``workers`` threads speculate on interval groups concurrently; the
-    in-flight window is ``workers + 2`` so the accounting thread always
-    finds the next canonical group finished (or nearly so) while memory
-    stays bounded at a few groups' worth of buffered sends.
-    """
-
-    def __init__(self, device: SimulatedSSD, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.device = device
-        self.workers = workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="interval-worker"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ParallelGroupScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def run(
-        self, groups: Iterable[List[int]], speculate: SpeculateFn
-    ) -> Iterator[Tuple[GroupWork, List[ChargeOp]]]:
-        """Yield ``(work, deferred_charges)`` per group, in plan order.
-
-        Each speculation job runs inside the device's thread-local
-        :meth:`~repro.ssd.device.SimulatedSSD.deferred` scope, so its
-        I/O charges come back as a queue for the caller to commit at
-        the canonical point.  Results are yielded strictly in the order
-        groups appear in the plan, regardless of completion order.
-        """
-
-        def job(group: List[int]) -> Tuple[GroupWork, List[ChargeOp]]:
-            with self.device.deferred() as charges:
-                work = speculate(group)
-            return work, charges
-
-        executor = self._ensure_executor()
-        window = self.workers + 2
-        pending: "deque[Future]" = deque()
-        it = iter(groups)
-
-        def submit_next() -> None:
-            try:
-                group = next(it)
-            except StopIteration:
-                return
-            pending.append(executor.submit(job, group))
-
-        for _ in range(window):
-            submit_next()
-        while pending:
-            fut = pending.popleft()
-            result = fut.result()
-            submit_next()
-            yield result
-
-
-class OverlapModel:
-    """Simulated-time overlap accounting for the parallel executor.
-
-    Per superstep, each committed group contributes its preparation I/O
-    plus commit compute time to a worker lane (``group % workers``) and
-    its read charges to per-channel busy histograms.  At superstep end
-    the overlapped bound is ``max(busiest lane, busiest channel)``; the
+    Per superstep, each group contributes its preparation I/O plus its
+    compute time to a worker lane (``group % workers``) and its read
+    charges to per-channel busy histograms.  At superstep end the
+    overlapped bound is ``max(busiest lane, busiest channel)``; the
     difference to the serial sum is the modelled saving.  All exported
     counters are run-cumulative and monotonically non-decreasing (the
     ``parallel_stats`` trace contract checked by
     ``tools/validate_trace.py``).
     """
 
-    def __init__(self, device: SimulatedSSD, workers: int) -> None:
-        self.device = device
+    def __init__(self, device: SimulatedSSD, workers: int, meter: ComputeMeter) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(device)
         self.workers = workers
+        self.meter = meter
         self._lane_us = np.zeros(workers, dtype=np.float64)
         self._busy_us = np.zeros(device.channels, dtype=np.float64)
         #: run-cumulative counters (exported via trace + gauges)
@@ -200,10 +59,23 @@ class OverlapModel:
         metrics.gauge("scheduler.saved_us", lambda: self.saved_us)
         metrics.gauge("scheduler.makespan_us", lambda: self.makespan_us)
 
-    def note_group(
-        self, g_index: int, charges: List[ChargeOp], io_us: float, compute_us: float
-    ) -> None:
-        """Record one committed group's lane time and channel pressure."""
+    def run(
+        self, groups: Iterable[List[int]], prepare: PrepareFn
+    ) -> Iterator[Tuple[PreparedGroup, List[ChargeOp]]]:
+        """:meth:`GroupPipeline.run`, noting each group on its lane.
+
+        A group's compute time is whatever the meter gained while the
+        consumer held it, so it is noted when the consumer asks for the
+        next group (or exhausts the iterator).
+        """
+        for g_index, (prepared, charges) in enumerate(super().run(groups, prepare)):
+            compute_before = self.meter.time_us
+            yield prepared, charges
+            self.note_group(g_index, charges, self.meter.time_us - compute_before)
+
+    def note_group(self, g_index: int, charges: List[ChargeOp], compute_us: float) -> None:
+        """Record one group's lane time and channel pressure."""
+        io_us = sum(op[4] for op in charges)
         self._lane_us[g_index % self.workers] += io_us + compute_us
         self._busy_us += self.device.channel_busy_us(charges)
         self.groups += 1
@@ -212,7 +84,7 @@ class OverlapModel:
         """Fold this superstep into the cumulative counters.
 
         ``storage_us``/``compute_us`` are the superstep's committed
-        (worker-invariant) totals; the overlapped makespan is that total
+        (lane-invariant) totals; the overlapped makespan is that total
         minus the modelled saving.  Returns the saving for this
         superstep.  Resets the per-superstep lane/channel state.
         """

@@ -20,7 +20,7 @@ from ..config import SimConfig
 from ..mem.budget import MemoryBudget
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .combine import CombineSpec, combine_sorted
-from .multilog import ConsumeLedger, MultiLogUnit
+from .multilog import MultiLogUnit
 from .results import ComputeMeter
 from .update import UpdateBatch
 
@@ -39,7 +39,7 @@ class SortedGroup:
     #: (possible only when the §V-A1 conservative sizing was overridden).
     overflowed: bool = False
     #: Pre-combine batch size, for deferred sort-cost metering when the
-    #: group was prepared off the accounting thread (``charge_sort=False``).
+    #: caller charges the sort itself (``charge_sort=False``).
     sort_items: int = 0
 
     def updates_for(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,11 +128,6 @@ class SortGroupUnit:
         self.groups_planned += len(groups)
         return groups
 
-    def apply_ledger(self, ledger: ConsumeLedger) -> None:
-        """Apply a worker-thread load_group's deferred tallies (commit)."""
-        self.groups_loaded += ledger.sort_groups
-        self.records_sorted += ledger.sort_records
-
     # -- load + sort + group ---------------------------------------------------
 
     def load_group(
@@ -142,7 +137,6 @@ class SortGroupUnit:
         combine: Optional[CombineSpec] = None,
         extra: Optional[UpdateBatch] = None,
         charge_sort: bool = True,
-        ledger: Optional[ConsumeLedger] = None,
         plan=None,
     ) -> SortedGroup:
         """Consume an interval group's logs and sort/group them in memory.
@@ -150,19 +144,12 @@ class SortGroupUnit:
         ``extra`` lets the asynchronous mode inject same-superstep
         updates produced by earlier groups.  ``charge_sort=False`` skips
         the compute-meter charge; the caller charges
-        ``SortedGroup.sort_items`` itself (the prefetch pipeline does
-        this on the accounting thread to keep meter order serial).
-        ``ledger`` (parallel executor, worker thread) defers this unit's
-        and the multi-log's shared cumulative tallies to the commit
-        point; apply with :meth:`apply_ledger` /
-        :meth:`~repro.core.multilog.MultiLogUnit.apply_consume_ledger`.
+        ``SortedGroup.sort_items`` itself (the engine does this after it
+        commits the group's deferred device charges).
         ``plan`` (DESIGN.md §13) queues the log reads on a group I/O
         plan instead of charging per file.
         """
-        if plan is not None:
-            batch = multilog.consume(interval_ids, ledger=ledger, plan=plan)
-        else:
-            batch = multilog.consume(interval_ids, ledger=ledger)
+        batch = multilog.consume(interval_ids, plan=plan)
         if extra is not None and extra.n:
             batch = UpdateBatch.concat([batch, extra])
         overflowed = batch.n * self.config.records.update_bytes > self.budget.sort_bytes
@@ -175,12 +162,8 @@ class SortGroupUnit:
             batch, uniq, offsets = combine_sorted(batch, uniq, offsets, combine)
         lo = multilog.intervals.span(interval_ids[0])[0]
         hi = multilog.intervals.span(interval_ids[-1])[1]
-        if ledger is None:
-            self.groups_loaded += 1
-            self.records_sorted += sort_items
-        else:
-            ledger.sort_groups += 1
-            ledger.sort_records += sort_items
+        self.groups_loaded += 1
+        self.records_sorted += sort_items
         return SortedGroup(
             interval_ids=list(interval_ids),
             vertex_lo=lo,

@@ -28,9 +28,9 @@ changes), ``pages_read`` and per-class stats stay bit-identical to the
 unplanned engine; only batch counts and simulated time shrink.
 
 Determinism: a plan is built and executed inside one ``prepare()``
-call, under the device's deferred-charge queue whenever the pipeline or
-the parallel executor is active, so the coalesced charges commit at the
-canonical group-order point exactly like uncoalesced ones.
+call, under the device's deferred-charge queue, so the coalesced
+charges commit at the canonical group-order point exactly like
+uncoalesced ones.
 """
 
 from __future__ import annotations

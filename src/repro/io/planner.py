@@ -10,8 +10,8 @@ cumulative counters behind the ``io.*`` gauges and the
 Counter discipline mirrors the rest of the engine: per-group
 :class:`~repro.io.plan.PlanOutcome` records ride on the prepared group
 and are folded in via :meth:`apply` at the commit point, in canonical
-group order -- so the tallies (floats included) are bit-identical for
-any pipeline depth or worker count.
+group order -- so the tallies (floats included) do not depend on the
+simulated lane count.
 
 Read-ahead reuses the activity knowledge the engine already maintains:
 a vertex is processed by the next group only if it is in the active

@@ -16,10 +16,9 @@ themselves are always charged in full (write-through), so torn-write and
 crash semantics are untouched.
 
 Determinism: every access mutates the CLOCK state, so hit patterns
-depend on access *order*.  All engines drive the cache from the
-accounting thread only (MultiLogVC forces ``pipeline_depth=0`` when a
-cache is attached), which makes hit/miss sequences -- and therefore
-stats and traces -- reproducible run over run.
+depend on access *order*.  Every engine is single-threaded and walks
+its groups in one fixed order, which makes hit/miss sequences -- and
+therefore stats and traces -- reproducible run over run.
 
 The cache is device-array-agnostic (DESIGN.md §14): keys are
 *(file name, page id)*, placement never enters the eviction state, so

@@ -17,12 +17,12 @@ untraced runs.
 
 Determinism contract
 --------------------
-Engines emit events **only on the accounting thread**, at the point
-where the corresponding work lands in the serial execution order.  For
-the group-prefetch pipeline that point is the deferred-charge replay
-site in :meth:`repro.core.engine.MultiLogVC._superstep_loop` -- work
-prepared ahead on the worker thread is traced when its I/O charges are
-committed, so traces are bit-identical across pipeline depths.
+Engines are single-threaded and emit events at the point where the
+corresponding work lands in the execution order.  MultiLogVC prepares a
+group under the device's deferred-charge queue and emits its
+``group_load`` right after the commit in
+:meth:`repro.core.engine.MultiLogVC._superstep_loop`, so the event is
+stamped with the group's I/O already on the simulated clock.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ TRACE_KINDS = frozenset(
         "edgelog_decisions",
         "mlog_rotate",
         "mlog_flush",
-        # parallel interval executor (DESIGN.md §11): one event per
-        # superstep when effective workers > 1, carrying run-cumulative
+        # simulated worker lanes (DESIGN.md §11): one event per
+        # superstep when effective lanes > 1, carrying run-cumulative
         # (monotonically non-decreasing) overlap counters
         "parallel_stats",
         # superstep I/O planner (DESIGN.md §13): one event per superstep

@@ -84,10 +84,9 @@ class EngineOptions:
         Explicit cache budget in bytes; defaults to the config's
         ``memory.cache_bytes_default`` when the cache is enabled.
     num_workers:
-        Worker threads for MultiLogVC's deterministic parallel interval
-        executor (DESIGN.md §11).  ``None`` (default) inherits the
-        config's ``num_workers``; results are bit-identical at any
-        count.
+        Simulated worker lanes of MultiLogVC's overlap model
+        (DESIGN.md §11).  ``None`` (default) inherits the config's
+        ``num_workers``; results are bit-identical at any count.
     io_plan:
         Superstep I/O planner mode (DESIGN.md §13): ``None`` (default)
         inherits the config's ``io_plan``; ``"off"`` forces the seed's

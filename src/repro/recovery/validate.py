@@ -125,8 +125,8 @@ def count_device_ops(
     """Run once under an empty fault plan; returns (total I/O batches, result).
 
     The empty plan makes the device count every batch in ``ops_seen``
-    (and forces the serial pipeline, the same operation order a real
-    plan sees), so callers can pick crash points uniformly over the
+    (and gates the lane overlay off, as a real plan does), so callers
+    can pick crash points uniformly over the
     whole run.
     """
     from ..core.engine import MultiLogVC

@@ -5,7 +5,7 @@ SSDs: striping the graph image over N devices multiplies the achievable
 bandwidth the same way MultiLogVC's channel interspersing multiplies it
 within one device (paper §V-A3).  :class:`DeviceArray` models that one
 level up from :class:`~repro.ssd.device.SimulatedSSD`, with the same
-determinism contract the parallel executor established (DESIGN.md §11):
+determinism contract as the worker-lane overlay (DESIGN.md §11):
 
 * **Canonical accounting is untouched.**  Every read/write still charges
   the single-device batch time into the one global
@@ -17,7 +17,7 @@ determinism contract the parallel executor established (DESIGN.md §11):
   applied to each device's share of the batch; every member device has
   the full ``C`` channels).  The overlay accumulates per-device busy
   clocks and a serial-vs-array time pair at the canonical commit point,
-  so it is worker-count- and pipeline-depth-invariant too.  It surfaces
+  so it does not depend on the simulated lane count.  It surfaces
   via ``device.*`` gauges and the per-superstep ``device_stats`` trace
   kind (excluded from crash/resume reconciliation, like
   ``parallel_stats``), and the saving is guaranteed non-negative:

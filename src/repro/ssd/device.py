@@ -25,7 +25,6 @@ payloads live in :mod:`repro.ssd.file`.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -44,9 +43,9 @@ ChannelVector = Union[np.ndarray, Sequence[int]]
 #: ``channel_pages`` is the per-channel page-count histogram of the
 #: batch (read charges only; ``None`` for writes and zero-page retry
 #: records).  :meth:`SimulatedSSD.commit` ignores it -- it exists for
-#: the parallel executor's overlap model (:func:`merge_overlap`), which
-#: needs to know which channels a speculatively prepared group kept
-#: busy.  Pre-histogram 5-tuples are still accepted everywhere.
+#: the lane overlap model (:func:`merge_overlap`), which needs to know
+#: which channels a group's preparation kept busy.  Pre-histogram
+#: 5-tuples are still accepted everywhere.
 #: Under a :class:`~repro.ssd.array.DeviceArray` a charge may carry a
 #: 7th element: the per-device time vector the overlay accumulates at
 #: commit (DESIGN.md §14); shorter tuples mean "unattributed" and bill
@@ -57,9 +56,9 @@ ChargeOp = Tuple[bool, str, int, int, float, Optional[np.ndarray]]
 def merge_overlap(lane_times_us: np.ndarray, channel_busy_us: np.ndarray) -> float:
     """Makespan of concurrent worker lanes on a channel-parallel device.
 
-    The parallel interval executor models overlap without perturbing
-    the committed (worker-count-invariant) accounting: each worker lane
-    accumulates the simulated time of the groups it prepared, and every
+    The lane model reports overlap without perturbing the committed
+    (lane-count-invariant) accounting: each simulated worker lane
+    accumulates the simulated time of the groups assigned to it, and every
     group's read charges contribute a per-channel busy histogram.  The
     overlapped execution cannot finish faster than the busiest lane
     (compute + its own I/O waits) nor faster than the busiest flash
@@ -97,7 +96,8 @@ class SimulatedSSD:
         self.stats = SSDStats()
         self._channels = config.ssd.channels
         self._page_size = config.ssd.page_size
-        self._tls = threading.local()
+        #: armed deferred-charge queue (``None`` outside :meth:`deferred`)
+        self._queue: Optional[List[ChargeOp]] = None
         # Fault injection (see repro.ssd.faults).  With no plan installed
         # the hot paths take the exact pre-fault code paths, so timing
         # stays bit-identical to a device without this machinery.
@@ -128,8 +128,7 @@ class SimulatedSSD:
 
         This is the SSD half of the trace timestamp (engines add their
         compute-meter time).  Deferred charges advance it only when
-        committed, which is what keeps trace timestamps bit-identical
-        across prefetch pipeline depths.
+        committed.
         """
         return self.stats.total_time_us
 
@@ -293,29 +292,27 @@ class SimulatedSSD:
             )
         return arr
 
-    # -- deferred charging (group-prefetch pipeline) ----------------------
+    # -- deferred charging (group preparation) --------------------------
 
     @contextmanager
     def deferred(self):
-        """Queue this thread's charges instead of recording them.
+        """Queue charges instead of recording them.
 
         Timing is still computed and returned to callers (it is a pure
         function of the channel vector), but :class:`SSDStats` is not
-        touched.  The caller replays the queue with :meth:`commit` on
-        the accounting thread, at the point where the same charges would
-        have landed under serial execution -- which is what keeps the
-        prefetch pipeline's per-superstep stats bit-identical to serial
-        mode.  The defer flag is thread-local, so other threads charging
-        concurrently are unaffected.
+        touched.  The caller replays the queue with :meth:`commit`; the
+        engine does so right after a group's preparation, which gives it
+        the group's I/O as one list (``group_load`` trace roll-up, lane
+        overlay) and lands every charge before the group's compute.
         """
-        if getattr(self._tls, "queue", None) is not None:
+        if self._queue is not None:
             raise StorageError("nested deferred() charging is not supported")
         queue: List[ChargeOp] = []
-        self._tls.queue = queue
+        self._queue = queue
         try:
             yield queue
         finally:
-            self._tls.queue = None
+            self._queue = None
 
     def commit(self, ops: List[ChargeOp]) -> None:
         """Record a queue of deferred charges, in order.
@@ -364,7 +361,7 @@ class SimulatedSSD:
         channel_pages: Optional[np.ndarray] = None,
         dev_times: Optional[np.ndarray] = None,
     ) -> None:
-        queue = getattr(self._tls, "queue", None)
+        queue = self._queue
         if queue is not None:
             if dev_times is not None:
                 queue.append((is_read, klass, pages, nbytes, t, channel_pages, dev_times))
@@ -383,7 +380,7 @@ class SimulatedSSD:
 
         No-op on the single device; :class:`~repro.ssd.array.DeviceArray`
         overrides it.  Called at the canonical commit point only, so the
-        overlay is worker-count- and pipeline-depth-invariant.
+        overlay does not depend on the lane count.
         """
 
     # -- device-array hooks (None on the single device) -------------------
@@ -531,7 +528,7 @@ class SimulatedSSD:
         per-channel queues, which is exactly what merging I/O requests
         before submission buys on the channel-parallel device.  Composes
         with everything ``read_batch`` composes with: the deferred-charge
-        queue (plans built at speculate time commit in canonical group
+        queue (plans built at prepare time commit in canonical group
         order), fault plans (one check per submission, with the expanded
         channel vector) and the overlap model (the histogram rides the
         :data:`ChargeOp`).

@@ -35,9 +35,9 @@ vocabulary:
 
 Determinism: a plan's probabilistic decisions come from its own
 ``numpy`` generator seeded at construction, never from global state.
-The MultiLogVC engine forces the group-prefetch pipeline to depth 0
-while a plan is installed so fault points land at the same position in
-the serial operation order every time.
+The MultiLogVC engine runs its groups in one synchronous in-order loop,
+so fault points land at the same position in the operation order every
+time.
 """
 
 from __future__ import annotations

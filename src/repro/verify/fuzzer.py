@@ -241,7 +241,6 @@ def build_config(cdict: Dict[str, Any]) -> SimConfig:
             channels=int(cdict.get("channels", 4)),
         ),
         memory=MemoryConfig(total_bytes=int(cdict.get("total_bytes", 256 * 1024))),
-        pipeline_depth=int(cdict.get("pipeline_depth", 1)),
         num_workers=int(cdict.get("num_workers", 1)),
         cache_policy=str(cdict.get("cache_policy", "none")),
         cache_bytes=None if cache_bytes is None else int(cache_bytes),
@@ -443,10 +442,9 @@ def _config_dict(rng: np.random.Generator) -> Dict[str, Any]:
         "page_size": page,
         "total_bytes": total,
         "channels": int(rng.choice([1, 2, 4])),
-        "pipeline_depth": int(rng.choice([0, 1, 2])),
-        # Parallel interval executor (DESIGN.md §11): results must be
-        # bit-identical at any worker count, so the oracle comparison
-        # doubles as a determinism check for the speculate/commit path.
+        # Simulated worker lanes (DESIGN.md §11): results must be
+        # bit-identical at any lane count, so the oracle comparison
+        # doubles as a check that the overlay stays pure accounting.
         "num_workers": int(rng.choice([1, 2, 4])),
     }
     # Page-cache dimension: a third of cases run with a deliberately

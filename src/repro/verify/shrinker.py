@@ -166,7 +166,7 @@ def shrink(
     # persists without the knob is a simpler repro.
     for key in (
         "num_devices", "placement", "io_plan", "readahead_pages",
-        "cache_policy", "cache_bytes", "num_workers", "pipeline_depth",
+        "cache_policy", "cache_bytes", "num_workers",
     ):
         if key in current.config:
             cfg = {k: v for k, v in current.config.items() if k != key}

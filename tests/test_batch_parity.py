@@ -1,18 +1,20 @@
-"""Batch-kernel parity and pipeline determinism.
+"""Batch-kernel parity and lane-count determinism.
 
 Two guarantees from the hot-path overhaul, both exact:
 
 * every algorithm with a ``process_batch`` kernel computes the *same*
   values, activation traces and message counts as its scalar
   ``process`` path, in both sync and async modes, on multiple graphs;
-* the group-prefetch pipeline (``pipeline_depth`` > 0) reproduces the
-  serial engine bit-for-bit: identical :class:`SuperstepRecord`
-  streams, values, page counters and simulated timing.
+* the engine has one group loop; the simulated lane count
+  (``num_workers``) is pure accounting on top of it, so any count gives
+  identical :class:`SuperstepRecord` streams, values, page counters and
+  simulated timing.
 """
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import small_test_config
 from repro.core import MultiLogVC
 from repro.core.batch import segment_min, segment_mode, segment_sum
@@ -122,58 +124,46 @@ PIPELINE_PROGRAMS = [
 ]
 
 
-class TestPipelineDeterminism:
-    """pipeline_depth > 0 must be bit-identical to serial (depth 0)."""
+class TestLaneDeterminism:
+    """num_workers > 1 must be bit-identical to num_workers = 1."""
 
     @pytest.mark.parametrize("factory,weighted", PIPELINE_PROGRAMS)
-    def test_depth0_vs_depth2_identical(self, factory, weighted):
+    def test_lanes1_vs_lanes4_identical(self, factory, weighted):
         g = graph_for(3, weighted)
         results = []
-        for depth in (0, 2):
-            cfg = small_test_config().with_pipeline_depth(depth)
+        for workers in (1, 4):
+            cfg = small_test_config().with_workers(workers)
             results.append(
                 MultiLogVC(g, factory(), cfg, options=EngineOptions(min_intervals=4)).run(12, seed=0)
             )
-        serial, piped = results
+        one, four = results
         assert np.array_equal(
-            np.nan_to_num(serial.values, posinf=-1),
-            np.nan_to_num(piped.values, posinf=-1),
+            np.nan_to_num(one.values, posinf=-1),
+            np.nan_to_num(four.values, posinf=-1),
         )
-        assert records_equal(serial.supersteps, piped.supersteps)
-        assert serial.pages_read == piped.pages_read
-        assert serial.pages_written == piped.pages_written
-        assert serial.stats.total_time_us == piped.stats.total_time_us
-        assert serial.compute_time_us == piped.compute_time_us
+        assert records_equal(one.supersteps, four.supersteps)
+        assert one.pages_read == four.pages_read
+        assert one.pages_written == four.pages_written
+        assert one.stats.total_time_us == four.stats.total_time_us
+        assert one.compute_time_us == four.compute_time_us
 
-    def test_depth1_and_depth3_also_identical(self):
-        g = graph_for(11, False)
-        baseline = None
-        for depth in (0, 1, 3):
-            cfg = small_test_config().with_pipeline_depth(depth)
-            r = MultiLogVC(g, DeltaPageRankProgram(threshold=1e-3), cfg).run(10, seed=0)
-            if baseline is None:
-                baseline = r
-            else:
-                assert np.array_equal(baseline.values, r.values)
-                assert records_equal(baseline.supersteps, r.supersteps)
-                assert baseline.stats.total_time_us == r.stats.total_time_us
-
-    def test_async_mode_forces_serial_but_still_runs(self):
-        # Async disables prefetch internally (cross-group message flow);
-        # a nonzero depth must not change results there either.
+    def test_async_mode_gates_lanes_off_but_still_runs(self):
+        # Async groups depend on each other (cross-group message flow),
+        # so the lane overlay is off; the lane count must not change
+        # results there either.
         g = graph_for(3, False)
         runs = []
-        for depth in (0, 2):
-            cfg = small_test_config().with_pipeline_depth(depth)
-            runs.append(MultiLogVC(g, WCCProgram(), cfg, options=EngineOptions(mode="async")).run(40, seed=0))
+        for workers in (1, 4):
+            cfg = small_test_config().with_workers(workers)
+            runs.append(
+                repro.run(
+                    g, WCCProgram(), config=cfg,
+                    options=EngineOptions(mode="async"), max_supersteps=40,
+                )
+            )
         assert np.array_equal(runs[0].values, runs[1].values)
         assert records_equal(runs[0].supersteps, runs[1].supersteps)
-
-    def test_depth_validation(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            small_test_config().with_pipeline_depth(-1)
+        assert "scheduler.groups" not in runs[1].metrics
 
 
 class TestSegmentedHelpers:

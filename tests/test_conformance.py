@@ -108,8 +108,8 @@ def _install_off_by_one(monkeypatch):
     """Drop the last record of every consumed multi-log batch."""
     real_consume = MultiLogUnit.consume
 
-    def buggy_consume(self, interval_ids, ledger=None):
-        batch = real_consume(self, interval_ids, ledger=ledger)
+    def buggy_consume(self, interval_ids, plan=None):
+        batch = real_consume(self, interval_ids, plan=plan)
         if batch.n > 0:
             return UpdateBatch.of(batch.dest[:-1], batch.src[:-1], batch.data[:-1])
         return batch

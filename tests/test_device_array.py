@@ -1,6 +1,6 @@
 """Multi-SSD device array (DESIGN.md §14): cross-device conformance.
 
-The array's contract is the parallel executor's (DESIGN.md §11) applied
+The array's contract is the worker-lane overlay's (DESIGN.md §11) applied
 one level down: canonical accounting -- values, SuperstepRecords,
 SSDStats, semantic traces -- is bit-identical for any ``num_devices``
 at any worker count; the array's win lives entirely in the ``device.*``

@@ -141,17 +141,19 @@ class TestTraceReconciliation:
             )
             assert step_proc == rec.active_vertices
 
-    def test_trace_identical_across_pipeline_depths(self, cfg, rmat256):
-        results = {}
-        for depth in (0, 2):
+    def test_trace_identical_across_lane_counts(self, cfg, rmat256):
+        # One group loop: the lane count adds parallel_stats events and
+        # changes nothing else, timestamps included.
+        traces = {}
+        for workers in (1, 4):
             tracer = TraceRecorder()
             res = MultiLogVC(
-                rmat256, pagerank(), cfg.with_pipeline_depth(depth), tracer=tracer
+                rmat256, pagerank(), cfg.with_workers(workers), tracer=tracer
             ).run(STEPS)
-            results[depth] = res
-        t0 = [e.to_dict() for e in results[0].trace]
-        t2 = [e.to_dict() for e in results[2].trace]
-        assert t0 == t2
+            traces[workers] = [
+                e.to_dict() for e in res.trace if e.kind != "parallel_stats"
+            ]
+        assert traces[1] == traces[4]
 
 
 class TestMetrics:

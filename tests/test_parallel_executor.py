@@ -1,20 +1,22 @@
-"""Deterministic parallel interval executor (DESIGN.md §11) and the
-API v1 surface that rode along with it: ``repro.engines()`` capability
-introspection, the options validation matrix, and the worker-count
-bit-exactness contract.
+"""Simulated worker lanes (DESIGN.md §11) and the API v1 surface that
+rode along with them: ``repro.engines()`` capability introspection, the
+options validation matrix, and the lane-count bit-exactness contract.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
 import repro
 from repro import ENGINES, EngineError, EngineInfo, engines
-from repro.algorithms import BFSProgram, DeltaPageRankProgram, MISProgram
+from repro.algorithms import BFSProgram, DeltaPageRankProgram, MISProgram, SSSPProgram
 from repro.config import ConfigError, SimConfig, small_test_config
 from repro.core.engine import MultiLogVC
-from repro.core.scheduler import OverlapModel, ParallelGroupScheduler
+from repro.core.pipeline import GroupPipeline, PreparedGroup
+from repro.core.results import ComputeMeter
+from repro.core.scheduler import ParallelGroupScheduler
 from repro.graph.datasets import small_rmat
 from repro.graph.partition import VertexIntervals
 from repro.obs import TraceRecorder
@@ -81,9 +83,9 @@ class TestWorkerCountInvariance:
         assert strip_parallel(base_ev) == strip_parallel(ev)
 
     def test_crash_resume_at_parallel_worker_count(self):
-        # The crashed run executes serially (armed fault plan gates the
-        # executor); the resumed run executes in parallel.  Worker-count
-        # invariance is what makes values/records/stats still reconcile.
+        # The crashed run has the lane overlay gated off (armed fault
+        # plan); the resumed run keeps it.  Lane-count invariance is
+        # what makes values/records/stats still reconcile.
         cfg = small_test_config().with_workers(4)
         options = EngineOptions(checkpoint_every=2)
         total_ops, _ = count_device_ops(
@@ -145,34 +147,102 @@ class TestSchedulerUnits:
         assert merge_overlap(np.empty(0), np.empty(0)) == 0.0
         assert merge_overlap(np.array([1.0]), np.array([9.0])) == 9.0
 
-    def test_scheduler_yields_in_canonical_order(self):
+    def test_iterator_prepares_in_order_on_demand_and_deferred(self):
         device = SimulatedSSD(small_test_config())
-        sched = ParallelGroupScheduler(device, 4)
-        try:
-            out = [w for w, _ in sched.run([[i] for i in range(20)], lambda g: g)]
-        finally:
-            sched.close()
-        assert out == [[i] for i in range(20)]
+        prepared_log = []
+
+        def prepare(group):
+            prepared_log.append(list(group))
+            device.read_batch(np.array([0, 1]), "csr_col")
+            return PreparedGroup(list(group), None, np.empty(0, np.int64))
+
+        it = GroupPipeline(device).run([[i] for i in range(5)], prepare)
+        assert prepared_log == []  # nothing runs ahead of the consumer
+        for i, (prepared, charges) in enumerate(it):
+            assert prepared.interval_ids == [i]
+            assert prepared_log == [[j] for j in range(i + 1)]
+            # The read was queued, not recorded: the consumer commits it.
+            assert len(charges) == 1 and charges[0][1] == "csr_col"
+            assert device.stats.pages_read == 2 * i
+            device.commit(charges)
+        assert device.stats.pages_read == 10
+
+    def test_lane_iterator_notes_each_group_when_the_next_is_asked_for(self):
+        device = SimulatedSSD(small_test_config())
+        meter = ComputeMeter(small_test_config().compute)
+        sched = ParallelGroupScheduler(device, 2, meter)
+        prepare = lambda g: PreparedGroup(list(g), None, np.empty(0, np.int64))
+        noted = []
+        for prepared, _ in sched.run([[0], [1], [2]], prepare):
+            noted.append(sched.groups)
+            meter.time_us += 10.0  # the consumer's compute for this group
+            if prepared.interval_ids == [1]:
+                continue  # an early continue still gets the group noted
+        assert noted == [0, 1, 2]
+        assert sched.groups == 3
+        # Lanes: groups 0 and 2 on lane 0, group 1 on lane 1.
+        assert list(sched._lane_us) == [20.0, 10.0]
 
     def test_scheduler_rejects_bad_worker_count(self):
         device = SimulatedSSD(small_test_config())
         with pytest.raises(ValueError):
-            ParallelGroupScheduler(device, 0)
+            ParallelGroupScheduler(device, 0, ComputeMeter(small_test_config().compute))
 
     def test_overlap_model_counters_monotonic(self):
         device = SimulatedSSD(small_test_config())
-        model = OverlapModel(device, 2)
-        model.note_group(0, [], 100.0, 10.0)
-        model.note_group(1, [], 40.0, 5.0)
+        model = ParallelGroupScheduler(device, 2, ComputeMeter(small_test_config().compute))
+        read = lambda t: [(True, "csr_col", 1, 4096, t, None)]
+        model.note_group(0, read(100.0), 10.0)
+        model.note_group(1, read(40.0), 5.0)
         saved = model.end_superstep(140.0, 15.0)
         snap1 = model.snapshot()
         assert saved > 0  # two lanes overlap: spec 155 vs bound 110
         assert snap1["groups"] == 2
-        model.note_group(0, [], 50.0, 5.0)
+        model.note_group(0, read(50.0), 5.0)
         model.end_superstep(50.0, 5.0)
         snap2 = model.snapshot()
         for key in ("groups", "spec_us", "saved_us", "makespan_us"):
             assert snap2[key] >= snap1[key]
+
+
+def test_no_host_threads():
+    """num_workers is a simulated lane count: no host thread is started."""
+    before = threading.active_count()
+    seen = []
+    res = MultiLogVC(
+        GRAPH(), DeltaPageRankProgram(), small_test_config().with_workers(4),
+        options=EngineOptions(min_intervals=4),
+        progress=lambda rec: seen.append(threading.active_count()),
+    ).run(6, seed=0)
+    assert len(seen) == res.n_supersteps > 0
+    assert set(seen) == {before}
+
+
+#: ``parallel_stats`` after the last superstep of an 8-step unfused
+#: rmat256 run, recorded at the last commit that still had the
+#: speculate/commit thread pool (PR 11, 7979046) -- the lane model must
+#: reproduce the pool's overlap accounting to the bit.
+GOLDEN_PARALLEL_STATS = {
+    ("pagerank", 2): (40, 9819.634807515014, 4283.989710981325, 10975.645096533692),
+    ("pagerank", 4): (40, 9819.634807515016, 6333.341019830063, 8926.293787684954),
+    ("sssp", 2): (36, 10386.281573149725, 4094.000441578751, 8802.281131570973),
+    ("sssp", 4): (36, 10386.281573149725, 6136.349754860232, 6759.931818289495),
+}
+
+
+@pytest.mark.parametrize("alg,workers", sorted(GOLDEN_PARALLEL_STATS))
+def test_parallel_stats_golden(alg, workers):
+    weighted = alg == "sssp"
+    prog = SSSPProgram(0) if weighted else DeltaPageRankProgram()
+    tracer = TraceRecorder()
+    MultiLogVC(
+        small_rmat(n=256, m=2048, seed=3, weighted=weighted), prog,
+        small_test_config().with_workers(workers),
+        options=EngineOptions(min_intervals=4, enable_fusing=False), tracer=tracer,
+    ).run(8, seed=0)
+    last = [e.fields for e in tracer.events if e.kind == "parallel_stats"][-1]
+    got = tuple(last[k] for k in ("groups", "spec_us", "saved_us", "makespan_us"))
+    assert got == GOLDEN_PARALLEL_STATS[(alg, workers)]
 
 
 class TestNumWorkersKnob:

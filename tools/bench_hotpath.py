@@ -5,10 +5,8 @@ Times PageRank, SSSP and CDLP on the paper-scale synthetic graphs
 twice each:
 
 * **baseline** -- scalar per-vertex kernels (``supports_batch`` forced
-  off) with the prefetch pipeline disabled (``pipeline_depth=0``),
-  i.e. the engine as it stood before the hot-path overhaul;
-* **optimized** -- the batch kernels plus the default group-prefetch
-  pipeline.
+  off), i.e. the engine as it stood before the hot-path overhaul;
+* **optimized** -- the batch kernels.
 
 Both runs produce bit-identical vertex values (checked); only host
 wall-clock differs.  Results land in ``BENCH_hotpath.json`` next to the
@@ -87,12 +85,11 @@ def measure(scale: str, steps_scale: float, repeats: int = 1):
     Returns None if any repeat produced non-identical optimized values.
     """
     cfg = DEFAULT_CONFIG
-    cfg_serial = cfg.with_pipeline_depth(0)
     out = {}
     for name, graph, factory, steps in build_workloads(scale, steps_scale):
         best = None
         for _ in range(max(1, repeats)):
-            base_s, base_r = timed_run(graph, scalar_variant(factory()), cfg_serial, steps)
+            base_s, base_r = timed_run(graph, scalar_variant(factory()), cfg, steps)
             opt_s, opt_r = timed_run(graph, factory(), cfg, steps)
             same = np.array_equal(
                 np.nan_to_num(base_r.values, posinf=-1),
@@ -118,7 +115,7 @@ def measure(scale: str, steps_scale: float, repeats: int = 1):
             f"{name:10s} n={best['graph_vertices']:6d} m={best['graph_edges']:7d}"
             f" steps={best['supersteps']:3d}"
             f"  scalar={best['baseline_seconds']:7.2f}s"
-            f"  batch+pipe={best['optimized_seconds']:7.2f}s"
+            f"  batch={best['optimized_seconds']:7.2f}s"
             f"  speedup={best['speedup']:5.2f}x"
         )
     return out
@@ -230,11 +227,11 @@ def measure_io_plan(scale: str, steps_scale: float):
 
 
 def measure_parallel(scale: str, steps_scale: float, workers: int):
-    """Simulated-latency comparison: serial vs the parallel interval executor.
+    """Simulated-latency comparison: one lane vs ``workers`` simulated lanes.
 
     The committed accounting (I/O time, compute time, values) is
-    bit-identical at any worker count by construction; what the
-    executor buys is *overlap* -- independent interval groups running on
+    bit-identical at any lane count by construction; what the lane
+    model reports is *overlap* -- independent interval groups on
     separate lanes hide each other's latency, bounded by per-channel
     device contention (DESIGN.md §11).  Modelled latency is
     ``storage + compute - saved_us``.  All numbers are deterministic
@@ -524,7 +521,7 @@ def check_regression(baseline_path: str, threshold: float, repeats: int) -> int:
                     f"({threshold:.0%} of committed {ref['latency_reduction']:.1%})"
                 )
             if got["saved_us"] <= 0.0:
-                failed.append(f"{name}: parallel executor saved no simulated time")
+                failed.append(f"{name}: worker lanes saved no simulated time")
     devices_ref = committed.get("smoke", {}).get("devices")
     if devices_ref:
         n_devices = max(r["devices"] for r in devices_ref.values())
@@ -630,9 +627,8 @@ def main() -> int:
     )
     ap.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="also compare simulated latency serial vs the parallel interval "
-             "executor at N workers (deterministic; lands in the report's "
-             "'parallel' section)",
+        help="also compare simulated latency at one lane vs N simulated worker "
+             "lanes (deterministic; lands in the report's 'parallel' section)",
     )
     ap.add_argument(
         "--devices", type=int, default=None, metavar="N",
@@ -671,7 +667,7 @@ def main() -> int:
             return 1
     parallel = None
     if args.workers:
-        print(f"-- parallel interval executor, {args.workers} workers (simulated latency) --")
+        print(f"-- simulated worker lanes, {args.workers} lanes (simulated latency) --")
         parallel = measure_parallel(scale, steps_scale, args.workers)
         if parallel is None:
             return 1
@@ -694,8 +690,6 @@ def main() -> int:
             "page_size": cfg.ssd.page_size,
             "channels": cfg.ssd.channels,
             "memory_total_bytes": cfg.memory.total_bytes,
-            "pipeline_depth_optimized": cfg.pipeline_depth,
-            "pipeline_depth_baseline": 0,
         },
         "host": {
             "python": platform.python_version(),
@@ -733,7 +727,7 @@ def main() -> int:
             return 0
         path = Path(args.out)
         report = json.loads(path.read_text()) if path.exists() else {
-            "benchmark": "superstep hot path: batch kernels + group prefetch pipeline",
+            "benchmark": "superstep hot path: batch kernels",
         }
         report["smoke"] = section
         path.write_text(json.dumps(report, indent=2) + "\n")
@@ -745,7 +739,7 @@ def main() -> int:
     report = json.loads(path.read_text()) if path.exists() else {}
     report.update(
         {
-            "benchmark": "superstep hot path: batch kernels + group prefetch pipeline",
+            "benchmark": "superstep hot path: batch kernels",
             **section,
         }
     )

@@ -4,7 +4,7 @@
 Runs a large batch of seeded fuzzer cases -- adversarial graphs
 (power-law, multi-edges, self-loops, disconnected components, empty
 vertex intervals) crossed with the engine config matrix (interval
-counts, page sizes, pipeline depths, sync/async, checkpoint/resume,
+counts, page sizes, worker lanes, sync/async, checkpoint/resume,
 crash and transient-fault scenarios) -- comparing every engine against
 the golden in-memory oracle (see ``src/repro/verify/``).
 
