@@ -44,7 +44,7 @@ from ..graph.storage import GraphOnSSD
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import _UNSET, EngineOptions, apply_config_options, resolve_options
+from ..options import _UNSET, EngineOptions, resolve_options
 from ..ssd.filesystem import SimFS
 from ..core.active import ActiveTracker
 from ..core.api import VertexContext, VertexProgram
@@ -79,10 +79,7 @@ class GraFBoost:
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
-        options = resolve_options(
-            self.name, options, fs=fs, adapted=adapted, merge_fanout=merge_fanout
-        )
-        config = apply_config_options(config, options, fs)
+        options = resolve_options(self.name, options, adapted=adapted, merge_fanout=merge_fanout)
         if program.mutates_structure:
             raise EngineError("the GraFBoost baseline runs static graphs")
         if not options.adapted and program.combine is None:

@@ -33,7 +33,7 @@ from ..graph.shards import ShardedGraph
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import EngineOptions, apply_config_options, resolve_options
+from ..options import EngineOptions, resolve_options
 from ..ssd.filesystem import SimFS
 from ..core.active import ActiveTracker
 from ..core.api import VertexContext, VertexProgram
@@ -63,8 +63,7 @@ class GraphChi:
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
         # GraphChi has no tuning knobs; validation rejects stray options.
-        self.options = resolve_options(self.name, options, fs=fs)
-        config = apply_config_options(config, self.options, fs)
+        self.options = resolve_options(self.name, options)
         if program.mutates_structure:
             raise EngineError(
                 "structural updates are implemented on the MultiLogVC engine; "

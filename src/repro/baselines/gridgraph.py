@@ -43,7 +43,7 @@ from ..graph.partition import VertexIntervals, partition_by_edge_volume, uniform
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import _UNSET, EngineOptions, apply_config_options, resolve_options
+from ..options import _UNSET, EngineOptions, resolve_options
 from ..ssd.filesystem import SimFS
 from ..core.active import ActiveTracker
 from ..core.api import VertexContext, VertexProgram
@@ -76,8 +76,7 @@ class GridGraph:
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
-        options = resolve_options(self.name, options, fs=fs, intervals=intervals)
-        config = apply_config_options(config, options, fs)
+        options = resolve_options(self.name, options, intervals=intervals)
         if program.combine is None:
             raise EngineError(
                 "GridGraph's streaming accumulation requires a combine operator "

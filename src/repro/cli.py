@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .config import DEFAULT_CONFIG
+from .config import CACHE_POLICIES, DEFAULT_CONFIG, IO_PLAN_MODES, PLACEMENTS
 from .experiments import ALL_EXPERIMENTS
 from .experiments.common import ExperimentResult
 
@@ -210,7 +210,7 @@ def cmd_compute(args) -> int:
     from . import resume as repro_resume
     from . import run as repro_run
     from .config import small_test_config
-    from .errors import RecoveryError, SimulatedCrashError
+    from .errors import ConfigError, RecoveryError, SimulatedCrashError
     from .options import EngineOptions
     from .recovery import CheckpointData, CheckpointManager
     from .ssd.filesystem import SimFS
@@ -272,13 +272,8 @@ def cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.devices is not None and args.devices < 1:
-        print("--devices must be >= 1", file=sys.stderr)
-        return 2
-    if (args.devices is not None or args.placement is not None) and (
-        "num_devices" not in caps.options
-    ):
-        capable = sorted(n for n, i in all_engines.items() if "num_devices" in i.options)
+    if (args.devices is not None or args.placement is not None) and caps.in_memory:
+        capable = sorted(n for n, i in all_engines.items() if not i.in_memory)
         print(
             f"engine {args.engine!r} performs no simulated I/O, so --devices/"
             f"--placement do not apply (supported by: {', '.join(capable)})",
@@ -286,19 +281,23 @@ def cmd_compute(args) -> int:
         )
         return 2
 
+    try:
+        cfg = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
+        if cache_enabled:
+            # --cache-bytes alone implies the (only) real policy, clock.
+            cfg = cfg.with_cache(policy="clock", cache_bytes=args.cache_bytes)
+        if args.workers is not None:
+            cfg = cfg.with_workers(args.workers)
+        if args.io_plan != "off":
+            cfg = cfg.with_io_plan(args.io_plan, readahead_pages=args.readahead_pages)
+        cfg = cfg.with_devices(args.devices, args.placement)
+    except ConfigError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+
     weighted = args.weighted or args.algorithm in _NEEDS_WEIGHTS
     graph = _compute_dataset(args.dataset, args.scale, weighted)
     program = _compute_program(args.algorithm, args)
-    cfg = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
-    if args.cache_policy != "none" or args.cache_bytes is not None:
-        # --cache-bytes alone implies the (only) real policy, clock.
-        cfg = cfg.with_cache(policy="clock", cache_bytes=args.cache_bytes)
-    if args.workers is not None:
-        cfg = cfg.with_workers(args.workers)
-    if args.io_plan != "off":
-        cfg = cfg.with_io_plan(args.io_plan, readahead_pages=args.readahead_pages)
-    if args.devices is not None or args.placement is not None:
-        cfg = cfg.with_devices(args.devices, args.placement)
     opt_kwargs = {}
     if caps.supports_checkpoint:
         opt_kwargs = dict(
@@ -396,7 +395,7 @@ def _compute_with_updates(args, graph, program, cfg, options) -> int:
         tracer = TraceRecorder()
     session = StreamSession(
         graph, program, engine=args.engine, config=cfg,
-        options=options.replace(recompute=args.recompute),
+        options=options, recompute=args.recompute,
         tracer=tracer if tracer is not None else NULL_TRACER,
     )
     if args.fault:
@@ -427,9 +426,8 @@ def _compute_with_updates(args, graph, program, cfg, options) -> int:
 def cmd_ingest(args) -> int:
     from . import engines as repro_engines
     from .config import small_test_config
-    from .errors import GraphFormatError, SimulatedCrashError
+    from .errors import ConfigError, GraphFormatError, SimulatedCrashError
     from .obs import NULL_TRACER
-    from .options import EngineOptions
     from .stream import EdgeDelta, StreamSession, random_delta
 
     import numpy as np
@@ -448,15 +446,18 @@ def cmd_ingest(args) -> int:
         print(f"--updates file not found: {args.updates}", file=sys.stderr)
         return 2
 
-    weighted = args.algorithm in _NEEDS_WEIGHTS
-    graph = _compute_dataset(args.dataset, args.scale, weighted)
-    program = _compute_program(args.algorithm, args)
-    cfg = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
-    if args.compact_threshold is not None or args.max_delta_fraction is not None:
-        cfg = cfg.with_stream(
+    try:
+        cfg = (small_test_config() if args.scale == "test" else DEFAULT_CONFIG).with_stream(
             compact_threshold=args.compact_threshold,
             max_delta_fraction=args.max_delta_fraction,
         )
+    except ConfigError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+
+    weighted = args.algorithm in _NEEDS_WEIGHTS
+    graph = _compute_dataset(args.dataset, args.scale, weighted)
+    program = _compute_program(args.algorithm, args)
 
     tracer = None
     if args.trace:
@@ -464,8 +465,7 @@ def cmd_ingest(args) -> int:
 
         tracer = TraceRecorder()
     session = StreamSession(
-        graph, program, engine=args.engine, config=cfg,
-        options=EngineOptions(recompute=args.recompute),
+        graph, program, engine=args.engine, config=cfg, recompute=args.recompute,
         tracer=tracer if tracer is not None else NULL_TRACER,
     )
 
@@ -692,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulated SSD device-array size (DESIGN.md §14; "
                            "results are identical at any N, only the device.* "
                            "overlay accounting changes; default: REPRO_DEVICES or 1)")
-    comp.add_argument("--placement", choices=("stripe", "affinity"), default=None,
+    comp.add_argument("--placement", choices=PLACEMENTS, default=None,
                       help="device-array placement policy (default: affinity; "
                            "only meaningful with --devices > 1)")
     comp.add_argument("--weighted", action="store_true",
@@ -708,13 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "(also after a simulated crash)")
     comp.add_argument("--resume-from", default=None, metavar="PATH",
                       help="resume from a checkpoint saved with --checkpoint-out")
-    comp.add_argument("--cache-policy", choices=("none", "clock"), default="none",
+    comp.add_argument("--cache-policy", choices=CACHE_POLICIES, default="none",
                       help="DRAM page cache between engine and SSD (default: none)")
     comp.add_argument("--cache-bytes", type=int, default=None, metavar="BYTES",
                       help="cache budget; implies --cache-policy clock "
                            "(default: the cache_fraction share of host DRAM)")
-    comp.add_argument("--io-plan", choices=("off", "coalesce", "coalesce+readahead"),
-                      default="off",
+    comp.add_argument("--io-plan", choices=IO_PLAN_MODES, default="off",
                       help="superstep I/O planner: off (per-path batches), coalesce "
                            "(extent reads + channel-balanced waves), or "
                            "coalesce+readahead (adds next-group prefetch; requires "

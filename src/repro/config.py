@@ -32,19 +32,8 @@ from .errors import ConfigError
 MIB = 1024 * 1024
 
 
-def _default_num_workers() -> int:
-    """Default simulated worker-lane count.
-
-    Reads ``REPRO_NUM_WORKERS`` so the CI matrix can run the whole test
-    suite at ``num_workers=4`` without touching any call site; results
-    are bit-identical at any lane count (DESIGN.md §11), so this is a
-    coverage knob, not a tuning knob.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_NUM_WORKERS", "1")))
-    except ValueError:
-        return 1
-
+#: Valid values for :attr:`SimConfig.cache_policy` (DESIGN.md §10).
+CACHE_POLICIES = ("none", "clock")
 
 #: Valid values for :attr:`SimConfig.io_plan`, in increasing ambition.
 IO_PLAN_MODES = ("off", "coalesce", "coalesce+readahead")
@@ -55,32 +44,51 @@ IO_PLAN_MODES = ("off", "coalesce", "coalesce+readahead")
 #: stream logs) whole onto one device each so a log stays sequential.
 PLACEMENTS = ("stripe", "affinity")
 
+#: The storage-stack knobs: the :class:`SimConfig` fields that describe
+#: the machine *below* the engine (page cache, worker lanes, I/O
+#: planner, device array), each with its built-in default.  They are
+#: declared here and nowhere else -- :class:`~repro.options.EngineOptions`
+#: carries only what an engine itself consumes.  The conformance fuzzer
+#: and shrinker iterate this dict (the shrinker drops knobs in this
+#: order), so a saved case that omits a knob runs at the built-in
+#: default whatever the ``REPRO_*`` environment says.
+STACK_KNOBS = {
+    "num_devices": 1,
+    "placement": "affinity",
+    "io_plan": "off",
+    "readahead_pages": 64,
+    "cache_policy": "none",
+    "cache_bytes": None,
+    "num_workers": 1,
+}
 
-def _default_num_devices() -> int:
-    """Default simulated-SSD count for the device array.
 
-    Reads ``REPRO_DEVICES`` so the CI matrix can run the whole test
-    suite against a 4-device array without touching any call site;
-    values, records and semantic traces are bit-identical at any device
-    count (DESIGN.md §14), so like ``REPRO_NUM_WORKERS`` this is a
-    coverage knob, not a tuning knob.
+def _from_env(var: str, knob: str, parse):
+    """Default factory of a stack knob the CI matrix sets from the environment.
+
+    ``REPRO_NUM_WORKERS``, ``REPRO_IO_PLAN`` and ``REPRO_DEVICES`` let CI
+    run the whole test suite at 4 lanes, with the planner engaged, or
+    on a 4-device array without touching any call site.  Values and
+    records are bit-identical at any setting (DESIGN.md §11, §13, §14),
+    so these are coverage knobs, not tuning knobs.  An unset or
+    unparseable variable falls back to the built-in default.
     """
-    try:
-        return max(1, int(os.environ.get("REPRO_DEVICES", "1")))
-    except ValueError:
-        return 1
+
+    def default():
+        try:
+            return parse(os.environ[var])
+        except (KeyError, ValueError):
+            return STACK_KNOBS[knob]
+
+    return default
 
 
-def _default_io_plan() -> str:
-    """Default superstep I/O planner mode.
+def _count(text: str) -> int:
+    return max(1, int(text))
 
-    Reads ``REPRO_IO_PLAN`` so the CI matrix can run the whole test
-    suite with the planner engaged without touching any call site;
-    values and records are bit-identical in every mode (DESIGN.md §13),
-    so like ``REPRO_NUM_WORKERS`` this is a coverage knob.
-    """
-    mode = os.environ.get("REPRO_IO_PLAN", "off")
-    return mode if mode in IO_PLAN_MODES else "off"
+
+def _io_plan_mode(text: str) -> str:
+    return IO_PLAN_MODES[IO_PLAN_MODES.index(text)]  # ValueError when unknown
 
 
 @dataclass(frozen=True)
@@ -300,11 +308,11 @@ class SimConfig:
     #: uncached setup exactly; ``"clock"`` enables a budgeted CLOCK
     #: cache so reads charge flash only on misses (writes stay
     #: write-through).
-    cache_policy: str = "none"
+    cache_policy: str = STACK_KNOBS["cache_policy"]
     #: Explicit cache budget in bytes; ``None`` resolves to
     #: ``memory.cache_bytes_default`` (the ``cache_fraction`` share of
     #: host DRAM).  Ignored while ``cache_policy="none"``.
-    cache_bytes: Optional[int] = None
+    cache_bytes: Optional[int] = STACK_KNOBS["cache_bytes"]
     #: Simulated worker lanes (DESIGN.md §11).  Groups always run one
     #: after another on the calling thread, so values, records and
     #: traces are bit-identical at any count; with more than one lane
@@ -312,7 +320,7 @@ class SimConfig:
     #: (``scheduler.*`` gauges, ``parallel_stats`` events).  The default
     #: honours the ``REPRO_NUM_WORKERS`` environment variable (CI matrix
     #: knob).
-    num_workers: int = field(default_factory=_default_num_workers)
+    num_workers: int = field(default_factory=_from_env("REPRO_NUM_WORKERS", "num_workers", _count))
     #: Superstep I/O planner (DESIGN.md §13).  ``"off"`` (the default)
     #: reproduces the seed's per-path device batches exactly;
     #: ``"coalesce"`` collects each group's page demand and charges it
@@ -323,10 +331,10 @@ class SimConfig:
     #: and semantic traces are bit-identical in every mode; only
     #: batching and simulated storage time change.  The default honours
     #: the ``REPRO_IO_PLAN`` environment variable (CI matrix knob).
-    io_plan: str = field(default_factory=_default_io_plan)
+    io_plan: str = field(default_factory=_from_env("REPRO_IO_PLAN", "io_plan", _io_plan_mode))
     #: Page budget per superstep for the planner's cache-aware
     #: read-ahead (``io_plan="coalesce+readahead"`` only).
-    readahead_pages: int = 64
+    readahead_pages: int = STACK_KNOBS["readahead_pages"]
     #: Number of independent simulated SSDs in the device array
     #: (DESIGN.md §14).  ``1`` (the default) reproduces the seed's
     #: single-device behaviour exactly; ``N > 1`` stripes pages across
@@ -336,10 +344,10 @@ class SimConfig:
     #: semantic traces -- stays bit-identical at any device count.  The
     #: default honours the ``REPRO_DEVICES`` environment variable (CI
     #: matrix knob).
-    num_devices: int = field(default_factory=_default_num_devices)
+    num_devices: int = field(default_factory=_from_env("REPRO_DEVICES", "num_devices", _count))
     #: Device-array placement policy (see :data:`PLACEMENTS`); ignored
     #: while ``num_devices == 1``.
-    placement: str = "affinity"
+    placement: str = STACK_KNOBS["placement"]
     #: Streaming update store (DESIGN.md §12): an interval is compacted
     #: -- its surviving edges rewritten as a fresh base CSR and its
     #: delta log truncated -- when dead + tombstone records exceed this
@@ -367,9 +375,9 @@ class SimConfig:
             raise ConfigError("mutation_merge_threshold must be >= 1")
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
-        if self.cache_policy not in ("none", "clock"):
+        if self.cache_policy not in CACHE_POLICIES:
             raise ConfigError(
-                f"cache_policy must be 'none' or 'clock', got {self.cache_policy!r}"
+                f"cache_policy must be one of {CACHE_POLICIES}, got {self.cache_policy!r}"
             )
         if self.cache_bytes is not None and self.cache_bytes < self.ssd.page_size:
             raise ConfigError("cache_bytes must hold at least one SSD page")
@@ -398,6 +406,10 @@ class SimConfig:
 
     # -- convenience constructors -------------------------------------
 
+    def _with_given(self, **fields) -> "SimConfig":
+        """Copy with the non-``None`` fields replaced (``None`` = keep)."""
+        return dataclasses.replace(self, **{k: v for k, v in fields.items() if v is not None})
+
     def with_memory(self, total_bytes: int) -> "SimConfig":
         """Return a copy with a different total host-memory budget."""
         return dataclasses.replace(self, memory=dataclasses.replace(self.memory, total_bytes=total_bytes))
@@ -416,28 +428,18 @@ class SimConfig:
         max_delta_fraction: Optional[float] = None,
     ) -> "SimConfig":
         """Return a copy with different streaming-update knobs."""
-        kwargs = {}
-        if compact_threshold is not None:
-            kwargs["stream_compact_threshold"] = compact_threshold
-        if max_delta_fraction is not None:
-            kwargs["stream_max_delta_fraction"] = max_delta_fraction
-        return dataclasses.replace(self, **kwargs)
+        return self._with_given(
+            stream_compact_threshold=compact_threshold,
+            stream_max_delta_fraction=max_delta_fraction,
+        )
 
     def with_io_plan(self, mode: str, readahead_pages: Optional[int] = None) -> "SimConfig":
         """Return a copy with the superstep I/O planner configured."""
-        kwargs = {"io_plan": mode}
-        if readahead_pages is not None:
-            kwargs["readahead_pages"] = readahead_pages
-        return dataclasses.replace(self, **kwargs)
+        return self._with_given(io_plan=mode, readahead_pages=readahead_pages)
 
     def with_devices(self, num_devices: Optional[int] = None, placement: Optional[str] = None) -> "SimConfig":
         """Return a copy with the simulated device array configured."""
-        kwargs = {}
-        if num_devices is not None:
-            kwargs["num_devices"] = num_devices
-        if placement is not None:
-            kwargs["placement"] = placement
-        return dataclasses.replace(self, **kwargs)
+        return self._with_given(num_devices=num_devices, placement=placement)
 
     def with_cache(self, policy: str = "clock", cache_bytes: Optional[int] = None) -> "SimConfig":
         """Return a copy with the DRAM page cache configured.

@@ -37,7 +37,7 @@ from ..mem.budget import MemoryBudget
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import _UNSET, EngineOptions, apply_config_options, resolve_options
+from ..options import _UNSET, EngineOptions, resolve_options
 from ..recovery.checkpoint import CheckpointData, CheckpointManager
 from ..ssd.filesystem import SimFS
 from .active import ActiveTracker
@@ -112,7 +112,6 @@ class MultiLogVC:
         options = resolve_options(
             self.name,
             options,
-            fs=fs,
             mode=mode,
             enable_edgelog=enable_edgelog,
             enable_fusing=enable_fusing,
@@ -126,7 +125,6 @@ class MultiLogVC:
             )
         if program.uses_edge_state and program.mutates_structure:
             raise ProgramError("edge state plus structural mutation is not supported")
-        config = apply_config_options(config, options, fs)
         self.graph = graph
         self.program = program
         self.config = config

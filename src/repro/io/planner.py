@@ -31,10 +31,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..config import IO_PLAN_MODES
 from .plan import IOPlan, PlanOutcome
-
-#: Valid ``io_plan`` knob values, in increasing ambition.
-IO_PLAN_MODES = ("off", "coalesce", "coalesce+readahead")
 
 
 class SuperstepIOPlanner:

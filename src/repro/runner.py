@@ -35,7 +35,7 @@ from .core.results import RunResult, SuperstepRecord
 from .errors import EngineError
 from .graph.csr import CSRGraph
 from .obs import MetricsRegistry, Tracer
-from .options import _CACHE_OPTIONS, RELEVANT_OPTIONS, EngineOptions
+from .options import RELEVANT_OPTIONS, EngineOptions
 from .recovery.checkpoint import CheckpointData
 from .ssd.filesystem import SimFS
 from .verify.oracle import OracleEngine
@@ -70,8 +70,11 @@ class EngineInfo:
         Whether the engine can write crash-consistent checkpoints
         (``checkpoint_every``).
     in_memory:
-        True for engines that perform no simulated I/O (the oracle);
-        such engines ignore the shared file layer entirely.
+        True for engines that perform no simulated I/O (the oracle,
+        which says so with an ``in_memory`` class attribute); such
+        engines ignore the shared file layer -- and with it the
+        storage-stack knobs of :class:`~repro.config.SimConfig` --
+        entirely.
     supports_warm_start:
         Whether ``run(..., initial_state=...)`` is accepted (the stream
         subsystem's incremental-recompute entry, DESIGN.md §12).
@@ -101,9 +104,7 @@ def engines() -> Dict[str, EngineInfo]:
             options=relevant,
             supports_resume="resume_from" in inspect.signature(cls.run).parameters,
             supports_checkpoint="checkpoint_every" in relevant,
-            # The page cache lives in the shared SSD file layer; an
-            # engine that honours no cache knob never touches it.
-            in_memory=not (relevant & _CACHE_OPTIONS),
+            in_memory=getattr(cls, "in_memory", False),
             supports_warm_start="initial_state" in inspect.signature(cls.run).parameters,
         )
     return out

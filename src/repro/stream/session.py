@@ -15,7 +15,7 @@
   from-scratch run on the updated graph; the conformance fuzzer
   (:mod:`repro.verify.streamcases`) checks exactly that.
 
-The decision rule (``EngineOptions.recompute``):
+The decision rule (``StreamSession(recompute=...)``):
 
 ``"auto"``
     warm-start iff the program's :meth:`warm_start` supports it, prior
@@ -46,7 +46,7 @@ from ..errors import EngineError
 from ..graph.csr import CSRGraph
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..options import EngineOptions
+from ..options import EngineOptions, resolve_options
 from ..runner import engines, run as run_engine
 from ..ssd.filesystem import SimFS
 from .delta import EdgeDelta
@@ -142,6 +142,7 @@ class StreamSession:
         engine: str = "multilogvc",
         config: SimConfig = DEFAULT_CONFIG,
         options: Optional[EngineOptions] = None,
+        recompute: str = "auto",
         fs: Optional[SimFS] = None,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
@@ -151,10 +152,10 @@ class StreamSession:
         self.program = program
         self.engine = engine
         self.config = config
-        self.options = options if options is not None else EngineOptions()
-        # The recompute policy is the session's; engines reject it.
-        self._engine_options = self.options.replace(recompute="auto")
-        self._engine_options.validate_for(engine)
+        self.options = resolve_options(engine, options)
+        #: Session-wide recompute policy; :meth:`recompute` can override
+        #: it per call.
+        self.recompute_policy = recompute
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: The session's SSD: holds the store's logs and shards for the
@@ -250,7 +251,7 @@ class StreamSession:
         warm start, delta too large under ``"auto"`` -- falls back to a
         full run.  Both paths yield bit-identical final values.
         """
-        requested = mode if mode is not None else self.options.recompute
+        requested = mode if mode is not None else self.recompute_policy
         if requested not in ("auto", "incremental", "full"):
             raise EngineError(
                 f"recompute must be 'auto', 'incremental' or 'full', got {requested!r}"
@@ -299,7 +300,7 @@ class StreamSession:
             self.program,
             self.engine,
             config=self.config,
-            options=self._engine_options,
+            options=self.options,
             tracer=self.tracer if self.tracer.enabled else None,
             max_supersteps=max_supersteps,
             seed=seed,

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import algorithms as alg
-from ..config import MemoryConfig, SimConfig, SSDConfig
+from ..config import IO_PLAN_MODES, PLACEMENTS, STACK_KNOBS, MemoryConfig, SimConfig, SSDConfig
 from ..core.results import RunResult
 from ..errors import RecoveryError, SimulatedCrashError
 from ..graph.csr import CSRGraph
@@ -234,20 +234,15 @@ def build_program(case: ConformanceCase):
 
 
 def build_config(cdict: Dict[str, Any]) -> SimConfig:
-    cache_bytes = cdict.get("cache_bytes")
     return SimConfig(
         ssd=SSDConfig(
             page_size=int(cdict.get("page_size", 4096)),
             channels=int(cdict.get("channels", 4)),
         ),
         memory=MemoryConfig(total_bytes=int(cdict.get("total_bytes", 256 * 1024))),
-        num_workers=int(cdict.get("num_workers", 1)),
-        cache_policy=str(cdict.get("cache_policy", "none")),
-        cache_bytes=None if cache_bytes is None else int(cache_bytes),
-        io_plan=str(cdict.get("io_plan", "off")),
-        readahead_pages=int(cdict.get("readahead_pages", 64)),
-        num_devices=int(cdict.get("num_devices", 1)),
-        placement=str(cdict.get("placement", "affinity")),
+        # An omitted stack knob means its built-in default, not the
+        # REPRO_* environment's: a saved case replays the same anywhere.
+        **{knob: cdict.get(knob, default) for knob, default in STACK_KNOBS.items()},
     )
 
 
@@ -459,7 +454,7 @@ def _config_dict(rng: np.random.Generator) -> Dict[str, Any]:
     # did not fire (the planner needs a cache to prefetch into), which
     # is itself a documented behaviour worth fuzzing.
     if int(rng.integers(0, 3)) == 0:
-        cdict["io_plan"] = str(rng.choice(["coalesce", "coalesce+readahead"]))
+        cdict["io_plan"] = str(rng.choice(IO_PLAN_MODES[1:]))
         cdict["readahead_pages"] = int(rng.integers(1, 65))
     # Device-array dimension (DESIGN.md §14): a third of cases run on a
     # multi-SSD array; canonical accounting is untouched by design, so
@@ -467,7 +462,7 @@ def _config_dict(rng: np.random.Generator) -> Dict[str, Any]:
     # (including device counts that do not divide the page count).
     if int(rng.integers(0, 3)) == 0:
         cdict["num_devices"] = int(rng.choice([2, 3, 4]))
-        cdict["placement"] = str(rng.choice(["stripe", "affinity"]))
+        cdict["placement"] = str(rng.choice(PLACEMENTS))
     return cdict
 
 

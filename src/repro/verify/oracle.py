@@ -98,6 +98,8 @@ class OracleEngine:
     """
 
     name = "oracle"
+    #: No simulated storage: surfaced as ``repro.engines()[...].in_memory``.
+    in_memory = True
 
     def __init__(
         self,

@@ -33,6 +33,7 @@ import os
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..config import STACK_KNOBS
 from .fuzzer import CaseOutcome, ConformanceCase, explicit_spec, run_case
 
 #: An edge with its weight slot (``None`` on unweighted graphs).
@@ -164,10 +165,7 @@ def shrink(
     # Optional config-dict dimensions (cache, planner, workers, device
     # array) reduce to their defaults the same way: a failure that
     # persists without the knob is a simpler repro.
-    for key in (
-        "num_devices", "placement", "io_plan", "readahead_pages",
-        "cache_policy", "cache_bytes", "num_workers",
-    ):
+    for key in STACK_KNOBS:
         if key in current.config:
             cfg = {k: v for k, v in current.config.items() if k != key}
             cand = replace(current, config=cfg)

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..errors import SimulatedCrashError
 from ..graph.csr import CSRGraph
-from ..options import EngineOptions
 from ..ssd.faults import FaultPlan, FaultRule
 from .compare import compare_results
 from .fuzzer import (
@@ -182,10 +181,7 @@ def run_stream_case(case: StreamCase) -> StreamOutcome:
                 compact_threshold=float(case.config["stream_compact_threshold"])
             )
         program = _PROGRAM_FACTORIES[case.program](case.prog_params)
-        session = StreamSession(
-            graph, program, config=cfg,
-            options=EngineOptions(recompute=case.recompute),
-        )
+        session = StreamSession(graph, program, config=cfg, recompute=case.recompute)
         mirror = _HostMirror(graph)
         notes = []
 

@@ -122,6 +122,24 @@ class TestComputeIOPlanKnobs:
         assert rc == 2
         assert "--io-plan coalesce+readahead" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, complaint",
+        [
+            (["--workers", "0"], "num_workers"),
+            (["--cache-bytes", "100"], "cache_bytes"),
+            (["--readahead-pages", "-1", "--io-plan", "coalesce+readahead",
+              "--cache-policy", "clock"], "readahead_pages"),
+            (["--devices", "0"], "num_devices"),
+        ],
+    )
+    def test_out_of_range_knob_exits_2_with_a_message(self, capsys, flags, complaint):
+        """A ConfigError is a usage error: one stderr line, no traceback."""
+        rc = main(["compute", "pagerank", "--dataset", "chain", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and complaint in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_coalesce_runs_without_cache(self, capsys):
         rc = main(["compute", "pagerank", "--dataset", "chain",
                    "--io-plan", "coalesce", "--max-supersteps", "4"])

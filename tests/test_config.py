@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import (
     DEFAULT_CONFIG,
+    STACK_KNOBS,
     ComputeConfig,
     MemoryConfig,
     RecordConfig,
@@ -168,3 +169,37 @@ class TestSimConfig:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             DEFAULT_CONFIG.edgelog_history_window = 3
+
+
+class TestStackKnobs:
+    """The storage-stack knobs and their CI-matrix environment defaults."""
+
+    def test_builtin_defaults(self, monkeypatch):
+        for var in ("REPRO_NUM_WORKERS", "REPRO_IO_PLAN", "REPRO_DEVICES"):
+            monkeypatch.delenv(var, raising=False)
+        cfg = SimConfig()
+        assert {k: getattr(cfg, k) for k in STACK_KNOBS} == STACK_KNOBS
+
+    @pytest.mark.parametrize(
+        "var, knob, text, expected",
+        [
+            ("REPRO_NUM_WORKERS", "num_workers", "5", 5),
+            ("REPRO_NUM_WORKERS", "num_workers", "0", 1),  # clamped, not an error
+            ("REPRO_NUM_WORKERS", "num_workers", "junk", 1),
+            ("REPRO_NUM_WORKERS", "num_workers", None, 1),
+            ("REPRO_IO_PLAN", "io_plan", "coalesce+readahead", "coalesce+readahead"),
+            ("REPRO_IO_PLAN", "io_plan", "nonsense", "off"),
+            ("REPRO_IO_PLAN", "io_plan", None, "off"),
+            ("REPRO_DEVICES", "num_devices", "4", 4),
+            ("REPRO_DEVICES", "num_devices", "not-a-number", 1),
+            ("REPRO_DEVICES", "num_devices", None, 1),
+        ],
+    )
+    def test_env_default(self, monkeypatch, var, knob, text, expected):
+        if text is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, text)
+        assert getattr(SimConfig(), knob) == expected
+        # An explicit value always wins over the environment.
+        assert getattr(SimConfig(**{knob: STACK_KNOBS[knob]}), knob) == STACK_KNOBS[knob]

@@ -17,7 +17,7 @@ from repro.algorithms import BFSProgram, DeltaPageRankProgram, WCCProgram
 from repro.cli import main as cli_main
 from repro.config import ConfigError, SimConfig, small_test_config
 from repro.core.engine import MultiLogVC
-from repro.errors import EngineError, InjectedFaultError, StorageError
+from repro.errors import InjectedFaultError, StorageError
 from repro.graph.datasets import small_rmat
 from repro.graph.csr import CSRGraph
 from repro.obs import TraceRecorder
@@ -340,44 +340,16 @@ class TestKnobs:
         # partial update keeps the other knob
         assert cfg.with_devices(placement="affinity").num_devices == 4
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEVICES", "4")
-        assert SimConfig().num_devices == 4
-        monkeypatch.setenv("REPRO_DEVICES", "not-a-number")
-        assert SimConfig().num_devices == 1
-        monkeypatch.delenv("REPRO_DEVICES")
-        assert SimConfig().num_devices == 1
-
-    def test_options_range_checks(self):
-        with pytest.raises(EngineError, match="num_devices"):
-            EngineOptions(num_devices=0).validate_for("multilogvc")
-        with pytest.raises(EngineError, match="placement"):
-            EngineOptions(placement="raid5").validate_for("multilogvc")
-
-    def test_options_conflict_with_explicit_fs(self):
-        fs = SimFS(small_test_config())
-        with pytest.raises(EngineError, match="explicit fs"):
-            EngineOptions(num_devices=2).validate_for("multilogvc", fs=fs)
-
-    def test_options_fold_into_config(self):
+    def test_config_builds_the_engine_device_array(self):
         eng = MultiLogVC(
-            GRAPH(), DeltaPageRankProgram(), small_test_config(),
-            options=EngineOptions(num_devices=2, placement="stripe"),
+            GRAPH(), DeltaPageRankProgram(), small_test_config().with_devices(2, "stripe")
         )
         assert isinstance(eng.fs.device, DeviceArray)
         assert eng.fs.device.num_devices == 2
         assert eng.fs.device.placement == "stripe"
 
-    def test_oracle_rejects_device_options(self):
-        with pytest.raises(EngineError, match="do not apply"):
-            EngineOptions(num_devices=2).validate_for("oracle")
-
 
 class TestCLI:
-    def test_devices_zero_rejected(self, capsys):
-        assert cli_main(["compute", "pagerank", "--devices", "0"]) == 2
-        assert "--devices must be >= 1" in capsys.readouterr().err
-
     def test_devices_conflict_with_oracle(self, capsys):
         assert cli_main(["compute", "pagerank", "--engine", "oracle", "--devices", "2"]) == 2
         assert "no simulated I/O" in capsys.readouterr().err

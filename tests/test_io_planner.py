@@ -257,17 +257,10 @@ class TestKnobs:
         with pytest.raises(ConfigError):
             SimConfig(readahead_pages=-1)
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IO_PLAN", "coalesce+readahead")
-        assert SimConfig().io_plan == "coalesce+readahead"
-        monkeypatch.setenv("REPRO_IO_PLAN", "nonsense")
-        assert SimConfig().io_plan == "off"
-
-    def test_options_fold_into_config(self):
-        opts = EngineOptions(io_plan="coalesce", readahead_pages=16)
-        opts.validate_for("multilogvc")
-        with pytest.raises(Exception):
-            EngineOptions(io_plan="sideways").validate_for("multilogvc")
+    def test_with_io_plan_keeps_the_budget_unless_given(self):
+        cfg = small_test_config().with_io_plan("coalesce", readahead_pages=16)
+        assert (cfg.io_plan, cfg.readahead_pages) == ("coalesce", 16)
+        assert cfg.with_io_plan("off").readahead_pages == 16
 
 
 # -- end-to-end equivalence --------------------------------------------------
@@ -276,18 +269,15 @@ class TestKnobs:
 def _run(graph, mode, *, cache=False, workers=1, min_intervals=8, steps=8, trace=False):
     # io_plan is always pinned so a REPRO_IO_PLAN env default (the CI
     # matrix leg) cannot silently turn the "off" baseline into a plan
-    opts = EngineOptions(
-        min_intervals=min_intervals,
-        num_workers=workers,
-        io_plan=mode,
-        cache_policy="clock" if cache else None,
-    )
+    cfg = small_test_config().with_workers(workers).with_io_plan(mode)
+    if cache:
+        cfg = cfg.with_cache()
     tracer = TraceRecorder() if trace else None
     return repro.run(
         graph,
         DeltaPageRankProgram(),
-        config=small_test_config(),
-        options=opts,
+        config=cfg,
+        options=EngineOptions(min_intervals=min_intervals),
         max_supersteps=steps,
         tracer=tracer,
     )
@@ -317,12 +307,13 @@ class TestEngineEquivalence:
         path is already its own klass batch: nothing folds and the
         planned charges are bit-identical to the seed's."""
         g = cf_like(scale="test")
-        base = EngineOptions(enable_fusing=False, io_plan="off")
-        off = repro.run(g, DeltaPageRankProgram(), config=small_test_config(),
-                        options=base, max_supersteps=6)
-        co = repro.run(g, DeltaPageRankProgram(), config=small_test_config(),
-                       options=EngineOptions(enable_fusing=False, io_plan="coalesce"),
-                       max_supersteps=6)
+        unfused = EngineOptions(enable_fusing=False)
+        off = repro.run(g, DeltaPageRankProgram(),
+                        config=small_test_config().with_io_plan("off"),
+                        options=unfused, max_supersteps=6)
+        co = repro.run(g, DeltaPageRankProgram(),
+                       config=small_test_config().with_io_plan("coalesce"),
+                       options=unfused, max_supersteps=6)
         assert np.array_equal(off.values, co.values)
         assert co.stats.to_dict() == off.stats.to_dict()
 
@@ -345,8 +336,8 @@ class TestPlannerCrashResume:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_crash_resume_exact_under_planner(self, workers):
         graph = lambda: small_rmat(n=256, m=2048, seed=3)
-        cfg = small_test_config().with_io_plan("coalesce")
-        options = EngineOptions(checkpoint_every=2, num_workers=workers, min_intervals=8)
+        cfg = small_test_config().with_io_plan("coalesce").with_workers(workers)
+        options = EngineOptions(checkpoint_every=2, min_intervals=8)
         total_ops, _ = count_device_ops(
             graph, DeltaPageRankProgram, config=cfg, options=options, max_supersteps=8
         )

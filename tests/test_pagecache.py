@@ -14,7 +14,7 @@ import repro
 from repro import EngineOptions
 from repro.algorithms import DeltaPageRankProgram
 from repro.config import SimConfig, small_test_config
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError
 from repro.graph.datasets import cf_like, small_rmat
 from repro.mem import UNCACHED_KLASSES, PageCache
 from repro.recovery import crash_resume_experiment, count_device_ops
@@ -183,16 +183,6 @@ class TestConfigKnobs:
         assert fs.create_page_file("c", next(iter(UNCACHED_KLASSES))).cache is None
         assert fs.create_page_file("m", "mlog").cache is fs.cache
 
-    def test_cache_options_reject_explicit_fs(self, cfg, chain16):
-        with pytest.raises(EngineError):
-            repro.run(
-                chain16,
-                DeltaPageRankProgram(),
-                config=cfg,
-                fs=SimFS(cfg),
-                options=EngineOptions(cache_policy="clock"),
-            )
-
 
 class TestEngineEquivalence:
     ENGINES = ("multilogvc", "graphchi", "grafboost", "gridgraph", "xstream")
@@ -205,8 +195,7 @@ class TestEngineEquivalence:
             g,
             DeltaPageRankProgram(),
             engine,
-            config=cfg,
-            options=EngineOptions(cache_policy="clock"),
+            config=cfg.with_cache(),
             max_supersteps=6,
         )
         assert np.array_equal(off.values, on.values)
@@ -230,17 +219,13 @@ class TestEngineEquivalence:
         off = repro.run(
             g,
             DeltaPageRankProgram(),
-            config=cfg,
-            options=EngineOptions(io_plan="off"),
+            config=cfg.with_io_plan("off"),
             max_supersteps=6,
         )
         on = repro.run(
             g,
             DeltaPageRankProgram(),
-            config=cfg,
-            options=EngineOptions(
-                cache_policy="clock", cache_bytes=cfg.ssd.page_size, io_plan="off"
-            ),
+            config=cfg.with_io_plan("off").with_cache(cache_bytes=cfg.ssd.page_size),
             max_supersteps=6,
         )
         assert np.array_equal(off.values, on.values)
@@ -249,8 +234,7 @@ class TestEngineEquivalence:
     def test_cache_run_is_reproducible(self, cfg):
         g = cf_like(scale="test")
         runs = [
-            repro.run(g, DeltaPageRankProgram(), config=cfg,
-                      options=EngineOptions(cache_policy="clock"), max_supersteps=6)
+            repro.run(g, DeltaPageRankProgram(), config=cfg.with_cache(), max_supersteps=6)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].values, runs[1].values)

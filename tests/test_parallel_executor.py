@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro import ENGINES, EngineError, EngineInfo, engines
 from repro.algorithms import BFSProgram, DeltaPageRankProgram, MISProgram, SSSPProgram
-from repro.config import ConfigError, SimConfig, small_test_config
+from repro.config import STACK_KNOBS, ConfigError, SimConfig, small_test_config
 from repro.core.engine import MultiLogVC
 from repro.core.pipeline import GroupPipeline, PreparedGroup
 from repro.core.results import ComputeMeter
@@ -251,28 +251,15 @@ class TestNumWorkersKnob:
             SimConfig(num_workers=0).validate()
         assert small_test_config().with_workers(3).num_workers == 3
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "5")
-        assert SimConfig().num_workers == 5
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "junk")
-        assert SimConfig().num_workers == 1
-
-    def test_option_overrides_config(self):
+    def test_config_sets_the_lane_count(self):
         res = repro.run(
             GRAPH(),
             DeltaPageRankProgram(),
-            config=small_test_config(),
-            options=EngineOptions(num_workers=2),
+            config=small_test_config().with_workers(2),
             max_supersteps=4,
         )
         assert res.metrics is not None
         assert res.metrics["scheduler.workers"] == 2
-
-    def test_option_validation(self):
-        with pytest.raises(EngineError, match="num_workers"):
-            EngineOptions(num_workers=0).validate_for("multilogvc")
-        with pytest.raises(EngineError, match="do not apply"):
-            EngineOptions(num_workers=2).validate_for("graphchi")
 
 
 class TestEnginesIntrospection:
@@ -317,14 +304,6 @@ NON_DEFAULT_SAMPLES = {
     "grid_p": 4,
     "checkpoint_every": 2,
     "checkpoint_mode": "incremental",
-    "cache_policy": "clock",
-    "cache_bytes": 64 * 1024,
-    "num_workers": 2,
-    "io_plan": "coalesce",
-    "readahead_pages": 16,
-    "num_devices": 4,
-    "placement": "stripe",
-    "recompute": "full",
 }
 
 
@@ -352,26 +331,26 @@ class TestOptionsValidationMatrix:
         kw = {n: NON_DEFAULT_SAMPLES[n] for n in RELEVANT_OPTIONS[engine]}
         EngineOptions(**kw).validate_for(engine)
 
-    def test_cache_options_conflict_with_explicit_fs(self):
-        from repro.ssd.filesystem import SimFS
+    def test_no_field_is_also_a_config_field(self):
+        """A knob is declared once: on SimConfig or on EngineOptions."""
+        option_names = {f.name for f in dataclasses.fields(EngineOptions)}
+        config_names = {f.name for f in dataclasses.fields(SimConfig)}
+        assert option_names.isdisjoint(config_names)
+        assert set(STACK_KNOBS) <= config_names
 
-        fs = SimFS(small_test_config())
-        with pytest.raises(EngineError, match="explicit fs"):
-            EngineOptions(cache_policy="clock").validate_for("multilogvc", fs=fs)
-        with pytest.raises(EngineError, match="explicit fs"):
-            MultiLogVC(
-                GRAPH(), DeltaPageRankProgram(), small_test_config(), fs=fs,
-                options=EngineOptions(cache_bytes=4096),
-            )
+    @pytest.mark.parametrize("name", sorted(STACK_KNOBS) + ["recompute"])
+    def test_moved_knobs_are_not_options(self, name):
+        with pytest.raises(TypeError):
+            EngineOptions(**{name: None})
 
 
 class TestOptionsReplace:
     def test_replace_returns_updated_copy(self):
         base = EngineOptions(checkpoint_every=4)
-        fast = base.replace(num_workers=8)
-        assert fast.num_workers == 8
-        assert fast.checkpoint_every == 4
-        assert base.num_workers is None  # original untouched
+        unfused = base.replace(enable_fusing=False)
+        assert not unfused.enable_fusing
+        assert unfused.checkpoint_every == 4
+        assert base.enable_fusing  # original untouched
 
     def test_replace_rejects_unknown_field(self):
         with pytest.raises(TypeError):

@@ -282,6 +282,26 @@ class TestStreamSession:
         with pytest.raises(EngineError):
             sess.recompute(mode="sometimes")
 
+    def test_session_policy_is_a_keyword(self):
+        sess = StreamSession(small_chain(8), WCCProgram(), recompute="full")
+        sess.recompute(max_supersteps=50)
+        sess.ingest(adds([(0, 5)]))
+        sess.apply_updates()
+        r = sess.recompute(max_supersteps=50)
+        assert r.requested == "full" and r.mode == "full"
+
+    def test_stack_knobs_reach_store_and_engines(self):
+        """One config describes the machine: the session's store SSD
+        and every recompute engine's both get its cache and devices."""
+        cfg = DEFAULT_CONFIG.with_cache().with_devices(4)
+        sess = StreamSession(small_rmat(n=128, m=512, seed=2), WCCProgram(), config=cfg)
+        assert sess.fs.cache is not None
+        assert sess.fs.cache.capacity == cfg.cache_pages
+        assert sess.fs.device.num_devices == 4
+        m = sess.recompute(max_supersteps=50).result.metrics
+        assert m["cache.capacity_pages"] == cfg.cache_pages
+        assert m["device.devices"] == 4
+
     def test_recover_discards_warm_state(self):
         g = small_chain(8)
         sess = StreamSession(g, WCCProgram())

@@ -177,13 +177,13 @@ def measure_io_plan(scale: str, steps_scale: float):
     Returns None on any value or page-count divergence.
     """
     cfg = DEFAULT_CONFIG
-    opts_off = EngineOptions(min_intervals=8)
-    opts_on = EngineOptions(min_intervals=8, io_plan="coalesce")
+    cfg_on = cfg.with_io_plan("coalesce")
+    opts = EngineOptions(min_intervals=8)
     out = {}
     for name, graph, factory, steps in build_workloads(scale, steps_scale):
-        off = MultiLogVC(graph, factory(), cfg, options=opts_off).run(steps, seed=0)
+        off = MultiLogVC(graph, factory(), cfg, options=opts).run(steps, seed=0)
         reg = MetricsRegistry()
-        on = MultiLogVC(graph, factory(), cfg, options=opts_on, metrics=reg).run(
+        on = MultiLogVC(graph, factory(), cfg_on, options=opts, metrics=reg).run(
             steps, seed=0
         )
         same = np.array_equal(

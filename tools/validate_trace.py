@@ -53,6 +53,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.config import IO_PLAN_MODES, PLACEMENTS  # noqa: E402
 from repro.obs import TRACE_KINDS  # noqa: E402
 
 #: ``cache_stats`` fields that must be non-decreasing within a segment.
@@ -87,13 +88,10 @@ IO_PLAN_COUNTERS = (
 )
 
 #: ``io_plan_stats`` modes the planner emits (it is never built "off").
-IO_PLAN_MODES = ("coalesce", "coalesce+readahead")
+PLANNER_MODES = IO_PLAN_MODES[1:]
 
 #: ``device_stats`` fields that must be non-decreasing within a segment.
 DEVICE_COUNTERS = ("ops", "serial_us", "array_us", "saved_us")
-
-#: ``device_stats`` placements the device array emits.
-DEVICE_PLACEMENTS = ("stripe", "affinity")
 
 
 def validate_file(path: Path) -> list:
@@ -188,10 +186,10 @@ def validate_file(path: Path) -> list:
                     )
             last_parallel = ev
         if kind == "io_plan_stats":
-            if ev.get("mode") not in IO_PLAN_MODES:
+            if ev.get("mode") not in PLANNER_MODES:
                 errors.append(
                     f"{path}:{lineno}: io_plan_stats mode must be one of "
-                    f"{IO_PLAN_MODES}, got {ev.get('mode')!r}"
+                    f"{PLANNER_MODES}, got {ev.get('mode')!r}"
                 )
             for field in IO_PLAN_COUNTERS:
                 cur = ev.get(field)
@@ -209,10 +207,10 @@ def validate_file(path: Path) -> list:
                     )
             last_io_plan = ev
         if kind == "device_stats":
-            if ev.get("placement") not in DEVICE_PLACEMENTS:
+            if ev.get("placement") not in PLACEMENTS:
                 errors.append(
                     f"{path}:{lineno}: device_stats placement must be one of "
-                    f"{DEVICE_PLACEMENTS}, got {ev.get('placement')!r}"
+                    f"{PLACEMENTS}, got {ev.get('placement')!r}"
                 )
             devices = ev.get("devices")
             if not isinstance(devices, int) or isinstance(devices, bool) or devices < 2:
