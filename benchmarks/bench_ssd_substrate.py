@@ -51,18 +51,18 @@ def test_pages_for_ranges_throughput(benchmark):
     assert pages.shape == useful.shape
 
 
-def test_multilog_send_many_throughput(benchmark):
+def test_multilog_ingest_throughput(benchmark):
     cfg = DEFAULT_CONFIG
     fs = SimFS(cfg)
     iv = uniform_partition(100_000, 32)
     budget = MemoryBudget.resolve(cfg, 32)
     rng = np.random.default_rng(1)
     dests = rng.integers(0, 100_000, 10_000)
-    datas = rng.random(10_000)
+    batch = UpdateBatch.of(dests, np.full(10_000, 7), rng.random(10_000))
 
     def go():
         m = MultiLogUnit(fs, iv, cfg, budget, "bench", tracker=None)
-        m.send_many(dests, 7, datas)
+        m.ingest(batch)
         return m
 
     m = benchmark(go)

@@ -27,7 +27,6 @@ class BFSProgram(VertexProgram):
 
     name = "bfs"
     combine = "min"
-    supports_batch = True
 
     def __init__(self, source: int = 0, stop_fraction: Optional[float] = None) -> None:
         self.source = source
@@ -46,14 +45,13 @@ class BFSProgram(VertexProgram):
                 ctx.send_all(d + 1.0)
         ctx.deactivate()
 
-    def process_batch(self, b) -> bool:
+    def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         d = b.combined_update(default=np.inf)
         better = d < b.values[b.vids]
         if better.any():
             b.values[b.vids[better]] = d[better]
             b.send_along_edges(better & (b.degrees > 0), d + 1.0)
-        return True
 
     def is_converged(self, values: np.ndarray) -> bool:
         if self.stop_fraction is None:

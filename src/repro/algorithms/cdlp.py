@@ -31,7 +31,6 @@ class CommunityDetectionProgram(VertexProgram):
 
     name = "cdlp"
     uses_edge_state = True
-    supports_batch = True
 
     def initial(self, graph: CSRGraph, rng: np.random.Generator) -> InitialState:
         values = np.arange(graph.n, dtype=np.float64)  # label = own id
@@ -56,18 +55,17 @@ class CommunityDetectionProgram(VertexProgram):
                 ctx.send_all(new_label)
         ctx.deactivate()
 
-    def process_batch(self, b) -> bool:
+    def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         if b.superstep == 0:
             b.send_along_edges(b.degrees > 0, b.values[b.vids])
-            return True
+            return
         b.apply_updates_to_edge_state()
         # Segmented mode = each vertex's frequent_label over its table.
         new_label = b.edge_state_mode()
         changed = (b.degrees > 0) & (new_label != b.values[b.vids])
         b.values[b.vids[changed]] = new_label[changed]
         b.send_along_edges(changed, new_label)
-        return True
 
 
 def cdlp_reference(graph: CSRGraph, supersteps: int) -> np.ndarray:

@@ -55,7 +55,6 @@ class GraphColoringProgram(VertexProgram):
 
     name = "coloring"
     uses_edge_state = True
-    supports_batch = True
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -89,19 +88,19 @@ class GraphColoringProgram(VertexProgram):
             ctx.send_all(new_color)
         ctx.deactivate()
 
-    def process_batch(self, b) -> bool:
+    def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`.
 
         Conflict detection and re-broadcast are fully vectorised; only
         conflicted vertices take a small Python loop, because each must
         draw from its own ``(seed, superstep, vid)`` RNG stream to stay
-        bit-identical with the scalar path across engines.
+        bit-identical with :meth:`process` across engines.
         """
         from ..core.batch import segment_sum
 
         if b.superstep == 0:
             b.send_along_edges(b.degrees > 0, b.values[b.vids])
-            return True
+            return
         b.apply_updates_to_edge_state()
         own = np.repeat(b.values[b.vids], b.degrees)
         higher = b.nb_flat < np.repeat(b.vids, b.degrees)
@@ -119,7 +118,6 @@ class GraphColoringProgram(VertexProgram):
             mask = n_conflicts > 0
             b.values[b.vids[mask]] = new_colors[mask]
             b.send_along_edges(mask, new_colors)
-        return True
 
 
 def coloring_is_proper(graph: CSRGraph, colors: np.ndarray) -> bool:

@@ -29,7 +29,6 @@ class MISProgram(VertexProgram):
     """Two-supersteps-per-round Luby maximal independent set."""
 
     name = "mis"
-    supports_batch = True
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -72,7 +71,7 @@ class MISProgram(VertexProgram):
         ctx.send_all(_IN_MARKER)
         ctx.deactivate()
 
-    def process_batch(self, b) -> bool:
+    def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         v = b.vids
         undecided = b.values[v] == UNKNOWN
@@ -83,7 +82,7 @@ class MISProgram(VertexProgram):
             bidders = undecided & ~knocked
             b.send_along_edges(bidders, self._pri[v])
             b.keep_active(bidders)
-            return True
+            return
         # Phase B: compare own priority with undecided neighbors' bids.
         min_bid = b.update_min(where=b.udata >= 0, default=np.inf)
         lost = undecided & (min_bid <= self._pri[v])
@@ -91,7 +90,6 @@ class MISProgram(VertexProgram):
         b.values[v[winners]] = IN_SET
         b.send_along_edges(winners, np.full(b.k, _IN_MARKER))
         b.keep_active(lost)
-        return True
 
     def on_superstep_end(self, superstep: int, values: np.ndarray, rng: np.random.Generator) -> None:
         if superstep % 2 == 1:

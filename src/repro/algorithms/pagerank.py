@@ -25,7 +25,6 @@ class DeltaPageRankProgram(VertexProgram):
 
     name = "pagerank"
     combine = "add"
-    supports_batch = True
 
     def __init__(self, alpha: float = 0.85, threshold: float = 0.01) -> None:
         self.alpha = alpha
@@ -47,19 +46,19 @@ class DeltaPageRankProgram(VertexProgram):
                 ctx.send_all(self.alpha * delta / ctx.degree)
         ctx.deactivate()
 
-    def process_batch(self, b) -> bool:
+    def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
-        counts = b.update_counts
-        deg = np.maximum(b.degrees, 1)
-        if b.superstep == 0:
-            kick = (counts == 0) & (b.degrees > 0)
-            b.send_along_edges(kick, self.alpha * b.values[b.vids] / deg)
+        has = b.update_counts > 0
         delta = b.combined_update()
-        has = counts > 0
         b.values[b.vids] += np.where(has, delta, 0.0)
-        push = has & (delta > self.threshold) & (b.degrees > 0)
-        b.send_along_edges(push, self.alpha * delta / deg)
-        return True
+        push = has & (delta > self.threshold)
+        mass = delta
+        if b.superstep == 0:
+            # Kick-off: vertices without updates push their initial rank.
+            push |= ~has
+            mass = np.where(has, delta, b.values[b.vids])
+        deg = np.maximum(b.degrees, 1)
+        b.send_along_edges(push & (b.degrees > 0), self.alpha * mass / deg)
 
 
 def pagerank_reference(

@@ -22,7 +22,6 @@ class SSSPProgram(VertexProgram):
     name = "sssp"
     combine = "min"
     needs_weights = True
-    supports_batch = True
 
     def __init__(self, source: int = 0) -> None:
         self.source = source
@@ -41,7 +40,7 @@ class SSSPProgram(VertexProgram):
                     ctx.send_many(ctx.out_neighbors, d + ctx.out_weights)
         ctx.deactivate()
 
-    def process_batch(self, b) -> bool:
+    def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         d = b.combined_update(default=np.inf)
         improved = d < b.values[b.vids]
@@ -50,7 +49,6 @@ class SSSPProgram(VertexProgram):
         if relax.any():
             edge_data = np.repeat(d[relax], b.degrees[relax]) + b.out_weights_of(relax)
             b.send_edge_values(relax, edge_data)
-        return True
 
     def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12)."""

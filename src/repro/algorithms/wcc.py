@@ -19,7 +19,6 @@ class WCCProgram(VertexProgram):
 
     name = "wcc"
     combine = "min"
-    supports_batch = True
 
     def initial(self, graph: CSRGraph, rng: np.random.Generator) -> InitialState:
         values = np.arange(graph.n, dtype=np.float64)
@@ -35,18 +34,16 @@ class WCCProgram(VertexProgram):
                 ctx.send_all(m)
         ctx.deactivate()
 
-    def process_batch(self, b) -> bool:
+    def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         counts = b.update_counts
-        if b.superstep == 0:
-            kick = (counts == 0) & (b.degrees > 0)
-            b.send_along_edges(kick, b.values[b.vids])
         m = b.combined_update(default=np.inf)
-        better = (counts > 0) & (m < b.values[b.vids])
-        if better.any():
-            b.values[b.vids[better]] = m[better]
-            b.send_along_edges(better & (b.degrees > 0), m)
-        return True
+        send = (counts > 0) & (m < b.values[b.vids])
+        b.values[b.vids[send]] = m[send]
+        if b.superstep == 0:
+            # Kick-off: vertices without updates announce their own id.
+            send |= counts == 0
+        b.send_along_edges(send & (b.degrees > 0), b.values[b.vids])
 
     def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12).

@@ -44,7 +44,7 @@ from ..graph.storage import GraphOnSSD
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import _UNSET, EngineOptions, resolve_options
+from ..options import EngineOptions, resolve_options
 from ..ssd.filesystem import SimFS
 from ..core.active import ActiveTracker
 from ..core.api import VertexContext, VertexProgram
@@ -71,21 +71,20 @@ class GraFBoost:
         program: VertexProgram,
         config: SimConfig = DEFAULT_CONFIG,
         fs: Optional[SimFS] = None,
-        adapted=_UNSET,
-        merge_fanout=_UNSET,
         *,
         options: Optional[EngineOptions] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
-        options = resolve_options(self.name, options, adapted=adapted, merge_fanout=merge_fanout)
+        options = resolve_options(self.name, options)
         if program.mutates_structure:
             raise EngineError("the GraFBoost baseline runs static graphs")
         if not options.adapted and program.combine is None:
             raise EngineError(
                 "plain GraFBoost requires a combine operator; "
-                "pass adapted=True to keep all updates (paper §VIII adaptation)"
+                "pass options=EngineOptions(adapted=True) to keep all updates "
+                "(paper §VIII adaptation)"
             )
         self.graph = graph
         self.program = program

@@ -43,7 +43,7 @@ from ..graph.partition import VertexIntervals, partition_by_edge_volume, uniform
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import _UNSET, EngineOptions, resolve_options
+from ..options import EngineOptions, resolve_options
 from ..ssd.filesystem import SimFS
 from ..core.active import ActiveTracker
 from ..core.api import VertexContext, VertexProgram
@@ -69,14 +69,13 @@ class GridGraph:
         program: VertexProgram,
         config: SimConfig = DEFAULT_CONFIG,
         fs: Optional[SimFS] = None,
-        intervals=_UNSET,
         *,
         options: Optional[EngineOptions] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
-        options = resolve_options(self.name, options, intervals=intervals)
+        options = resolve_options(self.name, options)
         if program.combine is None:
             raise EngineError(
                 "GridGraph's streaming accumulation requires a combine operator "

@@ -62,22 +62,13 @@ class ActiveTracker:
     def n_current(self) -> int:
         return int(self.current.sum())
 
-    def known_active_next(self, v: int) -> bool:
-        return bool(self.next_from_messages[v] or self.next_self[v])
-
-    def predict_active_next(self, v: int) -> bool:
-        """History-based likely-active predictor (§V-C).
+    def predict_active_next_many(self, vertices: np.ndarray) -> np.ndarray:
+        """History-based likely-active predictor (§V-C), per vertex id.
 
         Known-active (message already logged, or processed without
         deactivating) wins; otherwise predict active if the vertex was
         active in any of the last ``N`` *previous* supersteps.
         """
-        if self.known_active_next(v):
-            return True
-        return any(h[v] for h in self._history)
-
-    def predict_active_next_many(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorised predictor over a vertex id array."""
         v = np.asarray(vertices, dtype=np.int64)
         out = self.next_from_messages[v] | self.next_self[v]
         for h in self._history:

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import ProgramError
 from ..graph.csr import CSRGraph
+from .batch import BatchContext
 from .combine import CombineSpec, validate_combine
 from .update import UpdateBatch
 
@@ -209,9 +210,9 @@ class VertexProgram(ABC):
         the program GraFBoost-compatible.
     ``mutates_structure``
         Program calls ``ctx.add_edge`` / ``ctx.remove_edge``.
-    ``supports_batch``
-        Program implements :meth:`process_batch` (vectorised group
-        processing, the multicore analog -- see :mod:`repro.core.batch`).
+
+    Implement :meth:`process` (the paper's ``ProcessVertex``); override
+    :meth:`process_batch` to vectorise it over a whole group.
     """
 
     name: str = "program"
@@ -219,7 +220,6 @@ class VertexProgram(ABC):
     uses_edge_state: bool = False
     combine: Optional[CombineSpec] = None
     mutates_structure: bool = False
-    supports_batch: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -234,17 +234,63 @@ class VertexProgram(ABC):
     def process(self, ctx: VertexContext) -> None:
         """The per-vertex kernel, run once per active vertex per superstep."""
 
-    def process_batch(self, batch) -> bool:
-        """Optional vectorised kernel over one sorted active group.
+    def process_batch(self, batch: BatchContext) -> None:
+        """Process one sorted group of active vertices.
 
-        Return True when the group was fully handled; returning False
-        falls back to per-vertex :meth:`process` for that group.  Only
-        called when ``supports_batch`` is set and the engine can provide
-        batch semantics (structural mutation always falls back; edge
-        state is supported via a gather/scatter copy -- see
-        :mod:`repro.core.batch`).
+        The engine's only dispatch point.  This default drives
+        :meth:`process` once per vertex over views of the batch's
+        columns; the vertices' sends are collected in one outbox and
+        flushed through ``batch.send_batch`` at group end, in vertex
+        order -- so an out-of-range target raises
+        :class:`~repro.errors.ProgramError` at the flush, not at the
+        ``ctx.send`` call.  Override to handle the group in bulk (see
+        :mod:`repro.core.batch`); an override must produce the same
+        values, sends (content and order), activity and dirty flags as
+        this default.
         """
-        return False
+        out_dests, out_srcs, out_datas = [], [], []
+
+        def send(dest: int, src: int, data: float) -> None:
+            out_dests.append((dest,))
+            out_srcs.append(src)
+            out_datas.append((data,))
+
+        def send_many(dests: np.ndarray, src: int, datas: np.ndarray) -> None:
+            if datas.shape != dests.shape:
+                raise ProgramError("send_many dests/datas length mismatch")
+            out_dests.append(dests)
+            out_srcs.append(src)
+            out_datas.append(datas)
+
+        stay = np.zeros(batch.k, dtype=bool)
+        dirty = np.zeros(batch.k, dtype=bool)
+        u_lo, u_hi, off = batch.u_lo.tolist(), batch.u_hi.tolist(), batch.nb_offsets.tolist()
+        for i, v in enumerate(batch.vids.tolist()):
+            lo, hi = off[i], off[i + 1]
+            ctx = VertexContext(
+                vid=v,
+                superstep=batch.superstep,
+                values=batch.values,
+                updates_src=batch.usrc[u_lo[i] : u_hi[i]],
+                updates_data=batch.udata[u_lo[i] : u_hi[i]],
+                out_neighbors=batch.nb_flat[lo:hi],
+                out_weights=None if batch.w_flat is None else batch.w_flat[lo:hi],
+                edge_state=None if batch.es_flat is None else batch.es_flat[lo:hi],
+                send=send,
+                send_many=send_many,
+                rng=batch.rng,
+                mutate=batch.mutate,
+            )
+            self.process(ctx)
+            stay[i] = not ctx.deactivated
+            dirty[i] = ctx.edge_state_dirty
+        batch.keep_active(stay)
+        batch.mark_edge_state_dirty(dirty)
+        if out_dests:
+            sizes = [len(d) for d in out_dests]
+            batch.send_batch(
+                np.concatenate(out_dests), np.repeat(out_srcs, sizes), np.concatenate(out_datas)
+            )
 
     def on_superstep_end(self, superstep: int, values: np.ndarray, rng: np.random.Generator) -> None:
         """Hook after each superstep (e.g. refresh per-round randomness)."""

@@ -1,28 +1,26 @@
-"""Vectorised batch vertex processing (the paper's multicore analog).
+"""Group-at-a-time vertex processing (the paper's multicore analog).
 
-The paper parallelises ``ProcessVertex`` over OpenMP threads (§VI).  In
-this reproduction the equivalent lever is NumPy vectorisation: a
-program may implement :meth:`~repro.core.api.VertexProgram.process_batch`
-to handle one sorted group of active vertices in bulk instead of one
-:class:`~repro.core.api.VertexContext` at a time.
+The paper has one ``ProcessVertex`` that OpenMP parallelises (§VI).
+Here the engine hands each sorted group of active vertices to
+:meth:`~repro.core.api.VertexProgram.process_batch` as one columnar
+:class:`BatchContext`, and the lever equivalent to the paper's threads
+is NumPy vectorisation: the default kernel loops
+:meth:`~repro.core.api.VertexProgram.process` over per-vertex views of
+the batch, and a program overrides it to handle the group in bulk.
 
-The batch path is purely an execution-strategy choice:
+An override is purely an execution-strategy choice.  Both kernels see
+the same batch, send through the same sink (one ``ingest`` per group,
+records in vertex order) and report activity and dirty edge state
+through the same masks, so values, activity traces, superstep records
+and device stats are identical (``tests/test_batch_parity.py`` asserts
+all four).
 
-* message semantics, activation rules and vertex values are identical
-  to the scalar path (tests assert value equality);
-* the engine charges the same I/O and the same compute-meter counts;
-* the only permitted deviations are second-order I/O details: the
-  edge-log heuristic sees the whole group's sends before deciding what
-  to re-log, and bulk log appends reach the eviction watermark in
-  chunks rather than per message -- either can shift a few log pages,
-  never results, activity traces or message multisets.
-
-Edge-state programs (CDLP, coloring) batch too: the engine gathers each
-group's per-edge state into a mutable flat copy (``es_flat``), the
-kernel mutates it through :meth:`BatchContext.apply_updates_to_edge_state`
-and friends, and the engine scatters it back -- per-vertex edge ranges
-are disjoint, so this is equivalent to the scalar path's in-place
-writes.  Only structural mutation still forces the scalar path.
+Edge-state programs (CDLP, coloring) get each group's per-edge state as
+a mutable flat copy (``es_flat``) that the engine scatters back after
+the kernel -- per-vertex edge ranges are disjoint, so this is
+equivalent to in-place writes.  Structure-mutating programs get
+adjacency with their own buffered edits already overlaid, plus a
+``mutate`` callback.
 
 The segmented-reduction helpers (:func:`segment_min`,
 :func:`segment_mode`, :func:`segment_sum`) operate on flat value arrays
@@ -164,6 +162,12 @@ class BatchContext:
         Mutable copy of the concatenated per-edge state, or ``None``.
         Mutations are scattered back by the engine after the kernel;
         call :meth:`mark_edge_state_dirty` so the write-back is charged.
+    send_batch:
+        Outgoing-update sink ``(dests, srcs, datas)``; the ``send_*``
+        helpers route through it.
+    mutate:
+        ``(op, src, dst, weight)`` structural-update callback, or
+        ``None`` when the program does not declare ``mutates_structure``.
     """
 
     def __init__(
@@ -182,6 +186,7 @@ class BatchContext:
         send_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
         rng: np.random.Generator,
         es_flat: Optional[np.ndarray] = None,
+        mutate: Optional[Callable[[str, int, int, float], None]] = None,
     ) -> None:
         self.vids = vids
         self.superstep = superstep
@@ -195,7 +200,8 @@ class BatchContext:
         self.nb_flat = nb_flat
         self.w_flat = w_flat
         self.es_flat = es_flat
-        self._send_batch = send_batch
+        self.send_batch = send_batch
+        self.mutate = mutate
         self.rng = rng
         self._stay_mask = np.zeros(vids.shape[0], dtype=bool)
         self._es_dirty = np.zeros(vids.shape[0], dtype=bool)
@@ -254,7 +260,7 @@ class BatchContext:
 
         For every update ``(dest=v, src=u, data)``, writes ``data`` at
         ``u``'s position within ``v``'s sorted adjacency -- the
-        vectorised form of the scalar
+        vectorised form of the per-vertex
         ``edge_state[searchsorted(out_neighbors, updates_src)] = data``.
         Marks receivers with updates and edges dirty; returns that mask.
         """
@@ -320,7 +326,7 @@ class BatchContext:
         dests = self.nb_flat[idx]
         srcs = np.repeat(self.vids[sel], counts)
         datas = np.repeat(np.asarray(per_vertex_data)[sel], counts)
-        self._send_batch(dests, srcs, datas)
+        self.send_batch(dests, srcs, datas)
 
     def send_edge_values(self, vertex_mask: np.ndarray, edge_data: np.ndarray) -> None:
         """Send distinct per-edge payloads (``edge_data`` aligned with
@@ -335,7 +341,7 @@ class BatchContext:
         if idx.shape[0] != np.asarray(edge_data).shape[0]:
             raise ProgramError("edge_data length must match selected out-edges")
         counts = (stops - starts).astype(np.int64)
-        self._send_batch(self.nb_flat[idx], np.repeat(self.vids[sel], counts), np.asarray(edge_data))
+        self.send_batch(self.nb_flat[idx], np.repeat(self.vids[sel], counts), np.asarray(edge_data))
 
     # -- scheduling --------------------------------------------------------------
 

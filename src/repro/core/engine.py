@@ -37,11 +37,11 @@ from ..mem.budget import MemoryBudget
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import _UNSET, EngineOptions, resolve_options
+from ..options import EngineOptions, resolve_options
 from ..recovery.checkpoint import CheckpointData, CheckpointManager
 from ..ssd.filesystem import SimFS
 from .active import ActiveTracker
-from .api import InitialState, VertexContext, VertexProgram
+from .api import InitialState, VertexProgram
 from .edgelog import KLASS_EDGELOG, EdgeLogOptimizer
 from .loader import GraphLoaderUnit
 from .multilog import KLASS_MLOG, MultiLogUnit
@@ -50,11 +50,7 @@ from .pipeline import GroupPipeline, PreparedGroup, charge_rollup
 from .scheduler import ParallelGroupScheduler
 from .results import ComputeMeter, RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
-from .update import DATA_DTYPE, SRC_DTYPE, UpdateBatch
-
-_EMPTY_SRC = np.empty(0, dtype=SRC_DTYPE)
-_EMPTY_DATA = np.empty(0, dtype=DATA_DTYPE)
-
+from .update import UpdateBatch
 
 class _Converged(Exception):
     """Internal control flow: the superstep loop reached a fixed point."""
@@ -85,9 +81,6 @@ class MultiLogVC:
         register their counters/gauges into.
     progress:
         Called with each completed :class:`SuperstepRecord`.
-    mode, enable_edgelog, enable_fusing, min_intervals, intervals:
-        Removed in API v1; passing one raises
-        :class:`~repro.errors.EngineError` with a migration hint.
     """
 
     name = "multilogvc"
@@ -98,26 +91,13 @@ class MultiLogVC:
         program: VertexProgram,
         config: SimConfig = DEFAULT_CONFIG,
         fs: Optional[SimFS] = None,
-        mode=_UNSET,
-        enable_edgelog=_UNSET,
-        enable_fusing=_UNSET,
-        min_intervals=_UNSET,
-        intervals=_UNSET,
         *,
         options: Optional[EngineOptions] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
-        options = resolve_options(
-            self.name,
-            options,
-            mode=mode,
-            enable_edgelog=enable_edgelog,
-            enable_fusing=enable_fusing,
-            min_intervals=min_intervals,
-            intervals=intervals,
-        )
+        options = resolve_options(self.name, options)
         if program.uses_edge_state and program.needs_weights:
             raise ProgramError(
                 "uses_edge_state and needs_weights are mutually exclusive: "
@@ -272,14 +252,6 @@ class MultiLogVC:
                 meter, rng, ckpt_mgr, tracer,
             )
 
-        mutate_cb = None
-        if mutations is not None:
-            def mutate_cb(op: str, src: int, dst: int, w: float) -> None:
-                if op == "add":
-                    mutations.add_edge(src, dst, w)
-                else:
-                    mutations.remove_edge(src, dst)
-
         # Simulated worker lanes (DESIGN.md §11): groups always run in
         # one synchronous in-order loop; with lanes > 1 the iterator also
         # keeps the lane/channel overlap overlay.  The overlay models
@@ -302,7 +274,7 @@ class MultiLogVC:
             self._superstep_loop(
                 max_supersteps, records, pipeline, meter, tracker,
                 mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
-                mutate_cb, values, prog, cfg, rng, start_step, ckpt_mgr,
+                values, prog, cfg, rng, start_step, ckpt_mgr,
                 overlap, planner,
             )
         except _Converged:
@@ -397,11 +369,14 @@ class MultiLogVC:
     def _superstep_loop(
         self, max_supersteps, records, pipeline, meter, tracker,
         mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
-        mutate_cb, values, prog, cfg, rng, start_step=0, ckpt_mgr=None,
+        values, prog, cfg, rng, start_step=0, ckpt_mgr=None,
         overlap=None, planner=None,
     ) -> None:
         """Run supersteps until convergence (raises :class:`_Converged`)."""
         tracer = self.tracer
+        # Trace field only: does the program bring its own group kernel?
+        kernel = getattr(prog.process_batch, "__func__", None)
+        batched = kernel is not VertexProgram.process_batch
         for step in range(start_step, max_supersteps):
             if tracker.n_current == 0 and mlog_cur.total_messages == 0:
                 raise _Converged
@@ -483,6 +458,9 @@ class MultiLogVC:
                             report.io_time_us += t
                 return PreparedGroup(list(group), sg, verts, report, io_plan=outcome)
 
+            def send_batch(dests, srcs, datas):
+                mlog_next.ingest(UpdateBatch.of(dests, srcs, datas))
+
             processed = 0
             updates_processed = 0
             edges_scanned = 0
@@ -527,98 +505,40 @@ class MultiLogVC:
                 # Pages the edge log saved: the hypothetical no-edge-log
                 # colidx page set minus the adjacency pages actually read.
                 avoided_pages += max(0, report.hypo_pages - report.data_pages)
-                g_processed = 0
-                g_updates = 0
-                g_edges = 0
                 elog_before = edgelog.vertices_logged if edgelog is not None else 0
 
-                # Vectorised fast path: the program handles the whole
-                # group in bulk (see repro.core.batch).
-                handled = False
-                if prog.supports_batch and mutations is None:
-                    def send_batch(dests, srcs, datas, mnext=mlog_next):
-                        mnext.ingest(UpdateBatch.of(dests, srcs, datas))
-
-                    bctx, es_plan = self._build_batch(
-                        sg, verts, prog, send_batch, rng, step, values
-                    )
-                    if prog.process_batch(bctx):
-                        handled = True
-                        stay = verts[bctx._stay_mask]
-                        if stay.size:
-                            tracker.next_self[stay] = True
-                        degs = bctx.degrees
-                        g_processed = verts.shape[0]
-                        g_updates = bctx.total_updates
-                        g_edges = int(degs.sum())
-                        meter.charge_vertices(verts.shape[0])
-                        meter.charge_updates(int(sg.batch.n))
-                        meter.charge_edges(g_edges)
-                        if edgelog is not None:
-                            predicted = tracker.predict_active_next_many(verts)
-                            cand = predicted & report.vertex_page_inefficient & (degs > 0)
-                            for idx in np.flatnonzero(cand):
-                                edgelog.consider(
-                                    int(verts[idx]), int(degs[idx]), True, True
-                                )
-                        if es_plan is not None:
-                            # Scatter the (possibly mutated) edge-state
-                            # copy back and charge dirty val-page writes,
-                            # mirroring the scalar path's in-place writes.
-                            off = 0
-                            for files, idx in es_plan:
-                                files.values.array[idx] = bctx.es_flat[off : off + idx.shape[0]]
-                                off += idx.shape[0]
-                            dirty_verts = verts[bctx._es_dirty]
-                            if dirty_verts.size:
-                                loader.writeback_edge_state(dirty_verts)
-
-                if not handled:
-                    upos = np.searchsorted(sg.unique_dests, verts)
-                    k_updates = sg.unique_dests.shape[0]
-                    dirty: List[int] = []
-                    for idx in range(verts.shape[0]):
-                        v = int(verts[idx])
-                        p = int(upos[idx])
-                        if p < k_updates and sg.unique_dests[p] == v:
-                            usrc, udata = sg.updates_for(p)
-                        else:
-                            usrc, udata = _EMPTY_SRC, _EMPTY_DATA
-                        nb = self.storage.neighbors(v)
-                        wt = self.storage.weights(v) if (prog.needs_weights or prog.uses_edge_state) else None
-                        if mutations is not None:
-                            nb, wt = mutations.overlay_adjacency(v, nb, wt)
-                        ctx = VertexContext(
-                            vid=v,
-                            superstep=step,
-                            values=values,
-                            updates_src=usrc,
-                            updates_data=udata,
-                            out_neighbors=nb,
-                            out_weights=wt if prog.needs_weights else None,
-                            edge_state=wt if prog.uses_edge_state else None,
-                            send=mlog_next.send,
-                            send_many=mlog_next.send_many,
-                            rng=rng,
-                            mutate=mutate_cb,
-                        )
-                        prog.process(ctx)
-                        if not ctx.deactivated:
-                            tracker.note_self_active(v)
-                        if ctx.edge_state_dirty:
-                            dirty.append(v)
-                        g_processed += 1
-                        g_updates += usrc.shape[0]
-                        g_edges += nb.shape[0]
-                        if edgelog is not None:
-                            predicted = tracker.predict_active_next(v)
-                            inefficient = bool(report.vertex_page_inefficient[idx])
-                            edgelog.consider(v, nb.shape[0], predicted, inefficient)
-                    meter.charge_vertices(verts.shape[0])
-                    meter.charge_updates(int(sg.batch.n))
-                    meter.charge_edges(g_edges)
-                    if dirty:
-                        loader.writeback_edge_state(np.asarray(dirty))
+                # The one dispatch point: the program handles the whole
+                # group (its own kernel, or the default per-vertex loop
+                # over views of the batch -- see repro.core.batch).
+                bctx, es_plan = self._build_batch(
+                    sg, verts, prog, send_batch, rng, step, values, mutations
+                )
+                prog.process_batch(bctx)
+                stay = verts[bctx._stay_mask]
+                if stay.size:
+                    tracker.next_self[stay] = True
+                degs = bctx.degrees
+                g_processed = verts.shape[0]
+                g_updates = bctx.total_updates
+                g_edges = int(degs.sum())
+                meter.charge_vertices(g_processed)
+                meter.charge_updates(int(sg.batch.n))
+                meter.charge_edges(g_edges)
+                if edgelog is not None:
+                    predicted = tracker.predict_active_next_many(verts)
+                    cand = predicted & report.vertex_page_inefficient & (degs > 0)
+                    for idx in np.flatnonzero(cand):
+                        edgelog.consider(int(verts[idx]), int(degs[idx]), True, True)
+                if es_plan is not None:
+                    # Scatter the (possibly mutated) edge-state copy back
+                    # and charge dirty val-page writes.
+                    off = 0
+                    for files, idx in es_plan:
+                        files.values.array[idx] = bctx.es_flat[off : off + idx.shape[0]]
+                        off += idx.shape[0]
+                    dirty_verts = verts[bctx._es_dirty]
+                    if dirty_verts.size:
+                        loader.writeback_edge_state(dirty_verts)
 
                 processed += g_processed
                 updates_processed += g_updates
@@ -630,7 +550,7 @@ class MultiLogVC:
                         vertices=int(g_processed),
                         updates=int(g_updates),
                         edges=int(g_edges),
-                        batched=handled,
+                        batched=batched,
                     )
                     if edgelog is not None:
                         tracer.emit(
@@ -727,7 +647,7 @@ class MultiLogVC:
 
     # ------------------------------------------------------------------
 
-    def _build_batch(self, sg, verts, prog, send_batch, rng, step, values):
+    def _build_batch(self, sg, verts, prog, send_batch, rng, step, values, mutations):
         """Assemble the columnar :class:`~repro.core.batch.BatchContext`.
 
         Adjacency for the whole group is gathered with one vectorised
@@ -736,10 +656,13 @@ class MultiLogVC:
         programs the value vectors are gathered as a mutable copy and a
         scatter plan ``[(files, idx), ...]`` is returned so the engine
         can write mutations back (per-vertex ranges are disjoint, so
-        gather/mutate/scatter is equivalent to scalar in-place writes).
+        gather/mutate/scatter is equivalent to in-place writes).
 
         ``send_batch`` is the outgoing-update sink (the next-generation
-        multi-log's ``ingest``).
+        multi-log's ``ingest``).  With ``mutations``, each vertex's own
+        buffered edits are overlaid on its stored adjacency here: a
+        vertex runs once per superstep and only ever edits its own
+        edges, so nothing the kernel buffers can change this view.
         """
         from .batch import BatchContext, flatten_ranges
 
@@ -769,6 +692,8 @@ class MultiLogVC:
         vals_flat = np.concatenate(w_parts) if w_parts else np.empty(0, np.float64)
         w_flat = vals_flat if need_w else None
         es_flat = vals_flat if need_es else None
+        if mutations is not None:
+            degrees, nb_flat, w_flat = mutations.overlay_batch(verts, degrees, nb_flat, w_flat)
         nb_offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
 
         bctx = BatchContext(
@@ -786,6 +711,7 @@ class MultiLogVC:
             send_batch=send_batch,
             rng=rng,
             es_flat=es_flat,
+            mutate=mutations.record if mutations is not None else None,
         )
         return bctx, es_plan
 

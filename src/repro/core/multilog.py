@@ -1,10 +1,10 @@
 """Multi-Log Update Unit (paper §V-A).
 
 Outgoing messages are appended to one log per destination *vertex
-interval*.  Hot path: ``send`` maps the destination to its interval
+interval*.  Hot path: ``ingest`` maps each destination to its interval
 (the paper's ``vId2IntervalMap``), appends ``<v_dest, m>`` to that
 interval's top page in the multi-log memory buffer, and marks the
-destination as known-active for the next superstep.
+destinations as known-active for the next superstep.
 
 Buffering and eviction follow §V-A3: the buffer holds page-sized
 chunks, at least one (top) page per interval; when free buffer space
@@ -127,42 +127,20 @@ class MultiLogUnit:
 
     # -- hot path ----------------------------------------------------------------
 
-    def send(self, dest: int, src: int, data: float) -> None:
-        """Append one update to the destination interval's log."""
-        if not 0 <= dest < self._n_vertices:
-            raise ProgramError(f"send target {dest} outside graph [0, {self._n_vertices})")
-        i = int(self._v2i[dest])
-        buf = self._buffers[i]
-        if buf.top_records == 0:
-            self._pages_used += 1  # a fresh top page is now occupied
-        buf.append(dest, src, data)
-        self.counters[i] += 1
-        self.appended += 1
-        if self.tracker is not None:
-            self.tracker.note_message(dest)
-        if self._capacity - self._pages_used < self._low_free:
-            self._evict()
-
-    def send_many(self, dests: np.ndarray, src: int, datas: np.ndarray) -> None:
-        """Vectorised multi-destination append (one source vertex)."""
-        dests = np.asarray(dests, dtype=np.int64)
-        if dests.size == 0:
-            return
-        if dests.min() < 0 or dests.max() >= self._n_vertices:
-            raise ProgramError("send target outside graph")
-        datas = np.asarray(datas, dtype=np.float64)
-        if datas.shape != dests.shape:
-            raise ProgramError("send_many dests/datas length mismatch")
-        srcs = np.full(dests.shape[0], src, dtype=np.int64)
-        self._append_bulk(dests, srcs, datas)
-        if self.tracker is not None:
-            self.tracker.note_messages(dests)
-
     def ingest(self, batch: UpdateBatch) -> None:
-        """Bulk-load a pre-built batch (seed messages, batch-path sends)."""
+        """Append a batch of updates (seed messages, a group's sends).
+
+        The only producer entry point; destinations are validated here,
+        once per batch.
+        """
         if batch is None or batch.n == 0:
             return
         dests = batch.dest.astype(np.int64)
+        if dests.min() < 0 or dests.max() >= self._n_vertices:
+            raise ProgramError(
+                f"update destination outside graph [0, {self._n_vertices}): "
+                f"got [{dests.min()}, {dests.max()}]"
+            )
         self._append_bulk(dests, batch.src.astype(np.int64), batch.data)
         if self.tracker is not None:
             self.tracker.note_messages(dests)
@@ -173,15 +151,13 @@ class MultiLogUnit:
         Bulk appends are chunked so the buffer never transiently exceeds
         its capacity by more than one eviction quantum -- otherwise a
         large burst would be absorbed "for free" in memory and then
-        spilled via force-sealed partial pages (write amplification the
-        per-record path never exhibits).
+        spilled via force-sealed partial pages (write amplification).
         """
         rpp = self.config.updates_per_page
         chunk = max(rpp, self._high_free * rpp)
         ivals = self._v2i[dests]
         # One stable argsort buckets the batch by interval while keeping
-        # each interval's records in arrival order (same per-interval
-        # subsequences as record-at-a-time sends).
+        # each interval's records in arrival order.
         order = np.argsort(ivals, kind="stable")
         ivals_sorted = ivals[order]
         d_all, s_all, x_all = dests[order], srcs[order], datas[order]

@@ -64,6 +64,13 @@ class MutationBuffer:
         e.adds = [a for a in e.adds if (a[0], a[1]) != (src, dst)]
         e.removes.add((src, dst))
 
+    def record(self, op: str, src: int, dst: int, weight: float) -> None:
+        """The ``mutate`` callback handed to programs: ``"add"``/``"remove"``."""
+        if op == "add":
+            self.add_edge(src, dst, weight)
+        else:
+            self.remove_edge(src, dst)
+
     def pending(self, interval: int) -> int:
         e = self._edits.get(interval)
         return e.count if e else 0
@@ -100,6 +107,44 @@ class MutationBuffer:
                 wt = np.concatenate([wt, np.asarray([w for _, w in adds])])
         order = np.argsort(nb, kind="stable")
         return nb[order], (wt[order] if wt is not None else None)
+
+    def overlay_batch(
+        self,
+        verts: np.ndarray,
+        degrees: np.ndarray,
+        nb_flat: np.ndarray,
+        w_flat: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """:meth:`overlay_adjacency` over a group's flat adjacency.
+
+        ``nb_flat`` / ``w_flat`` hold the stored adjacency of the sorted,
+        non-empty ``verts`` back to back (``degrees[i]`` entries each).
+        Only vertices with pending edits are touched; returns the inputs
+        unchanged when there are none.
+        """
+        first, last = self.storage.intervals.interval_of(verts[[0, -1]])
+        pending = [e for i, e in self._edits.items() if first <= i <= last]
+        edited = {op[0] for e in pending for op in (*e.adds, *e.removes)}
+        hit = np.flatnonzero(np.isin(verts, list(edited))) if edited else ()
+        if len(hit) == 0:
+            return degrees, nb_flat, w_flat
+        offsets = np.concatenate([[0], np.cumsum(degrees)])
+        degrees = degrees.copy()
+        nb_parts, w_parts, pos = [], [], 0
+        for i in hit:
+            lo, hi = offsets[i], offsets[i + 1]
+            nb, wt = self.overlay_adjacency(
+                int(verts[i]), nb_flat[lo:hi], None if w_flat is None else w_flat[lo:hi]
+            )
+            nb_parts += [nb_flat[pos:lo], nb]
+            if w_flat is not None:
+                w_parts += [w_flat[pos:lo], wt]
+            degrees[i] = nb.shape[0]
+            pos = hi
+        nb_parts.append(nb_flat[pos:])
+        if w_flat is not None:
+            w_flat = np.concatenate(w_parts + [w_flat[pos:]])
+        return degrees, np.concatenate(nb_parts), w_flat
 
     # -- merging ---------------------------------------------------------------
 

@@ -12,7 +12,7 @@ combine operator, the reduction is applied transparently here (§V-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -41,11 +41,6 @@ class SortedGroup:
     #: Pre-combine batch size, for deferred sort-cost metering when the
     #: caller charges the sort itself (``charge_sort=False``).
     sort_items: int = 0
-
-    def updates_for(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Updates of ``unique_dests[k]`` as ``(src, data)`` arrays."""
-        s, e = int(self.offsets[k]), int(self.offsets[k + 1])
-        return self.batch.src[s:e], self.batch.data[s:e]
 
 
 class SortGroupUnit:

@@ -17,10 +17,9 @@ engine and are declared once, on :class:`~repro.config.SimConfig`
 (:data:`~repro.config.STACK_KNOBS`); set them with the config's
 ``with_*`` helpers (README "Knobs").  The streaming recompute policy is a
 :class:`~repro.stream.StreamSession` keyword.  Both spellings used to
-exist on this class too and now raise ``TypeError`` (README "API v1
-migration").  The still older per-engine keyword arguments
-(``MultiLogVC(..., mode=)``) raise :class:`~repro.errors.EngineError`
-with a migration hint.
+exist on this class too and now raise ``TypeError``, as do the still
+older per-engine keyword arguments (``MultiLogVC(..., mode=)``); README
+"API v1 migration" maps old spellings to new.
 """
 
 from __future__ import annotations
@@ -33,11 +32,6 @@ from .errors import EngineError
 
 if TYPE_CHECKING:  # circular-import guard; only for annotations
     from .graph.partition import VertexIntervals
-
-#: Sentinel distinguishing "not passed" from an explicit value in the
-#: removed per-engine keyword arguments.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -156,25 +150,8 @@ RELEVANT_OPTIONS: Dict[str, FrozenSet[str]] = {
 }
 
 
-def resolve_options(
-    engine: str, options: Optional[EngineOptions], **legacy
-) -> EngineOptions:
-    """Validate (and default) the options object for ``engine``.
-
-    ``legacy`` catches the pre-v1 per-engine keyword arguments
-    (``mode=``, ``enable_edgelog=``, ``adapted=``, ...), removed as of
-    API v1: passing any real value (anything but the :data:`_UNSET`
-    sentinel) raises :class:`~repro.errors.EngineError` with a
-    migration hint.
-    """
-    passed = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if passed:
-        ks = sorted(passed)
-        raise EngineError(
-            f"per-engine keyword argument(s) {', '.join(ks)} were removed in "
-            f"API v1; pass options=EngineOptions({', '.join(f'{k}=...' for k in ks)}) "
-            f"instead (or use repro.run(..., options=...))"
-        )
+def resolve_options(engine: str, options: Optional[EngineOptions]) -> EngineOptions:
+    """Validate (and default) the options object for ``engine``."""
     if options is None:
         options = EngineOptions()
     options.validate_for(engine)

@@ -23,6 +23,7 @@ except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     pass
 
 from repro.config import DEFAULT_CONFIG, SimConfig, small_test_config
+from repro.core import VertexProgram
 from repro.graph.datasets import (
     small_chain,
     small_grid,
@@ -33,6 +34,12 @@ from repro.graph.datasets import (
     two_components,
 )
 from repro.ssd import SimFS
+
+
+def scalar_variant(prog: VertexProgram) -> VertexProgram:
+    """Pin ``prog`` to the default per-vertex kernel, bypassing its override."""
+    prog.process_batch = VertexProgram.process_batch.__get__(prog)
+    return prog
 
 
 @pytest.fixture

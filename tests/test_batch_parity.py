@@ -1,10 +1,11 @@
 """Batch-kernel parity and lane-count determinism.
 
-Two guarantees from the hot-path overhaul, both exact:
+Two guarantees, both exact:
 
-* every algorithm with a ``process_batch`` kernel computes the *same*
-  values, activation traces and message counts as its scalar
-  ``process`` path, in both sync and async modes, on multiple graphs;
+* every algorithm that overrides ``process_batch`` produces the *same*
+  values, activation traces, superstep records and device stats as the
+  default kernel driving its ``process``, in both sync and async modes,
+  on multiple graphs;
 * the engine has one group loop; the simulated lane count
   (``num_workers``) is pure accounting on top of it, so any count gives
   identical :class:`SuperstepRecord` streams, values, page counters and
@@ -30,12 +31,10 @@ from repro.algorithms import (
 )
 from repro.algorithms.coloring import coloring_is_proper
 from repro.algorithms.mis import is_independent_set, is_maximal
+from repro.core import VertexProgram
 from repro.options import EngineOptions
 
-
-def scalar_variant(prog):
-    prog.supports_batch = False
-    return prog
+from .conftest import scalar_variant
 
 
 # (factory, needs weighted graph, max supersteps)
@@ -55,7 +54,7 @@ def graph_for(seed: int, weighted: bool):
 
 
 def run_pair(factory, weighted, steps, mode, seed):
-    """Run batch and scalar variants on the same graph; return both results."""
+    """Run vectorised and default kernels on the same graph; return both results."""
     cfg = small_test_config()
     g = graph_for(seed, weighted)
     batch = MultiLogVC(g, factory(), cfg, options=EngineOptions(mode=mode, min_intervals=4)).run(steps)
@@ -64,11 +63,11 @@ def run_pair(factory, weighted, steps, mode, seed):
 
 
 class TestBatchScalarParity:
-    """Exact equality between batch and scalar kernels, everywhere."""
+    """Exact equality between vectorised and default kernels, everywhere."""
 
     @pytest.mark.parametrize("factory,weighted,steps", BATCH_PROGRAMS)
     @pytest.mark.parametrize("mode", ["sync", "async"])
-    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 11])
     def test_exact_parity(self, factory, weighted, steps, mode, seed):
         batch, scalar = run_pair(factory, weighted, steps, mode, seed)
         assert np.array_equal(
@@ -76,23 +75,18 @@ class TestBatchScalarParity:
             np.nan_to_num(scalar.values, posinf=-1),
         )
         assert np.array_equal(batch.activity_trace(), scalar.activity_trace())
-        assert [r.messages_sent for r in batch.supersteps] == [
-            r.messages_sent for r in scalar.supersteps
+        # Not just results: every page, every microsecond.
+        assert [r.to_dict() for r in batch.supersteps] == [
+            r.to_dict() for r in scalar.supersteps
         ]
-        assert [r.updates_processed for r in batch.supersteps] == [
-            r.updates_processed for r in scalar.supersteps
-        ]
-        assert batch.n_supersteps == scalar.n_supersteps
+        assert batch.stats == scalar.stats
 
     def test_batch_kernels_actually_engaged(self):
-        """Guard against silently falling back to scalar everywhere."""
-        for factory, weighted, _ in [
-            (lambda: SSSPProgram(source=0), True, 0),
-            (lambda: CommunityDetectionProgram(), False, 0),
-            (lambda: GraphColoringProgram(), False, 0),
-            (lambda: MISProgram(), False, 0),
-        ]:
-            assert factory().supports_batch
+        """Guard against the parity matrix comparing the default with itself."""
+        for factory, _, _ in (p.values for p in BATCH_PROGRAMS):
+            assert type(factory()).process_batch is not VertexProgram.process_batch
+            pinned = scalar_variant(factory())
+            assert pinned.process_batch.__func__ is VertexProgram.process_batch
 
     def test_coloring_batch_result_is_proper(self):
         cfg = small_test_config()

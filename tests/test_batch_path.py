@@ -18,10 +18,7 @@ from repro.algorithms import (
     wcc_reference,
 )
 
-
-def scalar_variant(prog):
-    prog.supports_batch = False
-    return prog
+from .conftest import scalar_variant
 
 
 class TestFlattenRanges:

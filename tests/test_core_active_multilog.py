@@ -41,42 +41,30 @@ class TestActiveTracker:
         t = ActiveTracker(10)
         t.note_message(1)
         t.note_self_active(2)
-        assert t.known_active_next(1)
-        assert t.known_active_next(2)
-        assert not t.known_active_next(3)
+        assert t.predict_active_next_many(np.array([1, 2, 3])).tolist() == [True, True, False]
 
     def test_prediction_uses_history_not_current(self):
         t = ActiveTracker(10, history_window=1)
         t.seed(np.array([7]))
         # During superstep 0: vertex 7 is current but history is empty.
-        assert not t.predict_active_next(7)
+        assert not t.predict_active_next_many(np.array([7]))[0]
         t.advance()
         # Now 7 is in the history window.
-        assert t.predict_active_next(7)
+        assert t.predict_active_next_many(np.array([7]))[0]
 
     def test_history_window_expires(self):
         t = ActiveTracker(10, history_window=1)
         t.seed(np.array([7]))
         t.advance()
         t.advance()
-        assert not t.predict_active_next(7)
+        assert not t.predict_active_next_many(np.array([7]))[0]
 
     def test_longer_history_window(self):
         t = ActiveTracker(10, history_window=2)
         t.seed(np.array([7]))
         t.advance()
         t.advance()
-        assert t.predict_active_next(7)
-
-    def test_vectorised_prediction_matches_scalar(self):
-        t = ActiveTracker(20, history_window=1)
-        t.seed(np.arange(0, 10))
-        t.advance()
-        t.note_message(15)
-        vs = np.arange(20)
-        vec = t.predict_active_next_many(vs)
-        for v in vs:
-            assert vec[v] == t.predict_active_next(int(v))
+        assert t.predict_active_next_many(np.array([7]))[0]
 
     def test_history_mask(self):
         t = ActiveTracker(10)
@@ -99,49 +87,46 @@ def mlog(cfg, intervals):
 
 class TestMultiLogUnit:
     def test_send_routes_to_destination_interval(self, mlog):
-        mlog.send(5, 0, 1.0)
-        mlog.send(15, 0, 2.0)
-        mlog.send(35, 0, 3.0)
+        mlog.ingest(UpdateBatch.of([5, 15, 35], [0, 0, 0], [1.0, 2.0, 3.0]))
         assert mlog.message_count(0) == 1
         assert mlog.message_count(1) == 1
         assert mlog.message_count(2) == 1
         assert mlog.total_messages == 3
 
     def test_send_out_of_range(self, mlog):
-        with pytest.raises(ProgramError):
-            mlog.send(40, 0, 1.0)
-        with pytest.raises(ProgramError):
-            mlog.send(-1, 0, 1.0)
+        with pytest.raises(ProgramError, match=r"\[0, 40\)"):
+            mlog.ingest(UpdateBatch.of([40], [0], [1.0]))
+        with pytest.raises(ProgramError, match=r"\[0, 40\)"):
+            mlog.ingest(UpdateBatch.of([5, -1], [0, 0], [1.0, 1.0]))
 
     def test_consume_roundtrip_multiset(self, mlog):
         sent = [(5, 1, 1.0), (7, 2, 2.0), (5, 3, 3.0), (15, 4, 4.0)]
-        for d, s, x in sent:
-            mlog.send(d, s, x)
+        mlog.ingest(UpdateBatch.of(*zip(*sent)))
         batch = mlog.consume([0, 1])
         got = sorted(zip(batch.dest.tolist(), batch.src.tolist(), batch.data.tolist()))
         assert got == sorted(sent)
         assert mlog.total_messages == 0
 
     def test_consume_only_requested_intervals(self, mlog):
-        mlog.send(5, 0, 1.0)
-        mlog.send(25, 0, 2.0)
+        mlog.ingest(UpdateBatch.of([5, 25], [0, 0], [1.0, 2.0]))
         batch = mlog.consume([0])
         assert batch.n == 1
         assert mlog.message_count(2) == 1
 
     def test_send_many_vectorised(self, mlog):
         dests = np.array([1, 11, 21, 2, 12])
-        mlog.send_many(dests, 9, np.arange(5.0))
+        mlog.ingest(UpdateBatch.of(dests, np.full(5, 9), np.arange(5.0)))
         assert mlog.total_messages == 5
         batch = mlog.consume([0, 1, 2])
         assert sorted(batch.dest.tolist()) == [1, 2, 11, 12, 21]
         assert (batch.src == 9).all()
 
     def test_send_many_validation(self, mlog):
+        # One bad destination rejects the whole batch before anything lands.
+        dests = np.array([1, 100, 2])
         with pytest.raises(ProgramError):
-            mlog.send_many(np.array([100]), 0, np.array([1.0]))
-        with pytest.raises(ProgramError):
-            mlog.send_many(np.array([1, 2]), 0, np.array([1.0]))
+            mlog.ingest(UpdateBatch.of(dests, np.zeros(3), np.ones(3)))
+        assert mlog.appended == 0 and mlog.pages_buffered == 0
 
     def test_ingest(self, mlog):
         mlog.ingest(UpdateBatch.of([5, 15], [0, 0], [1.0, 2.0]))
@@ -149,13 +134,13 @@ class TestMultiLogUnit:
         assert mlog.appended == 2
 
     def test_appended_is_monotonic(self, mlog):
-        mlog.send(1, 0, 1.0)
+        mlog.ingest(UpdateBatch.of([1], [0], [1.0]))
         mlog.consume([0])
-        mlog.send(2, 0, 1.0)
+        mlog.ingest(UpdateBatch.of([2], [0], [1.0]))
         assert mlog.appended == 2
 
     def test_estimated_bytes(self, mlog, cfg):
-        mlog.send(5, 0, 1.0)
+        mlog.ingest(UpdateBatch.of([5], [0], [1.0]))
         assert mlog.estimated_bytes(0) == cfg.records.update_bytes
 
     def test_tracker_notification(self, cfg, intervals):
@@ -165,7 +150,7 @@ class TestMultiLogUnit:
         budget = MemoryBudget.resolve(cfg, 3)
         tracker = ActiveTracker(40)
         m = MultiLogUnit(fs, intervals, cfg, budget, "m", tracker=tracker)
-        m.send(33, 0, 1.0)
+        m.ingest(UpdateBatch.of([33], [0], [1.0]))
         assert tracker.next_from_messages[33]
 
     def test_eviction_under_pressure(self, tight_cfg, intervals):
@@ -175,7 +160,7 @@ class TestMultiLogUnit:
         n = budget.multilog_pages * tight_cfg.updates_per_page * 2
         rng = np.random.default_rng(0)
         dests = rng.integers(0, 40, n)
-        m.send_many(dests, 0, np.zeros(n))
+        m.ingest(UpdateBatch.of(dests, np.zeros(n), np.zeros(n)))
         # Buffer never exceeds its capacity...
         assert m.pages_buffered <= budget.multilog_pages
         # ...pages were spilled to flash...
@@ -193,12 +178,12 @@ class TestMultiLogUnit:
         m = MultiLogUnit(fs, intervals, tight_cfg, budget, "m")
         n = budget.multilog_pages * tight_cfg.updates_per_page * 4
         dests = np.arange(n) % 40
-        m.send_many(dests, 0, np.zeros(n))
+        m.ingest(UpdateBatch.of(dests, np.zeros(n), np.zeros(n)))
         data_pages = -(-n // tight_cfg.updates_per_page)
         assert fs.stats.pages_written <= 2 * data_pages
 
     def test_reset(self, mlog):
-        mlog.send(5, 0, 1.0)
+        mlog.ingest(UpdateBatch.of([5], [0], [1.0]))
         mlog.reset()
         assert mlog.total_messages == 0
         assert mlog.pages_buffered == 0
@@ -208,8 +193,7 @@ class TestMultiLogUnit:
 class TestBulkAppendEdgeCases:
     """Batch-append (ingest / _append_bulk) boundary conditions.
 
-    The bulk path must behave exactly like record-at-a-time sends at
-    every page boundary: an empty batch is a no-op, a batch exactly
+    Every page boundary must be seamless: an empty batch is a no-op, a batch exactly
     filling a page does not force a partial page, a batch spanning a
     page boundary splits without loss or reorder, and degenerate
     single-vertex intervals still route correctly.

@@ -239,3 +239,38 @@ class TestStructuralUpdates:
         pruned = int(res.values.sum())
         assert pruned > 0
         assert g2.m == g.m - pruned
+
+    def test_buffered_edit_visible_to_its_vertex_next_superstep(self, cfg):
+        class GrowProgram(VertexProgram):
+            """Step 0: add one out-edge; step 1: broadcast; step 2: count."""
+
+            name = "grow"
+            mutates_structure = True
+
+            def initial(self, graph, rng):
+                self.n = graph.n
+                return InitialState(values=np.zeros(graph.n), active=np.arange(graph.n))
+
+            def process(self, ctx):
+                new = (ctx.vid + 7) % self.n
+                if ctx.superstep == 0:
+                    assert new not in ctx.out_neighbors
+                    ctx.add_edge(new, 1.0)
+                    return  # stay active
+                if ctx.superstep == 1:
+                    # The vertex's own buffered edit is overlaid, sorted in.
+                    assert new in ctx.out_neighbors
+                    assert np.all(np.diff(ctx.out_neighbors) > 0)
+                    ctx.send_all(1.0)
+                else:
+                    ctx.value = float(ctx.n_updates)
+                ctx.deactivate()
+
+        g = small_chain(32)
+        # 32 edits stay below the default merge threshold: every step-1
+        # adjacency comes from the overlay, not from a rebuilt interval.
+        res = MultiLogVC(g, GrowProgram(), cfg, options=EngineOptions(min_intervals=4)).run(4)
+        src, dst = g.edge_array()
+        expect = np.bincount(np.concatenate([dst, (np.arange(32) + 7) % 32]), minlength=32)
+        assert np.array_equal(res.values, expect)
+        assert res.supersteps[1].edges_scanned == g.m + 32

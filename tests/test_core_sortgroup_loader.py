@@ -8,6 +8,7 @@ from repro.core.loader import GraphLoaderUnit
 from repro.core.multilog import MultiLogUnit
 from repro.core.results import ComputeMeter
 from repro.core.sortgroup import SortGroupUnit
+from repro.core.update import UpdateBatch
 from repro.graph import GraphOnSSD, uniform_partition
 from repro.mem import MemoryBudget
 from repro.ssd import SimFS
@@ -27,21 +28,19 @@ def setup(cfg, rmat256):
 class TestPlanGroups:
     def test_skips_empty_intervals(self, setup):
         fs, iv, budget, mlog, sg = setup
-        mlog.send(5, 0, 1.0)  # interval 0 only
+        mlog.ingest(UpdateBatch.of([5], [0], [1.0]))  # interval 0 only
         groups = sg.plan_groups(mlog)
         assert groups == [[0]]
 
     def test_contiguous_fusing(self, setup):
         fs, iv, budget, mlog, sg = setup
-        for d in (5, 40, 70):  # intervals 0, 1, 2
-            mlog.send(d, 0, 1.0)
+        mlog.ingest(UpdateBatch.of([5, 40, 70], [0] * 3, [1.0] * 3))  # intervals 0, 1, 2
         groups = sg.plan_groups(mlog)
         assert groups == [[0, 1, 2]]
 
     def test_gap_breaks_fusing(self, setup):
         fs, iv, budget, mlog, sg = setup
-        mlog.send(5, 0, 1.0)  # interval 0
-        mlog.send(100, 0, 1.0)  # interval 3
+        mlog.ingest(UpdateBatch.of([5, 100], [0, 0], [1.0, 1.0]))  # intervals 0 and 3
         groups = sg.plan_groups(mlog)
         assert groups == [[0], [3]]
 
@@ -56,7 +55,7 @@ class TestPlanGroups:
         for i in range(3):
             lo, hi = iv.span(i)
             dests = np.full(per_interval, lo)
-            mlog.send_many(dests, 0, np.zeros(per_interval))
+            mlog.ingest(UpdateBatch.of(dests, np.zeros(per_interval), np.zeros(per_interval)))
         groups = sg.plan_groups(mlog)
         assert len(groups) >= 2  # cannot fuse all three
 
@@ -71,27 +70,23 @@ class TestPlanGroups:
 class TestLoadGroup:
     def test_sorted_and_grouped(self, setup):
         fs, iv, budget, mlog, sg = setup
-        for d, x in ((7, 1.0), (3, 2.0), (7, 3.0)):
-            mlog.send(d, 0, x)
+        mlog.ingest(UpdateBatch.of([7, 3, 7], [0, 0, 0], [1.0, 2.0, 3.0]))
         out = sg.load_group(mlog, [0])
         assert out.batch.is_sorted()
         assert list(out.unique_dests) == [3, 7]
-        src, data = out.updates_for(1)
+        data = out.batch.data[out.offsets[1] : out.offsets[2]]
         assert sorted(data.tolist()) == [1.0, 3.0]
 
     def test_combine_applied(self, setup):
         fs, iv, budget, mlog, sg = setup
-        mlog.send(7, 0, 1.0)
-        mlog.send(7, 1, 2.0)
+        mlog.ingest(UpdateBatch.of([7, 7], [0, 1], [1.0, 2.0]))
         out = sg.load_group(mlog, [0], combine="add")
         assert out.batch.n == 1
         assert out.batch.data[0] == 3.0
 
     def test_extra_injected(self, setup):
-        from repro.core.update import UpdateBatch
-
         fs, iv, budget, mlog, sg = setup
-        mlog.send(7, 0, 1.0)
+        mlog.ingest(UpdateBatch.of([7], [0], [1.0]))
         extra = UpdateBatch.of([3], [9], [9.0])
         out = sg.load_group(mlog, [0], extra=extra)
         assert out.batch.n == 2
@@ -99,7 +94,7 @@ class TestLoadGroup:
 
     def test_vertex_bounds(self, setup):
         fs, iv, budget, mlog, sg = setup
-        mlog.send(40, 0, 1.0)
+        mlog.ingest(UpdateBatch.of([40], [0], [1.0]))
         out = sg.load_group(mlog, [1, 2])
         assert out.vertex_lo == iv.span(1)[0]
         assert out.vertex_hi == iv.span(2)[1]

@@ -30,6 +30,7 @@ from repro import (
 )
 from repro.config import MemoryConfig, SimConfig, SSDConfig, small_test_config
 from repro.core import InitialState, VertexProgram
+from repro.core.update import UpdateBatch
 from repro.graph import CSRGraph
 from repro.ssd import (
     ChannelDegradation,
@@ -146,6 +147,18 @@ class TestProgramInjection:
                 ctx.send_many(np.array([1, 2]), np.array([1.0]))
 
         with pytest.raises(ProgramError):
+            MultiLogVC(chain16, P(), cfg).run(1)
+
+    @pytest.mark.parametrize("dest", [-1, 16 + 5])
+    def test_seed_message_out_of_range(self, cfg, chain16, dest):
+        # Used to be accepted silently (-1 wrapped to the last vertex) or
+        # die with a raw IndexError (n + 5).
+        class P(_Base):
+            def initial(self, graph, rng):
+                seed = UpdateBatch.of([dest], [0], [0.0])
+                return InitialState(np.zeros(graph.n), np.empty(0, np.int64), seed)
+
+        with pytest.raises(ProgramError, match=r"\[0, 16\)"):
             MultiLogVC(chain16, P(), cfg).run(1)
 
     def test_edge_state_without_declaration(self, cfg, chain16):

@@ -234,18 +234,19 @@ class TestEngineOptions:
             MultiLogVC(rmat256, pagerank(), cfg, options=EngineOptions(merge_fanout=8))
 
     def test_legacy_kwargs_removed(self, cfg, rmat256):
-        # The pre-v1 per-engine keyword arguments no longer work; the
-        # error names the offending kwargs and the EngineOptions path.
-        with pytest.raises(EngineError, match="removed in"):
+        # The pre-v1 per-engine keyword arguments are gone from every
+        # constructor, by keyword and by position (README "API v1
+        # migration" maps them to EngineOptions fields).
+        with pytest.raises(TypeError, match="enable_edgelog"):
             MultiLogVC(rmat256, pagerank(), cfg, enable_edgelog=False)
-        with pytest.raises(EngineError, match="enable_edgelog=..."):
-            MultiLogVC(rmat256, pagerank(), cfg, enable_edgelog=False)
-
-    def test_legacy_plus_options_rejected(self, cfg, rmat256):
-        with pytest.raises(EngineError, match="removed in"):
-            MultiLogVC(
-                rmat256, pagerank(), cfg, mode="async", options=EngineOptions()
-            )
+        with pytest.raises(TypeError, match="mode"):
+            MultiLogVC(rmat256, pagerank(), cfg, mode="async", options=EngineOptions())
+        with pytest.raises(TypeError, match="positional"):
+            MultiLogVC(rmat256, pagerank(), cfg, None, "async")
+        with pytest.raises(TypeError, match="adapted"):
+            GraFBoost(rmat256, pagerank(), cfg, adapted=True)
+        with pytest.raises(TypeError, match="intervals"):
+            GridGraph(rmat256, pagerank(), cfg, intervals=None)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(EngineError, match="mode"):

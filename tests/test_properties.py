@@ -148,7 +148,7 @@ class TestMultiLogProperties:
         budget = MemoryBudget.resolve(CFG, 3)
         m = MultiLogUnit(fs, iv, CFG, budget, "m")
         for d, s, x in msgs:
-            m.send(d, s, x)
+            m.ingest(UpdateBatch.of([d], [s], [x]))
         batch = m.consume([0, 1, 2])
         got = sorted(zip(batch.dest.tolist(), batch.src.tolist(), batch.data.tolist()))
         assert got == sorted(msgs)
