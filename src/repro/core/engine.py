@@ -459,7 +459,9 @@ class MultiLogVC:
                 return PreparedGroup(list(group), sg, verts, report, io_plan=outcome)
 
             def send_batch(dests, srcs, datas):
-                mlog_next.ingest(UpdateBatch.of(dests, srcs, datas))
+                # Columns as the kernel built them: ingest range-checks
+                # the destinations before it narrows anything.
+                mlog_next.ingest(UpdateBatch(np.asarray(dests), np.asarray(srcs), np.asarray(datas)))
 
             processed = 0
             updates_processed = 0

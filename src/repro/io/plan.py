@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.update import stable_argsort_bounded
 from ..errors import StorageError
 
 #: Storage class the read-ahead prefetcher charges under.  Keeping it
@@ -81,7 +82,7 @@ def balance_order(channels: np.ndarray) -> np.ndarray:
     ch = np.asarray(channels, dtype=np.int64)
     if ch.size <= 1:
         return np.arange(ch.size, dtype=np.int64)
-    order = np.argsort(ch, kind="stable")
+    order = stable_argsort_bounded(ch)
     sorted_ch = ch[order]
     first = np.searchsorted(sorted_ch, sorted_ch)  # each channel's first page
     rank = np.arange(ch.size, dtype=np.int64) - first

@@ -2,12 +2,13 @@
 
 Two staging primitives shared by the logging components:
 
-* :class:`RecordPageBuffer` -- fixed-size records (the multi-log's
-  ``<v_dest, m>`` updates, GraFBoost's single-log entries).  Records
-  accumulate in a *top page*; when the top page fills it is *sealed*
-  into immutable NumPy arrays and a fresh top page starts (paper §V-A3
-  "a top page is maintained in the buffer ... a new page is allocated
-  and becomes the top page").
+* :class:`RecordPageBuffer` -- fixed-size records (GraFBoost's
+  single-log entries).  Records accumulate in a *top page*; when the
+  top page fills it is *sealed* into immutable NumPy arrays and a fresh
+  top page starts (paper §V-A3 "a top page is maintained in the buffer
+  ... a new page is allocated and becomes the top page").  The
+  multi-log keeps the same page geometry arithmetically, on columnar
+  runs (:mod:`repro.core.multilog`).
 
 * :class:`BytePackBuffer` -- variable-size entries packed by byte count
   (the edge log, where a vertex contributes a header plus one entry per
@@ -146,47 +147,6 @@ class RecordPageBuffer:
         """Seal a partial top page (used when flushing everything)."""
         if self.top_records:
             self._seal_top()
-
-    def drain_all(self) -> Tuple[np.ndarray, ...]:
-        """Consume every buffered record as one concatenated column set."""
-        self.force_seal()
-        if not self._sealed:
-            return tuple(np.empty(0, dtype=dt) for dt in self.dtypes)
-        cols = tuple(
-            np.concatenate([page[i] for page in self._sealed])
-            for i in range(len(self.fields))
-        )
-        self._sealed.clear()
-        return cols
-
-    def peek_all(self) -> Tuple[np.ndarray, ...]:
-        """Like :meth:`drain_all` but without consuming the buffer."""
-        parts = list(self._sealed)
-        if self.top_records:
-            parts.append(tuple(np.asarray(col, dtype=dt) for col, dt in zip(self._top, self.dtypes)))
-        if not parts:
-            return tuple(np.empty(0, dtype=dt) for dt in self.dtypes)
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(self.fields)))
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def export_pages(self) -> dict:
-        """Deep-copy the buffer contents, preserving page boundaries.
-
-        Unlike :meth:`peek_all` this keeps sealed pages distinct from
-        the partial top page, so a restored buffer flushes the exact
-        same page sequence as the original would have -- which is what
-        crash-recovery determinism needs.
-        """
-        return {
-            "sealed": [tuple(np.array(c, copy=True) for c in page) for page in self._sealed],
-            "top": [list(col) for col in self._top],
-        }
-
-    def restore_pages(self, state: dict) -> None:
-        """Inverse of :meth:`export_pages`; replaces current contents."""
-        self._sealed = [tuple(np.array(c, copy=True) for c in page) for page in state["sealed"]]
-        self._top = [list(col) for col in state["top"]]
 
 
 class ByteStreamPager:

@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..config import SimConfig
+from ..core.update import stable_argsort_bounded
 from ..graph.partition import VertexIntervals
 from ..ssd.filesystem import SimFS
 from .delta import RECORD_BYTES, EdgeDelta
@@ -68,7 +69,7 @@ class UpdateLog:
         if delta.n == 0:
             return {"records": 0, "pages": 0, "io_us": 0.0}
         iv = self.intervals.interval_of(delta.src)
-        order = np.argsort(iv, kind="stable")
+        order = stable_argsort_bounded(iv, self.intervals.n_intervals)
         arrival = np.arange(delta.n, dtype=np.int64)
         rpp = self.records_per_page
         for i in np.unique(iv):

@@ -1,14 +1,20 @@
 """Active tracker transitions and the Multi-Log Update Unit."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import small_test_config
 from repro.core.active import ActiveTracker
 from repro.core.multilog import MultiLogUnit
-from repro.core.update import UpdateBatch
+from repro.core.update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch
 from repro.errors import ProgramError
 from repro.graph.partition import VertexIntervals
-from repro.mem import MemoryBudget
+from repro.mem import MemoryBudget, RecordPageBuffer
 from repro.ssd import SimFS
 
 
@@ -270,3 +276,253 @@ class TestBulkAppendEdgeCases:
         assert out.src.tolist() == [0, 2]
         # Empty interval consumes cleanly.
         assert m.consume([1]).n == 0
+
+
+# -- reference model ----------------------------------------------------------
+#
+# The unit keeps per-interval column runs and does its page accounting
+# arithmetically.  The model below is the buffer-object formulation it
+# replaced -- one RecordPageBuffer per interval, a page at a time -- and
+# must agree with it on every page written, every tally and every
+# exported byte: the benchmark pins totals, this pins the sequence.
+
+PICKLE_PROTOCOL = 4  # repro.recovery.checkpoint.PICKLE_PROTOCOL
+
+
+class ModelMultiLog:
+    def __init__(self, fs, intervals, cfg, budget, name="m"):
+        self.fs, self.intervals, self.name = fs, intervals, name
+        self.k = intervals.n_intervals
+        self.rpp = cfg.updates_per_page
+        self.update_bytes = cfg.records.update_bytes
+        self.bufs = [RecordPageBuffer(UPDATE_FIELDS, UPDATE_DTYPES, self.rpp) for _ in range(self.k)]
+        self.files = [None] * self.k
+        self.counters = np.zeros(self.k, dtype=np.int64)
+        self.appended = self.used = self.flushes = self.flushed_pages = 0
+        self.io_time_us = 0.0
+        self.capacity = budget.multilog_pages
+        self.low_free = int(np.floor(cfg.memory.evict_low_free_fraction * self.capacity))
+        self.high_free = int(np.floor(cfg.memory.evict_high_free_fraction * self.capacity))
+
+    def ingest(self, dest, src, data):
+        chunk = max(self.rpp, self.high_free * self.rpp)
+        ivals = self.intervals.interval_of(dest)
+        for i in np.unique(ivals):
+            rows = np.flatnonzero(ivals == i)  # arrival order
+            d, s, x = dest[rows], src[rows], data[rows]
+            buf = self.bufs[i]
+            for pos in range(0, len(d), chunk):
+                before = buf.pages_used
+                buf.append_many(d[pos : pos + chunk], s[pos : pos + chunk], x[pos : pos + chunk])
+                self.used += buf.pages_used - before
+                if self.capacity - self.used < self.low_free:
+                    self.evict()
+            self.counters[i] += len(d)
+        self.appended += len(dest)
+
+    def evict(self):
+        target = self.capacity - self.high_free
+        channels, devices = [], []
+
+        def flush(i, pages):
+            if self.files[i] is None:
+                self.files[i] = self.fs.create_page_file(f"{self.name}.i{i}", "mlog", affinity=i)
+            f = self.files[i]
+            useful = [len(p[0]) * self.update_bytes for p in pages]
+            ids, _ = f.append_pages(pages, useful_bytes=useful, charge=False)
+            channels.append(f.channels_of(ids))
+            devices.append(f.devices_of(ids))
+            self.used -= len(pages)
+
+        for i in sorted(range(self.k), key=lambda i: self.bufs[i].sealed_pages, reverse=True):
+            if self.used <= target:
+                break
+            if self.bufs[i].sealed_pages:
+                flush(i, self.bufs[i].pop_sealed(min(self.bufs[i].sealed_pages, self.used - target)))
+        if self.used > target:
+            for i in sorted(range(self.k), key=lambda i: self.bufs[i].top_records, reverse=True):
+                if self.used <= target:
+                    break
+                if self.bufs[i].top_records:
+                    self.bufs[i].force_seal()
+                    flush(i, self.bufs[i].pop_sealed())
+        if channels:
+            dev = None if devices[0] is None else np.concatenate(devices)
+            self.io_time_us += self.fs.device.write_batch(np.concatenate(channels), "mlog", devices=dev)
+            self.flushes += 1
+            self.flushed_pages += sum(len(c) for c in channels)
+
+    def consume(self, interval_ids):
+        pages = []
+        for i in interval_ids:
+            f = self.files[i]
+            if f is not None and f.n_pages:
+                payloads, t = f.read_all()
+                self.io_time_us += t
+                pages += payloads
+                f.truncate()
+            self.used -= self.bufs[i].pages_used
+            self.bufs[i].force_seal()
+            pages += self.bufs[i].pop_sealed()
+            self.counters[i] = 0
+        return [np.concatenate(col) for col in zip(*pages)] if pages else None
+
+    def export_state(self):
+        def copies(page):
+            return tuple(np.array(c, copy=True) for c in page)
+
+        return {
+            "files": [
+                None if f is None else {
+                    "channel_offset": f.channel_offset,
+                    "payloads": [copies(p) for p in f.read_all(charge=False)[0]],
+                    "useful": list(f._useful),
+                }
+                for f in self.files
+            ],
+            "buffers": [
+                {"sealed": [copies(p) for p in b._sealed], "top": [list(c) for c in b._top]}
+                for b in self.bufs
+            ],
+            "counters": self.counters.copy(),
+            "appended": self.appended,
+            "pages_used": self.used,
+            "io_time_us": self.io_time_us,
+            "flushes": self.flushes,
+            "flushed_pages": self.flushed_pages,
+        }
+
+
+def _file_pages(f):
+    """A log file as comparable data: per page (columns as bytes, dtypes), and useful bytes."""
+    if f is None or f.n_pages == 0:
+        return [], []
+    pages = [[(c.dtype.str, c.tobytes()) for c in p] for p in f.read_all(charge=False)[0]]
+    return pages, list(f._useful)
+
+
+def _assert_same_log(a, a_files, b, b_files):
+    """Two logs (unit or model, in any pairing) hold the same pages and tallies."""
+    for fa, fb in zip(a_files, b_files):
+        assert _file_pages(fa) == _file_pages(fb)
+    for field in ("flushes", "flushed_pages", "appended", "io_time_us"):
+        assert getattr(a, field) == getattr(b, field), field
+    assert a.counters.tolist() == b.counters.tolist()
+
+
+def _model_config(rpp, low, high):
+    """A config whose log page holds exactly ``rpp`` update records."""
+    page, payload = {1: (512, 504), 4: (512, 120), 256: (4096, 8)}[rpp]
+    cfg = small_test_config()
+    cfg = dataclasses.replace(
+        cfg,
+        ssd=dataclasses.replace(cfg.ssd, page_size=page),
+        records=dataclasses.replace(cfg.records, update_payload_bytes=payload),
+        memory=dataclasses.replace(
+            cfg.memory, evict_low_free_fraction=low, evict_high_free_fraction=high
+        ),
+    )
+    assert cfg.updates_per_page == rpp
+    return cfg
+
+
+@st.composite
+def multilog_cases(draw):
+    rpp = draw(st.sampled_from([1, 4, 256]))
+    k = draw(st.integers(1, 6))
+    capacity = draw(st.integers(2, 12))
+    low, high = draw(st.sampled_from([(0.0, 0.5), (0.1, 0.5), (0.3, 0.75), (0.1, 1.0), (0.5, 0.6)]))
+    width = draw(st.integers(1, 9))  # vertices per interval
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, min(5000, 3 * rpp * capacity)),  # records
+                st.integers(0, 2**31),  # content seed
+                st.booleans(),  # skewed towards one interval
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cut = draw(st.integers(0, len(batches)))  # checkpoint after this many batches
+    return rpp, k, capacity, low, high, width, batches, cut
+
+
+class TestAgainstReferenceModel:
+    @given(multilog_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_same_pages_tallies_and_exported_bytes(self, case):
+        rpp, k, capacity, low, high, width, batches, cut = case
+        cfg = _model_config(rpp, low, high)
+        intervals = VertexIntervals(np.arange(k + 1) * width)
+        budget = dataclasses.replace(MemoryBudget.resolve(cfg, k), multilog_pages=capacity)
+        n = k * width
+
+        def fresh_unit(next_offset=0):
+            fs = SimFS(cfg)
+            fs.next_channel_offset = next_offset
+            return MultiLogUnit(fs, intervals, cfg, budget, "m")
+
+        unit, model = fresh_unit(), ModelMultiLog(SimFS(cfg), intervals, cfg, budget)
+        resumed = None
+        sent = 0
+        for b, (size, seed, skewed) in enumerate(batches):
+            if b == cut:
+                # Export -> restore on a fresh file system -> continue.
+                state = pickle.loads(pickle.dumps(unit.export_state(), protocol=PICKLE_PROTOCOL))
+                resumed = fresh_unit(unit.fs.next_channel_offset)
+                resumed.restore_state(state)
+            rng = np.random.default_rng(seed)
+            dest = rng.integers(0, width if skewed else n, size)
+            src = np.arange(sent, sent + size)
+            data = rng.random(size)
+            sent += size
+            for log in (unit, resumed):
+                if log is not None:
+                    log.ingest(UpdateBatch.of(dest, src, data))
+            model.ingest(*(np.asarray(c, dt) for c, dt in zip((dest, src, data), UPDATE_DTYPES)))
+
+            _assert_same_log(unit, unit._files, model, model.files)
+            assert unit.pages_buffered == model.used
+            assert unit.fs.stats.to_dict() == model.fs.stats.to_dict()
+            assert len(pickle.dumps(unit.export_state(), protocol=PICKLE_PROTOCOL)) == len(
+                pickle.dumps(model.export_state(), protocol=PICKLE_PROTOCOL)
+            )
+            if resumed is not None:
+                _assert_same_log(unit, unit._files, resumed, resumed._files)
+                assert unit.pages_buffered == resumed.pages_buffered
+
+        for group in (list(range(0, k, 2)), list(range(1, k, 2))):
+            want = model.consume(group)
+            for log in (unit, resumed):
+                if log is None:
+                    continue
+                got = log.consume(group)
+                if want is None:
+                    assert got.n == 0
+                    continue
+                for g, w in zip((got.dest, got.src, got.data), want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert unit.pages_buffered == model.used
+            assert unit.io_time_us == model.io_time_us
+        assert unit.pages_buffered == 0 and unit.total_messages == 0
+
+    def test_checkpoint_blob_lengths_golden(self):
+        """The pickled multi-log state is a simulated cost: a checkpoint is
+        charged ``len(blob) / page_size`` pages.  Lengths recorded before
+        the buffers became run lists."""
+        from repro.algorithms import DeltaPageRankProgram
+        from repro.core.engine import MultiLogVC
+        from repro.graph.datasets import small_rmat
+        from repro.options import EngineOptions
+        from repro.recovery import CheckpointManager
+
+        cfg = small_test_config().with_workers(1).with_io_plan("off").with_devices(1)
+        opts = EngineOptions(checkpoint_every=2, checkpoint_mode="incremental")
+        eng = MultiLogVC(small_rmat(n=256, m=2048, seed=3), DeltaPageRankProgram(), cfg, options=opts)
+        eng.run(max_supersteps=8)
+        lengths = [
+            eng.fs.get(f"ckpt.{cid}.commit").read_all(charge=False)[0][-1]["length"]
+            for cid in CheckpointManager.list_ids(eng.fs)
+        ]
+        assert lengths == [50323, 53546, 53831, 52762]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.combine import COMBINED_SRC, combine_sorted, validate_combine
-from repro.core.update import UpdateBatch
+from repro.core.update import UpdateBatch, stable_argsort_bounded
 from repro.errors import ProgramError
 
 
@@ -54,6 +54,98 @@ class TestUpdateBatch:
     def test_is_sorted(self):
         assert UpdateBatch.of([1, 2, 2], [0] * 3, [0.0] * 3).is_sorted()
         assert not UpdateBatch.of([2, 1], [0] * 2, [0.0] * 2).is_sorted()
+
+
+class TestStableArgsortBounded:
+    """The one hot sort: must be *the* stable permutation, not a stable one
+    of its own -- arrival order within a destination and the float ``add``
+    order inside ``combine_sorted`` hang on it."""
+
+    BOUNDS = [1, 2, 256, 257, 65_536, 65_537, 2**20]
+
+    @staticmethod
+    def check(keys, bound):
+        keys = np.asarray(keys)
+        got = stable_argsort_bounded(keys, bound)
+        want = np.argsort(keys, kind="stable")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_numpy_stable_argsort(self, bound, dtype):
+        rng = np.random.default_rng(bound)
+        self.check(rng.integers(0, bound, 5000).astype(dtype), bound)
+        # the extremes of the range, including the top value of every digit
+        self.check(np.array([bound - 1, 0, bound - 1, 0, bound // 2], dtype=dtype), bound)
+
+    @pytest.mark.parametrize("bound", BOUNDS + [None])
+    def test_degenerate_shapes(self, bound):
+        top = (bound or 1000) - 1
+        self.check(np.empty(0, np.int64), bound)
+        self.check(np.array([top]), bound)
+        self.check(np.full(777, top), bound)  # all equal
+        self.check(np.linspace(top, 0, 1500).astype(np.int64), bound)  # descending
+        rng = np.random.default_rng(7)
+        self.check(rng.choice(np.array([0, top // 2, top]), 4000), bound)  # heavy duplicates
+
+    def test_bound_none_is_max_plus_one(self):
+        rng = np.random.default_rng(3)
+        for top in (0, 255, 256, 65_535, 65_536, 2**33):
+            self.check(np.append(rng.integers(0, top + 1, 3000), top), None)
+
+    def test_keys_already_narrow(self):
+        rng = np.random.default_rng(9)
+        self.check(rng.integers(0, 17, 3000).astype(np.uint8), 17)
+        self.check(rng.integers(0, 40_000, 3000).astype(np.uint16), 40_000)
+
+    def test_loose_bound_is_still_exact(self):
+        self.check(np.random.default_rng(5).integers(0, 300, 2000), 2**40)
+
+
+class TestSortAndGroupShapes:
+    def test_sort_by_dest_span_over_16_bits(self):
+        rng = np.random.default_rng(11)
+        dest = rng.integers(0, 200_000, 6000).astype(np.int32)
+        dest[:3] = [199_999, 0, 199_999]
+        b = UpdateBatch.of(dest, np.arange(6000), rng.random(6000)).sort_by_dest()
+        order = np.argsort(dest, kind="stable")
+        assert np.array_equal(b.dest, dest[order])
+        assert np.array_equal(b.src, order)  # src was arange: arrival order kept per dest
+
+    def test_sort_by_dest_nonzero_minimum(self):
+        dest = np.array([70_003, 70_001, 70_003, 70_000, 70_001], dtype=np.int32)
+        b = UpdateBatch.of(dest, np.arange(5), np.arange(5.0)).sort_by_dest()
+        assert b.dest.tolist() == [70_000, 70_001, 70_001, 70_003, 70_003]
+        assert b.src.tolist() == [3, 1, 4, 0, 2]
+        assert b.dest.dtype == np.int32
+
+    def test_group_single_record(self):
+        uniq, offsets = UpdateBatch.of([9], [0], [1.0]).group()
+        assert uniq.tolist() == [9] and offsets.tolist() == [0, 1]
+        assert uniq.dtype == np.int32 and offsets.dtype == np.int64
+
+    def test_group_one_repeated_destination(self):
+        uniq, offsets = UpdateBatch.of([4] * 6, range(6), [0.0] * 6).group()
+        assert uniq.tolist() == [4] and offsets.tolist() == [0, 6]
+
+    def test_group_matches_numpy_unique(self):
+        dest = np.sort(np.random.default_rng(2).integers(0, 50, 400)).astype(np.int32)
+        uniq, offsets = UpdateBatch.of(dest, dest, dest.astype(float)).group()
+        want_uniq, want_starts = np.unique(dest, return_index=True)
+        assert np.array_equal(uniq, want_uniq) and uniq.dtype == want_uniq.dtype
+        assert offsets.tolist() == want_starts.tolist() + [400]
+
+    def test_of_keeps_ids_that_do_not_fit_the_column(self):
+        # ... so that the multi-log's range check sees 2**32 + 3, not 3.
+        wide = UpdateBatch.of(np.array([2**32 + 3, 1]), [0, 0], [0.0, 0.0])
+        assert wide.dest.tolist() == [2**32 + 3, 1]
+        fits = UpdateBatch.of(np.array([2**31 - 1, 1]), [0, 0], [0.0, 0.0])
+        assert fits.dest.dtype == np.int32 and fits.dest.tolist() == [2**31 - 1, 1]
+
+    def test_direct_construction_checks_lengths(self):
+        with pytest.raises(ValueError):
+            UpdateBatch(np.zeros(2, np.int32), np.zeros(1, np.int32), np.zeros(2))
 
 
 class TestCombine:

@@ -149,14 +149,27 @@ class TestProgramInjection:
         with pytest.raises(ProgramError):
             MultiLogVC(chain16, P(), cfg).run(1)
 
-    @pytest.mark.parametrize("dest", [-1, 16 + 5])
+    @pytest.mark.parametrize("dest", [-1, 16 + 5, 2**32 + 3])
     def test_seed_message_out_of_range(self, cfg, chain16, dest):
-        # Used to be accepted silently (-1 wrapped to the last vertex) or
-        # die with a raw IndexError (n + 5).
+        # Used to be accepted silently (-1 wrapped to the last vertex,
+        # 2**32 + 3 narrowed to vertex 3) or die with a raw IndexError
+        # (n + 5).
         class P(_Base):
             def initial(self, graph, rng):
-                seed = UpdateBatch.of([dest], [0], [0.0])
+                seed = UpdateBatch.of(np.array([dest], dtype=np.int64), [0], [0.0])
                 return InitialState(np.zeros(graph.n), np.empty(0, np.int64), seed)
+
+        with pytest.raises(ProgramError, match=r"\[0, 16\)"):
+            MultiLogVC(chain16, P(), cfg).run(1)
+
+    @pytest.mark.parametrize("dest", [-1, 16 + 5, 2**32 + 3])
+    def test_kernel_send_batch_out_of_range(self, cfg, chain16, dest):
+        # A kernel's int64 destinations are range-checked before they are
+        # narrowed to the log's int32 column (2**32 + 3 is not vertex 3).
+        class P(_Base):
+            def process_batch(self, batch):
+                wide = np.array([1, dest], dtype=np.int64)
+                batch.send_batch(wide, np.zeros(2, np.int64), np.ones(2))
 
         with pytest.raises(ProgramError, match=r"\[0, 16\)"):
             MultiLogVC(chain16, P(), cfg).run(1)

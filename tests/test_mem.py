@@ -71,18 +71,17 @@ class TestRecordPageBuffer:
         buf = self.make()
         assert buf.append_many(np.empty(0), np.empty(0), np.empty(0)) == 0
 
-    def test_drain_all_preserves_order_and_values(self):
+    def test_sealed_pages_preserve_order_values_and_dtypes(self):
         buf = self.make(rpp=3)
         buf.append_many(np.arange(7), np.arange(7) * 2, np.arange(7.0))
-        d, s, x = buf.drain_all()
+        buf.force_seal()
+        pages = buf.pop_sealed()
+        assert [len(p[0]) for p in pages] == [3, 3, 1]
+        d, s, x = (np.concatenate(c) for c in zip(*pages))
         assert list(d) == list(range(7))
         assert list(s) == [i * 2 for i in range(7)]
         assert d.dtype == np.int32 and x.dtype == np.float64
         assert buf.n_records == 0
-
-    def test_drain_empty(self):
-        d, s, x = self.make().drain_all()
-        assert d.size == 0
 
     def test_pop_sealed_fifo(self):
         buf = self.make(rpp=2)
@@ -91,13 +90,6 @@ class TestRecordPageBuffer:
         assert len(pages) == 2
         assert list(pages[0][0]) == [0, 1]
         assert buf.sealed_pages == 1
-
-    def test_peek_all_non_destructive(self):
-        buf = self.make(rpp=2)
-        buf.append_many(np.arange(5), np.arange(5), np.arange(5.0))
-        d, _, _ = buf.peek_all()
-        assert list(d) == list(range(5))
-        assert buf.n_records == 5
 
     def test_force_seal_partial(self):
         buf = self.make(rpp=4)

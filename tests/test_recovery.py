@@ -112,6 +112,26 @@ class TestIncrementalCheckpoints:
         assert report.checkpoint_id > 1
         assert report.ok, report.describe()
 
+    def test_stats_compare_leaves_out_checkpoint_writes_only_when_incremental(self):
+        """A resumed run's first checkpoint is full where the baseline's is
+        a delta; the blobs need not round to the same page count."""
+        from repro.recovery.validate import run_stats_identical
+        from repro.ssd.stats import SSDStats
+
+        def stats(ckpt_pages, mlog_pages=40):
+            s = SSDStats()
+            s.record_read("mlog", 30, 30 * 4096, 300.0)
+            s.record_write("mlog", mlog_pages, mlog_pages * 4096, 400.0)
+            s.record_write("ckpt", ckpt_pages, ckpt_pages * 4096, 150.0)
+            return s
+
+        assert stats(59).to_dict() != stats(58).to_dict()
+        assert not run_stats_identical(stats(59), stats(58))
+        assert run_stats_identical(stats(59), stats(58), incremental=True)
+        assert run_stats_identical(stats(59), stats(59))
+        # Every other class, and the totals it feeds, still has to match.
+        assert not run_stats_identical(stats(59), stats(58, mlog_pages=41), incremental=True)
+
     def test_incremental_writes_fewer_payload_pages_when_sparse(self, cfg):
         """BFS activates few vertices per step, so deltas beat full snapshots."""
         from repro.obs import TraceRecorder
