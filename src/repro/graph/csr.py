@@ -21,6 +21,22 @@ import numpy as np
 from ..errors import GraphFormatError
 
 
+def csr_order(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> tuple:
+    """``(order, rowptr)`` that lay an edge list out as a CSR.
+
+    ``order`` is ``np.lexsort((cols, rows))`` element for element, taken
+    as one stable argsort of the packed ``row * n_cols + col`` key:
+    several times cheaper, nearly free on presorted input.  Ids fit
+    int32 (``colidx`` does), so the int64 key cannot overflow.
+    """
+    key = rows * np.int64(n_cols)
+    key += cols
+    order = np.argsort(key, kind="stable")
+    rowptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=rowptr[1:])
+    return order, rowptr
+
+
 class CSRGraph:
     """An immutable-by-convention CSR adjacency structure.
 
@@ -107,14 +123,10 @@ class CSRGraph:
             if w is not None:
                 w = w[first]
 
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if w is not None:
-            w = w[order]
-        rowptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(rowptr, src + 1, 1)
-        np.cumsum(rowptr, out=rowptr)
-        return cls(rowptr, dst.astype(np.int32), w, validate=False)
+        order, rowptr = csr_order(src, dst, n, n)
+        return cls(
+            rowptr, dst[order].astype(np.int32), None if w is None else w[order], validate=False
+        )
 
     @classmethod
     def from_networkx(cls, g, weight_attr: Optional[str] = None) -> "CSRGraph":

@@ -17,11 +17,13 @@ Semantics (DESIGN.md §12):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..core.update import stable_argsort_bounded
 from ..errors import GraphFormatError
+from ..graph.partition import VertexIntervals
 
 #: Operation codes stored in the ``op`` column.
 OP_ADD = np.uint8(0)
@@ -31,6 +33,17 @@ OP_DELETE = np.uint8(1)
 #: dst(4) + weight(8) + timestamp(8).  Used for log-page packing and
 #: useful-byte accounting.
 RECORD_BYTES = 25
+
+
+def record_pages(seq: int, columns: Sequence[np.ndarray], records_per_page: int) -> tuple:
+    """Cut aligned record columns into log pages: ``(payloads,
+    useful_bytes)`` as ``PageFile.append_pages`` takes them, each
+    payload ``(seq, *column slices)``, every page full but the last."""
+    n = int(columns[0].shape[0])
+    cuts = range(0, n, records_per_page)
+    payloads = [(int(seq), *(c[at : at + records_per_page] for c in columns)) for at in cuts]
+    useful = [(min(at + records_per_page, n) - at) * RECORD_BYTES for at in cuts]
+    return payloads, useful
 
 
 @dataclass
@@ -93,9 +106,27 @@ class EdgeDelta:
     def n_deletes(self) -> int:
         return int(np.count_nonzero(self.op == OP_DELETE))
 
-    def take(self, idx: np.ndarray) -> "EdgeDelta":
-        """Row subset (preserving the given order)."""
+    def take(self, idx) -> "EdgeDelta":
+        """Row subset (preserving the given order); a slice gives views."""
         return EdgeDelta(self.op[idx], self.src[idx], self.dst[idx], self.w[idx], self.ts[idx])
+
+    def by_interval(self, intervals: VertexIntervals) -> Iterator[tuple]:
+        """Bucket the batch by source-vertex interval.
+
+        Yields ``(i, rows, part)`` for each interval that owns a record,
+        ascending: ``rows`` are the batch positions of its records and
+        ``part`` the records themselves, both in arrival order (one
+        stable sort by interval, sliced per bucket).
+        """
+        iv = intervals.interval_of(self.src)
+        k = intervals.n_intervals
+        order = stable_argsort_bounded(iv, k)
+        bucketed = self.take(order)
+        counts = np.bincount(iv, minlength=k)
+        stops = np.cumsum(counts)
+        for i in np.flatnonzero(counts).tolist():
+            rows = slice(int(stops[i] - counts[i]), int(stops[i]))
+            yield i, order[rows], bucketed.take(rows)
 
     def validate(self, n: int) -> None:
         """Check all endpoints lie in ``[0, n)``."""

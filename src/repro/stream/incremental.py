@@ -45,6 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core.api import InitialState
+from ..core.batch import flatten_ranges
 from ..core.update import UpdateBatch
 from ..graph.csr import CSRGraph
 
@@ -62,16 +63,8 @@ def descendants(graph: CSRGraph, roots: np.ndarray) -> np.ndarray:
     seen[roots] = True
     frontier = roots
     while frontier.size:
-        starts = graph.rowptr[frontier]
-        stops = graph.rowptr[frontier + 1]
-        counts = stops - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        cum = np.cumsum(counts)
-        idx = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        nbrs = graph.colidx[np.repeat(starts, counts) + idx].astype(np.int64)
-        nbrs = np.unique(nbrs)
+        pos = flatten_ranges(graph.rowptr[frontier], graph.rowptr[frontier + 1])
+        nbrs = np.unique(graph.colidx[pos].astype(np.int64))
         frontier = nbrs[~seen[nbrs]]
         seen[frontier] = True
     return np.flatnonzero(seen).astype(np.int64)
@@ -79,17 +72,9 @@ def descendants(graph: CSRGraph, roots: np.ndarray) -> np.ndarray:
 
 def _expand_rows(graph: CSRGraph, vertices: np.ndarray):
     """Gather the CSR rows of ``vertices``: (srcs, dsts, weights|None)."""
-    starts = graph.rowptr[vertices]
-    stops = graph.rowptr[vertices + 1]
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
-        e = np.empty(0, np.int64)
-        return e, e, (np.empty(0, np.float64) if graph.weights is not None else None)
-    cum = np.cumsum(counts)
-    idx = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    pos = np.repeat(starts, counts) + idx
-    srcs = np.repeat(vertices, counts)
+    starts, stops = graph.rowptr[vertices], graph.rowptr[vertices + 1]
+    pos = flatten_ranges(starts, stops)
+    srcs = np.repeat(vertices, stops - starts)
     dsts = graph.colidx[pos].astype(np.int64)
     w = graph.weights[pos] if graph.weights is not None else None
     return srcs, dsts, w

@@ -61,37 +61,51 @@ def _edge_multiset_diff(
 
     Returns ``(del_src, del_dst, ins_src, ins_dst, ins_w)`` -- one
     representative per edge identity ``(src, dst[, w])`` whose
-    multiplicity dropped (deleted) or grew (inserted).  Representatives
-    suffice for warm-start seeding: duplicate edges carry identical
-    messages and min-combine is idempotent.
+    multiplicity dropped (deleted) or grew (inserted), ascending by
+    identity.  Representatives suffice for warm-start seeding:
+    duplicate edges carry identical messages and min-combine is
+    idempotent.
+
+    Merge, then residue (DESIGN.md §12): one stable argsort of the
+    packed ``src * n + dst`` key merges the two edge lists (both are
+    already in that order, so it is a merge of two presorted runs),
+    every key held by exactly one old and one new row of equal weight
+    is dropped, and identities are counted on the small residue.  An
+    identity's rows share a key, so a dropped group -- one old, one new
+    copy of one identity -- could not have contributed.
     """
-    ps, pd = prev.edge_array()
-    ns, nd = new.edge_array()
     weighted = new.weights is not None
-    s = np.concatenate([ps, ns]).astype(np.int64)
-    d = np.concatenate([pd, nd]).astype(np.int64)
-    if weighted:
-        w = np.concatenate([prev.weights, new.weights]).astype(np.float64)
-    else:
-        w = np.zeros(s.size, dtype=np.float64)
-    order = np.lexsort((w, d, s))
-    ss, dd, ww = s[order], d[order], w[order]
-    if s.size == 0:
-        e = np.empty(0, np.int64)
-        return e, e, e, e, (np.empty(0, np.float64) if weighted else None)
-    boundary = np.empty(ss.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (ss[1:] != ss[:-1]) | (dd[1:] != dd[:-1]) | (ww[1:] != ww[:-1])
-    codes_sorted = np.cumsum(boundary) - 1
-    n_codes = int(codes_sorted[-1]) + 1
-    codes = np.empty(ss.size, dtype=np.int64)
-    codes[order] = codes_sorted
-    n_prev = ps.size
-    cp = np.bincount(codes[:n_prev], minlength=n_codes)
-    cn = np.bincount(codes[n_prev:], minlength=n_codes)
-    # First occurrence (in sorted order) represents each identity.
-    rep = np.empty(n_codes, dtype=np.int64)
-    rep[codes_sorted[::-1]] = order[::-1]
+    n = max(prev.n, new.n)
+    n_prev = prev.m
+    key = np.empty(n_prev + new.m, dtype=np.int64)
+    for g, out in ((prev, key[:n_prev]), (new, key[n_prev:])):
+        src, dst = g.edge_array()
+        np.multiply(src, n, out=out)
+        out += dst
+    w = np.concatenate([prev.weights, new.weights]) if weighted else np.zeros(key.size)
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    # Two-row key groups, by the sorted position of their first row.
+    head = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
+    head = head[np.diff(head, append=ks.size) == 2]
+    a, b = order[head], order[head + 1]  # stable: a < b, old rows first
+    same = (a < n_prev) & (b >= n_prev) & (w[a] == w[b])
+    changed = np.ones(key.size, dtype=bool)
+    changed[a[same]] = False
+    changed[b[same]] = False
+    n_prev = int(np.count_nonzero(changed[:n_prev]))
+    key, w = key[changed], w[changed]
+    # Identity = (key, w); its first row in sorted order represents it.
+    order = np.lexsort((w, key))
+    ks, ws = key[order], w[order]
+    first = np.ones(ks.size, dtype=bool)
+    first[1:] = (ks[1:] != ks[:-1]) | (ws[1:] != ws[:-1])
+    codes = np.empty(ks.size, dtype=np.int64)
+    codes[order] = np.cumsum(first) - 1
+    rep = order[first]
+    cp = np.bincount(codes[:n_prev], minlength=rep.size)
+    cn = np.bincount(codes[n_prev:], minlength=rep.size)
+    s, d = np.divmod(key, n)
     del_idx = rep[cp > cn]
     ins_idx = rep[cn > cp]
     return (

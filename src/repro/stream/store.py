@@ -38,13 +38,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..config import SimConfig
+from ..core.batch import flatten_ranges
 from ..errors import StorageError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, csr_order
 from ..graph.partition import VertexIntervals, partition_by_update_volume
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..ssd.filesystem import SimFS
-from .delta import OP_DELETE, RECORD_BYTES, EdgeDelta
+from .delta import OP_DELETE, RECORD_BYTES, EdgeDelta, record_pages
 from .updatelog import UpdateLog
 
 #: Storage classes of the stream store's files.
@@ -60,14 +61,15 @@ class _IntervalIndex:
     """Host-side index of one interval's live/dead records.
 
     Purely derived state: rebuilt at recovery by replaying the
-    interval's (durable) delta pages over its base CSR.
+    interval's (durable) delta pages over its base CSR.  ``base_alive``
+    aligns with the base ``col`` file, ``d_*`` with the logged inserts.
     """
 
     base_alive: np.ndarray
-    d_src: List[int] = field(default_factory=list)
-    d_dst: List[int] = field(default_factory=list)
-    d_w: List[float] = field(default_factory=list)
-    d_alive: List[bool] = field(default_factory=list)
+    d_src: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    d_dst: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    d_w: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
+    d_alive: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
     tombstones: int = 0
     dead_base: int = 0
     dead_delta: int = 0
@@ -78,12 +80,12 @@ class _IntervalIndex:
 
     @property
     def live_delta(self) -> int:
-        return sum(self.d_alive)
+        return int(np.count_nonzero(self.d_alive))
 
     @property
     def total_records(self) -> int:
         """Records occupying flash: base edges + delta inserts + tombstones."""
-        return int(self.base_alive.size) + len(self.d_src) + self.tombstones
+        return int(self.base_alive.size) + int(self.d_src.size) + self.tombstones
 
     @property
     def garbage_records(self) -> int:
@@ -261,17 +263,11 @@ class StreamStore:
         return stats
 
     def _apply_one(self, seq: int, delta: EdgeDelta) -> Dict[str, float]:
-        iv = self.intervals.interval_of(delta.src)
         out = {"inserts": 0, "deletes": 0, "noop_deletes": 0, "pages": 0, "io_us": 0.0}
-        rpp = self.records_per_page
-        for i in np.unique(iv):
-            rows = np.flatnonzero(iv == i)  # preserves arrival order
-            part = delta.take(rows)
-            payloads, useful = [], []
-            for at in range(0, part.n, rpp):
-                sl = slice(at, min(at + rpp, part.n))
-                payloads.append((int(seq), part.op[sl], part.src[sl], part.dst[sl], part.w[sl], part.ts[sl]))
-                useful.append((sl.stop - sl.start) * RECORD_BYTES)
+        for i, _, part in delta.by_interval(self.intervals):
+            payloads, useful = record_pages(
+                seq, (part.op, part.src, part.dst, part.w, part.ts), self.records_per_page
+            )
             ids, t = self._delta_files[i].append_pages(payloads, useful)
             out["pages"] += int(ids.size)
             out["io_us"] += t
@@ -303,44 +299,81 @@ class StreamStore:
         return out
 
     def _apply_rows(self, i: int, part: EdgeDelta) -> tuple:
-        """Fold one interval's record run into the host index, in order.
+        """Fold one interval's record run into the host index, whole run at once.
 
-        Sequential semantics matter: a delete kills every instance of
-        its pair that is live *at that point in the batch*, including
-        edges inserted by earlier records of the same batch.
+        The result is exactly that of applying the records one by one in
+        arrival order, where a delete kills every instance of its pair
+        live *at that point* -- base copies, inserts of earlier runs and
+        earlier inserts of this run alike.  Grouping the run by
+        ``(src, dst)`` (stably, so a group keeps arrival order) turns
+        that into three rules per key that has a delete:
+
+        * every instance live before the run dies, and so does every
+          insert of the run that precedes the key's *last* delete;
+        * a delete is a no-op iff nothing is live when it arrives: it
+          heads its group with nothing live beforehand, or it directly
+          follows another delete of the key;
+        * inserts, dead or alive, are appended in arrival order.
+
+        Returns ``(inserts, deletes, noop_deletes)``.
+        """
+        ix = self._index[i]
+        is_del = part.op == OP_DELETE
+        n_del = int(np.count_nonzero(is_del))
+        dead = np.zeros(part.n, dtype=bool)
+        applied = 0
+        if n_del:
+            key = part.src * self.n + part.dst
+            order = np.argsort(key, kind="stable")
+            ks, dl = key[order], is_del[order]
+            head = np.ones(part.n, dtype=bool)  # first record of its key group
+            head[1:] = ks[1:] != ks[:-1]
+            starts = np.flatnonzero(head)
+            group = np.cumsum(head) - 1
+            pos = np.arange(part.n)
+            # Sorted position of each key's last delete; -1: it has none.
+            last_del = np.maximum.reduceat(np.where(dl, pos, -1), starts)
+            has_del = last_del >= 0
+            had_live = np.zeros(starts.size, dtype=bool)
+            had_live[has_del] = self._kill_live(i, ks[starts[has_del]]) > 0
+            after_insert = np.zeros(part.n, dtype=bool)  # previous record of the key is one
+            after_insert[1:] = ~dl[:-1]
+            applied = int(np.count_nonzero(dl & np.where(head, had_live[group], after_insert)))
+            dead[order] = ~dl & (pos < last_del[group])
+            ix.dead_delta += int(np.count_nonzero(dead))
+            ix.tombstones += n_del
+        ins = ~is_del
+        ix.d_src = np.concatenate([ix.d_src, part.src[ins]])
+        ix.d_dst = np.concatenate([ix.d_dst, part.dst[ins]])
+        ix.d_w = np.concatenate([ix.d_w, part.w[ins]])
+        ix.d_alive = np.concatenate([ix.d_alive, ~dead[ins]])
+        return part.n - n_del, applied, n_del - applied
+
+    def _kill_live(self, i: int, keys: np.ndarray) -> np.ndarray:
+        """Kill every live instance of the (ascending, distinct) packed
+        ``src * n + dst`` ``keys`` in interval ``i``; returns how many
+        instances each key had.
+
+        Base copies are found by gathering each key's row range (rows
+        need not be dst-sorted), delta copies by key match.
         """
         ix = self._index[i]
         lo, _ = self.intervals.span(i)
+        src, dst = np.divmod(keys, self.n)
         rowptr = self._rowptr_files[i].array
-        col = self._col_files[i].array
-        inserts = deletes = noops = 0
-        for k in range(part.n):
-            s, d = int(part.src[k]), int(part.dst[k])
-            if part.op[k] == OP_DELETE:
-                ix.tombstones += 1
-                killed = 0
-                a, b = int(rowptr[s - lo]), int(rowptr[s - lo + 1])
-                hits = a + np.flatnonzero((col[a:b] == d) & ix.base_alive[a:b])
-                if hits.size:
-                    ix.base_alive[hits] = False
-                    ix.dead_base += int(hits.size)
-                    killed += int(hits.size)
-                for j in range(len(ix.d_src)):
-                    if ix.d_alive[j] and ix.d_src[j] == s and ix.d_dst[j] == d:
-                        ix.d_alive[j] = False
-                        ix.dead_delta += 1
-                        killed += 1
-                if killed:
-                    deletes += 1
-                else:
-                    noops += 1
-            else:
-                ix.d_src.append(s)
-                ix.d_dst.append(d)
-                ix.d_w.append(float(part.w[k]))
-                ix.d_alive.append(True)
-                inserts += 1
-        return inserts, deletes, noops
+        starts, stops = rowptr[src - lo], rowptr[src - lo + 1]
+        pos = flatten_ranges(starts, stops)
+        owner = np.repeat(np.arange(keys.size), stops - starts)
+        hit = (self._col_files[i].array[pos] == dst[owner]) & ix.base_alive[pos]
+        ix.base_alive[pos[hit]] = False
+        ix.dead_base += int(np.count_nonzero(hit))
+        killed = np.bincount(owner[hit], minlength=keys.size)
+        d_key = ix.d_src * self.n + ix.d_dst
+        owner = np.minimum(np.searchsorted(keys, d_key), keys.size - 1)
+        hit = ix.d_alive & (keys[owner] == d_key)
+        ix.d_alive[hit] = False
+        ix.dead_delta += int(np.count_nonzero(hit))
+        return killed + np.bincount(owner[hit], minlength=keys.size)
 
     # -- compaction -------------------------------------------------------
 
@@ -364,19 +397,12 @@ class StreamStore:
         col = self._col_files[i].array
         base_src = lo + np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(rowptr))
         alive = ix.base_alive
-        src = [base_src[alive]]
-        dst = [col[alive].astype(np.int64)]
-        w = [self._val_files[i].array[alive]] if self.weighted else None
-        if ix.d_src:
-            d_alive = np.asarray(ix.d_alive, dtype=bool)
-            src.append(np.asarray(ix.d_src, dtype=np.int64)[d_alive])
-            dst.append(np.asarray(ix.d_dst, dtype=np.int64)[d_alive])
-            if self.weighted:
-                w.append(np.asarray(ix.d_w, dtype=np.float64)[d_alive])
         return (
-            np.concatenate(src),
-            np.concatenate(dst),
-            np.concatenate(w) if self.weighted else None,
+            np.concatenate([base_src[alive], ix.d_src[ix.d_alive]]),
+            np.concatenate([col[alive].astype(np.int64), ix.d_dst[ix.d_alive]]),
+            np.concatenate([self._val_files[i].array[alive], ix.d_w[ix.d_alive]])
+            if self.weighted
+            else None,
         )
 
     def _compact(self, i: int) -> None:
@@ -403,11 +429,8 @@ class StreamStore:
             + self._delta_files[i].n_pages
         )
         src, dst, w = self._live_local_edges(i)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        new_rowptr = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.add.at(new_rowptr, src - lo + 1, 1)
-        np.cumsum(new_rowptr, out=new_rowptr)
+        order, new_rowptr = csr_order(src - lo, dst, hi - lo, self.n)
+        dst = dst[order]
         self._rowptr_files[i].set_array(new_rowptr)
         self._col_files[i].set_array(dst.astype(np.int32))
         if self.weighted:
@@ -443,7 +466,7 @@ class StreamStore:
 
         Edge ordering is canonical: per interval, base edges (already
         (src, dst)-sorted) before delta inserts in arrival order, then a
-        stable global lexsort -- identical to
+        stable global (src, dst) sort -- identical to
         :meth:`CSRGraph.from_edges` over the same host-side edge list,
         which is what the conformance layer checks bit-exactly.
         """

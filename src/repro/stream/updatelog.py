@@ -23,10 +23,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..config import SimConfig
-from ..core.update import stable_argsort_bounded
 from ..graph.partition import VertexIntervals
 from ..ssd.filesystem import SimFS
-from .delta import RECORD_BYTES, EdgeDelta
+from .delta import RECORD_BYTES, EdgeDelta, record_pages
 
 #: Storage class of update-log pages (stats/placement label).
 KLASS_ULOG = "ulog"
@@ -66,24 +65,10 @@ class UpdateLog:
         """
         pages = 0
         io_us = 0.0
-        if delta.n == 0:
-            return {"records": 0, "pages": 0, "io_us": 0.0}
-        iv = self.intervals.interval_of(delta.src)
-        order = stable_argsort_bounded(iv, self.intervals.n_intervals)
-        arrival = np.arange(delta.n, dtype=np.int64)
-        rpp = self.records_per_page
-        for i in np.unique(iv):
-            rows = order[iv[order] == i]
-            part = delta.take(rows)
-            idx = arrival[rows]
-            payloads: List[tuple] = []
-            useful: List[int] = []
-            for at in range(0, part.n, rpp):
-                sl = slice(at, min(at + rpp, part.n))
-                payloads.append(
-                    (int(seq), idx[sl], part.op[sl], part.src[sl], part.dst[sl], part.w[sl], part.ts[sl])
-                )
-                useful.append((sl.stop - sl.start) * RECORD_BYTES)
+        for i, idx, part in delta.by_interval(self.intervals):
+            payloads, useful = record_pages(
+                seq, (idx, part.op, part.src, part.dst, part.w, part.ts), self.records_per_page
+            )
             ids, t = self.files[i].append_pages(payloads, useful)
             pages += int(ids.size)
             io_us += t

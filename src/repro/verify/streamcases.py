@@ -7,7 +7,8 @@ batch**, checks two invariants against trusted host-side references:
 
 1. *storage*: the store's materialised CSR is array-exactly the graph a
    plain host-side mirror of the update semantics produces (insert =
-   append, delete = drop every live ``(src, dst)`` instance);
+   append, delete = drop every live ``(src, dst)`` instance), and the
+   merge reports the mirror's ``(inserts, deletes, noop_deletes)``;
 2. *compute*: the session's recompute -- incremental or full, whichever
    the policy picks -- yields bit-exactly the final values of a
    from-scratch :class:`~repro.verify.OracleEngine` run on that graph.
@@ -17,13 +18,17 @@ master seed ``s`` is derived from ``default_rng([s, i])`` and nothing
 else.  The schedule cycles programs (PageRank, SSSP, CDLP, BFS, WCC),
 so both warm-start-capable programs and full-recompute-only programs
 are exercised, and every third case cuts power mid-ingest or mid-merge
-and recovers before continuing.
+and recovers before continuing.  Deletes are drawn from the edges live
+when their batch starts (so they reach inserts of earlier batches), and
+every fourth case is collision-heavy: long batches over a handful of
+endpoints, where one pair is inserted and deleted several times inside
+a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -129,7 +134,9 @@ class _HostMirror:
         self.dst = [int(x) for x in dst]
         self.w = [float(x) for x in graph.weights] if self.weighted else None
 
-    def apply(self, records: List[Dict[str, Any]]) -> None:
+    def apply(self, records: List[Dict[str, Any]]) -> Tuple[int, int, int]:
+        """Apply ``records`` in order; returns ``(inserts, deletes, noop_deletes)``."""
+        inserts = deletes = noops = 0
         for rec in records:
             s, d = int(rec["src"]), int(rec["dst"])
             if rec["op"] == "add":
@@ -137,15 +144,21 @@ class _HostMirror:
                 self.dst.append(d)
                 if self.weighted:
                     self.w.append(float(rec.get("w", 1.0)))
+                inserts += 1
             else:
                 keep = [
                     i for i in range(len(self.src))
                     if not (self.src[i] == s and self.dst[i] == d)
                 ]
+                if len(keep) < len(self.src):
+                    deletes += 1
+                else:
+                    noops += 1
                 self.src = [self.src[i] for i in keep]
                 self.dst = [self.dst[i] for i in keep]
                 if self.weighted:
                     self.w = [self.w[i] for i in keep]
+        return inserts, deletes, noops
 
     def graph(self) -> CSRGraph:
         return CSRGraph.from_edges(
@@ -204,12 +217,19 @@ def run_stream_case(case: StreamCase) -> StreamOutcome:
             delta = EdgeDelta.from_records(records)
             expected_seq = session.store.last_ingested + 1
             if crash and b == crash_batch:
-                note = _run_crashed_batch(session, delta, expected_seq, case)
+                note, applied = _run_crashed_batch(session, delta, expected_seq, case)
                 notes.append(note)
             else:
                 session.ingest(delta)
-                session.apply_updates()
-            mirror.apply(records)
+                applied = session.apply_updates()
+            got = tuple(int(applied[k]) for k in ("inserts", "deletes", "noop_deletes"))
+            want = mirror.apply(records)
+            if got != want:
+                outcome.mismatches.append(
+                    f"batch {b}: merge reported (inserts, deletes, noop_deletes) = {got}, "
+                    f"host mirror {want}"
+                )
+                return outcome
 
             mat = session.store.materialize()
             ref = mirror.graph()
@@ -243,12 +263,14 @@ def _fresh_program(case: StreamCase):
     return _PROGRAM_FACTORIES[case.program](case.prog_params)
 
 
-def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> str:
+def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> tuple:
     """Cut power during this batch's ingest or merge, then recover.
 
-    Returns a one-letter note: ``C`` when the planned crash fired, ``c``
-    when the operation finished before the fault armed (small batches
-    may not reach the trigger count -- still a valid run).
+    Returns ``(note, merge stats)``: the note is ``C`` when the planned
+    crash fired, ``c`` when the operation finished before the fault
+    armed (small batches may not reach the trigger count -- still a
+    valid run); the stats are those of the merge that finally applied
+    the batch (a cut merge leaves the whole batch pending).
     """
     phase = case.scenario_params.get("phase", "ingest")
     after_ops = int(case.scenario_params.get("after_ops", 0))
@@ -262,7 +284,7 @@ def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> s
     try:
         # The klass filter picks which phase the cut lands in.
         session.ingest(delta)
-        session.apply_updates()
+        applied = session.apply_updates()
     except SimulatedCrashError:
         fired = True
     finally:
@@ -274,9 +296,8 @@ def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> s
         # acknowledgement would do).
         if session.store.last_ingested < expected_seq:
             session.ingest(delta)
-        session.apply_updates()
-        return "C"
-    return "c"
+        return "C", session.apply_updates()
+    return "c", applied
 
 
 # -- generation --------------------------------------------------------------
@@ -307,16 +328,24 @@ def generate_stream_case(master_seed: int, index: int) -> StreamCase:
     if program == "pagerank":
         prog_params["threshold"] = float(rng.choice([0.01, 0.001]))
 
-    # Updates are generated against the (deterministic) base graph:
-    # deletions mostly target base edges, insertions are uniform pairs.
-    base = build_graph(graph)
-    src0, dst0 = base.edge_array()
+    # Each batch is generated against the graph as the batches before it
+    # left it: deletions mostly target edges live at that point (base
+    # copies and earlier inserts alike), insertions are uniform pairs.
+    # A collision-heavy case confines both to ``span`` endpoints and
+    # lengthens the batches, so pairs repeat inside one batch.
+    mirror = _HostMirror(build_graph(graph))
     weighted = graph.get("weighted", False)
+    heavy = index % 4 == 3
+    span = min(n_total, int(rng.integers(2, 5))) if heavy else n_total
     batches: List[List[Dict[str, Any]]] = []
     for b in range(int(rng.integers(2, 4))):
-        n_ops = int(rng.integers(2, 11))
+        n_ops = int(rng.integers(12, 31)) if heavy else int(rng.integers(2, 11))
+        live = np.array(
+            [(s, d) for s, d in zip(mirror.src, mirror.dst) if s < span and d < span],
+            dtype=np.int64,
+        ).reshape(-1, 2)
         delta = random_delta(
-            rng, n_total, src0, dst0, n_ops,
+            rng, span, live[:, 0], live[:, 1], n_ops,
             p_delete=float(rng.choice([0.2, 0.4, 0.6])),
             weighted=weighted,
             ts0=100 * b,
@@ -324,6 +353,7 @@ def generate_stream_case(master_seed: int, index: int) -> StreamCase:
         records = delta.to_records()
         if program == "cdlp":
             records = _symmetrize_records(records)
+        mirror.apply(records)
         batches.append(records)
 
     scenario = "plain"

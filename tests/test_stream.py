@@ -16,6 +16,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.errors import EngineError, GraphFormatError, SimulatedCrashError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import small_chain, small_rmat
+from repro.obs.metrics import MetricsRegistry
 from repro.ssd import FaultPlan
 from repro.ssd.filesystem import SimFS
 from repro.stream import EdgeDelta, StreamSession, StreamStore, random_delta
@@ -101,6 +102,49 @@ class TestStreamStore:
         out = store.apply_updates()
         assert out["noop_deletes"] == 1
         assert store.materialize().m == g.m
+
+    def test_same_batch_chain_on_one_pair(self):
+        # (0, 5) is absent from the chain graph; one batch inserts and
+        # deletes it repeatedly: only the insert after the last delete
+        # survives, and a delete is a no-op exactly when nothing is live
+        g = small_chain(8)
+        store, _ = store_on(g)
+        chain = [OP_DELETE, OP_ADD, OP_ADD, OP_DELETE, OP_DELETE, OP_ADD, OP_DELETE, OP_ADD]
+        store.ingest(EdgeDelta.of(chain, [0] * 8, [5] * 8, w=np.arange(8.0)))
+        out = store.apply_updates()
+        assert (out["inserts"], out["deletes"], out["noop_deletes"]) == (4, 2, 2)
+        ix = store._index[0]
+        assert list(ix.d_alive) == [False, False, False, True]
+        assert (ix.tombstones, ix.dead_base, ix.dead_delta) == (4, 0, 3)
+        s, d = store.materialize().edge_array()
+        assert int(((s == 0) & (d == 5)).sum()) == 1
+
+    def test_index_tallies_are_exact(self):
+        # two batches over a chain 0->1->...->7: the second deletes a
+        # base edge (with the parallel copy batch one inserted), an
+        # absent edge, and a pair it inserts itself
+        g = small_chain(8)
+        store, _ = store_on(g)
+        store.ingest(adds([(0, 1), (2, 6), (2, 6)]))
+        out = store.apply_updates()
+        assert (out["inserts"], out["deletes"], out["noop_deletes"]) == (3, 0, 0)
+        ops = [OP_DELETE, OP_DELETE, OP_ADD, OP_DELETE, OP_DELETE, OP_ADD]
+        src = [0, 3, 4, 4, 2, 2]
+        dst = [1, 7, 0, 0, 6, 6]
+        store.ingest(EdgeDelta.of(ops, src, dst))
+        out = store.apply_updates()
+        assert (out["inserts"], out["deletes"], out["noop_deletes"]) == (2, 3, 1)
+        assert store.noop_deletes == 1 and store.deletes_applied == 3
+        ix = store._index[0]
+        # dead inserts: (0,1) and both (2,6) of batch one, (4,0) of batch two
+        assert (ix.tombstones, ix.dead_base, ix.dead_delta) == (4, 1, 4)
+        assert ix.garbage_records == 9 and ix.live_delta == 1
+        assert ix.total_records == g.m + 5 + 4
+        assert store.live_edges() == g.m - 1 + 1
+        reg = MetricsRegistry()
+        store.register_metrics(reg)
+        snap = reg.snapshot()
+        assert snap["stream.garbage_records"] == 9 and snap["stream.live_edges"] == g.m
 
     def test_compaction_preserves_graph_and_drops_garbage(self):
         g = small_chain(16)
@@ -199,7 +243,113 @@ class TestCrashRecovery:
         assert np.array_equal(before.edge_array()[1], after.edge_array()[1])
 
 
+def reference_diff(prev, new):
+    """The three-key lexsort formulation ``_edge_multiset_diff`` replaced:
+    every row of both graphs sorted by (src, dst, w), identities counted
+    on the whole."""
+    ps, pd = prev.edge_array()
+    ns, nd = new.edge_array()
+    weighted = new.weights is not None
+    s = np.concatenate([ps, ns]).astype(np.int64)
+    d = np.concatenate([pd, nd]).astype(np.int64)
+    if weighted:
+        w = np.concatenate([prev.weights, new.weights]).astype(np.float64)
+    else:
+        w = np.zeros(s.size, dtype=np.float64)
+    order = np.lexsort((w, d, s))
+    ss, dd, ww = s[order], d[order], w[order]
+    if s.size == 0:
+        e = np.empty(0, np.int64)
+        return e, e, e, e, (np.empty(0, np.float64) if weighted else None)
+    boundary = np.empty(ss.size, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (ss[1:] != ss[:-1]) | (dd[1:] != dd[:-1]) | (ww[1:] != ww[:-1])
+    codes_sorted = np.cumsum(boundary) - 1
+    n_codes = int(codes_sorted[-1]) + 1
+    codes = np.empty(ss.size, dtype=np.int64)
+    codes[order] = codes_sorted
+    cp = np.bincount(codes[: ps.size], minlength=n_codes)
+    cn = np.bincount(codes[ps.size :], minlength=n_codes)
+    # First occurrence (in sorted order) represents each identity.
+    rep = np.empty(n_codes, dtype=np.int64)
+    rep[codes_sorted[::-1]] = order[::-1]
+    del_idx, ins_idx = rep[cp > cn], rep[cn > cp]
+    return s[del_idx], d[del_idx], s[ins_idx], d[ins_idx], (w[ins_idx] if weighted else None)
+
+
+def assert_diff_matches_reference(prev, new):
+    got, want = _edge_multiset_diff(prev, new), reference_diff(prev, new)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    return got
+
+
+def random_multigraph(rng, n, m, weighted):
+    """Uniform pairs over a small id space: parallel edges are common,
+    and weights come from three values so copies both agree and differ."""
+    w = rng.choice([0.5, 1.0, 2.0], m) if weighted else None
+    return CSRGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), w)
+
+
 class TestDiffAndCone:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_diff_matches_reference_on_random_pairs(self, weighted):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            a = random_multigraph(rng, n, int(rng.integers(0, 40)), weighted)
+            if rng.random() < 0.5:
+                # mostly-shared edges, the streaming shape: drop a few, add a few
+                s, d = a.edge_array()
+                keep = rng.random(a.m) < 0.8
+                extra = random_multigraph(rng, n, int(rng.integers(0, 6)), weighted)
+                es, ed = extra.edge_array()
+                w = np.concatenate([a.weights[keep], extra.weights]) if weighted else None
+                b = CSRGraph.from_edges(
+                    n, np.concatenate([s[keep], es]), np.concatenate([d[keep], ed]), w
+                )
+            else:
+                b = random_multigraph(rng, n, int(rng.integers(0, 40)), weighted)
+            assert_diff_matches_reference(a, b)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_diff_matches_reference_on_edge_shapes(self, weighted):
+        w = (lambda *x: list(x)) if weighted else (lambda *x: None)
+        empty = CSRGraph.from_edges(4, [], [], w())
+        a = CSRGraph.from_edges(4, [0, 0, 1], [1, 1, 2], w(1.0, 2.0, 1.0))
+        disjoint = CSRGraph.from_edges(4, [2, 3], [3, 0], w(1.0, 1.0))
+        reweighted = CSRGraph.from_edges(4, [0, 0, 1], [1, 1, 2], w(1.0, 2.0, 3.0))
+        pairs = [(empty, empty), (empty, a), (a, empty), (a, a), (a, disjoint), (a, reweighted)]
+        for prev, new in pairs:
+            ds, _, is_, _, _ = assert_diff_matches_reference(prev, new)
+            if prev is new:
+                assert ds.size == 0 and is_.size == 0
+        ds, _, is_, _, iw = _edge_multiset_diff(a, reweighted)
+        assert (ds.size, is_.size) == ((1, 1) if weighted else (0, 0))
+        assert iw is None or iw.tolist() == [3.0]
+
+    def test_diff_matches_reference_on_bench_shaped_pair(self):
+        # a skewed graph with a few percent of its edges churned, as
+        # between two recomputes of the stream_churn benchmark pass
+        from repro.graph.datasets import cf_like
+
+        g = cf_like(scale="test", weighted=True)
+        rng = np.random.default_rng(11)
+        s, d = g.edge_array()
+        keep = rng.random(g.m) > 0.03
+        k = g.m // 14
+        new = CSRGraph.from_edges(
+            g.n,
+            np.concatenate([s[keep], rng.integers(0, g.n, k)]),
+            np.concatenate([d[keep], rng.integers(0, g.n, k)]),
+            np.concatenate([g.weights[keep], rng.uniform(0.5, 4.0, k)]),
+        )
+        ds, _, is_, _, _ = assert_diff_matches_reference(g, new)
+        assert ds.size > 0 and is_.size > 0
+
     def test_diff_insert_delete(self):
         a = CSRGraph.from_edges(4, [0, 1], [1, 2])
         b = CSRGraph.from_edges(4, [0, 2], [1, 3])
