@@ -30,3 +30,11 @@ def test_ablation_history_window(benchmark, print_result):
     print_result(result)
     logged = [row[1] for row in result.rows]
     assert logged[0] <= logged[-1], "larger N logs at least as many vertices"
+
+
+def test_ablation_precombine(benchmark, print_result):
+    result = run_once(benchmark, ablations.run_precombine)
+    print_result(result)
+    for on, off in (result.rows[0:2], result.rows[2:4]):
+        assert on[3] < off[3], "the send-side combine must log fewer records"
+        assert on[6] < off[6], "and finish sooner in simulated time"

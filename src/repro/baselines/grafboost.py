@@ -39,7 +39,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import EngineError, ProgramError
 from ..graph.csr import CSRGraph
-from ..graph.partition import uniform_partition
+from ..graph.partition import static_partition, uniform_partition
 from ..graph.storage import GraphOnSSD
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
@@ -99,6 +99,10 @@ class GraFBoost:
         # Rebound to the live registry's counters at run() time.
         self._c_sort_runs = NULL_METRICS.counter("grafboost.sort_runs")
         self._c_sort_passes = NULL_METRICS.counter("grafboost.sort_passes")
+        # Named combines reduce over the shared tree (repro.core.combine)
+        # at MultiLogVC's default partition, so the engines agree bit for
+        # bit on float add; the log itself stays one interval.
+        self._tree = static_partition(graph, config)
         need_vals = program.needs_weights or program.uses_edge_state
         self.storage = GraphOnSSD(
             graph,
@@ -141,7 +145,9 @@ class GraFBoost:
                 if stop > start:
                     run_records += int(np.unique(raw_dest[start:stop]).shape[0])
             combined_records = int(uniq.shape[0])
-            batch, uniq, offsets = combine_sorted(batch, uniq, offsets, self.program.combine)
+            batch, uniq, offsets = combine_sorted(
+                batch, uniq, offsets, self.program.combine, self._tree
+            )
         else:
             run_records = raw_records
             combined_records = raw_records
@@ -213,6 +219,11 @@ class GraFBoost:
         pending = UpdateBatch.empty().sort_by_dest()
         if init.messages is not None and init.messages.n:
             pending = init.messages.sort_by_dest()
+            if not self.adapted:
+                # Seeds are reduced like any superstep's log.
+                pending, _, _ = combine_sorted(
+                    pending, *pending.group(), prog.combine, self._tree
+                )
             active0 = np.union1d(active0, init.messages.dest.astype(np.int64))
         tracker.seed(active0)
         self._sorted_pages = self._pages(pending.n)

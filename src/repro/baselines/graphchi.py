@@ -29,6 +29,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import EngineError, ProgramError
 from ..graph.csr import CSRGraph
+from ..graph.partition import static_partition
 from ..graph.shards import ShardedGraph
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
@@ -110,6 +111,10 @@ class GraphChi:
             )
         tracker = ActiveTracker(n, cfg.edgelog_history_window)
         stats_start = self.fs.stats.snapshot()
+        # Named combines reduce over the shared tree (repro.core.combine)
+        # at MultiLogVC's default partition, so the engines agree bit
+        # for bit; it has nothing to do with the shard intervals.
+        tree = static_partition(self.graph, cfg)
 
         init = prog.initial(self.graph, rng)
         values = np.array(init.values, dtype=np.float64, copy=True)
@@ -207,7 +212,9 @@ class GraphChi:
                             np.full(usrc.shape[0], v, dtype=np.int32), usrc, udata
                         )
                         uniq, offsets = batch.group()
-                        batch, _, _ = combine_sorted(batch, uniq, offsets, prog.combine)
+                        batch, _, _ = combine_sorted(
+                            batch, uniq, offsets, prog.combine, tree
+                        )
                         usrc, udata = batch.src, batch.data
                     nb = self.graph.neighbors(v)
                     wt = self.graph.weights

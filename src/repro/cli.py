@@ -22,7 +22,7 @@ Examples::
     python -m repro run fig6 --scale bench --datasets cf
     python -m repro run fig5 --scale test --trace /tmp/fig5.jsonl --json /tmp/fig5.json
     python -m repro compute pagerank --dataset rmat256 --checkpoint-every 2 \
-        --fault crash@40 --checkpoint-out /tmp/pr.ckpt
+        --fault crash@15 --checkpoint-out /tmp/pr.ckpt
     python -m repro compute pagerank --dataset rmat256 --resume-from /tmp/pr.ckpt
     python -m repro info
 

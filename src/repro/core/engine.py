@@ -9,7 +9,9 @@ One superstep:
 3. graph-loader reads only the pages of active vertices' row pointers
    and adjacency, consulting the edge log first (§V-B2, §V-C);
 4. run ``ProcessVertex`` for every active vertex; ``SendUpdate`` routes
-   outgoing messages into the *next-generation* multi-log;
+   outgoing messages into the *next-generation* multi-log -- reduced
+   first to one record per (destination, source interval) when the
+   program's combine is a named operator (DESIGN.md §15);
 5. the edge-log optimizer decides, per processed vertex, whether to
    re-log its out-edges for next superstep;
 6. at superstep end: flush/rotate logs, merge ready structural updates,
@@ -31,7 +33,7 @@ from ..errors import EngineError, ProgramError, RecoveryError
 from ..graph.csr import CSRGraph
 from ..io.plan import KLASS_READAHEAD
 from ..io.planner import SuperstepIOPlanner
-from ..graph.partition import partition_by_update_volume
+from ..graph.partition import static_partition
 from ..graph.storage import GraphOnSSD
 from ..mem.budget import MemoryBudget
 from ..obs.context import current_tracer
@@ -42,6 +44,7 @@ from ..recovery.checkpoint import CheckpointData, CheckpointManager
 from ..ssd.filesystem import SimFS
 from .active import ActiveTracker
 from .api import InitialState, VertexProgram
+from .combine import precombine
 from .edgelog import KLASS_EDGELOG, EdgeLogOptimizer
 from .loader import GraphLoaderUnit
 from .multilog import KLASS_MLOG, MultiLogUnit
@@ -51,6 +54,7 @@ from .scheduler import ParallelGroupScheduler
 from .results import ComputeMeter, RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
 from .update import UpdateBatch
+
 
 class _Converged(Exception):
     """Internal control flow: the superstep loop reached a fixed point."""
@@ -113,17 +117,13 @@ class MultiLogVC:
         self.mode = options.mode
         self.enable_edgelog = options.enable_edgelog
         self.enable_fusing = options.enable_fusing
+        #: Reduce sends before the log?  Needs a *named* combine: the
+        #: tree is defined for those only, a callable stays post-read.
+        self.precombine = options.enable_precombine and isinstance(program.combine, str)
         self.tracer = tracer if tracer is not None else current_tracer()
         self.metrics_registry = metrics
         self.progress = progress
-        intervals = options.intervals
-        if intervals is None:
-            intervals = partition_by_update_volume(
-                graph,
-                config.memory.sort_bytes,
-                config.records.update_bytes,
-                min_intervals=options.min_intervals,
-            )
+        intervals = static_partition(graph, config, options)
         self.intervals = intervals
         need_vals = program.needs_weights or program.uses_edge_state
         self.storage = GraphOnSSD(
@@ -243,7 +243,7 @@ class MultiLogVC:
                 raise ProgramError("initial values must have one entry per vertex")
             active0 = np.asarray(init.active, dtype=np.int64)
             if init.messages is not None and init.messages.n:
-                mlog_cur.ingest(init.messages)
+                self._log(mlog_cur, [init.messages], meter)
                 active0 = np.union1d(active0, init.messages.dest.astype(np.int64))
             tracker.seed(active0)
         else:
@@ -382,7 +382,7 @@ class MultiLogVC:
                 raise _Converged
             stats_before = self.fs.stats.snapshot()
             compute_before = meter.time_us
-            sent_before = mlog_next.appended
+            logged_before = mlog_next.appended
 
             active_ids = tracker.current_ids
             must = np.zeros(self.intervals.n_intervals, dtype=bool)
@@ -458,11 +458,14 @@ class MultiLogVC:
                             report.io_time_us += t
                 return PreparedGroup(list(group), sg, verts, report, io_plan=outcome)
 
-            def send_batch(dests, srcs, datas):
-                # Columns as the kernel built them: ingest range-checks
-                # the destinations before it narrows anything.
-                mlog_next.ingest(UpdateBatch(np.asarray(dests), np.asarray(srcs), np.asarray(datas)))
+            outbox: List[UpdateBatch] = []
 
+            def send_batch(dests, srcs, datas):
+                # Columns as the kernel built them: the sink range-checks
+                # the destinations before it narrows anything.
+                outbox.append(UpdateBatch(np.asarray(dests), np.asarray(srcs), np.asarray(datas)))
+
+            sent = 0
             processed = 0
             updates_processed = 0
             edges_scanned = 0
@@ -516,6 +519,8 @@ class MultiLogVC:
                     sg, verts, prog, send_batch, rng, step, values, mutations
                 )
                 prog.process_batch(bctx)
+                sent += self._log(mlog_next, outbox, meter)
+                outbox.clear()
                 stay = verts[bctx._stay_mask]
                 if stay.size:
                     tracker.next_self[stay] = True
@@ -573,7 +578,8 @@ class MultiLogVC:
                 index=step,
                 active_vertices=processed,
                 updates_processed=updates_processed,
-                messages_sent=mlog_next.appended - sent_before,
+                messages_sent=sent,
+                records_logged=mlog_next.appended - logged_before,
                 edges_scanned=edges_scanned,
                 storage_time_us=delta.total_time_us,
                 compute_time_us=meter.time_us - compute_before,
@@ -649,6 +655,24 @@ class MultiLogVC:
 
     # ------------------------------------------------------------------
 
+    def _log(self, mlog: MultiLogUnit, batches: List[UpdateBatch], meter: ComputeMeter) -> int:
+        """The one producer sink: seed messages and every group's sends.
+
+        Ingests ``batches`` (send order) and returns how many updates the
+        program sent.  With :attr:`precombine` they first become one
+        batch reduced to a record per (destination, source interval) --
+        level 1 of the combine tree, charged as a sort of the sends --
+        after the range check has seen every destination as produced.
+        """
+        sent = sum(b.n for b in batches)
+        if self.precombine and sent:
+            batch = mlog.narrowed(UpdateBatch.concat(batches))
+            meter.charge_sort(sent)
+            batches = [precombine(batch, self.program.combine, self.intervals)]
+        for batch in batches:
+            mlog.ingest(batch)
+        return sent
+
     def _build_batch(self, sg, verts, prog, send_batch, rng, step, values, mutations):
         """Assemble the columnar :class:`~repro.core.batch.BatchContext`.
 
@@ -660,8 +684,9 @@ class MultiLogVC:
         can write mutations back (per-vertex ranges are disjoint, so
         gather/mutate/scatter is equivalent to in-place writes).
 
-        ``send_batch`` is the outgoing-update sink (the next-generation
-        multi-log's ``ingest``).  With ``mutations``, each vertex's own
+        ``send_batch`` is the outgoing-update sink (an outbox the engine
+        hands to :meth:`_log` when the kernel returns).  With
+        ``mutations``, each vertex's own
         buffered edits are overlaid on its stored adjacency here: a
         vertex runs once per superstep and only ever edits its own
         edges, so nothing the kernel buffers can change this view.
@@ -716,4 +741,3 @@ class MultiLogVC:
             mutate=mutations.record if mutations is not None else None,
         )
         return bctx, es_plan
-

@@ -80,16 +80,18 @@ class MultiLogUnit:
         self._runs: List[List[Columns]] = [[] for _ in range(k)]
         self._fill: List[int] = [0] * k
         self._files: List[Optional[PageFile]] = [None] * k
+        #: per interval: records logged and not yet consumed -- the
+        #: fusing planner's size estimate.  A send-side combine
+        #: (:func:`~repro.core.combine.precombine`) reduces a group's
+        #: sends before they get here, so this counts what the log
+        #: holds, not what the program sent.
         self.counters = np.zeros(k, dtype=np.int64)
-        #: monotonic count of every update ever appended (never reset by
-        #: consume); engines diff it to report per-superstep sends.
+        #: monotonic count of every record ever logged (never reset by
+        #: consume); the engine diffs it per superstep as
+        #: ``SuperstepRecord.records_logged``.
         self.appended = 0
         self._pages_used = 0
         self.io_time_us = 0.0
-        # Dense vertex -> interval map for the hot path.
-        self._v2i = np.empty(intervals.n_vertices, dtype=np.int32)
-        for i, lo, hi in intervals:
-            self._v2i[lo:hi] = i
         self._n_vertices = intervals.n_vertices
         self._capacity = budget.multilog_pages
         mem = config.memory
@@ -124,7 +126,7 @@ class MultiLogUnit:
         return int(self.counters[i])
 
     def estimated_bytes(self, i: int) -> int:
-        """First-order log-size estimate from the message counter (§V-B)."""
+        """First-order log-size estimate from the logged-record counter (§V-B)."""
         return int(self.counters[i]) * self.config.records.update_bytes
 
     def estimated_bytes_all(self) -> np.ndarray:
@@ -133,26 +135,37 @@ class MultiLogUnit:
 
     # -- hot path ----------------------------------------------------------------
 
-    def ingest(self, batch: UpdateBatch) -> None:
-        """Append a batch of updates (seed messages, a group's sends).
+    def narrowed(self, batch: UpdateBatch) -> UpdateBatch:
+        """``batch`` in the log's column dtypes, destinations range-checked.
 
-        The only producer entry point; destinations are validated here,
-        once per batch, in the dtype the producer handed over -- only
-        ids known to be in range are narrowed to the column dtype.
+        The check sees the ids in the dtype the producer handed over,
+        before anything narrows, sorts or reduces them: a wide id cast
+        to the column dtype can wrap into range.  Only ids known to be
+        in range are narrowed, so the cast is exact.
+        """
+        dests = batch.dest
+        if dests.shape[0]:
+            lo, hi = dests.min(), dests.max()
+            if lo < 0 or hi >= self._n_vertices:
+                raise ProgramError(
+                    f"update destination outside graph [0, {self._n_vertices}): got [{lo}, {hi}]"
+                )
+        cols = (dests, batch.src, batch.data)
+        return UpdateBatch(*(c.astype(dt, copy=False) for c, dt in zip(cols, UPDATE_DTYPES)))
+
+    def ingest(self, batch: UpdateBatch) -> None:
+        """Log a batch of records (seed messages, a group's sends --
+        raw, or already reduced by the engine's send-side combine).
+
+        The only producer entry point; destinations are validated here
+        (:meth:`narrowed`), once per batch.
         """
         if batch is None or batch.n == 0:
             return
-        dests = batch.dest
-        lo, hi = dests.min(), dests.max()
-        if lo < 0 or hi >= self._n_vertices:
-            raise ProgramError(
-                f"update destination outside graph [0, {self._n_vertices}): got [{lo}, {hi}]"
-            )
-        # Every id is in range, so narrowing to the column dtypes is exact.
-        cols = (dests, batch.src, batch.data)
-        self._append_bulk(*(c.astype(dt, copy=False) for c, dt in zip(cols, UPDATE_DTYPES)))
+        batch = self.narrowed(batch)
+        self._append_bulk(batch.dest, batch.src, batch.data)
         if self.tracker is not None:
-            self.tracker.note_messages(dests)
+            self.tracker.note_messages(batch.dest)
 
     def _set_fill(self, i: int, fill: int) -> None:
         """Set interval ``i``'s buffered record count; the page total follows from it."""
@@ -171,7 +184,7 @@ class MultiLogUnit:
         rpp = self._rpp
         k = self.n_intervals
         chunk = max(rpp, self._high_free * rpp)
-        ivals = self._v2i[dests]
+        ivals = self.intervals.dense[dests]
         # One stable sort buckets the batch by interval while keeping
         # each interval's records in arrival order.
         order = stable_argsort_bounded(ivals, k)

@@ -6,7 +6,10 @@ sort memory budget allows -- using the multi-log's per-interval message
 counters as the first-order size estimate (§V-A2/§V-B) -- then loads the
 fused logs, sorts the updates by destination vertex **in memory**, and
 groups them so the vertices can be processed.  If the program declares a
-combine operator, the reduction is applied transparently here (§V-D).
+combine operator, the reduction is applied transparently here (§V-D):
+always the whole combine tree of :mod:`repro.core.combine` over the
+multi-log's static partition, whether the log holds raw updates or the
+partials a send-side combine left.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from ..config import SimConfig
 from ..mem.budget import MemoryBudget
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from .combine import CombineSpec, combine_sorted
+from .combine import CombineSpec, combine_sorted, precombine
 from .multilog import MultiLogUnit
 from .results import ComputeMeter
 from .update import UpdateBatch
@@ -144,17 +147,24 @@ class SortGroupUnit:
         ``plan`` (DESIGN.md §13) queues the log reads on a group I/O
         plan instead of charging per file.
         """
+        tree = multilog.intervals
         batch = multilog.consume(interval_ids, plan=plan)
-        if extra is not None and extra.n:
-            batch = UpdateBatch.concat([batch, extra])
-        overflowed = batch.n * self.config.records.update_bytes > self.budget.sort_bytes
         sort_items = int(batch.n)
+        if extra is not None and extra.n:
+            sort_items += extra.n
+            if isinstance(combine, str):
+                # The log and the same-superstep extras are two arrival
+                # segments: close level 1 over each, or a raw run could
+                # straddle the seam where two partials would not.
+                batch, extra = (precombine(b, combine, tree) for b in (batch, extra))
+            batch = UpdateBatch.concat([batch, extra])
+        overflowed = sort_items * self.config.records.update_bytes > self.budget.sort_bytes
         if charge_sort:
             self.meter.charge_sort(sort_items)
         batch = batch.sort_by_dest()
         uniq, offsets = batch.group()
         if combine is not None and uniq.shape[0]:
-            batch, uniq, offsets = combine_sorted(batch, uniq, offsets, combine)
+            batch, uniq, offsets = combine_sorted(batch, uniq, offsets, combine, tree)
         lo = multilog.intervals.span(interval_ids[0])[0]
         hi = multilog.intervals.span(interval_ids[-1])[1]
         self.groups_loaded += 1

@@ -9,7 +9,11 @@ the paper argues for:
   several shrunken logs per sort pass;
 * **channel scaling** (§V-A3): how much of the speedup depends on logs
   being interspersed over parallel flash channels;
-* **history window N** (§V-C): the paper found N=1 sufficient.
+* **history window N** (§V-C): the paper found N=1 sufficient;
+* **combine before the log** (not in the paper, whose §V-D combines
+  after the log is read back; DESIGN.md §15): log records and pages
+  saved by reducing a group's sends per (destination, source interval)
+  first.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from ..algorithms import GraphColoringProgram, MISProgram
+from ..algorithms import BFSProgram, DeltaPageRankProgram, GraphColoringProgram, MISProgram
 from ..config import DEFAULT_CONFIG
 from .common import ExperimentResult, env_scale, load_dataset, run_mlvc
 
@@ -107,12 +111,55 @@ def run_history_window(scale: Optional[str] = None, steps: int = 15) -> Experime
     )
 
 
+def run_precombine(scale: Optional[str] = None, steps: int = 15) -> ExperimentResult:
+    """PageRank (``add``, every vertex sends every superstep) and BFS
+    (``min``, a thin frontier) bracket what the send-side combine can
+    save: it removes a record only where one source interval sends to
+    one destination more than once."""
+    scale = scale or env_scale()
+    g = load_dataset("cf", scale)
+    programs = (
+        ("pagerank", lambda: DeltaPageRankProgram(threshold=0.02)),
+        ("bfs", lambda: BFSProgram(0)),
+    )
+    rows: List[tuple] = []
+    for name, make in programs:
+        for enabled in (True, False):
+            res = run_mlvc(g, make(), steps=steps, enable_precombine=enabled)
+            mlog_w, mlog_r = res.stats.writes.get("mlog"), res.stats.reads.get("mlog")
+            rows.append(
+                (
+                    name,
+                    "before log" if enabled else "after read (paper)",
+                    sum(r.messages_sent for r in res.supersteps),
+                    sum(r.records_logged for r in res.supersteps),
+                    mlog_w.pages if mlog_w else 0,
+                    mlog_r.pages if mlog_r else 0,
+                    res.total_time_us / 1e3,
+                )
+            )
+    return ExperimentResult(
+        experiment="ablation-precombine",
+        caption="Ablation: combine before the log (CF)",
+        headers=[
+            "program", "combine", "messages sent", "records logged",
+            "mlog pages written", "mlog pages read", "sim ms",
+        ],
+        rows=rows,
+        notes=(
+            "values and messages sent are identical either way; the reduce is "
+            "charged to compute as a sort of each group's sends"
+        ),
+    )
+
+
 def run(scale: Optional[str] = None, steps: int = 15) -> List[ExperimentResult]:
     return [
         run_edgelog(scale, steps),
         run_fusing(scale, steps),
         run_channels(scale, steps),
         run_history_window(scale, steps),
+        run_precombine(scale, steps),
     ]
 
 

@@ -101,11 +101,13 @@ def run_mlvc(
     seed: int = 0,
     **kwargs,
 ) -> RunResult:
-    # Engine knobs arrive as plain kwargs from the experiment modules;
-    # fold them into EngineOptions here so the deprecated constructor
-    # path (and its DeprecationWarning) is never exercised.
-    options = EngineOptions(**kwargs) if kwargs else None
-    return MultiLogVC(graph, program, config, options=options).run(steps, seed=seed)
+    # Engine knobs arrive as plain kwargs from the experiment modules.
+    # The paper figures measure the paper's engine, whose §V-D combine
+    # runs after the log round trip: the send-side combine stays off
+    # unless an experiment asks for it (ablations.run_precombine and
+    # Fig. 8's extra column do).
+    kwargs.setdefault("enable_precombine", False)
+    return MultiLogVC(graph, program, config, options=EngineOptions(**kwargs)).run(steps, seed=seed)
 
 
 def run_graphchi(

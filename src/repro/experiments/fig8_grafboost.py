@@ -9,6 +9,12 @@ Two comparisons against the single-log baseline:
   larger dataset (bigger log -> more external-sort passes).
 * **§VIII text** -- graph coloring against GraFBoost *adapted* to keep
   all updates (no combine): paper reports 2.72x (CF) and 2.67x (YWS).
+
+GraFBoost combines while it generates sort runs; the paper's MultiLogVC
+combines only after its log is read back (§V-D), and that is what the
+``speedup`` column measures.  The last column is the same duel with
+this repo's send-side combine on (DESIGN.md §15) -- an extension, not a
+paper number; it cannot move the coloring rows, which have no combine.
 """
 
 from __future__ import annotations
@@ -45,24 +51,31 @@ def run(
         # first absorb/propagate round, the unit the paper times).
         a = run_mlvc(g, DeltaPageRankProgram(threshold=0.05), config, steps=2)
         b = run_grafboost(g, DeltaPageRankProgram(threshold=0.05), config, steps=2)
+        pre = run_mlvc(
+            g, DeltaPageRankProgram(threshold=0.05), config, steps=2, enable_precombine=True
+        )
         rows.append(
-            ("pagerank (1st iter)", ds.upper(), b.total_time_us / a.total_time_us, b.total_pages / max(1, a.total_pages))
+            (
+                "pagerank (1st iter)", ds.upper(), b.total_time_us / a.total_time_us,
+                b.total_pages / max(1, a.total_pages), b.total_time_us / pre.total_time_us,
+            )
         )
     for ds in datasets:
         g = load_dataset(ds, scale)
         a = run_mlvc(g, GraphColoringProgram(), config, steps=15)
         b = run_grafboost(g, GraphColoringProgram(), config, steps=15, adapted=True)
-        rows.append(
-            ("coloring vs adapted", ds.upper(), b.total_time_us / a.total_time_us, b.total_pages / max(1, a.total_pages))
-        )
+        speedup = b.total_time_us / a.total_time_us
+        pages = b.total_pages / max(1, a.total_pages)
+        rows.append(("coloring vs adapted", ds.upper(), speedup, pages, speedup))
     return ExperimentResult(
         experiment="fig8",
         caption="Fig. 8 + §VIII: MultiLogVC speedup over GraFBoost",
-        headers=["comparison", "dataset", "speedup", "page ratio"],
+        headers=["comparison", "dataset", "speedup", "page ratio", "speedup, combine before log"],
         rows=rows,
         notes=(
             "paper: pagerank avg 2.8x (4x on the larger YWS); adapted coloring 2.72x/2.67x. "
-            "larger dataset => bigger log => costlier external sort"
+            "larger dataset => bigger log => costlier external sort. "
+            "last column: not in the paper (its combine runs after the log is read back)"
         ),
     )
 

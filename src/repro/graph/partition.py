@@ -12,6 +12,7 @@ in memory, which is the property that eliminates external sorting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -56,6 +57,16 @@ class VertexIntervals:
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.boundaries)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The vertex -> interval map as one ``int32`` per vertex.
+
+        For the hot paths, where a gather beats :meth:`interval_of`'s
+        binary search twenty-fold; built on first use and shared.
+        """
+        k = self.n_intervals
+        return np.repeat(np.arange(k, dtype=np.int32), np.diff(self.boundaries))
 
     def interval_of(self, vertices: np.ndarray) -> np.ndarray:
         """Vectorised vertex-id -> interval-id map (paper's vId2IntervalMap)."""
@@ -118,6 +129,26 @@ def partition_by_update_volume(
         boundaries.append(hi)
         lo = hi
     return VertexIntervals(np.asarray(boundaries, dtype=np.int64))
+
+
+def static_partition(graph: CSRGraph, config, options=None) -> VertexIntervals:
+    """MultiLogVC's vertex intervals for ``(graph, config, options)``.
+
+    ``options.intervals`` when given, else the §V-A1 sizing rule over
+    the sort budget with ``options.min_intervals`` (``None`` means the
+    default options).  A pure function of its arguments: it is also the
+    partition the combine tree is defined over
+    (:mod:`repro.core.combine`), so the oracle and the baselines call
+    this rather than spell the rule again.
+    """
+    if options is not None and options.intervals is not None:
+        return options.intervals
+    return partition_by_update_volume(
+        graph,
+        config.memory.sort_bytes,
+        config.records.update_bytes,
+        min_intervals=1 if options is None else options.min_intervals,
+    )
 
 
 def uniform_partition(n: int, n_intervals: int) -> VertexIntervals:

@@ -69,6 +69,20 @@ KLASS_CKPT = "ckpt"
 PICKLE_PROTOCOL = 4
 
 
+def _record_state(rec) -> Dict[str, Any]:
+    """A superstep record as the payload stores it.
+
+    The payload is charged by its pickled size, so ``records_logged`` is
+    stored only where a send-side combine made it differ from
+    ``messages_sent`` -- :class:`~repro.core.results.SuperstepRecord`
+    defaults it back on load.
+    """
+    d = rec.to_dict()
+    if d["records_logged"] == d["messages_sent"]:
+        del d["records_logged"]
+    return d
+
+
 @dataclass
 class CheckpointWriteInfo:
     """What one :meth:`CheckpointManager.write` call did (for tracing)."""
@@ -116,6 +130,8 @@ class CheckpointData:
     #: Device-array overlay snapshot at the cut (DESIGN.md §14);
     #: ``None`` when the run used a single device.
     device_state: Optional[Dict[str, Any]] = None
+    #: Did the run reduce sends before logging them (DESIGN.md §15)?
+    precombine: bool = False
     _extra: Dict[str, Any] = field(default_factory=dict)
 
     # -- engine-compatibility gate ------------------------------------------
@@ -130,6 +146,7 @@ class CheckpointData:
             (self.n_vertices == engine.graph.n, "graph size"),
             (np.array_equal(self.boundaries, engine.intervals.boundaries), "interval partition"),
             (self.edgelog_enabled == engine.enable_edgelog, "edge-log setting"),
+            (self.precombine == engine.precombine, "send-side combine setting"),
             (self.uses_edge_state == bool(prog.uses_edge_state), "edge-state contract"),
         ]
         for ok, what in checks:
@@ -243,7 +260,7 @@ class CheckpointManager:
             "edge_state": edge_state,
             "fs_next_offset": self.fs.next_channel_offset,
             "rng_state": rng.bit_generator.state,
-            "records": [r.to_dict() for r in records],
+            "records": [_record_state(r) for r in records],
             "checkpoint_mode": self.mode,
         }
         blob = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
@@ -281,6 +298,10 @@ class CheckpointManager:
             # commit-page charge, so they include the checkpoint's own
             # write cost (DESIGN.md §14).
             "device_state": self.fs.device.overlay_state(),
+            # Engine-compatibility flag; on the commit page with the
+            # other cut metadata so the payload, which is charged by
+            # size, is the same bytes either way.
+            "precombine": engine.precombine,
         }
         commit_file.append_page(commit, useful_bytes=len(blob) % page_size, charge=False)
 
@@ -358,6 +379,7 @@ class CheckpointManager:
                 recovery_read_pages=read_pages,
                 recovery_read_time_us=read_time,
                 device_state=commit.get("device_state"),
+                precombine=commit.get("precombine", False),
             )
         detail = f" ({'; '.join(errors)})" if errors else ""
         raise RecoveryError(f"no valid checkpoint named {name!r} found{detail}")

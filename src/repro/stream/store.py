@@ -41,7 +41,7 @@ from ..config import SimConfig
 from ..core.batch import flatten_ranges
 from ..errors import StorageError
 from ..graph.csr import CSRGraph, csr_order
-from ..graph.partition import VertexIntervals, partition_by_update_volume
+from ..graph.partition import VertexIntervals, static_partition
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..ssd.filesystem import SimFS
@@ -115,9 +115,7 @@ class StreamStore:
         self.metrics = metrics
         self.weighted = graph.weights is not None
         if intervals is None:
-            intervals = partition_by_update_volume(
-                graph, config.memory.sort_bytes, config.records.update_bytes
-            )
+            intervals = static_partition(graph, config)
         self.intervals = intervals
         rec = config.records
         self._rowptr_files = []

@@ -4,8 +4,10 @@ Comparison levels (chosen per engine/program by the fuzzer):
 
 * ``atol=0`` -- bit-exact values.  Holds for every engine on min/max
   combine and non-combine programs, and for MultiLogVC / GraphChi /
-  GraFBoost on add-combine too (all three reduce per-destination in
-  global send order).
+  GraFBoost on add-combine too: all three, and the oracle, reduce each
+  destination over the same two-level combine tree
+  (:mod:`repro.core.combine`) -- provided the oracle was handed the
+  partition the engine ran with, which defines that tree.
 * ``atol>0`` -- ``np.allclose``-style tolerance.  Needed only for
   add-combine programs on the edge-streaming engines (GridGraph,
   XStream), whose block traversal sums contributions in a different

@@ -256,8 +256,12 @@ def build_options(case: ConformanceCase) -> Optional[EngineOptions]:
 
 
 def run_oracle(case: ConformanceCase) -> RunResult:
+    # The oracle's only input from the case's options is MultiLogVC's
+    # partition: the combine tree is defined over it (DESIGN.md §15).
+    tree = {k: v for k, v in case.options.items() if k in ("min_intervals", "intervals")}
+    options = EngineOptions(**tree) if case.engine == "multilogvc" and tree else None
     return OracleEngine(
-        build_graph(case.graph), build_program(case), build_config(case.config)
+        build_graph(case.graph), build_program(case), build_config(case.config), options=options
     ).run(max_supersteps=case.max_supersteps, seed=case.seed)
 
 
@@ -527,7 +531,7 @@ def generate_case(master_seed: int, index: int) -> ConformanceCase:
         if rng.integers(0, 2):
             options["grid_p"] = int(rng.choice([2, 3, 5]))
 
-    return ConformanceCase(
+    case = ConformanceCase(
         case_id=f"s{master_seed}-{index:03d}",
         engine=engine,
         program=program,
@@ -541,6 +545,13 @@ def generate_case(master_seed: int, index: int) -> ConformanceCase:
         seed=int(rng.integers(0, 100)),
         compare=compare,
     )
+    # Send-side combine (DESIGN.md §15): half the MultiLogVC cases keep
+    # the post-read combine only; the oracle must not be able to tell.
+    # Drawn last, so every other field of case (seed, index) is what it
+    # was before this dimension existed.
+    if engine == "multilogvc" and rng.integers(0, 2) == 0:
+        options["enable_precombine"] = False
+    return case
 
 
 def generate_cases(

@@ -14,9 +14,16 @@ Bit-exactness contract (the property the conformance fuzzer relies on):
 * outgoing updates are collected in send order; delivery stable-sorts
   by destination, so the per-destination update order equals the global
   send order -- the same order the multi-log's FIFO append/consume path
-  produces.  Named combine reductions (``reduceat`` over those slices)
-  therefore reduce in the identical float order and match MultiLogVC
-  and GraphChi to the last ulp;
+  produces;
+* a named combine is reduced over the combine tree of
+  :mod:`repro.core.combine` (per destination: runs of one source
+  interval in send order, then the partials in ascending interval
+  order), not flat in send order.  The tree is defined over
+  MultiLogVC's *static* partition -- a pure function of (graph, config,
+  ``min_intervals`` / ``intervals``), the oracle's only inputs besides
+  the program -- so float ``add`` matches MultiLogVC to the last ulp
+  whether or not the engine reduced its sends before logging them, and
+  GraphChi / GraFBoost (which use the default partition) likewise;
 * activation follows :class:`~repro.core.active.ActiveTracker` -- the
   one piece of engine machinery the oracle reuses, because it is pure
   in-memory bookkeeping and *is* the semantics being verified;
@@ -41,6 +48,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import ProgramError
 from ..graph.csr import CSRGraph
+from ..graph.partition import static_partition
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
@@ -92,9 +100,11 @@ class OracleEngine:
     """Trusted in-memory reference implementation of the engine contract.
 
     Parameters mirror the real engines so :func:`repro.run` can construct
-    it (``fs`` is accepted and ignored; there is no storage).  Only the
-    default :class:`~repro.options.EngineOptions` are meaningful -- the
-    oracle has no knobs, which is the point.
+    it (``fs`` is accepted and ignored; there is no storage).  Of
+    :class:`~repro.options.EngineOptions` only the partition
+    (``min_intervals`` / ``intervals``) is accepted: it defines the
+    combine tree and nothing else here.  The oracle has no knobs, which
+    is the point.
     """
 
     name = "oracle"
@@ -180,6 +190,7 @@ class OracleEngine:
             pending = init.messages
             active0 = np.union1d(active0, init.messages.dest.astype(np.int64))
         tracker.seed(active0)
+        tree = static_partition(graph, cfg, self.options)
 
         records: List[SuperstepRecord] = []
         converged = False
@@ -201,7 +212,9 @@ class OracleEngine:
             batch = pending.sort_by_dest()
             uniq, offsets = batch.group()
             if prog.combine is not None and uniq.shape[0]:
-                batch, uniq, offsets = combine_sorted(batch, uniq, offsets, prog.combine)
+                batch, uniq, offsets = combine_sorted(
+                    batch, uniq, offsets, prog.combine, tree
+                )
             verts = np.union1d(uniq.astype(np.int64), tracker.current_ids)
 
             outbox = _SendLog()

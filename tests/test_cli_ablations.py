@@ -62,9 +62,17 @@ class TestAblations:
         logged = [row[1] for row in r.rows]
         assert logged[0] <= logged[-1]
 
+    def test_precombine_ablation(self):
+        r = ablations.run_precombine("test", steps=8)
+        for on, off in (r.rows[0:2], r.rows[2:4]):
+            assert on[0] == off[0] and on[1] == "before log"
+            assert on[2] == off[2] == off[3]  # same sends; off logs them all
+            assert on[3] < off[3]  # fewer records reach the log
+            assert on[4] <= off[4] and on[5] <= off[5] and on[6] < off[6]
+
     def test_run_all_wrapper(self):
         results = ablations.run("test", steps=4)
-        assert len(results) == 4
+        assert len(results) == 5
         assert all(res.rows for res in results)
 
 

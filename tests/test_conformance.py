@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.multilog import MultiLogUnit
 from repro.core.update import UpdateBatch
+from repro.graph.partition import VertexIntervals
 from repro.verify import (
     ConformanceCase,
     fuzz,
@@ -56,6 +57,10 @@ def test_generated_graphs_cover_adversarial_shapes():
     scenarios = {c.scenario for c in cases}
     assert scenarios == {"plain", "resume", "crash_resume", "transient_fault"}
     assert any(c.options.get("mode") == "async" for c in cases)
+    # Send-side combine on (the default) and off, MultiLogVC only.
+    off = [c for c in cases if c.options.get("enable_precombine") is False]
+    assert off and all(c.engine == "multilogvc" for c in off)
+    assert any(c.engine == "multilogvc" and "enable_precombine" not in c.options for c in cases)
     # GraphChi's per-edge message slots require simple graphs.
     assert all(c.graph.get("dedup") for c in cases
                if c.engine == "graphchi" and c.graph["kind"] != "explicit")
@@ -99,6 +104,25 @@ def test_save_load_replay_round_trip(tmp_path):
     loaded = load_case(path)
     assert loaded.to_dict() == case.to_dict()
     assert replay_case(path).ok
+
+
+def test_seeded_tree_mutation_is_caught(monkeypatch):
+    """The combine tree is per *source interval*; reducing a fused
+    group's sends as one run per destination is a different float tree.
+    Case 104 of seed 7 (PageRank, four intervals, fused) is one of the
+    3 in 300 generated cases that can tell, and all 3 do (DESIGN.md §15)."""
+    import repro.core.engine as engine_module
+
+    case = generate_case(7, 104)
+    assert (case.program, case.options) == ("pagerank", {"min_intervals": 4})
+    assert run_case(case).ok
+    real = engine_module.precombine
+    monkeypatch.setattr(
+        engine_module, "precombine",
+        lambda batch, spec, iv: real(batch, spec, VertexIntervals(iv.boundaries[[0, -1]])),
+    )
+    outcome = run_case(case)
+    assert any("values differ" in m for m in outcome.mismatches)
 
 
 # -- the headline shrinker demo ---------------------------------------------

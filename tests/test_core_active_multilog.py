@@ -507,10 +507,8 @@ class TestAgainstReferenceModel:
             assert unit.io_time_us == model.io_time_us
         assert unit.pages_buffered == 0 and unit.total_messages == 0
 
-    def test_checkpoint_blob_lengths_golden(self):
-        """The pickled multi-log state is a simulated cost: a checkpoint is
-        charged ``len(blob) / page_size`` pages.  Lengths recorded before
-        the buffers became run lists."""
+    @staticmethod
+    def _checkpoint_blob_lengths(precombine):
         from repro.algorithms import DeltaPageRankProgram
         from repro.core.engine import MultiLogVC
         from repro.graph.datasets import small_rmat
@@ -518,11 +516,24 @@ class TestAgainstReferenceModel:
         from repro.recovery import CheckpointManager
 
         cfg = small_test_config().with_workers(1).with_io_plan("off").with_devices(1)
-        opts = EngineOptions(checkpoint_every=2, checkpoint_mode="incremental")
+        opts = EngineOptions(
+            checkpoint_every=2, checkpoint_mode="incremental", enable_precombine=precombine
+        )
         eng = MultiLogVC(small_rmat(n=256, m=2048, seed=3), DeltaPageRankProgram(), cfg, options=opts)
         eng.run(max_supersteps=8)
-        lengths = [
+        return [
             eng.fs.get(f"ckpt.{cid}.commit").read_all(charge=False)[0][-1]["length"]
             for cid in CheckpointManager.list_ids(eng.fs)
         ]
-        assert lengths == [50323, 53546, 53831, 52762]
+
+    def test_checkpoint_blob_lengths_golden(self):
+        """The pickled multi-log state is a simulated cost: a checkpoint is
+        charged ``len(blob) / page_size`` pages.  Lengths recorded before
+        the buffers became run lists -- and before sends could be reduced
+        ahead of the log, so with that off."""
+        assert self._checkpoint_blob_lengths(False) == [50323, 53546, 53831, 52762]
+
+    def test_checkpoint_blob_lengths_golden_precombine(self):
+        """With the send-side combine the logs hold one record per
+        (destination, source interval): a smaller cut (recorded at PR 20)."""
+        assert self._checkpoint_blob_lengths(True) == [11956, 13594, 13804, 14001]

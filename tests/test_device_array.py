@@ -136,9 +136,13 @@ class TestOverlay:
         assert snap["device.saved_us"] >= 0.0
 
     def test_stripe_balances_busy_clocks(self):
+        # Big enough that the log still spills with the sends reduced
+        # before it (on GRAPH() the whole run then fits the buffer and
+        # two devices' worth of CSR pages is all the traffic there is).
         cfg = small_test_config().with_devices(4, "stripe")
-        eng = MultiLogVC(GRAPH(), DeltaPageRankProgram(), cfg)
-        eng.run(8, seed=0)
+        eng = MultiLogVC(small_rmat(n=1024, m=16384, seed=3), DeltaPageRankProgram(), cfg)
+        res = eng.run(8, seed=0)
+        assert res.pages_written >= 4 * cfg.ssd.channels  # a stripe cycle per device
         busy = eng.fs.device.device_busy_us
         assert (busy > 0).sum() == 4  # every device saw traffic
 

@@ -136,6 +136,13 @@ class TestFig8:
         r = fig8_grafboost.run(SCALE, DATASETS, config=self._tight_config())
         kinds = {row[0] for row in r.rows}
         assert len(kinds) == 2
+        # The extension column: combining before the log only helps, and
+        # only where there is a combine.
+        for row in r.rows:
+            if row[0].startswith("pagerank"):
+                assert row[4] > row[2], row
+            else:
+                assert row[4] == row[2], row
 
 
 class TestFig9:

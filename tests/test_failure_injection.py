@@ -304,8 +304,20 @@ class TestInjectedFaults:
 
     def test_torn_write_on_multilog_flush(self, cfg):
         """A torn multi-log flush persists a strict prefix, then crashes."""
-        eng = _pagerank_engine(cfg)
-        eng.fs.device.install_faults(FaultPlan.torn_write_after(1, seed=5, klass="mlog"))
+        from repro.algorithms import DeltaPageRankProgram
+        from repro.graph.datasets import small_rmat
+
+        def engine():
+            return MultiLogVC(small_rmat(n=1024, m=16384, seed=3), DeltaPageRankProgram(), cfg)
+
+        # How many flushes a run has depends on what reaches the log (a
+        # send-side combine leaves few): count them, tear the middle one.
+        flushes = engine().run(8).stats.writes["mlog"].batches
+        assert flushes >= 2
+        eng = engine()
+        eng.fs.device.install_faults(
+            FaultPlan.torn_write_after(flushes // 2, seed=5, klass="mlog")
+        )
         with pytest.raises(SimulatedCrashError) as exc_info:
             eng.run(8)
         assert exc_info.value.pages_persisted >= 0

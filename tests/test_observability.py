@@ -165,12 +165,22 @@ class TestMetrics:
         assert res.metrics["multilog.mlog.a.appended"] >= 0
 
     def test_metrics_reconcile_with_records(self, cfg, rmat256):
-        res = run_engine("multilogvc", cfg, rmat256, pagerank())
-        sent = sum(r.messages_sent for r in res.supersteps)
-        appended = res.metrics["multilog.mlog.a.appended"] + res.metrics["multilog.mlog.b.appended"]
-        # Every sent message was appended to one of the two generations
-        # (seed messages land before superstep 0's record).
-        assert appended >= sent
+        from repro.algorithms import BFSProgram, CommunityDetectionProgram
+
+        # (program, seed records logged before superstep 0's record,
+        #  does a send-side combine shrink what is logged?)
+        for program, seeds, reduces in (
+            (pagerank(), 0, True),
+            (BFSProgram(0), 1, True),
+            (CommunityDetectionProgram(), 0, False),
+        ):
+            res = run_engine("multilogvc", cfg, rmat256, program)
+            appended = sum(res.metrics[f"multilog.mlog.{u}.appended"] for u in "ab")
+            # Every logged record sits in one of the two generations.
+            assert appended == sum(r.records_logged for r in res.supersteps) + seeds
+            assert all(r.records_logged <= r.messages_sent for r in res.supersteps)
+            shrunk = any(r.records_logged < r.messages_sent for r in res.supersteps)
+            assert shrunk == reduces, program.name
 
     def test_explicit_registry(self, cfg, rmat256):
         reg = MetricsRegistry()

@@ -221,28 +221,46 @@ def test_no_host_threads():
 #: ``parallel_stats`` after the last superstep of an 8-step unfused
 #: rmat256 run, recorded at the last commit that still had the
 #: speculate/commit thread pool (PR 11, 7979046) -- the lane model must
-#: reproduce the pool's overlap accounting to the bit.
+#: reproduce the pool's overlap accounting to the bit.  Those runs
+#: combined after the log round trip only, i.e. ``enable_precombine``
+#: off; the send-side combine moves every charge, so it has its own
+#: constants (recorded at PR 20) beside them.
 GOLDEN_PARALLEL_STATS = {
     ("pagerank", 2): (40, 9819.634807515014, 4283.989710981325, 10975.645096533692),
     ("pagerank", 4): (40, 9819.634807515016, 6333.341019830063, 8926.293787684954),
     ("sssp", 2): (36, 10386.281573149725, 4094.000441578751, 8802.281131570973),
     ("sssp", 4): (36, 10386.281573149725, 6136.349754860232, 6759.931818289495),
 }
+GOLDEN_PARALLEL_STATS_PRECOMBINE = {
+    ("pagerank", 2): (40, 7694.5567836853415, 3187.8433251772717, 6346.71345850807),
+    ("pagerank", 4): (40, 7694.556783685343, 4770.126942523971, 4764.42984116137),
+    ("sssp", 2): (36, 9767.22408296527, 3799.4227877093986, 7577.801295255869),
+    ("sssp", 4): (36, 9767.22408296527, 5685.9322450710615, 5691.291837894206),
+}
+
+
+def _last_parallel_stats(alg, workers, precombine):
+    weighted = alg == "sssp"
+    prog = SSSPProgram(0) if weighted else DeltaPageRankProgram()
+    tracer = TraceRecorder()
+    opts = EngineOptions(min_intervals=4, enable_fusing=False, enable_precombine=precombine)
+    MultiLogVC(
+        small_rmat(n=256, m=2048, seed=3, weighted=weighted), prog,
+        small_test_config().with_workers(workers), options=opts, tracer=tracer,
+    ).run(8, seed=0)
+    last = [e.fields for e in tracer.events if e.kind == "parallel_stats"][-1]
+    return tuple(last[k] for k in ("groups", "spec_us", "saved_us", "makespan_us"))
 
 
 @pytest.mark.parametrize("alg,workers", sorted(GOLDEN_PARALLEL_STATS))
 def test_parallel_stats_golden(alg, workers):
-    weighted = alg == "sssp"
-    prog = SSSPProgram(0) if weighted else DeltaPageRankProgram()
-    tracer = TraceRecorder()
-    MultiLogVC(
-        small_rmat(n=256, m=2048, seed=3, weighted=weighted), prog,
-        small_test_config().with_workers(workers),
-        options=EngineOptions(min_intervals=4, enable_fusing=False), tracer=tracer,
-    ).run(8, seed=0)
-    last = [e.fields for e in tracer.events if e.kind == "parallel_stats"][-1]
-    got = tuple(last[k] for k in ("groups", "spec_us", "saved_us", "makespan_us"))
-    assert got == GOLDEN_PARALLEL_STATS[(alg, workers)]
+    assert _last_parallel_stats(alg, workers, False) == GOLDEN_PARALLEL_STATS[(alg, workers)]
+
+
+@pytest.mark.parametrize("alg,workers", sorted(GOLDEN_PARALLEL_STATS))
+def test_parallel_stats_golden_precombine(alg, workers):
+    got = _last_parallel_stats(alg, workers, True)
+    assert got == GOLDEN_PARALLEL_STATS_PRECOMBINE[(alg, workers)]
 
 
 class TestNumWorkersKnob:
@@ -297,6 +315,7 @@ NON_DEFAULT_SAMPLES = {
     "mode": "async",
     "enable_edgelog": False,
     "enable_fusing": False,
+    "enable_precombine": False,
     "min_intervals": 4,
     "intervals": VertexIntervals(np.array([0, 128, 256])),
     "adapted": True,

@@ -188,10 +188,14 @@ class TestCheckpointDurability:
 
 class TestResumeFacade:
     def _checkpoint_from_crash(self, cfg, tmp_path):
-        eng = MultiLogVC(
-            GRAPH(), DeltaPageRankProgram(), cfg, options=EngineOptions(checkpoint_every=2)
+        opts = EngineOptions(checkpoint_every=2)
+        # The crash op comes from a counted dry run, not a constant:
+        # how many device batches a run issues moves with the engine.
+        total_ops, _ = count_device_ops(
+            GRAPH, DeltaPageRankProgram, config=cfg, options=opts, max_supersteps=8
         )
-        eng.fs.device.install_faults(FaultPlan.crash_after(40))
+        eng = MultiLogVC(GRAPH(), DeltaPageRankProgram(), cfg, options=opts)
+        eng.fs.device.install_faults(FaultPlan.crash_after(total_ops // 2))
         with pytest.raises(SimulatedCrashError):
             eng.run(8)
         ckpt = CheckpointManager.load_latest(eng.fs)

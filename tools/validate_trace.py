@@ -36,7 +36,12 @@ Checks, in order:
    counters (ops/serial_us/array_us/saved_us) that never decrease
    within a run segment -- the array's overlay clocks accumulate for
    the run's lifetime, so a drop means overlay state was silently
-   reset.
+   reset;
+10. ``superstep_end`` events carry non-negative integer
+    ``messages_sent`` and ``records_logged`` with ``records_logged <=
+    messages_sent`` -- the log never holds more records than the
+    program sent; it holds fewer only where a send-side combine reduced
+    them first (DESIGN.md §15).
 
 Any violation prints the offending line number and exits non-zero.
 
@@ -92,6 +97,9 @@ PLANNER_MODES = IO_PLAN_MODES[1:]
 
 #: ``device_stats`` fields that must be non-decreasing within a segment.
 DEVICE_COUNTERS = ("ops", "serial_us", "array_us", "saved_us")
+
+#: ``superstep_end`` send counts: non-negative integers, logged <= sent.
+SEND_FIELDS = ("messages_sent", "records_logged")
 
 
 def validate_file(path: Path) -> list:
@@ -256,6 +264,18 @@ def validate_file(path: Path) -> list:
                         f"starting at line {segment_start}"
                     )
                 last_seq = ev["seq"]
+        if kind == "superstep_end":
+            counts = [ev.get(field) for field in SEND_FIELDS]
+            if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts):
+                errors.append(
+                    f"{path}:{lineno}: superstep_end missing/negative/non-integer "
+                    f"{' / '.join(SEND_FIELDS)}"
+                )
+            elif counts[1] > counts[0]:
+                errors.append(
+                    f"{path}:{lineno}: superstep_end logged more records than were "
+                    f"sent (records_logged {counts[1]} > messages_sent {counts[0]})"
+                )
         if kind == "compaction":
             for field in COMPACTION_FIELDS:
                 cur = ev.get(field)
