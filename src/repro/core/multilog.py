@@ -38,7 +38,7 @@ from ..graph.partition import VertexIntervals
 from ..mem.budget import MemoryBudget
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..ssd.file import PageFile
+from ..ssd.file import PageFile, striped_write
 from ..ssd.filesystem import SimFS
 from .active import ActiveTracker
 from .update import UPDATE_DTYPES, UpdateBatch, stable_argsort_bounded
@@ -251,8 +251,7 @@ class MultiLogUnit:
         pages = [(d[p : p + rpp], s[p : p + rpp], x[p : p + rpp]) for p in range(0, n, rpp)]
         useful = [len(p[0]) * self.config.records.update_bytes for p in pages]
         f = self._file(i)
-        ids, _ = f.append_pages(pages, useful_bytes=useful, charge=False)
-        return f, ids
+        return f, f.stage(pages, useful)
 
     def _evict(self) -> None:
         """Flush buffered pages to flash until the high watermark holds.
@@ -280,22 +279,13 @@ class MultiLogUnit:
                     break
                 staged.append(self._flush(i, fill[i]))
         if staged:
-            channels = np.concatenate([f.channels_of(ids) for f, ids in staged])
-            # devices_of is None for every file on a single device, a
-            # full per-page vector on an array -- never mixed.
-            devices = [f.devices_of(ids) for f, ids in staged]
-            devices = None if devices[0] is None else np.concatenate(devices)
-            t = self.fs.device.write_batch(channels, KLASS_MLOG, devices=devices)
+            t = striped_write(staged, KLASS_MLOG)
+            pages = sum(int(ids.size) for _, ids in staged)
             self.io_time_us += t
             self.flushes += 1
-            self.flushed_pages += int(channels.shape[0])
+            self.flushed_pages += pages
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "mlog_flush",
-                    unit=self.name,
-                    pages=int(channels.shape[0]),
-                    time_us=t,
-                )
+                self.tracer.emit("mlog_flush", unit=self.name, pages=pages, time_us=t)
 
     # -- consumption (sort-and-group read path) ----------------------------------------
 

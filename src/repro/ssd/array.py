@@ -31,7 +31,7 @@ Placement is deterministic and derived, never stored:
   each device and the base follows the file's channel offset, which the
   checkpoint already records (resume restores placement for free).
 * ``"affinity"`` (the default): files created with an interval-affinity
-  hint (multi-log interval logs, stream update/delta logs) land whole on
+  hint (multi-log interval logs, stream interval logs) land whole on
   device ``interval % N`` so each log stays sequential on one device;
   everything else (CSR images, edge log, checkpoints) stripes as above.
 

@@ -21,7 +21,7 @@ offset -- the paper's §V-A3 log placement.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,13 +69,8 @@ class SimFileBase:
         return self.device.place(page_ids, self.channel_offset, self.device_affinity)
 
     def _charge_read(self, page_ids: np.ndarray, klass: Optional[str] = None, plan=None) -> float:
-        """Charge a page-read batch, serving cache hits from DRAM.
-
-        Without a cache this is exactly ``device.read_batch`` over all
-        pages.  With one, hits cost nothing and only the missed pages'
-        channels are submitted -- an all-hit batch skips the device
-        entirely (no batch overhead, no fault check), which is how a
-        real buffer cache avoids touching the block layer.
+        """Charge a page-read batch, serving cache hits from DRAM
+        (:func:`striped_read` over this one file).
 
         With ``plan`` (an :class:`~repro.io.plan.IOPlan`), the demand is
         queued for coalesced dispatch instead of charged here; the plan
@@ -86,12 +81,7 @@ class SimFileBase:
         ids = np.asarray(page_ids, dtype=np.int64)
         if plan is not None:
             return plan.add(self, ids, klass or self.klass)
-        cache = self.cache
-        if cache is not None and ids.size:
-            ids = ids[cache.access(self.name, ids)]
-        return self.device.read_batch(
-            self.channels_of(ids), klass or self.klass, devices=self.devices_of(ids)
-        )
+        return striped_read([(self, ids)], klass or self.klass)
 
     def _admit_written(self, page_ids: np.ndarray) -> None:
         """Write-allocate freshly written pages (write-through charging).
@@ -128,58 +118,36 @@ class PageFile(SimFileBase):
 
     def append_page(self, payload: Any, useful_bytes: Optional[int] = None, charge: bool = True) -> Tuple[int, float]:
         """Append one page; returns ``(page_id, simulated_write_us)``."""
-        page_id = len(self._payloads)
-        self._payloads.append(payload)
-        self._useful.append(self.device.page_size if useful_bytes is None else int(useful_bytes))
-        t = 0.0
-        if charge:
-            one = np.array([page_id], dtype=np.int64)
-            try:
-                t = self.device.write_batch(
-                    self.channels_of(one), self.klass, devices=self.devices_of(one)
-                )
-            except SimulatedCrashError:
-                # Torn write: the single page did not survive the power cut.
-                del self._payloads[page_id:]
-                del self._useful[page_id:]
-                raise
-        self._admit_written(np.array([page_id], dtype=np.int64))
-        return page_id, t
+        useful = None if useful_bytes is None else [useful_bytes]
+        ids, t = self.append_pages([payload], useful, charge)
+        return int(ids[0]), t
+
+    def stage(self, payloads: List[Any], useful_bytes: Optional[List[int]] = None) -> np.ndarray:
+        """Append pages without charging or caching them; returns their ids.
+
+        Staged pages are written by :func:`striped_write`, which charges
+        the staged pages of one or several files as one device batch.
+        """
+        if useful_bytes is None:
+            useful_bytes = [self.device.page_size] * len(payloads)
+        elif len(useful_bytes) != len(payloads):
+            raise StorageError("useful_bytes length mismatch")
+        start = len(self._payloads)
+        self._payloads.extend(payloads)
+        self._useful.extend(int(b) for b in useful_bytes)
+        return np.arange(start, len(self._payloads), dtype=np.int64)
 
     def append_pages(self, payloads: List[Any], useful_bytes: Optional[List[int]] = None, charge: bool = True) -> Tuple[np.ndarray, float]:
         """Append several pages as one write batch."""
         if not payloads:
             return np.empty(0, dtype=np.int64), 0.0
-        start = len(self._payloads)
-        self._payloads.extend(payloads)
-        if useful_bytes is None:
-            self._useful.extend([self.device.page_size] * len(payloads))
-        else:
-            if len(useful_bytes) != len(payloads):
-                raise StorageError("useful_bytes length mismatch")
-            self._useful.extend(int(b) for b in useful_bytes)
-        ids = np.arange(start, len(self._payloads), dtype=np.int64)
+        ids = self.stage(payloads, useful_bytes)
         if not charge:
-            # Uncharged appends (the multi-log evictor batches its own
-            # device charge) still populate the cache: the pages are in
-            # DRAM the moment they are staged for writing.
+            # Uncharged appends (a checkpoint's commit page, whose write
+            # the checkpoint charges itself) still populate the cache.
             self._admit_written(ids)
             return ids, 0.0
-        try:
-            t = self.device.write_batch(
-                self.channels_of(ids), self.klass, devices=self.devices_of(ids)
-            )
-        except SimulatedCrashError as crash:
-            # Torn write: only the first pages_persisted pages of this
-            # batch made it to flash.  Keep that strict prefix so
-            # post-crash inspection (and recovery) sees what a real
-            # append-only log would contain.
-            keep = start + max(0, crash.pages_persisted)
-            del self._payloads[keep:]
-            del self._useful[keep:]
-            raise
-        self._admit_written(ids)
-        return ids, t
+        return ids, striped_write([(self, ids)], self.klass)
 
     # -- reads -----------------------------------------------------------
 
@@ -235,6 +203,68 @@ class PageFile(SimFileBase):
         del self._useful[n:]
         if self.cache is not None:
             self.cache.invalidate_file(self.name)
+
+
+# -- multi-file batches ------------------------------------------------------
+#
+# ``parts`` is a list of ``(file, page ids)``; a batch's channel and device
+# vectors are the parts' concatenated in list order.
+
+
+def _vectors(parts: List[Tuple[SimFileBase, np.ndarray]]) -> tuple:
+    channels = np.concatenate([f.channels_of(ids) for f, ids in parts])
+    # devices_of is None for every file on a single device, a full
+    # per-page vector on an array -- never mixed.
+    devices = [f.devices_of(ids) for f, ids in parts]
+    return channels, None if devices[0] is None else np.concatenate(devices)
+
+
+def striped_read(parts: List[Tuple[SimFileBase, np.ndarray]], klass: str) -> float:
+    """Charge page reads across one or several files as **one** batch.
+
+    Cache hits cost nothing and only the missed pages' channels are
+    submitted -- an all-hit batch skips the device entirely (no batch
+    overhead, no fault check), which is how a real buffer cache avoids
+    touching the block layer.
+    """
+    if not parts:
+        return 0.0
+    parts = [
+        (f, ids[f.cache.access(f.name, ids)] if f.cache is not None and ids.size else ids)
+        for f, ids in parts
+    ]
+    channels, devices = _vectors(parts)
+    return parts[0][0].device.read_batch(channels, klass, devices=devices)
+
+
+def striped_write(parts: List[Tuple[PageFile, np.ndarray]], klass: str) -> float:
+    """Charge pages staged on one or several page files as **one** write batch.
+
+    The write stripes over every channel (and device) at once -- the
+    paper's §V-A3 concurrent log eviction.  A torn write persists a
+    prefix of the concatenated vector, so each file keeps exactly its
+    share of that prefix, in part order; written pages are then admitted
+    to the cache (write-allocate, the write itself charged in full).
+    """
+    if not parts:
+        return 0.0
+    channels, devices = _vectors(parts)
+    try:
+        t = parts[0][0].device.write_batch(channels, klass, devices=devices)
+    except SimulatedCrashError as crash:
+        left = max(0, crash.pages_persisted)
+        lost: Dict[PageFile, int] = {}
+        for f, ids in parts:
+            kept = min(left, int(ids.size))
+            left -= kept
+            lost[f] = lost.get(f, 0) + int(ids.size) - kept
+        for f, n in lost.items():
+            if n:
+                f.truncate_to(f.n_pages - n)
+        raise
+    for f, ids in parts:
+        f._admit_written(ids)
+    return t
 
 
 def pages_for_ranges(

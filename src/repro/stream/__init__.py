@@ -2,10 +2,10 @@
 
 MultiLogVC's log-structured multi-log layout is a natural substrate for
 *evolving* graphs: edge insertions and deletions arrive as timestamped
-records, are buffered in per-interval append-only update logs on the
-simulated SSD (:class:`UpdateLog`), merged into the on-flash graph as
-delta pages with tombstones for deletions (:class:`StreamStore`,
-compacted when garbage exceeds a threshold), and analytics are kept
+records, are appended to per-interval logs on the simulated SSD whose
+applied prefix is the graph's delta log, with tombstones for deletions
+(:class:`StreamStore`, compacted when garbage exceeds a threshold), and
+analytics are kept
 fresh by incremental recomputation -- warm-starting the engine from the
 previous converged values and seeding only the vertices touched by the
 delta (:mod:`repro.stream.incremental`), with a full-recompute fallback
@@ -19,7 +19,6 @@ from .delta import EdgeDelta, random_delta
 from .incremental import descendants, minprop_warm_start
 from .session import RecomputeResult, StreamSession
 from .store import StreamStore
-from .updatelog import UpdateLog
 
 __all__ = [
     "EdgeDelta",
@@ -29,5 +28,4 @@ __all__ = [
     "RecomputeResult",
     "StreamSession",
     "StreamStore",
-    "UpdateLog",
 ]

@@ -113,20 +113,17 @@ class EdgeDelta:
     def by_interval(self, intervals: VertexIntervals) -> Iterator[tuple]:
         """Bucket the batch by source-vertex interval.
 
-        Yields ``(i, rows, part)`` for each interval that owns a record,
-        ascending: ``rows`` are the batch positions of its records and
-        ``part`` the records themselves, both in arrival order (one
+        Yields ``(i, part)`` for each interval that owns a record,
+        ascending, ``part`` holding its records in arrival order (one
         stable sort by interval, sliced per bucket).
         """
         iv = intervals.interval_of(self.src)
         k = intervals.n_intervals
-        order = stable_argsort_bounded(iv, k)
-        bucketed = self.take(order)
+        bucketed = self.take(stable_argsort_bounded(iv, k))
         counts = np.bincount(iv, minlength=k)
         stops = np.cumsum(counts)
         for i in np.flatnonzero(counts).tolist():
-            rows = slice(int(stops[i] - counts[i]), int(stops[i]))
-            yield i, order[rows], bucketed.take(rows)
+            yield i, bucketed.take(slice(int(stops[i] - counts[i]), int(stops[i])))
 
     def validate(self, n: int) -> None:
         """Check all endpoints lie in ``[0, n)``."""

@@ -3,8 +3,8 @@
 :class:`StreamSession` ties the pieces together:
 
 * a :class:`~repro.stream.store.StreamStore` on the session's own
-  simulated SSD holds the evolving graph (base CSR shards + delta
-  pages + the multi-log-style ingest log);
+  simulated SSD holds the evolving graph (base CSR shards + one
+  multi-log-style update log per interval);
 * :meth:`ingest` buffers update batches durably, :meth:`apply_updates`
   merges them, :meth:`recover` replays the commit log after a
   simulated power cut;
@@ -190,6 +190,9 @@ class StreamSession:
         self._full_runs = 0
         self.metrics.gauge("stream.incremental_runs", lambda: self._incremental_runs)
         self.metrics.gauge("stream.full_runs", lambda: self._full_runs)
+        if self.fs.device.num_devices > 1:
+            # The store SSD's array overlay (DESIGN.md §14).
+            self.fs.device.register_metrics(self.metrics)
 
     # -- trace segments ----------------------------------------------------
 

@@ -1,38 +1,40 @@
-"""The on-flash evolving-graph store: base CSR + delta pages + tombstones.
+"""The on-flash evolving-graph store: base CSR + one update log per interval.
 
 Layout (DESIGN.md §12).  Each vertex interval ``i`` owns
 
 * ``stream.i{i}.rowptr/.col/.val`` -- the interval's *base* CSR
   (:class:`~repro.ssd.file.ArrayFile`, page-exact charging), rebuilt at
   compaction;
-* ``stream.i{i}.delta`` -- an append-only :class:`PageFile` of update
-  records merged from the ingest log: inserts append live edges,
-  deletes append tombstones that kill every live instance of their
-  ``(src, dst)`` pair (base or previously inserted);
-* ``stream.ulog.i{i}`` -- the ingest-side :class:`UpdateLog`.
+* ``stream.i{i}.log`` -- an append-only :class:`PageFile` of the update
+  records whose source lies in the interval, packed per batch and
+  tagged with the batch sequence number.  The prefix up to the last
+  applied batch *is* the interval's delta log -- inserts are live
+  edges, deletes tombstones that killed every live instance of their
+  ``(src, dst)`` pair (base or previously inserted) -- and the suffix
+  past it is the batches still pending.
 
 ``stream.meta`` is the commit log: an ``ingest`` marker seals each
-batch's update-log pages, an ``applied`` marker seals its delta pages.
-Pages are tagged with the batch sequence number and sequence numbers
-only grow, so recovery after a simulated power cut is three suffix
-trims (meta tail is self-sealing, update log and delta logs trim to the
-respective markers) followed by a deterministic host-index replay --
-see :meth:`StreamStore.recover`.
+batch's log pages (written before it as one striped batch across every
+touched interval), an ``applied`` marker moves the pending/applied
+boundary.  Sequence numbers only grow within a log, so recovery after a
+simulated power cut is one suffix trim per log (pages past the last
+``ingest`` marker) followed by a deterministic host-index replay of the
+applied prefix -- see :meth:`StreamStore.recover`.
 
 Compaction.  A delete leaves its victim's bytes on flash (dead base or
-delta records) plus its own tombstone record.  When that garbage
+logged records) plus its own tombstone record.  When that garbage
 exceeds ``SimConfig.stream_compact_threshold`` of an interval's
 records, the interval is compacted: surviving edges are read, rewritten
-as a fresh base CSR, and the delta log truncated.  All device charges
-happen *before* the host-state swap, so a crash mid-compaction leaves
-the old state fully intact; the swap plus truncate are free host
-operations, after which durable state is already consistent -- no meta
-record needed.
+as a fresh base CSR, and the (fully applied) log truncated.  The reads
+happen *before* the host-state swap, and the swap plus truncate are
+free host operations after which durable state is already consistent
+-- no meta record needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -44,16 +46,27 @@ from ..graph.csr import CSRGraph, csr_order
 from ..graph.partition import VertexIntervals, static_partition
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
+from ..ssd.file import striped_read, striped_write
 from ..ssd.filesystem import SimFS
 from .delta import OP_DELETE, RECORD_BYTES, EdgeDelta, record_pages
-from .updatelog import UpdateLog
 
 #: Storage classes of the stream store's files.
 KLASS_ROW = "stream_row"
 KLASS_COL = "stream_col"
 KLASS_VAL = "stream_val"
-KLASS_DELTA = "stream_delta"
+KLASS_LOG = "ulog"
 KLASS_META = "stream_meta"
+
+
+def _durable(pages: list, seq: int) -> int:
+    """How many leading log pages belong to batches ``<= seq``.
+
+    Sequence numbers only grow within a log, so the rest is a suffix.
+    """
+    n = len(pages)
+    while n and pages[n - 1][0] > seq:
+        n -= 1
+    return n
 
 
 @dataclass
@@ -61,7 +74,7 @@ class _IntervalIndex:
     """Host-side index of one interval's live/dead records.
 
     Purely derived state: rebuilt at recovery by replaying the
-    interval's (durable) delta pages over its base CSR.  ``base_alive``
+    interval's applied log pages over its base CSR.  ``base_alive``
     aligns with the base ``col`` file, ``d_*`` with the logged inserts.
     """
 
@@ -121,7 +134,7 @@ class StreamStore:
         self._rowptr_files = []
         self._col_files = []
         self._val_files = []
-        self._delta_files = []
+        self._logs = []
         self._index: List[_IntervalIndex] = []
         for i, lo, hi in intervals:
             local_rowptr = graph.rowptr[lo : hi + 1] - graph.rowptr[lo]
@@ -137,16 +150,18 @@ class StreamStore:
                 self._val_files.append(
                     fs.create_array_file(f"{name}.i{i}.val", KLASS_VAL, val, rec.weight_bytes)
                 )
-            self._delta_files.append(
-                fs.create_page_file(f"{name}.i{i}.delta", KLASS_DELTA, affinity=i)
-            )
+            # affinity=i: under a device array's "affinity" placement each
+            # interval's log lands whole on one device (DESIGN.md §14).
+            self._logs.append(fs.create_page_file(f"{name}.i{i}.log", KLASS_LOG, affinity=i))
             self._index.append(_IntervalIndex(base_alive=np.ones(col.size, dtype=bool)))
         self._meta = fs.create_page_file(f"{name}.meta", KLASS_META)
-        self.ulog = UpdateLog(fs, intervals, config, name=f"{name}.ulog")
         self.records_per_page = max(1, config.ssd.page_size // RECORD_BYTES)
         # Commit-point state (mirrors the durable meta log).
         self.last_ingested = 0
         self.last_applied = 0
+        #: Per log, how many leading pages are applied (its delta log);
+        #: the pages past it are pending.
+        self._applied = [0] * intervals.n_intervals
         # Lifetime tallies behind the ``stream.*`` gauges; reset to the
         # durable state's replay at recovery.
         self.batches_ingested = 0
@@ -156,7 +171,6 @@ class StreamStore:
         self.deletes_applied = 0
         self.noop_deletes = 0
         self.ulog_pages_written = 0
-        self.delta_pages_written = 0
         self.compactions = 0
         self.ingest_io_us = 0.0
         self.apply_io_us = 0.0
@@ -175,7 +189,9 @@ class StreamStore:
         reg.gauge("stream.deletes_applied", lambda: self.deletes_applied)
         reg.gauge("stream.noop_deletes", lambda: self.noop_deletes)
         reg.gauge("stream.ulog_pages_written", lambda: self.ulog_pages_written)
-        reg.gauge("stream.delta_pages_written", lambda: self.delta_pages_written)
+        # Always 0: a merge writes no delta copy, the applied log prefix
+        # is the delta log.  Kept registered for readers keyed on it.
+        reg.gauge("stream.delta_pages_written", lambda: 0)
         reg.gauge("stream.compactions", lambda: self.compactions)
         reg.gauge("stream.live_edges", self.live_edges)
         reg.gauge("stream.garbage_records", lambda: sum(ix.garbage_records for ix in self._index))
@@ -201,21 +217,31 @@ class StreamStore:
     # -- ingestion --------------------------------------------------------
 
     def ingest(self, delta: EdgeDelta) -> Dict[str, float]:
-        """Buffer one update batch in the per-interval logs (durable).
+        """Append one update batch to the per-interval logs (durable).
 
-        The batch is committed -- guaranteed to survive a crash -- once
-        the meta log's ``ingest`` marker lands; a crash before that
-        leaves no trace of it after :meth:`recover`.
+        The batch is bucketed by source interval and every touched
+        log's pages are written as **one** striped batch -- the
+        multi-log's concurrent eviction (paper §V-A3).  The batch is
+        committed -- guaranteed to survive a crash -- once the meta
+        log's ``ingest`` marker, a separate later write, lands; a crash
+        before that leaves no trace of it after :meth:`recover`.
         """
         delta.validate(self.n)
         seq = self.last_ingested + 1
-        s = self.ulog.append_batch(delta, seq)
+        staged = []
+        for i, part in delta.by_interval(self.intervals):
+            payloads, useful = record_pages(
+                seq, (part.op, part.src, part.dst, part.w, part.ts), self.records_per_page
+            )
+            staged.append((self._logs[i], self._logs[i].stage(payloads, useful)))
+        pages = sum(int(ids.size) for _, ids in staged)
+        io_us = striped_write(staged, KLASS_LOG)
         _, t_meta = self._meta.append_page(("ingest", seq), useful_bytes=16)
-        io_us = s["io_us"] + t_meta
+        io_us += t_meta
         self.last_ingested = seq
         self.batches_ingested += 1
         self.records_ingested += delta.n
-        self.ulog_pages_written += int(s["pages"])
+        self.ulog_pages_written += pages
         self.ingest_io_us += io_us
         if self.tracer.enabled:
             self.tracer.emit(
@@ -225,73 +251,75 @@ class StreamStore:
                 records=delta.n,
                 adds=delta.n_adds,
                 deletes=delta.n_deletes,
-                pages=int(s["pages"]),
+                pages=pages,
                 io_us=io_us,
             )
-        return {"seq": seq, "records": delta.n, "pages": int(s["pages"]), "io_us": io_us}
+        return {"seq": seq, "records": delta.n, "pages": pages, "io_us": io_us}
 
     # -- merge ------------------------------------------------------------
 
     def apply_updates(self) -> Dict[str, float]:
         """Merge every committed-but-unapplied batch into the graph.
 
-        Deterministic: batches merge in sequence order, records in
-        arrival order.  Each batch's delta pages are sealed by an
-        ``applied`` meta marker before the next batch starts; the
-        consumed update-log pages are reclaimed at the end.  Compaction
-        runs last, once per interval over threshold.
+        The pending suffix of every log is read back as **one** batch.
+        Batches then merge in sequence order -- each one's per-interval
+        runs folded into the host index, intervals ascending, records in
+        arrival order -- and each is sealed by an ``applied`` meta
+        marker, the only page a merge writes: the log pages themselves
+        become the delta log.  Compaction runs last, once per interval
+        over threshold.
 
         After a :class:`~repro.errors.SimulatedCrashError` the host
         index may be ahead of or behind flash -- call :meth:`recover`
         before touching the store again.
         """
-        pending, read_io, _ = self.ulog.read_pending(self.last_applied)
+        pending = [
+            (f, np.arange(a, f.n_pages, dtype=np.int64)) for f, a in zip(self._logs, self._applied)
+        ]
+        read_io = striped_read(pending, KLASS_LOG)
+        self.apply_io_us += read_io
+        runs: Dict[int, list] = {}  # seq -> [(interval, records)], intervals ascending
+        for i, (f, ids) in enumerate(pending):
+            for seq, run in groupby(f.read_pages(ids, charge=False)[0], key=lambda p: p[0]):
+                part = EdgeDelta.concat(EdgeDelta(*p[1:]) for p in run)
+                runs.setdefault(seq, []).append((i, part))
         stats = {
             "batches": 0, "inserts": 0, "deletes": 0, "noop_deletes": 0,
-            "pages": 0, "io_us": read_io, "compactions": 0,
+            "io_us": read_io, "compactions": 0,
         }
-        self.apply_io_us += read_io
-        for seq, delta in pending:
-            b = self._apply_one(seq, delta)
+        for seq in range(self.last_applied + 1, self.last_ingested + 1):
+            b = self._apply_one(seq, runs.get(seq, []))
             stats["batches"] += 1
-            for k in ("inserts", "deletes", "noop_deletes", "pages", "io_us"):
+            for k in ("inserts", "deletes", "noop_deletes", "io_us"):
                 stats[k] += b[k]
-        self.ulog.truncate_all()
+        self._applied = [f.n_pages for f in self._logs]
         stats["compactions"] = self.compact_if_needed()
         return stats
 
-    def _apply_one(self, seq: int, delta: EdgeDelta) -> Dict[str, float]:
-        out = {"inserts": 0, "deletes": 0, "noop_deletes": 0, "pages": 0, "io_us": 0.0}
-        for i, _, part in delta.by_interval(self.intervals):
-            payloads, useful = record_pages(
-                seq, (part.op, part.src, part.dst, part.w, part.ts), self.records_per_page
-            )
-            ids, t = self._delta_files[i].append_pages(payloads, useful)
-            out["pages"] += int(ids.size)
-            out["io_us"] += t
+    def _apply_one(self, seq: int, runs: list) -> Dict[str, float]:
+        out = {"inserts": 0, "deletes": 0, "noop_deletes": 0, "io_us": 0.0}
+        for i, part in runs:
             ins, dels, noops = self._apply_rows(i, part)
             out["inserts"] += ins
             out["deletes"] += dels
             out["noop_deletes"] += noops
-        _, t_meta = self._meta.append_page(("applied", seq), useful_bytes=16)
-        out["io_us"] += t_meta
+        _, out["io_us"] = self._meta.append_page(("applied", seq), useful_bytes=16)
         self.last_applied = seq
         self.batches_applied += 1
         self.inserts_applied += out["inserts"]
         self.deletes_applied += out["deletes"]
         self.noop_deletes += out["noop_deletes"]
-        self.delta_pages_written += out["pages"]
         self.apply_io_us += out["io_us"]
         if self.tracer.enabled:
             self.tracer.emit(
                 "ingest_stats",
                 phase="apply",
                 seq=seq,
-                records=delta.n,
+                records=sum(part.n for _, part in runs),
                 inserts=out["inserts"],
                 deletes=out["deletes"],
                 noop_deletes=out["noop_deletes"],
-                pages=out["pages"],
+                pages=0,
                 io_us=out["io_us"],
             )
         return out
@@ -406,11 +434,14 @@ class StreamStore:
     def _compact(self, i: int) -> None:
         """Rewrite interval ``i``'s survivors as a fresh base CSR.
 
-        All device charges (reads of the old base + delta log, writes of
-        the new base) complete before any host state changes, so a crash
-        mid-compaction is harmless: durable state is still the old,
-        fully consistent layout and recovery simply re-runs the merge.
+        Only a fully applied log is compacted.  The old base and the log
+        are read before any host state changes, so a crash there leaves
+        the old, consistent layout for recovery to replay; after the
+        swap the new base holds every survivor and the log is empty.
         """
+        log = self._logs[i]
+        if self._applied[i] != log.n_pages:
+            raise StorageError(f"compacting interval {i} with pending log pages")
         ix = self._index[i]
         lo, hi = self.intervals.span(i)
         dropped = ix.garbage_records
@@ -418,13 +449,12 @@ class StreamStore:
         io_us += self._col_files[i].read_all()
         if self.weighted:
             io_us += self._val_files[i].read_all()
-        _, t = self._delta_files[i].read_all()
-        io_us += t
+        io_us += self._read_delta(i)
         pages_read = (
             self._rowptr_files[i].n_pages
             + self._col_files[i].n_pages
             + (self._val_files[i].n_pages if self.weighted else 0)
-            + self._delta_files[i].n_pages
+            + log.n_pages
         )
         src, dst, w = self._live_local_edges(i)
         order, new_rowptr = csr_order(src - lo, dst, hi - lo, self.n)
@@ -433,7 +463,8 @@ class StreamStore:
         self._col_files[i].set_array(dst.astype(np.int32))
         if self.weighted:
             self._val_files[i].set_array(w[order])
-        self._delta_files[i].truncate()
+        log.truncate()
+        self._applied[i] = 0
         self._index[i] = _IntervalIndex(base_alive=np.ones(dst.size, dtype=bool))
         io_us += self._rowptr_files[i].write_all()
         io_us += self._col_files[i].write_all()
@@ -528,8 +559,7 @@ class StreamStore:
                     rowptr[vs - lo], rowptr[vs - lo + 1], plan=plan
                 )
                 io_us += t
-            _, t = self._delta_files[i].read_all(plan=plan)
-            io_us += t
+            io_us += self._read_delta(i, plan)
         return io_us + self._execute_plan(plan)
 
     def charge_seed_scan(self) -> float:
@@ -546,9 +576,13 @@ class StreamStore:
             io_us += self._col_files[i].read_all(plan=plan)
             if self.weighted:
                 io_us += self._val_files[i].read_all(plan=plan)
-            _, t = self._delta_files[i].read_all(plan=plan)
-            io_us += t
+            io_us += self._read_delta(i, plan)
         return io_us + self._execute_plan(plan)
+
+    def _read_delta(self, i: int, plan=None) -> float:
+        """Charge a read of interval ``i``'s delta log: its log's applied prefix."""
+        _, t = self._logs[i].read_pages(np.arange(self._applied[i], dtype=np.int64), plan=plan)
+        return t
 
     # -- recovery ---------------------------------------------------------
 
@@ -557,14 +591,17 @@ class StreamStore:
 
         1. read the meta log; the last ``ingest``/``applied`` markers
            define the durable sequence frontier;
-        2. trim uncommitted suffixes off the update log and the delta
-           logs (sequence numbers are monotone per file);
-        3. replay the surviving delta pages over the base CSRs to
-           rebuild the host index -- the same deterministic fold
-           :meth:`apply_updates` performed before the crash.
+        2. trim each log's uncommitted suffix (``seq > last_ingested``;
+           sequence numbers are monotone per file), including whatever
+           prefix of a torn batch write persisted;
+        3. replay each log's applied prefix (``seq <= last_applied``)
+           over the base CSRs to rebuild the host index -- the same
+           deterministic fold :meth:`apply_updates` performed before
+           the crash.
 
         Batches that were ingested but not applied remain pending and
-        are merged by the next :meth:`apply_updates`.
+        are merged by the next :meth:`apply_updates`.  Returns the
+        frontier and ``pages_dropped``, the log pages trimmed.
         """
         payloads, _ = self._meta.read_all()
         last_ingested = 0
@@ -578,8 +615,6 @@ class StreamStore:
             raise StorageError("stream meta log corrupt: applied ahead of ingested")
         self.last_ingested = last_ingested
         self.last_applied = last_applied
-        ulog_dropped = self.ulog.recover(last_ingested)
-        delta_dropped = 0
         # Reset every lifetime tally, then replay durable state.
         self.batches_ingested = last_ingested
         self.batches_applied = last_applied
@@ -588,35 +623,29 @@ class StreamStore:
         self.deletes_applied = 0
         self.noop_deletes = 0
         self.ulog_pages_written = 0
-        self.delta_pages_written = 0
         self.compactions = 0
         self.ingest_io_us = 0.0
         self.apply_io_us = 0.0
         self.compact_io_us = 0.0
-        for i in range(self.intervals.n_intervals):
-            f = self._delta_files[i]
-            payloads, _ = f.read_all(charge=False)
-            keep = len(payloads)
-            while keep > 0 and payloads[keep - 1][0] > last_applied:
-                keep -= 1
-            delta_dropped += f.n_pages - keep
-            f.truncate_to(keep)
-            self.delta_pages_written += keep
+        dropped = 0
+        for i, log in enumerate(self._logs):
+            pages, _ = log.read_all(charge=False)
+            keep = _durable(pages, last_ingested)
+            dropped += log.n_pages - keep
+            log.truncate_to(keep)
+            self.ulog_pages_written += keep
+            self._applied[i] = _durable(pages[:keep], last_applied)
             self._index[i] = _IntervalIndex(
                 base_alive=np.ones(self._col_files[i].array.size, dtype=bool)
             )
-            for seq, op, src, dst, w, ts in payloads[:keep]:
-                part = EdgeDelta(op, src, dst, w, ts)
-                ins, dels, noops = self._apply_rows(i, part)
+            for page in pages[: self._applied[i]]:
+                # Page by page: folding a run equals folding its pieces.
+                ins, dels, noops = self._apply_rows(i, EdgeDelta(*page[1:]))
                 self.inserts_applied += ins
                 self.deletes_applied += dels
                 self.noop_deletes += noops
-        pending, _, pages = self.ulog.read_pending(last_applied)
-        _ = pending
-        self.ulog_pages_written = pages
         return {
             "last_ingested": last_ingested,
             "last_applied": last_applied,
-            "ulog_pages_dropped": ulog_dropped,
-            "delta_pages_dropped": delta_dropped,
+            "pages_dropped": dropped,
         }

@@ -17,8 +17,9 @@ Case generation mirrors :mod:`repro.verify.fuzzer`: case ``i`` of
 master seed ``s`` is derived from ``default_rng([s, i])`` and nothing
 else.  The schedule cycles programs (PageRank, SSSP, CDLP, BFS, WCC),
 so both warm-start-capable programs and full-recompute-only programs
-are exercised, and every third case cuts power mid-ingest or mid-merge
-and recovers before continuing.  Deletes are drawn from the edges live
+are exercised, and every third case cuts power at a write op of an
+ingest or a merge, or tears an ingest's grouped log write, and recovers
+before continuing.  Deletes are drawn from the edges live
 when their batch starts (so they reach inserts of earlier batches), and
 every fourth case is collision-heavy: long batches over a handful of
 endpoints, where one pair is inserted and deleted several times inside
@@ -27,6 +28,7 @@ a batch.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -54,9 +56,10 @@ STREAM_PROGRAMS = ("pagerank", "sssp", "cdlp", "bfs", "wcc")
 #: Programs whose ``warm_start`` can take the incremental path.
 WARM_PROGRAMS = frozenset({"bfs", "sssp", "wcc"})
 
-#: Crash-scenario phases: power cut while appending update-log pages
-#: (ingest) or while appending delta pages (merge).
-CRASH_PHASES = ("ingest", "apply")
+#: Crash scenarios ``(phase, fault kind)``: power cut at any write op of
+#: an ingest (grouped log write or ``ingest`` marker) or of a merge
+#: (``applied`` marker or compaction), and a torn grouped ingest write.
+CRASH_SCENARIOS = (("ingest", "crash"), ("apply", "crash"), ("ingest", "torn"))
 
 
 @dataclass
@@ -91,7 +94,9 @@ class StreamCase:
         ]
         if self.scenario != "plain":
             p = self.scenario_params
-            bits.append(f"crash@{p.get('phase')}[b{p.get('batch')},op{p.get('after_ops')}]")
+            bits.append(
+                f"{p.get('kind', 'crash')}@{p.get('phase')}[b{p.get('batch')},op{p.get('op')}]"
+            )
         return " ".join(bits)
 
 
@@ -263,32 +268,52 @@ def _fresh_program(case: StreamCase):
     return _PROGRAM_FACTORIES[case.program](case.prog_params)
 
 
+def _dry_run(store, phase: str, delta) -> tuple:
+    """Run ``phase`` of this batch on a copy of the store (the session's
+    own state is untouched); returns ``(device write ops, its result)``."""
+    dry = copy.deepcopy(store)
+    counter = FaultRule(op="write", kind="crash", after_ops=1 << 62)
+    dry.fs.device.fault_plan = FaultPlan([counter])
+    out = dry.ingest(delta) if phase == "ingest" else dry.apply_updates()
+    return counter.matched, out
+
+
 def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> tuple:
     """Cut power during this batch's ingest or merge, then recover.
 
-    Returns ``(note, merge stats)``: the note is ``C`` when the planned
-    crash fired, ``c`` when the operation finished before the fault
-    armed (small batches may not reach the trigger count -- still a
-    valid run); the stats are those of the merge that finally applied
-    the batch (a cut merge leaves the whole batch pending).
+    The fault plan is armed around the chosen phase only and cuts its
+    write op number ``op % n``, ``n`` counted by a dry run -- so every
+    write op of the phase is a candidate and the cut always lands.  A
+    ``torn`` scenario tears the phase's first write (ingest: the grouped
+    write of every touched log) at a seeded page.  Returns ``(note,
+    merge stats)``: the note is ``C`` when the cut fired, ``c`` when
+    the phase made no write to cut; the stats are those of the merge
+    that applied the batch -- the dry run's when the cut came after the
+    batch's ``applied`` marker (in compaction), since the batch is then
+    durable and recovery replays it.
     """
-    phase = case.scenario_params.get("phase", "ingest")
-    after_ops = int(case.scenario_params.get("after_ops", 0))
-    klass = "ulog" if phase == "ingest" else "stream_delta"
-    plan = FaultPlan(
-        [FaultRule(op="write", kind="crash", klass=klass, after_ops=after_ops)],
-        seed=case.seed,
-    )
+    p = case.scenario_params
+    phase = p.get("phase", "ingest")
+    kind = p.get("kind", "crash")
     fired = False
-    session.fs.device.fault_plan = plan
-    try:
-        # The klass filter picks which phase the cut lands in.
+    if phase == "apply":
         session.ingest(delta)
-        applied = session.apply_updates()
+    n_ops, dry = _dry_run(session.store, phase, delta)
+    after_ops = 0 if kind == "torn" else int(p.get("op", 0)) % max(1, n_ops)
+    session.fs.device.fault_plan = FaultPlan(
+        [FaultRule(op="write", kind=kind, after_ops=after_ops)], seed=case.seed
+    )
+    try:
+        if phase == "ingest":
+            session.ingest(delta)
+        else:
+            applied = session.apply_updates()
     except SimulatedCrashError:
         fired = True
     finally:
         session.fs.device.fault_plan = None
+    if not fired and phase == "ingest":
+        applied = session.apply_updates()
     if fired:
         session.recover()
         # Re-submit only if the batch did not reach its durable commit
@@ -296,7 +321,9 @@ def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> t
         # acknowledgement would do).
         if session.store.last_ingested < expected_seq:
             session.ingest(delta)
-        return "C", session.apply_updates()
+        durable = session.store.last_applied >= expected_seq
+        applied = session.apply_updates()  # re-runs a cut compaction
+        return "C", dry if durable else applied
     return "c", applied
 
 
@@ -360,10 +387,13 @@ def generate_stream_case(master_seed: int, index: int) -> StreamCase:
     scenario_params: Dict[str, Any] = {}
     if index % 3 == 2:
         scenario = "crash"
+        phase, kind = CRASH_SCENARIOS[(index // 3) % len(CRASH_SCENARIOS)]
         scenario_params = {
-            "phase": CRASH_PHASES[(index // 3) % len(CRASH_PHASES)],
+            "phase": phase,
+            "kind": kind,
             "batch": int(rng.integers(0, len(batches))),
-            "after_ops": int(rng.integers(0, 3)),
+            # reduced modulo the phase's counted write ops at run time
+            "op": int(rng.integers(0, 1 << 16)),
         }
 
     recompute = "auto"

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFSProgram, SSSPProgram, WCCProgram
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, small_test_config
 from repro.errors import EngineError, GraphFormatError, SimulatedCrashError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import small_chain, small_rmat
+from repro.graph.partition import VertexIntervals
 from repro.obs.metrics import MetricsRegistry
-from repro.ssd import FaultPlan
+from repro.ssd import FaultPlan, FaultRule
 from repro.ssd.filesystem import SimFS
 from repro.stream import EdgeDelta, StreamSession, StreamStore, random_delta
 from repro.stream.delta import OP_ADD, OP_DELETE
@@ -69,6 +70,21 @@ class TestEdgeDelta:
 def store_on(graph, config=DEFAULT_CONFIG):
     fs = SimFS(config)
     return StreamStore(graph, fs, config), fs
+
+
+#: a budget tight enough for several intervals on a small graph
+SMALL = small_test_config(total_bytes=96 * 1024)
+
+#: four two-vertex intervals over an 8-vertex graph
+FOUR_INTERVALS = VertexIntervals(np.array([0, 2, 4, 6, 8]))
+
+
+def assert_same_graph(a, b):
+    assert a.rowptr.tolist() == b.rowptr.tolist()
+    assert a.colidx.tolist() == b.colidx.tolist()
+    assert (a.weights is None) == (b.weights is None)
+    if a.weights is not None:
+        assert a.weights.tolist() == b.weights.tolist()
 
 
 class TestStreamStore:
@@ -221,7 +237,8 @@ class TestCrashRecovery:
         fs = SimFS(cfg)
         store = StreamStore(g, fs, cfg)
         store.ingest(adds([(0, 5), (5, 2), (3, 7)]))
-        fs.device.fault_plan = FaultPlan.crash_after(0, klass="stream_delta")
+        # the merge's one write is its ``applied`` marker
+        fs.device.fault_plan = FaultPlan.crash_after(0, klass="stream_meta")
         with pytest.raises(SimulatedCrashError):
             store.apply_updates()
         fs.device.fault_plan = None
@@ -230,6 +247,63 @@ class TestCrashRecovery:
         assert store.last_ingested == 1 and store.last_applied == 0
         store.apply_updates()
         assert store.materialize().m == g.m + 3
+
+    def test_torn_grouped_ingest_write_is_dropped_whole(self):
+        # one page per record, so the batch's single striped write spans
+        # four interval logs and tears at a page inside the third
+        g = small_chain(8)
+        cfg = DEFAULT_CONFIG
+        first = adds([(0, 3), (2, 5)])
+        batch = adds([(0, 5), (1, 6), (2, 7), (3, 0), (4, 1), (5, 0), (6, 2), (7, 3)])
+        fs = SimFS(cfg)
+        store = StreamStore(g, fs, cfg, intervals=FOUR_INTERVALS)
+        store.records_per_page = 1
+        store.ingest(first)
+        store.apply_updates()
+        before = [log.n_pages for log in store._logs]
+        fs.device.fault_plan = FaultPlan([FaultRule(op="write", kind="torn")], seed=4)
+        with pytest.raises(SimulatedCrashError) as exc:
+            store.ingest(batch)
+        fs.device.fault_plan = None
+        persisted = exc.value.pages_persisted
+        # each log kept its share of the persisted prefix, in interval order
+        grown = [log.n_pages - b for log, b in zip(store._logs, before)]
+        assert grown == [min(2, max(0, persisted - 2 * k)) for k in range(4)]
+        assert grown[0] == 2 and 0 < grown[2] < 2  # crosses intervals
+
+        out = store.recover()
+        assert out["pages_dropped"] == persisted
+        assert (store.last_ingested, store.last_applied) == (1, 1)
+        assert [log.n_pages for log in store._logs] == before
+        store.ingest(batch)
+        store.apply_updates()
+
+        ref = StreamStore(g, SimFS(cfg), cfg, intervals=FOUR_INTERVALS)
+        for delta in (first, batch):
+            ref.ingest(delta)
+            ref.apply_updates()
+        assert_same_graph(store.materialize(), ref.materialize())
+
+    def test_crash_between_data_write_and_ingest_marker(self):
+        g = small_chain(8)
+        cfg = DEFAULT_CONFIG
+        batch = adds([(0, 5), (3, 7), (6, 1)])
+        fs = SimFS(cfg)
+        store = StreamStore(g, fs, cfg, intervals=FOUR_INTERVALS)
+        # ingest's writes: the striped data batch, then the marker
+        fs.device.fault_plan = FaultPlan([FaultRule(op="write", kind="crash", after_ops=1)])
+        with pytest.raises(SimulatedCrashError):
+            store.ingest(batch)
+        fs.device.fault_plan = None
+        assert sum(log.n_pages for log in store._logs) == 3  # all data durable
+        out = store.recover()
+        assert out == {"last_ingested": 0, "last_applied": 0, "pages_dropped": 3}
+        store.ingest(batch)
+        store.apply_updates()
+        ref = StreamStore(g, SimFS(cfg), cfg, intervals=FOUR_INTERVALS)
+        ref.ingest(batch)
+        ref.apply_updates()
+        assert_same_graph(store.materialize(), ref.materialize())
 
     def test_recover_is_idempotent_when_clean(self):
         g = small_chain(8)
@@ -451,6 +525,55 @@ class TestStreamSession:
         m = sess.recompute(max_supersteps=50).result.metrics
         assert m["cache.capacity_pages"] == cfg.cache_pages
         assert m["device.devices"] == 4
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            SMALL.with_devices(1).with_cache(),
+            SMALL.with_devices(4, placement="stripe"),
+            SMALL.with_devices(4, placement="affinity"),
+        ],
+        ids=["cache", "stripe4", "affinity4"],
+    )
+    def test_stack_keeps_values_of_one_plain_device(self, stack):
+        """The grouped log writes and reads go through the cache and
+        the device array like every other charge: values, graph and
+        (on an array) canonical stats equal a plain device's, and the
+        store SSD's ``device.*`` gauges reconcile with its stats."""
+        g = small_rmat(n=512, m=8192, seed=6, weighted=True)  # three intervals
+
+        def play(cfg):
+            cfg = cfg.with_stream(compact_threshold=0.01)
+            sess = StreamSession(g, SSSPProgram(source=0), config=cfg)
+            values = [sess.recompute(max_supersteps=200).result.values]
+            for b in range(4):
+                s, t = sess.store.live_edge_arrays()
+                rng = np.random.default_rng([6, b])
+                sess.ingest(random_delta(rng, g.n, s, t, 40, weighted=True))
+                sess.apply_updates()
+                values.append(sess.recompute(max_supersteps=200).result.values)
+            return sess, values
+
+        plain, want = play(SMALL.with_devices(1).with_cache("none"))
+        sess, got = play(stack)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert_same_graph(sess.store.materialize(), plain.store.materialize())
+        assert sess.store.compactions == plain.store.compactions > 0
+        if stack.cache_policy != "none":
+            # a merge reads back log pages its ingest just cached
+            assert "ulog" in plain.fs.stats.reads and "ulog" not in sess.fs.stats.reads
+        if stack.num_devices > 1:
+            assert sess.fs.stats.to_dict() == plain.fs.stats.to_dict()
+            snap = sess.metrics.snapshot()
+            stats = sess.fs.stats
+            assert snap["device.devices"] == 4
+            assert snap["device.ops"] == sum(
+                c.batches for c in (*stats.reads.values(), *stats.writes.values())
+            )
+            assert snap["device.serial_us"] == pytest.approx(stats.total_time_us, rel=1e-12)
+            assert 0 < snap["device.saved_us"] < snap["device.serial_us"]
+            assert snap["device.busy_max_us"] <= snap["device.array_us"]
 
     def test_recover_discards_warm_state(self):
         g = small_chain(8)

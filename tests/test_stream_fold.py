@@ -84,7 +84,6 @@ TALLIES = (
     "deletes_applied",
     "noop_deletes",
     "ulog_pages_written",
-    "delta_pages_written",
     "compactions",
     "ingest_io_us",
     "apply_io_us",
@@ -160,7 +159,7 @@ def build(cls, case):
     cfg = DEFAULT_CONFIG.with_stream(compact_threshold=case["threshold"])
     graph = unsorted_base(case["n"], case["base"], case["weighted"])
     store = cls(graph, SimFS(cfg), cfg, intervals=VertexIntervals(np.array(case["boundaries"])))
-    store.records_per_page = store.ulog.records_per_page = case["records_per_page"]
+    store.records_per_page = case["records_per_page"]
     return store
 
 
@@ -201,7 +200,7 @@ class TestFoldAgainstReference:
         for b, ops in enumerate(case["batches"]):
             delta = as_delta(ops, 100 * b)
             cut = data.draw(st.integers(0, delta.n))
-            for i, _, part in delta.by_interval(whole.intervals):
+            for i, part in delta.by_interval(whole.intervals):
                 got = whole._apply_rows(i, part)
                 k = min(cut, part.n)
                 head = split._apply_rows(i, part.take(slice(0, k)))
