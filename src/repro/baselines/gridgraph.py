@@ -32,50 +32,25 @@ active-page loading wins (the §IX claim).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_CONFIG, SimConfig
-from ..errors import EngineError, ProgramError
-from ..graph.csr import CSRGraph
-from ..graph.partition import VertexIntervals, partition_by_edge_volume, uniform_partition
-from ..obs.context import current_tracer
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.tracer import Tracer
-from ..options import EngineOptions, resolve_options
-from ..ssd.filesystem import SimFS
-from ..core.active import ActiveTracker
-from ..core.api import VertexContext, VertexProgram
-from ..core.combine import combine_sorted
-from ..core.results import ComputeMeter, RunResult, SuperstepRecord
-from ..core.update import DATA_DTYPE, SRC_DTYPE, UpdateBatch
+from ..errors import EngineError
+from ..graph.partition import partition_by_edge_volume, uniform_partition
+from ..core.superstep import SuperstepEngine
 
 KLASS_GRID = "grid"
 KLASS_GRIDW = "grid_w"
 
-_EMPTY_SRC = np.empty(0, dtype=SRC_DTYPE)
-_EMPTY_DATA = np.empty(0, dtype=DATA_DTYPE)
 
-
-class GridGraph:
+class GridGraph(SuperstepEngine):
     """2-level grid-partitioned edge-streaming engine (combine apps only)."""
 
     name = "gridgraph"
+    COUNTERS = ("rows_streamed", "edge_pages_streamed")
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        program: VertexProgram,
-        config: SimConfig = DEFAULT_CONFIG,
-        fs: Optional[SimFS] = None,
-        *,
-        options: Optional[EngineOptions] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[Callable[[SuperstepRecord], None]] = None,
-    ) -> None:
-        options = resolve_options(self.name, options)
+    def __init__(self, graph, program, *args, **kwargs) -> None:
         if program.combine is None:
             raise EngineError(
                 "GridGraph's streaming accumulation requires a combine operator "
@@ -83,14 +58,8 @@ class GridGraph:
             )
         if program.uses_edge_state or program.mutates_structure:
             raise EngineError("GridGraph streams immutable 8-byte edges; no edge state/mutation")
-        self.graph = graph
-        self.program = program
-        self.config = config
-        self.options = options
-        self.fs = fs if fs is not None else SimFS(config)
-        self.tracer = tracer if tracer is not None else current_tracer()
-        self.metrics_registry = metrics
-        self.progress = progress
+        super().__init__(graph, program, *args, **kwargs)
+        config, options = self.config, self.options
         intervals = options.intervals
         if intervals is None and options.grid_p is not None:
             intervals = uniform_partition(graph.n, options.grid_p)
@@ -150,224 +119,61 @@ class GridGraph:
 
     # ------------------------------------------------------------------
 
-    def run(self, max_supersteps: int = 15, seed: int = 0) -> RunResult:
-        cfg = self.config
-        prog = self.program
-        n = self.graph.n
-        rng = np.random.default_rng(seed)
-        meter = ComputeMeter(cfg.compute)
+    def _superstep(self, step: int) -> None:
+        pending = self.pending
         tracer = self.tracer
-        reg = self.metrics_registry if self.metrics_registry is not None else NULL_METRICS
-        if self.fs.cache is not None:
-            self.fs.cache.register_metrics(reg)
-        c_rows = reg.counter(f"{self.name}.rows_streamed")
-        c_edge_pages = reg.counter(f"{self.name}.edge_pages_streamed")
-        trace_start = len(tracer.events)
+        active_ids = self.tracker.current_ids
+        # --- stream: read every block row with an active source ------
+        act_intervals = self._streamed_rows(active_ids)
+        starts, stops = [], []
+        for i in act_intervals:
+            lo, hi = self.block_range(int(i), 0)[0], self.block_range(int(i), self._p - 1)[1]
+            if hi > lo:
+                starts.append(lo)
+                stops.append(hi)
+        edge_pages = 0
+        if starts:
+            s_arr = np.asarray(starts, dtype=np.int64)
+            e_arr = np.asarray(stops, dtype=np.int64)
+            _, pages, _ = self._edge_file.read_ranges(s_arr, e_arr)
+            edge_pages = int(pages.shape[0])
+            if self._weight_file is not None:
+                self._weight_file.read_ranges(s_arr, e_arr)
+        self.counters["rows_streamed"].inc(len(act_intervals))
+        self.counters["edge_pages_streamed"].inc(edge_pages)
         if tracer.enabled:
-            dev = self.fs.device
-            tracer.bind_clock(lambda: dev.now_us + meter.time_us)
-            tracer.set_step(-1)
             tracer.emit(
-                "run_begin",
-                engine=self.name,
-                program=prog.name,
-                n_vertices=int(n),
-                n_intervals=int(self.intervals.n_intervals),
+                "block_stream",
+                rows=int(len(act_intervals)),
+                edge_pages=edge_pages,
             )
-        tracker = ActiveTracker(n, cfg.edgelog_history_window)
-        stats_start = self.fs.stats.snapshot()
-
-        init = prog.initial(self.graph, rng)
-        values = np.array(init.values, dtype=np.float64, copy=True)
-        pending = UpdateBatch.empty()
-        active0 = np.asarray(init.active, dtype=np.int64)
-        if init.messages is not None and init.messages.n:
-            pending = init.messages.sort_by_dest()
-            active0 = np.union1d(active0, init.messages.dest.astype(np.int64))
-        tracker.seed(active0)
-
-        records: List[SuperstepRecord] = []
-        converged = False
-        for step in range(max_supersteps):
-            if tracker.n_current == 0 and pending.n == 0:
-                converged = True
-                break
-            stats_before = self.fs.stats.snapshot()
-            compute_before = meter.time_us
-            active_ids = tracker.current_ids
-            if tracer.enabled:
-                tracer.set_step(step)
-                tracer.emit(
-                    "superstep_begin",
-                    active=int(tracker.n_current),
-                    pending_messages=int(pending.n),
-                )
-
-            # --- stream: read every block row with an active source ------
-            act_intervals = self._streamed_rows(active_ids)
-            starts, stops = [], []
-            for i in act_intervals:
-                lo, hi = self.block_range(int(i), 0)[0], self.block_range(int(i), self._p - 1)[1]
-                if hi > lo:
-                    starts.append(lo)
-                    stops.append(hi)
-            edge_pages = 0
-            if starts:
-                s_arr = np.asarray(starts, dtype=np.int64)
-                e_arr = np.asarray(stops, dtype=np.int64)
-                _, pages, _ = self._edge_file.read_ranges(s_arr, e_arr)
-                edge_pages = int(pages.shape[0])
-                if self._weight_file is not None:
-                    self._weight_file.read_ranges(s_arr, e_arr)
-            c_rows.inc(len(act_intervals))
-            c_edge_pages.inc(edge_pages)
-            if tracer.enabled:
-                tracer.emit(
-                    "block_stream",
-                    rows=int(len(act_intervals)),
-                    edge_pages=edge_pages,
-                )
-            # Vertex chunks (2nd partitioning level): read the source
-            # chunks of every streamed row; destination chunks that
-            # accumulate updates are read and written back.
-            src_chunks = 0
-            dst_chunks = 0
-            if len(act_intervals):
-                v_lo = self.intervals.boundaries[np.asarray(act_intervals)]
-                v_hi = self.intervals.boundaries[np.asarray(act_intervals) + 1]
-                self._vertex_file.read_ranges(v_lo, v_hi)
-                src_chunks = int(len(act_intervals))
-            if pending.n:
-                dst_iv = np.unique(self.intervals.interval_of(pending.dest.astype(np.int64)))
-                d_lo = self.intervals.boundaries[dst_iv]
-                d_hi = self.intervals.boundaries[dst_iv + 1]
-                self._vertex_file.read_ranges(d_lo, d_hi)
-                self._vertex_file.write_ranges(d_lo, d_hi)
-                dst_chunks = int(dst_iv.shape[0])
-            if tracer.enabled:
-                tracer.emit(
-                    "vertex_chunks",
-                    src_chunks=src_chunks,
-                    dst_chunks=dst_chunks,
-                )
-
-            # --- process active vertices with accumulated updates --------
-            pending = pending.sort_by_dest()
-            uniq, offsets = pending.group()
-            if prog.combine is not None and uniq.shape[0]:
-                pending, uniq, offsets = combine_sorted(pending, uniq, offsets, prog.combine)
-            verts = np.union1d(uniq.astype(np.int64), active_ids)
-            acc_dest: List[np.ndarray] = []
-            acc_src: List[np.ndarray] = []
-            acc_data: List[np.ndarray] = []
-            sent = [0]
-
-            def send_one(dest: int, src: int, data: float) -> None:
-                if not 0 <= dest < n:
-                    raise ProgramError(f"send target {dest} outside graph")
-                acc_dest.append(np.array([dest], dtype=np.int32))
-                acc_src.append(np.array([src], dtype=np.int32))
-                acc_data.append(np.array([data]))
-                sent[0] += 1
-                tracker.note_message(dest)
-
-            def send_many(dests: np.ndarray, src: int, datas: np.ndarray) -> None:
-                d = np.asarray(dests, dtype=np.int64)
-                if d.size == 0:
-                    return
-                if d.min() < 0 or d.max() >= n:
-                    raise ProgramError("send target outside graph")
-                acc_dest.append(d.astype(np.int32))
-                acc_src.append(np.full(d.shape[0], src, dtype=np.int32))
-                acc_data.append(np.asarray(datas, dtype=np.float64))
-                sent[0] += int(d.shape[0])
-                tracker.note_messages(d)
-
-            processed = 0
-            updates_processed = 0
-            edges_scanned = 0
-            k_up = uniq.shape[0]
-            upos = np.searchsorted(uniq, verts)
-            for idx in range(verts.shape[0]):
-                v = int(verts[idx])
-                pth = int(upos[idx])
-                if pth < k_up and uniq[pth] == v:
-                    s0, e0 = int(offsets[pth]), int(offsets[pth + 1])
-                    usrc, udata = pending.src[s0:e0], pending.data[s0:e0]
-                else:
-                    usrc, udata = _EMPTY_SRC, _EMPTY_DATA
-                nb = self.graph.neighbors(v)
-                s_e = self.graph.edge_range(v)
-                out_w = (
-                    self.graph.weights[s_e[0] : s_e[1]]
-                    if (prog.needs_weights and self.graph.weights is not None)
-                    else (np.ones(nb.shape[0]) if prog.needs_weights else None)
-                )
-                ctx = VertexContext(
-                    vid=v,
-                    superstep=step,
-                    values=values,
-                    updates_src=usrc,
-                    updates_data=udata,
-                    out_neighbors=nb,
-                    out_weights=out_w,
-                    edge_state=None,
-                    send=send_one,
-                    send_many=send_many,
-                    rng=rng,
-                    mutate=None,
-                )
-                prog.process(ctx)
-                if not ctx.deactivated:
-                    tracker.note_self_active(v)
-                processed += 1
-                updates_processed += usrc.shape[0]
-                edges_scanned += nb.shape[0]
-            meter.charge_vertices(processed)
-            meter.charge_updates(int(pending.n))
-            meter.charge_edges(edges_scanned)
-            pending = UpdateBatch.concat(
-                [UpdateBatch.of(d, s, x) for d, s, x in zip(acc_dest, acc_src, acc_data)]
-            )
-
-            prog.on_superstep_end(step, values, rng)
-            delta = self.fs.stats.snapshot() - stats_before
-            rec = SuperstepRecord(
-                index=step,
-                active_vertices=processed,
-                updates_processed=updates_processed,
-                messages_sent=sent[0],
-                edges_scanned=edges_scanned,
-                storage_time_us=delta.total_time_us,
-                compute_time_us=meter.time_us - compute_before,
-                pages_read=delta.pages_read,
-                pages_written=delta.pages_written,
-                pages_read_by_class={k: c.pages for k, c in delta.reads.items()},
-            )
-            records.append(rec)
-            if tracer.enabled:
-                tracer.emit("superstep_end", **rec.to_dict())
-            if self.progress is not None:
-                self.progress(rec)
-            tracker.advance()
-            if prog.is_converged(values):
-                converged = True
-                break
-
-        stats = self.fs.stats.snapshot() - stats_start
+        # Vertex chunks (2nd partitioning level): read the source
+        # chunks of every streamed row; destination chunks that
+        # accumulate updates are read and written back.
+        src_chunks = 0
+        dst_chunks = 0
+        if len(act_intervals):
+            v_lo = self.intervals.boundaries[np.asarray(act_intervals)]
+            v_hi = self.intervals.boundaries[np.asarray(act_intervals) + 1]
+            self._vertex_file.read_ranges(v_lo, v_hi)
+            src_chunks = int(len(act_intervals))
+        if pending.n:
+            dst_iv = np.unique(self.intervals.interval_of(pending.dest.astype(np.int64)))
+            d_lo = self.intervals.boundaries[dst_iv]
+            d_hi = self.intervals.boundaries[dst_iv + 1]
+            self._vertex_file.read_ranges(d_lo, d_hi)
+            self._vertex_file.write_ranges(d_lo, d_hi)
+            dst_chunks = int(dst_iv.shape[0])
         if tracer.enabled:
-            tracer.emit("run_end", engine=self.name, converged=converged, supersteps=len(records))
-        return RunResult(
-            engine=self.name,
-            program=prog.name,
-            values=values,
-            supersteps=records,
-            converged=converged,
-            stats=stats,
-            compute_time_us=meter.time_us,
-            trace=tracer.events[trace_start:] if tracer.enabled else None,
-            metrics=reg.snapshot() if self.metrics_registry is not None else None,
-        )
+            tracer.emit(
+                "vertex_chunks",
+                src_chunks=src_chunks,
+                dst_chunks=dst_chunks,
+            )
+
+        # --- process active vertices with accumulated updates ------------
+        self._sweep(step, pending.sort_by_dest(), combine=True)
+        self.pending = self.outbox.batch()
 
 
 class XStream(GridGraph):

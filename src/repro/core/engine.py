@@ -24,11 +24,10 @@ group being processed.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import EngineError, ProgramError, RecoveryError
 from ..graph.csr import CSRGraph
 from ..io.plan import KLASS_READAHEAD
@@ -36,12 +35,7 @@ from ..io.planner import SuperstepIOPlanner
 from ..graph.partition import static_partition
 from ..graph.storage import GraphOnSSD
 from ..mem.budget import MemoryBudget
-from ..obs.context import current_tracer
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.tracer import Tracer
-from ..options import EngineOptions, resolve_options
-from ..recovery.checkpoint import CheckpointData, CheckpointManager
-from ..ssd.filesystem import SimFS
+from ..recovery.checkpoint import CheckpointData, CheckpointManager, _record_from_state
 from .active import ActiveTracker
 from .api import InitialState, VertexProgram
 from .combine import precombine
@@ -53,6 +47,7 @@ from .pipeline import GroupPipeline, PreparedGroup, charge_rollup
 from .scheduler import ParallelGroupScheduler
 from .results import ComputeMeter, RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
+from .superstep import SuperstepEngine
 from .update import UpdateBatch
 
 
@@ -60,7 +55,7 @@ class _Converged(Exception):
     """Internal control flow: the superstep loop reached a fixed point."""
 
 
-class MultiLogVC:
+class MultiLogVC(SuperstepEngine):
     """Out-of-core vertex-centric engine with multi-log update handling.
 
     Parameters
@@ -89,40 +84,18 @@ class MultiLogVC:
 
     name = "multilogvc"
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        program: VertexProgram,
-        config: SimConfig = DEFAULT_CONFIG,
-        fs: Optional[SimFS] = None,
-        *,
-        options: Optional[EngineOptions] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[Callable[[SuperstepRecord], None]] = None,
-    ) -> None:
-        options = resolve_options(self.name, options)
-        if program.uses_edge_state and program.needs_weights:
-            raise ProgramError(
-                "uses_edge_state and needs_weights are mutually exclusive: "
-                "both map to the interval value vector"
-            )
+    def __init__(self, graph: CSRGraph, program: VertexProgram, *args, **kwargs) -> None:
+        super().__init__(graph, program, *args, **kwargs)
         if program.uses_edge_state and program.mutates_structure:
             raise ProgramError("edge state plus structural mutation is not supported")
-        self.graph = graph
-        self.program = program
-        self.config = config
-        self.fs = fs if fs is not None else SimFS(config)
-        self.options = options
+        options = self.options
         self.mode = options.mode
         self.enable_edgelog = options.enable_edgelog
         self.enable_fusing = options.enable_fusing
         #: Reduce sends before the log?  Needs a *named* combine: the
         #: tree is defined for those only, a callable stays post-read.
         self.precombine = options.enable_precombine and isinstance(program.combine, str)
-        self.tracer = tracer if tracer is not None else current_tracer()
-        self.metrics_registry = metrics
-        self.progress = progress
+        config = self.config
         intervals = static_partition(graph, config, options)
         self.intervals = intervals
         need_vals = program.needs_weights or program.uses_edge_state
@@ -130,6 +103,9 @@ class MultiLogVC:
             graph, intervals, self.fs, config, name="graph", with_weights=need_vals
         )
         self.budget = MemoryBudget.resolve(config, intervals.n_intervals)
+
+    def _begin_fields(self):
+        return {"mode": self.mode, **super()._begin_fields()}
 
     # ------------------------------------------------------------------
 
@@ -167,31 +143,16 @@ class MultiLogVC:
         prog = self.program
         n = self.graph.n
         rng = np.random.default_rng(seed)
-        meter = ComputeMeter(cfg.compute)
+        self.meter = meter = ComputeMeter(cfg.compute)
         tracer = self.tracer
-        reg = self.metrics_registry if self.metrics_registry is not None else NULL_METRICS
-        if self.fs.cache is not None:
-            self.fs.cache.register_metrics(reg)
+        trace_start = self._start()
+        reg = self.reg
         if self.fs.device.num_devices > 1:
             # Device-array overlay gauges (DESIGN.md §14).
             self.fs.device.register_metrics(reg)
-        trace_start = len(tracer.events)
         # Fault events (injected errors, retries, degradation) are
         # emitted by the device itself; give it this run's tracer.
         self.fs.device.tracer = tracer
-        if tracer.enabled:
-            # Simulated clock: committed storage time + compute time.
-            dev = self.fs.device
-            tracer.bind_clock(lambda: dev.now_us + meter.time_us)
-            tracer.set_step(-1)
-            tracer.emit(
-                "run_begin",
-                engine=self.name,
-                program=prog.name,
-                mode=self.mode,
-                n_vertices=int(n),
-                n_intervals=int(self.intervals.n_intervals),
-            )
         tracker = ActiveTracker(n, cfg.edgelog_history_window)
         mlog_cur = MultiLogUnit(
             self.fs, self.intervals, cfg, self.budget, "mlog.a",
@@ -232,7 +193,7 @@ class MultiLogVC:
                     "pending mutation buffers are not part of the superstep cut"
                 )
             ckpt_mgr = CheckpointManager(self.fs, mode=self.options.checkpoint_mode)
-        stats_start = self.fs.stats.snapshot()
+        stats_start = self._stats()
 
         records: List[SuperstepRecord] = []
         start_step = 0
@@ -282,20 +243,7 @@ class MultiLogVC:
 
         if mutations is not None:
             mutations.merge_all()
-        stats = self.fs.stats.snapshot() - stats_start
-        if tracer.enabled:
-            tracer.emit("run_end", engine=self.name, converged=converged, supersteps=len(records))
-        return RunResult(
-            engine=self.name,
-            program=prog.name,
-            values=values,
-            supersteps=records,
-            converged=converged,
-            stats=stats,
-            compute_time_us=meter.time_us,
-            trace=tracer.events[trace_start:] if tracer.enabled else None,
-            metrics=reg.snapshot() if self.metrics_registry is not None else None,
-        )
+        return self._result(values, records, converged, trace_start, stats_start)
 
     def _resume(
         self, ckpt, tracker, mlog_a, mlog_b, edgelog, meter, rng, ckpt_mgr, tracer,
@@ -344,10 +292,7 @@ class MultiLogVC:
         # Fresh program instances never saw initial(); let stateful
         # programs rebuild their round state for the resume superstep.
         self.program.prepare_resume(self.graph, ckpt.step + 1, rng)
-        records = [
-            SuperstepRecord(**{k: v for k, v in d.items() if k != "total_time_us"})
-            for d in ckpt.records
-        ]
+        records = [_record_from_state(d) for d in ckpt.records]
         ckpt_mgr.resume_at(ckpt)
         # A resumed run starts from a cold cache; uninterrupted runs
         # clear theirs at each checkpoint cut too, so post-cut charging
@@ -573,35 +518,25 @@ class MultiLogVC:
                 edgelog.end_superstep()
             prog.on_superstep_end(step, values, rng)
 
-            delta = self.fs.stats.snapshot() - stats_before
-            rec = SuperstepRecord(
-                index=step,
+            rec = self._record(
+                records, step, stats_before, compute_before,
                 active_vertices=processed,
                 updates_processed=updates_processed,
                 messages_sent=sent,
                 records_logged=mlog_next.appended - logged_before,
                 edges_scanned=edges_scanned,
-                storage_time_us=delta.total_time_us,
-                compute_time_us=meter.time_us - compute_before,
-                pages_read=delta.pages_read,
-                pages_written=delta.pages_written,
-                pages_read_by_class={k: c.pages for k, c in delta.reads.items()},
                 inefficient_pages=ineff_pages,
                 accessed_data_pages=accessed_pages,
                 edgelog_vertices_logged=elog_logged,
                 edgelog_pages_avoided=avoided_pages,
                 inefficient_pages_predicted=avoided_ineff,
             )
-            records.append(rec)
             if overlap is not None:
                 # Fold this superstep into the overlap model whether or
                 # not tracing is on -- the scheduler.* gauges and the
                 # bench read the cumulative counters either way.
                 overlap.end_superstep(rec.storage_time_us, rec.compute_time_us)
             if tracer.enabled:
-                # Mirrors SuperstepRecord.to_dict() so trace roll-ups
-                # reconcile exactly with RunResult.supersteps.
-                tracer.emit("superstep_end", **rec.to_dict())
                 if self.fs.cache is not None:
                     tracer.emit("cache_stats", **self.fs.cache.snapshot())
                 if overlap is not None:

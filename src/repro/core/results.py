@@ -75,12 +75,9 @@ class SuperstepRecord:
     inefficient_pages_predicted: int = 0
     #: physical records appended to the next-generation update log;
     #: below ``messages_sent`` only where a send-side combine reduced
-    #: the sends first (MultiLogVC, DESIGN.md §15), else equal to it
-    records_logged: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.records_logged is None:
-            self.records_logged = self.messages_sent
+    #: the sends first (MultiLogVC, DESIGN.md §15), else equal to it.
+    #: Keyword-only and required: every engine sets it.
+    records_logged: int = field(kw_only=True)
 
     @property
     def total_time_us(self) -> float:

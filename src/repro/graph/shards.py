@@ -167,14 +167,43 @@ class ShardedGraph:
 
     def deliver(self, u: int, w: int, data: float, stamp: int) -> bool:
         """Write message ``data`` on edge ``u -> w`` (returns False if absent)."""
-        shard = self.shard_of(w)
-        row = shard.edge_row(u, w)
-        if row < 0:
-            return False
+        return self.deliver_many([u], [w], [data], stamp) < 0
+
+    def deliver_many(self, src, dst, data, stamp: int) -> int:
+        """Write message ``data[k]`` on edge ``src[k] -> dst[k]``, in order.
+
+        A later message on an edge overwrites an earlier one.  Returns -1,
+        or the position of the first message whose edge is absent (then
+        nothing is written).
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        n = self.graph.n
+        iv = self.intervals.interval_of(dst)
+        found, missing = [], []
+        for i, shard in enumerate(self.shards):
+            sel = np.flatnonzero(iv == i)
+            if sel.size == 0:
+                continue
+            # Rows are sorted by (src, dst): the first row with the key
+            # is the edge (the first of any parallel edges).
+            keys = shard.src * n + shard.dst
+            q = src[sel] * n + dst[sel]
+            rows = np.searchsorted(keys, q)
+            hit = rows < keys.shape[0]
+            hit[hit] = keys[rows[hit]] == q[hit]
+            if not hit.all():
+                missing.append(int(sel[~hit][0]))
+            found.append((shard, sel, rows))
+        if missing:
+            return min(missing)
         slot = stamp & 1
-        shard.msg_value[slot, row] = data
-        shard.msg_stamp[slot, row] = stamp
-        return True
+        for shard, sel, rows in found:
+            last = rows.shape[0] - 1 - np.unique(rows[::-1], return_index=True)[1]
+            shard.msg_value[slot, rows[last]] = data[sel[last]]
+            shard.msg_stamp[slot, rows[last]] = stamp
+        return -1
 
     def fresh_in_edges(self, v: int, stamp: int) -> Tuple[np.ndarray, np.ndarray]:
         """In-edges of ``v`` whose value was written at ``stamp``.

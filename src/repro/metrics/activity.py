@@ -61,10 +61,3 @@ def activity_trace(result: RunResult, graph: CSRGraph, dataset: str) -> Activity
         n_edges=graph.m,
     )
 
-
-def shrinkage(trace: ActivityTrace) -> float:
-    """Ratio of peak to final active count (how sharply activity dies)."""
-    a = trace.active_vertices
-    if a.size == 0 or a[-1] == 0:
-        return float("inf") if a.size and a.max() > 0 else 1.0
-    return float(a.max() / a[-1])

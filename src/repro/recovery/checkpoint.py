@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
+from ..core.results import SuperstepRecord
 from ..errors import RecoveryError
 from ..ssd.filesystem import SimFS
 
@@ -69,18 +70,24 @@ KLASS_CKPT = "ckpt"
 PICKLE_PROTOCOL = 4
 
 
-def _record_state(rec) -> Dict[str, Any]:
+def _record_state(rec: SuperstepRecord) -> Dict[str, Any]:
     """A superstep record as the payload stores it.
 
     The payload is charged by its pickled size, so ``records_logged`` is
     stored only where a send-side combine made it differ from
-    ``messages_sent`` -- :class:`~repro.core.results.SuperstepRecord`
-    defaults it back on load.
+    ``messages_sent``; :func:`_record_from_state` puts it back.
     """
     d = rec.to_dict()
     if d["records_logged"] == d["messages_sent"]:
         del d["records_logged"]
     return d
+
+
+def _record_from_state(d: Dict[str, Any]) -> SuperstepRecord:
+    """The :class:`SuperstepRecord` :func:`_record_state` stored as ``d``."""
+    fields = {k: v for k, v in d.items() if k != "total_time_us"}
+    fields.setdefault("records_logged", fields["messages_sent"])
+    return SuperstepRecord(**fields)
 
 
 @dataclass

@@ -8,10 +8,13 @@ tests pin that property for every application.
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import GraFBoost, GraphChi
+from repro.core.api import InitialState, VertexProgram
+from repro.graph.datasets import small_ring
 from repro.options import EngineOptions
 from repro.core import MultiLogVC
-from repro.errors import EngineError
+from repro.errors import EngineError, ProgramError
 from repro.algorithms import (
     BFSProgram,
     CommunityDetectionProgram,
@@ -141,3 +144,38 @@ class TestIOCharacteristics:
     def test_grafboost_charges_external_sort(self, cfg, rmat256):
         res = GraFBoost(rmat256, DeltaPageRankProgram(threshold=1e-3), cfg).run(3)
         assert "gfsort" in res.stats.reads or "gfsort" in res.stats.writes
+
+
+class _StraySend(VertexProgram):
+    """Vertex 0 sends to ``target`` at superstep 0 (combine so every engine runs it)."""
+
+    name = "stray"
+    combine = "min"
+
+    def __init__(self, target, many):
+        self.target = target
+        self.many = many
+
+    def initial(self, graph, rng):
+        return InitialState(values=np.zeros(graph.n), active=np.array([0]))
+
+    def process(self, ctx):
+        if ctx.vid == 0 and ctx.superstep == 0:
+            if self.many:
+                ctx.send_many(np.array([1, self.target]), np.array([1.0, 1.0]))
+            else:
+                ctx.send(self.target, 1.0)
+        ctx.deactivate()
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["send", "send_many"])
+@pytest.mark.parametrize("where", ["-1", "n"])
+@pytest.mark.parametrize(
+    "engine", ["oracle", "multilogvc", "graphchi", "grafboost", "gridgraph", "xstream"]
+)
+def test_send_outside_graph_raises(engine, where, many):
+    """Every engine range-checks a send target against ``[0, n)``."""
+    g = small_ring(8)
+    target = -1 if where == "-1" else g.n
+    with pytest.raises(ProgramError, match="outside graph"):
+        repro.run(g, _StraySend(target, many), engine, max_supersteps=3)

@@ -1,0 +1,146 @@
+"""Golden fingerprints of the superstep-skeleton engines.
+
+Every engine that runs on :class:`repro.core.superstep.SuperstepEngine`
+(GraphChi, GraFBoost plain and adapted, GridGraph, X-Stream and the
+oracle) must produce bit-identical results for a fixed (graph, program,
+config, seed): final values, every superstep record, the SSD stats and
+the full trace -- each event's kind, fields (in emission order) and
+simulated timestamp.  The digests below were recorded before those
+engines shared one skeleton; a change that moves any simulated number,
+record field or trace event of any engine fails here.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+import repro
+from repro.algorithms import (
+    BFSProgram,
+    CommunityDetectionProgram,
+    DeltaPageRankProgram,
+    GraphColoringProgram,
+    SSSPProgram,
+    WCCProgram,
+)
+from repro.config import MemoryConfig, SimConfig, SSDConfig
+from repro.errors import EngineError
+from repro.graph.datasets import small_rmat
+from repro.obs import TraceRecorder
+
+PROGRAMS = {
+    "pagerank": DeltaPageRankProgram,
+    "bfs": BFSProgram,
+    "sssp": SSSPProgram,
+    "wcc": WCCProgram,
+    "cdlp": CommunityDetectionProgram,
+    "coloring": GraphColoringProgram,
+}
+
+#: engine label -> (registry name, options)
+ENGINES = {
+    "graphchi": ("graphchi", None),
+    "grafboost": ("grafboost", None),
+    "grafboost-adapted": ("grafboost", repro.EngineOptions(adapted=True)),
+    "gridgraph": ("gridgraph", None),
+    "xstream": ("xstream", None),
+    "oracle": ("oracle", None),
+}
+
+GOLDEN = {
+    ("grafboost", "bfs"): "60a90f6c15f95fd668fbf5cc63d511f53cc3e551f3ecba08bd4260bee753c42b",
+    ("grafboost", "pagerank"): "40ed5b5134b501f2704066ea03f19272ab0dbb0cbde6f23ba2121e8be00d4bb8",
+    ("grafboost", "sssp"): "33e0cec1e066e1a1f7c7b75fe188d9ed0ab0887d2ea4891ed1457f864d03ece0",
+    ("grafboost", "wcc"): "470710bcbecf052d71ce5a0f8973b28ce6f50bd37708a508969ef437398880fd",
+    ("grafboost-adapted", "bfs"): "400eff5f5bafec8c999c282f494512584f1e2a329d7f6650e71e604edc97167f",
+    ("grafboost-adapted", "cdlp"): "cf98ac8bee7787657e5a9a669f4feea328541d75e2ce67a87e834528f5ac09ec",
+    ("grafboost-adapted", "coloring"): "1ed327355cac38b6dd688ba50001ad4517da96ccac3b18d2e16bb3eef8387f43",
+    ("grafboost-adapted", "pagerank"): "f54036f1941145a84cd3c7d18646111c8c6258989297981945a83a394efb0b08",
+    ("grafboost-adapted", "sssp"): "dcc31e516eacfcb3ec3d44c304a178ffc29afbf10832ec38b4e945f07fb09cb6",
+    ("grafboost-adapted", "wcc"): "43b65a996370c9d71683c588ae7193855feacc8f925b38c7acba26c6d051269e",
+    ("graphchi", "bfs"): "397b818080eaa78b289ab12745e379e24a2be13bb828c90da76aaff2c4e89290",
+    ("graphchi", "cdlp"): "ab37dc07f72f997c983e961f232bd90cf9ff1ffb7701f098d175743b48546956",
+    ("graphchi", "coloring"): "baf8e6ea0dae037131ad11fde3295d8c31d9cc6883a98006df6180f90369b7df",
+    ("graphchi", "pagerank"): "7b9735b5cd21b807162d14b839d84355a02f8762f91f8188b6776ebcaa0d1fdc",
+    ("graphchi", "sssp"): "7a3eb491fa3a439ff44ea5899e7e1b56b51a4dd386191b820ced6af42ea7cc9a",
+    ("graphchi", "wcc"): "5b0c8e3428301eb860def25e071e37aa413b4ca2b1fa5ac2215608ac787218dc",
+    ("gridgraph", "bfs"): "294319be48282452d089974ca48dec936f9a19040572bae7bf7fd2c6477d130b",
+    ("gridgraph", "pagerank"): "d6b6cdf339a8028232ed59c29943922b9d9be016f71601a8f0ad19394011da56",
+    ("gridgraph", "sssp"): "00b87215ba2c46fa8685ffeb7930780285bfb04777e51956482d7519ddcb98cb",
+    ("gridgraph", "wcc"): "f3f4ec32367c76349845d2ddf97371d2922741592871e1973c33cbda48a333d6",
+    ("oracle", "bfs"): "f336301167d0e704dccc6fb75030d5dbc233cd36634f32bf7638f890fdccf774",
+    ("oracle", "cdlp"): "25398f60e0cf8e55e1e00d7e9af6a709cd6128c09b9f54fc3419642e4a8bd2aa",
+    ("oracle", "coloring"): "5d6111136334f3a8299ed46814ee205f79d2068c40b8ca4ba9d42c97874a4ded",
+    ("oracle", "pagerank"): "54f8fd56191e4665669989e20a9ec4be7bc5cfadcc408f1310cc7dba2ba7b878",
+    ("oracle", "sssp"): "89c58697614c578ff22e858fe9fd89db818bb5f16aa03efff3ecfbfbd1e1954f",
+    ("oracle", "wcc"): "1f44b52817731be4d56a7089f947e5cdf5b8bd14609c6d771d21060fdfd1dd9c",
+    ("xstream", "bfs"): "62d8ccd78e01836c0bbaedbca7a6907983823ff1f76d2fb5560cdf9de399bd7e",
+    ("xstream", "pagerank"): "e211754cba595824ebebe0d4b34a75a4537f8f831aec9c76ea8ff3efcdfcb316",
+    ("xstream", "sssp"): "58d23c6fcf6e088770ff733992d974622bf3d6ae46b6168a42afb0c8eb305e78",
+    ("xstream", "wcc"): "3cac37721c18a86f0a938f6422428065d6cff5956fed6e6bb50bba0551ccd26a",
+}
+
+#: sha256 of the ``repro.engines()`` capability table
+GOLDEN_CAPABILITIES = (
+    "6cc8e9efdc5d215ac2ae86d2d590d241e935fae264adcab28132cc74ae972b23"
+)
+
+
+def _default(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, np.generic):
+        return o.item()
+    raise TypeError(type(o))
+
+
+def _digest(obj) -> str:
+    blob = json.dumps(obj, default=_default, allow_nan=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def fingerprint(label: str, program: str):
+    """sha256 of one run's values, records, stats and trace (None: unsupported)."""
+    engine, options = ENGINES[label]
+    graph = small_rmat(n=256, m=2048, seed=3, weighted=True)
+    # A small sort budget: four GraphChi shards, two grid rows, a
+    # multi-run external sort and a four-interval combine tree.
+    config = SimConfig(
+        ssd=SSDConfig(page_size=4096, channels=4),
+        memory=MemoryConfig(total_bytes=256 * 1024, sort_fraction=0.05),
+    ).with_workers(1).with_io_plan("off").with_devices(1)
+    tracer = TraceRecorder()
+    try:
+        res = repro.run(
+            graph, PROGRAMS[program](), engine, config=config, options=options,
+            tracer=tracer, max_supersteps=8, seed=5,
+        )
+    except EngineError:
+        return None
+    h = hashlib.sha256(np.ascontiguousarray(res.values, dtype=np.float64).tobytes())
+    h.update(_digest([r.to_dict() for r in res.supersteps]).encode())
+    h.update(_digest(res.stats.to_dict()).encode())
+    h.update(_digest([[e.kind, e.fields, e.t_us] for e in tracer.events]).encode())
+    return h.hexdigest()
+
+
+def capabilities_digest() -> str:
+    return _digest(
+        {
+            name: [sorted(i.options), i.supports_resume, i.supports_checkpoint,
+                   i.in_memory, i.supports_warm_start]
+            for name, i in repro.engines().items()
+        }
+    )
+
+
+@pytest.mark.parametrize("label", sorted(ENGINES))
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_engine_fingerprint(label, program):
+    assert fingerprint(label, program) == GOLDEN.get((label, program))
+
+
+def test_capability_table_fingerprint():
+    assert capabilities_digest() == GOLDEN_CAPABILITIES

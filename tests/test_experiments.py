@@ -172,7 +172,8 @@ class TestPerSuperstepHelper:
 
         def mk(times):
             recs = [
-                SuperstepRecord(i, 1, 1, 1, 1, t, 0.0, 0, 0) for i, t in enumerate(times)
+                SuperstepRecord(i, 1, 1, 1, 1, t, 0.0, 0, 0, records_logged=1)
+                for i, t in enumerate(times)
             ]
             return RunResult("e", "p", np.zeros(1), recs, True, SSDStats(), 0.0)
 

@@ -145,6 +145,29 @@ class TestShardedGraph:
         assert 1.0 in vals2.tolist()
         assert 2.0 in vals3.tolist()
 
+    def test_deliver_many_equals_one_at_a_time(self, rmat256, cfg):
+        """Batch delivery writes what per-message writes in send order would."""
+        ref = ShardedGraph(rmat256, SimFS(cfg), cfg, intervals=uniform_partition(rmat256.n, 4))
+        sg = ShardedGraph(rmat256, SimFS(cfg), cfg, intervals=uniform_partition(rmat256.n, 4))
+        src, dst = rmat256.edge_array()
+        rng = np.random.default_rng(0)
+        pick = rng.integers(0, src.shape[0], 3000)  # repeats: a later message wins
+        data = rng.random(pick.shape[0])
+        for k, e in enumerate(pick.tolist()):
+            shard = ref.shard_of(int(dst[e]))
+            row = shard.edge_row(int(src[e]), int(dst[e]))
+            shard.msg_value[1, row] = data[k]
+            shard.msg_stamp[1, row] = 3
+        assert sg.deliver_many(src[pick], dst[pick], data, stamp=3) == -1
+        for a, b in zip(ref.shards, sg.shards):
+            assert np.array_equal(a.msg_value, b.msg_value)
+            assert np.array_equal(a.msg_stamp, b.msg_stamp)
+        # An absent edge is reported by its send position; nothing is written.
+        w = next(x for x in range(rmat256.n) if x not in set(rmat256.neighbors(0).tolist()))
+        before = [s.msg_stamp.copy() for s in sg.shards]
+        assert sg.deliver_many([src[0], 0], [dst[0], w], [1.0, 2.0], stamp=4) == 1
+        assert all(np.array_equal(a, s.msg_stamp) for a, s in zip(before, sg.shards))
+
     def test_edge_row_lookup(self, sharded, rmat256):
         v = 5
         for u in rmat256.neighbors(v)[:3]:

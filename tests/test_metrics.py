@@ -1,6 +1,5 @@
-"""Metrics: tables, series, activity traces, utilization summaries."""
+"""Metrics: tables, series, activity traces."""
 
-import numpy as np
 import pytest
 
 from repro.config import small_test_config
@@ -10,12 +9,8 @@ from repro.algorithms import GraphColoringProgram
 from repro.metrics import (
     activity_trace,
     geometric_mean,
-    prediction_accuracy,
     render_series,
     render_table,
-    run_inefficiency,
-    shrinkage,
-    summarize_utilization,
 )
 
 
@@ -49,25 +44,6 @@ class TestReport:
         assert geometric_mean([0.0, -3.0]) == 0.0
 
 
-class TestUtilization:
-    def test_summary(self):
-        useful = [np.array([10, 4096, 100])]
-        s = summarize_utilization(useful, page_size=4096, threshold=0.10)
-        assert s.pages == 3
-        assert s.below_threshold == 2
-        assert s.inefficient_fraction == pytest.approx(2 / 3)
-        assert s.read_amplification == pytest.approx(3 * 4096 / (10 + 4096 + 100))
-
-    def test_empty(self):
-        s = summarize_utilization([], page_size=4096)
-        assert s.pages == 0 and s.inefficient_fraction == 0.0
-        assert s.read_amplification == float("inf")
-
-    def test_zero_useful_pages_not_counted_inefficient(self):
-        s = summarize_utilization([np.array([0, 0])], 4096)
-        assert s.below_threshold == 0
-
-
 class TestRunDerivedMetrics:
     @pytest.fixture
     def run(self, rmat256):
@@ -80,16 +56,3 @@ class TestRunDerivedMetrics:
         assert tr.active_vertices.shape[0] == res.n_supersteps
         assert (tr.vertex_fraction <= 1.0).all()
         assert tr.rows()[0][1] == res.supersteps[0].active_vertices
-
-    def test_shrinkage_positive(self, run):
-        res, g = run
-        tr = activity_trace(res, g, "rmat")
-        assert shrinkage(tr) >= 1.0
-
-    def test_run_inefficiency_bounds(self, run):
-        res, _ = run
-        assert 0.0 <= run_inefficiency(res) <= 1.0
-
-    def test_prediction_accuracy_bounds(self, run):
-        res, _ = run
-        assert 0.0 <= prediction_accuracy(res) <= 1.0

@@ -11,7 +11,10 @@ from repro.ssd.stats import SSDStats
 
 
 def make_result(times, engine="e", compute=0.0):
-    recs = [SuperstepRecord(i, 10, 5, 5, 20, t, 1.0, 3, 2) for i, t in enumerate(times)]
+    recs = [
+        SuperstepRecord(i, 10, 5, 5, 20, t, 1.0, 3, 2, records_logged=5)
+        for i, t in enumerate(times)
+    ]
     stats = SSDStats()
     for t in times:
         stats.record_read("x", 3, 3 * 4096, t)
