@@ -40,7 +40,7 @@ from ..graph.partition import static_partition, uniform_partition
 from ..graph.storage import GraphOnSSD
 from ..core.combine import combine_sorted
 from ..core.superstep import SuperstepEngine
-from ..core.update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch
+from ..core.update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch, natural_runs
 from ..mem.pagebuffer import RecordPageBuffer
 
 KLASS_GFLOG = "gflog"
@@ -87,9 +87,14 @@ class GraFBoost(SuperstepEngine):
     def _pages(self, records: int) -> int:
         return self.config.pages_for_bytes(records * self.config.records.update_bytes)
 
-    def _charge_external_sort(self, raw_records: int, batch: UpdateBatch) -> UpdateBatch:
-        """Charge the sort-reduce I/O and return the (combined) batch."""
+    def _charge_external_sort(self, batch: UpdateBatch, natural: int) -> UpdateBatch:
+        """Charge the sort-reduce I/O and return the (combined) batch.
+
+        ``batch`` is the superstep's log in arrival order and ``natural``
+        its natural runs, traced for the compute charge.
+        """
         cfg = self.config
+        raw_records = batch.n
         dev = self.fs.device
         raw_dest = batch.dest  # unsorted arrival order (run membership)
         batch = batch.sort_by_dest()
@@ -145,6 +150,8 @@ class GraFBoost(SuperstepEngine):
                 combined_pages=combined_pages,
                 runs=runs,
                 passes=n_passes,
+                records=raw_records,
+                natural_runs=natural,
             )
         self._sorted_pages = combined_pages
         return batch
@@ -223,8 +230,9 @@ class GraFBoost(SuperstepEngine):
             if tracer.enabled:
                 tracer.emit("log_flush", pages=len(tail), tail=True)
         raw = self.outbox.batch()
-        self.meter.charge_sort(raw.n)
+        natural = natural_runs(raw.dest)
+        self.meter.charge_sort(raw.n, natural, "sort_log")
         if raw.n:
-            self.pending = self._charge_external_sort(raw.n, raw)
+            self.pending = self._charge_external_sort(raw, natural)
         else:
             self.pending, self._sorted_pages = UpdateBatch.empty(), 0

@@ -259,12 +259,16 @@ class ComputeConfig:
         (vertices * per_vertex_us
          + updates * per_update_us
          + edges_scanned * per_edge_us
-         + sort_items * log2(sort_items) * per_sort_item_us) / cores
+         + sum over sorts of n * log2(max(runs, 2)) * per_sort_item_us) / cores
 
-    The constants are calibrated so that the storage/compute split of
-    BFS lands in the paper's 75-90% storage range (Fig. 5c); they do not
-    affect *relative* engine comparisons much because all engines share
-    the same model.
+    where a sort of ``n`` keys handed over in ``runs`` natural runs
+    (maximal non-decreasing stretches) is charged as an idealised merge:
+    one item-cost per item per level, over the continuous log2 of the
+    run count, with no separate run-finding pass.  The constants are
+    calibrated so that the storage/compute split of BFS lands in the
+    paper's 75-90% storage range (Fig. 5c); they do not affect
+    *relative* engine comparisons much because all engines share the
+    same model.
     """
 
     cores: int = 4

@@ -48,7 +48,7 @@ from .scheduler import ParallelGroupScheduler
 from .results import ComputeMeter, RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
 from .superstep import SuperstepEngine
-from .update import UpdateBatch
+from .update import UpdateBatch, natural_runs
 
 
 class _Converged(Exception):
@@ -287,7 +287,7 @@ class MultiLogVC(SuperstepEngine):
         # Device-array overlay clocks continue from the cut (no-op on a
         # single device or for checkpoints written without an array).
         self.fs.device.restore_overlay(ckpt.device_state)
-        meter.time_us = float(ckpt.meter_time_us)
+        meter.restore(float(ckpt.meter_time_us))
         rng.bit_generator.state = ckpt.rng_state
         # Fresh program instances never saw initial(); let stateful
         # programs rebuild their round state for the resume superstep.
@@ -425,8 +425,8 @@ class MultiLogVC(SuperstepEngine):
                 self.fs.device.commit(charges)
                 if planner is not None:
                     planner.apply(prepared.io_plan)
-                meter.charge_sort(prepared.sg.sort_items)
                 sg = prepared.sg
+                meter.charge_sort(sg.sort_items, sg.sort_runs, "sort_group")
                 verts = prepared.verts
                 report = prepared.report
                 if tracer.enabled:
@@ -443,6 +443,7 @@ class MultiLogVC(SuperstepEngine):
                         "group_sort",
                         group=g_index,
                         records=int(sg.sort_items),
+                        natural_runs=int(sg.sort_runs),
                         unique_dests=int(sg.unique_dests.shape[0]),
                     )
                 if verts.size == 0:
@@ -596,13 +597,15 @@ class MultiLogVC(SuperstepEngine):
         Ingests ``batches`` (send order) and returns how many updates the
         program sent.  With :attr:`precombine` they first become one
         batch reduced to a record per (destination, source interval) --
-        level 1 of the combine tree, charged as a sort of the sends --
-        after the range check has seen every destination as produced.
+        level 1 of the combine tree, charged as a natural merge of the
+        destinations in send order (each sender's follow its ascending
+        adjacency list) -- after the range check has seen every
+        destination as produced.
         """
         sent = sum(b.n for b in batches)
         if self.precombine and sent:
             batch = mlog.narrowed(UpdateBatch.concat(batches))
-            meter.charge_sort(sent)
+            meter.charge_sort(sent, natural_runs(batch.dest), "sort_send")
             batches = [precombine(batch, self.program.combine, self.intervals)]
         for batch in batches:
             mlog.ingest(batch)

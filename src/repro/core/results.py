@@ -27,25 +27,57 @@ if TYPE_CHECKING:  # annotation-only; obs does not import core
     from ..obs.tracer import TraceEvent
 
 
+#: Compute-ledger rows, one per call site: the send-side reduce
+#: (MultiLogVC), the consumer's group sort (MultiLogVC), GraFBoost's log
+#: sort, the three per-item costs, and meter time a resumed run restored
+#: from its checkpoint.
+COMPUTE_SITES = ("sort_send", "sort_group", "sort_log", "vertices", "updates", "edges", "resumed")
+
+
 class ComputeMeter:
-    """Accumulates simulated compute time from per-item costs."""
+    """Accumulates simulated compute time from per-item costs.
+
+    ``by_site`` tallies the same charges per :data:`COMPUTE_SITES` row;
+    the rows sum to ``time_us`` up to float rounding.
+    """
 
     def __init__(self, config: ComputeConfig) -> None:
         self.config = config
         self.time_us = 0.0
+        self.by_site = dict.fromkeys(COMPUTE_SITES, 0.0)
+
+    def _charge(self, site: str, us: float) -> None:
+        self.time_us += us
+        self.by_site[site] += us
 
     def charge_vertices(self, n: int) -> None:
-        self.time_us += n * self.config.per_vertex_us / self.config.cores
+        self._charge("vertices", n * self.config.per_vertex_us / self.config.cores)
 
     def charge_updates(self, n: int) -> None:
-        self.time_us += n * self.config.per_update_us / self.config.cores
+        self._charge("updates", n * self.config.per_update_us / self.config.cores)
 
     def charge_edges(self, n: int) -> None:
-        self.time_us += n * self.config.per_edge_us / self.config.cores
+        self._charge("edges", n * self.config.per_edge_us / self.config.cores)
 
-    def charge_sort(self, n: int) -> None:
+    def charge_sort(self, n: int, runs: int, site: str) -> None:
+        """An idealised merge of ``n`` keys handed over in ``runs`` sorted runs.
+
+        Charges ``n * log2(max(runs, 2))`` item-levels: the continuous
+        log2 of the run count, with no separate pass to find the runs,
+        so sorted input (one run) costs one level, as two runs do.
+        Never more than ``n * log2(n)``; equal to it on strictly
+        descending keys.
+        """
         if n > 1:
-            self.time_us += n * math.log2(n) * self.config.per_sort_item_us / self.config.cores
+            self._charge(
+                site, n * math.log2(max(runs, 2)) * self.config.per_sort_item_us / self.config.cores
+            )
+
+    def restore(self, time_us: float) -> None:
+        """Resume at a checkpointed meter reading (ledger row ``resumed``)."""
+        self.time_us = time_us
+        self.by_site = dict.fromkeys(COMPUTE_SITES, 0.0)
+        self.by_site["resumed"] = time_us
 
     def snapshot(self) -> float:
         return self.time_us
@@ -105,6 +137,8 @@ class RunResult:
     trace: Optional[List["TraceEvent"]] = None
     #: counters/gauges snapshot from the run's MetricsRegistry
     metrics: Optional[Dict[str, Any]] = None
+    #: ``compute_time_us`` by call site (:data:`COMPUTE_SITES`)
+    compute_by_site: Dict[str, float] = field(default_factory=dict)
 
     @property
     def n_supersteps(self) -> int:
@@ -185,6 +219,7 @@ class RunResult:
             "converged": self.converged,
             "n_supersteps": self.n_supersteps,
             "compute_time_us": self.compute_time_us,
+            "compute_by_site": self.compute_by_site,
             "storage_time_us": self.storage_time_us,
             "total_time_us": self.total_time_us,
             "pages_read": self.pages_read,

@@ -25,7 +25,7 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .combine import CombineSpec, combine_sorted, precombine
 from .multilog import MultiLogUnit
 from .results import ComputeMeter
-from .update import UpdateBatch
+from .update import UpdateBatch, natural_runs
 
 
 @dataclass
@@ -41,9 +41,11 @@ class SortedGroup:
     #: True when a single interval's log alone exceeded the sort budget
     #: (possible only when the §V-A1 conservative sizing was overridden).
     overflowed: bool = False
-    #: Pre-combine batch size, for deferred sort-cost metering when the
-    #: caller charges the sort itself (``charge_sort=False``).
+    #: Pre-combine batch size and its natural runs in arrival order, for
+    #: deferred sort-cost metering when the caller charges the sort
+    #: itself (``charge_sort=False``).
     sort_items: int = 0
+    sort_runs: int = 0
 
 
 class SortGroupUnit:
@@ -142,16 +144,24 @@ class SortGroupUnit:
         ``extra`` lets the asynchronous mode inject same-superstep
         updates produced by earlier groups.  ``charge_sort=False`` skips
         the compute-meter charge; the caller charges
-        ``SortedGroup.sort_items`` itself (the engine does this after it
-        commits the group's deferred device charges).
+        ``SortedGroup.sort_items`` / ``sort_runs`` itself (the engine
+        does this after it commits the group's deferred device charges).
+        The sort is charged as a natural merge of the log's arrival
+        order, log first, then the extras: each flushed batch of a
+        send-side combine is already dest-sorted.
         ``plan`` (DESIGN.md §13) queues the log reads on a group I/O
         plan instead of charging per file.
         """
         tree = multilog.intervals
         batch = multilog.consume(interval_ids, plan=plan)
         sort_items = int(batch.n)
+        sort_runs = natural_runs(batch.dest)
         if extra is not None and extra.n:
             sort_items += extra.n
+            # The extras continue the log's last run if they start at or
+            # above its last key.
+            seam = batch.n > 0 and batch.dest[-1] <= extra.dest[0]
+            sort_runs += natural_runs(extra.dest) - int(seam)
             if isinstance(combine, str):
                 # The log and the same-superstep extras are two arrival
                 # segments: close level 1 over each, or a raw run could
@@ -160,7 +170,7 @@ class SortGroupUnit:
             batch = UpdateBatch.concat([batch, extra])
         overflowed = sort_items * self.config.records.update_bytes > self.budget.sort_bytes
         if charge_sort:
-            self.meter.charge_sort(sort_items)
+            self.meter.charge_sort(sort_items, sort_runs, "sort_group")
         batch = batch.sort_by_dest()
         uniq, offsets = batch.group()
         if combine is not None and uniq.shape[0]:
@@ -178,4 +188,5 @@ class SortGroupUnit:
             offsets=offsets,
             overflowed=overflowed,
             sort_items=sort_items,
+            sort_runs=sort_runs,
         )

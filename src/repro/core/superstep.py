@@ -47,7 +47,7 @@ from ..ssd.stats import SSDStats
 from .active import ActiveTracker
 from .api import InitialState, VertexContext, VertexProgram
 from .combine import combine_sorted
-from .results import ComputeMeter, RunResult, SuperstepRecord
+from .results import COMPUTE_SITES, ComputeMeter, RunResult, SuperstepRecord
 from .update import DATA_DTYPE, DEST_DTYPE, SRC_DTYPE, UpdateBatch
 
 _EMPTY_SRC = np.empty(0, dtype=SRC_DTYPE)
@@ -299,10 +299,12 @@ class SuperstepEngine:
         if self.fs is not None and self.fs.cache is not None:
             self.fs.cache.register_metrics(reg)
         self.counters = {c: reg.counter(f"{type(self).name}.{c}") for c in self.COUNTERS}
+        meter = self.meter
+        for site in COMPUTE_SITES:
+            reg.gauge(f"compute.{site}_us", lambda site=site: meter.by_site[site])
         tracer = self.tracer
         trace_start = len(tracer.events)
         if tracer.enabled:
-            meter = self.meter
             if self.fs is None:
                 tracer.bind_clock(lambda: meter.time_us)
             else:
@@ -345,6 +347,7 @@ class SuperstepEngine:
             converged=converged,
             stats=stats,
             compute_time_us=self.meter.time_us,
+            compute_by_site=dict(self.meter.by_site),
             trace=tracer.events[trace_start:] if tracer.enabled else None,
             metrics=self.reg.snapshot() if self.metrics_registry is not None else None,
         )

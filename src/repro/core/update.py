@@ -43,6 +43,18 @@ def stable_argsort_bounded(keys: np.ndarray, bound: Optional[int] = None) -> np.
     return order
 
 
+def natural_runs(keys: np.ndarray) -> int:
+    """Number of natural runs in ``keys``: maximal non-decreasing stretches.
+
+    0 for no keys, 1 for sorted keys, ``n`` for strictly descending ones.
+    The compute meter charges a sort handed these runs as an idealised
+    merge of ``log2(max(runs, 2))`` levels (``ComputeMeter.charge_sort``).
+    """
+    if keys.shape[0] == 0:
+        return 0
+    return 1 + int(np.count_nonzero(keys[1:] < keys[:-1]))
+
+
 @dataclass
 class UpdateBatch:
     """A columnar batch of updates."""

@@ -13,7 +13,10 @@ the paper argues for:
 * **combine before the log** (not in the paper, whose §V-D combines
   after the log is read back; DESIGN.md §15): log records and pages
   saved by reducing a group's sends per (destination, source interval)
-  first.
+  first;
+* **sort-charge sensitivity** (DESIGN.md §5): the two paper figures the
+  sort constant is calibrated against, recomputed with
+  ``per_sort_item_us`` halved and doubled.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import dataclasses
 from typing import List, Optional
 
 from ..algorithms import BFSProgram, DeltaPageRankProgram, GraphColoringProgram, MISProgram
-from ..config import DEFAULT_CONFIG
+from ..config import DEFAULT_CONFIG, SimConfig
+from . import fig5_bfs, fig8_grafboost
 from .common import ExperimentResult, env_scale, load_dataset, run_mlvc
 
 
@@ -148,8 +152,45 @@ def run_precombine(scale: Optional[str] = None, steps: int = 15) -> ExperimentRe
         rows=rows,
         notes=(
             "values and messages sent are identical either way; the reduce is "
-            "charged to compute as a sort of each group's sends"
+            "charged to compute as a natural merge of each group's sends"
         ),
+    )
+
+
+def _scaled_sort(config: SimConfig, factor: float) -> SimConfig:
+    compute = config.compute
+    return dataclasses.replace(
+        config,
+        compute=dataclasses.replace(compute, per_sort_item_us=compute.per_sort_item_us * factor),
+    )
+
+
+def run_sort_charge(scale: Optional[str] = None) -> ExperimentResult:
+    """Fig. 5c's MultiLogVC storage share at full traversal and Fig. 8's
+    PageRank speedups on CF (both columns) at ``per_sort_item_us`` x
+    {1/2, 1, 2}: which conclusions the calibrated sort constant carries."""
+    scale = scale or env_scale()
+    cf = load_dataset("cf", scale)
+    rows: List[tuple] = []
+    for factor in (0.5, 1.0, 2.0):
+        fig5 = fig5_bfs.run(
+            scale, fractions=(1.0,), config=_scaled_sort(fig5_bfs.default_config(scale), factor)
+        )
+        speedup, _, speedup_pre = fig8_grafboost.pagerank_duel(
+            cf, _scaled_sort(DEFAULT_CONFIG, factor)
+        )
+        rows.append((f"x{factor:g}", fig5.rows[0][4], speedup, speedup_pre))
+    return ExperimentResult(
+        experiment="ablation-sort-charge",
+        caption="Ablation: sort-charge sensitivity (per_sort_item_us scaled)",
+        headers=[
+            "per_sort_item_us",
+            "Fig. 5c MLVC storage % (100% traversal)",
+            "Fig. 8 pagerank CF speedup",
+            "Fig. 8 speedup, combine before log",
+        ],
+        rows=rows,
+        notes="paper: storage share 75-90% at full traversal; pagerank 2.8x average",
     )
 
 
@@ -160,6 +201,7 @@ def run(scale: Optional[str] = None, steps: int = 15) -> List[ExperimentResult]:
         run_channels(scale, steps),
         run_history_window(scale, steps),
         run_precombine(scale, steps),
+        run_sort_charge(scale),
     ]
 
 

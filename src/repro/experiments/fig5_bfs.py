@@ -28,6 +28,13 @@ from .common import ExperimentResult, env_scale, run_graphchi, run_mlvc
 DEFAULT_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 
+def default_config(scale: str) -> SimConfig:
+    """Keep graph >> memory at every dataset scale (the paper's
+    out-of-core regime); the test-scale chain graph would otherwise fit
+    in the default budget."""
+    return small_test_config(total_bytes=96 * 1024) if scale == "test" else DEFAULT_CONFIG
+
+
 def run(
     scale: Optional[str] = None,
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
@@ -36,11 +43,7 @@ def run(
     config: Optional[SimConfig] = None,
 ) -> ExperimentResult:
     scale = scale or env_scale()
-    if config is None:
-        # Keep graph >> memory at every dataset scale (the paper's
-        # out-of-core regime); the test-scale chain graph would
-        # otherwise fit in the default budget.
-        config = small_test_config(total_bytes=96 * 1024) if scale == "test" else DEFAULT_CONFIG
+    config = config or default_config(scale)
     graph, source = bfs_chain_graph(scale, seed=seed)
     dist = bfs_reference(graph, source)
     reachable = int(np.isfinite(dist).sum())

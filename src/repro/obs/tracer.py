@@ -45,6 +45,7 @@ TRACE_KINDS = frozenset(
         # MultiLogVC superstep internals
         "group_plan",
         "group_load",
+        # group, records, natural_runs, unique_dests
         "group_sort",
         "group_process",
         "edgelog_decisions",
@@ -83,6 +84,8 @@ TRACE_KINDS = frozenset(
         "vertex_chunks",
         "log_stream",
         "log_flush",
+        # raw_pages, run_pages, combined_pages, runs, passes, records,
+        # natural_runs
         "extsort",
         "graph_stream",
         "block_stream",

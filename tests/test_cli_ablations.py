@@ -72,8 +72,15 @@ class TestAblations:
 
     def test_run_all_wrapper(self):
         results = ablations.run("test", steps=4)
-        assert len(results) == 5
+        assert len(results) == 6
         assert all(res.rows for res in results)
+        # The sort-charge sensitivity table: a dearer sort is more
+        # compute, so the storage share can only fall.
+        sort_charge = results[-1]
+        assert [row[0] for row in sort_charge.rows] == ["x0.5", "x1", "x2"]
+        storage = [row[1] for row in sort_charge.rows]
+        assert storage == sorted(storage, reverse=True) and storage[0] > storage[-1]
+        assert all(row[2] > 0 and row[3] > 0 for row in sort_charge.rows)
 
 
 class TestPreprocessing:

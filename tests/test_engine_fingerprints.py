@@ -7,11 +7,18 @@ config, seed): final values, every superstep record, the SSD stats and
 the full trace -- each event's kind, fields (in emission order) and
 simulated timestamp.  The digests below were recorded before those
 engines shared one skeleton; a change that moves any simulated number,
-record field or trace event of any engine fails here.
+record field or trace event of any engine fails here.  GraFBoost's were
+re-recorded once since, when its log sort became a natural merge: its
+compute time moved and ``extsort`` gained ``records`` and
+``natural_runs``; nothing else changed.
+
+Each run also checks the compute ledger: ``RunResult.compute_by_site``
+sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +33,7 @@ from repro.algorithms import (
     WCCProgram,
 )
 from repro.config import MemoryConfig, SimConfig, SSDConfig
+from repro.core.results import COMPUTE_SITES
 from repro.errors import EngineError
 from repro.graph.datasets import small_rmat
 from repro.obs import TraceRecorder
@@ -50,16 +58,16 @@ ENGINES = {
 }
 
 GOLDEN = {
-    ("grafboost", "bfs"): "60a90f6c15f95fd668fbf5cc63d511f53cc3e551f3ecba08bd4260bee753c42b",
-    ("grafboost", "pagerank"): "40ed5b5134b501f2704066ea03f19272ab0dbb0cbde6f23ba2121e8be00d4bb8",
-    ("grafboost", "sssp"): "33e0cec1e066e1a1f7c7b75fe188d9ed0ab0887d2ea4891ed1457f864d03ece0",
-    ("grafboost", "wcc"): "470710bcbecf052d71ce5a0f8973b28ce6f50bd37708a508969ef437398880fd",
-    ("grafboost-adapted", "bfs"): "400eff5f5bafec8c999c282f494512584f1e2a329d7f6650e71e604edc97167f",
-    ("grafboost-adapted", "cdlp"): "cf98ac8bee7787657e5a9a669f4feea328541d75e2ce67a87e834528f5ac09ec",
-    ("grafboost-adapted", "coloring"): "1ed327355cac38b6dd688ba50001ad4517da96ccac3b18d2e16bb3eef8387f43",
-    ("grafboost-adapted", "pagerank"): "f54036f1941145a84cd3c7d18646111c8c6258989297981945a83a394efb0b08",
-    ("grafboost-adapted", "sssp"): "dcc31e516eacfcb3ec3d44c304a178ffc29afbf10832ec38b4e945f07fb09cb6",
-    ("grafboost-adapted", "wcc"): "43b65a996370c9d71683c588ae7193855feacc8f925b38c7acba26c6d051269e",
+    ("grafboost", "bfs"): "9525fd2f9419b2fa9aa1cb14c6749c3275b3e5cd2a8c7a166e56730f7f4b6f5b",
+    ("grafboost", "pagerank"): "07a4aa131b2774766e3f1377981cbbba1b4378627d977834f872a47f8875b14e",
+    ("grafboost", "sssp"): "4f34a09206140566e31e1254db6a4ba03f44e03ddf33cdd871d8728c543a2b4c",
+    ("grafboost", "wcc"): "2cf1ebe4e4a8286dd82ca02ca8d1ee4ea9e3367891c607258946bd7a38020d09",
+    ("grafboost-adapted", "bfs"): "1b0c67b9da5f22ac2515327e04975515b4a0800b4c01b31d94a1abdcd738c487",
+    ("grafboost-adapted", "cdlp"): "4d5d9593f9463baabcd88a900c4569bcdc62c8c0c4a3f9bab65bc53b20e9c1b5",
+    ("grafboost-adapted", "coloring"): "d331f0d430e54ac548de97eaf138251a449feb48a3e76b103a35ab042fc12ed5",
+    ("grafboost-adapted", "pagerank"): "69e864dc8e3207fd60975db2f77dd85e2b7ae0340e61cc359b45a53397f3baff",
+    ("grafboost-adapted", "sssp"): "df261ad30dad1f4222aadd88b10df2b5294c0b439d98787d944c55ffe05c6ecc",
+    ("grafboost-adapted", "wcc"): "b8d35802b27db2b422ce91c59f26ac1c7ec6e5dcd4396d5c1d29ef2760bebb31",
     ("graphchi", "bfs"): "397b818080eaa78b289ab12745e379e24a2be13bb828c90da76aaff2c4e89290",
     ("graphchi", "cdlp"): "ab37dc07f72f997c983e961f232bd90cf9ff1ffb7701f098d175743b48546956",
     ("graphchi", "coloring"): "baf8e6ea0dae037131ad11fde3295d8c31d9cc6883a98006df6180f90369b7df",
@@ -119,6 +127,8 @@ def fingerprint(label: str, program: str):
         )
     except EngineError:
         return None
+    assert math.isclose(sum(res.compute_by_site.values()), res.compute_time_us, rel_tol=1e-9)
+    assert {k: res.metrics[f"compute.{k}_us"] for k in COMPUTE_SITES} == res.compute_by_site
     h = hashlib.sha256(np.ascontiguousarray(res.values, dtype=np.float64).tobytes())
     h.update(_digest([r.to_dict() for r in res.supersteps]).encode())
     h.update(_digest(res.stats.to_dict()).encode())

@@ -219,23 +219,24 @@ def test_no_host_threads():
 
 
 #: ``parallel_stats`` after the last superstep of an 8-step unfused
-#: rmat256 run, recorded at the last commit that still had the
-#: speculate/commit thread pool (PR 11, 7979046) -- the lane model must
-#: reproduce the pool's overlap accounting to the bit.  Those runs
-#: combined after the log round trip only, i.e. ``enable_precombine``
-#: off; the send-side combine moves every charge, so it has its own
-#: constants (recorded at PR 20) beside them.
+#: rmat256 run.  The lane model reproduced the speculate/commit thread
+#: pool's overlap accounting to the bit (7979046, its last commit); the
+#: constants were re-recorded once since, when every sort became a
+#: natural merge, which moves each group's compute and so each lane's
+#: time.  ``enable_precombine`` off is the paper's post-read combine;
+#: the send-side combine moves every charge, so it has its own
+#: constants beside them.
 GOLDEN_PARALLEL_STATS = {
-    ("pagerank", 2): (40, 9819.634807515014, 4283.989710981325, 10975.645096533692),
-    ("pagerank", 4): (40, 9819.634807515016, 6333.341019830063, 8926.293787684954),
-    ("sssp", 2): (36, 10386.281573149725, 4094.000441578751, 8802.281131570973),
-    ("sssp", 4): (36, 10386.281573149725, 6136.349754860232, 6759.931818289495),
+    ("pagerank", 2): (40, 9690.664460550497, 4216.366837950283, 10914.297622600214),
+    ("pagerank", 4): (40, 9690.664460550497, 6233.999961012433, 8896.664499538063),
+    ("sssp", 2): (36, 10333.18510775601, 4066.7076994992126, 8776.477408256796),
+    ("sssp", 4): (36, 10333.18510775601, 6096.022390477092, 6747.1627172789185),
 }
 GOLDEN_PARALLEL_STATS_PRECOMBINE = {
-    ("pagerank", 2): (40, 7694.5567836853415, 3187.8433251772717, 6346.71345850807),
-    ("pagerank", 4): (40, 7694.556783685343, 4770.126942523971, 4764.42984116137),
-    ("sssp", 2): (36, 9767.22408296527, 3799.4227877093986, 7577.801295255869),
-    ("sssp", 4): (36, 9767.22408296527, 5685.9322450710615, 5691.291837894206),
+    ("pagerank", 2): (40, 7376.29911247056, 3033.6214264210944, 6182.6776860494665),
+    ("pagerank", 4): (40, 7376.299112470562, 4541.802768601976, 4674.496343868586),
+    ("sssp", 2): (36, 9637.45092776002, 3729.8920870665406, 7517.5588406934785),
+    ("sssp", 4): (36, 9637.450927760017, 5587.068282355266, 5660.382645404754),
 }
 
 

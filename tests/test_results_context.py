@@ -35,10 +35,12 @@ class TestComputeMeter:
 
     def test_sort_charge_nlogn(self):
         m = ComputeMeter(DEFAULT_CONFIG.compute)
-        m.charge_sort(1)  # no-op for n <= 1
+        m.charge_sort(1, 1, "sort_group")  # no-op for n <= 1
         assert m.time_us == 0.0
-        m.charge_sort(1024)
-        assert m.time_us > 0
+        # n runs of one key each: the merge is a full n log2 n sort.
+        m.charge_sort(1024, 1024, "sort_group")
+        c = DEFAULT_CONFIG.compute
+        assert m.time_us == 1024 * 10 * c.per_sort_item_us / c.cores
 
 
 class TestRunResult:

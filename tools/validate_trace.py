@@ -41,7 +41,12 @@ Checks, in order:
     ``messages_sent`` and ``records_logged`` with ``records_logged <=
     messages_sent`` -- the log never holds more records than the
     program sent; it holds fewer only where a send-side combine reduced
-    them first (DESIGN.md §15).
+    them first (DESIGN.md §15);
+11. ``group_sort`` and ``extsort`` events carry integer ``records`` and
+    ``natural_runs`` with ``1 <= natural_runs <= records`` whenever
+    ``records > 0`` -- the natural runs the sort's compute charge merges
+    (DESIGN.md §5): a non-empty input has at least one and at most one
+    per record.
 
 Any violation prints the offending line number and exits non-zero.
 
@@ -100,6 +105,9 @@ DEVICE_COUNTERS = ("ops", "serial_us", "array_us", "saved_us")
 
 #: ``superstep_end`` send counts: non-negative integers, logged <= sent.
 SEND_FIELDS = ("messages_sent", "records_logged")
+
+#: Sort events whose ``natural_runs`` must lie in ``[1, records]``.
+SORT_KINDS = ("group_sort", "extsort")
 
 
 def validate_file(path: Path) -> list:
@@ -275,6 +283,16 @@ def validate_file(path: Path) -> list:
                 errors.append(
                     f"{path}:{lineno}: superstep_end logged more records than were "
                     f"sent (records_logged {counts[1]} > messages_sent {counts[0]})"
+                )
+        if kind in SORT_KINDS:
+            records, runs = ev.get("records"), ev.get("natural_runs")
+            if any(not isinstance(c, int) or isinstance(c, bool) for c in (records, runs)):
+                errors.append(
+                    f"{path}:{lineno}: {kind} missing/non-integer records / natural_runs"
+                )
+            elif records > 0 and not 1 <= runs <= records:
+                errors.append(
+                    f"{path}:{lineno}: {kind} natural_runs {runs} outside [1, records {records}]"
                 )
         if kind == "compaction":
             for field in COMPACTION_FIELDS:
