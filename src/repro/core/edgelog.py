@@ -17,9 +17,12 @@ dense log pages instead of the sparse colidx pages: logging N vertices
 into one page saves up to N - 1 page reads (§V-C).  Edge logs live for
 exactly one superstep; generations rotate at superstep boundaries.
 
-Completed log pages are evicted to flash eagerly (the B% buffer holds
-only the single in-fill page, so the budget is trivially respected);
-the trailing partial page is flushed at superstep end.
+The B% buffer holds ``MemoryBudget.edgelog_pages`` pages, the in-fill
+page included.  Completed pages stay in it until an entry does not fit
+beside them; then they leave as **one** striped write, like a multi-log
+eviction (§V-A3).  An entry larger than the whole buffer (a hub vertex)
+is written as one batch as soon as it completes.  At superstep end the
+remaining complete pages and the trailing partial page are one batch.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from ..config import SimConfig
 from ..mem.budget import MemoryBudget
 from ..mem.pagebuffer import ByteStreamPager
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
+from ..obs.tracer import NULL_TRACER, Tracer
 from ..ssd.file import PageFile
 from ..ssd.filesystem import SimFS
+from ..ssd.stats import IOCounter
 
 KLASS_EDGELOG = "edgelog"
 
@@ -49,12 +54,14 @@ class EdgeLogOptimizer:
         budget: MemoryBudget,
         name: str = "elog",
         metrics: MetricsRegistry = NULL_METRICS,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.fs = fs
         self.n = n_vertices
         self.config = config
         self.budget = budget
         self.name = name
+        self.tracer = tracer
         self.io_time_us = 0.0
         self._gen = 0
         # Current generation: what this superstep's loader may read.
@@ -75,6 +82,13 @@ class EdgeLogOptimizer:
         metrics.gauge("edgelog.logged", lambda: self.total_logged)
         metrics.gauge("edgelog.pages_read", lambda: self.pages_read_total)
         metrics.gauge("edgelog.io_time_us", lambda: self.io_time_us)
+        # Write batches and pages: the device's own per-class tallies,
+        # which a checkpoint already restores.
+        metrics.gauge("edgelog.flushes", lambda: self._writes().batches)
+        metrics.gauge("edgelog.pages_written", lambda: self._writes().pages)
+
+    def _writes(self) -> IOCounter:
+        return self.fs.stats.writes.get(KLASS_EDGELOG, IOCounter())
 
     def _new_file(self) -> PageFile:
         self._gen += 1
@@ -82,22 +96,64 @@ class EdgeLogOptimizer:
 
     # -- write path (during processing of superstep s) ---------------------
 
-    def consider(self, v: int, degree: int, predicted_active: bool, page_inefficient: bool) -> bool:
-        """Maybe log ``v``'s out-edges for next superstep; True if logged."""
-        self.considered += 1
-        if degree <= 0 or not (predicted_active and page_inefficient):
-            return False
+    def consider(self, vertices: np.ndarray, degrees: np.ndarray) -> int:
+        """Log the out-edges of one group's candidates; returns how many were logged.
+
+        ``vertices`` are the group's vertices predicted active next
+        superstep whose adjacency page was inefficiently used, in
+        processing order; those with no out-edges are counted but not
+        logged.
+        """
+        v = np.asarray(vertices, dtype=np.int64)
+        d = np.asarray(degrees, dtype=np.int64)
+        self.considered += int(v.size)
+        keep = d > 0
+        v, d = v[keep], d[keep]
+        if not v.size:
+            return 0
         rec = self.config.records
-        nbytes = rec.edgelog_header_bytes + degree * rec.edgelog_entry_bytes
-        first, last, completed = self._pager.append(nbytes)
-        self._next_first[v] = first
-        self._next_last[v] = last
-        if len(completed):
-            _, t = self._file_next.append_pages([None] * len(completed))
-            self.io_time_us += t
-        self.vertices_logged += 1
-        self.total_logged += 1
-        return True
+        firsts, lasts, ends = self._pager.append_many(
+            rec.edgelog_header_bytes + d * rec.edgelog_entry_bytes
+        )
+        self._next_first[v] = firsts
+        self._next_last[v] = lasts
+        self._evict(firsts, ends)
+        self.vertices_logged += int(v.size)
+        self.total_logged += int(v.size)
+        return int(v.size)
+
+    def _evict(self, firsts: np.ndarray, ends: np.ndarray) -> None:
+        """Write complete pages as the appended entries enter the buffer.
+
+        Entry ``j`` starts on page ``firsts[j]`` (so that many pages are
+        complete before it) and ends at stream byte ``ends[j]``; once it
+        is in, the stream holds ``ceil(ends[j] / page)`` pages.  When
+        that exceeds the pages written plus the buffer, the pages
+        complete before the entry are written first; if the entry alone
+        still overflows, its complete pages follow as a batch of their
+        own.  ``held`` only grows, so each batch is one binary search.
+        """
+        page = self._pager.page_size
+        cap = self.budget.edgelog_pages
+        held = -(-ends // page)
+        while True:
+            written = self._file_next.n_pages
+            j = int(np.searchsorted(held, written + cap, side="right"))
+            if j == held.shape[0]:
+                return
+            if firsts[j] > written:
+                self._flush(int(firsts[j]) - written)
+                written = int(firsts[j])
+            if held[j] - written > cap:
+                self._flush(int(ends[j]) // page - written)
+
+    def _flush(self, full_pages: int, tail_bytes: int = 0) -> None:
+        """Write ``full_pages`` complete pages (and a partial tail) as one batch."""
+        useful = [self._pager.page_size] * full_pages + ([tail_bytes] if tail_bytes else [])
+        _, t = self._file_next.append_pages([None] * len(useful), useful)
+        self.io_time_us += t
+        if self.tracer.enabled:
+            self.tracer.emit("elog_flush", pages=len(useful), time_us=t)
 
     # -- read path (during processing of superstep s, for generation s) ---------
 
@@ -146,10 +202,12 @@ class EdgeLogOptimizer:
     # -- superstep boundary -------------------------------------------------------
 
     def end_superstep(self) -> None:
-        """Flush the partial tail page and rotate generations."""
-        if self._pager.final_partial_page() is not None:
-            _, t = self._file_next.append_page(None, useful_bytes=self._pager.offset % self.config.ssd.page_size)
-            self.io_time_us += t
+        """Write the buffered pages, partial tail included, as one batch; rotate generations."""
+        page = self._pager.page_size
+        full = self._pager.offset // page - self._file_next.n_pages
+        tail = self._pager.offset % page
+        if full or tail:
+            self._flush(full, tail)
         self._cur_first, self._next_first = self._next_first, np.full(self.n, -1, dtype=np.int64)
         self._cur_last, self._next_last = self._next_last, np.full(self.n, -1, dtype=np.int64)
         self._file_cur = self._file_next

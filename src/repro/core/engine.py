@@ -165,7 +165,7 @@ class MultiLogVC(SuperstepEngine):
         sortgroup = SortGroupUnit(cfg, self.budget, meter, metrics=reg)
         loader = GraphLoaderUnit(self.storage, cfg, metrics=reg)
         edgelog = (
-            EdgeLogOptimizer(self.fs, n, cfg, self.budget, metrics=reg)
+            EdgeLogOptimizer(self.fs, n, cfg, self.budget, metrics=reg, tracer=tracer)
             if self.enable_edgelog
             else None
         )
@@ -480,8 +480,7 @@ class MultiLogVC(SuperstepEngine):
                 if edgelog is not None:
                     predicted = tracker.predict_active_next_many(verts)
                     cand = predicted & report.vertex_page_inefficient & (degs > 0)
-                    for idx in np.flatnonzero(cand):
-                        edgelog.consider(int(verts[idx]), int(degs[idx]), True, True)
+                    edgelog.consider(verts[cand], degs[cand])
                 if es_plan is not None:
                     # Scatter the (possibly mutated) edge-state copy back
                     # and charge dirty val-page writes.

@@ -23,6 +23,9 @@ class MemoryBudget:
     total_bytes: int
     sort_bytes: int
     multilog_pages: int
+    #: B% edge-log buffer in pages (at least one), the in-fill page
+    #: included: completed pages wait here and leave as one striped
+    #: write when the next entry does not fit (``core.edgelog``).
     edgelog_pages: int
     page_size: int
     #: DRAM page-cache budget (DESIGN.md §10); 0 while the cache is

@@ -10,7 +10,7 @@ Two staging primitives shared by the logging components:
   multi-log keeps the same page geometry arithmetically, on columnar
   runs (:mod:`repro.core.multilog`).
 
-* :class:`BytePackBuffer` -- variable-size entries packed by byte count
+* :class:`ByteStreamPager` -- variable-size entries packed by byte count
   (the edge log, where a vertex contributes a header plus one entry per
   out-edge).
 
@@ -198,6 +198,24 @@ class ByteStreamPager:
         completed = range(self._flushed_pages, newly_full)
         self._flushed_pages = newly_full
         return first, last, completed
+
+    def append_many(self, nbytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Append entries in order; returns ``(firsts, lasts, ends)`` per entry.
+
+        ``ends`` is the stream offset just past each entry, so entry
+        ``j`` completes the pages below ``ends[j] // page_size`` and
+        ``firsts[j]`` is also the count of pages complete before it.
+        """
+        sizes = np.asarray(nbytes, dtype=np.int64)
+        if sizes.size and sizes.min() <= 0:
+            raise ValueError("entry must have positive size")
+        ends = self._offset + np.cumsum(sizes)
+        firsts = (ends - sizes) // self.page_size
+        lasts = (ends - 1) // self.page_size
+        if sizes.size:
+            self._offset = int(ends[-1])
+            self._flushed_pages = self._offset // self.page_size
+        return firsts, lasts, ends
 
     def final_partial_page(self) -> int | None:
         """Index of the trailing partial page, if any bytes remain on it."""

@@ -51,6 +51,8 @@ TRACE_KINDS = frozenset(
         "edgelog_decisions",
         "mlog_rotate",
         "mlog_flush",
+        # pages, time_us: one per edge-log write batch
+        "elog_flush",
         # simulated worker lanes (DESIGN.md §11): one event per
         # superstep when effective lanes > 1, carrying run-cumulative
         # (monotonically non-decreasing) overlap counters

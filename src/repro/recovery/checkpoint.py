@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import pickle
 import re
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
@@ -68,6 +69,26 @@ KLASS_CKPT = "ckpt"
 #: identical blob length in the resumed and uninterrupted runs, and the
 #: CLI's host-side exports should load across the CI python matrix.
 PICKLE_PROTOCOL = 4
+
+
+def _canonical(obj: Any) -> Any:
+    """``obj`` rebuilt with the object identities a fresh run has.
+
+    Pickle memoizes by identity, so a blob's length depends on which
+    equal objects are shared: a fresh run's arrays share NumPy's builtin
+    dtype instances and its dict keys are interned literals, where
+    unpickled ones are fresh copies.  Restored state goes through this
+    so its next checkpoint pickles to the uninterrupted run's length.
+    """
+    if type(obj) is dict:
+        return {_canonical(k): _canonical(v) for k, v in obj.items()}
+    if type(obj) in (list, tuple):
+        return type(obj)(_canonical(x) for x in obj)
+    if type(obj) is str:
+        return sys.intern(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.fields is None:
+        return obj.view(np.dtype(obj.dtype.str))
+    return obj
 
 
 def _record_state(rec: SuperstepRecord) -> Dict[str, Any]:
@@ -413,7 +434,7 @@ class CheckpointManager:
         blob = b"".join(chunks)
         if len(blob) != commit["length"] or zlib.crc32(blob) != commit["checksum"]:
             raise RecoveryError(f"checkpoint {cid}: payload checksum mismatch")
-        state = pickle.loads(blob)
+        state = _canonical(pickle.loads(blob))
         pages = commit_file.n_pages + payload_file.n_pages
         return state, commit, pages, t1 + t2
 

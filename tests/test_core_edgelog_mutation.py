@@ -19,17 +19,18 @@ def elog(cfg):
 
 
 class TestEdgeLogOptimizer:
-    def test_requires_both_conditions(self, elog):
+    def test_logs_positive_degrees_only(self, elog):
         fs, e = elog
-        assert not e.consider(1, 10, predicted_active=False, page_inefficient=True)
-        assert not e.consider(1, 10, predicted_active=True, page_inefficient=False)
-        assert not e.consider(1, 0, predicted_active=True, page_inefficient=True)
-        assert e.consider(1, 10, predicted_active=True, page_inefficient=True)
+        assert e.consider(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == 0
+        assert e.consider(np.array([1, 2]), np.array([0, 10])) == 1
         assert e.vertices_logged == 1
+        assert e.considered == 2
+        e.end_superstep()
+        assert list(e.contains_many(np.array([1, 2]))) == [False, True]
 
     def test_visible_only_after_rotation(self, elog):
         fs, e = elog
-        e.consider(1, 10, True, True)
+        e.consider(np.array([1]), np.array([10]))
         assert not e.contains(1)
         e.end_superstep()
         assert e.contains(1)
@@ -37,15 +38,15 @@ class TestEdgeLogOptimizer:
 
     def test_expires_after_one_superstep(self, elog):
         fs, e = elog
-        e.consider(1, 10, True, True)
+        e.consider(np.array([1]), np.array([10]))
         e.end_superstep()
         e.end_superstep()
         assert not e.contains(1)
 
     def test_contains_many(self, elog):
         fs, e = elog
-        e.consider(3, 5, True, True)
-        e.consider(7, 5, True, True)
+        e.consider(np.array([3]), np.array([5]))
+        e.consider(np.array([7]), np.array([5]))
         e.end_superstep()
         mask = e.contains_many(np.array([1, 3, 7]))
         assert list(mask) == [False, True, True]
@@ -53,8 +54,8 @@ class TestEdgeLogOptimizer:
     def test_pages_shared_between_vertices(self, elog, cfg):
         fs, e = elog
         # Two small vertices fit in one page.
-        e.consider(1, 3, True, True)
-        e.consider(2, 3, True, True)
+        e.consider(np.array([1]), np.array([3]))
+        e.consider(np.array([2]), np.array([3]))
         e.end_superstep()
         pages = e.pages_of(np.array([1, 2]))
         assert pages.shape[0] == 1
@@ -62,13 +63,13 @@ class TestEdgeLogOptimizer:
     def test_high_degree_vertex_spans_pages(self, elog, cfg):
         fs, e = elog
         big = 2 * cfg.ssd.page_size // cfg.records.edgelog_entry_bytes
-        e.consider(1, big, True, True)
+        e.consider(np.array([1]), np.array([big]))
         e.end_superstep()
         assert e.pages_of(np.array([1])).shape[0] >= 2
 
     def test_charge_read(self, elog):
         fs, e = elog
-        e.consider(1, 10, True, True)
+        e.consider(np.array([1]), np.array([10]))
         e.end_superstep()
         t, n = e.charge_read(np.array([1]))
         assert t > 0 and n == 1
@@ -82,7 +83,7 @@ class TestEdgeLogOptimizer:
 
     def test_writes_charged_on_flush(self, elog):
         fs, e = elog
-        e.consider(1, 10, True, True)
+        e.consider(np.array([1]), np.array([10]))
         e.end_superstep()
         assert fs.stats.writes.get("edgelog") is not None
 

@@ -21,8 +21,9 @@ import pytest
 
 import repro
 from repro import EngineOptions, GraFBoost, GraphChi, GridGraph, MultiLogVC
-from repro.algorithms import DeltaPageRankProgram, GraphColoringProgram
+from repro.algorithms import BFSProgram, DeltaPageRankProgram, GraphColoringProgram
 from repro.errors import EngineError
+from repro.graph.datasets import bfs_chain_graph
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -330,6 +331,19 @@ class TestEdgeLogPagesAvoided:
         assert logged > 0
         assert avoided > 0
         assert all(r.edgelog_pages_avoided >= 0 for r in res.supersteps)
+
+    def test_elog_flush_events_sum_to_edgelog_writes(self, cfg):
+        g, source = bfs_chain_graph("test", seed=77)
+        t = TraceRecorder()
+        res = repro.run(g, BFSProgram(source=source), config=cfg, tracer=t, max_supersteps=64,
+                        options=EngineOptions(enable_edgelog=True))
+        flushes = [e.fields for e in t.events if e.kind == "elog_flush"]
+        written = res.stats.writes["edgelog"]
+        assert flushes and all(f["pages"] >= 1 and f["time_us"] > 0 for f in flushes)
+        assert sum(f["pages"] for f in flushes) == written.pages
+        assert len(flushes) == written.batches < written.pages
+        assert res.metrics["edgelog.flushes"] == written.batches
+        assert res.metrics["edgelog.pages_written"] == written.pages
 
     def test_field_in_record_dict(self, cfg, rmat256):
         res = MultiLogVC(rmat256, GraphColoringProgram(seed=1), cfg).run(8)

@@ -185,6 +185,28 @@ class TestCheckpointDurability:
         with pytest.raises(RecoveryError):
             CheckpointManager.load_latest(eng.fs)
 
+    def test_every_crash_point_resumes_to_identical_checkpoints(self, cfg):
+        """A checkpoint is charged by its pickled length, and pickle
+        shares equal objects by identity.  Restored arrays and record
+        keys must share the way a fresh run's do, or a resumed run's next
+        checkpoint can round up to one more page than the uninterrupted
+        run's (a checkpoint every superstep shows it within 40 ops)."""
+        opts = EngineOptions(checkpoint_every=1)
+        total_ops, _ = count_device_ops(
+            GRAPH, DeltaPageRankProgram, config=cfg, options=opts, max_supersteps=10
+        )
+        resumed = 0
+        for point in range(1, total_ops):
+            report = crash_resume_experiment(
+                GRAPH, DeltaPageRankProgram, config=cfg, options=opts,
+                crash_after_ops=point, max_supersteps=10,
+            )
+            if report.no_checkpoint:
+                continue
+            assert report.ok, f"crash@{point}: {report.describe()}"
+            resumed += 1
+        assert resumed >= total_ops // 2
+
 
 class TestResumeFacade:
     def _checkpoint_from_crash(self, cfg, tmp_path):

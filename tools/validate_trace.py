@@ -46,7 +46,10 @@ Checks, in order:
     ``natural_runs`` with ``1 <= natural_runs <= records`` whenever
     ``records > 0`` -- the natural runs the sort's compute charge merges
     (DESIGN.md §5): a non-empty input has at least one and at most one
-    per record.
+    per record;
+12. ``mlog_flush`` and ``elog_flush`` events carry an integer ``pages >=
+    1`` and a ``time_us > 0`` -- a log write batch is emitted only
+    after at least one page reached the device.
 
 Any violation prints the offending line number and exits non-zero.
 
@@ -108,6 +111,9 @@ SEND_FIELDS = ("messages_sent", "records_logged")
 
 #: Sort events whose ``natural_runs`` must lie in ``[1, records]``.
 SORT_KINDS = ("group_sort", "extsort")
+
+#: Log write batches: at least one page, positive simulated time.
+FLUSH_KINDS = ("mlog_flush", "elog_flush")
 
 
 def validate_file(path: Path) -> list:
@@ -294,6 +300,12 @@ def validate_file(path: Path) -> list:
                 errors.append(
                     f"{path}:{lineno}: {kind} natural_runs {runs} outside [1, records {records}]"
                 )
+        if kind in FLUSH_KINDS:
+            pages, t = ev.get("pages"), ev.get("time_us")
+            if not isinstance(pages, int) or isinstance(pages, bool) or pages < 1:
+                errors.append(f"{path}:{lineno}: {kind} 'pages' must be an integer >= 1, got {pages!r}")
+            if not isinstance(t, (int, float)) or isinstance(t, bool) or not t > 0:
+                errors.append(f"{path}:{lineno}: {kind} 'time_us' must be > 0, got {t!r}")
         if kind == "compaction":
             for field in COMPACTION_FIELDS:
                 cur = ev.get(field)
