@@ -58,6 +58,11 @@ class BFSProgram(VertexProgram):
             return False
         return float(np.isfinite(values).mean()) >= self.stop_fraction
 
+    @staticmethod
+    def relax(x, w):
+        """Distance offered along an edge: one hop more."""
+        return x + 1.0
+
     def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12).
 
@@ -70,7 +75,7 @@ class BFSProgram(VertexProgram):
 
         return minprop_warm_start(
             graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w,
-            relax=lambda x, w: x + 1.0,
+            relax=self.relax,
             reset_values=np.full(len(reset), np.inf),
             seed_vertex=self.source,
         )

@@ -50,13 +50,18 @@ class SSSPProgram(VertexProgram):
             edge_data = np.repeat(d[relax], b.degrees[relax]) + b.out_weights_of(relax)
             b.send_edge_values(relax, edge_data)
 
+    @staticmethod
+    def relax(x, w):
+        """Distance offered along an edge (unit weight when unweighted)."""
+        return x + (1.0 if w is None else w)
+
     def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12)."""
         from ..stream.incremental import minprop_warm_start
 
         return minprop_warm_start(
             graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w,
-            relax=lambda x, w: x + (1.0 if w is None else w),
+            relax=self.relax,
             reset_values=np.full(len(reset), np.inf),
             seed_vertex=self.source,
         )

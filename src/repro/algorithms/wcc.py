@@ -45,6 +45,11 @@ class WCCProgram(VertexProgram):
             send |= counts == 0
         b.send_along_edges(send & (b.degrees > 0), b.values[b.vids])
 
+    @staticmethod
+    def relax(x, w):
+        """Label offered along an edge: the sender's own."""
+        return x
+
     def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12).
 
@@ -57,7 +62,7 @@ class WCCProgram(VertexProgram):
 
         return minprop_warm_start(
             graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w,
-            relax=lambda x, w: x,
+            relax=self.relax,
             reset_values=np.asarray(reset, dtype=np.float64),
             kick_reset=True,
         )

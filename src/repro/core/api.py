@@ -210,6 +210,13 @@ class VertexProgram(ABC):
         the program GraFBoost-compatible.
     ``mutates_structure``
         Program calls ``ctx.add_edge`` / ``ctx.remove_edge``.
+    ``relax``
+        Monotone min-propagation programs (BFS/SSSP/WCC) set this to
+        ``relax(x, w) -> message`` along an edge from a vertex holding
+        ``x`` (``w`` the edge weights, or None when unweighted).  The
+        stream layer's warm start reads it both to seed messages and to
+        find the edges a value depends on (DESIGN.md §12); None means
+        no incremental recompute.
 
     Implement :meth:`process` (the paper's ``ProcessVertex``); override
     :meth:`process_batch` to vectorise it over a whole group.
@@ -220,6 +227,7 @@ class VertexProgram(ABC):
     uses_edge_state: bool = False
     combine: Optional[CombineSpec] = None
     mutates_structure: bool = False
+    relax: Optional[Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -70,9 +70,11 @@ TRACE_KINDS = frozenset(
         # streaming update subsystem (DESIGN.md §12): one ingest_stats
         # event per ingested/applied batch (carrying a per-session
         # monotonically increasing ``seq``), one compaction event per
-        # interval compaction
+        # interval compaction, and one warm_start event (roots, cone,
+        # walk_rows, scan, io_us) per incremental recompute's seeding
         "ingest_stats",
         "compaction",
+        "warm_start",
         # DRAM page cache (file layer; emitted once per superstep)
         "cache_stats",
         # SSD fault injection (device layer)

@@ -19,10 +19,16 @@ unique and min-combining can never undershoot it when every message is
 converges to bit-exactly the same values as a from-scratch run.
 
 After an update batch, condition 1 is established by resetting the
-**deletion cone** -- every old-graph descendant of a deleted edge's
-head -- back to ``base``: a value derived through a deleted edge
-belongs to a vertex in the cone, so surviving values outside it remain
-valid over-estimates.  Condition 2 is established by seeding
+**deletion cone** back to ``base``.  A converged value can only have
+come through a **tight** old edge, one with ``relax(L(u), w) == L(v)``
+and ``L(v)`` finite (the value-dependence trimming of KickStarter, Vora
+et al., ASPLOS 2017).  So the cone's roots are the heads of deleted
+``(src, dst)`` pairs with a tight old instance, and the cone is every
+vertex reachable from them over tight old edges.  A vertex outside it
+has a predecessor chain from a base value made only of tight surviving
+edges (a deleted tight edge on the chain would have made the chain's
+tail a cone vertex), so its old value remains a valid over-estimate.
+Condition 2 is established by seeding
 
 * the source vertex (BFS/SSSP),
 * every surviving in-edge ``x -> r`` crossing into the cone with
@@ -40,7 +46,7 @@ and take the full-recompute path; their ``warm_start`` returns None.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,24 +56,8 @@ from ..core.update import UpdateBatch
 from ..graph.csr import CSRGraph
 
 
-def descendants(graph: CSRGraph, roots: np.ndarray) -> np.ndarray:
-    """Sorted vertex ids reachable from ``roots`` (roots included).
-
-    Vectorised frontier BFS over the CSR; used to compute the deletion
-    cone on the *pre-update* graph.
-    """
-    roots = np.unique(np.asarray(roots, dtype=np.int64))
-    seen = np.zeros(graph.n, dtype=bool)
-    if roots.size == 0:
-        return roots
-    seen[roots] = True
-    frontier = roots
-    while frontier.size:
-        pos = flatten_ranges(graph.rowptr[frontier], graph.rowptr[frontier + 1])
-        nbrs = np.unique(graph.colidx[pos].astype(np.int64))
-        frontier = nbrs[~seen[nbrs]]
-        seen[frontier] = True
-    return np.flatnonzero(seen).astype(np.int64)
+#: ``relax(x, w) -> message`` along an edge (``VertexProgram.relax``).
+Relax = Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
 
 
 def _expand_rows(graph: CSRGraph, vertices: np.ndarray):
@@ -80,6 +70,48 @@ def _expand_rows(graph: CSRGraph, vertices: np.ndarray):
     return srcs, dsts, w
 
 
+def descendants(
+    graph: CSRGraph,
+    values: np.ndarray,
+    relax: Relax,
+    del_src: np.ndarray,
+    del_dst: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The tight deletion cone on the *pre-update* graph: ``(roots, cone)``.
+
+    ``values`` are the converged values on ``graph`` and ``del_src`` /
+    ``del_dst`` the deleted ``(src, dst)`` pairs.  The roots are the
+    heads of deleted pairs with a tight instance in ``graph``; the cone
+    (sorted, roots included) is every vertex a vectorised frontier BFS
+    reaches from them over tight edges.  Tightness is tested on the rows
+    each step gathers anyway, so the walk reads the deleted tails' rows
+    and the cone's rows and nothing else.
+    """
+    del_src = np.asarray(del_src, dtype=np.int64)
+    del_dst = np.asarray(del_dst, dtype=np.int64)
+    if del_src.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+
+    def tight_rows(rows: np.ndarray):
+        srcs, dsts, w = _expand_rows(graph, rows)
+        head = values[dsts]
+        return srcs, dsts, np.isfinite(head) & (relax(values[srcs], w) == head)
+
+    srcs, dsts, tight = tight_rows(np.unique(del_src))
+    deleted = np.isin(srcs * graph.n + dsts, del_src * graph.n + del_dst)
+    roots = np.unique(dsts[tight & deleted])
+    seen = np.zeros(graph.n, dtype=bool)
+    seen[roots] = True
+    frontier = roots
+    while frontier.size:
+        _, dsts, tight = tight_rows(frontier)
+        nbrs = np.unique(dsts[tight])
+        frontier = nbrs[~seen[nbrs]]
+        seen[frontier] = True
+    return roots, np.flatnonzero(seen).astype(np.int64)
+
+
 def minprop_warm_start(
     graph: CSRGraph,
     reverse: CSRGraph,
@@ -89,7 +121,7 @@ def minprop_warm_start(
     inserted_dst: np.ndarray,
     inserted_w: Optional[np.ndarray],
     *,
-    relax: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
+    relax: Relax,
     reset_values: np.ndarray,
     seed_vertex: Optional[int] = None,
     kick_reset: bool = False,
@@ -104,7 +136,7 @@ def minprop_warm_start(
     values:
         Converged values on the pre-update graph.
     reset:
-        The deletion cone (old-graph descendants of deleted-edge heads).
+        The deletion cone (:func:`descendants`).
     inserted_src, inserted_dst, inserted_w:
         The batch's inserted edges (``inserted_w`` None when unweighted).
     relax:

@@ -18,7 +18,8 @@
 The decision rule (``StreamSession(recompute=...)``):
 
 ``"auto"``
-    warm-start iff the program's :meth:`warm_start` supports it, prior
+    warm-start iff the program declares a ``relax`` and its
+    :meth:`warm_start` supports it, prior
     converged values exist, and the changed-edge fraction is at most
     ``SimConfig.stream_max_delta_fraction``;
 ``"incremental"``
@@ -130,8 +131,9 @@ class RecomputeResult:
         ``changed_edges`` over the updated graph's edge count.
     seed_io_us:
         Simulated I/O charged on the session SSD to build the warm
-        start (deletion-cone rows + the in-edge discovery scan when the
-        delta removed edges); 0.0 for full recomputes.
+        start (the rows of the deleted edges' tails and of the deletion
+        cone, plus the in-edge discovery scan when the cone is not
+        empty); 0.0 for full recomputes.
     result:
         The engine's :class:`~repro.core.results.RunResult` on the
         updated graph.
@@ -281,6 +283,7 @@ class StreamSession:
         can_warm = (
             requested != "full"
             and self._values is not None
+            and self.program.relax is not None
             and engines()[self.engine].supports_warm_start
         )
         if requested != "full" and not engines()[self.engine].supports_warm_start:
@@ -298,7 +301,9 @@ class StreamSession:
             if requested == "auto" and fraction > self.config.stream_max_delta_fraction:
                 can_warm = False
         if can_warm and self._prev_graph is not None:
-            cone = descendants(self._prev_graph, d_dst)
+            roots, cone = descendants(
+                self._prev_graph, self._values, self.program.relax, d_src, d_dst
+            )
             rng = np.random.default_rng(seed)
             initial_state = self.program.warm_start(
                 new_graph, new_graph.reverse(), self._values, cone,
@@ -306,11 +311,22 @@ class StreamSession:
             )
             if initial_state is not None:
                 self._begin("seed")
-                seed_io_us = self.store.charge_rows(cone)
-                if d_src.size:
+                # The walk reads the deleted tails' rows (to test each
+                # deleted edge's tightness) and the cone's rows.
+                walk = np.union1d(cone, d_src)
+                seed_io_us = self.store.charge_rows(walk)
+                if cone.size:
                     # Finding surviving in-edges into the cone costs one
                     # sweep of edge storage (no reverse index on flash).
                     seed_io_us += self.store.charge_seed_scan()
+                self.tracer.emit(
+                    "warm_start",
+                    roots=int(roots.size),
+                    cone=int(cone.size),
+                    walk_rows=int(walk.size),
+                    scan=bool(cone.size),
+                    io_us=float(seed_io_us),
+                )
                 self._end()
         result = run_engine(
             new_graph,

@@ -23,7 +23,9 @@ before continuing.  Deletes are drawn from the edges live
 when their batch starts (so they reach inserts of earlier batches), and
 every fourth case is collision-heavy: long batches over a handful of
 endpoints, where one pair is inserted and deleted several times inside
-a batch.
+a batch.  A collision-heavy SSSP case also floors its inserted weights
+to integers, so equal-length paths and zero-weight edges put ties into
+the tight deletion cone (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -378,6 +380,12 @@ def generate_stream_case(master_seed: int, index: int) -> StreamCase:
             ts0=100 * b,
         )
         records = delta.to_records()
+        if heavy and program == "sssp":
+            # Integer inserted weights: distance ties and zero-weight
+            # edges for the tight deletion cone (no extra draw).
+            for rec in records:
+                if rec["op"] == "add":
+                    rec["w"] = float(np.floor(rec["w"]))
         if program == "cdlp":
             records = _symmetrize_records(records)
         mirror.apply(records)

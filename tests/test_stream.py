@@ -11,12 +11,13 @@ final values.
 import numpy as np
 import pytest
 
-from repro.algorithms import BFSProgram, SSSPProgram, WCCProgram
+from repro.algorithms import BFSProgram, DeltaPageRankProgram, SSSPProgram, WCCProgram
 from repro.config import DEFAULT_CONFIG, small_test_config
 from repro.errors import EngineError, GraphFormatError, SimulatedCrashError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import small_chain, small_rmat
 from repro.graph.partition import VertexIntervals
+from repro.obs import TraceRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.ssd import FaultPlan, FaultRule
 from repro.ssd.filesystem import SimFS
@@ -445,12 +446,27 @@ class TestDiffAndCone:
 
     def test_descendants_chain(self):
         g = CSRGraph.from_edges(5, [0, 1, 2], [1, 2, 3])
-        cone = descendants(g, np.array([1]))
-        assert sorted(cone.tolist()) == [1, 2, 3]
+        values = np.array([0.0, 1.0, 2.0, 3.0, np.inf])  # BFS from 0
+        roots, cone = descendants(g, values, BFSProgram.relax, [0], [1])
+        assert roots.tolist() == [1]
+        assert cone.tolist() == [1, 2, 3]
 
     def test_descendants_empty_roots(self):
         g = small_chain(8)
-        assert descendants(g, np.array([], dtype=np.int64)).size == 0
+        empty = np.array([], dtype=np.int64)
+        roots, cone = descendants(g, np.arange(8.0), BFSProgram.relax, empty, empty)
+        assert roots.size == 0 and cone.size == 0
+
+    def test_descendants_skip_non_tight_edges(self):
+        # 0->1->2->3 of weight 1 and a longer shortcut 0->3 of weight 5:
+        # deleting the shortcut resets nothing, deleting 1->2 only the
+        # suffix that took its value through it
+        g = CSRGraph.from_edges(4, [0, 0, 1, 2], [1, 3, 2, 3], [1.0, 5.0, 1.0, 1.0])
+        values = np.array([0.0, 1.0, 2.0, 3.0])  # SSSP from 0
+        roots, cone = descendants(g, values, SSSPProgram.relax, [0], [3])
+        assert roots.size == 0 and cone.size == 0
+        roots, cone = descendants(g, values, SSSPProgram.relax, [1], [2])
+        assert roots.tolist() == [2] and cone.tolist() == [2, 3]
 
 
 PROGRAMS = {
@@ -604,3 +620,52 @@ class TestStreamSession:
         r = sess.recompute(max_supersteps=200, mode="incremental")
         assert r.mode == "incremental"
         assert r.seed_io_us == 0.0
+
+    def test_non_tight_delete_reads_only_the_tails_row(self):
+        # SSSP over 0->1->2->3 (weight 1) with a longer shortcut 0->3
+        # (weight 5): deleting the shortcut resets nothing, so the warm
+        # start reads the deleted edge's tail row to test its tightness
+        # and skips the in-edge sweep
+        g = CSRGraph.from_edges(4, [0, 0, 1, 2], [1, 3, 2, 3], [1.0, 5.0, 1.0, 1.0])
+        tracer = TraceRecorder()
+        sess = StreamSession(g, SSSPProgram(source=0), tracer=tracer)
+        sess.recompute(max_supersteps=50)
+        sess.ingest(dels([(0, 3)]))
+        sess.apply_updates()
+        r = sess.recompute(max_supersteps=50, mode="incremental")
+        assert r.mode == "incremental"
+        assert r.result.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert r.seed_io_us == sess.store.charge_rows(np.array([0])) > 0
+        (ev,) = [e for e in tracer.events if e.kind == "warm_start"]
+        assert ev.fields == {
+            "roots": 0, "cone": 0, "walk_rows": 1, "scan": False, "io_us": r.seed_io_us,
+        }
+
+    def test_tight_delete_resets_its_cone_and_sweeps(self):
+        g = CSRGraph.from_edges(4, [0, 0, 1, 2], [1, 3, 2, 3], [1.0, 5.0, 1.0, 1.0])
+        tracer = TraceRecorder()
+        sess = StreamSession(g, SSSPProgram(source=0), tracer=tracer)
+        sess.recompute(max_supersteps=50)
+        sess.ingest(dels([(1, 2)]))
+        sess.apply_updates()
+        r = sess.recompute(max_supersteps=50, mode="incremental")
+        assert r.result.values.tolist() == [0.0, 1.0, np.inf, 5.0]
+        (ev,) = [e for e in tracer.events if e.kind == "warm_start"]
+        assert (ev.fields["roots"], ev.fields["cone"], ev.fields["walk_rows"]) == (1, 2, 3)
+        assert ev.fields["scan"] is True
+        assert ev.fields["io_us"] == r.seed_io_us > sess.store.charge_rows(np.arange(1, 4))
+
+    def test_program_without_relax_skips_the_cone(self, monkeypatch):
+        import repro.stream.session as session_mod
+
+        def no_cone(*args):
+            raise AssertionError("cone computed for a program without relax")
+
+        monkeypatch.setattr(session_mod, "descendants", no_cone)
+        g = small_rmat(n=64, m=256, seed=4)
+        sess = StreamSession(g, DeltaPageRankProgram())
+        sess.recompute(max_supersteps=20)
+        s, t = sess.store.live_edge_arrays()
+        sess.ingest(dels([(int(s[0]), int(t[0]))]))
+        sess.apply_updates()
+        assert sess.recompute(max_supersteps=20).mode == "full"

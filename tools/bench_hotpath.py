@@ -288,12 +288,12 @@ def measure_stream(scale: str, delta_fraction: float = 0.005):
     insertion batch (``delta_fraction`` of the edges), then bring the
     values up to date both ways on the same updated graph.  The
     incremental cost counts its warm-start seeding I/O.  Insert-only
-    deltas are the representative streaming workload *and* the
-    incremental sweet spot: a deletion's repair cone (every vertex whose
-    monotone value might have flowed through the dead edge) can span
-    most of a well-connected component, collapsing the win to the
-    supersteps saved -- the mixed-delta case is covered functionally by
-    the conformance fuzzer, not benchmarked here.  All numbers are
+    deltas reset nothing, so they isolate the seeding and convergence
+    savings.  A deletion resets its tight cone (the vertices whose
+    value actually came through a deleted edge, DESIGN.md §12) and
+    pays an edge-storage sweep for in-edge discovery; that mixed-delta
+    case is measured end to end by the ``stream_churn`` benchmark
+    workload and checked by the conformance fuzzer.  All numbers are
     deterministic simulation output, so they are machine-independent.
     Returns None if either path's final values differ -- they are
     defined to be bit-identical.

@@ -49,7 +49,10 @@ Checks, in order:
     per record;
 12. ``mlog_flush`` and ``elog_flush`` events carry an integer ``pages >=
     1`` and a ``time_us > 0`` -- a log write batch is emitted only
-    after at least one page reached the device.
+    after at least one page reached the device;
+13. ``warm_start`` events carry integer ``roots``/``cone``/``walk_rows``
+    with ``0 <= roots <= cone``, a boolean ``scan`` and ``io_us >= 0``
+    -- the deletion cone contains its roots (DESIGN.md §12).
 
 Any violation prints the offending line number and exits non-zero.
 
@@ -114,6 +117,9 @@ SORT_KINDS = ("group_sort", "extsort")
 
 #: Log write batches: at least one page, positive simulated time.
 FLUSH_KINDS = ("mlog_flush", "elog_flush")
+
+#: ``warm_start`` counts: non-negative integers.
+WARM_START_FIELDS = ("roots", "cone", "walk_rows")
 
 
 def validate_file(path: Path) -> list:
@@ -306,6 +312,23 @@ def validate_file(path: Path) -> list:
                 errors.append(f"{path}:{lineno}: {kind} 'pages' must be an integer >= 1, got {pages!r}")
             if not isinstance(t, (int, float)) or isinstance(t, bool) or not t > 0:
                 errors.append(f"{path}:{lineno}: {kind} 'time_us' must be > 0, got {t!r}")
+        if kind == "warm_start":
+            counts = [ev.get(field) for field in WARM_START_FIELDS]
+            if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts):
+                errors.append(
+                    f"{path}:{lineno}: warm_start missing/negative/non-integer "
+                    f"{' / '.join(WARM_START_FIELDS)}"
+                )
+            elif counts[0] > counts[1]:
+                errors.append(
+                    f"{path}:{lineno}: warm_start has more roots than cone vertices "
+                    f"({counts[0]} > {counts[1]})"
+                )
+            if not isinstance(ev.get("scan"), bool):
+                errors.append(f"{path}:{lineno}: warm_start 'scan' must be a boolean")
+            io_us = ev.get("io_us")
+            if not isinstance(io_us, (int, float)) or isinstance(io_us, bool) or not io_us >= 0:
+                errors.append(f"{path}:{lineno}: warm_start 'io_us' must be >= 0, got {io_us!r}")
         if kind == "compaction":
             for field in COMPACTION_FIELDS:
                 cur = ev.get(field)
