@@ -63,7 +63,7 @@ class BFSProgram(VertexProgram):
         """Distance offered along an edge: one hop more."""
         return x + 1.0
 
-    def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
+    def warm_start(self, graph, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12).
 
         Not offered under ``stop_fraction``: the early stop makes the
@@ -74,7 +74,7 @@ class BFSProgram(VertexProgram):
         from ..stream.incremental import minprop_warm_start
 
         return minprop_warm_start(
-            graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w,
+            graph, values, reset, inserted_src, inserted_dst, inserted_w,
             relax=self.relax,
             reset_values=np.full(len(reset), np.inf),
             seed_vertex=self.source,

@@ -55,12 +55,12 @@ class SSSPProgram(VertexProgram):
         """Distance offered along an edge (unit weight when unweighted)."""
         return x + (1.0 if w is None else w)
 
-    def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
+    def warm_start(self, graph, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12)."""
         from ..stream.incremental import minprop_warm_start
 
         return minprop_warm_start(
-            graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w,
+            graph, values, reset, inserted_src, inserted_dst, inserted_w,
             relax=self.relax,
             reset_values=np.full(len(reset), np.inf),
             seed_vertex=self.source,

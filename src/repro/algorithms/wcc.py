@@ -50,7 +50,7 @@ class WCCProgram(VertexProgram):
         """Label offered along an edge: the sender's own."""
         return x
 
-    def warm_start(self, graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w, rng):
+    def warm_start(self, graph, values, reset, inserted_src, inserted_dst, inserted_w, rng):
         """Monotone min-propagation warm start (bit-exact; DESIGN.md §12).
 
         WCC is self-seeded (every vertex's base value is its own id), so
@@ -61,7 +61,7 @@ class WCCProgram(VertexProgram):
         from ..stream.incremental import minprop_warm_start
 
         return minprop_warm_start(
-            graph, reverse, values, reset, inserted_src, inserted_dst, inserted_w,
+            graph, values, reset, inserted_src, inserted_dst, inserted_w,
             relax=self.relax,
             reset_values=np.asarray(reset, dtype=np.float64),
             kick_reset=True,

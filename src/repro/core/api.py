@@ -322,7 +322,6 @@ class VertexProgram(ABC):
     def warm_start(
         self,
         graph: CSRGraph,
-        reverse: CSRGraph,
         values: np.ndarray,
         reset: np.ndarray,
         inserted_src: np.ndarray,
@@ -332,11 +331,11 @@ class VertexProgram(ABC):
     ) -> Optional[InitialState]:
         """Incremental-recompute seed after a structural update batch.
 
-        ``graph`` is the *updated* graph, ``reverse`` its transpose,
-        ``values`` the converged values on the pre-update graph, and
-        ``reset`` the vertex ids whose values may have depended on a
-        deleted edge (the deletion cone -- already computed by the stream
-        layer).  ``inserted_*`` describe the batch's inserted edges.
+        ``graph`` is the *updated* graph, ``values`` the converged values
+        on the pre-update graph, and ``reset`` the ascending vertex ids
+        whose values may have depended on a deleted edge (the deletion
+        cone -- already computed by the stream layer).  ``inserted_*``
+        describe the batch's inserted edges.
 
         Return an :class:`InitialState` that, when run to convergence,
         yields **bit-exact** the same values as a from-scratch run on

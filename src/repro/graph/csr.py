@@ -208,16 +208,6 @@ class CSRGraph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
         return src, self.colidx.astype(np.int64)
 
-    def reverse(self) -> "CSRGraph":
-        """Transpose: a CSR over the reversed edges, weights aligned.
-
-        The stream subsystem's warm-start seeding walks *in*-edges (who
-        can push a value into a reset vertex), which a CSR only answers
-        efficiently in transposed form.
-        """
-        src, dst = self.edge_array()
-        return CSRGraph.from_edges(self.n, dst, src, self.weights)
-
     # -- integrity --------------------------------------------------------------
 
     def validate(self) -> None:

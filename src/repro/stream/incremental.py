@@ -114,7 +114,6 @@ def descendants(
 
 def minprop_warm_start(
     graph: CSRGraph,
-    reverse: CSRGraph,
     values: np.ndarray,
     reset: np.ndarray,
     inserted_src: np.ndarray,
@@ -130,13 +129,12 @@ def minprop_warm_start(
 
     Parameters
     ----------
-    graph, reverse:
-        The *updated* graph and its transpose (``reverse.weights``
-        aligned with the reversed edges).
+    graph:
+        The *updated* graph.
     values:
         Converged values on the pre-update graph.
     reset:
-        The deletion cone (:func:`descendants`).
+        The deletion cone (:func:`descendants`), ascending.
     inserted_src, inserted_dst, inserted_w:
         The batch's inserted edges (``inserted_w`` None when unweighted).
     relax:
@@ -160,13 +158,22 @@ def minprop_warm_start(
     if seed_vertex is not None:
         seeds.append(UpdateBatch.of([seed_vertex], [seed_vertex], [0.0]))
 
-    # Surviving in-edges crossing into the cone, x -> r with x outside.
+    # Surviving in-edges crossing into the cone, x -> r with x outside:
+    # one mask over the edge list, then one stable sort by head gives
+    # (r, x, edge position), the order of a transpose's rows over the
+    # cone, so the seed batch (and the sort charge over its runs) is
+    # that of a transpose-based gather.
     if reset.size:
-        r_dst, x_src, w_rev = _expand_rows(reverse, reset)
+        pos = np.flatnonzero(in_reset[graph.colidx])
+        x_src = np.searchsorted(graph.rowptr, pos, side="right") - 1
         keep = ~in_reset[x_src] & np.isfinite(warm[x_src])
-        if keep.any():
-            data = relax(warm[x_src[keep]], None if w_rev is None else w_rev[keep])
-            seeds.append(UpdateBatch.of(r_dst[keep], x_src[keep], data))
+        pos, x_src = pos[keep], x_src[keep]
+        if pos.size:
+            r_dst = graph.colidx[pos].astype(np.int64)
+            order = np.argsort(r_dst, kind="stable")
+            pos, x_src = pos[order], x_src[order]
+            data = relax(warm[x_src], None if graph.weights is None else graph.weights[pos])
+            seeds.append(UpdateBatch.of(r_dst[order], x_src, data))
 
     # Inserted edges whose tail keeps a (finite) surviving value.
     ins_src = np.asarray(inserted_src, dtype=np.int64)

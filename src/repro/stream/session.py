@@ -306,7 +306,7 @@ class StreamSession:
             )
             rng = np.random.default_rng(seed)
             initial_state = self.program.warm_start(
-                new_graph, new_graph.reverse(), self._values, cone,
+                new_graph, self._values, cone,
                 i_src, i_dst, i_w, rng,
             )
             if initial_state is not None:

@@ -130,9 +130,9 @@ class TestStreamStore:
         store.ingest(EdgeDelta.of(chain, [0] * 8, [5] * 8, w=np.arange(8.0)))
         out = store.apply_updates()
         assert (out["inserts"], out["deletes"], out["noop_deletes"]) == (4, 2, 2)
-        ix = store._index[0]
+        ix = store._index
         assert list(ix.d_alive) == [False, False, False, True]
-        assert (ix.tombstones, ix.dead_base, ix.dead_delta) == (4, 0, 3)
+        assert (ix.tombstones[0], ix.dead_base[0], ix.dead_delta[0]) == (4, 0, 3)
         s, d = store.materialize().edge_array()
         assert int(((s == 0) & (d == 5)).sum()) == 1
 
@@ -152,11 +152,11 @@ class TestStreamStore:
         out = store.apply_updates()
         assert (out["inserts"], out["deletes"], out["noop_deletes"]) == (2, 3, 1)
         assert store.noop_deletes == 1 and store.deletes_applied == 3
-        ix = store._index[0]
+        ix = store._index
         # dead inserts: (0,1) and both (2,6) of batch one, (4,0) of batch two
-        assert (ix.tombstones, ix.dead_base, ix.dead_delta) == (4, 1, 4)
-        assert ix.garbage_records == 9 and ix.live_delta == 1
-        assert ix.total_records == g.m + 5 + 4
+        assert (ix.tombstones[0], ix.dead_base[0], ix.dead_delta[0]) == (4, 1, 4)
+        assert ix.garbage_records()[0] == 9 and np.count_nonzero(ix.d_alive) == 1
+        assert ix.total_records()[0] == g.m + 5 + 4
         assert store.live_edges() == g.m - 1 + 1
         reg = MetricsRegistry()
         store.register_metrics(reg)
@@ -174,7 +174,7 @@ class TestStreamStore:
         mat = store.materialize()
         assert mat.m == g.m - len(victims)
         # garbage is gone after compaction
-        assert sum(ix.garbage_records for ix in store._index) == 0
+        assert store._index.garbage_records().sum() == 0
 
     def test_high_threshold_defers_compaction(self):
         g = small_chain(16)
@@ -316,6 +316,27 @@ class TestCrashRecovery:
         after = store.materialize()
         assert np.array_equal(before.edge_array()[0], after.edge_array()[0])
         assert np.array_equal(before.edge_array()[1], after.edge_array()[1])
+
+    def test_recover_recounts_ingested_records(self):
+        # three batches merged, a fourth pending: recovery replays the
+        # merge tallies, so it must recount what was ingested beside them
+        g = small_rmat(n=128, m=512, seed=3)
+        store, _ = store_on(g)
+        deltas = []
+        for b in range(4):
+            s, t = store.live_edge_arrays()
+            deltas.append(random_delta(np.random.default_rng([5, b]), g.n, s, t, 50))
+            store.ingest(deltas[-1])
+            if b < 3:
+                store.apply_updates()
+        assert store.compactions == 0
+        store.recover()
+        merged = store.inserts_applied + store.deletes_applied + store.noop_deletes
+        assert merged == sum(d.n for d in deltas[:3])
+        assert merged + deltas[3].n == store.records_ingested
+        store.apply_updates()
+        merged = store.inserts_applied + store.deletes_applied + store.noop_deletes
+        assert merged == store.records_ingested == sum(d.n for d in deltas)
 
 
 def reference_diff(prev, new):

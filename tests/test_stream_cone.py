@@ -9,7 +9,9 @@ bit-exactly the values of a from-scratch oracle run -- on small graphs
 with parallel edges, self-loops, unreachable parts and integer weights
 in {0, 1, 2}, so ties and zero-weight tight cycles occur.  Dropping a
 tight descendant from the cone must break exactness somewhere: the
-reset cannot stop at the roots.
+reset cannot stop at the roots.  The warm start's seed batch, whose
+in-edges are gathered by a mask over the edge list, must equal element
+for element the batch a transpose's rows give.
 """
 
 import sys
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import BFSProgram, SSSPProgram, WCCProgram
+from repro.core.update import UpdateBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import small_rmat
 from repro.obs import TraceRecorder, write_jsonl
@@ -111,24 +114,70 @@ def play(program, n, edges, batches):
         graph, values = new, oracle(new, program)
 
 
-def warm_values(program, new, values, cone, diff):
+def warm_state(program, new, values, cone, diff):
     _, _, i_src, i_dst, i_w = diff
-    warm = PROGRAMS[program]().warm_start(
-        new, new.reverse(), values, cone, i_src, i_dst, i_w, np.random.default_rng(0)
+    return PROGRAMS[program]().warm_start(
+        new, values, cone, i_src, i_dst, i_w, np.random.default_rng(0)
     )
-    return oracle(new, program, initial_state=warm)
+
+
+def warm_values(program, new, values, cone, diff):
+    return oracle(new, program, initial_state=warm_state(program, new, values, cone, diff))
+
+
+def transpose_seeds(program, new, values, reset, diff):
+    """The warm start's seed batch with the in-edges into ``reset`` read
+    off a transpose, row by row: the source seed, the in-edges from
+    outside ``reset``, the inserts from outside it, then (WCC) each reset
+    vertex's kick along its out-edges."""
+    relax = PROGRAMS[program]().relax
+    _, _, i_src, i_dst, i_w = diff
+    src, dst = new.edge_array()
+    rev = CSRGraph.from_edges(new.n, dst, src, new.weights)
+    warm = values.copy()
+    warm[reset] = reset if program == "wcc" else np.inf
+    in_reset = np.isin(np.arange(new.n), reset)
+    seeds = [] if program == "wcc" else [UpdateBatch.of([0], [0], [0.0])]
+
+    def from_outside(dest, tails, w):
+        keep = ~in_reset[tails] & np.isfinite(warm[tails])
+        data = relax(warm[tails[keep]], None if w is None else w[keep])
+        seeds.append(UpdateBatch.of(dest[keep], tails[keep], data))
+
+    for r in reset.tolist():
+        row = slice(rev.rowptr[r], rev.rowptr[r + 1])
+        tails = rev.colidx[row].astype(np.int64)
+        w = None if rev.weights is None else rev.weights[row]
+        from_outside(np.full(tails.size, r), tails, w)
+    from_outside(i_dst, i_src, i_w)
+    if program == "wcc":
+        for v in reset.tolist():
+            row = slice(new.rowptr[v], new.rowptr[v + 1])
+            heads = new.colidx[row].astype(np.int64)
+            tails = np.full(heads.size, v)
+            seeds.append(UpdateBatch.of(heads, tails, relax(warm[tails], None)))
+    return UpdateBatch.concat(seeds)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=stream_cases())
 def test_tight_cone_matches_reference_and_warm_start_is_exact(case):
-    program = case[0]
+    program, n = case[:2]
     relax = PROGRAMS[program]().relax
     for graph, values, new, diff, roots, cone in play(*case):
         deleted = set(zip(diff[0].tolist(), diff[1].tolist()))
         tight, reachable = reference_cones(graph, values, relax, deleted)
         assert cone.tolist() == sorted(tight)
         assert set(roots.tolist()) <= tight <= reachable
+        # The seed batch, gathered by mask, against a transpose's rows.
+        # The even and the odd vertices are no cone, but they put many
+        # heads, fed by interleaved tails, into one gather.
+        for reset in (cone, np.arange(0, n, 2), np.arange(1, n, 2)):
+            got = warm_state(program, new, values, reset, diff).messages
+            want = transpose_seeds(program, new, values, reset, diff)
+            got = UpdateBatch.empty() if got is None else got
+            for col in ("dest", "src", "data"):
+                assert getattr(got, col).tolist() == getattr(want, col).tolist()
         assert np.array_equal(warm_values(program, new, values, cone, diff), oracle(new, program))
 
 
