@@ -1,16 +1,23 @@
-"""Golden fingerprints of the superstep-skeleton engines.
+"""Golden fingerprints of every engine.
 
-Every engine that runs on :class:`repro.core.superstep.SuperstepEngine`
-(GraphChi, GraFBoost plain and adapted, GridGraph, X-Stream and the
-oracle) must produce bit-identical results for a fixed (graph, program,
-config, seed): final values, every superstep record, the SSD stats and
-the full trace -- each event's kind, fields (in emission order) and
-simulated timestamp.  The digests below were recorded before those
-engines shared one skeleton; a change that moves any simulated number,
-record field or trace event of any engine fails here.  GraFBoost's were
-re-recorded once since, when its log sort became a natural merge: its
-compute time moved and ``extsort`` gained ``records`` and
-``natural_runs``; nothing else changed.
+Every engine -- MultiLogVC and the superstep-skeleton engines of
+:class:`repro.core.superstep.SuperstepEngine` (GraphChi, GraFBoost plain
+and adapted, GridGraph, X-Stream and the oracle) -- must produce
+bit-identical results for a fixed (graph, program, config, seed): final
+values, every superstep record, the SSD stats and the full trace -- each
+event's kind, fields (in emission order) and simulated timestamp.
+MultiLogVC's rows also pin its ``loader.*``, ``io.*``, ``cache.*`` and
+``device.*`` (device-array) gauges, and PageRank and BFS run once more on
+each storage stack of :data:`STACKS`: page cache plus read-ahead, a
+striped and an affinity device array, and two lanes over coalesced I/O.
+
+A change that moves any simulated number, record field or trace event of
+any engine fails here.  The skeleton engines' digests were recorded
+before they shared one skeleton; GraFBoost's were re-recorded once since,
+when its log sort became a natural merge: its compute time moved and
+``extsort`` gained ``records`` and ``natural_runs``; nothing else
+changed.  MultiLogVC's digests were recorded before its loader,
+read-ahead and I/O plan mapped a whole group's pages at once.
 
 Each run also checks the compute ledger: ``RunResult.compute_by_site``
 sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
@@ -19,6 +26,7 @@ sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 import hashlib
 import json
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -55,7 +63,24 @@ ENGINES = {
     "gridgraph": ("gridgraph", None),
     "xstream": ("xstream", None),
     "oracle": ("oracle", None),
+    "multilogvc": ("multilogvc", None),
 }
+
+#: MultiLogVC storage stacks: label -> config transform of the base
+#: config.  They run on a 1 024-vertex graph with 1 KiB pages, so files
+#: span many pages: extents, read-ahead, edge-log hits and device-array
+#: savings all occur.
+STACKS = {
+    "cache16+readahead": lambda c: c.with_cache("clock", 16 * c.ssd.page_size).with_io_plan(
+        "coalesce+readahead"
+    ),
+    "devices4-stripe": lambda c: c.with_devices(4, "stripe"),
+    "devices4-affinity": lambda c: c.with_devices(4, "affinity"),
+    "lanes2+coalesce": lambda c: c.with_workers(2).with_io_plan("coalesce"),
+}
+
+#: gauge prefixes folded into MultiLogVC's digests
+GAUGE_PREFIXES = ("loader.", "io.", "cache.", "device.")
 
 GOLDEN = {
     ("grafboost", "bfs"): "9525fd2f9419b2fa9aa1cb14c6749c3275b3e5cd2a8c7a166e56730f7f4b6f5b",
@@ -78,6 +103,12 @@ GOLDEN = {
     ("gridgraph", "pagerank"): "d6b6cdf339a8028232ed59c29943922b9d9be016f71601a8f0ad19394011da56",
     ("gridgraph", "sssp"): "00b87215ba2c46fa8685ffeb7930780285bfb04777e51956482d7519ddcb98cb",
     ("gridgraph", "wcc"): "f3f4ec32367c76349845d2ddf97371d2922741592871e1973c33cbda48a333d6",
+    ("multilogvc", "bfs"): "b3ad82598d7ff82fc0936c7856374d5523acb4255c0982f0e23f1fe621baad8d",
+    ("multilogvc", "cdlp"): "d4818f31905bff92c0f41394495c06c64d3a0ebb3031fdb2bde3552df40e5693",
+    ("multilogvc", "coloring"): "0e837b87cd93f9ac7abda86be0279473cdccdd7f4e112730a8ea1aa0bb1ed217",
+    ("multilogvc", "pagerank"): "dfab40a710229cc91342ec2e3acae56407fb84219eeb3d23a27a9ca1b9d2d64c",
+    ("multilogvc", "sssp"): "5b6967a093ff9bde0a2cd6755b36c71a0160a2adc8dfadaa6c34c35cc855b741",
+    ("multilogvc", "wcc"): "c936bf55cee6a0ff7d0903ed9f3a7d3021b3a1fc1d8cc0066c4fd6f7155b34dd",
     ("oracle", "bfs"): "f336301167d0e704dccc6fb75030d5dbc233cd36634f32bf7638f890fdccf774",
     ("oracle", "cdlp"): "25398f60e0cf8e55e1e00d7e9af6a709cd6128c09b9f54fc3419642e4a8bd2aa",
     ("oracle", "coloring"): "5d6111136334f3a8299ed46814ee205f79d2068c40b8ca4ba9d42c97874a4ded",
@@ -88,6 +119,18 @@ GOLDEN = {
     ("xstream", "pagerank"): "e211754cba595824ebebe0d4b34a75a4537f8f831aec9c76ea8ff3efcdfcb316",
     ("xstream", "sssp"): "58d23c6fcf6e088770ff733992d974622bf3d6ae46b6168a42afb0c8eb305e78",
     ("xstream", "wcc"): "3cac37721c18a86f0a938f6422428065d6cff5956fed6e6bb50bba0551ccd26a",
+}
+
+#: MultiLogVC on each of :data:`STACKS`: (stack, program) -> digest
+GOLDEN_STACKS = {
+    ("cache16+readahead", "bfs"): "f77e33d4455b55c91eeb80b83e66efcba266bc3ae7c5f40aa74fb336e82c844f",
+    ("cache16+readahead", "pagerank"): "c1bfe7e502562248f67a7e19ddda7d2c9fcd73c0ed8fd972aec8ab20470dff18",
+    ("devices4-affinity", "bfs"): "10995e192ea04ecb5e496788a5b4235b2b36d804769b4cfd0b71150893373b86",
+    ("devices4-affinity", "pagerank"): "91729f442aa1b45ae4e07a97f0ea276412f86d1dbcd92266b414f40d37c81bbc",
+    ("devices4-stripe", "bfs"): "24e0c032211c6f59aee9e254a09bacd11dd820f555fc73de4306a298d74456ba",
+    ("devices4-stripe", "pagerank"): "ec409166b8843969807c9f7b25c330f0647014364cecbe28b9bebfd7b637fbf0",
+    ("lanes2+coalesce", "bfs"): "06f226337a2be4a70d59611660fb72e8e65f47c4057f5b8effbd9e648fe00625",
+    ("lanes2+coalesce", "pagerank"): "8b80187c74b95cfe0ecdf9cef2cad1457248972c2c468be47922d944dd96c97c",
 }
 
 #: sha256 of the ``repro.engines()`` capability table
@@ -109,16 +152,19 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def fingerprint(label: str, program: str):
+def fingerprint(label: str, program: str, stack: Optional[str] = None):
     """sha256 of one run's values, records, stats and trace (None: unsupported)."""
     engine, options = ENGINES[label]
-    graph = small_rmat(n=256, m=2048, seed=3, weighted=True)
+    n, page_size = (256, 4096) if stack is None else (1024, 1024)
+    graph = small_rmat(n=n, m=8 * n, seed=3, weighted=True)
     # A small sort budget: four GraphChi shards, two grid rows, a
     # multi-run external sort and a four-interval combine tree.
     config = SimConfig(
-        ssd=SSDConfig(page_size=4096, channels=4),
+        ssd=SSDConfig(page_size=page_size, channels=4),
         memory=MemoryConfig(total_bytes=256 * 1024, sort_fraction=0.05),
     ).with_workers(1).with_io_plan("off").with_devices(1)
+    if stack is not None:
+        config = STACKS[stack](config)
     tracer = TraceRecorder()
     try:
         res = repro.run(
@@ -133,6 +179,9 @@ def fingerprint(label: str, program: str):
     h.update(_digest([r.to_dict() for r in res.supersteps]).encode())
     h.update(_digest(res.stats.to_dict()).encode())
     h.update(_digest([[e.kind, e.fields, e.t_us] for e in tracer.events]).encode())
+    if engine == "multilogvc":
+        gauges = {k: v for k, v in sorted(res.metrics.items()) if k.startswith(GAUGE_PREFIXES)}
+        h.update(_digest(gauges).encode())
     return h.hexdigest()
 
 
@@ -150,6 +199,12 @@ def capabilities_digest() -> str:
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 def test_engine_fingerprint(label, program):
     assert fingerprint(label, program) == GOLDEN.get((label, program))
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@pytest.mark.parametrize("program", ["bfs", "pagerank"])
+def test_multilogvc_stack_fingerprint(stack, program):
+    assert fingerprint("multilogvc", program, stack) == GOLDEN_STACKS[(stack, program)]
 
 
 def test_capability_table_fingerprint():
