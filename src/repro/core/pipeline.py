@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..graph.storage import GroupRanges
 from ..ssd.device import ChargeOp, SimulatedSSD
 from .loader import LoadReport
 from .sortgroup import SortedGroup
@@ -41,6 +42,9 @@ class PreparedGroup:
     #: planner is off.  Folded into the planner's cumulative tallies at
     #: the group's commit point, in canonical group order.
     io_plan: Optional[object] = None
+    #: ``verts``' :meth:`~repro.graph.storage.GraphOnSSD.group_ranges`,
+    #: shared by the loader and the batch builder (``None`` when empty)
+    ranges: Optional[GroupRanges] = None
 
 
 PrepareFn = Callable[[List[int]], PreparedGroup]

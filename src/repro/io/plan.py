@@ -206,71 +206,73 @@ class IOPlan:
     ) -> Dict[str, float]:
         """Charge one klass-ordered wave set for ``demand``; returns times.
 
-        Per-page device vectors (device-array runs) stay aligned with
-        the channel vectors through run splitting, the round-robin
-        balance permutation and wave slicing, so each wave's per-device
-        overlay times -- and a device-scoped fault plan's view -- see
-        exactly the pages that wave carries.
+        The whole demand is handled as one concatenated page vector:
+        runs of adjacent pages are found in one pass (a run never spans
+        two demand entries) and each class's extents and scattered pages
+        are selected from it in demand order.  Per-page device vectors
+        (device-array runs) stay aligned with the channel vectors
+        through that selection, the round-robin balance permutation and
+        wave slicing, so each wave's per-device overlay times -- and a
+        device-scoped fault plan's view -- see exactly the pages that
+        wave carries.
         """
+        if not demand:
+            return {}
         device = self.device
-        by_klass: Dict[str, Tuple[List[Tuple[int, int]], List, List[np.ndarray], List]] = {}
-        for klass, offset, ids, devs in demand:
-            extents, extent_devs, scattered, scattered_devs = by_klass.setdefault(
-                klass, ([], [], [], [])
-            )
-            outcome.batches_folded += 1
-            outcome.baseline_time_us += device.read_batch_time(
-                (ids + offset) % device.channels
-            )
-            if ids.size:
-                breaks = np.flatnonzero(np.diff(ids) != 1)
-                starts = np.concatenate(([0], breaks + 1))
-                stops = np.concatenate((breaks + 1, [ids.size]))
-            else:
-                starts = stops = np.empty(0, dtype=np.int64)
-            singles = []
-            for a, b in zip(starts, stops):
-                length = int(b - a)
-                if length >= MIN_EXTENT_PAGES:
-                    extents.append((int((ids[a] + offset) % device.channels), length))
-                    extent_devs.append(None if devs is None else devs[a:b])
-                    outcome.extents += 1
-                    outcome.extent_pages += length
-                else:
-                    singles.append(int(a))
-            if singles:
-                sel = np.asarray(singles, dtype=np.int64)
-                scattered.append((ids[sel] + offset) % device.channels)
-                scattered_devs.append(None if devs is None else devs[sel])
+        n = len(demand)
+        sizes = np.array([d[2].size for d in demand], dtype=np.int64)
+        entry = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        ids = np.concatenate([d[2] for d in demand])
+        offsets = np.array([d[1] for d in demand], dtype=np.int64)
+        ch = (ids + offsets[entry]) % device.channels
+        # devices_of is None for every file on a single device.
+        devs = None if demand[0][3] is None else np.concatenate([d[3] for d in demand])
+
+        # What each entry would have cost as its own batch, summed in
+        # demand order.
+        outcome.batches_folded += n
+        for t in device.read_batch_times(ch, entry, n).tolist():
+            outcome.baseline_time_us += t
+
+        head = np.ones(ids.size, dtype=bool)
+        head[1:] = (np.diff(ids) != 1) | (entry[1:] != entry[:-1])
+        run_at = np.flatnonzero(head)
+        run_len = np.diff(np.append(run_at, ids.size))
+        is_extent = run_len >= MIN_EXTENT_PAGES
+        in_extent = np.repeat(is_extent, run_len)
+        klasses = sorted({d[0] for d in demand})
+        page_klass = np.array([klasses.index(d[0]) for d in demand], dtype=np.int64)[entry]
+        run_klass = page_klass[run_at]
+
         times: Dict[str, float] = {}
         wave_cap = device.channels * WAVE_QUEUE_DEPTH
-        for klass in sorted(by_klass):
-            extents, extent_devs, scattered, scattered_devs = by_klass[klass]
-            dv = None
-            if scattered:
-                ch = np.concatenate(scattered)
-                perm = balance_order(ch)
-                ch = ch[perm]
-                if any(d is not None for d in scattered_devs):
-                    dv = np.concatenate(scattered_devs)[perm]
-            else:
-                ch = np.empty(0, dtype=np.int64)
-            outcome.scattered_pages += int(ch.size)
-            if not any(d is not None for d in extent_devs):
-                extent_devs = None
-            t = 0.0
+        no_extents = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        for k, klass in enumerate(klasses):
+            ext = is_extent & (run_klass == k)
+            extents = (ch[run_at[ext]], run_len[ext])
+            outcome.extents += int(np.count_nonzero(ext))
+            outcome.extent_pages += int(extents[1].sum())
+            mine = page_klass == k
+            single = mine & ~in_extent
+            perm = balance_order(ch[single])
+            sch = ch[single][perm]
+            sdv = ext_dv = None
+            if devs is not None:
+                sdv = devs[single][perm]
+                ext_dv = devs[mine & in_extent]
+            outcome.scattered_pages += int(sch.size)
             # First wave carries every extent plus the head of the
             # scattered queue; overflow drains in further bounded waves.
-            t += device.read_plan(
-                klass, extents, ch[:wave_cap],
-                extent_devices=extent_devs,
-                scattered_devices=None if dv is None else dv[:wave_cap],
+            t = device.read_plan(
+                klass, extents, sch[:wave_cap],
+                extent_devices=ext_dv,
+                scattered_devices=None if sdv is None else sdv[:wave_cap],
             )
             outcome.waves += 1
-            for at in range(wave_cap, ch.size, wave_cap):
+            for at in range(wave_cap, sch.size, wave_cap):
                 t += device.read_plan(
-                    klass, [], ch[at : at + wave_cap],
-                    scattered_devices=None if dv is None else dv[at : at + wave_cap],
+                    klass, no_extents, sch[at : at + wave_cap],
+                    scattered_devices=None if sdv is None else sdv[at : at + wave_cap],
                 )
                 outcome.waves += 1
             times[klass] = t

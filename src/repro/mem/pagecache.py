@@ -104,6 +104,18 @@ class PageCache:
         name, page = key
         return int(page) in self._map.get(name, ())
 
+    def resident(self, name: str, page_ids: np.ndarray) -> np.ndarray:
+        """Per-page residency mask of ``name``'s pages.
+
+        A pure lookup, like ``in``: no reference bit, tally or CLOCK
+        state changes.
+        """
+        ids = np.asarray(page_ids, dtype=np.int64)
+        pages = self._map.get(name)
+        if not pages:
+            return np.zeros(ids.shape[0], dtype=bool)
+        return np.fromiter((p in pages for p in ids.tolist()), dtype=bool, count=ids.shape[0])
+
     def snapshot(self) -> Dict[str, Any]:
         """Counter/occupancy snapshot (the ``cache_stats`` trace payload)."""
         return {

@@ -296,35 +296,47 @@ def pages_for_ranges(
 
     Notes
     -----
-    Fully vectorised: cost is O(total pages touched), not O(entries).
+    Fully vectorised and O(total pages touched), not O(entries): each
+    range expands to its (range, page) pairs, the pairs are stably
+    sorted by page only when their page ids are not already
+    non-decreasing, and equal adjacent pages merge into one output page
+    with its useful bytes summed.  Ascending ranges -- disjoint
+    adjacency ranges, or the row-pointer ranges ``[v, v + 2)`` of
+    ascending vertices, which share entries -- already come out
+    non-decreasing, so engine callers never pay for the sort.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
     if starts.shape != stops.shape:
         raise StorageError("starts/stops shape mismatch")
     mask = stops > starts
-    starts = starts[mask]
-    stops = stops[mask]
+    if not mask.all():
+        starts = starts[mask]
+        stops = stops[mask]
     if starts.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     epp = int(entries_per_page)
     first = starts // epp
-    last = (stops - 1) // epp
-    counts = last - first + 1
+    counts = (stops - 1) // epp - first + 1
     total = int(counts.sum())
     # Expand each range into its page list: repeat(first) + within-range offset.
     cum = np.cumsum(counts)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
     page_ids = np.repeat(first, counts) + offsets
     # Overlap of each (range, page) pair, in entries.
-    rng_starts = np.repeat(starts, counts)
-    rng_stops = np.repeat(stops, counts)
     page_lo = page_ids * epp
-    page_hi = page_lo + epp
-    overlap = np.minimum(rng_stops, page_hi) - np.maximum(rng_starts, page_lo)
-    uniq, inverse = np.unique(page_ids, return_inverse=True)
-    useful = np.bincount(inverse, weights=overlap.astype(np.float64)).astype(np.int64) * entry_bytes
-    return uniq, useful
+    overlap = np.minimum(np.repeat(stops, counts), page_lo + epp) - np.maximum(
+        np.repeat(starts, counts), page_lo
+    )
+    if total > 1 and (page_ids[1:] < page_ids[:-1]).any():
+        order = np.argsort(page_ids, kind="stable")
+        page_ids = page_ids[order]
+        overlap = overlap[order]
+    heads = np.empty(total, dtype=bool)
+    heads[0] = True
+    np.not_equal(page_ids[1:], page_ids[:-1], out=heads[1:])
+    heads = np.flatnonzero(heads)
+    return page_ids[heads], np.add.reduceat(overlap, heads) * entry_bytes
 
 
 class ArrayFile(SimFileBase):

@@ -448,64 +448,74 @@ def multilog_cases(draw):
     return rpp, k, capacity, low, high, width, batches, cut
 
 
+def check_multilog_matches_model(case):
+    rpp, k, capacity, low, high, width, batches, cut = case
+    cfg = _model_config(rpp, low, high)
+    intervals = VertexIntervals(np.arange(k + 1) * width)
+    budget = dataclasses.replace(MemoryBudget.resolve(cfg, k), multilog_pages=capacity)
+    n = k * width
+
+    def fresh_unit(next_offset=0):
+        fs = SimFS(cfg)
+        fs.next_channel_offset = next_offset
+        return MultiLogUnit(fs, intervals, cfg, budget, "m")
+
+    unit, model = fresh_unit(), ModelMultiLog(SimFS(cfg), intervals, cfg, budget)
+    resumed = None
+    sent = 0
+    for b, (size, seed, skewed) in enumerate(batches):
+        if b == cut:
+            # Export -> restore on a fresh file system -> continue.
+            state = pickle.loads(pickle.dumps(unit.export_state(), protocol=PICKLE_PROTOCOL))
+            resumed = fresh_unit(unit.fs.next_channel_offset)
+            resumed.restore_state(state)
+        rng = np.random.default_rng(seed)
+        dest = rng.integers(0, width if skewed else n, size)
+        src = np.arange(sent, sent + size)
+        data = rng.random(size)
+        sent += size
+        for log in (unit, resumed):
+            if log is not None:
+                log.ingest(UpdateBatch.of(dest, src, data))
+        model.ingest(*(np.asarray(c, dt) for c, dt in zip((dest, src, data), UPDATE_DTYPES)))
+
+        _assert_same_log(unit, unit._files, model, model.files)
+        assert unit.pages_buffered == model.used
+        assert unit.fs.stats.to_dict() == model.fs.stats.to_dict()
+        assert len(pickle.dumps(unit.export_state(), protocol=PICKLE_PROTOCOL)) == len(
+            pickle.dumps(model.export_state(), protocol=PICKLE_PROTOCOL)
+        )
+        if resumed is not None:
+            _assert_same_log(unit, unit._files, resumed, resumed._files)
+            assert unit.pages_buffered == resumed.pages_buffered
+
+    for group in (list(range(0, k, 2)), list(range(1, k, 2))):
+        want = model.consume(group)
+        for log in (unit, resumed):
+            if log is None:
+                continue
+            got = log.consume(group)
+            if want is None:
+                assert got.n == 0
+                continue
+            for g, w in zip((got.dest, got.src, got.data), want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert unit.pages_buffered == model.used
+        assert unit.io_time_us == model.io_time_us
+    assert unit.pages_buffered == 0 and unit.total_messages == 0
+
+
 class TestAgainstReferenceModel:
     @given(multilog_cases())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_same_pages_tallies_and_exported_bytes(self, case):
-        rpp, k, capacity, low, high, width, batches, cut = case
-        cfg = _model_config(rpp, low, high)
-        intervals = VertexIntervals(np.arange(k + 1) * width)
-        budget = dataclasses.replace(MemoryBudget.resolve(cfg, k), multilog_pages=capacity)
-        n = k * width
+        check_multilog_matches_model(case)
 
-        def fresh_unit(next_offset=0):
-            fs = SimFS(cfg)
-            fs.next_channel_offset = next_offset
-            return MultiLogUnit(fs, intervals, cfg, budget, "m")
-
-        unit, model = fresh_unit(), ModelMultiLog(SimFS(cfg), intervals, cfg, budget)
-        resumed = None
-        sent = 0
-        for b, (size, seed, skewed) in enumerate(batches):
-            if b == cut:
-                # Export -> restore on a fresh file system -> continue.
-                state = pickle.loads(pickle.dumps(unit.export_state(), protocol=PICKLE_PROTOCOL))
-                resumed = fresh_unit(unit.fs.next_channel_offset)
-                resumed.restore_state(state)
-            rng = np.random.default_rng(seed)
-            dest = rng.integers(0, width if skewed else n, size)
-            src = np.arange(sent, sent + size)
-            data = rng.random(size)
-            sent += size
-            for log in (unit, resumed):
-                if log is not None:
-                    log.ingest(UpdateBatch.of(dest, src, data))
-            model.ingest(*(np.asarray(c, dt) for c, dt in zip((dest, src, data), UPDATE_DTYPES)))
-
-            _assert_same_log(unit, unit._files, model, model.files)
-            assert unit.pages_buffered == model.used
-            assert unit.fs.stats.to_dict() == model.fs.stats.to_dict()
-            assert len(pickle.dumps(unit.export_state(), protocol=PICKLE_PROTOCOL)) == len(
-                pickle.dumps(model.export_state(), protocol=PICKLE_PROTOCOL)
-            )
-            if resumed is not None:
-                _assert_same_log(unit, unit._files, resumed, resumed._files)
-                assert unit.pages_buffered == resumed.pages_buffered
-
-        for group in (list(range(0, k, 2)), list(range(1, k, 2))):
-            want = model.consume(group)
-            for log in (unit, resumed):
-                if log is None:
-                    continue
-                got = log.consume(group)
-                if want is None:
-                    assert got.n == 0
-                    continue
-                for g, w in zip((got.dest, got.src, got.data), want):
-                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-            assert unit.pages_buffered == model.used
-            assert unit.io_time_us == model.io_time_us
-        assert unit.pages_buffered == 0 and unit.total_messages == 0
+    @pytest.mark.slow
+    @given(multilog_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_same_pages_tallies_and_exported_bytes_full_budget(self, case):
+        check_multilog_matches_model(case)
 
     @staticmethod
     def _checkpoint_blob_lengths(precombine):

@@ -155,10 +155,9 @@ class TestGraphLoader:
         fs, storage, loader = loader_setup
         rep = loader.load_active(np.arange(rmat256.n), False, False)
         # With every vertex active, most pages must be efficiently used.
-        total_ineff = sum(
-            int(((u > 0) & (u / storage.config.ssd.page_size < 0.1)).sum())
-            for u in rep.colidx_useful
-        )
+        u = rep.colidx_useful
+        assert u.shape == (rep.colidx_pages,)
+        total_ineff = int(((u > 0) & (u / storage.config.ssd.page_size < 0.1)).sum())
         assert total_ineff <= rep.colidx_pages * 0.2
 
     def test_writeback_edge_state(self, loader_setup):

@@ -119,13 +119,7 @@ supersteps_st = st.lists(
 )
 
 
-@given(
-    supersteps=supersteps_st,
-    page_size=st.sampled_from([512, 1024, 4096]),
-    total_bytes=st.sampled_from([96 << 10, 256 << 10, 1 << 20]),
-)
-@settings(max_examples=120, deadline=None)
-def test_batched_writer_matches_eager_layout_with_fewer_ops(supersteps, page_size, total_bytes):
+def check_batched_matches_eager(supersteps, page_size, total_bytes):
     n = max(1, max(sum(len(g) for g in groups) for groups in supersteps))
     tracer = TraceRecorder()
     fs_b, batched = make(EdgeLogOptimizer, page_size, total_bytes, n, tracer)
@@ -162,6 +156,28 @@ def test_batched_writer_matches_eager_layout_with_fewer_ops(supersteps, page_siz
     assert write_ops(fs_b) == len(model)
     # Only a single oversized entry's own batch may exceed the buffer.
     assert all(p <= cap for p, why in model if why != "hub")
+
+
+writer_cases = dict(
+    supersteps=supersteps_st,
+    page_size=st.sampled_from([512, 1024, 4096]),
+    total_bytes=st.sampled_from([96 << 10, 256 << 10, 1 << 20]),
+)
+
+
+@given(**writer_cases)
+@settings(max_examples=30, deadline=None)
+def test_batched_writer_matches_eager_layout_with_fewer_ops(supersteps, page_size, total_bytes):
+    check_batched_matches_eager(supersteps, page_size, total_bytes)
+
+
+@pytest.mark.slow
+@given(**writer_cases)
+@settings(max_examples=120, deadline=None)
+def test_batched_writer_matches_eager_layout_with_fewer_ops_full_budget(
+    supersteps, page_size, total_bytes
+):
+    check_batched_matches_eager(supersteps, page_size, total_bytes)
 
 
 def test_one_write_per_full_buffer(cfg):

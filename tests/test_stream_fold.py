@@ -231,6 +231,20 @@ def check_fold_matches_reference(case):
     assert_same_store(fold, ref)
 
 
+def check_run_split_folds_the_same(case, data):
+    """fold(batch) == fold(head) then fold(tail), for any cut."""
+    whole, split = build(StreamStore, case), build(StreamStore, case)
+    for b, ops in enumerate(case["batches"]):
+        delta = as_delta(ops, 100 * b)
+        part = EdgeDelta.concat(p for _, p in delta.by_interval(whole.intervals))
+        cut = data.draw(st.integers(0, part.n))
+        got = whole._fold(part)
+        head = split._fold(part.take(slice(0, cut)))
+        tail = split._fold(part.take(slice(cut, part.n)))
+        assert got == tuple(h + t for h, t in zip(head, tail))
+        assert (index_state(whole), arena(whole)) == (index_state(split), arena(split))
+
+
 class TestFoldAgainstReference:
     @given(fold_cases())
     @settings(max_examples=100, deadline=None)
@@ -244,16 +258,12 @@ class TestFoldAgainstReference:
         check_fold_matches_reference(case)
 
     @given(fold_cases(), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_run_split_anywhere_folds_the_same(self, case, data):
-        """fold(batch) == fold(head) then fold(tail), for any cut."""
-        whole, split = build(StreamStore, case), build(StreamStore, case)
-        for b, ops in enumerate(case["batches"]):
-            delta = as_delta(ops, 100 * b)
-            part = EdgeDelta.concat(p for _, p in delta.by_interval(whole.intervals))
-            cut = data.draw(st.integers(0, part.n))
-            got = whole._fold(part)
-            head = split._fold(part.take(slice(0, cut)))
-            tail = split._fold(part.take(slice(cut, part.n)))
-            assert got == tuple(h + t for h, t in zip(head, tail))
-            assert (index_state(whole), arena(whole)) == (index_state(split), arena(split))
+        check_run_split_folds_the_same(case, data)
+
+    @pytest.mark.slow
+    @given(fold_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_run_split_anywhere_folds_the_same_full_budget(self, case, data):
+        check_run_split_folds_the_same(case, data)
