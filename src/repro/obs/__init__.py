@@ -19,7 +19,7 @@ internally.
 
 from .context import current_tracer, use_tracer
 from .metrics import NULL_METRICS, Counter, MetricsRegistry, NullMetricsRegistry
-from .tracer import NULL_TRACER, TRACE_KINDS, TraceEvent, Tracer, TraceRecorder
+from .tracer import NULL_TRACER, TRACE_KINDS, TRACE_SCHEMA, TraceEvent, Tracer, TraceRecorder
 from .writer import load_jsonl, trace_summary, write_jsonl
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "TraceRecorder",
     "TraceEvent",
     "TRACE_KINDS",
+    "TRACE_SCHEMA",
     "NULL_TRACER",
     "MetricsRegistry",
     "NullMetricsRegistry",

@@ -23,78 +23,175 @@ group under the device's deferred-charge queue and emits its
 ``group_load`` right after the commit in
 :meth:`repro.core.engine.MultiLogVC._superstep_loop`, so the event is
 stamped with the group's I/O already on the simulated clock.
+
+Schema
+------
+Every kind an emitter may use is declared once in :data:`TRACE_SCHEMA`
+together with its contract; :data:`TRACE_KINDS`, the crash/resume
+exclusions and ``tools/validate_trace.py`` are derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+
+from ..config import IO_PLAN_MODES, PLACEMENTS
 
 
-#: Every event kind any engine or the device layer may emit.  Consumers
-#: (``tools/validate_trace.py``, dashboards) treat an unknown kind as a
-#: schema error, so additions here must accompany the emitting code.
-TRACE_KINDS = frozenset(
-    {
-        # run lifecycle (all engines)
-        "run_begin",
-        "run_resume",
-        "run_end",
-        "superstep_begin",
-        "superstep_end",
-        # MultiLogVC superstep internals
-        "group_plan",
-        "group_load",
-        # group, records, natural_runs, unique_dests
-        "group_sort",
-        "group_process",
-        "edgelog_decisions",
-        "mlog_rotate",
-        "mlog_flush",
-        # pages, time_us: one per edge-log write batch
-        "elog_flush",
-        # simulated worker lanes (DESIGN.md §11): one event per
-        # superstep when effective lanes > 1, carrying run-cumulative
-        # (monotonically non-decreasing) overlap counters
-        "parallel_stats",
-        # superstep I/O planner (DESIGN.md §13): one event per superstep
-        # when ``io_plan != "off"``, carrying run-cumulative counters
-        "io_plan_stats",
-        # multi-SSD device array (DESIGN.md §14): one event per superstep
-        # when ``num_devices > 1``, carrying run-cumulative overlay
-        # counters (per-device busy clocks, serial-vs-array time)
-        "device_stats",
-        # recovery subsystem
-        "checkpoint_write",
-        "recovery_load",
-        # streaming update subsystem (DESIGN.md §12): one ingest_stats
-        # event per ingested/applied batch (carrying a per-session
-        # monotonically increasing ``seq``), one compaction event per
-        # interval compaction, and one warm_start event (roots, cone,
-        # walk_rows, scan, io_us) per incremental recompute's seeding
-        "ingest_stats",
-        "compaction",
-        "warm_start",
-        # DRAM page cache (file layer; emitted once per superstep)
-        "cache_stats",
-        # SSD fault injection (device layer)
-        "fault_error",
-        "fault_crash",
-        "fault_torn",
-        "fault_retry",
-        "channel_degraded",
-        # baseline engines
-        "shard_load",
-        "vertex_chunks",
-        "log_stream",
-        "log_flush",
-        # raw_pages, run_pages, combined_pages, runs, passes, records,
-        # natural_runs
-        "extsort",
-        "graph_stream",
-        "block_stream",
-    }
+class Check(NamedTuple):
+    """A field check: ``ok(value)`` (``None`` when the field is missing),
+    else ``msg`` formatted with ``field`` and ``value``."""
+
+    ok: Callable[[Any], bool]
+    msg: str
+
+
+class Rule(NamedTuple):
+    """A cross-field rule: ``holds(*values of reads)``, else ``msg``
+    formatted with the event's fields."""
+
+    reads: Tuple[str, ...]
+    holds: Callable[..., bool]
+    msg: str
+
+
+@dataclass(frozen=True)
+class EventSchema:
+    """One kind's contract: ``fields`` checks; ``counters`` that never
+    decrease within a run segment; cross-field ``rules``, evaluated only
+    when the fields they read passed; and whether a crash/resume
+    comparison matches the kind event-for-event (``reconciled``)."""
+
+    fields: Mapping[str, Check] = field(default_factory=dict)
+    counters: Tuple[str, ...] = ()
+    rules: Tuple[Rule, ...] = ()
+    reconciled: bool = True
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int_at_least(lo: int) -> Check:
+    msg = f"{{field!r}} must be an integer >= {lo}, got {{value!r}}"
+    return Check(lambda v: _is_int(v) and v >= lo, msg)
+
+
+def _one_of(values: Tuple[str, ...]) -> Check:
+    return Check(lambda v: v in values, f"{{field!r}} must be one of {values}, got {{value!r}}")
+
+
+INT = Check(_is_int, "missing/non-integer {field!r}")
+COUNT = Check(lambda v: _is_int(v) and v >= 0, "missing/negative/non-integer {field!r}")
+NUMBER = Check(_is_number, "missing/non-numeric {field!r}")
+BOOL = Check(lambda v: isinstance(v, bool), "{field!r} must be a boolean")
+POSITIVE = Check(lambda v: _is_number(v) and v > 0, "{field!r} must be > 0, got {value!r}")
+NON_NEGATIVE = Check(lambda v: _is_number(v) and v >= 0, "{field!r} must be >= 0, got {value!r}")
+
+
+def _free(kinds: str) -> Dict[str, EventSchema]:
+    """Entries for kinds that carry no constraint beyond the envelope."""
+    return dict.fromkeys(kinds.split(), EventSchema())
+
+
+def _overlay(counters: str, check: Check = NUMBER, **fields: Check) -> EventSchema:
+    """A once-per-superstep snapshot of the run-cumulative ``counters``.
+
+    They accumulate for the run's lifetime, so a drop within a run
+    segment means the state behind them was silently reset.  Post-cut
+    snapshots embed pre-cut history a resumed run never saw, so the kind
+    is not reconciled across a crash/resume cut; the charges it
+    annotates reconcile exactly.
+    """
+    names = tuple(counters.split())
+    return EventSchema({**fields, **dict.fromkeys(names, check)}, names, reconciled=False)
+
+
+#: A sort's input has at least one and at most one natural run per record
+#: (the runs its compute charge merges, DESIGN.md §5).
+_SORT = EventSchema(
+    {"records": INT, "natural_runs": INT},
+    rules=(Rule(("records", "natural_runs"), lambda n, runs: n <= 0 or 1 <= runs <= n,
+                "natural_runs {natural_runs} outside [1, records {records}]"),),
 )
+
+#: A log write batch is emitted only once a page reached the device.
+_FLUSH = EventSchema({"pages": _int_at_least(1), "time_us": POSITIVE})
+
+#: The trace contract, one entry per event kind that an engine, the
+#: device layer or the stream store may emit.  Every event also carries
+#: the envelope ``kind``/``t_us``/``step``, and ``t_us`` never decreases
+#: within a run segment: a trace may concatenate runs, and each
+#: ``run_begin`` restarts the simulated clock.  ``tools/validate_trace.py``
+#: is a generic loop over this table; an entry must accompany the
+#: emitting code.
+TRACE_SCHEMA: Dict[str, EventSchema] = {
+    # -- run lifecycle (all engines).  The prologue and the resume
+    # bookkeeping sit outside any superstep and differ between an
+    # uninterrupted and a resumed run by construction.
+    "run_begin": EventSchema(reconciled=False),
+    "run_resume": EventSchema(reconciled=False),
+    **_free("run_end superstep_begin"),
+    # The log never holds more records than the program sent; it holds
+    # fewer only where a send-side combine reduced them first (DESIGN.md §15).
+    "superstep_end": EventSchema(
+        {"messages_sent": COUNT, "records_logged": COUNT},
+        rules=(Rule(("messages_sent", "records_logged"), lambda sent, logged: logged <= sent,
+                    "logged more records than were sent "
+                    "(records_logged {records_logged} > messages_sent {messages_sent})"),),
+    ),
+    # -- MultiLogVC superstep internals
+    **_free("group_plan group_load group_process edgelog_decisions mlog_rotate"),
+    "group_sort": _SORT,
+    "mlog_flush": _FLUSH,
+    "elog_flush": _FLUSH,
+    # -- run-cumulative overlays.  The page cache's tallies live as long
+    # as the cache, across checkpoint cuts, while both runs restart cold
+    # at the cut (DESIGN.md §10); a crashed run under an armed fault plan
+    # executes serially, so it has no pre-cut lane history (DESIGN.md §11).
+    "cache_stats": _overlay("hits misses evictions insertions invalidations", INT),
+    "parallel_stats": _overlay("groups spec_us saved_us makespan_us"),
+    # superstep I/O planner (DESIGN.md §13), never built with io_plan "off"
+    "io_plan_stats": _overlay(
+        "plans demand_pages cache_hit_pages batches_folded extents extent_pages"
+        " scattered_pages waves time_us saved_us readahead_pages readahead_time_us",
+        mode=_one_of(IO_PLAN_MODES[1:]),
+    ),
+    # multi-SSD device array (DESIGN.md §14), emitted only on an array
+    "device_stats": _overlay(
+        "ops serial_us array_us saved_us", placement=_one_of(PLACEMENTS), devices=_int_at_least(2)
+    ),
+    # -- recovery subsystem and SSD fault injection (DESIGN.md §8)
+    **_free("checkpoint_write fault_error fault_crash fault_torn fault_retry channel_degraded"),
+    # -- streaming updates (DESIGN.md §12).  ``seq`` is the update log's
+    # batch counter, monotone for the store's lifetime: a drop means the
+    # commit log was corrupted.
+    "ingest_stats": EventSchema(
+        {"phase": _one_of(("ingest", "apply")), "seq": COUNT, "records": COUNT, "pages": COUNT},
+        counters=("seq",),
+    ),
+    "compaction": EventSchema(
+        dict.fromkeys("interval live dropped pages_read pages_written".split(), COUNT)
+    ),
+    # one per incremental recompute's seeding: the deletion cone contains
+    # its roots
+    "warm_start": EventSchema(
+        {"roots": COUNT, "cone": COUNT, "walk_rows": COUNT, "scan": BOOL, "io_us": NON_NEGATIVE},
+        rules=(Rule(("roots", "cone"), lambda roots, cone: roots <= cone,
+                    "has more roots than cone vertices ({roots} > {cone})"),),
+    ),
+    # -- baseline engines
+    **_free("shard_load vertex_chunks log_stream log_flush graph_stream block_stream"),
+    "extsort": _SORT,
+}
+
+#: Every event kind any engine or the device layer may emit.
+TRACE_KINDS = frozenset(TRACE_SCHEMA)
 
 
 @dataclass

@@ -28,35 +28,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import RecoveryError, SimulatedCrashError
+from ..obs import TRACE_SCHEMA
 from .checkpoint import KLASS_CKPT, CheckpointData, CheckpointManager
 
-#: Events outside any superstep (run prologue, resume bookkeeping), plus
-#: ``cache_stats``: page-cache counters are cumulative over the cache's
-#: *lifetime*, so post-cut snapshots embed pre-cut history the resumed
-#: run never saw.  The charged I/O itself still reconciles exactly --
-#: both runs restart from a cold cache at the cut (DESIGN.md §10) -- so
-#: timestamps, stats and every other event kind stay bit-identical.
-#: ``parallel_stats`` is cumulative the same way (and a crashed run
-#: under an armed fault plan executes serially, so it has no pre-cut
-#: overlap history at all); the committed values/records/stats it
-#: annotates reconcile exactly at any worker count (DESIGN.md §11).
-#: ``io_plan_stats`` carries the I/O planner's run-cumulative tallies
-#: (DESIGN.md §13), which likewise embed pre-cut history a resumed run
-#: never saw; the planned charges themselves reconcile exactly.
-#: ``device_stats`` carries the device array's run-cumulative overlay
-#: clocks (DESIGN.md §14); the canonical charges they annotate
-#: reconcile exactly at any device count.
-NON_RECONCILED_KINDS = frozenset(
-    {
-        "run_begin",
-        "run_resume",
-        "recovery_load",
-        "cache_stats",
-        "parallel_stats",
-        "io_plan_stats",
-        "device_stats",
-    }
-)
+#: Kinds a crash/resume comparison skips: the run prologue and resume
+#: bookkeeping, and the run-cumulative overlays whose post-cut snapshots
+#: embed pre-cut history (the reasons are on their schema entries).
+NON_RECONCILED_KINDS = frozenset(k for k, s in TRACE_SCHEMA.items() if not s.reconciled)
 
 
 def reconcile_traces(
