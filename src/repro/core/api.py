@@ -49,11 +49,15 @@ class InitialState:
         Vertex ids active at superstep 0 (processed even without updates).
     messages:
         Optional updates delivered at superstep 0 (e.g. a BFS seed).
+    seeds_dropped:
+        Seed messages a warm start left out of ``messages`` because they
+        could not improve their destination (observability only).
     """
 
     values: np.ndarray
     active: np.ndarray
     messages: Optional[UpdateBatch] = None
+    seeds_dropped: int = 0
 
 
 class VertexContext:

@@ -179,9 +179,10 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
         dict.fromkeys("interval live dropped pages_read pages_written".split(), COUNT)
     ),
     # one per incremental recompute's seeding: the deletion cone contains
-    # its roots
+    # its roots; ``seeds`` messages kept, ``seeds_dropped`` as non-improving
     "warm_start": EventSchema(
-        {"roots": COUNT, "cone": COUNT, "walk_rows": COUNT, "scan": BOOL, "io_us": NON_NEGATIVE},
+        {"roots": COUNT, "cone": COUNT, "walk_rows": COUNT, "scan": BOOL,
+         "seeds": COUNT, "seeds_dropped": COUNT, "io_us": NON_NEGATIVE},
         rules=(Rule(("roots", "cone"), lambda roots, cone: roots <= cone,
                     "has more roots than cone vertices ({roots} > {cone})"),),
     ),

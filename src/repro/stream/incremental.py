@@ -38,7 +38,10 @@ Condition 2 is established by seeding
 * for self-seeded programs (WCC), each reset vertex's own ``base``
   relaxed along its out-edges (the "kick" a fresh run performs in
   superstep 0 -- warm-started vertices that receive boundary messages
-  would otherwise never broadcast their own id).
+  would otherwise never broadcast their own id),
+
+keeping only the seeds whose message is below the warm value at their
+destination: a message at or above it cannot start an improving path.
 
 Schedule-dependent programs (PageRank, CDLP, ...) make no such promise
 and take the full-recompute path; their ``warm_start`` returns None.
@@ -99,8 +102,9 @@ def descendants(
         return srcs, dsts, np.isfinite(head) & (relax(values[srcs], w) == head)
 
     srcs, dsts, tight = tight_rows(np.unique(del_src))
-    deleted = np.isin(srcs * graph.n + dsts, del_src * graph.n + del_dst)
-    roots = np.unique(dsts[tight & deleted])
+    # Match only the tight edges (a few percent of hub rows) to the deletions.
+    srcs, dsts = srcs[tight], dsts[tight]
+    roots = np.unique(dsts[np.isin(srcs * graph.n + dsts, del_src * graph.n + del_dst)])
     seen = np.zeros(graph.n, dtype=bool)
     seen[roots] = True
     frontier = roots
@@ -142,11 +146,15 @@ def minprop_warm_start(
     reset_values:
         Base value per cone vertex, aligned with ``reset``.
     seed_vertex:
-        BFS/SSSP source to re-seed with 0 (always safe: a no-op when the
-        source already holds 0).
+        BFS/SSSP source to re-seed with 0 (always safe; dropped as
+        non-improving when the source already holds 0).
     kick_reset:
         Self-seeded programs (WCC): relax each cone vertex's base value
         along its out-edges.
+
+    The returned ``messages`` keep, in gather order, only the seeds
+    below their destination's warm value; ``seeds_dropped`` counts the
+    rest.
     """
     warm = np.array(values, dtype=np.float64, copy=True)
     reset = np.asarray(reset, dtype=np.int64)
@@ -192,5 +200,17 @@ def minprop_warm_start(
             data = relax(warm[k_src], k_w)
             seeds.append(UpdateBatch.of(k_dst, k_src, data))
 
-    messages = UpdateBatch.concat(seeds) if seeds else None
-    return InitialState(values=warm, active=np.empty(0, np.int64), messages=messages)
+    # Seed only what can improve: every kernel acts on a vertex only when
+    # its combined update is below its value, so a seed at or above
+    # warm[dest] changes nothing, and dropping it never changes a kept
+    # minimum.  (A warm start activates no vertex by itself, so WCC's
+    # superstep-0 kick for update-less vertices never runs here.)
+    messages = UpdateBatch.concat(seeds)
+    improves = messages.data < warm[messages.dest]
+    kept = UpdateBatch(messages.dest[improves], messages.src[improves], messages.data[improves])
+    return InitialState(
+        values=warm,
+        active=np.empty(0, np.int64),
+        messages=kept,
+        seeds_dropped=messages.n - kept.n,
+    )

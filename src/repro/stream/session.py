@@ -36,7 +36,7 @@ session -- its ingest/merge traffic accumulates in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -53,67 +53,6 @@ from ..ssd.filesystem import SimFS
 from .delta import EdgeDelta
 from .incremental import descendants
 from .store import StreamStore
-
-
-def _edge_multiset_diff(
-    prev: CSRGraph, new: CSRGraph
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Multiset difference of two graphs' edge lists.
-
-    Returns ``(del_src, del_dst, ins_src, ins_dst, ins_w)`` -- one
-    representative per edge identity ``(src, dst[, w])`` whose
-    multiplicity dropped (deleted) or grew (inserted), ascending by
-    identity.  Representatives suffice for warm-start seeding:
-    duplicate edges carry identical messages and min-combine is
-    idempotent.
-
-    Merge, then residue (DESIGN.md §12): one stable argsort of the
-    packed ``src * n + dst`` key merges the two edge lists (both are
-    already in that order, so it is a merge of two presorted runs),
-    every key held by exactly one old and one new row of equal weight
-    is dropped, and identities are counted on the small residue.  An
-    identity's rows share a key, so a dropped group -- one old, one new
-    copy of one identity -- could not have contributed.
-    """
-    weighted = new.weights is not None
-    n = max(prev.n, new.n)
-    n_prev = prev.m
-    key = np.empty(n_prev + new.m, dtype=np.int64)
-    for g, out in ((prev, key[:n_prev]), (new, key[n_prev:])):
-        src, dst = g.edge_array()
-        np.multiply(src, n, out=out)
-        out += dst
-    w = np.concatenate([prev.weights, new.weights]) if weighted else np.zeros(key.size)
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    # Two-row key groups, by the sorted position of their first row.
-    head = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
-    head = head[np.diff(head, append=ks.size) == 2]
-    a, b = order[head], order[head + 1]  # stable: a < b, old rows first
-    same = (a < n_prev) & (b >= n_prev) & (w[a] == w[b])
-    changed = np.ones(key.size, dtype=bool)
-    changed[a[same]] = False
-    changed[b[same]] = False
-    n_prev = int(np.count_nonzero(changed[:n_prev]))
-    key, w = key[changed], w[changed]
-    # Identity = (key, w); its first row in sorted order represents it.
-    order = np.lexsort((w, key))
-    ks, ws = key[order], w[order]
-    first = np.ones(ks.size, dtype=bool)
-    first[1:] = (ks[1:] != ks[:-1]) | (ws[1:] != ws[:-1])
-    codes = np.empty(ks.size, dtype=np.int64)
-    codes[order] = np.cumsum(first) - 1
-    rep = order[first]
-    cp = np.bincount(codes[:n_prev], minlength=rep.size)
-    cn = np.bincount(codes[n_prev:], minlength=rep.size)
-    s, d = np.divmod(key, n)
-    del_idx = rep[cp > cn]
-    ins_idx = rep[cn > cp]
-    return (
-        s[del_idx], d[del_idx],
-        s[ins_idx], d[ins_idx],
-        (w[ins_idx] if weighted else None),
-    )
 
 
 @dataclass(frozen=True)
@@ -293,8 +232,10 @@ class StreamSession:
                     f"engine {self.engine!r} does not support incremental recompute "
                     f"(supported by: {', '.join(capable)})"
                 )
+        # The store's net edge delta since the previous recompute: taken
+        # every time, so it always spans exactly one recompute window.
+        d_src, d_dst, i_src, i_dst, i_w = self.store.take_changes()
         if self._prev_graph is not None:
-            d_src, d_dst, i_src, i_dst, i_w = _edge_multiset_diff(self._prev_graph, new_graph)
             changed = int(d_src.size + i_src.size)
             fraction = changed / max(1, new_graph.m)
         if can_warm and self._prev_graph is not None:
@@ -325,6 +266,8 @@ class StreamSession:
                     cone=int(cone.size),
                     walk_rows=int(walk.size),
                     scan=bool(cone.size),
+                    seeds=0 if initial_state.messages is None else initial_state.messages.n,
+                    seeds_dropped=int(initial_state.seeds_dropped),
                     io_us=float(seed_io_us),
                 )
                 self._end()

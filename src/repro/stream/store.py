@@ -24,8 +24,14 @@ the applied prefix into the host index -- see
 
 Host index.  The logs are split by interval for the flash layout; the
 host-side index is one structure over all of them (:class:`_HostIndex`:
-a base CSR mirror, one delta arena, a sorted key index over the arena,
-per-interval tallies), so a merge folds each batch with one call.
+a base CSR mirror, one delta arena, a sorted key index over each of
+the two, per-interval tallies), so a merge folds each batch with one
+call.
+
+Change record.  Every fold also records what it changed, signed per
+edge identity, so a recompute takes the net edge delta since the last
+one from the store (:meth:`StreamStore.take_changes`) instead of
+diffing two whole graphs.
 
 Compaction.  A delete leaves its victim's bytes on flash (dead base or
 logged records) plus its own tombstone record.  When that garbage
@@ -88,6 +94,15 @@ def _batch_runs(logs) -> Dict[int, EdgeDelta]:
     return {seq: EdgeDelta.concat(parts) for seq, parts in runs.items()}
 
 
+def _sorted_keys(rowptr: np.ndarray, col: np.ndarray, lo: int, n: int) -> tuple:
+    """The packed ``src * n + col`` keys of a CSR block whose first row is
+    vertex ``lo``, sorted, and the stable argsort that sorts them."""
+    src = np.repeat(np.arange(lo, lo + rowptr.size - 1, dtype=np.int64), np.diff(rowptr))
+    keys = src * n + col
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
 @dataclass
 class _HostIndex:
     """The store's one host-side index, over every interval at once.
@@ -105,6 +120,11 @@ class _HostIndex:
     * ``sk`` / ``sp``: ``d_key`` sorted and the arena positions that
       sort it (a stable argsort), so a delete finds its delta instances
       by binary search.
+    * ``bk`` / ``bp``: the same over the mirror -- its keys
+      ``src * n + col`` sorted and the positions that sort them (a
+      stable argsort; rows need not be dst-sorted), so a delete finds
+      its base copies by binary search too.  Interval ``i``'s keys are
+      the block ``base_off[i]:base_off[i + 1]`` of ``bk``.
     * Per-interval tallies, one length-k array each: ``tombstones``,
       ``dead_base``, ``dead_delta`` and ``d_count`` (inserts logged).
     """
@@ -121,6 +141,8 @@ class _HostIndex:
     d_key: np.ndarray
     sk: np.ndarray
     sp: np.ndarray
+    bk: np.ndarray
+    bp: np.ndarray
     tombstones: np.ndarray
     dead_base: np.ndarray
     dead_delta: np.ndarray
@@ -136,15 +158,17 @@ class _HostIndex:
         rowptr = np.concatenate(
             [np.zeros(1, np.int64)] + [r[1:] + off for r, off in zip(rowptrs, base_off)]
         )
+        col = np.concatenate(cols)
+        bk, bp = _sorted_keys(rowptr, col, 0, rowptr.size - 1)
         empty = np.empty(0, np.int64)
         return cls(
             rowptr=rowptr,
-            col=np.concatenate(cols),
+            col=col,
             val=None if vals is None else np.concatenate(vals),
             base_off=base_off,
             base_alive=np.ones(int(base_off[-1]), dtype=bool),
             d_src=empty, d_dst=empty, d_w=np.empty(0, np.float64),
-            d_alive=np.empty(0, bool), d_key=empty, sk=empty, sp=empty,
+            d_alive=np.empty(0, bool), d_key=empty, sk=empty, sp=empty, bk=bk, bp=bp,
             tombstones=np.zeros(k, np.int64), dead_base=np.zeros(k, np.int64),
             dead_delta=np.zeros(k, np.int64), d_count=np.zeros(k, np.int64),
         )
@@ -226,6 +250,7 @@ class StreamStore:
         self.ingest_io_us = 0.0
         self.apply_io_us = 0.0
         self.compact_io_us = 0.0
+        self._clear_changes()
         self.register_metrics(metrics)
 
     # -- observability ----------------------------------------------------
@@ -417,6 +442,9 @@ class StreamStore:
             ix.tombstones += np.bincount(iv[is_del], minlength=k)
         ins = ~is_del
         n_ins = part.n - n_del
+        # An insert that dies on arrival nets to zero (+1, -1): unrecorded.
+        survives = ins & ~dead
+        self._record(key[survives], part.w[survives], +1)
         if n_ins:
             # Merge-insert the new keys into the sorted key index: after
             # every equal key already there, in arrival order.
@@ -437,29 +465,88 @@ class StreamStore:
         """Kill every live instance of the (ascending, distinct) packed
         ``src * n + dst`` ``keys``; returns how many instances each key had.
 
-        Base copies are found by gathering each key's row range (rows
-        need not be dst-sorted), delta copies by binary search in the
-        sorted key index.
+        Base copies and delta copies alike are found by binary search,
+        in ``bk`` and in ``sk``; each kill is recorded as a change.
         """
         ix = self._index
         k = self.intervals.n_intervals
-        src, dst = np.divmod(keys, self.n)
-        key_iv = self.intervals.dense[src]
-        starts, stops = ix.rowptr[src], ix.rowptr[src + 1]
-        pos = flatten_ranges(starts, stops)
-        owner = np.repeat(np.arange(keys.size), stops - starts)
-        hit = (ix.col[pos] == dst[owner]) & ix.base_alive[pos]
-        ix.base_alive[pos[hit]] = False
-        ix.dead_base += np.bincount(key_iv[owner[hit]], minlength=k)
-        killed = np.bincount(owner[hit], minlength=keys.size)
-        starts = np.searchsorted(ix.sk, keys, side="left")
-        stops = np.searchsorted(ix.sk, keys, side="right")
-        pos = ix.sp[flatten_ranges(starts, stops)]
-        owner = np.repeat(np.arange(keys.size), stops - starts)
-        hit = ix.d_alive[pos]
-        ix.d_alive[pos[hit]] = False
-        ix.dead_delta += np.bincount(key_iv[owner[hit]], minlength=k)
-        return killed + np.bincount(owner[hit], minlength=keys.size)
+        key_iv = self.intervals.dense[keys // self.n]
+        killed = np.zeros(keys.size, dtype=np.int64)
+        for sk, sp, alive, dead, w in (
+            (ix.bk, ix.bp, ix.base_alive, ix.dead_base, ix.val),
+            (ix.sk, ix.sp, ix.d_alive, ix.dead_delta, ix.d_w),
+        ):
+            starts = np.searchsorted(sk, keys, side="left")
+            stops = np.searchsorted(sk, keys, side="right")
+            pos = sp[flatten_ranges(starts, stops)]
+            owner = np.repeat(np.arange(keys.size), stops - starts)
+            hit = alive[pos]
+            pos, owner = pos[hit], owner[hit]
+            alive[pos] = False
+            dead += np.bincount(key_iv[owner], minlength=k)
+            killed += np.bincount(owner, minlength=keys.size)
+            self._record(keys[owner], None if w is None else w[pos], -1)
+        return killed
+
+    # -- change record ----------------------------------------------------
+
+    def _record(self, keys: np.ndarray, w: Optional[np.ndarray], sign: int) -> None:
+        """Record ``sign`` (+1 insert, -1 kill) for each edge ``(key, w)``.
+
+        An unweighted store keys identities on ``src * n + dst`` alone: a
+        logged insert carries ``w = 1.0``, a base edge no weight at all.
+        """
+        if keys.size:
+            self._changes.append((keys, w if self.weighted else None, sign))
+            self._net += sign * keys.size
+
+    def _clear_changes(self) -> None:
+        """Start an empty change record at the current live graph."""
+        self._changes = []
+        self._net = 0
+        self._live_at_take = self.live_edges()
+
+    def take_changes(self) -> tuple:
+        """The net edge delta since the previous take, and a fresh record.
+
+        Returns ``(del_src, del_dst, ins_src, ins_dst, ins_w)``: one
+        representative per edge identity ``(src, dst[, w])`` whose
+        multiplicity in the live graph dropped (deleted) or grew
+        (inserted), ascending by identity; ``ins_w`` is None when
+        unweighted.  A multiplicity moves by exactly the inserts minus
+        the kills of its identity, and compaction moves none, so this is
+        the multiset difference of the two materialised graphs, element
+        for element -- at a cost proportional to the records folded, not
+        to the graph.
+
+        Raises :class:`~repro.errors.StorageError` when ``live_edges()``
+        moved by anything but the record's net signed count.
+        """
+        live = self.live_edges()
+        if live - self._live_at_take != self._net:
+            raise StorageError(
+                f"stream change record drifted: live edges moved by "
+                f"{live - self._live_at_take}, the record nets {self._net}"
+            )
+        parts = self._changes
+        self._clear_changes()
+        key = np.concatenate([np.empty(0, np.int64)] + [p[0] for p in parts])
+        sign = np.concatenate([np.empty(0, np.int64)] + [np.full(p[0].size, p[2]) for p in parts])
+        if self.weighted:
+            w = np.concatenate([np.empty(0)] + [p[1] for p in parts])
+        else:
+            w = np.zeros(key.size)
+        # Sort by identity, then sum the signs of each identity's run.
+        order = np.lexsort((w, key))
+        key, w, sign = key[order], w[order], sign[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = (key[1:] != key[:-1]) | (w[1:] != w[:-1])
+        starts = np.flatnonzero(first)
+        net = np.add.reduceat(sign, starts) if key.size else sign
+        src, dst = np.divmod(key[starts], self.n)
+        w = w[starts]
+        gone, new = net < 0, net > 0
+        return src[gone], dst[gone], src[new], dst[new], (w[new] if self.weighted else None)
 
     # -- compaction -------------------------------------------------------
 
@@ -545,6 +632,10 @@ class StreamStore:
             ix.val = np.concatenate([ix.val[:a], val, ix.val[b:]])
         alive = np.ones(col.size, dtype=bool)
         ix.base_alive = np.concatenate([ix.base_alive[:a], alive, ix.base_alive[b:]])
+        # The interval's keys are one block of bk: swap it, shift the rest.
+        bk, order = _sorted_keys(rowptr, col, lo, self.n)
+        ix.bk = np.concatenate([ix.bk[:a], bk, ix.bk[b:]])
+        ix.bp = np.concatenate([ix.bp[:a], a + order, ix.bp[b:] + shift])
         ix.base_off[i + 1 :] += shift
         keep = self.intervals.dense[ix.d_src] != i
         if not keep.all():
@@ -731,6 +822,7 @@ class StreamStore:
             self.inserts_applied += ins
             self.deletes_applied += dels
             self.noop_deletes += noops
+        self._clear_changes()
         return {
             "last_ingested": last_ingested,
             "last_applied": last_applied,

@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms import BFSProgram, DeltaPageRankProgram, SSSPProgram, WCCProgram
 from repro.config import DEFAULT_CONFIG, small_test_config
-from repro.errors import EngineError, GraphFormatError, SimulatedCrashError
+from repro.errors import EngineError, GraphFormatError, SimulatedCrashError, StorageError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import small_chain, small_rmat
 from repro.graph.partition import VertexIntervals
@@ -24,7 +24,6 @@ from repro.ssd.filesystem import SimFS
 from repro.stream import EdgeDelta, StreamSession, StreamStore, random_delta
 from repro.stream.delta import OP_ADD, OP_DELETE
 from repro.stream.incremental import descendants
-from repro.stream.session import _edge_multiset_diff
 from repro.verify import OracleEngine
 
 
@@ -339,6 +338,66 @@ class TestCrashRecovery:
         assert merged == store.records_ingested == sum(d.n for d in deltas)
 
 
+def _edge_multiset_diff(prev, new):
+    """Multiset difference of two graphs' edge lists: the reference
+    ``StreamStore.take_changes`` is pinned to.
+
+    Returns ``(del_src, del_dst, ins_src, ins_dst, ins_w)`` -- one
+    representative per edge identity ``(src, dst[, w])`` whose
+    multiplicity dropped (deleted) or grew (inserted), ascending by
+    identity.  Representatives suffice for warm-start seeding:
+    duplicate edges carry identical messages and min-combine is
+    idempotent.
+
+    Merge, then residue: one stable argsort of the
+    packed ``src * n + dst`` key merges the two edge lists (both are
+    already in that order, so it is a merge of two presorted runs),
+    every key held by exactly one old and one new row of equal weight
+    is dropped, and identities are counted on the small residue.  An
+    identity's rows share a key, so a dropped group -- one old, one new
+    copy of one identity -- could not have contributed.
+    """
+    weighted = new.weights is not None
+    n = max(prev.n, new.n)
+    n_prev = prev.m
+    key = np.empty(n_prev + new.m, dtype=np.int64)
+    for g, out in ((prev, key[:n_prev]), (new, key[n_prev:])):
+        src, dst = g.edge_array()
+        np.multiply(src, n, out=out)
+        out += dst
+    w = np.concatenate([prev.weights, new.weights]) if weighted else np.zeros(key.size)
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    # Two-row key groups, by the sorted position of their first row.
+    head = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
+    head = head[np.diff(head, append=ks.size) == 2]
+    a, b = order[head], order[head + 1]  # stable: a < b, old rows first
+    same = (a < n_prev) & (b >= n_prev) & (w[a] == w[b])
+    changed = np.ones(key.size, dtype=bool)
+    changed[a[same]] = False
+    changed[b[same]] = False
+    n_prev = int(np.count_nonzero(changed[:n_prev]))
+    key, w = key[changed], w[changed]
+    # Identity = (key, w); its first row in sorted order represents it.
+    order = np.lexsort((w, key))
+    ks, ws = key[order], w[order]
+    first = np.ones(ks.size, dtype=bool)
+    first[1:] = (ks[1:] != ks[:-1]) | (ws[1:] != ws[:-1])
+    codes = np.empty(ks.size, dtype=np.int64)
+    codes[order] = np.cumsum(first) - 1
+    rep = order[first]
+    cp = np.bincount(codes[:n_prev], minlength=rep.size)
+    cn = np.bincount(codes[n_prev:], minlength=rep.size)
+    s, d = np.divmod(key, n)
+    del_idx = rep[cp > cn]
+    ins_idx = rep[cn > cp]
+    return (
+        s[del_idx], d[del_idx],
+        s[ins_idx], d[ins_idx],
+        (w[ins_idx] if weighted else None),
+    )
+
+
 def reference_diff(prev, new):
     """The three-key lexsort formulation ``_edge_multiset_diff`` replaced:
     every row of both graphs sorted by (src, dst, w), identities counted
@@ -373,13 +432,19 @@ def reference_diff(prev, new):
     return s[del_idx], d[del_idx], s[ins_idx], d[ins_idx], (w[ins_idx] if weighted else None)
 
 
-def assert_diff_matches_reference(prev, new):
-    got, want = _edge_multiset_diff(prev, new), reference_diff(prev, new)
+def assert_same_changes(got, want):
+    """Two ``(del_src, del_dst, ins_src, ins_dst, ins_w)`` tuples agree
+    element for element, dtypes included."""
     for g, w in zip(got, want):
         if w is None:
             assert g is None
         else:
             assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
+def assert_diff_matches_reference(prev, new):
+    got = _edge_multiset_diff(prev, new)
+    assert_same_changes(got, reference_diff(prev, new))
     return got
 
 
@@ -495,6 +560,96 @@ PROGRAMS = {
     "bfs": lambda: BFSProgram(source=0),
     "sssp": lambda: SSSPProgram(source=0),
 }
+
+
+def pin_changes_to_diff(monkeypatch):
+    """Make every ``StreamStore.take_changes()`` assert that it equals the
+    multiset diff of the live graph at the previous take (or at
+    construction or recovery) and now.  Returns the list of takes."""
+    takes = []
+    clear, take = StreamStore._clear_changes, StreamStore.take_changes
+
+    def pinned_clear(self):
+        clear(self)
+        self.pinned_graph = self.materialize()
+
+    def pinned_take(self):
+        want = _edge_multiset_diff(self.pinned_graph, self.materialize())
+        got = take(self)
+        assert_same_changes(got, want)
+        takes.append(got)
+        return got
+
+    monkeypatch.setattr(StreamStore, "_clear_changes", pinned_clear)
+    monkeypatch.setattr(StreamStore, "take_changes", pinned_take)
+    return takes
+
+
+def check_fuzzer_windows_match_the_diff(monkeypatch, n_cases):
+    from repro.verify.streamcases import generate_stream_cases, run_stream_case
+
+    takes = pin_changes_to_diff(monkeypatch)
+    for case in generate_stream_cases(0, n_cases):
+        outcome = run_stream_case(case)
+        assert outcome.ok, outcome.describe()
+    assert len(takes) > n_cases
+
+
+class TestChangeRecord:
+    """The store's signed change record against the graph diff it replaced.
+
+    The stream fuzzer's cases recompute after every batch under every
+    policy, cut power mid-ingest and mid-merge, compact at thresholds
+    down to 0.05, and every fourth one churns a handful of pairs (and
+    self-loops) inside one batch."""
+
+    def test_fuzzer_windows_match_the_diff(self, monkeypatch):
+        check_fuzzer_windows_match_the_diff(monkeypatch, 24)
+
+    @pytest.mark.slow
+    def test_fuzzer_windows_match_the_diff_full_budget(self, monkeypatch):
+        check_fuzzer_windows_match_the_diff(monkeypatch, 150)
+
+    def test_windows_around_full_and_unconverged_recomputes(self, monkeypatch):
+        takes = pin_changes_to_diff(monkeypatch)
+        # unweighted, with self-loops: logged inserts carry w = 1.0, the
+        # base none, and both must net to one identity per pair
+        g = CSRGraph.from_edges(8, [0, 0, 1, 2, 3, 3, 4, 5, 6], [1, 0, 2, 3, 3, 4, 5, 6, 7])
+        cfg = DEFAULT_CONFIG.with_stream(compact_threshold=0.05)
+        sess = StreamSession(g, BFSProgram(source=0), config=cfg)
+        sess.recompute(max_supersteps=50)
+        # one self-loop inserted and deleted over and over in one window
+        churn = EdgeDelta.of([OP_ADD, OP_DELETE] * 3 + [OP_ADD], [3] * 7, [3] * 7)
+        windows = [
+            (churn, {}),
+            (adds([(0, 0), (7, 0), (3, 3)]), {"mode": "full"}),
+            (dels([(3, 4)]), {"mode": "full", "max_supersteps": 1}),  # cut short
+            (adds([(0, 1), (0, 1)]), {}),
+            (EdgeDelta.concat([dels([(0, 1), (3, 3)]), adds([(0, 1)])]), {}),
+        ]
+        converged = [True]
+        for delta, kw in windows:
+            sess.ingest(delta)
+            sess.apply_updates()
+            r = sess.recompute(**{"max_supersteps": 50, **kw})
+            # the window's changes are reported after a converged recompute
+            d_src, _, i_src, _, _ = takes[-1]
+            assert r.changed_edges == (d_src.size + i_src.size if converged[-1] else 0)
+            converged.append(r.result.converged)
+        assert converged == [True, True, True, False, True, True]
+        assert sess.store.compactions > 0
+        assert len(takes) == 1 + len(windows)
+
+    def test_drift_raises(self):
+        store, _ = store_on(small_rmat(n=64, m=256, seed=2))
+        s, t = store.live_edge_arrays()
+        store.ingest(dels([(int(s[0]), int(t[0]))]))
+        store.apply_updates()
+        assert store.take_changes()[0].size == 1
+        # an edge killed behind the record's back
+        store._index.base_alive[np.flatnonzero(store._index.base_alive)[0]] = False
+        with pytest.raises(StorageError, match="drifted"):
+            store.take_changes()
 
 
 class TestStreamSession:
@@ -658,8 +813,10 @@ class TestStreamSession:
         assert r.result.values.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert r.seed_io_us == sess.store.charge_rows(np.array([0])) > 0
         (ev,) = [e for e in tracer.events if e.kind == "warm_start"]
+        # the source's own seed (0 at a vertex already at 0) is dropped
         assert ev.fields == {
-            "roots": 0, "cone": 0, "walk_rows": 1, "scan": False, "io_us": r.seed_io_us,
+            "roots": 0, "cone": 0, "walk_rows": 1, "scan": False,
+            "seeds": 0, "seeds_dropped": 1, "io_us": r.seed_io_us,
         }
 
     def test_tight_delete_resets_its_cone_and_sweeps(self):
@@ -674,6 +831,8 @@ class TestStreamSession:
         (ev,) = [e for e in tracer.events if e.kind == "warm_start"]
         assert (ev.fields["roots"], ev.fields["cone"], ev.fields["walk_rows"]) == (1, 2, 3)
         assert ev.fields["scan"] is True
+        # 0 -> 3 re-seeds the cone; the source's own seed cannot improve
+        assert (ev.fields["seeds"], ev.fields["seeds_dropped"]) == (1, 1)
         assert ev.fields["io_us"] == r.seed_io_us > sess.store.charge_rows(np.arange(1, 4))
 
     def test_program_without_relax_skips_the_cone(self, monkeypatch):

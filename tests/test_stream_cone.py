@@ -11,7 +11,9 @@ in {0, 1, 2}, so ties and zero-weight tight cycles occur.  Dropping a
 tight descendant from the cone must break exactness somewhere: the
 reset cannot stop at the roots.  The warm start's seed batch, whose
 in-edges are gathered by a mask over the edge list, must equal element
-for element the batch a transpose's rows give.
+for element the batch a transpose's rows give, less every seed that
+cannot improve its destination; and the batch with those seeds kept
+must converge to the very same values.
 """
 
 import sys
@@ -22,15 +24,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.algorithms import BFSProgram, SSSPProgram, WCCProgram
+from repro.core.api import InitialState
 from repro.core.update import UpdateBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import small_rmat
 from repro.obs import TraceRecorder, write_jsonl
 from repro.stream import StreamSession, random_delta
 from repro.stream.incremental import descendants
-from repro.stream.session import _edge_multiset_diff
 from repro.verify import OracleEngine
+
+from .test_stream import _edge_multiset_diff
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from validate_trace import validate_file  # noqa: E402
@@ -125,11 +130,13 @@ def warm_values(program, new, values, cone, diff):
     return oracle(new, program, initial_state=warm_state(program, new, values, cone, diff))
 
 
-def transpose_seeds(program, new, values, reset, diff):
+def transpose_seeds(program, new, values, reset, diff, improving_only=True):
     """The warm start's seed batch with the in-edges into ``reset`` read
     off a transpose, row by row: the source seed, the in-edges from
     outside ``reset``, the inserts from outside it, then (WCC) each reset
-    vertex's kick along its out-edges."""
+    vertex's kick along its out-edges -- each seed kept only if its data
+    is below its destination's warm value, unless ``improving_only`` is
+    off (the rule before non-improving seeds were dropped)."""
     relax = PROGRAMS[program]().relax
     _, _, i_src, i_dst, i_w = diff
     src, dst = new.edge_array()
@@ -156,7 +163,11 @@ def transpose_seeds(program, new, values, reset, diff):
             heads = new.colidx[row].astype(np.int64)
             tails = np.full(heads.size, v)
             seeds.append(UpdateBatch.of(heads, tails, relax(warm[tails], None)))
-    return UpdateBatch.concat(seeds)
+    batch = UpdateBatch.concat(seeds)
+    if improving_only:
+        keep = batch.data < warm[batch.dest]
+        batch = UpdateBatch(batch.dest[keep], batch.src[keep], batch.data[keep])
+    return batch
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +190,41 @@ def test_tight_cone_matches_reference_and_warm_start_is_exact(case):
             for col in ("dest", "src", "data"):
                 assert getattr(got, col).tolist() == getattr(want, col).tolist()
         assert np.array_equal(warm_values(program, new, values, cone, diff), oracle(new, program))
+
+
+def check_non_improving_seeds_change_nothing(case):
+    """The warm start with and without its non-improving seeds lands on
+    the same values, on the oracle and on MultiLogVC alike, for the
+    tight cone and for the even and the odd vertices as reset sets."""
+    program, n = case[:2]
+    for _, values, new, diff, _, cone in play(*case):
+        for reset in (cone, np.arange(0, n, 2), np.arange(1, n, 2)):
+            state = warm_state(program, new, values, reset, diff)
+            every = transpose_seeds(program, new, values, reset, diff, improving_only=False)
+            assert state.seeds_dropped == every.n - state.messages.n
+            for engine in ("oracle", "multilogvc"):
+                got = [
+                    repro.run(
+                        new, PROGRAMS[program](), engine, max_supersteps=MAX_SUPERSTEPS,
+                        initial_state=InitialState(state.values, state.active, seeds),
+                    )
+                    for seeds in (state.messages, every)
+                ]
+                assert all(r.converged for r in got)
+                assert got[0].values.tolist() == got[1].values.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=stream_cases())
+def test_non_improving_seeds_change_nothing(case):
+    check_non_improving_seeds_change_nothing(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=120, deadline=None)
+@given(case=stream_cases())
+def test_non_improving_seeds_change_nothing_full_budget(case):
+    check_non_improving_seeds_change_nothing(case)
 
 
 def test_dropping_a_tight_descendant_breaks_exactness():
@@ -235,12 +281,16 @@ def test_mixed_delta_trace_validates(tmp_path):
     ('"roots": 0, "cone": 0, "walk_rows": -1, "scan": false, "io_us": 1.0', "non-integer"),
     ('"roots": 0, "cone": 0, "walk_rows": 1, "scan": 0, "io_us": 1.0', "'scan' must be"),
     ('"roots": 0, "cone": 0, "walk_rows": 1, "scan": false, "io_us": -1.0', "'io_us' must be"),
+    ('"roots": 0, "cone": 0, "walk_rows": 1, "scan": false, "io_us": 1.0, "seeds": -1',
+     "negative/non-integer 'seeds'"),
 ])
 def test_validator_rejects_bad_warm_start(tmp_path, fields, msg):
     path = tmp_path / "bad.jsonl"
+    if '"seeds"' not in fields:
+        fields += ', "seeds": 1'
     path.write_text(
         '{"kind": "run_begin", "t_us": 0, "step": -1}\n'
-        f'{{"kind": "warm_start", "t_us": 1, "step": -1, {fields}}}\n'
+        f'{{"kind": "warm_start", "t_us": 1, "step": -1, "seeds_dropped": 0, {fields}}}\n'
     )
     (err,) = validate_file(path)
     assert msg in err

@@ -11,9 +11,10 @@ built to collide: a tiny id space, insert -> delete -> insert chains of
 one pair inside one batch, parallel edges, deletes that hit base copies
 and earlier batches' inserts, several intervals, and base rows that are
 not dst-sorted.  After every batch, compaction and recovery the index
-must also hold its own invariants: the sorted key index sorts the
-arena, and every interval's base + inserts + tombstones are the records
-it holds on flash."""
+must also hold its own invariants: the sorted key indexes sort the
+arena and the base mirror, and every interval's base + inserts +
+tombstones are the records it holds on flash.  The store's change
+record must net to the multiset diff of the live graphs it spans."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from repro.graph.partition import VertexIntervals
 from repro.ssd.filesystem import SimFS
 from repro.stream import EdgeDelta, StreamStore
 from repro.stream.delta import OP_ADD, OP_DELETE
+
+from .test_stream import _edge_multiset_diff, assert_same_changes
 
 # -- reference model ----------------------------------------------------------
 
@@ -118,12 +121,22 @@ def index_state(store):
     return out
 
 
+def assert_base_key_index(store):
+    """``bk``/``bp`` are a fresh stable argsort of the mirror's keys."""
+    ix = store._index
+    keys = np.repeat(np.arange(store.n), np.diff(ix.rowptr)) * store.n + ix.col
+    bp = np.argsort(keys, kind="stable")
+    assert ix.bp.tolist() == bp.tolist() and ix.bk.tolist() == keys[bp].tolist()
+
+
 def assert_index_invariants(store):
-    """The sorted key index sorts the arena, every interval's records
-    are accounted for on flash, and the live count is the graph's."""
+    """The sorted key indexes sort the arena and the mirror, every
+    interval's records are accounted for on flash, and the live count
+    is the graph's."""
     ix = store._index
     sp = np.argsort(ix.d_key, kind="stable")
     assert ix.sp.tolist() == sp.tolist() and ix.sk.tolist() == ix.d_key[sp].tolist()
+    assert_base_key_index(store)
     iv = store.intervals.interval_of(ix.d_src)
     for i, log in enumerate(store._logs):
         pages, _ = log.read_pages(np.arange(store._applied[i]), charge=False)
@@ -214,21 +227,35 @@ def arena(store):
     return [as_plain(getattr(ix, f)) for f in ARENA]
 
 
+def assert_changes_match_diff(store, prev):
+    """``take_changes()`` is the multiset diff of ``prev`` and the live
+    graph; returns the live graph, the next window's ``prev``."""
+    new = store.materialize()
+    assert_same_changes(store.take_changes(), _edge_multiset_diff(prev, new))
+    return new
+
+
 def check_fold_matches_reference(case):
     fold, ref = build(StreamStore, case), build(ReferenceStore, case)
+    prev = fold.materialize()
     for b, ops in enumerate(case["batches"]):
         delta = as_delta(ops, 100 * b)
         assert fold.ingest(delta) == ref.ingest(delta)
         assert fold.apply_updates() == ref.apply_updates()
         assert_same_store(fold, ref)
+        if b % 2:  # windows of two batches, and of one at the end
+            prev = assert_changes_match_diff(fold, prev)
+    assert_changes_match_diff(fold, prev)
 
     # Recovery rebuilds the index from the base files and replays the
     # surviving log pages batch by batch through the same fold; the
-    # index is derived state, so it must come back unchanged.
+    # index is derived state, so it must come back unchanged, with an
+    # empty change record.
     before = index_state(fold), arena(fold)
     assert fold.recover() == ref.recover()
     assert (index_state(fold), arena(fold)) == before
     assert_same_store(fold, ref)
+    assert_changes_match_diff(fold, fold.materialize())
 
 
 def check_run_split_folds_the_same(case, data):
@@ -267,3 +294,42 @@ class TestFoldAgainstReference:
     @settings(max_examples=100, deadline=None)
     def test_run_split_anywhere_folds_the_same_full_budget(self, case, data):
         check_run_split_folds_the_same(case, data)
+
+
+class SpliceCheckedStore(StreamStore):
+    """Checks the base-key index after every compaction splice."""
+
+    splices = 0
+
+    def _splice(self, i, rowptr, col, val):
+        super()._splice(i, rowptr, col, val)
+        assert_base_key_index(self)
+        self.splices += 1
+
+
+class TestBaseKeyIndex:
+    def test_spliced_and_recovered_index_is_a_fresh_argsort(self):
+        # Rows in draw order, not dst-sorted, parallel edges and
+        # self-loops; three intervals; compaction after every batch.
+        rowptr = np.array([0, 3, 5, 5, 8, 10, 12])
+        col = np.array([4, 1, 4, 1, 0, 5, 3, 3, 0, 4, 5, 2])
+        graph = CSRGraph(rowptr, col, None)
+        cfg = DEFAULT_CONFIG.with_stream(compact_threshold=0.05)
+        store = SpliceCheckedStore(
+            graph, SimFS(cfg), cfg, intervals=VertexIntervals(np.array([0, 2, 4, 6]))
+        )
+        assert_base_key_index(store)
+        batches = [
+            [(OP_DELETE, (0, 4)), (OP_ADD, (0, 2)), (OP_DELETE, (3, 3)), (OP_ADD, (5, 5))],
+            [(OP_DELETE, (4, 0)), (OP_DELETE, (0, 1)), (OP_ADD, (3, 0)), (OP_DELETE, (5, 2))],
+            [(OP_ADD, (0, 4)), (OP_DELETE, (3, 5)), (OP_ADD, (4, 4))],
+        ]
+        prev = store.materialize()
+        for b, ops in enumerate(batches):
+            store.ingest(as_delta([(o, p, 1.0) for o, p in ops], 10 * b))
+            store.apply_updates()
+            assert_index_invariants(store)
+            prev = assert_changes_match_diff(store, prev)
+        assert store.splices == store.compactions == 5
+        store.recover()
+        assert_index_invariants(store)

@@ -61,7 +61,10 @@ GOOD = {
     "extsort": {"records": 3, "natural_runs": 3, "passes": 1},
     "mlog_flush": {"unit": "mlog", "pages": 1, "time_us": 12.0},
     "elog_flush": {"pages": 2, "time_us": 30.0},
-    "warm_start": {"roots": 1, "cone": 2, "walk_rows": 3, "scan": True, "io_us": 0.0},
+    "warm_start": {
+        "roots": 1, "cone": 2, "walk_rows": 3, "scan": True, "seeds": 4, "seeds_dropped": 5,
+        "io_us": 0.0,
+    },
 }
 
 #: Counters that must never decrease within a run segment, per kind.
@@ -237,6 +240,8 @@ def test_non_integer_cache_counter_is_rejected(tmp_path):
         ("warm_start", {"io_us": -1.0}),
         ("warm_start", {"io_us": "0"}),
         ("warm_start", {"roots": 3}),
+        ("warm_start", {"seeds": -1}),
+        ("warm_start", {"seeds_dropped": _MISSING}),
     ],
     ids=lambda x: x if isinstance(x, str) else "-".join(f"{k}={v!r}" for k, v in x.items()),
 )
