@@ -35,6 +35,7 @@ from ..io.planner import SuperstepIOPlanner
 from ..graph.partition import static_partition
 from ..graph.storage import GraphOnSSD
 from ..mem.budget import MemoryBudget
+from ..obs.overlay import Overlay
 from ..recovery.checkpoint import CheckpointData, CheckpointManager, _record_from_state
 from .active import ActiveTracker
 from .api import InitialState, VertexProgram
@@ -145,11 +146,36 @@ class MultiLogVC(SuperstepEngine):
         rng = np.random.default_rng(seed)
         self.meter = meter = ComputeMeter(cfg.compute)
         tracer = self.tracer
-        trace_start = self._start()
+        # Superstep I/O planner (DESIGN.md §13): groups collect their
+        # page demand on a per-group plan and charge it as coalesced
+        # extent reads plus channel-balanced waves.  Values and records
+        # are bit-identical with the planner on or off; only batching
+        # and simulated storage time change.  Read-ahead needs a cache
+        # to prefetch into.
+        planner = None
+        if cfg.io_plan != "off":
+            planner = SuperstepIOPlanner(
+                self.fs.device, self.fs.cache, cfg.io_plan, cfg.readahead_pages
+            )
+        # Simulated worker lanes (DESIGN.md §11): groups always run in
+        # one synchronous in-order loop; with lanes > 1 the iterator also
+        # keeps the lane/channel overlap overlay.  The overlay models
+        # independent groups, so it is off where groups depend on each
+        # other (async injection, structural mutation).
+        lanes = cfg.num_workers if self.mode == "sync" and not prog.mutates_structure else 1
+        pipeline = (
+            ParallelGroupScheduler(self.fs.device, lanes, meter)
+            if lanes > 1
+            else GroupPipeline(self.fs.device)
+        )
+        # The run's overlays (DESIGN.md §7), in trace order: their gauges
+        # are registered here, their snapshots emitted at every superstep
+        # end, their counters checkpointed and restored on resume.
+        overlays = [
+            o for o in (self.fs.cache, pipeline, planner, self.fs.device) if isinstance(o, Overlay)
+        ]
+        trace_start = self._start(overlays)
         reg = self.reg
-        if self.fs.device.num_devices > 1:
-            # Device-array overlay gauges (DESIGN.md §14).
-            self.fs.device.register_metrics(reg)
         # Fault events (injected errors, retries, degradation) are
         # emitted by the device itself; give it this run's tracer.
         self.fs.device.tracer = tracer
@@ -170,21 +196,6 @@ class MultiLogVC(SuperstepEngine):
             else None
         )
         mutations = MutationBuffer(self.storage, cfg) if prog.mutates_structure else None
-        # Superstep I/O planner (DESIGN.md §13): groups collect their
-        # page demand on a per-group plan and charge it as coalesced
-        # extent reads plus channel-balanced waves.  Values and records
-        # are bit-identical with the planner on or off; only batching
-        # and simulated storage time change.  Read-ahead needs a cache
-        # to prefetch into.
-        planner = None
-        if cfg.io_plan != "off":
-            planner = SuperstepIOPlanner(
-                self.fs.device,
-                cache=self.fs.cache,
-                mode=cfg.io_plan,
-                readahead_pages=cfg.readahead_pages,
-            )
-            planner.register_metrics(reg)
         ckpt_mgr = None
         if self.options.checkpoint_every > 0 or resume_from is not None:
             if prog.mutates_structure:
@@ -210,25 +221,8 @@ class MultiLogVC(SuperstepEngine):
         else:
             values, records, start_step, mlog_cur, mlog_next = self._resume(
                 resume_from, tracker, mlog_cur, mlog_next, edgelog,
-                meter, rng, ckpt_mgr, tracer,
+                meter, rng, ckpt_mgr, tracer, overlays,
             )
-
-        # Simulated worker lanes (DESIGN.md §11): groups always run in
-        # one synchronous in-order loop; with lanes > 1 the iterator also
-        # keeps the lane/channel overlap overlay.  The overlay models
-        # independent groups, so it is off where groups depend on each
-        # other (async injection, structural mutation) and where its
-        # inputs are order-dependent (armed fault plan, page cache).
-        lanes = cfg.num_workers
-        if self.mode != "sync" or mutations is not None:
-            lanes = 1
-        if self.fs.device.fault_plan is not None or self.fs.cache is not None:
-            lanes = 1
-        overlap = None
-        if lanes > 1:
-            overlap = ParallelGroupScheduler(self.fs.device, lanes, meter)
-            overlap.register_metrics(reg)
-        pipeline = overlap if overlap is not None else GroupPipeline(self.fs.device)
 
         converged = False
         try:
@@ -236,7 +230,7 @@ class MultiLogVC(SuperstepEngine):
                 max_supersteps, records, pipeline, meter, tracker,
                 mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
                 values, prog, cfg, rng, start_step, ckpt_mgr,
-                overlap, planner,
+                planner, overlays,
             )
         except _Converged:
             converged = True
@@ -246,7 +240,7 @@ class MultiLogVC(SuperstepEngine):
         return self._result(values, records, converged, trace_start, stats_start)
 
     def _resume(
-        self, ckpt, tracker, mlog_a, mlog_b, edgelog, meter, rng, ckpt_mgr, tracer,
+        self, ckpt, tracker, mlog_a, mlog_b, edgelog, meter, rng, ckpt_mgr, tracer, overlays,
     ):
         """Restore a checkpointed superstep cut onto this engine's units.
 
@@ -255,9 +249,10 @@ class MultiLogVC(SuperstepEngine):
         channel-offset allocator is restored, and log files are adopted
         at their recorded offsets -- so every post-resume charge lands
         at the same simulated time, on the same channels, as in an
-        uninterrupted run.  Recovery's own read I/O was charged to the
-        *crashed* device at load time and is only reported here in the
-        ``run_resume`` event.
+        uninterrupted run.  Every overlay the checkpoint carries
+        continues from its counters at the cut.  Recovery's own read I/O
+        was charged to the *crashed* device at load time and is only
+        reported here in the ``run_resume`` event.
         """
         ckpt.validate_against(self)
         units = {mlog_a.name: mlog_a, mlog_b.name: mlog_b}
@@ -284,9 +279,11 @@ class MultiLogVC(SuperstepEngine):
         values = np.asarray(ckpt.values, dtype=np.float64).copy()
         self.fs.next_channel_offset = ckpt.fs_next_offset
         self.fs.device.stats = ckpt.stats.snapshot()
-        # Device-array overlay clocks continue from the cut (no-op on a
-        # single device or for checkpoints written without an array).
-        self.fs.device.restore_overlay(ckpt.device_state)
+        # Absolute restores: this engine's constructor already wrote the
+        # graph image through the cache and the array.
+        for ov in overlays:
+            if ov.trace_kind in ckpt.overlays:
+                ov.restore_overlay(ckpt.overlays[ov.trace_kind])
         meter.restore(float(ckpt.meter_time_us))
         rng.bit_generator.state = ckpt.rng_state
         # Fresh program instances never saw initial(); let stateful
@@ -315,7 +312,7 @@ class MultiLogVC(SuperstepEngine):
         self, max_supersteps, records, pipeline, meter, tracker,
         mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
         values, prog, cfg, rng, start_step=0, ckpt_mgr=None,
-        overlap=None, planner=None,
+        planner=None, overlays=(),
     ) -> None:
         """Run supersteps until convergence (raises :class:`_Converged`)."""
         tracer = self.tracer
@@ -532,20 +529,12 @@ class MultiLogVC(SuperstepEngine):
                 edgelog_pages_avoided=avoided_pages,
                 inefficient_pages_predicted=avoided_ineff,
             )
-            if overlap is not None:
-                # Fold this superstep into the overlap model whether or
-                # not tracing is on -- the scheduler.* gauges and the
-                # bench read the cumulative counters either way.
-                overlap.end_superstep(rec.storage_time_us, rec.compute_time_us)
+            # Fold this superstep into the lane overlay whether or not
+            # tracing is on -- the scheduler.* gauges read it either way.
+            pipeline.end_superstep(rec.storage_time_us, rec.compute_time_us)
             if tracer.enabled:
-                if self.fs.cache is not None:
-                    tracer.emit("cache_stats", **self.fs.cache.snapshot())
-                if overlap is not None:
-                    tracer.emit("parallel_stats", **overlap.snapshot())
-                if planner is not None:
-                    tracer.emit("io_plan_stats", **planner.snapshot())
-                if self.fs.device.num_devices > 1:
-                    tracer.emit("device_stats", **self.fs.device.device_snapshot())
+                for ov in overlays:
+                    tracer.emit(ov.trace_kind, **ov.snapshot())
             if self.progress is not None:
                 self.progress(rec)
             tracker.advance()
@@ -571,7 +560,7 @@ class MultiLogVC(SuperstepEngine):
                 info = ckpt_mgr.write(
                     engine=self, step=step, values=values, tracker=tracker,
                     mlog_cur=mlog_cur, mlog_next=mlog_next, edgelog=edgelog,
-                    rng=rng, records=records, meter=meter,
+                    rng=rng, records=records, meter=meter, overlays=overlays,
                 )
                 if tracer.enabled:
                     tracer.emit(

@@ -61,8 +61,7 @@ def charge_rollup(charges: List[ChargeOp]) -> dict:
     """
     read_pages: dict = {}
     time_us = 0.0
-    for op in charges:
-        is_read, klass, pages, _nbytes, t = op[:5]
+    for is_read, klass, pages, _nbytes, t, _, _ in charges:
         if is_read:
             read_pages[klass] = read_pages.get(klass, 0) + pages
         time_us += t
@@ -92,3 +91,6 @@ class GroupPipeline:
             with self.device.deferred() as charges:
                 prepared = prepare(group)
             yield prepared, charges
+
+    def end_superstep(self, storage_us: float, compute_us: float) -> None:
+        """Superstep-end hook of the lane overlay; nothing to fold here."""

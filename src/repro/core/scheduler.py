@@ -20,12 +20,13 @@ from typing import Iterable, Iterator, List, Tuple
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
+from ..obs.overlay import Overlay
 from ..ssd.device import ChargeOp, SimulatedSSD, merge_overlap
 from .pipeline import GroupPipeline, PreparedGroup, PrepareFn
 from .results import ComputeMeter
 
 
-class ParallelGroupScheduler(GroupPipeline):
+class ParallelGroupScheduler(GroupPipeline, Overlay):
     """The group iterator plus lane/channel overlap accounting.
 
     Per superstep, each group contributes its preparation I/O plus its
@@ -37,6 +38,9 @@ class ParallelGroupScheduler(GroupPipeline):
     ``parallel_stats`` trace contract checked by
     ``tools/validate_trace.py``).
     """
+
+    trace_kind = "parallel_stats"
+    STATE = ("groups", "spec_us", "saved_us", "makespan_us")
 
     def __init__(self, device: SimulatedSSD, workers: int, meter: ComputeMeter) -> None:
         if workers < 1:
@@ -54,10 +58,8 @@ class ParallelGroupScheduler(GroupPipeline):
 
     def register_metrics(self, metrics: MetricsRegistry) -> None:
         metrics.gauge("scheduler.workers", lambda: self.workers)
-        metrics.gauge("scheduler.groups", lambda: self.groups)
-        metrics.gauge("scheduler.spec_us", lambda: self.spec_us)
-        metrics.gauge("scheduler.saved_us", lambda: self.saved_us)
-        metrics.gauge("scheduler.makespan_us", lambda: self.makespan_us)
+        for k in self.STATE:
+            metrics.gauge(f"scheduler.{k}", lambda k=k: getattr(self, k))
 
     def run(
         self, groups: Iterable[List[int]], prepare: PrepareFn
@@ -100,10 +102,4 @@ class ParallelGroupScheduler(GroupPipeline):
 
     def snapshot(self) -> dict:
         """The ``parallel_stats`` trace payload (cumulative counters)."""
-        return {
-            "workers": int(self.workers),
-            "groups": int(self.groups),
-            "spec_us": float(self.spec_us),
-            "saved_us": float(self.saved_us),
-            "makespan_us": float(self.makespan_us),
-        }
+        return {"workers": int(self.workers), **self.overlay_state()}

@@ -292,12 +292,18 @@ class SuperstepEngine:
     def _stats(self) -> SSDStats:
         return self.fs.stats.snapshot() if self.fs is not None else SSDStats()
 
-    def _start(self) -> int:
-        """Run start: metrics, the tracer clock and ``run_begin``; returns the trace mark."""
+    def _start(self, overlays=None) -> int:
+        """Run start: metrics, the tracer clock and ``run_begin``; returns the trace mark.
+
+        ``overlays`` (DESIGN.md §7) register their gauges here; by
+        default the file system's page cache, the one every engine has.
+        """
         reg = self.metrics_registry if self.metrics_registry is not None else NULL_METRICS
         self.reg = reg
-        if self.fs is not None and self.fs.cache is not None:
-            self.fs.cache.register_metrics(reg)
+        if overlays is None:
+            overlays = [self.fs.cache] if self.fs is not None and self.fs.cache is not None else []
+        for ov in overlays:
+            ov.register_metrics(reg)
         self.counters = {c: reg.counter(f"{type(self).name}.{c}") for c in self.COUNTERS}
         meter = self.meter
         for site in COMPUTE_SITES:

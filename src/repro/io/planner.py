@@ -32,11 +32,18 @@ from typing import Optional
 import numpy as np
 
 from ..config import IO_PLAN_MODES
+from ..obs.overlay import Overlay
 from .plan import IOPlan, PlanOutcome
 
 
-class SuperstepIOPlanner:
+class SuperstepIOPlanner(Overlay):
     """Per-run holder of planning mode, read-ahead logic and tallies."""
+
+    trace_kind = "io_plan_stats"
+    STATE = (
+        "plans", "demand_pages", "cache_hit_pages", "batches_folded", "extents", "extent_pages",
+        "scattered_pages", "waves", "time_us", "saved_us", "readahead_pages", "readahead_time_us",
+    )
 
     def __init__(
         self,
@@ -167,34 +174,15 @@ class SuperstepIOPlanner:
         self.readahead_time_us += outcome.readahead_time_us
 
     def snapshot(self) -> dict:
-        """The ``io_plan_stats`` trace payload (all fields monotonic)."""
-        return {
-            "mode": self.mode,
-            "plans": int(self.plans),
-            "demand_pages": int(self.demand_pages),
-            "cache_hit_pages": int(self.cache_hit_pages),
-            "batches_folded": int(self.batches_folded),
-            "extents": int(self.extents),
-            "extent_pages": int(self.extent_pages),
-            "scattered_pages": int(self.scattered_pages),
-            "waves": int(self.waves),
-            "time_us": round(self.time_us, 6),
-            "saved_us": round(self.saved_us, 6),
-            "readahead_pages": int(self.readahead_pages),
-            "readahead_time_us": round(self.readahead_time_us, 6),
+        """The ``io_plan_stats`` trace payload: the mode and every tally
+        (all monotonic), times rounded to 6 places."""
+        tallies = {
+            k: round(v, 6) if k.endswith("_us") else int(v)
+            for k, v in self.overlay_state().items()
         }
+        return {"mode": self.mode, **tallies}
 
     def register_metrics(self, metrics) -> None:
         """Register the ``io.*`` gauges over this planner's tallies."""
-        metrics.gauge("io.plans", lambda: self.plans)
-        metrics.gauge("io.demand_pages", lambda: self.demand_pages)
-        metrics.gauge("io.cache_hit_pages", lambda: self.cache_hit_pages)
-        metrics.gauge("io.batches_folded", lambda: self.batches_folded)
-        metrics.gauge("io.extents", lambda: self.extents)
-        metrics.gauge("io.extent_pages", lambda: self.extent_pages)
-        metrics.gauge("io.scattered_pages", lambda: self.scattered_pages)
-        metrics.gauge("io.waves", lambda: self.waves)
-        metrics.gauge("io.time_us", lambda: self.time_us)
-        metrics.gauge("io.saved_us", lambda: self.saved_us)
-        metrics.gauge("io.readahead_pages", lambda: self.readahead_pages)
-        metrics.gauge("io.readahead_time_us", lambda: self.readahead_time_us)
+        for k in self.STATE:
+            metrics.gauge(f"io.{k}", lambda k=k: getattr(self, k))

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
+from ..obs.overlay import Overlay
 
 #: Storage classes that bypass the cache entirely.  Checkpoint payloads
 #: are written once per cut and read only during recovery -- caching
@@ -42,7 +43,7 @@ from ..errors import ConfigError
 UNCACHED_KLASSES = frozenset({"ckpt", "retry"})
 
 
-class PageCache:
+class PageCache(Overlay):
     """Deterministic CLOCK page cache keyed by ``(file name, page id)``.
 
     Parameters
@@ -59,8 +60,12 @@ class PageCache:
     ``rejected``) rather than over-running the budget.  Counters are
     monotonic for the cache's lifetime -- :meth:`clear` drops the cached
     *contents* (crash/resume, checkpoint cuts) but not the tallies, so
-    per-run trace streams stay non-decreasing.
+    per-run trace streams stay non-decreasing; as an overlay they are
+    checkpointed and restored with the run.
     """
+
+    trace_kind = "cache_stats"
+    STATE = ("hits", "misses", "evictions", "insertions", "invalidations", "rejected")
 
     def __init__(self, capacity_pages: int, name: str = "cache") -> None:
         if capacity_pages <= 0:

@@ -19,6 +19,7 @@ internally.
 
 from .context import current_tracer, use_tracer
 from .metrics import NULL_METRICS, Counter, MetricsRegistry, NullMetricsRegistry
+from .overlay import Overlay
 from .tracer import NULL_TRACER, TRACE_KINDS, TRACE_SCHEMA, TraceEvent, Tracer, TraceRecorder
 from .writer import load_jsonl, trace_summary, write_jsonl
 
@@ -33,6 +34,7 @@ __all__ = [
     "NullMetricsRegistry",
     "Counter",
     "NULL_METRICS",
+    "Overlay",
     "current_tracer",
     "use_tracer",
     "write_jsonl",

@@ -100,16 +100,16 @@ def _free(kinds: str) -> Dict[str, EventSchema]:
 
 
 def _overlay(counters: str, check: Check = NUMBER, **fields: Check) -> EventSchema:
-    """A once-per-superstep snapshot of the run-cumulative ``counters``.
+    """A once-per-superstep snapshot of an overlay's run-cumulative
+    ``counters`` (DESIGN.md §7).
 
     They accumulate for the run's lifetime, so a drop within a run
-    segment means the state behind them was silently reset.  Post-cut
-    snapshots embed pre-cut history a resumed run never saw, so the kind
-    is not reconciled across a crash/resume cut; the charges it
-    annotates reconcile exactly.
+    segment means the state behind them was silently reset.  A
+    checkpoint carries them and a resumed run restores them, so the
+    kind reconciles across a crash/resume cut like any other.
     """
     names = tuple(counters.split())
-    return EventSchema({**fields, **dict.fromkeys(names, check)}, names, reconciled=False)
+    return EventSchema({**fields, **dict.fromkeys(names, check)}, names)
 
 
 #: A sort's input has at least one and at most one natural run per record
@@ -150,10 +150,7 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
     "group_sort": _SORT,
     "mlog_flush": _FLUSH,
     "elog_flush": _FLUSH,
-    # -- run-cumulative overlays.  The page cache's tallies live as long
-    # as the cache, across checkpoint cuts, while both runs restart cold
-    # at the cut (DESIGN.md §10); a crashed run under an armed fault plan
-    # executes serially, so it has no pre-cut lane history (DESIGN.md §11).
+    # -- run-cumulative overlays
     "cache_stats": _overlay("hits misses evictions insertions invalidations", INT),
     "parallel_stats": _overlay("groups spec_us saved_us makespan_us"),
     # superstep I/O planner (DESIGN.md §13), never built with io_plan "off"

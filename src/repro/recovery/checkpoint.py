@@ -15,8 +15,8 @@ A checkpoint is two files on the simulated file system:
 * ``ckpt.<id>``        -- payload pages: the pickled state blob split
   into page-size chunks, charged as ordinary writes;
 * ``ckpt.<id>.commit`` -- one commit page carrying the blob's CRC-32,
-  its page count, and the post-checkpoint ``SSDStats`` snapshot plus
-  compute-meter time.
+  its page count, and the post-checkpoint ``SSDStats`` snapshot,
+  compute-meter time and every overlay's counters (DESIGN.md §7).
 
 The commit page's *write is charged first*, then its payload is
 attached without charging.  A crash anywhere before the attach leaves
@@ -155,9 +155,8 @@ class CheckpointData:
     #: reported in the run_resume event, ignored by reconciliation.
     recovery_read_pages: int = 0
     recovery_read_time_us: float = 0.0
-    #: Device-array overlay snapshot at the cut (DESIGN.md §14);
-    #: ``None`` when the run used a single device.
-    device_state: Optional[Dict[str, Any]] = None
+    #: Each overlay's counters at the cut, by trace kind (DESIGN.md §7).
+    overlays: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Did the run reduce sends before logging them (DESIGN.md §15)?
     precombine: bool = False
     _extra: Dict[str, Any] = field(default_factory=dict)
@@ -241,6 +240,7 @@ class CheckpointManager:
         rng: np.random.Generator,
         records: list,
         meter,
+        overlays=(),
     ) -> CheckpointWriteInfo:
         """Snapshot the superstep-``step`` cut; returns write accounting.
 
@@ -248,6 +248,13 @@ class CheckpointManager:
         advanced and the multi-log generations have swapped.
         """
         cid = self.next_id
+        # Both files exist before the allocator state is captured, so a
+        # resumed run places every later file on the channels (and
+        # devices) the uninterrupted run does.
+        payload_file = self.fs.create_page_file(f"{self.name}.{cid}", KLASS_CKPT, overwrite=True)
+        commit_file = self.fs.create_page_file(
+            f"{self.name}.{cid}.commit", KLASS_CKPT, overwrite=True
+        )
         incremental = self.mode == "incremental" and self._prev_values is not None
         if incremental:
             changed = np.flatnonzero(values != self._prev_values)
@@ -295,13 +302,8 @@ class CheckpointManager:
         page_size = self.fs.device.page_size
         chunks = [blob[i : i + page_size] for i in range(0, len(blob), page_size)] or [b""]
 
-        payload_file = self.fs.create_page_file(f"{self.name}.{cid}", KLASS_CKPT, overwrite=True)
         useful = [len(c) for c in chunks]
         _, t_payload = payload_file.append_pages(chunks, useful_bytes=useful)
-
-        commit_file = self.fs.create_page_file(
-            f"{self.name}.{cid}.commit", KLASS_CKPT, overwrite=True
-        )
         # Charge the commit-page write *before* capturing the stats
         # snapshot and attaching the payload: a crash during the charge
         # leaves an empty commit file (checkpoint invalid), and the
@@ -321,11 +323,9 @@ class CheckpointManager:
             "n_pages": len(chunks),
             "stats": self.fs.stats.snapshot(),
             "meter_time_us": meter.time_us,
-            # Device-array overlay clocks at the cut (None on a single
-            # device); captured with the stats snapshot, after the
-            # commit-page charge, so they include the checkpoint's own
-            # write cost (DESIGN.md §14).
-            "device_state": self.fs.device.overlay_state(),
+            # Overlay counters, captured with the stats snapshot so they
+            # include the checkpoint's own write cost.
+            "overlays": {ov.trace_kind: ov.overlay_state() for ov in overlays},
             # Engine-compatibility flag; on the commit page with the
             # other cut metadata so the payload, which is charged by
             # size, is the same bytes either way.
@@ -406,7 +406,7 @@ class CheckpointManager:
                 checkpoint_mode=state["checkpoint_mode"],
                 recovery_read_pages=read_pages,
                 recovery_read_time_us=read_time,
-                device_state=commit.get("device_state"),
+                overlays=commit.get("overlays", {}),
                 precombine=commit.get("precombine", False),
             )
         detail = f" ({'; '.join(errors)})" if errors else ""

@@ -31,9 +31,8 @@ from ..errors import RecoveryError, SimulatedCrashError
 from ..obs import TRACE_SCHEMA
 from .checkpoint import KLASS_CKPT, CheckpointData, CheckpointManager
 
-#: Kinds a crash/resume comparison skips: the run prologue and resume
-#: bookkeeping, and the run-cumulative overlays whose post-cut snapshots
-#: embed pre-cut history (the reasons are on their schema entries).
+#: Kinds a crash/resume comparison skips: the run prologue and the resume
+#: bookkeeping (the reasons are on their schema entries).
 NON_RECONCILED_KINDS = frozenset(k for k, s in TRACE_SCHEMA.items() if not s.reconciled)
 
 
@@ -102,10 +101,8 @@ def count_device_ops(
 ) -> Tuple[int, Any]:
     """Run once under an empty fault plan; returns (total I/O batches, result).
 
-    The empty plan makes the device count every batch in ``ops_seen``
-    (and gates the lane overlay off, as a real plan does), so callers
-    can pick crash points uniformly over the
-    whole run.
+    The empty plan makes the device count every batch in ``ops_seen``,
+    so callers can pick crash points uniformly over the whole run.
     """
     from ..core.engine import MultiLogVC
     from ..ssd.faults import FaultPlan

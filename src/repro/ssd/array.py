@@ -19,8 +19,8 @@ determinism contract as the worker-lane overlay (DESIGN.md §11):
   clocks and a serial-vs-array time pair at the canonical commit point,
   so it does not depend on the simulated lane count.  It surfaces
   via ``device.*`` gauges and the per-superstep ``device_stats`` trace
-  kind (excluded from crash/resume reconciliation, like
-  ``parallel_stats``), and the saving is guaranteed non-negative:
+  kind, is checkpointed with the run like every overlay (DESIGN.md §7),
+  and the saving is guaranteed non-negative:
   each device's channel histogram is dominated by the full batch's, so
   the max over devices never exceeds the single-device batch time.
 
@@ -46,12 +46,16 @@ from typing import Optional
 import numpy as np
 
 from ..config import SimConfig
+from ..errors import RecoveryError
 from ..obs.metrics import MetricsRegistry
+from ..obs.overlay import Overlay
 from .device import SimulatedSSD
 
 
-class DeviceArray(SimulatedSSD):
+class DeviceArray(SimulatedSSD, Overlay):
     """N independent simulated SSDs presenting the single-SSD interface."""
+
+    trace_kind = "device_stats"
 
     def __init__(self, config: SimConfig) -> None:
         super().__init__(config)
@@ -137,7 +141,7 @@ class DeviceArray(SimulatedSSD):
         """Per-device cumulative busy clocks (overlay, read-only copy)."""
         return self._dev_busy_us.copy()
 
-    def device_snapshot(self) -> dict:
+    def snapshot(self) -> dict:
         """The ``device_stats`` trace payload (cumulative counters)."""
         return {
             "devices": int(self.num_devices),
@@ -159,31 +163,23 @@ class DeviceArray(SimulatedSSD):
 
     # -- checkpoint/resume ------------------------------------------------
 
-    def overlay_state(self) -> Optional[dict]:
-        """Overlay snapshot for the checkpoint commit page.
+    def overlay_state(self) -> dict:
+        """:meth:`snapshot` less the derived ``saved_us``."""
+        state = self.snapshot()
+        del state["saved_us"]
+        return state
 
-        Captured at the same point as the stats snapshot, so a resumed
-        run's per-device clocks continue exactly where the checkpointed
-        run's stood.
-        """
-        return {
-            "devices": int(self.num_devices),
-            "placement": self.placement,
-            "ops": int(self.dev_ops),
-            "serial_us": float(self.serial_us),
-            "array_us": float(self.array_us),
-            "busy_us": [float(x) for x in self._dev_busy_us],
-        }
-
-    def restore_overlay(self, state: Optional[dict]) -> None:
-        if not state:
-            return
+    def restore_overlay(self, state: dict) -> None:
+        busy = np.array(state["busy_us"], dtype=np.float64)
+        if busy.size != self.num_devices:
+            raise RecoveryError(
+                f"checkpoint carries {busy.size} device clocks, "
+                f"the array being resumed has {self.num_devices} devices"
+            )
         self.dev_ops = int(state["ops"])
         self.serial_us = float(state["serial_us"])
         self.array_us = float(state["array_us"])
-        busy = np.asarray(state["busy_us"], dtype=np.float64)
-        self._dev_busy_us = np.zeros(self.num_devices, dtype=np.float64)
-        self._dev_busy_us[: min(busy.size, self.num_devices)] = busy[: self.num_devices]
+        self._dev_busy_us = busy
 
     def reset_stats(self) -> None:
         super().reset_stats()

@@ -39,18 +39,15 @@ from .stats import SSDStats
 ChannelVector = Union[np.ndarray, Sequence[int]]
 
 #: One deferred charge:
-#: ``(is_read, klass, pages, bytes, simulated_us, channel_pages)``.
+#: ``(is_read, klass, pages, bytes, simulated_us, channel_pages, dev_times)``.
 #: ``channel_pages`` is the per-channel page-count histogram of the
 #: batch (read charges only; ``None`` for writes and zero-page retry
-#: records).  :meth:`SimulatedSSD.commit` ignores it -- it exists for
-#: the lane overlap model (:func:`merge_overlap`), which needs to know
-#: which channels a group's preparation kept busy.  Pre-histogram
-#: 5-tuples are still accepted everywhere.
-#: Under a :class:`~repro.ssd.array.DeviceArray` a charge may carry a
-#: 7th element: the per-device time vector the overlay accumulates at
-#: commit (DESIGN.md §14); shorter tuples mean "unattributed" and bill
-#: overlay device 0.
-ChargeOp = Tuple[bool, str, int, int, float, Optional[np.ndarray]]
+#: records) -- the lane overlap model (:func:`merge_overlap`) reads it to
+#: know which channels a group's preparation kept busy.  ``dev_times``
+#: is a :class:`~repro.ssd.array.DeviceArray`'s per-device time vector
+#: (DESIGN.md §14), ``None`` when unattributed (the array bills device
+#: 0).  :meth:`SimulatedSSD.commit` records neither in the canonical stats.
+ChargeOp = Tuple[bool, str, int, int, float, Optional[np.ndarray], Optional[np.ndarray]]
 
 
 def merge_overlap(lane_times_us: np.ndarray, channel_busy_us: np.ndarray) -> float:
@@ -333,21 +330,19 @@ class SimulatedSSD:
     def commit(self, ops: List[ChargeOp]) -> None:
         """Record a queue of deferred charges, in order.
 
-        The channel histogram (6th element, when present) is overlap
-        metadata only; recorded stats are identical with or without it.
-        The same goes for a device array's per-device time vector (7th
-        element): it feeds the array overlay via
-        :meth:`_note_device_times`, never the canonical stats.
+        The channel histogram is overlap metadata only and a device
+        array's per-device time vector feeds its overlay via
+        :meth:`_note_device_times`; the recorded stats are the same
+        without either.
         """
         overlay = self.num_devices > 1
-        for op in ops:
-            is_read, klass, pages, nbytes, t = op[:5]
+        for is_read, klass, pages, nbytes, t, _, dev_times in ops:
             if is_read:
                 self.stats.record_read(klass, pages, nbytes, t)
             else:
                 self.stats.record_write(klass, pages, nbytes, t)
             if overlay:
-                self._note_device_times(t, op[6] if len(op) > 6 else None)
+                self._note_device_times(t, dev_times)
 
     def channel_busy_us(self, ops: List[ChargeOp]) -> np.ndarray:
         """Per-channel busy time (us) implied by a deferred-charge queue.
@@ -361,10 +356,8 @@ class SimulatedSSD:
         busy = np.zeros(self._channels, dtype=np.float64)
         lat = self.config.ssd.read_latency_us
         for op in ops:
-            hist = op[5] if len(op) > 5 else None
-            if hist is None:
-                continue
-            busy += hist * lat
+            if op[5] is not None:
+                busy += op[5] * lat
         return busy
 
     def _charge(
@@ -379,10 +372,7 @@ class SimulatedSSD:
     ) -> None:
         queue = self._queue
         if queue is not None:
-            if dev_times is not None:
-                queue.append((is_read, klass, pages, nbytes, t, channel_pages, dev_times))
-            else:
-                queue.append((is_read, klass, pages, nbytes, t, channel_pages))
+            queue.append((is_read, klass, pages, nbytes, t, channel_pages, dev_times))
             return
         if is_read:
             self.stats.record_read(klass, pages, nbytes, t)
@@ -413,13 +403,6 @@ class SimulatedSSD:
     ) -> Optional[np.ndarray]:
         """Per-device time vector for a write batch."""
         return None
-
-    def overlay_state(self) -> Optional[dict]:
-        """Checkpointable device-array overlay; None on the single device."""
-        return None
-
-    def restore_overlay(self, state: Optional[dict]) -> None:
-        """Restore a checkpointed overlay; no-op on the single device."""
 
     # -- I/O -------------------------------------------------------------
 

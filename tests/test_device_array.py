@@ -17,10 +17,10 @@ from repro.algorithms import BFSProgram, DeltaPageRankProgram, WCCProgram
 from repro.cli import main as cli_main
 from repro.config import ConfigError, SimConfig, small_test_config
 from repro.core.engine import MultiLogVC
-from repro.errors import InjectedFaultError, StorageError
+from repro.errors import InjectedFaultError, RecoveryError, SimulatedCrashError, StorageError
 from repro.graph.datasets import small_rmat
 from repro.graph.csr import CSRGraph
-from repro.obs import TraceRecorder
+from repro.obs import Overlay, TraceRecorder
 from repro.options import EngineOptions
 from repro.recovery import CheckpointManager
 from repro.recovery.validate import count_device_ops, crash_resume_experiment
@@ -85,7 +85,7 @@ class TestOverlay:
         fs = SimFS(small_test_config().with_devices(1))
         assert type(fs.device) is SimulatedSSD
         assert fs.device.num_devices == 1
-        assert fs.device.overlay_state() is None
+        assert not isinstance(fs.device, Overlay)
 
     def test_array_constructed_above_one(self):
         fs = SimFS(small_test_config().with_devices(4))
@@ -96,7 +96,7 @@ class TestOverlay:
         cfg = small_test_config().with_devices(4, "stripe")
         eng = MultiLogVC(GRAPH(), DeltaPageRankProgram(), cfg)
         res = eng.run(8, seed=0)
-        snap = eng.fs.device.device_snapshot()
+        snap = eng.fs.device.snapshot()
         # serial_us accumulates every charge's canonical time; the run
         # additionally pays the graph-image writes before run() starts.
         assert snap["serial_us"] >= res.stats.to_dict()["total_time_us"]
@@ -276,10 +276,10 @@ class TestCrashResume:
         )
         eng.run(6, seed=0)
         ckpt = CheckpointManager.load_latest(eng.fs)
-        assert ckpt.device_state is not None
-        assert ckpt.device_state["devices"] == 4
-        assert ckpt.device_state["ops"] > 0
-        assert len(ckpt.device_state["busy_us"]) == 4
+        state = ckpt.overlays["device_stats"]
+        assert state["devices"] == 4
+        assert state["ops"] > 0
+        assert len(state["busy_us"]) == 4
 
     def test_single_device_checkpoint_has_no_overlay(self):
         eng = MultiLogVC(
@@ -288,7 +288,7 @@ class TestCrashResume:
         )
         eng.run(6, seed=0)
         ckpt = CheckpointManager.load_latest(eng.fs)
-        assert ckpt.device_state is None
+        assert "device_stats" not in ckpt.overlays
 
     def test_resumed_overlay_continues_clocks(self):
         graph = lambda: small_rmat(n=256, m=2048, seed=3)
@@ -296,13 +296,11 @@ class TestCrashResume:
         options = EngineOptions(checkpoint_every=2)
         base_eng = MultiLogVC(graph(), DeltaPageRankProgram(), cfg, options=options)
         base_eng.run(8, seed=0)
-        base_snap = base_eng.fs.device.device_snapshot()
+        base_snap = base_eng.fs.device.snapshot()
 
         total_ops, _ = count_device_ops(
             graph, DeltaPageRankProgram, config=cfg, options=options, max_supersteps=8
         )
-        from repro.errors import SimulatedCrashError
-
         crash_eng = MultiLogVC(graph(), DeltaPageRankProgram(), cfg, options=options)
         crash_eng.fs.device.install_faults(
             FaultPlan.crash_after(int(total_ops * 0.8), seed=0)
@@ -312,14 +310,37 @@ class TestCrashResume:
         ckpt = CheckpointManager.load_latest(crash_eng.fs)
         resume_eng = MultiLogVC(graph(), DeltaPageRankProgram(), cfg, options=options)
         resume_eng.run(8, seed=0, resume_from=ckpt)
-        snap = resume_eng.fs.device.device_snapshot()
-        # per-device clocks continue from the cut; the resumed engine
-        # never re-pays pre-cut traffic but ends at the same counters
-        # except for the graph-image writes both engines paid at
-        # construction (identical on both sides).
-        assert snap["ops"] <= base_snap["ops"]
-        assert snap["serial_us"] <= base_snap["serial_us"]
-        assert snap["serial_us"] > ckpt.device_state["serial_us"]
+        # per-device clocks continue from the cut and end exactly where
+        # the uninterrupted run's do
+        assert resume_eng.fs.device.snapshot() == base_snap
+        assert base_snap["serial_us"] > ckpt.overlays["device_stats"]["serial_us"]
+
+    @pytest.mark.parametrize("placement", ["affinity", "stripe"])
+    def test_resumed_run_allocates_channels_like_the_uninterrupted_one(self, placement):
+        # A checkpoint records the allocator only after creating both of
+        # its files, so every file created past the cut -- edge-log
+        # generations, later checkpoints -- lands on the same channel
+        # offset (and, striped, the same device) as without the crash.
+        cfg = small_test_config().with_devices(4, placement)
+        options = EngineOptions(checkpoint_every=2, min_intervals=4)
+        base_eng = MultiLogVC(GRAPH(), DeltaPageRankProgram(), cfg, options=options)
+        base_eng.run(8, seed=0)
+        total_ops, _ = count_device_ops(
+            GRAPH, DeltaPageRankProgram, config=cfg, options=options, max_supersteps=8
+        )
+        crash_eng = MultiLogVC(GRAPH(), DeltaPageRankProgram(), cfg, options=options)
+        crash_eng.fs.device.install_faults(FaultPlan.crash_after(total_ops // 2))
+        with pytest.raises(SimulatedCrashError):
+            crash_eng.run(8, seed=0)
+        ckpt = CheckpointManager.load_latest(crash_eng.fs)
+        resume_eng = MultiLogVC(GRAPH(), DeltaPageRankProgram(), cfg, options=options)
+        resume_eng.run(8, seed=0, resume_from=ckpt)
+        offsets = lambda fs: {name: fs.get(name).channel_offset for name in fs.names()}
+        base, resumed = offsets(base_eng.fs), offsets(resume_eng.fs)
+        common = sorted(base.keys() & resumed.keys())
+        assert any(name.startswith("elog.") for name in common)
+        assert [base[n] for n in common] == [resumed[n] for n in common]
+        assert resume_eng.fs.next_channel_offset == base_eng.fs.next_channel_offset
 
     def test_overlay_state_round_trip(self):
         cfg = small_test_config().with_devices(3, "stripe")
@@ -328,7 +349,15 @@ class TestCrashResume:
         state = dev.overlay_state()
         fresh = DeviceArray(cfg)
         fresh.restore_overlay(state)
-        assert fresh.device_snapshot() == dev.device_snapshot()
+        assert fresh.snapshot() == dev.snapshot()
+
+    def test_restore_rejects_a_different_device_count(self):
+        dev = DeviceArray(small_test_config().with_devices(3, "stripe"))
+        dev.write_batch(np.arange(12) % 4, "mlog", devices=(np.arange(12) // 4) % 3)
+        wider = DeviceArray(small_test_config().with_devices(4, "stripe"))
+        with pytest.raises(RecoveryError, match="3 device clocks.*4 devices"):
+            wider.restore_overlay(dev.overlay_state())
+        assert wider.snapshot()["busy_us"] == [0.0] * 4
 
 
 class TestKnobs:

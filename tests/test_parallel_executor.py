@@ -83,9 +83,8 @@ class TestWorkerCountInvariance:
         assert strip_parallel(base_ev) == strip_parallel(ev)
 
     def test_crash_resume_at_parallel_worker_count(self):
-        # The crashed run has the lane overlay gated off (armed fault
-        # plan); the resumed run keeps it.  Lane-count invariance is
-        # what makes values/records/stats still reconcile.
+        # The checkpoint carries the lane overlay's counters, so the
+        # resumed run's parallel_stats reconcile too.
         cfg = small_test_config().with_workers(4)
         options = EngineOptions(checkpoint_every=2)
         total_ops, _ = count_device_ops(
@@ -124,19 +123,35 @@ class TestParallelStatsTrace:
         assert ps[-1]["saved_us"] > 0
         assert ps[-1]["makespan_us"] > 0
 
-    def test_gated_to_serial_under_fault_plan(self):
+    @pytest.mark.parametrize("stack", ["fault_plan", "cache"])
+    def test_lanes_under_a_fault_plan_or_a_cache(self, stack):
+        """Neither an armed fault plan nor a page cache turns the lanes
+        off, and lanes change nothing but the overlay."""
         from repro.ssd import FaultPlan
         from repro.ssd.filesystem import SimFS
 
-        cfg = small_test_config().with_workers(4)
-        fs = SimFS(cfg)
-        fs.device.install_faults(FaultPlan.crash_after(10**9))  # armed, never fires
-        tracer = TraceRecorder()
-        MultiLogVC(
-            GRAPH(), DeltaPageRankProgram(), cfg, fs=fs,
-            options=EngineOptions(min_intervals=4), tracer=tracer,
-        ).run(4)
-        assert not [e for e in tracer.events if e.kind == "parallel_stats"]
+        runs = {}
+        for workers in (1, 4):
+            cfg = small_test_config().with_workers(workers)
+            if stack == "cache":
+                cfg = cfg.with_cache("clock", 8 * cfg.ssd.page_size)
+            fs = SimFS(cfg)
+            if stack == "fault_plan":
+                fs.device.install_faults(FaultPlan.crash_after(10**9))  # armed, never fires
+            tracer = TraceRecorder()
+            res = MultiLogVC(
+                GRAPH(), DeltaPageRankProgram(), cfg, fs=fs,
+                options=EngineOptions(min_intervals=4), tracer=tracer,
+            ).run(6, seed=0)
+            runs[workers] = res, tracer.events
+        (base, base_ev), (res, ev) = runs[1], runs[4]
+        assert not [e for e in base_ev if e.kind == "parallel_stats"]
+        ps = [e for e in ev if e.kind == "parallel_stats"]
+        assert len(ps) == res.n_supersteps > 0
+        assert base.values.tobytes() == res.values.tobytes()
+        assert [r.to_dict() for r in base.supersteps] == [r.to_dict() for r in res.supersteps]
+        assert base.stats.to_dict() == res.stats.to_dict()
+        assert strip_parallel(base_ev) == strip_parallel(ev)
 
 
 class TestSchedulerUnits:
@@ -191,7 +206,7 @@ class TestSchedulerUnits:
     def test_overlap_model_counters_monotonic(self):
         device = SimulatedSSD(small_test_config())
         model = ParallelGroupScheduler(device, 2, ComputeMeter(small_test_config().compute))
-        read = lambda t: [(True, "csr_col", 1, 4096, t, None)]
+        read = lambda t: [(True, "csr_col", 1, 4096, t, None, None)]
         model.note_group(0, read(100.0), 10.0)
         model.note_group(1, read(40.0), 5.0)
         saved = model.end_superstep(140.0, 15.0)

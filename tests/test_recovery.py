@@ -8,12 +8,16 @@ event-for-event reconcilable trace from the first post-checkpoint
 superstep onward.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro
 from repro import EngineError, EngineOptions, MultiLogVC, RecoveryError, SimulatedCrashError
 from repro.algorithms import BFSProgram, DeltaPageRankProgram, WCCProgram
+from repro.config import small_test_config
+from repro.obs import MetricsRegistry
 from repro.graph.datasets import small_rmat
 from repro.recovery import (
     CheckpointData,
@@ -206,6 +210,94 @@ class TestCheckpointDurability:
             assert report.ok, f"crash@{point}: {report.describe()}"
             resumed += 1
         assert resumed >= total_ops // 2
+
+
+#: One full storage stack: four lanes, a CLOCK cache small enough to
+#: evict, coalesced reads with read-ahead and four striped devices.  No
+#: fusing, so every superstep runs several groups and read-ahead fires.
+#: The read latency has no short decimal form, so the time tallies carry
+#: more digits than the six ``io_plan_stats`` rounds them to.
+def full_stack_config():
+    cfg = small_test_config()
+    cfg = dataclasses.replace(cfg, ssd=dataclasses.replace(cfg.ssd, read_latency_us=75 + 1 / 3))
+    return (
+        cfg.with_workers(4)
+        .with_cache("clock", 8 * cfg.ssd.page_size)
+        .with_io_plan("coalesce+readahead")
+        .with_devices(4, "stripe")
+    )
+
+
+FULL_STACK_GRAPH = lambda: small_rmat(n=256, m=4096, seed=3)
+FULL_STACK_OPTIONS = EngineOptions(checkpoint_every=1, min_intervals=4, enable_fusing=False)
+OVERLAY_KINDS = {"cache_stats", "parallel_stats", "io_plan_stats", "device_stats"}
+
+
+def check_full_stack_crash_points(stride):
+    """Crash after every ``stride``-th device op of a checkpoint-every-
+    superstep PageRank run on the full stack: every resumed run must
+    reconcile every event with the uninterrupted run, the four overlays'
+    included, and each overlay must have been emitted after the cut."""
+    cfg = full_stack_config()
+    total_ops, _ = count_device_ops(
+        FULL_STACK_GRAPH, DeltaPageRankProgram, config=cfg,
+        options=FULL_STACK_OPTIONS, max_supersteps=8,
+    )
+    resumed = 0
+    for point in range(1, total_ops, stride):
+        report = crash_resume_experiment(
+            FULL_STACK_GRAPH, DeltaPageRankProgram, config=cfg,
+            options=FULL_STACK_OPTIONS, crash_after_ops=point, max_supersteps=8,
+        )
+        if report.no_checkpoint or not report.crashed:
+            continue
+        assert report.ok, f"crash@{point}: {report.describe()}: {report.trace_mismatches[:3]}"
+        post_cut = {e.kind for e in report.resumed.trace if e.step > report.checkpoint_step}
+        assert OVERLAY_KINDS <= post_cut, f"crash@{point}: {sorted(OVERLAY_KINDS - post_cut)}"
+        resumed += 1
+    assert resumed >= (total_ops // stride) // 2
+
+
+class TestFullStackCrashPoints:
+    """The overlays reconcile across a crash/resume cut (DESIGN.md §7)."""
+
+    def test_every_eighth_crash_point_reconciles_every_event(self):
+        check_full_stack_crash_points(8)
+
+    @pytest.mark.slow
+    def test_every_crash_point_reconciles_every_event(self):
+        check_full_stack_crash_points(1)
+
+    def test_resumed_gauges_equal_the_uninterrupted_runs(self):
+        """The gauges read the counters unrounded (``io_plan_stats``
+        rounds its times), so the checkpoint must carry them exactly."""
+        cfg = full_stack_config()
+
+        def overlay_gauges(resume_from=None, crash_after=None):
+            reg = MetricsRegistry()
+            eng = MultiLogVC(
+                FULL_STACK_GRAPH(), DeltaPageRankProgram(), cfg,
+                options=FULL_STACK_OPTIONS, metrics=reg,
+            )
+            if crash_after is not None:
+                eng.fs.device.install_faults(FaultPlan.crash_after(crash_after))
+                with pytest.raises(SimulatedCrashError):
+                    eng.run(8)
+                return CheckpointManager.load_latest(eng.fs)
+            eng.run(8, resume_from=resume_from)
+            prefixes = ("cache.", "io.", "scheduler.", "device.")
+            return {k: v for k, v in reg.snapshot().items() if k.startswith(prefixes)}
+
+        base = overlay_gauges()
+        for gauge in ("cache.hits", "cache.evictions", "io.readahead_pages",
+                      "scheduler.saved_us", "device.saved_us"):
+            assert base[gauge] > 0, gauge  # the stack exercises every overlay
+        total_ops, _ = count_device_ops(
+            FULL_STACK_GRAPH, DeltaPageRankProgram, config=cfg,
+            options=FULL_STACK_OPTIONS, max_supersteps=8,
+        )
+        ckpt = overlay_gauges(crash_after=total_ops // 2)
+        assert overlay_gauges(resume_from=ckpt) == base
 
 
 class TestResumeFacade:

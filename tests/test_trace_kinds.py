@@ -143,10 +143,9 @@ def test_design_event_table_names_every_kind():
     assert documented == TRACE_KINDS
 
 
-def test_crash_resume_skips_the_prologue_and_the_overlays():
-    assert NON_RECONCILED_KINDS == {
-        "run_begin", "run_resume", "cache_stats", "parallel_stats", "io_plan_stats", "device_stats",
-    }
+def test_crash_resume_skips_only_the_prologue():
+    # the overlays are checkpointed and restored, so they reconcile
+    assert NON_RECONCILED_KINDS == {"run_begin", "run_resume"}
 
 
 OVERLAYS = {

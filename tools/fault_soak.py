@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""Randomized crash/recovery soak (nightly CI).
+"""Randomized crash/recovery soak (a short run per PR, 200 trials nightly in CI).
 
 Each trial draws a random workload (algorithm, checkpoint interval,
-checkpoint mode) and a random crash point over the run's device-batch
-timeline, then runs the full :func:`repro.recovery.crash_resume_experiment`
-protocol: baseline run, crashed run under an injected power loss,
-recovery from the newest surviving checkpoint, and bit-exact
-comparison of values / superstep records / run stats plus
-event-for-event trace reconciliation.
+checkpoint mode), a random storage stack (worker lanes, a tiny page
+cache or none, I/O planner mode, device count and placement) and a
+random crash point over the run's device-batch timeline, then runs the
+full :func:`repro.recovery.crash_resume_experiment` protocol: baseline
+run, crashed run under an injected power loss, recovery from the newest
+surviving checkpoint, and bit-exact comparison of values / superstep
+records / run stats plus event-for-event trace reconciliation, the
+overlays' events included.
 
 A trial where the crash lands before the first checkpoint (nothing to
 recover) or after the run finished (fault never fires) counts as a
@@ -34,7 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config import small_test_config  # noqa: E402
+from repro.config import IO_PLAN_MODES, PLACEMENTS, small_test_config  # noqa: E402
 from repro.algorithms import BFSProgram, DeltaPageRankProgram, WCCProgram  # noqa: E402
 from repro.graph.datasets import small_rmat  # noqa: E402
 from repro.obs import write_jsonl  # noqa: E402
@@ -58,6 +60,37 @@ WORKLOADS = {
         10,
     ),
 }
+
+
+def draw_stack(rng: np.random.Generator) -> dict:
+    """One storage stack: every overlay on or off, the cache tiny if on."""
+    return {
+        "workers": int(rng.choice([1, 4])),
+        "cache_pages": int(rng.integers(1, 33)) if rng.random() < 0.5 else 0,
+        "io_plan": str(rng.choice(IO_PLAN_MODES)),
+        "devices": int(rng.choice([1, 4])),
+        "placement": str(rng.choice(PLACEMENTS)),
+    }
+
+
+def stack_config(stack: dict):
+    cfg = (
+        small_test_config()
+        .with_workers(stack["workers"])
+        .with_io_plan(stack["io_plan"])
+        .with_devices(stack["devices"], stack["placement"])
+    )
+    if stack["cache_pages"]:
+        cfg = cfg.with_cache("clock", stack["cache_pages"] * cfg.ssd.page_size)
+    return cfg
+
+
+def stack_label(stack: dict) -> str:
+    cache = f"cache{stack['cache_pages']}" if stack["cache_pages"] else "nocache"
+    return (
+        f"w{stack['workers']} {cache} {stack['io_plan']} "
+        f"d{stack['devices']}/{stack['placement']}"
+    )
 
 
 def dump_failure(artifact_dir: Path, trial: int, params: dict, report) -> Path:
@@ -87,7 +120,6 @@ def main() -> int:
                     help="where failing trials dump traces for upload")
     args = ap.parse_args()
 
-    cfg = small_test_config()
     artifact_dir = Path(args.artifacts)
     names = sorted(WORKLOADS)
 
@@ -105,8 +137,10 @@ def main() -> int:
         every = int(rng.integers(1, 4))
         mode = "incremental" if rng.random() < 0.3 else "full"
         options = EngineOptions(checkpoint_every=every, checkpoint_mode=mode)
+        stack = draw_stack(rng)
+        cfg = stack_config(stack)
 
-        key = (name, every, mode)
+        key = (name, every, mode, tuple(stack.values()))
         if key not in ops_cache:
             ops_cache[key], _ = count_device_ops(
                 graph_f, prog_f, config=cfg, options=options,
@@ -116,7 +150,7 @@ def main() -> int:
 
         params = {
             "trial": trial, "seed": seed, "algorithm": name,
-            "checkpoint_every": every, "checkpoint_mode": mode,
+            "checkpoint_every": every, "checkpoint_mode": mode, "stack": stack,
             "crash_after_ops": crash_at, "total_ops": ops_cache[key],
         }
         report = crash_resume_experiment(
@@ -139,7 +173,7 @@ def main() -> int:
             failures.append((trial, params, where))
         print(
             f"trial {trial:3d}  {name:8s} every={every} mode={mode:11s} "
-            f"crash@{crash_at:3d}/{ops_cache[key]:3d}  {status}"
+            f"{stack_label(stack):40s} crash@{crash_at:3d}/{ops_cache[key]:3d}  {status}"
         )
 
     print(
