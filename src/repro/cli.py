@@ -38,22 +38,50 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import json
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
-from .config import CACHE_POLICIES, DEFAULT_CONFIG, IO_PLAN_MODES, PLACEMENTS
+import numpy as np
+
+from . import algorithms as alg
+from .config import DEFAULT_CONFIG, KNOBS, small_test_config
+from .errors import ConfigError, GraphFormatError, RecoveryError, SimulatedCrashError
 from .experiments import ALL_EXPERIMENTS
 from .experiments.common import ExperimentResult
+from .graph import datasets as ds
+from .obs import TraceRecorder, current_tracer, use_tracer, write_jsonl
+from .options import EngineOptions
+from .recovery import CheckpointManager
+from .runner import engines, resume, run
+from .ssd import FaultPlan, FaultRule
+from .ssd.filesystem import SimFS
+from .stream import EdgeDelta, StreamSession, random_delta
 
 
-def _print_results(results) -> None:
-    if isinstance(results, ExperimentResult):
-        results = [results]
-    for r in results:
-        print(r.render())
-        print()
+class UsageError(Exception):
+    """A command-line mistake: :func:`main` prints it and exits 2."""
+
+
+@contextlib.contextmanager
+def _trace_to(path: Optional[str]):
+    """The tracer for a command's engine runs: the ambient one, or with a
+    ``path`` a recorder whose events are written there as JSONL on the
+    way out -- after a simulated crash too.
+    """
+    if not path:
+        yield current_tracer()
+        return
+    tracer = TraceRecorder()
+    try:
+        yield tracer
+    finally:
+        write_jsonl(tracer.events, path)
+        print(f"[trace: {len(tracer.events)} events written to {path}]")
 
 
 def cmd_list(_args) -> int:
@@ -84,43 +112,29 @@ def cmd_run(args) -> int:
     names = list(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"choose from: {', '.join(ALL_EXPERIMENTS)} or 'all'", file=sys.stderr)
-        return 2
-    tracer = None
-    if args.trace:
-        from .obs import TraceRecorder
-
-        tracer = TraceRecorder()
+        raise UsageError(
+            f"unknown experiment(s): {', '.join(unknown)}\n"
+            f"choose from: {', '.join(ALL_EXPERIMENTS)} or 'all'"
+        )
     collected: List[ExperimentResult] = []
-    for name in names:
-        fn = ALL_EXPERIMENTS[name]
-        kwargs = {}
-        if args.scale:
-            kwargs["scale"] = args.scale
-        if args.datasets and name not in ("fig5", "ablations", "table1"):
-            kwargs["datasets"] = tuple(args.datasets.split(","))
-        t0 = time.time()
-        if tracer is not None:
-            # Ambient tracer: every engine the experiment constructs
-            # picks it up via repro.obs.current_tracer().
-            from .obs import use_tracer
-
-            with use_tracer(tracer):
-                results = fn(**kwargs)
-        else:
-            results = fn(**kwargs)
-        _print_results(results)
-        if isinstance(results, ExperimentResult):
-            collected.append(results)
-        else:
+    # Ambient tracer: every engine the experiment constructs picks it up
+    # via repro.obs.current_tracer().
+    with _trace_to(args.trace) as tracer, use_tracer(tracer):
+        for name in names:
+            kwargs = {}
+            if args.scale:
+                kwargs["scale"] = args.scale
+            if args.datasets and name not in ("fig5", "ablations", "table1"):
+                kwargs["datasets"] = tuple(args.datasets.split(","))
+            t0 = time.time()
+            results = ALL_EXPERIMENTS[name](**kwargs)
+            if isinstance(results, ExperimentResult):
+                results = [results]
+            for r in results:
+                print(r.render())
+                print()
             collected.extend(results)
-        print(f"[{name} regenerated in {time.time() - t0:.1f}s]\n")
-    if tracer is not None:
-        from .obs import write_jsonl
-
-        write_jsonl(tracer.events, args.trace)
-        print(f"[trace: {len(tracer.events)} events written to {args.trace}]")
+            print(f"[{name} regenerated in {time.time() - t0:.1f}s]\n")
     if args.csv:
         _export_results(collected, args.csv, "csv")
     if args.json:
@@ -142,10 +156,10 @@ _DATASET_NAMES = (
     "rmat256", "rmat512", "chain", "ring", "grid", "star", "tiny", "two_components",
 )
 
+_SCALES = ("test", "bench", "large")
+
 
 def _compute_program(name: str, args):
-    from . import algorithms as alg
-
     table = {
         "pagerank": lambda: alg.DeltaPageRankProgram(),
         "bfs": lambda: alg.BFSProgram(source=args.source),
@@ -159,30 +173,26 @@ def _compute_program(name: str, args):
 
 
 def _compute_dataset(name: str, scale: str, weighted: bool):
-    from .graph import datasets as d
-
     small = {
-        "rmat256": lambda: d.small_rmat(n=256, m=2048, seed=3, weighted=weighted),
-        "rmat512": lambda: d.small_rmat(weighted=weighted),
-        "chain": d.small_chain,
-        "ring": d.small_ring,
-        "grid": d.small_grid,
-        "star": d.small_star,
-        "tiny": d.tiny_paper_graph,
-        "two_components": d.two_components,
+        "rmat256": lambda: ds.small_rmat(n=256, m=2048, seed=3, weighted=weighted),
+        "rmat512": lambda: ds.small_rmat(weighted=weighted),
+        "chain": ds.small_chain,
+        "ring": ds.small_ring,
+        "grid": ds.small_grid,
+        "star": ds.small_star,
+        "tiny": ds.tiny_paper_graph,
+        "two_components": ds.two_components,
     }
     if name in small:
         g = small[name]()
         if weighted and g.weights is None:
             raise SystemExit(f"dataset {name!r} has no weighted variant")
         return g
-    return d.dataset_by_name(name, scale=scale, weighted=weighted)
+    return ds.dataset_by_name(name, scale=scale, weighted=weighted)
 
 
 def _parse_fault(spec: str, seed: int):
     """``KIND@OPS[:KLASS]`` with KIND in crash|torn|error, e.g. ``crash@40:mlog``."""
-    from .ssd import FaultPlan, FaultRule
-
     head, _, klass = spec.partition(":")
     kind, at, ops = head.partition("@")
     if kind not in ("crash", "torn", "error") or not at:
@@ -205,95 +215,104 @@ def _parse_fault(spec: str, seed: int):
     )
 
 
-def cmd_compute(args) -> int:
-    from . import engines as repro_engines
-    from . import resume as repro_resume
-    from . import run as repro_run
-    from .config import small_test_config
-    from .errors import ConfigError, RecoveryError, SimulatedCrashError
-    from .options import EngineOptions
-    from .recovery import CheckpointData, CheckpointManager
-    from .ssd.filesystem import SimFS
+def _engine(name: str):
+    """Engine ``name``'s capabilities; an unknown name is a usage error."""
+    all_engines = engines()
+    if name not in all_engines:
+        raise UsageError(f"unknown engine {name!r}; choose from {', '.join(sorted(all_engines))}")
+    return all_engines[name]
 
-    all_engines = repro_engines()
-    if args.engine not in all_engines:
-        print(
-            f"unknown engine {args.engine!r}; choose from {', '.join(sorted(all_engines))}",
-            file=sys.stderr,
+
+def _supported_by(capability: str, value: bool = True) -> str:
+    return ", ".join(sorted(n for n, i in engines().items() if getattr(i, capability) == value))
+
+
+def _config(args, **changes):
+    """The ``--scale`` base config with the non-``None`` ``changes``."""
+    try:
+        base = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
+        return dataclasses.replace(base, **{k: v for k, v in changes.items() if v is not None})
+    except ConfigError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
+
+
+def _stack_config(args, caps):
+    """``compute``'s config: the stack flags given (``config.KNOBS``) on
+    the base; a flag left out keeps the built-in or ``REPRO_*`` default."""
+    given = [knob for knob in KNOBS.values() if getattr(args, knob.name) is not None]
+    if given and caps.in_memory:
+        raise UsageError(
+            f"engine {args.engine!r} performs no simulated I/O, so "
+            f"{'/'.join(knob.flag for knob in given)} {'does' if len(given) == 1 else 'do'} "
+            f"not apply (supported by: {_supported_by('in_memory', False)})"
         )
-        return 2
-    caps = all_engines[args.engine]
-    if args.resume_from and not caps.supports_resume:
-        capable = sorted(n for n, i in repro_engines().items() if i.supports_resume)
-        print(
-            f"engine {args.engine!r} does not support --resume-from "
-            f"(supported by: {', '.join(capable)})",
-            file=sys.stderr,
+    changes = {knob.name: getattr(args, knob.name) for knob in given}
+    changes.update(knob.implies for knob in given if knob.implies)
+    cfg = _config(args, **changes)
+    # Without a cache the planner would silently fall back to coalescing.
+    if "io_plan" in changes and cfg.io_plan == "coalesce+readahead" and not cfg.cache_pages:
+        raise UsageError(
+            f"{KNOBS['io_plan'].flag} {cfg.io_plan} requires a page cache to prefetch into: "
+            f"add {KNOBS['cache_policy'].flag} clock (or {KNOBS['cache_bytes'].flag})"
         )
-        return 2
-    if args.checkpoint_every and not caps.supports_checkpoint:
-        capable = sorted(n for n, i in repro_engines().items() if i.supports_checkpoint)
-        print(
-            f"engine {args.engine!r} does not support --checkpoint-every "
-            f"(supported by: {', '.join(capable)})",
-            file=sys.stderr,
-        )
-        return 2
+    return cfg
+
+
+def _read_deltas(path: str, n_vertices: int, batches: int = 1) -> List[EdgeDelta]:
+    """The ``--updates`` JSONL file (one ``{"op", "src", "dst", ...}`` per
+    line), split evenly into ``batches`` validated deltas."""
+    if not Path(path).is_file():
+        raise UsageError(f"--updates file not found: {path}")
+    records = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"{path}:{lineno}: malformed JSON: {exc}")
+    try:
+        deltas = [
+            EdgeDelta.from_records([records[i] for i in chunk])
+            for chunk in np.array_split(np.arange(len(records)), batches)
+        ]
+        for d in deltas:
+            d.validate(n_vertices)
+    except GraphFormatError as exc:
+        raise UsageError(f"bad --updates file {path}: {exc}") from None
+    return deltas
+
+
+def _apply_batch(session: StreamSession, delta: EdgeDelta, args):
+    """Ingest one update batch, merge it, and recompute on the result."""
+    ing = session.ingest(delta)
+    app = session.apply_updates()
+    return ing, app, session.recompute(max_supersteps=args.max_supersteps, seed=args.seed)
+
+
+def cmd_compute(args) -> int:
+    caps = _engine(args.engine)
+    for flag, asked, capability in (
+        ("--resume-from", args.resume_from, "supports_resume"),
+        ("--checkpoint-every", args.checkpoint_every, "supports_checkpoint"),
+    ):
+        if asked and not getattr(caps, capability):
+            raise UsageError(
+                f"engine {args.engine!r} does not support {flag} "
+                f"(supported by: {_supported_by(capability)})"
+            )
     if args.resume_from and args.fault:
-        print(
+        raise UsageError(
             "--resume-from and --fault conflict: the fault plan would arm against "
             "the resumed run's fresh file system, not the crashed one; inject the "
-            "fault in the first run and resume in a second invocation",
-            file=sys.stderr,
+            "fault in the first run and resume in a second invocation"
         )
-        return 2
-    if args.updates:
-        if args.resume_from:
-            print(
-                "--updates and --resume-from conflict: a checkpoint binds to the "
-                "graph it was computed on, which the update batch changes",
-                file=sys.stderr,
-            )
-            return 2
-        if not Path(args.updates).is_file():
-            print(f"--updates file not found: {args.updates}", file=sys.stderr)
-            return 2
-    cache_enabled = args.cache_policy != "none" or args.cache_bytes is not None
-    if args.io_plan == "coalesce+readahead" and not cache_enabled:
-        print(
-            "--io-plan coalesce+readahead requires a page cache to prefetch "
-            "into: add --cache-policy clock (or --cache-bytes)",
-            file=sys.stderr,
+    if args.updates and args.resume_from:
+        raise UsageError(
+            "--updates and --resume-from conflict: a checkpoint binds to the "
+            "graph it was computed on, which the update batch changes"
         )
-        return 2
-    if args.readahead_pages is not None and args.io_plan != "coalesce+readahead":
-        print(
-            "--readahead-pages only applies with --io-plan coalesce+readahead",
-            file=sys.stderr,
-        )
-        return 2
-    if (args.devices is not None or args.placement is not None) and caps.in_memory:
-        capable = sorted(n for n, i in all_engines.items() if not i.in_memory)
-        print(
-            f"engine {args.engine!r} performs no simulated I/O, so --devices/"
-            f"--placement do not apply (supported by: {', '.join(capable)})",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
-        cfg = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
-        if cache_enabled:
-            # --cache-bytes alone implies the (only) real policy, clock.
-            cfg = cfg.with_cache(policy="clock", cache_bytes=args.cache_bytes)
-        if args.workers is not None:
-            cfg = cfg.with_workers(args.workers)
-        if args.io_plan != "off":
-            cfg = cfg.with_io_plan(args.io_plan, readahead_pages=args.readahead_pages)
-        cfg = cfg.with_devices(args.devices, args.placement)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    cfg = _stack_config(args, caps)
 
     weighted = args.weighted or args.algorithm in _NEEDS_WEIGHTS
     graph = _compute_dataset(args.dataset, args.scale, weighted)
@@ -306,113 +325,57 @@ def cmd_compute(args) -> int:
     options = EngineOptions(**opt_kwargs)
 
     if args.updates:
-        return _compute_with_updates(args, graph, program, cfg, options)
+        (delta,) = _read_deltas(args.updates, graph.n)
+        return _compute_with_updates(args, graph, program, cfg, options, delta)
 
     fs = SimFS(cfg)
     if args.fault:
         fs.device.install_faults(_parse_fault(args.fault, args.fault_seed))
-
-    tracer = None
-    if args.trace:
-        from .obs import TraceRecorder
-
-        tracer = TraceRecorder()
-
-    def _finish_trace():
-        if tracer is not None:
-            from .obs import write_jsonl
-
-            write_jsonl(tracer.events, args.trace)
-            print(f"[trace: {len(tracer.events)} events written to {args.trace}]")
-
-    def _save_checkpoint():
-        if not args.checkpoint_out:
-            return
+    with _trace_to(args.trace) as tracer:
+        common = dict(
+            config=cfg,
+            options=options,
+            tracer=tracer,
+            fs=fs,
+            max_supersteps=args.max_supersteps,
+            seed=args.seed,
+        )
         try:
-            ckpt = CheckpointManager.load_latest(fs)
-        except RecoveryError as exc:
-            print(f"[no checkpoint to save: {exc}]", file=sys.stderr)
-            return
-        ckpt.save(args.checkpoint_out)
-        print(f"[checkpoint {ckpt.ckpt_id} (superstep {ckpt.step}) saved to {args.checkpoint_out}]")
-
-    common = dict(
-        config=cfg,
-        options=options,
-        tracer=tracer,
-        fs=fs,
-        max_supersteps=args.max_supersteps,
-        seed=args.seed,
-    )
-    try:
-        if args.resume_from:
-            result = repro_resume(graph, program, args.resume_from, **common)
-        else:
-            result = repro_run(graph, program, engine=args.engine, **common)
-    except SimulatedCrashError as exc:
-        print(f"simulated power loss: {exc}", file=sys.stderr)
-        _save_checkpoint()
-        _finish_trace()
-        return 3
-    print(result.summary())
-    _save_checkpoint()
-    _finish_trace()
+            if args.resume_from:
+                result = resume(graph, program, args.resume_from, **common)
+            else:
+                result = run(graph, program, engine=args.engine, **common)
+        except SimulatedCrashError:
+            _save_checkpoint(fs, args.checkpoint_out)
+            raise
+        print(result.summary())
+        _save_checkpoint(fs, args.checkpoint_out)
     return 0
 
 
-def _read_update_records(path: str) -> list:
-    """Parse a JSONL update file (one ``{"op", "src", "dst", ...}`` per line)."""
-    import json
-
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"{path}:{lineno}: malformed JSON: {exc}")
-    return records
+def _save_checkpoint(fs: SimFS, path: Optional[str]) -> None:
+    """Copy the newest valid on-SSD checkpoint to the host file ``path``."""
+    if not path:
+        return
+    try:
+        ckpt = CheckpointManager.load_latest(fs)
+    except RecoveryError as exc:
+        print(f"[no checkpoint to save: {exc}]", file=sys.stderr)
+        return
+    ckpt.save(path)
+    print(f"[checkpoint {ckpt.ckpt_id} (superstep {ckpt.step}) saved to {path}]")
 
 
-def _compute_with_updates(args, graph, program, cfg, options) -> int:
+def _compute_with_updates(args, graph, program, cfg, options, delta) -> int:
     """``compute --updates``: merge one batch, then run on the result."""
-    from .errors import GraphFormatError, SimulatedCrashError
-    from .obs import NULL_TRACER
-    from .stream import EdgeDelta, StreamSession
-
-    try:
-        delta = EdgeDelta.from_records(_read_update_records(args.updates))
-        delta.validate(graph.n)
-    except GraphFormatError as exc:
-        print(f"bad --updates file {args.updates}: {exc}", file=sys.stderr)
-        return 2
-
-    tracer = None
-    if args.trace:
-        from .obs import TraceRecorder
-
-        tracer = TraceRecorder()
-    session = StreamSession(
-        graph, program, engine=args.engine, config=cfg,
-        options=options, recompute=args.recompute,
-        tracer=tracer if tracer is not None else NULL_TRACER,
-    )
-    if args.fault:
-        session.fs.device.install_faults(_parse_fault(args.fault, args.fault_seed))
-    try:
-        ing = session.ingest(delta)
-        app = session.apply_updates()
-        r = session.recompute(max_supersteps=args.max_supersteps, seed=args.seed)
-    except SimulatedCrashError as exc:
-        print(f"simulated power loss: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if tracer is not None:
-            from .obs import write_jsonl
-
-            write_jsonl(tracer.events, args.trace)
-            print(f"[trace: {len(tracer.events)} events written to {args.trace}]")
+    with _trace_to(args.trace) as tracer:
+        session = StreamSession(
+            graph, program, engine=args.engine, config=cfg,
+            options=options, recompute=args.recompute, tracer=tracer,
+        )
+        if args.fault:
+            session.fs.device.install_faults(_parse_fault(args.fault, args.fault_seed))
+        ing, app, r = _apply_batch(session, delta, args)
     print(
         f"[updates: {delta.n} records ({delta.n_adds} adds, {delta.n_deletes} deletes) "
         f"merged in {ing['io_us'] + app['io_us']:.0f} us simulated I/O; "
@@ -424,74 +387,34 @@ def _compute_with_updates(args, graph, program, cfg, options) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from . import engines as repro_engines
-    from .config import small_test_config
-    from .errors import ConfigError, GraphFormatError, SimulatedCrashError
-    from .obs import NULL_TRACER
-    from .stream import EdgeDelta, StreamSession, random_delta
-
-    import numpy as np
-
-    if args.engine not in repro_engines():
-        print(
-            f"unknown engine {args.engine!r}; choose from "
-            f"{', '.join(sorted(repro_engines()))}",
-            file=sys.stderr,
-        )
-        return 2
+    _engine(args.engine)
     if bool(args.updates) == bool(args.random):
-        print("exactly one of --updates FILE or --random N is required", file=sys.stderr)
-        return 2
-    if args.updates and not Path(args.updates).is_file():
-        print(f"--updates file not found: {args.updates}", file=sys.stderr)
-        return 2
-
-    try:
-        cfg = (small_test_config() if args.scale == "test" else DEFAULT_CONFIG).with_stream(
-            compact_threshold=args.compact_threshold,
-            max_delta_fraction=args.max_delta_fraction,
-        )
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-
+        raise UsageError("exactly one of --updates FILE or --random N is required")
+    cfg = _config(
+        args,
+        stream_compact_threshold=args.compact_threshold,
+        stream_max_delta_fraction=args.max_delta_fraction,
+    )
     weighted = args.algorithm in _NEEDS_WEIGHTS
     graph = _compute_dataset(args.dataset, args.scale, weighted)
     program = _compute_program(args.algorithm, args)
 
-    tracer = None
-    if args.trace:
-        from .obs import TraceRecorder
-
-        tracer = TraceRecorder()
-    session = StreamSession(
-        graph, program, engine=args.engine, config=cfg, recompute=args.recompute,
-        tracer=tracer if tracer is not None else NULL_TRACER,
-    )
-
     # Batch plan: a JSONL file is split evenly into --batches chunks;
     # --random N generates N seeded ops per batch against the live edges.
+    n_batches = max(1, args.batches)
+    deltas = None
     if args.updates:
-        try:
-            all_records = _read_update_records(args.updates)
-            deltas = [
-                EdgeDelta.from_records([all_records[int(i)] for i in chunk])
-                for chunk in np.array_split(np.arange(len(all_records)), max(1, args.batches))
-                if len(chunk)
-            ]
-            for d in deltas:
-                d.validate(graph.n)
-        except GraphFormatError as exc:
-            print(f"bad --updates file {args.updates}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        deltas = None  # generated per batch, against the evolving live set
+        deltas = [d for d in _read_deltas(args.updates, graph.n, n_batches) if d.n]
+        n_batches = len(deltas)
 
     rows = []
-    try:
+    with _trace_to(args.trace) as tracer:
+        session = StreamSession(
+            graph, program, engine=args.engine, config=cfg, recompute=args.recompute,
+            tracer=tracer,
+        )
         base = session.recompute(max_supersteps=args.max_supersteps, seed=args.seed)
         print(f"[baseline: {base.result.summary()}]")
-        n_batches = len(deltas) if deltas is not None else max(1, args.batches)
         for b in range(n_batches):
             if deltas is not None:
                 delta = deltas[b]
@@ -502,9 +425,7 @@ def cmd_ingest(args) -> int:
                     rng, graph.n, ls, ld, args.random,
                     weighted=weighted, ts0=1000 * b,
                 )
-            ing = session.ingest(delta)
-            app = session.apply_updates()
-            r = session.recompute(max_supersteps=args.max_supersteps, seed=args.seed)
+            ing, app, r = _apply_batch(session, delta, args)
             row = {
                 "batch": b,
                 "seq": ing["seq"],
@@ -526,15 +447,6 @@ def cmd_ingest(args) -> int:
                 f"({row['supersteps']} supersteps, "
                 f"{row['seed_io_us'] + row['engine_io_us']:.0f} us simulated I/O)"
             )
-    except SimulatedCrashError as exc:
-        print(f"simulated power loss: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if tracer is not None:
-            from .obs import write_jsonl
-
-            write_jsonl(tracer.events, args.trace)
-            print(f"[trace: {len(tracer.events)} events written to {args.trace}]")
 
     snap = session.metrics.snapshot()
     stream_keys = sorted(k for k in snap if k.startswith("stream."))
@@ -543,8 +455,6 @@ def cmd_ingest(args) -> int:
         v = snap[k]
         print(f"  {k} = {v:.0f}" if isinstance(v, float) else f"  {k} = {v}")
     if args.json:
-        import json
-
         Path(args.json).write_text(
             json.dumps(
                 {
@@ -575,15 +485,16 @@ def cmd_info(_args) -> int:
           f"edge-log {int(100 * cfg.memory.edgelog_fraction)}%)")
     print(f"  records: update {cfg.records.update_bytes} B, "
           f"shard edge {cfg.records.edge_record_bytes} B")
+    print("storage-stack knobs (compute flag, env default):")
+    for knob in KNOBS.values():
+        env = f", {knob.env}" if knob.env else ""
+        print(f"  {knob.name} = {getattr(cfg, knob.name)!r} ({knob.flag}{env})")
     cache_cfg = cfg.with_cache()
-    print(f"  page cache (--cache-policy clock): "
-          f"{cache_cfg.resolved_cache_bytes // 1024} KiB "
+    print(f"  page cache when on: {cache_cfg.resolved_cache_bytes // 1024} KiB "
           f"({cache_cfg.cache_pages} pages; "
           f"{int(100 * cfg.memory.cache_fraction)}% of host DRAM)")
-    from . import engines as repro_engines
-
     print("engines:")
-    for name, info in repro_engines().items():
+    for name, info in engines().items():
         flags = []
         if info.supports_resume:
             flags.append("resume")
@@ -594,10 +505,8 @@ def cmd_info(_args) -> int:
         opts = ", ".join(sorted(info.options)) or "none"
         print(f"  {name}: {' '.join(flags) or 'out-of-core'}")
         print(f"    options: {opts}")
-    from .graph.datasets import dataset_table
-
     print("bench-scale datasets:")
-    for label, n, m in dataset_table("bench"):
+    for label, n, m in ds.dataset_table("bench"):
         print(f"  {label}: {n:,} vertices, {m:,} edges")
     return 0
 
@@ -663,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments").set_defaults(func=cmd_list)
     runp = sub.add_parser("run", help="regenerate one experiment (or 'all')")
     runp.add_argument("experiment")
-    runp.add_argument("--scale", choices=("test", "bench", "large"), default=None)
+    runp.add_argument("--scale", choices=_SCALES, default=None)
     runp.add_argument("--datasets", default=None, help="comma list, e.g. cf,yws")
     runp.add_argument("--trace", default=None, metavar="PATH",
                       help="record engine trace events and write them as JSONL")
@@ -672,34 +581,36 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--json", default=None, metavar="PATH",
                       help="export the experiment table(s) as JSON")
     runp.set_defaults(func=cmd_run)
+
+    # What compute and ingest share: the workload, engine and stream inputs.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("algorithm", choices=_COMPUTE_ALGORITHMS)
+    shared.add_argument("--dataset", default="rmat256", choices=_DATASET_NAMES,
+                        metavar="NAME",
+                        help=f"one of: {', '.join(_DATASET_NAMES)} (default: rmat256)")
+    shared.add_argument("--scale", choices=_SCALES, default="test")
+    shared.add_argument("--engine", default="multilogvc",
+                        help="engine to run (see 'repro info' for capabilities; "
+                             "default: multilogvc)")
+    shared.add_argument("--source", type=int, default=0, help="bfs/sssp source vertex")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--recompute", choices=("auto", "incremental", "full"),
+                        default="auto",
+                        help="warm-start policy after an update batch (default: auto)")
+    shared.add_argument("--trace", default=None, metavar="PATH",
+                        help="record engine trace events and write them as JSONL")
+    shared.add_argument("--updates", default=None, metavar="FILE",
+                        help="JSONL edge updates: compute merges them before the run "
+                             "(conflicts with --resume-from), ingest splits them "
+                             "into --batches chunks")
+
     comp = sub.add_parser(
-        "compute",
+        "compute", parents=[shared],
         help="one MultiLogVC run with checkpoint / resume / fault-injection controls",
     )
-    comp.add_argument("algorithm", choices=_COMPUTE_ALGORITHMS)
-    comp.add_argument("--dataset", default="rmat256", choices=_DATASET_NAMES,
-                      metavar="NAME",
-                      help=f"one of: {', '.join(_DATASET_NAMES)} (default: rmat256)")
-    comp.add_argument("--scale", choices=("test", "bench", "large"), default="test")
-    comp.add_argument("--engine", default="multilogvc",
-                      help="engine to run (see 'repro info' for capabilities; "
-                           "default: multilogvc)")
-    comp.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="simulated worker lanes of the overlap model (multilogvc; "
-                           "results are identical at any N, only the scheduler.* "
-                           "overlay accounting changes)")
-    comp.add_argument("--devices", type=int, default=None, metavar="N",
-                      help="simulated SSD device-array size (DESIGN.md §14; "
-                           "results are identical at any N, only the device.* "
-                           "overlay accounting changes; default: REPRO_DEVICES or 1)")
-    comp.add_argument("--placement", choices=PLACEMENTS, default=None,
-                      help="device-array placement policy (default: affinity; "
-                           "only meaningful with --devices > 1)")
     comp.add_argument("--weighted", action="store_true",
                       help="use edge weights (implied by sssp)")
-    comp.add_argument("--source", type=int, default=0, help="bfs/sssp source vertex")
     comp.add_argument("--max-supersteps", type=int, default=15)
-    comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                       help="write a crash-consistent checkpoint every N supersteps")
     comp.add_argument("--checkpoint-mode", choices=("full", "incremental"), default="full")
@@ -708,65 +619,35 @@ def build_parser() -> argparse.ArgumentParser:
                            "(also after a simulated crash)")
     comp.add_argument("--resume-from", default=None, metavar="PATH",
                       help="resume from a checkpoint saved with --checkpoint-out")
-    comp.add_argument("--cache-policy", choices=CACHE_POLICIES, default="none",
-                      help="DRAM page cache between engine and SSD (default: none)")
-    comp.add_argument("--cache-bytes", type=int, default=None, metavar="BYTES",
-                      help="cache budget; implies --cache-policy clock "
-                           "(default: the cache_fraction share of host DRAM)")
-    comp.add_argument("--io-plan", choices=IO_PLAN_MODES, default="off",
-                      help="superstep I/O planner: off (per-path batches), coalesce "
-                           "(extent reads + channel-balanced waves), or "
-                           "coalesce+readahead (adds next-group prefetch; requires "
-                           "--cache-policy clock).  Values are identical in every "
-                           "mode; only simulated storage time changes (default: off)")
-    comp.add_argument("--readahead-pages", type=int, default=None, metavar="N",
-                      help="per-superstep prefetch page budget; only valid with "
-                           "--io-plan coalesce+readahead (default: 64)")
     comp.add_argument("--fault", default=None, metavar="SPEC",
                       help="inject a fault: KIND@OPS[:KLASS], KIND in crash/torn/error "
                            "(e.g. crash@40, torn@10:mlog, error@5:csr_col)")
     comp.add_argument("--fault-seed", type=int, default=0)
-    comp.add_argument("--updates", default=None, metavar="FILE",
-                      help="JSONL edge updates to merge before the run "
-                           "(conflicts with --resume-from)")
-    comp.add_argument("--recompute", choices=("auto", "incremental", "full"),
-                      default="auto",
-                      help="with --updates: warm-start policy (default: auto)")
-    comp.add_argument("--trace", default=None, metavar="PATH",
-                      help="record engine trace events and write them as JSONL")
+    stack = comp.add_argument_group(
+        "storage stack", "one flag per config.KNOBS entry; a flag left out keeps "
+        "the default (an engine without simulated I/O takes none)")
+    for knob in KNOBS.values():
+        kind = {"choices": knob.choices} if knob.choices else {"type": int, "metavar": "N"}
+        env = f", or ${knob.env}" if knob.env else ""
+        stack.add_argument(knob.flag, dest=knob.name, default=None,
+                           help=f"{knob.help} (default: {knob.default}{env})", **kind)
     comp.set_defaults(func=cmd_compute)
+
     ing = sub.add_parser(
-        "ingest",
+        "ingest", parents=[shared],
         help="stream edge updates into a graph and keep results fresh "
              "(multi-log ingestion + incremental recomputation)",
     )
-    ing.add_argument("algorithm", choices=_COMPUTE_ALGORITHMS)
-    ing.add_argument("--dataset", default="rmat256", choices=_DATASET_NAMES,
-                     metavar="NAME",
-                     help=f"one of: {', '.join(_DATASET_NAMES)} (default: rmat256)")
-    ing.add_argument("--scale", choices=("test", "bench", "large"), default="test")
-    ing.add_argument("--engine", default="multilogvc",
-                     help="engine for the recomputes (default: multilogvc)")
-    ing.add_argument("--updates", default=None, metavar="FILE",
-                     help="JSONL update records, split evenly into --batches chunks")
     ing.add_argument("--random", type=int, default=None, metavar="N",
                      help="generate N seeded random ops per batch instead of a file")
     ing.add_argument("--batches", type=int, default=3, metavar="B",
                      help="number of update batches (default: 3)")
-    ing.add_argument("--source", type=int, default=0, help="bfs/sssp source vertex")
     ing.add_argument("--max-supersteps", type=int, default=50)
-    ing.add_argument("--seed", type=int, default=0)
-    ing.add_argument("--recompute", choices=("auto", "incremental", "full"),
-                     default="auto",
-                     help="warm-start policy per batch (default: auto)")
     ing.add_argument("--compact-threshold", type=float, default=None, metavar="F",
                      help="compact an interval when its garbage fraction exceeds F")
     ing.add_argument("--max-delta-fraction", type=float, default=None, metavar="F",
                      help="'auto' falls back to full recompute above this "
                           "changed-edge fraction")
-    ing.add_argument("--trace", default=None, metavar="PATH",
-                     help="record trace events (ingest_stats/compaction included) "
-                          "and write them as JSONL")
     ing.add_argument("--json", default=None, metavar="PATH",
                      help="write per-batch stats and stream totals as JSON")
     ing.set_defaults(func=cmd_ingest)
@@ -796,7 +677,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except SimulatedCrashError as exc:
+        print(f"simulated power loss: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,6 +13,8 @@ of the knobs that shape the paper's results live in one place:
   pointers, 4-byte vertex ids).
 * :class:`ComputeConfig` -- the per-edge/per-update compute cost model
   that stands in for the paper's multicore CPU.
+* :data:`KNOBS` -- the storage-stack knobs below the engine, one
+  :class:`Knob` declaration each.
 
 :class:`SimConfig` bundles the four and validates cross-field invariants.
 All dataclasses are frozen: derive variants with :func:`dataclasses.replace`
@@ -24,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from .errors import ConfigError
 
@@ -44,51 +46,102 @@ IO_PLAN_MODES = ("off", "coalesce", "coalesce+readahead")
 #: stream logs) whole onto one device each so a log stays sequential.
 PLACEMENTS = ("stripe", "affinity")
 
-#: The storage-stack knobs: the :class:`SimConfig` fields that describe
-#: the machine *below* the engine (page cache, worker lanes, I/O
-#: planner, device array), each with its built-in default.  They are
-#: declared here and nowhere else -- :class:`~repro.options.EngineOptions`
-#: carries only what an engine itself consumes.  The conformance fuzzer
-#: and shrinker iterate this dict (the shrinker drops knobs in this
-#: order), so a saved case that omits a knob runs at the built-in
-#: default whatever the ``REPRO_*`` environment says.
-STACK_KNOBS = {
-    "num_devices": 1,
-    "placement": "affinity",
-    "io_plan": "off",
-    "readahead_pages": 64,
-    "cache_policy": "none",
-    "cache_bytes": None,
-    "num_workers": 1,
-}
 
+@dataclass(frozen=True)
+class Knob:
+    """One storage-stack knob: a :class:`SimConfig` field describing the
+    machine *below* the engine (page cache, worker lanes, I/O planner,
+    device array), declared here and nowhere else.
 
-def _from_env(var: str, knob: str, parse):
-    """Default factory of a stack knob the CI matrix sets from the environment.
-
-    ``REPRO_NUM_WORKERS``, ``REPRO_IO_PLAN`` and ``REPRO_DEVICES`` let CI
-    run the whole test suite at 4 lanes, with the planner engaged, or
-    on a 4-device array without touching any call site.  Values and
-    records are bit-identical at any setting (DESIGN.md §11, §13, §14),
-    so these are coverage knobs, not tuning knobs.  An unset or
-    unparseable variable falls back to the built-in default.
+    The field's default (and ``REPRO_*`` default factory), its domain
+    check in :meth:`SimConfig.validate`, its ``repro compute`` flag,
+    ``repro info``'s line and README's knob table all derive from this.
+    :class:`~repro.options.EngineOptions` carries only what an engine
+    itself consumes.
     """
 
-    def default():
+    name: str
+    default: Any
+    #: ``repro compute`` flag; it takes an ``int`` unless ``choices``.
+    flag: str
+    help: str
+    choices: Tuple[str, ...] = ()
+    #: Smallest valid value of an integer knob, or a function of the
+    #: config when the bound depends on another field.
+    minimum: Union[int, Callable[["SimConfig"], int], None] = None
+    #: Environment variable that overrides the built-in default.
+    env: Optional[str] = None
+    #: ``(knob, value)`` that giving this knob's flag also sets.
+    implies: Optional[Tuple[str, Any]] = None
+
+    def env_default(self) -> Any:
+        """The ``env`` variable's value, or the built-in default when it
+        is unset or unparseable; integers are clamped to ``minimum``.
+
+        ``REPRO_NUM_WORKERS``, ``REPRO_IO_PLAN`` and ``REPRO_DEVICES`` let
+        CI run the whole test suite at 4 lanes, with the planner engaged,
+        or on a 4-device array without touching any call site.  Values
+        and records are bit-identical at any setting (DESIGN.md §11, §13,
+        §14), so these are coverage knobs, not tuning knobs.
+        """
+        text = os.environ.get(self.env)
+        if self.choices:
+            return text if text in self.choices else self.default
         try:
-            return parse(os.environ[var])
-        except (KeyError, ValueError):
-            return STACK_KNOBS[knob]
+            return max(self.minimum, int(text))
+        except (TypeError, ValueError):
+            return self.default
 
-    return default
+    def check(self, cfg: "SimConfig") -> None:
+        value = getattr(cfg, self.name)
+        if self.choices:
+            if value not in self.choices:
+                raise ConfigError(f"{self.name} must be one of {self.choices}, got {value!r}")
+        elif value is not None or self.default is not None:  # None: optional, unset
+            low = self.minimum(cfg) if callable(self.minimum) else self.minimum
+            if value < low:
+                raise ConfigError(f"{self.name} must be >= {low}, got {value}")
 
 
-def _count(text: str) -> int:
-    return max(1, int(text))
+#: The storage-stack knobs by name, in the order the conformance
+#: shrinker drops them.
+KNOBS: Dict[str, Knob] = {
+    knob.name: knob
+    for knob in (
+        Knob("num_devices", 1, "--devices",
+             "simulated SSD array size (DESIGN.md §14); results are identical at any N, "
+             "only the device overlay changes",
+             minimum=1, env="REPRO_DEVICES"),
+        Knob("placement", "affinity", "--placement",
+             "device-array placement policy; only meaningful with more than one device",
+             choices=PLACEMENTS),
+        Knob("io_plan", "off", "--io-plan",
+             "superstep I/O planner (DESIGN.md §13): per-path batches, extent reads + "
+             "channel-balanced waves, or both plus next-group prefetch into the page cache",
+             choices=IO_PLAN_MODES, env="REPRO_IO_PLAN"),
+        Knob("cache_policy", "none", "--cache-policy",
+             "DRAM page cache between engine and SSD (DESIGN.md §10)",
+             choices=CACHE_POLICIES),
+        Knob("cache_bytes", None, "--cache-bytes",
+             "page-cache budget in bytes, at least one SSD page; implies clock; "
+             "None is the cache_fraction share of host DRAM",
+             minimum=lambda cfg: cfg.ssd.page_size, implies=("cache_policy", "clock")),
+        Knob("num_workers", 1, "--workers",
+             "simulated worker lanes (DESIGN.md §11); results are identical at any N, "
+             "only the scheduler overlay changes",
+             minimum=1, env="REPRO_NUM_WORKERS"),
+    )
+}
+
+#: Each stack knob's built-in default.  The conformance fuzzer and
+#: shrinker iterate this dict, so a saved case that omits a knob runs at
+#: the built-in default whatever the ``REPRO_*`` environment says.
+STACK_KNOBS = {name: knob.default for name, knob in KNOBS.items()}
 
 
-def _io_plan_mode(text: str) -> str:
-    return IO_PLAN_MODES[IO_PLAN_MODES.index(text)]  # ValueError when unknown
+def _knob_field(name: str):
+    knob = KNOBS[name]
+    return field(default_factory=knob.env_default) if knob.env else field(default=knob.default)
 
 
 @dataclass(frozen=True)
@@ -307,51 +360,17 @@ class SimConfig:
     page_efficiency_threshold: float = 0.10
     #: Structural updates buffered per interval before merge (paper §V-E).
     mutation_merge_threshold: int = 1024
-    #: DRAM page cache between the engines and the simulated SSD
-    #: (DESIGN.md §10).  ``"none"`` (the default) reproduces the paper's
-    #: uncached setup exactly; ``"clock"`` enables a budgeted CLOCK
-    #: cache so reads charge flash only on misses (writes stay
-    #: write-through).
-    cache_policy: str = STACK_KNOBS["cache_policy"]
-    #: Explicit cache budget in bytes; ``None`` resolves to
-    #: ``memory.cache_bytes_default`` (the ``cache_fraction`` share of
-    #: host DRAM).  Ignored while ``cache_policy="none"``.
-    cache_bytes: Optional[int] = STACK_KNOBS["cache_bytes"]
-    #: Simulated worker lanes (DESIGN.md §11).  Groups always run one
-    #: after another on the calling thread, so values, records and
-    #: traces are bit-identical at any count; with more than one lane
-    #: the engine also reports the modelled lane/channel overlap
-    #: (``scheduler.*`` gauges, ``parallel_stats`` events).  The default
-    #: honours the ``REPRO_NUM_WORKERS`` environment variable (CI matrix
-    #: knob).
-    num_workers: int = field(default_factory=_from_env("REPRO_NUM_WORKERS", "num_workers", _count))
-    #: Superstep I/O planner (DESIGN.md §13).  ``"off"`` (the default)
-    #: reproduces the seed's per-path device batches exactly;
-    #: ``"coalesce"`` collects each group's page demand and charges it
-    #: as extent reads plus channel-balanced dispatch waves;
-    #: ``"coalesce+readahead"`` additionally prefetches the predicted
-    #: next group's pages into the CLOCK page cache (requires
-    #: ``cache_policy != "none"`` to have any effect).  Values, records
-    #: and semantic traces are bit-identical in every mode; only
-    #: batching and simulated storage time change.  The default honours
-    #: the ``REPRO_IO_PLAN`` environment variable (CI matrix knob).
-    io_plan: str = field(default_factory=_from_env("REPRO_IO_PLAN", "io_plan", _io_plan_mode))
-    #: Page budget per superstep for the planner's cache-aware
-    #: read-ahead (``io_plan="coalesce+readahead"`` only).
-    readahead_pages: int = STACK_KNOBS["readahead_pages"]
-    #: Number of independent simulated SSDs in the device array
-    #: (DESIGN.md §14).  ``1`` (the default) reproduces the seed's
-    #: single-device behaviour exactly; ``N > 1`` stripes pages across
-    #: ``N`` devices and reports the cross-device concurrency win as an
-    #: overlay (``device.*`` gauges, ``device_stats`` trace kind) while
-    #: the committed accounting -- and therefore values, records and
-    #: semantic traces -- stays bit-identical at any device count.  The
-    #: default honours the ``REPRO_DEVICES`` environment variable (CI
-    #: matrix knob).
-    num_devices: int = field(default_factory=_from_env("REPRO_DEVICES", "num_devices", _count))
-    #: Device-array placement policy (see :data:`PLACEMENTS`); ignored
-    #: while ``num_devices == 1``.
-    placement: str = STACK_KNOBS["placement"]
+    #: The storage-stack knobs (:data:`KNOBS` declares each one's
+    #: default, ``REPRO_*`` default and domain).  Values, records and
+    #: semantic traces are bit-identical at any setting of lanes,
+    #: planner and device array; the cache changes only what is charged.
+    cache_policy: str = _knob_field("cache_policy")
+    #: ``None`` resolves to ``memory.cache_bytes_default``.
+    cache_bytes: Optional[int] = _knob_field("cache_bytes")
+    num_workers: int = _knob_field("num_workers")
+    io_plan: str = _knob_field("io_plan")
+    num_devices: int = _knob_field("num_devices")
+    placement: str = _knob_field("placement")
     #: Streaming update store (DESIGN.md §12): an interval is compacted
     #: -- its surviving edges rewritten as a fresh base CSR and its
     #: delta log truncated -- when dead + tombstone records exceed this
@@ -377,26 +396,8 @@ class SimConfig:
             raise ConfigError("page_efficiency_threshold must be in (0, 1)")
         if self.mutation_merge_threshold < 1:
             raise ConfigError("mutation_merge_threshold must be >= 1")
-        if self.num_workers < 1:
-            raise ConfigError("num_workers must be >= 1")
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ConfigError(
-                f"cache_policy must be one of {CACHE_POLICIES}, got {self.cache_policy!r}"
-            )
-        if self.cache_bytes is not None and self.cache_bytes < self.ssd.page_size:
-            raise ConfigError("cache_bytes must hold at least one SSD page")
-        if self.io_plan not in IO_PLAN_MODES:
-            raise ConfigError(
-                f"io_plan must be one of {IO_PLAN_MODES}, got {self.io_plan!r}"
-            )
-        if self.readahead_pages < 0:
-            raise ConfigError("readahead_pages must be non-negative")
-        if self.num_devices < 1:
-            raise ConfigError(f"num_devices must be >= 1, got {self.num_devices}")
-        if self.placement not in PLACEMENTS:
-            raise ConfigError(
-                f"placement must be one of {PLACEMENTS}, got {self.placement!r}"
-            )
+        for knob in KNOBS.values():
+            knob.check(self)
         if self.memory.multilog_bytes < self.ssd.page_size:
             raise ConfigError(
                 "multi-log buffer smaller than one SSD page: raise total_bytes or multilog_fraction"
@@ -437,9 +438,9 @@ class SimConfig:
             stream_max_delta_fraction=max_delta_fraction,
         )
 
-    def with_io_plan(self, mode: str, readahead_pages: Optional[int] = None) -> "SimConfig":
+    def with_io_plan(self, mode: str) -> "SimConfig":
         """Return a copy with the superstep I/O planner configured."""
-        return self._with_given(io_plan=mode, readahead_pages=readahead_pages)
+        return dataclasses.replace(self, io_plan=mode)
 
     def with_devices(self, num_devices: Optional[int] = None, placement: Optional[str] = None) -> "SimConfig":
         """Return a copy with the simulated device array configured."""

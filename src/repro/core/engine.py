@@ -154,9 +154,7 @@ class MultiLogVC(SuperstepEngine):
         # to prefetch into.
         planner = None
         if cfg.io_plan != "off":
-            planner = SuperstepIOPlanner(
-                self.fs.device, self.fs.cache, cfg.io_plan, cfg.readahead_pages
-            )
+            planner = SuperstepIOPlanner(self.fs.device, self.fs.cache, cfg.io_plan)
         # Simulated worker lanes (DESIGN.md §11): groups always run in
         # one synchronous in-order loop; with lanes > 1 the iterator also
         # keeps the lane/channel overlap overlay.  The overlay models

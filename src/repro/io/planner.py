@@ -22,7 +22,7 @@ synchronous delivery, a superset under async.  Predicted vertices map
 to CSR pages the same way the loader will map them one group later;
 pages the edge log covers or that are already cache-resident are
 skipped, and the remainder is prefetched into the CLOCK cache within
-``readahead_pages`` and the cache's existing byte budget.
+:data:`READAHEAD_PAGES` and the cache's existing byte budget.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ import numpy as np
 from ..config import IO_PLAN_MODES
 from ..obs.overlay import Overlay
 from .plan import IOPlan, PlanOutcome
+
+#: Pages the cache-aware read-ahead may prefetch per superstep.
+READAHEAD_PAGES = 64
 
 
 class SuperstepIOPlanner(Overlay):
@@ -50,7 +53,7 @@ class SuperstepIOPlanner(Overlay):
         device,
         cache=None,
         mode: str = "coalesce",
-        readahead_pages: int = 64,
+        readahead_pages: int = READAHEAD_PAGES,
     ) -> None:
         if mode not in IO_PLAN_MODES or mode == "off":
             raise ValueError(f"planner mode must be an active io_plan value, got {mode!r}")

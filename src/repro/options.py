@@ -14,7 +14,7 @@ silent no-op).
 What is *not* here: the storage-stack knobs (page cache, worker lanes,
 I/O planner, device array).  They describe the machine below every
 engine and are declared once, on :class:`~repro.config.SimConfig`
-(:data:`~repro.config.STACK_KNOBS`); set them with the config's
+(:data:`~repro.config.KNOBS`); set them with the config's
 ``with_*`` helpers (README "Knobs").  The streaming recompute policy is a
 :class:`~repro.stream.StreamSession` keyword.  Both spellings used to
 exist on this class too and now raise ``TypeError``, as do the still

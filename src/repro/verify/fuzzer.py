@@ -459,7 +459,9 @@ def _config_dict(rng: np.random.Generator) -> Dict[str, Any]:
     # is itself a documented behaviour worth fuzzing.
     if int(rng.integers(0, 3)) == 0:
         cdict["io_plan"] = str(rng.choice(IO_PLAN_MODES[1:]))
-        cdict["readahead_pages"] = int(rng.integers(1, 65))
+        # The read-ahead budget was drawn here before it became a planner
+        # constant; the draw stays so every case of every seed is unchanged.
+        rng.integers(1, 65)
     # Device-array dimension (DESIGN.md §14): a third of cases run on a
     # multi-SSD array; canonical accounting is untouched by design, so
     # the oracle comparison doubles as a placement-invariance check

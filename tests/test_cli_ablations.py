@@ -2,8 +2,20 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import engines
+from repro.cli import _stack_config, build_parser, main
+from repro.config import KNOBS
 from repro.experiments import ablations
+
+#: A valid non-default command-line value for every stack knob.
+NON_DEFAULT_FLAG_VALUES = {
+    "num_devices": "3",
+    "placement": "stripe",
+    "io_plan": "coalesce",
+    "cache_policy": "clock",
+    "cache_bytes": "65536",
+    "num_workers": "3",
+}
 
 
 class TestCLI:
@@ -116,8 +128,12 @@ class TestComputeIOPlanKnobs:
             main(["compute", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for token in ("--io-plan", "coalesce+readahead", "--readahead-pages"):
+        for token in ("--io-plan", "coalesce+readahead"):
             assert token in out
+        for knob in KNOBS.values():
+            assert knob.flag in out
+            if knob.choices:
+                assert "{" + ",".join(knob.choices) + "}" in out
 
     def test_bad_mode_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -131,19 +147,11 @@ class TestComputeIOPlanKnobs:
         assert rc == 2
         assert "requires a page cache" in capsys.readouterr().err
 
-    def test_readahead_pages_requires_readahead_mode(self, capsys):
-        rc = main(["compute", "pagerank", "--dataset", "chain",
-                   "--io-plan", "coalesce", "--readahead-pages", "8"])
-        assert rc == 2
-        assert "--io-plan coalesce+readahead" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "flags, complaint",
         [
             (["--workers", "0"], "num_workers"),
             (["--cache-bytes", "100"], "cache_bytes"),
-            (["--readahead-pages", "-1", "--io-plan", "coalesce+readahead",
-              "--cache-policy", "clock"], "readahead_pages"),
             (["--devices", "0"], "num_devices"),
         ],
     )
@@ -163,6 +171,28 @@ class TestComputeIOPlanKnobs:
     def test_readahead_runs_with_cache(self, capsys):
         rc = main(["compute", "pagerank", "--dataset", "chain",
                    "--cache-policy", "clock",
-                   "--io-plan", "coalesce+readahead", "--readahead-pages", "8",
+                   "--io-plan", "coalesce+readahead",
                    "--max-supersteps", "4"])
         assert rc == 0
+
+
+class TestStackFlags:
+    """Each ``compute`` stack flag is derived from its ``config.KNOBS`` entry."""
+
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_flag_sets_its_config_field(self, name):
+        knob, text = KNOBS[name], NON_DEFAULT_FLAG_VALUES[name]
+        args = build_parser().parse_args(["compute", "pagerank", knob.flag, text])
+        cfg = _stack_config(args, engines()[args.engine])
+        value = text if knob.choices else int(text)
+        assert value != knob.default
+        assert getattr(cfg, name) == value
+
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_flag_rejected_by_an_in_memory_engine(self, capsys, name):
+        assert engines()["oracle"].in_memory
+        rc = main(["compute", "pagerank", "--engine", "oracle",
+                   KNOBS[name].flag, NON_DEFAULT_FLAG_VALUES[name]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no simulated I/O" in err and KNOBS[name].flag in err

@@ -1,11 +1,13 @@
 """Configuration validation and derived quantities."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.config import (
     DEFAULT_CONFIG,
+    KNOBS,
     STACK_KNOBS,
     ComputeConfig,
     MemoryConfig,
@@ -203,3 +205,34 @@ class TestStackKnobs:
         assert getattr(SimConfig(), knob) == expected
         # An explicit value always wins over the environment.
         assert getattr(SimConfig(**{knob: STACK_KNOBS[knob]}), knob) == STACK_KNOBS[knob]
+
+
+def render_knob_table():
+    """README's "Knobs" table, one row per ``config.KNOBS`` entry."""
+    rows = [
+        "| `SimConfig` field | CLI flag (`compute`) | env default | default | meaning |",
+        "|---|---|---|---|---|",
+    ]
+    for knob in KNOBS.values():
+        arg = "\\|".join(knob.choices) if knob.choices else "N"
+        env = f"`{knob.env}`" if knob.env else "—"
+        rows.append(
+            f"| `{knob.name}` | `{knob.flag} {arg}` | {env} | `{knob.default!r}` | {knob.help} |"
+        )
+    return rows
+
+
+def test_readme_knob_table_is_rendered_from_the_declaration():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Knobs") :].splitlines()
+    start = next(i for i, line in enumerate(section) if line.startswith("|"))
+    end = next(i for i in range(start, len(section)) if not section[i].startswith("|"))
+    assert section[start:end] == render_knob_table()
+
+
+@pytest.mark.parametrize("name", sorted(KNOBS))
+def test_out_of_domain_value_names_the_field(name):
+    knob = KNOBS[name]
+    bad = "bogus" if knob.choices else 0
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        SimConfig(**{name: bad})

@@ -256,13 +256,6 @@ class TestKnobs:
             small_test_config().with_io_plan(mode)
         with pytest.raises(ConfigError):
             SimConfig(io_plan="bogus")
-        with pytest.raises(ConfigError):
-            SimConfig(readahead_pages=-1)
-
-    def test_with_io_plan_keeps_the_budget_unless_given(self):
-        cfg = small_test_config().with_io_plan("coalesce", readahead_pages=16)
-        assert (cfg.io_plan, cfg.readahead_pages) == ("coalesce", 16)
-        assert cfg.with_io_plan("off").readahead_pages == 16
 
 
 # -- end-to-end equivalence --------------------------------------------------
