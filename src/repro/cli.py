@@ -50,7 +50,9 @@ import numpy as np
 
 from . import algorithms as alg
 from .config import DEFAULT_CONFIG, KNOBS, small_test_config
-from .errors import ConfigError, GraphFormatError, RecoveryError, SimulatedCrashError
+from .errors import (
+    ConfigError, EngineError, GraphFormatError, RecoveryError, SimulatedCrashError
+)
 from .experiments import ALL_EXPERIMENTS
 from .experiments.common import ExperimentResult
 from .graph import datasets as ds
@@ -236,6 +238,18 @@ def _config(args, **changes):
         raise UsageError(f"invalid configuration: {exc}") from None
 
 
+def _options(args, **fields) -> EngineOptions:
+    """``args.engine``'s options; a bad option or ``--max-supersteps`` is a usage error."""
+    options = EngineOptions(**fields)
+    try:
+        options.validate_for(args.engine)
+        if args.max_supersteps < 0:
+            raise EngineError(f"max_supersteps must be >= 0, got {args.max_supersteps}")
+    except EngineError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
+    return options
+
+
 def _stack_config(args, caps):
     """``compute``'s config: the stack flags given (``config.KNOBS``) on
     the base; a flag left out keeps the built-in or ``REPRO_*`` default."""
@@ -313,16 +327,16 @@ def cmd_compute(args) -> int:
             "graph it was computed on, which the update batch changes"
         )
     cfg = _stack_config(args, caps)
-
-    weighted = args.weighted or args.algorithm in _NEEDS_WEIGHTS
-    graph = _compute_dataset(args.dataset, args.scale, weighted)
-    program = _compute_program(args.algorithm, args)
     opt_kwargs = {}
     if caps.supports_checkpoint:
         opt_kwargs = dict(
             checkpoint_every=args.checkpoint_every, checkpoint_mode=args.checkpoint_mode
         )
-    options = EngineOptions(**opt_kwargs)
+    options = _options(args, **opt_kwargs)
+
+    weighted = args.weighted or args.algorithm in _NEEDS_WEIGHTS
+    graph = _compute_dataset(args.dataset, args.scale, weighted)
+    program = _compute_program(args.algorithm, args)
 
     if args.updates:
         (delta,) = _read_deltas(args.updates, graph.n)
@@ -395,6 +409,7 @@ def cmd_ingest(args) -> int:
         stream_compact_threshold=args.compact_threshold,
         stream_max_delta_fraction=args.max_delta_fraction,
     )
+    options = _options(args)
     weighted = args.algorithm in _NEEDS_WEIGHTS
     graph = _compute_dataset(args.dataset, args.scale, weighted)
     program = _compute_program(args.algorithm, args)
@@ -410,8 +425,8 @@ def cmd_ingest(args) -> int:
     rows = []
     with _trace_to(args.trace) as tracer:
         session = StreamSession(
-            graph, program, engine=args.engine, config=cfg, recompute=args.recompute,
-            tracer=tracer,
+            graph, program, engine=args.engine, config=cfg, options=options,
+            recompute=args.recompute, tracer=tracer,
         )
         base = session.recompute(max_supersteps=args.max_supersteps, seed=args.seed)
         print(f"[baseline: {base.result.summary()}]")

@@ -1,6 +1,8 @@
-"""The MultiLogVC engine: superstep driver (paper Algorithm 1).
+"""The MultiLogVC engine: the steps of paper Algorithm 1.
 
-One superstep:
+The superstep loop itself is :meth:`SuperstepEngine._run
+<repro.core.superstep.SuperstepEngine._run>`; this module supplies its
+steps (DESIGN.md §3).  One superstep:
 
 1. plan interval groups -- fuse contiguous intervals whose estimated
    logs fit the sort budget (§V-A2);
@@ -37,7 +39,6 @@ from ..graph.storage import GraphOnSSD
 from ..mem.budget import MemoryBudget
 from ..obs.overlay import Overlay
 from ..recovery.checkpoint import CheckpointData, CheckpointManager, _record_from_state
-from .active import ActiveTracker
 from .api import InitialState, VertexProgram
 from .combine import precombine
 from .edgelog import KLASS_EDGELOG, EdgeLogOptimizer
@@ -46,14 +47,10 @@ from .multilog import KLASS_MLOG, MultiLogUnit
 from .mutation import MutationBuffer
 from .pipeline import GroupPipeline, PreparedGroup, charge_rollup
 from .scheduler import ParallelGroupScheduler
-from .results import ComputeMeter, RunResult, SuperstepRecord
+from .results import RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
 from .superstep import SuperstepEngine
 from .update import UpdateBatch, natural_runs
-
-
-class _Converged(Exception):
-    """Internal control flow: the superstep loop reached a fixed point."""
 
 
 class MultiLogVC(SuperstepEngine):
@@ -72,7 +69,8 @@ class MultiLogVC(SuperstepEngine):
         Optional existing simulated file system (a fresh one otherwise).
     options:
         Consolidated :class:`~repro.options.EngineOptions` (mode,
-        enable_edgelog, enable_fusing, min_intervals, intervals).
+        enable_edgelog, enable_fusing, enable_precombine, min_intervals,
+        intervals, checkpoint_every, checkpoint_mode).
     tracer:
         Observability event sink; defaults to the ambient tracer (the
         null tracer unless :func:`repro.obs.use_tracer` is active).
@@ -89,6 +87,8 @@ class MultiLogVC(SuperstepEngine):
         super().__init__(graph, program, *args, **kwargs)
         if program.uses_edge_state and program.mutates_structure:
             raise ProgramError("edge state plus structural mutation is not supported")
+        if program.mutates_structure and self.options.checkpoint_every > 0:
+            raise EngineError("checkpointing does not support structure-mutating programs")
         options = self.options
         self.mode = options.mode
         self.enable_edgelog = options.enable_edgelog
@@ -140,107 +140,74 @@ class MultiLogVC(SuperstepEngine):
         """
         if initial_state is not None and resume_from is not None:
             raise EngineError("initial_state and resume_from are mutually exclusive")
+        return self._run(max_supersteps, seed, initial_state, resume_from)
+
+    def _start(self) -> int:
+        """Run start: the I/O planner, the group iterator, overlays and units."""
         cfg = self.config
         prog = self.program
-        n = self.graph.n
-        rng = np.random.default_rng(seed)
-        self.meter = meter = ComputeMeter(cfg.compute)
-        tracer = self.tracer
         # Superstep I/O planner (DESIGN.md §13): groups collect their
         # page demand on a per-group plan and charge it as coalesced
         # extent reads plus channel-balanced waves.  Values and records
         # are bit-identical with the planner on or off; only batching
         # and simulated storage time change.  Read-ahead needs a cache
         # to prefetch into.
-        planner = None
+        self.planner = None
         if cfg.io_plan != "off":
-            planner = SuperstepIOPlanner(self.fs.device, self.fs.cache, cfg.io_plan)
+            self.planner = SuperstepIOPlanner(self.fs.device, self.fs.cache, cfg.io_plan)
         # Simulated worker lanes (DESIGN.md §11): groups always run in
         # one synchronous in-order loop; with lanes > 1 the iterator also
         # keeps the lane/channel overlap overlay.  The overlay models
         # independent groups, so it is off where groups depend on each
         # other (async injection, structural mutation).
         lanes = cfg.num_workers if self.mode == "sync" and not prog.mutates_structure else 1
-        pipeline = (
-            ParallelGroupScheduler(self.fs.device, lanes, meter)
+        self.pipeline = (
+            ParallelGroupScheduler(self.fs.device, lanes, self.meter)
             if lanes > 1
             else GroupPipeline(self.fs.device)
         )
         # The run's overlays (DESIGN.md §7), in trace order: their gauges
         # are registered here, their snapshots emitted at every superstep
         # end, their counters checkpointed and restored on resume.
-        overlays = [
-            o for o in (self.fs.cache, pipeline, planner, self.fs.device) if isinstance(o, Overlay)
+        self.overlays = [
+            o for o in (self.fs.cache, self.pipeline, self.planner, self.fs.device)
+            if isinstance(o, Overlay)
         ]
-        trace_start = self._start(overlays)
-        reg = self.reg
+        trace_start = super()._start(self.overlays)
+        reg, tracer, n = self.reg, self.tracer, self.graph.n
         # Fault events (injected errors, retries, degradation) are
         # emitted by the device itself; give it this run's tracer.
         self.fs.device.tracer = tracer
-        tracker = ActiveTracker(n, cfg.edgelog_history_window)
-        mlog_cur = MultiLogUnit(
+        self.mlog_cur = MultiLogUnit(
             self.fs, self.intervals, cfg, self.budget, "mlog.a",
             tracker=None, tracer=tracer, metrics=reg,
         )
-        mlog_next = MultiLogUnit(
+        self.mlog_next = MultiLogUnit(
             self.fs, self.intervals, cfg, self.budget, "mlog.b",
-            tracker=tracker, tracer=tracer, metrics=reg,
+            tracker=self.tracker, tracer=tracer, metrics=reg,
         )
-        sortgroup = SortGroupUnit(cfg, self.budget, meter, metrics=reg)
-        loader = GraphLoaderUnit(self.storage, cfg, metrics=reg)
-        edgelog = (
+        self.sortgroup = SortGroupUnit(cfg, self.budget, self.meter, metrics=reg)
+        self.loader = GraphLoaderUnit(self.storage, cfg, metrics=reg)
+        self.edgelog = (
             EdgeLogOptimizer(self.fs, n, cfg, self.budget, metrics=reg, tracer=tracer)
             if self.enable_edgelog
             else None
         )
-        mutations = MutationBuffer(self.storage, cfg) if prog.mutates_structure else None
-        ckpt_mgr = None
-        if self.options.checkpoint_every > 0 or resume_from is not None:
-            if prog.mutates_structure:
-                raise EngineError(
-                    "checkpointing does not support structure-mutating programs: "
-                    "pending mutation buffers are not part of the superstep cut"
-                )
-            ckpt_mgr = CheckpointManager(self.fs, mode=self.options.checkpoint_mode)
-        stats_start = self._stats()
+        self.mutations = MutationBuffer(self.storage, cfg) if prog.mutates_structure else None
+        self.ckpt_mgr = CheckpointManager(self.fs, mode=self.options.checkpoint_mode)
+        return trace_start
 
-        records: List[SuperstepRecord] = []
-        start_step = 0
-        if resume_from is None:
-            init = initial_state if initial_state is not None else prog.initial(self.graph, rng)
-            values = np.array(init.values, dtype=np.float64, copy=True)
-            if values.shape[0] != n:
-                raise ProgramError("initial values must have one entry per vertex")
-            active0 = np.asarray(init.active, dtype=np.int64)
-            if init.messages is not None and init.messages.n:
-                self._log(mlog_cur, [init.messages], meter)
-                active0 = np.union1d(active0, init.messages.dest.astype(np.int64))
-            tracker.seed(active0)
-        else:
-            values, records, start_step, mlog_cur, mlog_next = self._resume(
-                resume_from, tracker, mlog_cur, mlog_next, edgelog,
-                meter, rng, ckpt_mgr, tracer, overlays,
-            )
+    def _seed(self, messages: UpdateBatch) -> None:
+        # Initial messages go through the producer sink like any send.
+        if messages.n:
+            self._log(self.mlog_cur, [messages])
 
-        converged = False
-        try:
-            self._superstep_loop(
-                max_supersteps, records, pipeline, meter, tracker,
-                mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
-                values, prog, cfg, rng, start_step, ckpt_mgr,
-                planner, overlays,
-            )
-        except _Converged:
-            converged = True
+    def _pending_messages(self) -> int:
+        return self.mlog_cur.total_messages
 
-        if mutations is not None:
-            mutations.merge_all()
-        return self._result(values, records, converged, trace_start, stats_start)
-
-    def _resume(
-        self, ckpt, tracker, mlog_a, mlog_b, edgelog, meter, rng, ckpt_mgr, tracer, overlays,
-    ):
-        """Restore a checkpointed superstep cut onto this engine's units.
+    def _resume(self, ckpt: CheckpointData) -> int:
+        """Restore a checkpointed superstep cut onto this run's units;
+        returns the superstep to continue at.
 
         The device clock is rewound to the cut (the checkpoint's stats
         snapshot already includes the checkpoint's own write cost), the
@@ -253,7 +220,7 @@ class MultiLogVC(SuperstepEngine):
         reported here in the ``run_resume`` event.
         """
         ckpt.validate_against(self)
-        units = {mlog_a.name: mlog_a, mlog_b.name: mlog_b}
+        units = {u.name: u for u in (self.mlog_cur, self.mlog_next)}
         if set(units) != set(ckpt.mlogs) or ckpt.mlog_current not in units:
             raise RecoveryError(
                 f"checkpoint multi-log units {sorted(ckpt.mlogs)} do not match "
@@ -261,41 +228,41 @@ class MultiLogVC(SuperstepEngine):
             )
         for name, unit in units.items():
             unit.restore_state(ckpt.mlogs[name])
-        mlog_cur = units[ckpt.mlog_current]
-        (mlog_next,) = [u for u in units.values() if u is not mlog_cur]
-        mlog_cur.tracker = None
-        mlog_next.tracker = tracker
-        tracker.restore_state(ckpt.tracker)
-        if edgelog is not None:
-            edgelog.restore_state(ckpt.edgelog)
+        self.mlog_cur = units.pop(ckpt.mlog_current)
+        (self.mlog_next,) = units.values()
+        self.mlog_cur.tracker = None
+        self.mlog_next.tracker = self.tracker
+        self.tracker.restore_state(ckpt.tracker)
+        if self.edgelog is not None:
+            self.edgelog.restore_state(ckpt.edgelog)
         if ckpt.edge_state is not None:
             for i, arr in enumerate(ckpt.edge_state):
                 files = self.storage.interval_files(i)
                 if files.values is None or files.values.array.shape != arr.shape:
                     raise RecoveryError(f"edge-state shape mismatch in interval {i}")
                 files.values.array[:] = arr
-        values = np.asarray(ckpt.values, dtype=np.float64).copy()
+        self.values = np.asarray(ckpt.values, dtype=np.float64).copy()
         self.fs.next_channel_offset = ckpt.fs_next_offset
         self.fs.device.stats = ckpt.stats.snapshot()
         # Absolute restores: this engine's constructor already wrote the
         # graph image through the cache and the array.
-        for ov in overlays:
+        for ov in self.overlays:
             if ov.trace_kind in ckpt.overlays:
                 ov.restore_overlay(ckpt.overlays[ov.trace_kind])
-        meter.restore(float(ckpt.meter_time_us))
-        rng.bit_generator.state = ckpt.rng_state
+        self.meter.restore(float(ckpt.meter_time_us))
+        self.rng.bit_generator.state = ckpt.rng_state
         # Fresh program instances never saw initial(); let stateful
         # programs rebuild their round state for the resume superstep.
-        self.program.prepare_resume(self.graph, ckpt.step + 1, rng)
-        records = [_record_from_state(d) for d in ckpt.records]
-        ckpt_mgr.resume_at(ckpt)
+        self.program.prepare_resume(self.graph, ckpt.step + 1, self.rng)
+        self.records.extend(_record_from_state(d) for d in ckpt.records)
+        self.ckpt_mgr.resume_at(ckpt)
         # A resumed run starts from a cold cache; uninterrupted runs
         # clear theirs at each checkpoint cut too, so post-cut charging
         # is bit-identical either way (DESIGN.md §10).
         if self.fs.cache is not None:
             self.fs.cache.clear()
-        if tracer.enabled:
-            tracer.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "run_resume",
                 checkpoint_id=int(ckpt.ckpt_id),
                 checkpoint_step=int(ckpt.step),
@@ -304,281 +271,266 @@ class MultiLogVC(SuperstepEngine):
                 recovery_read_pages=int(ckpt.recovery_read_pages),
                 recovery_read_time_us=float(ckpt.recovery_read_time_us),
             )
-        return values, records, ckpt.step + 1, mlog_cur, mlog_next
+        return ckpt.step + 1
 
-    def _superstep_loop(
-        self, max_supersteps, records, pipeline, meter, tracker,
-        mlog_cur, mlog_next, sortgroup, loader, edgelog, mutations,
-        values, prog, cfg, rng, start_step=0, ckpt_mgr=None,
-        planner=None, overlays=(),
-    ) -> None:
-        """Run supersteps until convergence (raises :class:`_Converged`)."""
-        tracer = self.tracer
+    def _step(self, step: int) -> dict:
+        """Plan the interval groups and run the group loop (Algorithm 1)."""
+        prog, cfg, meter, tracker = self.program, self.config, self.meter, self.tracker
+        tracer, planner, edgelog, loader = self.tracer, self.planner, self.edgelog, self.loader
+        mlog_cur, mlog_next, mutations = self.mlog_cur, self.mlog_next, self.mutations
         # Trace field only: does the program bring its own group kernel?
-        kernel = getattr(prog.process_batch, "__func__", None)
-        batched = kernel is not VertexProgram.process_batch
-        for step in range(start_step, max_supersteps):
-            if tracker.n_current == 0 and mlog_cur.total_messages == 0:
-                raise _Converged
-            stats_before = self.fs.stats.snapshot()
-            compute_before = meter.time_us
-            logged_before = mlog_next.appended
+        batched = getattr(prog.process_batch, "__func__", None) is not VertexProgram.process_batch
+        logged_before = mlog_next.appended
 
-            active_ids = tracker.current_ids
-            must = np.zeros(self.intervals.n_intervals, dtype=bool)
-            if active_ids.size:
-                must[np.unique(self.intervals.interval_of(active_ids))] = True
-            groups = sortgroup.plan_groups(
-                mlog_cur,
-                must_include=must,
-                max_group_intervals=None if self.enable_fusing else 1,
+        active_ids = tracker.current_ids
+        must = np.zeros(self.intervals.n_intervals, dtype=bool)
+        if active_ids.size:
+            must[np.unique(self.intervals.interval_of(active_ids))] = True
+        groups = self.sortgroup.plan_groups(
+            mlog_cur,
+            must_include=must,
+            max_group_intervals=None if self.enable_fusing else 1,
+        )
+        if tracer.enabled:
+            tracer.emit(
+                "group_plan",
+                n_groups=len(groups),
+                group_sizes=[len(g) for g in groups],
             )
+
+        # Read-ahead prediction needs the *next* group's vertex span
+        # at prepare time; precompute it from the group plan.
+        next_span = {}
+        if planner is not None and planner.readahead_enabled:
+            for gi in range(len(groups) - 1):
+                ng = groups[gi + 1]
+                next_span[tuple(groups[gi])] = (
+                    self.intervals.span(ng[0])[0],
+                    self.intervals.span(ng[-1])[1],
+                )
+
+        def prepare(group):
+            plan = planner.new_plan() if planner is not None else None
+            extra: Optional[UpdateBatch] = None
+            if self.mode == "async":
+                # Same-superstep updates earlier groups already sent.
+                extra = mlog_next.consume(group)
+            sg = self.sortgroup.load_group(
+                mlog_cur, group, combine=prog.combine, extra=extra,
+                charge_sort=False, plan=plan,
+            )
+            in_span = (active_ids >= sg.vertex_lo) & (active_ids < sg.vertex_hi)
+            self_act = active_ids[in_span]
+            verts = np.union1d(sg.unique_dests.astype(np.int64), self_act)
+            report = ranges = None
+            if verts.size:
+                ranges = self.storage.group_ranges(verts)
+                report = loader.load_active(
+                    verts, prog.needs_weights, prog.uses_edge_state, edgelog,
+                    plan=plan, ranges=ranges,
+                )
+            outcome = None
+            if plan is not None:
+                span = next_span.get(tuple(group))
+                if span is not None:
+                    planner.collect_readahead(
+                        plan, self.storage, edgelog, active_ids, span[0], span[1],
+                        prog.needs_weights or prog.uses_edge_state,
+                    )
+                outcome = plan.execute()
+                # Route each wave's time to the accumulator the
+                # uncoalesced reads would have fed (the plan's add
+                # calls all returned 0.0).
+                for klass, t in outcome.times.items():
+                    if klass == KLASS_MLOG:
+                        mlog_cur.io_time_us += t
+                    elif klass == KLASS_EDGELOG:
+                        report.io_time_us += t
+                        edgelog.apply_read_tally(t, report.edgelog_pages)
+                    elif klass != KLASS_READAHEAD and report is not None:
+                        report.io_time_us += t
+            return PreparedGroup(list(group), sg, verts, report, io_plan=outcome, ranges=ranges)
+
+        outbox: List[UpdateBatch] = []
+
+        def send_batch(dests, srcs, datas):
+            # Columns as the kernel built them: the sink range-checks
+            # the destinations before it narrows anything.
+            outbox.append(UpdateBatch(np.asarray(dests), np.asarray(srcs), np.asarray(datas)))
+
+        sent = 0
+        processed = 0
+        updates_processed = 0
+        edges_scanned = 0
+        ineff_pages = 0
+        accessed_pages = 0
+        avoided_ineff = 0
+        avoided_pages = 0
+        for g_index, (prepared, charges) in enumerate(self.pipeline.run(groups, prepare)):
+            # Record the group's deferred I/O charges, then the sort
+            # charge.  group_load is stamped after the commit, so it
+            # carries the group's storage time.
+            self.fs.device.commit(charges)
+            if planner is not None:
+                planner.apply(prepared.io_plan)
+            sg = prepared.sg
+            meter.charge_sort(sg.sort_items, sg.sort_runs, "sort_group")
+            verts = prepared.verts
+            report = prepared.report
             if tracer.enabled:
-                tracer.set_step(step)
+                io = charge_rollup(charges)
                 tracer.emit(
-                    "superstep_begin",
-                    active=int(tracker.n_current),
-                    pending_messages=int(mlog_cur.total_messages),
+                    "group_load",
+                    group=g_index,
+                    intervals=len(prepared.interval_ids),
+                    records=int(sg.sort_items),
+                    pages_by_class=io["read_pages_by_class"],
+                    io_time_us=io["io_time_us"],
                 )
                 tracer.emit(
-                    "group_plan",
-                    n_groups=len(groups),
-                    group_sizes=[len(g) for g in groups],
+                    "group_sort",
+                    group=g_index,
+                    records=int(sg.sort_items),
+                    natural_runs=int(sg.sort_runs),
+                    unique_dests=int(sg.unique_dests.shape[0]),
                 )
+            if verts.size == 0:
+                continue
+            useful = report.colidx_useful
+            frac = useful / cfg.ssd.page_size
+            ineff_pages += int(((useful > 0) & (frac < cfg.page_efficiency_threshold)).sum())
+            accessed_pages += report.data_pages
+            avoided_ineff += report.avoided_inefficient
+            # Pages the edge log saved: the hypothetical no-edge-log
+            # colidx page set minus the adjacency pages actually read.
+            avoided_pages += max(0, report.hypo_pages - report.data_pages)
+            elog_before = edgelog.vertices_logged if edgelog is not None else 0
 
-            # Read-ahead prediction needs the *next* group's vertex span
-            # at prepare time; precompute it from the group plan.
-            next_span = {}
-            if planner is not None and planner.readahead_enabled:
-                for gi in range(len(groups) - 1):
-                    ng = groups[gi + 1]
-                    next_span[tuple(groups[gi])] = (
-                        self.intervals.span(ng[0])[0],
-                        self.intervals.span(ng[-1])[1],
-                    )
-
-            def prepare(group):
-                plan = planner.new_plan() if planner is not None else None
-                extra: Optional[UpdateBatch] = None
-                if self.mode == "async":
-                    # Same-superstep updates earlier groups already sent.
-                    extra = mlog_next.consume(group)
-                sg = sortgroup.load_group(
-                    mlog_cur, group, combine=prog.combine, extra=extra,
-                    charge_sort=False, plan=plan,
-                )
-                in_span = (active_ids >= sg.vertex_lo) & (active_ids < sg.vertex_hi)
-                self_act = active_ids[in_span]
-                verts = np.union1d(sg.unique_dests.astype(np.int64), self_act)
-                report = ranges = None
-                if verts.size:
-                    ranges = self.storage.group_ranges(verts)
-                    report = loader.load_active(
-                        verts, prog.needs_weights, prog.uses_edge_state, edgelog,
-                        plan=plan, ranges=ranges,
-                    )
-                outcome = None
-                if plan is not None:
-                    span = next_span.get(tuple(group))
-                    if span is not None:
-                        planner.collect_readahead(
-                            plan, self.storage, edgelog, active_ids, span[0], span[1],
-                            prog.needs_weights or prog.uses_edge_state,
-                        )
-                    outcome = plan.execute()
-                    # Route each wave's time to the accumulator the
-                    # uncoalesced reads would have fed (the plan's add
-                    # calls all returned 0.0).
-                    for klass, t in outcome.times.items():
-                        if klass == KLASS_MLOG:
-                            mlog_cur.io_time_us += t
-                        elif klass == KLASS_EDGELOG:
-                            report.io_time_us += t
-                            edgelog.apply_read_tally(t, report.edgelog_pages)
-                        elif klass != KLASS_READAHEAD and report is not None:
-                            report.io_time_us += t
-                return PreparedGroup(list(group), sg, verts, report, io_plan=outcome, ranges=ranges)
-
-            outbox: List[UpdateBatch] = []
-
-            def send_batch(dests, srcs, datas):
-                # Columns as the kernel built them: the sink range-checks
-                # the destinations before it narrows anything.
-                outbox.append(UpdateBatch(np.asarray(dests), np.asarray(srcs), np.asarray(datas)))
-
-            sent = 0
-            processed = 0
-            updates_processed = 0
-            edges_scanned = 0
-            ineff_pages = 0
-            accessed_pages = 0
-            avoided_ineff = 0
-            avoided_pages = 0
-            for g_index, (prepared, charges) in enumerate(pipeline.run(groups, prepare)):
-                # Record the group's deferred I/O charges, then the sort
-                # charge.  group_load is stamped after the commit, so it
-                # carries the group's storage time.
-                self.fs.device.commit(charges)
-                if planner is not None:
-                    planner.apply(prepared.io_plan)
-                sg = prepared.sg
-                meter.charge_sort(sg.sort_items, sg.sort_runs, "sort_group")
-                verts = prepared.verts
-                report = prepared.report
-                if tracer.enabled:
-                    io = charge_rollup(charges)
-                    tracer.emit(
-                        "group_load",
-                        group=g_index,
-                        intervals=len(prepared.interval_ids),
-                        records=int(sg.sort_items),
-                        pages_by_class=io["read_pages_by_class"],
-                        io_time_us=io["io_time_us"],
-                    )
-                    tracer.emit(
-                        "group_sort",
-                        group=g_index,
-                        records=int(sg.sort_items),
-                        natural_runs=int(sg.sort_runs),
-                        unique_dests=int(sg.unique_dests.shape[0]),
-                    )
-                if verts.size == 0:
-                    continue
-                useful = report.colidx_useful
-                frac = useful / cfg.ssd.page_size
-                ineff_pages += int(((useful > 0) & (frac < cfg.page_efficiency_threshold)).sum())
-                accessed_pages += report.data_pages
-                avoided_ineff += report.avoided_inefficient
-                # Pages the edge log saved: the hypothetical no-edge-log
-                # colidx page set minus the adjacency pages actually read.
-                avoided_pages += max(0, report.hypo_pages - report.data_pages)
-                elog_before = edgelog.vertices_logged if edgelog is not None else 0
-
-                # The one dispatch point: the program handles the whole
-                # group (its own kernel, or the default per-vertex loop
-                # over views of the batch -- see repro.core.batch).
-                bctx, es_plan = self._build_batch(
-                    sg, prepared.ranges, prog, send_batch, rng, step, values, mutations
-                )
-                prog.process_batch(bctx)
-                sent += self._log(mlog_next, outbox, meter)
-                outbox.clear()
-                stay = verts[bctx._stay_mask]
-                if stay.size:
-                    tracker.next_self[stay] = True
-                degs = bctx.degrees
-                g_processed = verts.shape[0]
-                g_updates = bctx.total_updates
-                g_edges = int(degs.sum())
-                meter.charge_vertices(g_processed)
-                meter.charge_updates(int(sg.batch.n))
-                meter.charge_edges(g_edges)
-                if edgelog is not None:
-                    predicted = tracker.predict_active_next_many(verts)
-                    cand = predicted & report.vertex_page_inefficient & (degs > 0)
-                    edgelog.consider(verts[cand], degs[cand])
-                if es_plan is not None:
-                    # Scatter the (possibly mutated) edge-state copy back
-                    # and charge dirty val-page writes.
-                    off = 0
-                    for files, idx in es_plan:
-                        files.values.array[idx] = bctx.es_flat[off : off + idx.shape[0]]
-                        off += idx.shape[0]
-                    dirty_verts = verts[bctx._es_dirty]
-                    if dirty_verts.size:
-                        loader.writeback_edge_state(dirty_verts)
-
-                processed += g_processed
-                updates_processed += g_updates
-                edges_scanned += g_edges
-                if tracer.enabled:
-                    tracer.emit(
-                        "group_process",
-                        group=g_index,
-                        vertices=int(g_processed),
-                        updates=int(g_updates),
-                        edges=int(g_edges),
-                        batched=batched,
-                    )
-                    if edgelog is not None:
-                        tracer.emit(
-                            "edgelog_decisions",
-                            group=g_index,
-                            logged=int(edgelog.vertices_logged - elog_before),
-                        )
-
-            if mutations is not None:
-                mutations.merge_ready()
-            elog_logged = edgelog.vertices_logged if edgelog is not None else 0
+            # The one dispatch point: the program handles the whole
+            # group (its own kernel, or the default per-vertex loop
+            # over views of the batch -- see repro.core.batch).
+            bctx, es_plan = self._build_batch(sg, prepared.ranges, send_batch, step)
+            prog.process_batch(bctx)
+            sent += self._log(mlog_next, outbox)
+            outbox.clear()
+            stay = verts[bctx._stay_mask]
+            if stay.size:
+                tracker.next_self[stay] = True
+            degs = bctx.degrees
+            g_processed = verts.shape[0]
+            g_updates = bctx.total_updates
+            g_edges = int(degs.sum())
+            meter.charge_vertices(g_processed)
+            meter.charge_updates(int(sg.batch.n))
+            meter.charge_edges(g_edges)
             if edgelog is not None:
-                edgelog.end_superstep()
-            prog.on_superstep_end(step, values, rng)
+                predicted = tracker.predict_active_next_many(verts)
+                cand = predicted & report.vertex_page_inefficient & (degs > 0)
+                edgelog.consider(verts[cand], degs[cand])
+            if es_plan is not None:
+                # Scatter the (possibly mutated) edge-state copy back
+                # and charge dirty val-page writes.
+                off = 0
+                for files, idx in es_plan:
+                    files.values.array[idx] = bctx.es_flat[off : off + idx.shape[0]]
+                    off += idx.shape[0]
+                dirty_verts = verts[bctx._es_dirty]
+                if dirty_verts.size:
+                    loader.writeback_edge_state(dirty_verts)
 
-            rec = self._record(
-                records, step, stats_before, compute_before,
-                active_vertices=processed,
-                updates_processed=updates_processed,
-                messages_sent=sent,
-                records_logged=mlog_next.appended - logged_before,
-                edges_scanned=edges_scanned,
-                inefficient_pages=ineff_pages,
-                accessed_data_pages=accessed_pages,
-                edgelog_vertices_logged=elog_logged,
-                edgelog_pages_avoided=avoided_pages,
-                inefficient_pages_predicted=avoided_ineff,
-            )
-            # Fold this superstep into the lane overlay whether or not
-            # tracing is on -- the scheduler.* gauges read it either way.
-            pipeline.end_superstep(rec.storage_time_us, rec.compute_time_us)
-            if tracer.enabled:
-                for ov in overlays:
-                    tracer.emit(ov.trace_kind, **ov.snapshot())
-            if self.progress is not None:
-                self.progress(rec)
-            tracker.advance()
-            mlog_cur, mlog_next = mlog_next, mlog_cur
-            mlog_cur.tracker = None
-            mlog_next.tracker = tracker
+            processed += g_processed
+            updates_processed += g_updates
+            edges_scanned += g_edges
             if tracer.enabled:
                 tracer.emit(
-                    "mlog_rotate",
-                    current=mlog_cur.name,
-                    pending_messages=int(mlog_cur.total_messages),
+                    "group_process",
+                    group=g_index,
+                    vertices=int(g_processed),
+                    updates=int(g_updates),
+                    edges=int(g_edges),
+                    batched=batched,
                 )
-            # Checkpoint at the superstep cut: tracker advanced, logs
-            # rotated, records appended -- everything a resumed run
-            # needs is settled.  Its write cost lands between this
-            # superstep's stats window and the next, so per-superstep
-            # records are checkpoint-invariant.
-            if (
-                ckpt_mgr is not None
-                and self.options.checkpoint_every > 0
-                and (step + 1) % self.options.checkpoint_every == 0
-            ):
-                info = ckpt_mgr.write(
-                    engine=self, step=step, values=values, tracker=tracker,
-                    mlog_cur=mlog_cur, mlog_next=mlog_next, edgelog=edgelog,
-                    rng=rng, records=records, meter=meter, overlays=overlays,
-                )
-                if tracer.enabled:
+                if edgelog is not None:
                     tracer.emit(
-                        "checkpoint_write",
-                        ckpt_id=info.ckpt_id,
-                        incremental=info.incremental,
-                        payload_pages=info.payload_pages,
-                        time_us=info.time_us,
+                        "edgelog_decisions",
+                        group=g_index,
+                        logged=int(edgelog.vertices_logged - elog_before),
                     )
-                # Drop cache contents at the cut so a crash-and-resume
-                # from this checkpoint charges I/O exactly like this
-                # uninterrupted run does (counters survive the clear).
-                if self.fs.cache is not None:
-                    self.fs.cache.clear()
-            if prog.is_converged(values):
-                raise _Converged
+
+        if mutations is not None:
+            mutations.merge_ready()
+        elog_logged = edgelog.vertices_logged if edgelog is not None else 0
+        if edgelog is not None:
+            edgelog.end_superstep()
+        return dict(
+            active_vertices=processed,
+            updates_processed=updates_processed,
+            messages_sent=sent,
+            records_logged=mlog_next.appended - logged_before,
+            edges_scanned=edges_scanned,
+            inefficient_pages=ineff_pages,
+            accessed_data_pages=accessed_pages,
+            edgelog_vertices_logged=elog_logged,
+            edgelog_pages_avoided=avoided_pages,
+            inefficient_pages_predicted=avoided_ineff,
+        )
+
+    def _end_superstep(self, step: int, rec: SuperstepRecord) -> None:
+        """Fold the lane overlay and emit the overlay snapshots; after the
+        progress hook and the active-set advance, rotate the multi-log
+        generations and write the checkpoint when one is due."""
+        tracer = self.tracer
+        # Fold this superstep into the lane overlay whether or not
+        # tracing is on -- the scheduler.* gauges read it either way.
+        self.pipeline.end_superstep(rec.storage_time_us, rec.compute_time_us)
+        if tracer.enabled:
+            for ov in self.overlays:
+                tracer.emit(ov.trace_kind, **ov.snapshot())
+        super()._end_superstep(step, rec)
+        self.mlog_cur, self.mlog_next = self.mlog_next, self.mlog_cur
+        self.mlog_cur.tracker = None
+        self.mlog_next.tracker = self.tracker
+        if tracer.enabled:
+            tracer.emit(
+                "mlog_rotate",
+                current=self.mlog_cur.name,
+                pending_messages=int(self.mlog_cur.total_messages),
+            )
+        # Checkpoint at the superstep cut: tracker advanced, logs
+        # rotated, records appended -- everything a resumed run
+        # needs is settled.  Its write cost lands between this
+        # superstep's stats window and the next, so per-superstep
+        # records are checkpoint-invariant.
+        every = self.options.checkpoint_every
+        if every > 0 and (step + 1) % every == 0:
+            info = self.ckpt_mgr.write(
+                engine=self, step=step, values=self.values, tracker=self.tracker,
+                mlog_cur=self.mlog_cur, mlog_next=self.mlog_next, edgelog=self.edgelog,
+                rng=self.rng, records=self.records, meter=self.meter, overlays=self.overlays,
+            )
+            if tracer.enabled:
+                tracer.emit(
+                    "checkpoint_write",
+                    ckpt_id=info.ckpt_id,
+                    incremental=info.incremental,
+                    payload_pages=info.payload_pages,
+                    time_us=info.time_us,
+                )
+            # Drop cache contents at the cut so a crash-and-resume
+            # from this checkpoint charges I/O exactly like this
+            # uninterrupted run does (counters survive the clear).
+            if self.fs.cache is not None:
+                self.fs.cache.clear()
+
+    def _result(self, *args) -> RunResult:
+        # Buffered structural updates land before the run reports.
+        if self.mutations is not None:
+            self.mutations.merge_all()
+        return super()._result(*args)
 
     # ------------------------------------------------------------------
 
-    def _log(self, mlog: MultiLogUnit, batches: List[UpdateBatch], meter: ComputeMeter) -> int:
+    def _log(self, mlog: MultiLogUnit, batches: List[UpdateBatch]) -> int:
         """The one producer sink: seed messages and every group's sends.
 
         Ingests ``batches`` (send order) and returns how many updates the
@@ -592,13 +544,13 @@ class MultiLogVC(SuperstepEngine):
         sent = sum(b.n for b in batches)
         if self.precombine and sent:
             batch = mlog.narrowed(UpdateBatch.concat(batches))
-            meter.charge_sort(sent, natural_runs(batch.dest), "sort_send")
+            self.meter.charge_sort(sent, natural_runs(batch.dest), "sort_send")
             batches = [precombine(batch, self.program.combine, self.intervals)]
         for batch in batches:
             mlog.ingest(batch)
         return sent
 
-    def _build_batch(self, sg, ranges, prog, send_batch, rng, step, values, mutations):
+    def _build_batch(self, sg, ranges, send_batch, step):
         """Assemble the columnar :class:`~repro.core.batch.BatchContext`.
 
         ``ranges`` is the group's
@@ -613,8 +565,8 @@ class MultiLogVC(SuperstepEngine):
         gather/mutate/scatter is equivalent to in-place writes).
 
         ``send_batch`` is the outgoing-update sink (an outbox the engine
-        hands to :meth:`_log` when the kernel returns).  With
-        ``mutations``, each vertex's own
+        hands to :meth:`_log` when the kernel returns).  With a
+        mutation buffer, each vertex's own
         buffered edits are overlaid on its stored adjacency here: a
         vertex runs once per superstep and only ever edits its own
         edges, so nothing the kernel buffers can change this view.
@@ -624,8 +576,9 @@ class MultiLogVC(SuperstepEngine):
         verts = ranges.vertices
         u_lo = np.searchsorted(sg.batch.dest, verts, side="left")
         u_hi = np.searchsorted(sg.batch.dest, verts, side="right")
-        need_w = prog.needs_weights
-        need_es = prog.uses_edge_state
+        need_w = self.program.needs_weights
+        need_es = self.program.uses_edge_state
+        mutations = self.mutations
         degrees = ranges.stops - ranges.starts
         nb_parts, w_parts = [], []
         es_plan = [] if need_es else None
@@ -648,7 +601,7 @@ class MultiLogVC(SuperstepEngine):
         bctx = BatchContext(
             vids=verts,
             superstep=step,
-            values=values,
+            values=self.values,
             u_lo=u_lo,
             u_hi=u_hi,
             usrc=sg.batch.src,
@@ -658,7 +611,7 @@ class MultiLogVC(SuperstepEngine):
             nb_flat=nb_flat,
             w_flat=w_flat,
             send_batch=send_batch,
-            rng=rng,
+            rng=self.rng,
             es_flat=es_flat,
             mutate=mutations.record if mutations is not None else None,
         )

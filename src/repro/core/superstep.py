@@ -1,32 +1,36 @@
-"""The superstep skeleton every engine but MultiLogVC's group loop runs on.
+"""The one superstep loop every engine runs.
 
-GraphChi, GraFBoost, GridGraph/X-Stream and the oracle differ only in how
-updates travel through storage.  Everything else -- the vertex-program
-contract, activation, the superstep record and the trace -- is this
-module's, written once so the engines cannot drift apart:
+MultiLogVC, GraphChi, GraFBoost, GridGraph/X-Stream and the oracle
+differ only in how updates travel through storage.  Everything else --
+the vertex-program contract, activation, the superstep record and the
+trace -- is this module's, written once so the engines cannot drift
+apart:
 
 * set-up: options, graph, program, config, file system, tracer, metrics
   registry and progress hook (:meth:`SuperstepEngine.__init__`);
 * run start: metric registration, the tracer clock, ``run_begin``, the
   :class:`~repro.core.active.ActiveTracker` and seeding from
-  ``initial()`` (:meth:`~SuperstepEngine._start`, :meth:`~SuperstepEngine.run`);
-* the superstep loop: the convergence test, ``superstep_begin``, record
+  ``initial()`` (:meth:`~SuperstepEngine._start`, :meth:`~SuperstepEngine._run`);
+* the superstep loop (:meth:`~SuperstepEngine._run`): the convergence
+  test, ``superstep_begin``, the step, ``on_superstep_end``, record
   assembly from the stats delta and ``superstep_end``
-  (:meth:`~SuperstepEngine._record`), the progress hook and
-  ``is_converged``;
+  (:meth:`~SuperstepEngine._record`), the progress hook, the
+  active-set advance and ``is_converged``;
 * the per-vertex step (:meth:`~SuperstepEngine._vertex`, and
   :meth:`~SuperstepEngine._sweep` for engines that deliver a dest-sorted
   batch) and the one range-checked :class:`Outbox`;
 * run end: ``run_end`` and the :class:`~repro.core.results.RunResult`.
 
-An engine overrides :meth:`~SuperstepEngine._superstep` -- its storage
-traffic, delivery and engine-specific events -- plus, where it differs
-from the default, :meth:`~SuperstepEngine._seed` (initial messages),
-:meth:`~SuperstepEngine._edge_values` and
+A baseline engine overrides :meth:`~SuperstepEngine._superstep` -- its
+storage traffic, delivery and engine-specific events -- plus, where it
+differs from the default, :meth:`~SuperstepEngine._seed` (initial
+messages), :meth:`~SuperstepEngine._edge_values` and
 :meth:`~SuperstepEngine._begin_fields` (``run_begin`` fields).
-MultiLogVC keeps its own group loop (checkpoints, resume, overlays,
-planner events) and shares only set-up, run start/end and record
-assembly.
+MultiLogVC replaces the three steps around it instead:
+:meth:`~SuperstepEngine._step` (its group loop),
+:meth:`~SuperstepEngine._pending_messages` (the multi-log) and
+:meth:`~SuperstepEngine._end_superstep` (overlays, log rotation,
+checkpoints), and restores a checkpoint through its own ``_resume``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..config import DEFAULT_CONFIG, SimConfig
-from ..errors import ProgramError
+from ..errors import EngineError, ProgramError
 from ..graph.csr import CSRGraph
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
@@ -169,60 +173,83 @@ class SuperstepEngine:
         return self._run(max_supersteps, seed)
 
     def _run(
-        self, max_supersteps: int, seed: int, initial_state: Optional[InitialState] = None
+        self, max_supersteps: int, seed: int,
+        initial_state: Optional[InitialState] = None, resume_from=None,
     ) -> RunResult:
+        """The superstep loop; ``resume_from`` continues at the checkpoint's
+        cut through the engine's ``_resume`` (MultiLogVC only)."""
+        if max_supersteps < 0:
+            raise EngineError(f"max_supersteps must be >= 0, got {max_supersteps}")
         prog = self.program
         n = self.graph.n
         tracer = self.tracer
         self.rng = rng = np.random.default_rng(seed)
         self.meter = meter = ComputeMeter(self.config.compute)
-        trace_start = self._start()
         self.tracker = tracker = ActiveTracker(n, self.config.edgelog_history_window)
+        trace_start = self._start()
         stats_start = self._stats()
         self._edge_vals = self._edge_values()
+        self.records = records = []
 
-        init = initial_state if initial_state is not None else prog.initial(self.graph, rng)
-        self.values = values = np.array(init.values, dtype=np.float64, copy=True)
-        if values.shape[0] != n:
-            raise ProgramError("initial values must have one entry per vertex")
-        active0 = np.asarray(init.active, dtype=np.int64)
-        seeds = init.messages if init.messages is not None else UpdateBatch.empty()
-        self.pending = self._seed(seeds)
-        if seeds.n:
-            active0 = np.union1d(active0, seeds.dest.astype(np.int64))
-        tracker.seed(active0)
+        start = 0
+        if resume_from is not None:
+            start = self._resume(resume_from)
+        else:
+            init = initial_state if initial_state is not None else prog.initial(self.graph, rng)
+            self.values = np.array(init.values, dtype=np.float64, copy=True)
+            if self.values.shape[0] != n:
+                raise ProgramError("initial values must have one entry per vertex")
+            active0 = np.asarray(init.active, dtype=np.int64)
+            seeds = init.messages if init.messages is not None else UpdateBatch.empty()
+            self.pending = self._seed(seeds)
+            if seeds.n:
+                active0 = np.union1d(active0, seeds.dest.astype(np.int64))
+            tracker.seed(active0)
 
-        records: List[SuperstepRecord] = []
+        values = self.values
         converged = False
-        for step in range(max_supersteps):
-            if tracker.n_current == 0 and (self.pending is None or self.pending.n == 0):
+        for step in range(start, max_supersteps):
+            pending = self._pending_messages()
+            if tracker.n_current == 0 and not pending:
                 converged = True
                 break
             stats_before = self._stats()
             compute_before = meter.time_us
             if tracer.enabled:
                 tracer.set_step(step)
-                pending = {} if self.pending is None else {"pending_messages": self.pending.n}
-                tracer.emit("superstep_begin", active=int(tracker.n_current), **pending)
-            self.outbox = Outbox(n)
-            self.tally = [0, 0, 0]  # vertices, updates, edges
-            self._superstep(step)
-            tracker.note_messages(self.outbox.dest)
+                extra = {} if pending is None else {"pending_messages": pending}
+                tracer.emit("superstep_begin", active=int(tracker.n_current), **extra)
+            counts = self._step(step)
             prog.on_superstep_end(step, values, rng)
-            processed, updates, edges = self.tally
-            sent = self.outbox.sent
-            rec = self._record(
-                records, step, stats_before, compute_before,
-                active_vertices=processed, updates_processed=updates,
-                messages_sent=sent, records_logged=sent, edges_scanned=edges,
-            )
-            if self.progress is not None:
-                self.progress(rec)
-            tracker.advance()
+            rec = self._record(records, step, stats_before, compute_before, **counts)
+            self._end_superstep(step, rec)
             if prog.is_converged(values):
                 converged = True
                 break
         return self._result(values, records, converged, trace_start, stats_start)
+
+    def _step(self, step: int) -> Dict[str, int]:
+        """One superstep's work; returns the record's counters."""
+        self.outbox = Outbox(self.graph.n)
+        self.tally = [0, 0, 0]  # vertices, updates, edges
+        self._superstep(step)
+        self.tracker.note_messages(self.outbox.dest)
+        processed, updates, edges = self.tally
+        sent = self.outbox.sent
+        return dict(
+            active_vertices=processed, updates_processed=updates,
+            messages_sent=sent, records_logged=sent, edges_scanned=edges,
+        )
+
+    def _pending_messages(self) -> Optional[int]:
+        """Messages the next superstep delivers (``None``: no message log)."""
+        return None if self.pending is None else self.pending.n
+
+    def _end_superstep(self, step: int, rec: SuperstepRecord) -> None:
+        """After ``superstep_end``: the progress hook, then the active-set advance."""
+        if self.progress is not None:
+            self.progress(rec)
+        self.tracker.advance()
 
     # -- the per-vertex step ---------------------------------------------------
 

@@ -21,7 +21,7 @@ Engines are single-threaded and emit events at the point where the
 corresponding work lands in the execution order.  MultiLogVC prepares a
 group under the device's deferred-charge queue and emits its
 ``group_load`` right after the commit in
-:meth:`repro.core.engine.MultiLogVC._superstep_loop`, so the event is
+:meth:`repro.core.engine.MultiLogVC._step`, so the event is
 stamped with the group's I/O already on the simulated clock.
 
 Schema

@@ -175,6 +175,8 @@ class CheckpointData:
             (self.edgelog_enabled == engine.enable_edgelog, "edge-log setting"),
             (self.precombine == engine.precombine, "send-side combine setting"),
             (self.uses_edge_state == bool(prog.uses_edge_state), "edge-state contract"),
+            # Pending mutation buffers are not part of the cut.
+            (not prog.mutates_structure, "structure-mutation contract"),
         ]
         for ok, what in checks:
             if not ok:

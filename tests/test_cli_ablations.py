@@ -153,6 +153,8 @@ class TestComputeIOPlanKnobs:
             (["--workers", "0"], "num_workers"),
             (["--cache-bytes", "100"], "cache_bytes"),
             (["--devices", "0"], "num_devices"),
+            (["--checkpoint-every", "-1"], "checkpoint_every"),
+            (["--max-supersteps", "-1"], "max_supersteps"),
         ],
     )
     def test_out_of_range_knob_exits_2_with_a_message(self, capsys, flags, complaint):

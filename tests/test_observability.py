@@ -34,6 +34,7 @@ from repro.obs import (
     use_tracer,
     write_jsonl,
 )
+from repro.recovery import CheckpointManager
 
 STEPS = 8
 
@@ -195,11 +196,30 @@ class TestMetrics:
 
 
 class TestProgressHook:
-    @pytest.mark.parametrize("engine,factory", ENGINE_CASES)
-    def test_progress_called_per_superstep(self, cfg, rmat256, engine, factory):
+    @pytest.mark.parametrize(
+        "engine,cut",
+        [pytest.param(e, 0, id=f"{e}-pagerank") for e in sorted(repro.ENGINES)]
+        + [pytest.param("multilogvc", 4, id="multilogvc-pagerank-resumed")],
+    )
+    def test_progress_called_per_superstep(self, cfg, rmat256, engine, cut):
+        """The hook sees each superstep the run executes, in order: with
+        ``cut``, a run resumed there sees only the later ones, while its
+        result still holds every record."""
+        full = run_engine(engine, cfg, rmat256, pagerank())
         seen = []
-        res = run_engine(engine, cfg, rmat256, factory(), progress=seen.append)
-        assert [r.index for r in seen] == [r.index for r in res.supersteps]
+        if cut:
+            opts = EngineOptions(checkpoint_every=cut)
+            first = MultiLogVC(rmat256, pagerank(), cfg, options=opts)
+            first.run(cut)
+            res = repro.resume(
+                rmat256, pagerank(), CheckpointManager.load_latest(first.fs),
+                config=cfg, options=opts, progress=seen.append, max_supersteps=STEPS,
+            )
+            assert len(full.supersteps) > cut
+        else:
+            res = run_engine(engine, cfg, rmat256, pagerank(), progress=seen.append)
+        assert res.supersteps == full.supersteps
+        assert seen == full.supersteps[cut:]
 
 
 class TestRunFacade:
@@ -209,6 +229,13 @@ class TestRunFacade:
         assert np.array_equal(norm(direct.values), norm(facade.values))
         for a, b in zip(direct.supersteps, facade.supersteps):
             assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("engine", sorted(repro.ENGINES))
+    def test_negative_superstep_cap_rejected(self, cfg, rmat256, engine):
+        with pytest.raises(EngineError, match="max_supersteps must be >= 0"):
+            repro.run(rmat256, pagerank(), engine=engine, config=cfg, max_supersteps=-3)
+        res = repro.run(rmat256, pagerank(), engine=engine, config=cfg, max_supersteps=0)
+        assert res.supersteps == [] and not res.converged
 
     def test_unknown_engine(self, cfg, rmat256):
         with pytest.raises(EngineError, match="unknown engine"):
