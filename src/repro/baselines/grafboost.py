@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import EngineError
 from ..graph.partition import static_partition, uniform_partition
 from ..graph.storage import GraphOnSSD
-from ..core.combine import combine_sorted
+from ..core.combine import combine_sorted, interval_runs, precombine
 from ..core.superstep import SuperstepEngine
 from ..core.update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch, natural_runs
 from ..mem.pagebuffer import RecordPageBuffer
@@ -87,25 +87,44 @@ class GraFBoost(SuperstepEngine):
     def _pages(self, records: int) -> int:
         return self.config.pages_for_bytes(records * self.config.records.update_bytes)
 
-    def _charge_external_sort(self, batch: UpdateBatch, natural: int) -> UpdateBatch:
-        """Charge the sort-reduce I/O and return the (combined) batch.
+    def _charge_external_sort(self, batch: UpdateBatch) -> UpdateBatch:
+        """Charge the sort-reduce and return the (combined) batch.
 
-        ``batch`` is the superstep's log in arrival order and ``natural``
-        its natural runs, traced for the compute charge.
+        ``batch`` is the superstep's non-empty log in arrival order.  A
+        named combine's compute is charged like MultiLogVC's send-side
+        reduce (``ComputeMeter.charge_sort_reduce`` over the tree's
+        source intervals), anything else as one natural merge.
         """
         cfg = self.config
         raw_records = batch.n
         dev = self.fs.device
         raw_dest = batch.dest  # unsorted arrival order (run membership)
-        batch = batch.sort_by_dest()
+        spec = self.program.combine
+        use_combine = (not self.adapted) and spec is not None
+        reduce_fields = {}
+        if use_combine and isinstance(spec, str):
+            # Level 1 first: the tree over its partials is the tree over
+            # the raw log, bit for bit (repro.core.combine).
+            sizes, interval_natural = interval_runs(batch, self._tree)
+            batch = precombine(batch, spec, self._tree)
+            levels = self.meter.charge_sort_reduce(sizes, interval_natural, batch.n, "sort_log")
+            natural = int(interval_natural.sum())
+            reduce_fields = {
+                "intervals": int(sizes.shape[0]),
+                "survivors": batch.n,
+                "item_levels": levels,
+            }
+        else:
+            natural = natural_runs(raw_dest)
+            self.meter.charge_sort(raw_records, natural, "sort_log")
+            batch = batch.sort_by_dest()
         uniq, offsets = batch.group()
-        use_combine = (not self.adapted) and self.program.combine is not None
 
         sort_mem_pages = max(1, cfg.memory.sort_bytes // cfg.ssd.page_size)
         raw_pages = self._pages(raw_records)
         runs = max(1, math.ceil(raw_pages / sort_mem_pages))
 
-        if use_combine and uniq.shape[0]:
+        if use_combine:
             # Per-run combining during run generation: a run is a
             # memory-sized chunk of the log *in arrival order*, so each
             # run still contains most destinations and shrinks only by
@@ -117,9 +136,7 @@ class GraFBoost(SuperstepEngine):
                 if stop > start:
                     run_records += int(np.unique(raw_dest[start:stop]).shape[0])
             combined_records = int(uniq.shape[0])
-            batch, uniq, offsets = combine_sorted(
-                batch, uniq, offsets, self.program.combine, self._tree
-            )
+            batch, uniq, offsets = combine_sorted(batch, uniq, offsets, spec, self._tree)
         else:
             run_records = raw_records
             combined_records = raw_records
@@ -152,6 +169,7 @@ class GraFBoost(SuperstepEngine):
                 passes=n_passes,
                 records=raw_records,
                 natural_runs=natural,
+                **reduce_fields,
             )
         self._sorted_pages = combined_pages
         return batch
@@ -230,9 +248,7 @@ class GraFBoost(SuperstepEngine):
             if tracer.enabled:
                 tracer.emit("log_flush", pages=len(tail), tail=True)
         raw = self.outbox.batch()
-        natural = natural_runs(raw.dest)
-        self.meter.charge_sort(raw.n, natural, "sort_log")
         if raw.n:
-            self.pending = self._charge_external_sort(raw, natural)
+            self.pending = self._charge_external_sort(raw)
         else:
             self.pending, self._sorted_pages = UpdateBatch.empty(), 0

@@ -24,7 +24,8 @@ the interval holding its ``src``, the sending vertex):
 
 :func:`precombine` is level 1 alone -- what MultiLogVC applies to a
 group's sends before they reach the log -- and :func:`combine_sorted`
-is the whole tree.  A partial is a run of length one, so running the
+is the whole tree.  :func:`interval_runs` finds the streams that
+level 1's reduce is charged by, as a sort-reduce (DESIGN.md §15).  A partial is a run of length one, so running the
 tree over partials, raw updates or any mix of the two gives the same
 bits; nothing about groups, buffers or eviction enters the definition.
 """
@@ -37,7 +38,7 @@ import numpy as np
 
 from ..errors import ProgramError
 from ..graph.partition import VertexIntervals
-from .update import DATA_DTYPE, SRC_DTYPE, UpdateBatch
+from .update import DATA_DTYPE, SRC_DTYPE, UpdateBatch, natural_runs
 
 CombineSpec = Union[str, Callable[[np.ndarray], float]]
 
@@ -55,6 +56,39 @@ def validate_combine(spec: CombineSpec) -> None:
         raise ProgramError("combine must be a named operator or a callable")
 
 
+def _source_intervals(src: np.ndarray, intervals: VertexIntervals) -> np.ndarray:
+    # Clipped, so any src maps to some bucket (a seed may carry an
+    # out-of-graph one).
+    return intervals.dense.take(src, mode="clip")
+
+
+def interval_runs(batch: UpdateBatch, intervals: VertexIntervals) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sizes, runs)`` of the streams a sort-reduce of ``batch`` merges.
+
+    ``batch`` is in send order.  Where its source intervals never
+    decrease -- every superstep's sends, as vertices run in id order --
+    each source interval that sent is one stream: ``sizes[i]`` updates
+    whose destinations form ``runs[i]`` natural runs.  Elsewhere (a seed
+    batch) the whole batch is one stream, ``([n], [natural_runs])``:
+    there level 1 reduces runs that depend on which destinations sit
+    next to each other, so no per-interval merge order is exact
+    (``ComputeMeter.charge_sort_reduce``).
+    """
+    n, src, dest = batch.n, batch.src, batch.dest
+    if (src[1:] >= src[:-1]).all():
+        # Ascending senders (every superstep): the streams are cut at the
+        # interval bounds, with no per-update gather.
+        cuts = np.searchsorted(src, intervals.boundaries[1:-1].astype(src.dtype))
+    else:
+        ival = _source_intervals(src, intervals)
+        if (ival[1:] < ival[:-1]).any():
+            return np.array([n]), np.array([natural_runs(dest)])
+        cuts = np.flatnonzero(ival[1:] != ival[:-1]) + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [n])))
+    runs = [natural_runs(dest[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.diff(bounds), np.array(runs, dtype=np.int64)
+
+
 def _reduce_runs(batch: UpdateBatch, ufunc: np.ufunc, intervals: VertexIntervals):
     """Level 1 over a non-empty dest-sorted batch.
 
@@ -62,9 +96,7 @@ def _reduce_runs(batch: UpdateBatch, ufunc: np.ufunc, intervals: VertexIntervals
     source interval and the reduced payload of every maximal run of
     equal (destination, source interval), in batch order.
     """
-    # Clipped, so any src maps to some bucket (a seed may carry an
-    # out-of-graph one).
-    ival = intervals.dense.take(batch.src, mode="clip")
+    ival = _source_intervals(batch.src, intervals)
     dest = batch.dest
     breaks = np.flatnonzero((dest[1:] != dest[:-1]) | (ival[1:] != ival[:-1])) + 1
     starts = np.concatenate(([0], breaks))

@@ -40,7 +40,7 @@ from ..mem.budget import MemoryBudget
 from ..obs.overlay import Overlay
 from ..recovery.checkpoint import CheckpointData, CheckpointManager, _record_from_state
 from .api import InitialState, VertexProgram
-from .combine import precombine
+from .combine import interval_runs, precombine
 from .edgelog import KLASS_EDGELOG, EdgeLogOptimizer
 from .loader import GraphLoaderUnit
 from .multilog import KLASS_MLOG, MultiLogUnit
@@ -50,7 +50,7 @@ from .scheduler import ParallelGroupScheduler
 from .results import RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
 from .superstep import SuperstepEngine
-from .update import UpdateBatch, natural_runs
+from .update import UpdateBatch
 
 
 class MultiLogVC(SuperstepEngine):
@@ -536,16 +536,29 @@ class MultiLogVC(SuperstepEngine):
         Ingests ``batches`` (send order) and returns how many updates the
         program sent.  With :attr:`precombine` they first become one
         batch reduced to a record per (destination, source interval) --
-        level 1 of the combine tree, charged as a natural merge of the
-        destinations in send order (each sender's follow its ascending
-        adjacency list) -- after the range check has seen every
-        destination as produced.
+        level 1 of the combine tree -- after the range check has seen
+        every destination as produced.  The reduce is charged as a
+        sort-reduce (DESIGN.md §15): each source interval's sends merged
+        from their natural runs of destinations (each sender's follow
+        its ascending adjacency list) and reduced on their own, then the
+        surviving records merged across intervals.
         """
         sent = sum(b.n for b in batches)
         if self.precombine and sent:
             batch = mlog.narrowed(UpdateBatch.concat(batches))
-            self.meter.charge_sort(sent, natural_runs(batch.dest), "sort_send")
-            batches = [precombine(batch, self.program.combine, self.intervals)]
+            sizes, runs = interval_runs(batch, self.intervals)
+            reduced = precombine(batch, self.program.combine, self.intervals)
+            levels = self.meter.charge_sort_reduce(sizes, runs, reduced.n, "sort_send")
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "send_reduce",
+                    records=sent,
+                    intervals=int(sizes.shape[0]),
+                    natural_runs=int(runs.sum()),
+                    survivors=reduced.n,
+                    item_levels=levels,
+                )
+            batches = [reduced]
         for batch in batches:
             mlog.ingest(batch)
         return sent

@@ -73,6 +73,28 @@ class ComputeMeter:
                 site, n * math.log2(max(runs, 2)) * self.config.per_sort_item_us / self.config.cores
             )
 
+    def charge_sort_reduce(
+        self, sizes: np.ndarray, runs: np.ndarray, survivors: int, site: str
+    ) -> float:
+        """A sort-reduce: each stream merged and reduced on its own, then
+        the ``survivors`` of all ``K = len(sizes)`` streams merged.
+
+        Charges ``sum_i sizes[i] * log2(max(runs[i], 2))`` item-levels
+        (each stream as :meth:`charge_sort` charges it, so one stream
+        costs exactly that) plus ``survivors * log2(K)`` for ``K >= 2``.
+        The streams come from :func:`~repro.core.combine.interval_runs`.
+        Returns the item-levels charged.
+        """
+        levels = 0.0
+        for n, r in zip(sizes.tolist(), runs.tolist()):
+            if n > 1:
+                levels += n * math.log2(max(r, 2))
+        if sizes.shape[0] >= 2:
+            levels += survivors * math.log2(sizes.shape[0])
+        if levels:
+            self._charge(site, levels * self.config.per_sort_item_us / self.config.cores)
+        return levels
+
     def restore(self, time_us: float) -> None:
         """Resume at a checkpointed meter reading (ledger row ``resumed``)."""
         self.time_us = time_us

@@ -152,7 +152,7 @@ def run_precombine(scale: Optional[str] = None, steps: int = 15) -> ExperimentRe
         rows=rows,
         notes=(
             "values and messages sent are identical either way; the reduce is "
-            "charged to compute as a natural merge of each group's sends"
+            "charged to compute as a sort-reduce of each group's sends per source interval"
         ),
     )
 

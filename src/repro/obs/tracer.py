@@ -48,8 +48,9 @@ class Check(NamedTuple):
 
 
 class Rule(NamedTuple):
-    """A cross-field rule: ``holds(*values of reads)``, else ``msg``
-    formatted with the event's fields."""
+    """A cross-field rule: ``holds(*values of reads)`` (``None`` for an
+    absent optional field), else ``msg`` formatted with the event's
+    fields."""
 
     reads: Tuple[str, ...]
     holds: Callable[..., bool]
@@ -120,6 +121,44 @@ _SORT = EventSchema(
                 "natural_runs {natural_runs} outside [1, records {records}]"),),
 )
 
+#: A sort-reduce (DESIGN.md §15) merges at least one stream per source
+#: interval that sent -- one natural run each at the least -- and hands
+#: on no more records than it was given.  ``extsort`` carries the
+#: reduce's fields only where its charge is one (plain GraFBoost with a
+#: named combine); ``send_reduce`` always does.
+_REDUCE_RULES = (
+    Rule(
+        ("records", "survivors"),
+        lambda n, m: m is None or m <= n,
+        "survivors {survivors} above records {records}",
+    ),
+    Rule(
+        ("records", "intervals", "natural_runs"),
+        lambda n, k, runs: k is None or n <= 0 or 1 <= k <= runs <= n,
+        "not 1 <= intervals {intervals} <= natural_runs {natural_runs} <= records {records}",
+    ),
+)
+
+
+def _maybe(check: Check) -> Check:
+    """``check``, or the field is absent."""
+    return Check(lambda v: v is None or check.ok(v), check.msg)
+
+
+_EXTSORT = EventSchema(
+    {
+        **_SORT.fields,
+        "intervals": _maybe(COUNT),
+        "survivors": _maybe(COUNT),
+        "item_levels": _maybe(NON_NEGATIVE),
+    },
+    rules=_SORT.rules + _REDUCE_RULES,
+)
+_SEND_REDUCE = EventSchema(
+    {**_SORT.fields, "intervals": COUNT, "survivors": COUNT, "item_levels": NON_NEGATIVE},
+    rules=_SORT.rules + _REDUCE_RULES,
+)
+
 #: A log write batch is emitted only once a page reached the device.
 _FLUSH = EventSchema({"pages": _int_at_least(1), "time_us": POSITIVE})
 
@@ -148,6 +187,8 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
     # -- MultiLogVC superstep internals
     **_free("group_plan group_load group_process edgelog_decisions mlog_rotate"),
     "group_sort": _SORT,
+    # one per send-side combine of a group's (or the seeds') sends
+    "send_reduce": _SEND_REDUCE,
     "mlog_flush": _FLUSH,
     "elog_flush": _FLUSH,
     # -- run-cumulative overlays
@@ -185,7 +226,7 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
     ),
     # -- baseline engines
     **_free("shard_load vertex_chunks log_stream log_flush graph_stream block_stream"),
-    "extsort": _SORT,
+    "extsort": _EXTSORT,
 }
 
 #: Every event kind any engine or the device layer may emit.

@@ -2,17 +2,23 @@
 
 Every update sort is charged ``n * log2(max(runs, 2))`` where ``runs``
 counts the maximal non-decreasing stretches of its keys in arrival
-order (:func:`repro.core.update.natural_runs`).  The meter keeps one
-tally per call site beside its total; the rows must sum to the total.
+order (:func:`repro.core.update.natural_runs`).  A send-side reduce is
+charged as the sort-reduce that computes its bits (DESIGN.md §15): each
+source interval's sends merged from their natural runs and reduced on
+their own, then the survivors merged across intervals -- pinned here
+against a ``heapq`` reference model of that algorithm.  The meter keeps
+one tally per call site beside its total; the rows must sum to the total.
 """
 
+import functools
+import heapq
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -20,11 +26,12 @@ from repro.algorithms import BFSProgram, DeltaPageRankProgram
 from repro.config import DEFAULT_CONFIG, small_test_config
 from repro.core import MultiLogVC
 from repro.core.multilog import MultiLogUnit
+from repro.core.combine import interval_runs
 from repro.core.results import COMPUTE_SITES, ComputeMeter
 from repro.core.sortgroup import SortGroupUnit
 from repro.core.update import UpdateBatch, natural_runs
-from repro.graph import uniform_partition
-from repro.graph.datasets import small_rmat
+from repro.graph import VertexIntervals, uniform_partition
+from repro.graph.datasets import small_ring, small_rmat
 from repro.mem import MemoryBudget
 from repro.obs import TraceRecorder, write_jsonl
 from repro.options import EngineOptions
@@ -33,6 +40,8 @@ from repro.ssd import SimFS
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from validate_trace import validate_file  # noqa: E402
+
+from .test_precombine import send_batches  # noqa: E402
 
 GRAPH = lambda: small_rmat(n=256, m=2048, seed=3)
 C = DEFAULT_CONFIG.compute
@@ -122,6 +131,173 @@ class TestGroupLoadRuns:
         assert out.sort_runs == natural_runs(np.array(log + extra)) == want
 
 
+# -- the send-side sort-reduce ----------------------------------------------
+
+UFUNCS = {"add": np.add, "min": np.minimum, "max": np.maximum}
+
+
+class MaxProgram(BFSProgram):
+    combine = "max"
+
+
+PROGRAMS = {
+    "add": DeltaPageRankProgram,
+    "min": lambda: BFSProgram(0),
+    "max": lambda: MaxProgram(0),
+}
+
+
+def sort_reduce_model(batch, spec, intervals):
+    """The sort-reduce the send-side charge models, one record at a time.
+
+    Per source interval (in send order): merge its natural runs of
+    destinations with ``heapq``, ties to the earlier run, and reduce each
+    equal-destination group of the merged stream with the combine's
+    ``reduceat`` -- the same function level 1 applies, so the bits are
+    NumPy's, not a left fold's.  Then merge the reduced streams by
+    (destination, interval).  Returns ``(records, item_levels)``, each
+    record ``(dest, src, data)`` with ``src`` the group's first sender.
+    """
+    n_vertices = intervals.n_vertices
+    ival = intervals.interval_of(np.clip(batch.src, 0, n_vertices - 1)).tolist()
+    dest, src, data = batch.dest.tolist(), batch.src.tolist(), batch.data
+    order = list(dict.fromkeys(ival))
+    assert order == sorted(order), "only batches contiguous in source interval"
+    streams, levels = [], 0.0
+    for i in order:
+        rows = [p for p in range(batch.n) if ival[p] == i]
+        runs = [[rows[0]]]
+        for a, b in zip(rows, rows[1:]):
+            if dest[b] < dest[a]:
+                runs.append([])
+            runs[-1].append(b)
+        keyed = ([(dest[p], r, p) for p in run] for r, run in enumerate(runs))
+        merged = [p for _, _, p in heapq.merge(*keyed)]
+        starts = [k for k in range(len(merged)) if k == 0 or dest[merged[k]] != dest[merged[k - 1]]]
+        partials = UFUNCS[spec].reduceat(data[merged], starts)
+        streams.append(
+            [(dest[merged[k]], i, src[merged[k]], x) for k, x in zip(starts, partials.tolist())]
+        )
+        if len(rows) > 1:
+            levels += len(rows) * math.log2(max(len(runs), 2))
+    out = list(heapq.merge(*streams, key=lambda rec: rec[:2]))
+    if len(streams) >= 2:
+        levels += len(out) * math.log2(len(streams))
+    return [(d, s, x) for d, _, s, x in out], levels
+
+
+class _Sink:
+    """Stands in for a multi-log: keeps what the engine hands it."""
+
+    def __init__(self):
+        self.batches = []
+
+    def narrowed(self, batch):
+        return batch
+
+    def ingest(self, batch):
+        self.batches.append(batch)
+
+
+@functools.lru_cache(maxsize=None)
+def _engine(spec):
+    return MultiLogVC(small_ring(64), PROGRAMS[spec](), small_test_config())
+
+
+def send_reduce(batch, spec, intervals):
+    """MultiLogVC's send-side reduce of ``batch`` (its sources' partition
+    ``intervals``): the batch it logs and the item-levels of its
+    ``sort_send`` charge."""
+    eng = _engine(spec)
+    eng.intervals, eng.meter, sink = intervals, ComputeMeter(C), _Sink()
+    assert eng._log(sink, [batch]) == batch.n
+    (logged,) = sink.batches
+    return logged, eng.meter.by_site["sort_send"] / UNIT
+
+
+def _take(batch, order):
+    return UpdateBatch(batch.dest[order], batch.src[order], batch.data[order])
+
+
+@st.composite
+def contiguous_batches(draw):
+    """``send_batches`` in the shapes a superstep or a seed can take while
+    staying contiguous in source interval."""
+    batch, intervals, _ = draw(send_batches())
+    shape = draw(st.sampled_from(["ascending", "descending", "out-of-graph", "one-interval"]))
+    n = intervals.n_vertices
+    if shape == "descending":  # senders descend inside each interval
+        ival = intervals.interval_of(batch.src)
+        batch = _take(batch, np.lexsort((-batch.src, ival)))
+    elif shape == "out-of-graph":  # the clip maps them to the end intervals
+        k = draw(st.integers(1, 4))
+        batch = UpdateBatch.concat(
+            [
+                UpdateBatch.of(np.arange(k) % n, np.full(k, -1), np.arange(k) + 0.5),
+                batch,
+                UpdateBatch.of(np.arange(k)[::-1] % n, np.full(k, n + 3), -np.arange(k) - 0.25),
+            ]
+        )
+    elif shape == "one-interval":
+        intervals = VertexIntervals(np.array([0, n]))
+    return batch, intervals
+
+
+class TestSendSideSortReduce:
+    @pytest.mark.parametrize("spec", sorted(UFUNCS))
+    @given(contiguous_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_model_equals_precombine_and_the_charge(self, spec, case):
+        batch, intervals = case
+        records, levels = sort_reduce_model(batch, spec, intervals)
+        logged, charged = send_reduce(batch, spec, intervals)
+        assert logged.dest.tolist() == [d for d, _, _ in records]
+        assert logged.src.tolist() == [s for _, s, _ in records]
+        assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
+        assert math.isclose(charged, levels, rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("spec", sorted(UFUNCS))
+    def test_a_sender_sending_twice_to_one_destination(self, spec):
+        # Sender 1 sends to 3 twice; sender 5 (interval 1) once.  Nine-plus
+        # adds per run: past NumPy's pairwise cutoff, so order shows.
+        halves = VertexIntervals(np.array([0, 4, 8]))
+        dest = [3, 3, 0, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3, 0]
+        src = [1] * 6 + [2] * 7 + [5]
+        data = np.random.default_rng(3).standard_normal(14) * 10.0 ** np.arange(-7, 7)
+        batch = UpdateBatch.of(dest, src, data)
+        records, levels = sort_reduce_model(batch, spec, halves)
+        logged, charged = send_reduce(batch, spec, halves)
+        assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
+        # Interval 0: 13 sends in 3 runs; interval 1: 1 send; 4 survivors.
+        assert levels == 13 * math.log2(3) + 4 * math.log2(2)
+        assert math.isclose(charged, levels, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("spec", sorted(UFUNCS))
+    @given(send_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_non_contiguous_batch_is_one_natural_merge(self, spec, case):
+        batch, intervals, _ = case
+        batch = _take(batch, np.arange(batch.n)[::-1])  # senders descend across intervals
+        assume((np.diff(intervals.interval_of(batch.src)) < 0).any())
+        _, charged = send_reduce(batch, spec, intervals)
+        assert charged * UNIT == charge(batch.n, natural_runs(batch.dest))
+
+    @pytest.mark.parametrize(
+        "dest, src, sizes, runs",
+        [
+            ([], [], [], []),
+            ([4, 1, 2], [0, 4, 5], [1, 2], [1, 1]),  # a descent where a stream starts
+            ([4, 1, 2, 0], [1, 0, 7, 6], [2, 2], [2, 2]),  # senders descend in an interval
+            ([4, 1, 2, 0], [-1, 1, 6, 9], [2, 2], [2, 2]),  # out-of-graph senders
+            ([1, 2, 0], [5, 0, 5], [3], [2]),  # not contiguous: one stream
+        ],
+    )
+    def test_interval_runs(self, dest, src, sizes, runs):
+        halves = VertexIntervals(np.array([0, 4, 8]))
+        got = interval_runs(UpdateBatch.of(dest, src, np.zeros(len(dest))), halves)
+        assert [a.tolist() for a in got] == [sizes, runs]
+
+
 def assert_ledger(res):
     """The ledger's rows sum to the compute total and match the gauges."""
     assert set(res.compute_by_site) == set(COMPUTE_SITES)
@@ -178,12 +354,26 @@ class TestTrace:
                 GRAPH(), DeltaPageRankProgram(), engine, config=small_test_config(),
                 tracer=tracer, max_supersteps=4,
             )
-        sorts = [e.fields for e in tracer.events if e.kind in ("group_sort", "extsort")]
-        assert {e.kind for e in tracer.events} >= {"group_sort", "extsort"}
+        kinds = ("group_sort", "send_reduce", "extsort")
+        sorts = [e.fields for e in tracer.events if e.kind in kinds]
+        assert {e.kind for e in tracer.events} >= set(kinds)
         assert all(f["records"] == 0 or 1 <= f["natural_runs"] <= f["records"] for f in sorts)
         path = tmp_path / "t.jsonl"
         write_jsonl(tracer.events, str(path))
         assert validate_file(path) == []
+
+    @pytest.mark.parametrize(
+        "engine, kind, site",
+        [("multilogvc", "send_reduce", "sort_send"), ("grafboost", "extsort", "sort_log")],
+    )
+    @pytest.mark.parametrize("make", [DeltaPageRankProgram, lambda: BFSProgram(0)])
+    def test_reduce_events_sum_to_the_ledger_row(self, engine, kind, site, make):
+        cfg, tracer = small_test_config(), TraceRecorder()
+        res = repro.run(GRAPH(), make(), engine, config=cfg, tracer=tracer, max_supersteps=8)
+        levels = [e.fields["item_levels"] for e in tracer.events if e.kind == kind]
+        assert levels and res.compute_by_site[site] > 0
+        unit = cfg.compute.per_sort_item_us / cfg.compute.cores
+        assert math.isclose(sum(levels) * unit, res.compute_by_site[site], rel_tol=1e-9)
 
     def test_validator_rejects_natural_runs_above_records(self, tmp_path):
         path = tmp_path / "bad.jsonl"

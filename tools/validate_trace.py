@@ -100,7 +100,7 @@ def validate_file(path: Path) -> list:
         if not failed:
             last[kind] = ev
         for rule in schema.rules:
-            if failed.isdisjoint(rule.reads) and not rule.holds(*(ev[f] for f in rule.reads)):
+            if failed.isdisjoint(rule.reads) and not rule.holds(*(ev.get(f) for f in rule.reads)):
                 errors.append(f"{where}: {kind} " + rule.msg.format(**ev))
     if n_events == 0 and not errors:
         errors.append(f"{path}: trace is empty")
