@@ -218,10 +218,14 @@ class MemoryConfig:
     #: small remainder: ``total_bytes`` is the engine's ``1 - f`` share,
     #: so the cache gets ``total_bytes * f / (1 - f)`` bytes.  The
     #: default 0.96 funds a 24x-the-engine-budget cache (12 MiB at the
-    #: default 512 KiB) -- enough to absorb the multi-log's
-    #: write-then-read-once stream plus the hot CSR pages.  With the
-    #: default ``cache_policy="none"`` this fraction funds nothing and
-    #: the paper's graph-much-larger-than-memory regime is unchanged.
+    #: default 512 KiB) -- enough to hold the multi-log's
+    #: write-then-read-once stream as dirty pages until it is consumed
+    #: (the cache writes the scratch logs back, so such a page never
+    #: reaches flash) plus the hot CSR pages.  At 12.5 MiB of host DRAM
+    #: this split is the fastest of those measured for bench PageRank
+    #: (ROADMAP item 3).  With the default ``cache_policy="none"`` this
+    #: fraction funds nothing and the paper's graph-much-larger-than-
+    #: memory regime is unchanged.
     cache_fraction: float = 0.96
     #: Multi-log buffer eviction starts when free space drops below this
     #: fraction of the buffer (paper §V-A3 "less than a certain

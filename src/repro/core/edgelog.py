@@ -153,7 +153,10 @@ class EdgeLogOptimizer:
         _, t = self._file_next.append_pages([None] * len(useful), useful)
         self.io_time_us += t
         if self.tracer.enabled:
-            self.tracer.emit("elog_flush", pages=len(useful), time_us=t)
+            pages = len(useful)
+            # ``deferred`` only where a write-back cache took the batch
+            deferred = {"deferred": pages} if self._file_next.writeback else {}
+            self.tracer.emit("elog_flush", pages=pages, **deferred, time_us=t)
 
     # -- read path (during processing of superstep s, for generation s) ---------
 

@@ -503,6 +503,17 @@ class MultiLogVC(SuperstepEngine):
         # records are checkpoint-invariant.
         every = self.options.checkpoint_every
         if every > 0 and (step + 1) % every == 0:
+            cache = self.fs.cache
+            if cache is not None:
+                # Write every dirty log batch back first, so the logs
+                # the checkpoint carries are on flash and its stats
+                # snapshot includes their cost (DESIGN.md §10).
+                cache.flush()
+                if cache.dirty_pages or cache.pinned_pages:
+                    raise EngineError(
+                        f"cache not clean at the superstep-{step} cut: "
+                        f"{cache.dirty_pages} dirty, {cache.pinned_pages} pinned pages"
+                    )
             info = self.ckpt_mgr.write(
                 engine=self, step=step, values=self.values, tracker=self.tracker,
                 mlog_cur=self.mlog_cur, mlog_next=self.mlog_next, edgelog=self.edgelog,
@@ -519,8 +530,8 @@ class MultiLogVC(SuperstepEngine):
             # Drop cache contents at the cut so a crash-and-resume
             # from this checkpoint charges I/O exactly like this
             # uninterrupted run does (counters survive the clear).
-            if self.fs.cache is not None:
-                self.fs.cache.clear()
+            if cache is not None:
+                cache.clear()
 
     def _result(self, *args) -> RunResult:
         # Buffered structural updates land before the run reports.

@@ -285,7 +285,11 @@ class MultiLogUnit:
             self.flushes += 1
             self.flushed_pages += pages
             if self.tracer.enabled:
-                self.tracer.emit("mlog_flush", unit=self.name, pages=pages, time_us=t)
+                # ``deferred`` only where a write-back cache took the batch
+                deferred = {"deferred": pages} if staged[0][0].writeback else {}
+                self.tracer.emit(
+                    "mlog_flush", unit=self.name, pages=pages, **deferred, time_us=t
+                )
 
     # -- consumption (sort-and-group read path) ----------------------------------------
 
@@ -333,7 +337,9 @@ class MultiLogUnit:
 
         Flushed log pages are included because the simulated flash lives
         in the engine's process image; charging-wise they are already
-        durable, so a checkpoint only pays for the *in-memory* tails
+        durable -- a write-back cache flushes its dirty log pages before
+        the checkpoint is written (DESIGN.md §10) -- so a checkpoint only
+        pays for the *in-memory* tails
         (see :meth:`repro.recovery.checkpoint.CheckpointManager.write`).
         The monotonic ``appended`` counter and the I/O tallies are
         exported too -- they feed trace fields, and post-resume traces

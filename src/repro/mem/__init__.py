@@ -2,7 +2,7 @@
 
 from .budget import MemoryBudget
 from .pagebuffer import ByteStreamPager, RecordPageBuffer
-from .pagecache import UNCACHED_KLASSES, PageCache
+from .pagecache import UNCACHED_KLASSES, WRITEBACK_KLASSES, PageCache
 
 __all__ = [
     "MemoryBudget",
@@ -10,4 +10,5 @@ __all__ = [
     "RecordPageBuffer",
     "PageCache",
     "UNCACHED_KLASSES",
+    "WRITEBACK_KLASSES",
 ]

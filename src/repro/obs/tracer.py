@@ -159,8 +159,35 @@ _SEND_REDUCE = EventSchema(
     rules=_SORT.rules + _REDUCE_RULES,
 )
 
-#: A log write batch is emitted only once a page reached the device.
-_FLUSH = EventSchema({"pages": _int_at_least(1), "time_us": POSITIVE})
+#: A log write batch.  ``deferred`` (absent: 0) of its ``pages`` were
+#: admitted dirty to a write-back cache (DESIGN.md §10) and are charged
+#: only if a ``writeback`` writes them; the rest reached the device now.
+_FLUSH = EventSchema(
+    {"pages": _int_at_least(1), "deferred": _maybe(COUNT), "time_us": NON_NEGATIVE},
+    rules=(
+        Rule(("pages", "deferred"), lambda pages, deferred: (deferred or 0) <= pages,
+             "deferred {deferred} above pages {pages}"),
+        Rule(("pages", "deferred", "time_us"),
+             lambda pages, deferred, t: t > 0 or deferred == pages,
+             "'time_us' must be > 0 unless every page is deferred, got {time_us}"),
+    ),
+)
+
+
+def _writeback_klass(v: Any) -> bool:
+    from ..mem.pagecache import WRITEBACK_KLASSES  # the cache imports this package
+
+    return v in WRITEBACK_KLASSES
+
+
+#: One dirty batch leaving the cache, charged under its own class:
+#: its eviction victim's (``evict``) or every batch at a checkpoint cut.
+_WRITEBACK = EventSchema({
+    "klass": Check(_writeback_klass, "{field!r} {value!r} is not a write-back class"),
+    "pages": _int_at_least(1),
+    "time_us": POSITIVE,
+    "cause": _one_of(("evict", "cut")),
+})
 
 #: The trace contract, one entry per event kind that an engine, the
 #: device layer or the stream store may emit.  Every event also carries
@@ -191,8 +218,14 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
     "send_reduce": _SEND_REDUCE,
     "mlog_flush": _FLUSH,
     "elog_flush": _FLUSH,
+    "writeback": _WRITEBACK,
     # -- run-cumulative overlays
-    "cache_stats": _overlay("hits misses evictions insertions invalidations", INT),
+    "cache_stats": _overlay(
+        "hits misses evictions insertions invalidations rejected"
+        " writeback_batches writeback_pages dropped_dirty_pages",
+        INT,
+        dirty_pages=COUNT,
+    ),
     "parallel_stats": _overlay("groups spec_us saved_us makespan_us"),
     # superstep I/O planner (DESIGN.md §13), never built with io_plan "off"
     "io_plan_stats": _overlay(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..errors import RecoveryError, SimulatedCrashError
+from ..errors import ConfigError, RecoveryError, SimulatedCrashError
 from ..obs import TRACE_SCHEMA
 from .checkpoint import KLASS_CKPT, CheckpointData, CheckpointManager
 
@@ -184,12 +184,16 @@ def crash_resume_experiment(
     seed: int = 0,
     max_supersteps: int = 15,
     fault_klass: Optional[str] = None,
+    fault_kind: str = "crash",
+    baseline: Any = None,
 ) -> CrashRecoveryReport:
     """Full crash/recovery determinism check at one crash point.
 
     Protocol: (1) uninterrupted baseline run with a trace recorder;
     (2) identical run with a power-loss fault armed after
-    ``crash_after_ops`` device batches; (3) load the newest valid
+    ``crash_after_ops`` device batches -- or, with ``fault_kind="torn"``,
+    a torn write after ``crash_after_ops`` write batches, so a strict
+    prefix of that write persists; (3) load the newest valid
     checkpoint from the crashed run's (surviving) file system;
     (4) resume on a fresh engine; (5) compare final values, superstep
     records, run stats, and reconcile traces from the first
@@ -199,22 +203,31 @@ def crash_resume_experiment(
     reported with ``no_checkpoint=True`` (callers retry with a later
     point); a plan that never fires (run finished first) reports
     ``crashed=False`` and counts as ok.
+
+    ``baseline`` is step (1)'s result when the caller already has it
+    (an earlier report's ``baseline`` for the same workload), so a
+    sweep over crash points runs the uninterrupted run once.
     """
     from ..core.engine import MultiLogVC
     from ..obs import TraceRecorder
     from ..ssd.faults import FaultPlan
 
+    faults = {"crash": FaultPlan.crash_after, "torn": FaultPlan.torn_write_after}
+    if fault_kind not in faults:
+        raise ConfigError(f"fault_kind must be one of {sorted(faults)}, got {fault_kind!r}")
     report = CrashRecoveryReport(crashed=False, crash_after_ops=crash_after_ops)
 
-    base_tracer = TraceRecorder()
-    base_engine = MultiLogVC(
-        graph_factory(), program_factory(), config=config, options=options, tracer=base_tracer
-    )
-    report.baseline = base_engine.run(max_supersteps=max_supersteps, seed=seed)
+    if baseline is None:
+        base_engine = MultiLogVC(
+            graph_factory(), program_factory(), config=config, options=options,
+            tracer=TraceRecorder(),
+        )
+        baseline = base_engine.run(max_supersteps=max_supersteps, seed=seed)
+    report.baseline = baseline
 
     crash_engine = MultiLogVC(graph_factory(), program_factory(), config=config, options=options)
     crash_engine.fs.device.install_faults(
-        FaultPlan.crash_after(crash_after_ops, seed=fault_seed, klass=fault_klass)
+        faults[fault_kind](crash_after_ops, seed=fault_seed, klass=fault_klass)
     )
     try:
         crash_engine.run(max_supersteps=max_supersteps, seed=seed)

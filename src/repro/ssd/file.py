@@ -53,6 +53,9 @@ class SimFileBase:
         #: DRAM page cache, attached by :class:`~repro.ssd.filesystem.SimFS`
         #: at registration for cacheable storage classes (DESIGN.md §10).
         self.cache: Optional[PageCache] = None
+        #: True when the cache takes this file's writes write-back (its
+        #: class is in :data:`~repro.mem.pagecache.WRITEBACK_KLASSES`).
+        self.writeback = False
 
     def channels_of(self, page_ids: np.ndarray) -> np.ndarray:
         """Channel id for each page index of this file."""
@@ -84,11 +87,11 @@ class SimFileBase:
         return striped_read([(self, ids)], klass or self.klass)
 
     def _admit_written(self, page_ids: np.ndarray) -> None:
-        """Write-allocate freshly written pages (write-through charging).
+        """Write-allocate pages whose write was charged (or needs no
+        charge) as clean cache entries.
 
-        Keeping written pages resident is what lets the multi-log's
-        write-then-read-once stream be served from DRAM on the read
-        half; the write itself is always charged in full.
+        A write-back file's charged writes never come here:
+        :func:`striped_write` admits their pages dirty instead.
         """
         if self.cache is not None:
             self.cache.admit(self.name, page_ids)
@@ -241,16 +244,26 @@ def striped_write(parts: List[Tuple[PageFile, np.ndarray]], klass: str) -> float
     """Charge pages staged on one or several page files as **one** write batch.
 
     The write stripes over every channel (and device) at once -- the
-    paper's §V-A3 concurrent log eviction.  A torn write persists a
-    prefix of the concatenated vector, so each file keeps exactly its
-    share of that prefix, in part order; written pages are then admitted
-    to the cache (write-allocate, the write itself charged in full).
+    paper's §V-A3 concurrent log eviction.  On write-back files (the
+    scratch logs under a cache, DESIGN.md §10) the batch is instead
+    admitted to the cache as one dirty batch and nothing is charged
+    now: the cache charges this same batch, or the part of it still
+    dirty, if it ever writes it back.  Otherwise the write is charged
+    in full and the pages admitted clean (write-allocate).  A torn
+    write persists a prefix of the concatenated vector, so each file
+    keeps exactly its share of that prefix, in part order.
     """
     if not parts:
         return 0.0
     channels, devices = _vectors(parts)
+    head = parts[0][0]
+    if head.writeback:
+        head.cache.admit_dirty(
+            [(f.name, ids) for f, ids in parts], head.device, klass, channels, devices
+        )
+        return 0.0
     try:
-        t = parts[0][0].device.write_batch(channels, klass, devices=devices)
+        t = head.device.write_batch(channels, klass, devices=devices)
     except SimulatedCrashError as crash:
         left = max(0, crash.pages_persisted)
         lost: Dict[PageFile, int] = {}

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..config import SimConfig
 from ..errors import StorageError
-from ..mem.pagecache import UNCACHED_KLASSES, PageCache
+from ..mem.pagecache import UNCACHED_KLASSES, WRITEBACK_KLASSES, PageCache
 from .array import DeviceArray
 from .device import SimulatedSSD
 from .file import ArrayFile, PageFile, SimFileBase
@@ -62,6 +62,7 @@ class SimFS:
                 self.cache.invalidate_file(f.name)
             if f.klass not in UNCACHED_KLASSES:
                 f.cache = self.cache
+                f.writeback = f.klass in WRITEBACK_KLASSES
         self._files[f.name] = f
 
     def create_page_file(

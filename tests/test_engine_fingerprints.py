@@ -29,6 +29,17 @@ moved, and ``extsort`` gained ``intervals``, ``survivors`` and
 :data:`GOLDEN_VALUES_IO`, recorded before that change, passed unchanged
 across it: only compute time moved.
 
+When the page cache became write-back for the multi-log and the edge
+log (DESIGN.md §10), only the ``cache16+readahead`` rows were
+re-recorded, the only rows with a cache: both in :data:`GOLDEN_STACKS`
+(``writeback`` events, the flushes' ``deferred`` field and the new
+``cache.*`` gauges joined their traces and digests) and BFS's in
+:data:`GOLDEN_VALUES_IO` (its last two-page edge-log batch is never
+written back).  PageRank's :data:`GOLDEN_VALUES_IO` row passed
+unchanged: on that 16-page cache each multi-log flush is larger than
+the cache, so every deferred batch is written back whole at once and
+costs exactly what write-through did.
+
 Each run also checks the compute ledger: ``RunResult.compute_by_site``
 sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 """
@@ -133,8 +144,8 @@ GOLDEN = {
 
 #: MultiLogVC on each of :data:`STACKS`: (stack, program) -> digest
 GOLDEN_STACKS = {
-    ("cache16+readahead", "bfs"): "7667fd7f5d09e2347d866a678a9b60ea3dada4ba1f72d453cac4325fef08e4ca",
-    ("cache16+readahead", "pagerank"): "6391dc5fe21145ed73ce08cb222a6deb4bbf01259c851c3d88ea561675dfc84f",
+    ("cache16+readahead", "bfs"): "cccafe396b07a5a9681632111d58cf14f04a007eff268809cdc706cb5854aebd",
+    ("cache16+readahead", "pagerank"): "65d560a0c62b94d3f058ce84bdaa83b1eb679ea991b9cebdfd50d2d2e7cb764c",
     ("devices4-affinity", "bfs"): "587c942f953b66b6c6d4eb5d53b4f22ffc1442006bb0d61279ec5112232f1a6a",
     ("devices4-affinity", "pagerank"): "d3121a581f42465bf2b0f1ea1e731c19819dc288fcc4dc56e732e25bec67632a",
     ("devices4-stripe", "bfs"): "b4a65740a6480600c3bc7a46579746eeeddc96807ca9c54c04d3cb1180056b4a",
@@ -185,7 +196,7 @@ GOLDEN_VALUES_IO = {
     ("xstream", "pagerank"): "a4d08a16b215909acd51b6afec7c7e74b9203aa0279d87d1bc6c7260c5f605bd",
     ("xstream", "sssp"): "a42b27ddfb2791dd4a1419aae03393cd605a21c87bbcdc8be1366670b113c177",
     ("xstream", "wcc"): "b89031cbed6404a567c149c55fb070412b96d43ee4e18b55d15132974e9d541f",
-    ("cache16+readahead", "bfs"): "cb69e2fb8c16af6d97b00273dc362f7157b3ac8eeb8c3909ad3273ae05f91bd9",
+    ("cache16+readahead", "bfs"): "84ec8fd7590eb59cf6848ecbed868b475f177851d46034e5c019680fa58882a6",
     ("cache16+readahead", "pagerank"): "fde61ee7113e191c457644ac92a0316114f5b1a3b23ac0a44e54c40b53ba6ebb",
     ("devices4-affinity", "bfs"): "4b14c4ad846d1a1557aca9f7c15098a3cf308b2be388d41952ba5109d5bd6cda",
     ("devices4-affinity", "pagerank"): "f7dd1900e9122667c3e3d1d3ab8e3515ab3e8f3c00dd645b4e1676892a08749e",

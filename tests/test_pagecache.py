@@ -9,16 +9,21 @@ crash/resume under a cache stays bit-exact.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import EngineOptions
 from repro.algorithms import DeltaPageRankProgram
 from repro.config import SimConfig, small_test_config
-from repro.errors import ConfigError
+from repro.core import MultiLogVC
+from repro.errors import ConfigError, EngineError, StorageError
 from repro.graph.datasets import cf_like, small_rmat
-from repro.mem import UNCACHED_KLASSES, PageCache
+from repro.mem import UNCACHED_KLASSES, WRITEBACK_KLASSES, PageCache
+from repro.obs import NULL_TRACER, TraceRecorder
 from repro.recovery import crash_resume_experiment, count_device_ops
 from repro.ssd import SimFS
+from repro.ssd.file import striped_write
 
 
 def ids(*xs):
@@ -157,6 +162,224 @@ class TestAccountingAndInvalidation:
         assert c.access("f", ids(0)).tolist() == [True]
 
 
+class _RecordingDevice:
+    """Stands in for the SSD: records every write's page tokens.
+
+    A dirty batch keeps the channel vector it was admitted with and
+    hands the still-dirty part of it to ``write_batch``; here that
+    vector holds one unique token per page, so each write says exactly
+    which deferred pages it charged.
+    """
+
+    tracer = NULL_TRACER
+
+    def __init__(self):
+        self.writes = []
+
+    def write_batch(self, channels, klass, devices=None):
+        self.writes.append((klass, [int(c) for c in channels]))
+        return 10.0 + len(channels)
+
+
+class TestWriteBack:
+    @staticmethod
+    def _fs(pages=8):
+        return SimFS(small_test_config().with_cache(cache_bytes=pages * 4096))
+
+    @staticmethod
+    def _write(f, n):
+        return striped_write([(f, f.stage([None] * n))], f.klass)
+
+    def test_classes(self):
+        assert WRITEBACK_KLASSES == {"mlog", "edgelog"}
+        assert not WRITEBACK_KLASSES & UNCACHED_KLASSES
+        fs = self._fs()
+        assert fs.create_page_file("m", "mlog").writeback
+        assert fs.create_page_file("e", "edgelog").writeback
+        assert not fs.create_page_file("u", "ulog").writeback
+        assert not SimFS(small_test_config()).create_page_file("m", "mlog").writeback
+
+    def test_scratch_write_is_deferred_and_a_consumed_log_never_charged(self):
+        fs = self._fs()
+        f = fs.create_page_file("m", "mlog")
+        assert self._write(f, 3) == 0.0
+        assert fs.stats.pages_written == 0 and fs.cache.dirty_pages == 3
+        _, t = f.read_all()
+        assert t == 0.0  # served from the cache
+        f.truncate()
+        assert fs.cache.dirty_pages == 0 and fs.cache.dropped_dirty_pages == 3
+        assert fs.stats.pages_written == 0
+
+    def test_write_through_classes_charge_now(self):
+        fs = self._fs()
+        f = fs.create_page_file("u", "ulog")
+        assert self._write(f, 3) > 0 and fs.stats.pages_written == 3
+        assert fs.cache.dirty_pages == 0 and ("u", 0) in fs.cache
+
+    def test_eviction_writes_back_the_whole_batch_once(self):
+        fs = self._fs(4)
+        m = fs.create_page_file("m", "mlog")
+        through = self._write(fs.create_page_file("u", "ulog"), 3)
+        self._write(m, 3)
+        fs.cache.access("x", ids(0, 1))  # evicts two frames; one is dirty
+        cache = fs.cache
+        assert (cache.writeback_batches, cache.writeback_pages) == (1, 3)
+        assert cache.dirty_pages == 0
+        assert fs.stats.writes["mlog"].pages == 3
+        assert fs.stats.writes["mlog"].time_us == through
+        m.truncate()  # clean now: nothing is dropped dirty
+        assert cache.dropped_dirty_pages == 0
+        assert fs.stats.writes["mlog"].batches == 1
+
+    def test_batch_larger_than_the_cache_is_written_once(self):
+        fs = self._fs(2)
+        m = fs.create_page_file("m", "mlog")
+        self._write(m, 5)
+        assert fs.cache.writeback_batches == 1
+        assert fs.stats.writes["mlog"].pages == 5 and fs.stats.writes["mlog"].batches == 1
+        assert fs.cache.dirty_pages == 0 and fs.cache.resident_pages == 2
+
+    def test_pinned_cache_forces_the_batch_out(self):
+        fs = self._fs(2)
+        fs.cache.access("x", ids(0, 1))
+        fs.cache.pin("x", ids(0, 1))
+        self._write(fs.create_page_file("m", "mlog"), 2)
+        assert fs.cache.rejected >= 1 and fs.cache.writeback_pages == 2
+        assert fs.cache.dirty_pages == 0
+
+    def test_clear_refuses_dirty_pages_and_flush_writes_in_order(self):
+        fs = self._fs()
+        a, b = fs.create_page_file("a", "mlog"), fs.create_page_file("b", "edgelog")
+        self._write(a, 2)
+        self._write(b, 1)
+        with pytest.raises(StorageError):
+            fs.cache.clear()
+        t = TraceRecorder()
+        fs.device.tracer = t
+        assert fs.cache.flush() > 0
+        assert [(e.fields["klass"], e.fields["pages"], e.fields["cause"]) for e in t.events] == [
+            ("mlog", 2, "cut"), ("edgelog", 1, "cut"),
+        ]
+        assert fs.stats.writes["edgelog"].pages == 1
+        fs.cache.clear()
+        assert fs.cache.snapshot()["writeback_batches"] == 2
+
+    def test_counters_are_overlay_state(self):
+        fs = self._fs(2)
+        self._write(fs.create_page_file("m", "mlog"), 3)
+        state = fs.cache.overlay_state()
+        assert (state["writeback_batches"], state["writeback_pages"]) == (1, 3)
+        assert state["dropped_dirty_pages"] == 0
+        fresh = PageCache(2)
+        fresh.restore_overlay(state)
+        assert fresh.snapshot()["writeback_pages"] == 3
+
+    @pytest.mark.parametrize("leak", ["pin", "dirty"])
+    def test_cut_refuses_a_pinned_or_dirty_cache(self, leak, monkeypatch):
+        engine = MultiLogVC(
+            small_rmat(n=256, m=4096, seed=3), DeltaPageRankProgram(),
+            config=small_test_config().with_cache(cache_bytes=8 * 4096),
+            options=EngineOptions(checkpoint_every=1, enable_precombine=False),
+        )
+        cache = engine.fs.cache
+        if leak == "pin":  # a prefetch aborted without its unpin
+            cache.access("leak", ids(0))
+            cache.pin("leak", ids(0))
+        else:  # a cut that skipped its flush
+            monkeypatch.setattr(cache, "flush", lambda: 0.0)
+        with pytest.raises(EngineError, match="cache not clean"):
+            engine.run(max_supersteps=4)
+
+    @pytest.mark.parametrize("every", [0, 2])
+    def test_tiny_cache_never_charges_more_write_time(self, every):
+        """An 8-page cache writes back at most what write-through wrote."""
+        cfg = small_test_config().with_io_plan("off")
+        options = EngineOptions(enable_precombine=False, checkpoint_every=every)
+        runs = [
+            repro.run(
+                small_rmat(n=256, m=4096, seed=3), DeltaPageRankProgram(), config=c,
+                options=options, max_supersteps=8,
+            )
+            for c in (cfg, cfg.with_cache(cache_bytes=8 * 4096))
+        ]
+        off, on = runs
+        assert np.array_equal(off.values, on.values)
+        assert on.metrics["cache.writeback_pages"] > 0
+        assert on.stats.write_time_us <= off.stats.write_time_us
+        for klass in WRITEBACK_KLASSES & set(off.stats.writes):
+            assert on.stats.writes[klass].time_us <= off.stats.writes[klass].time_us
+            assert on.stats.writes[klass].pages <= off.stats.writes[klass].pages
+
+    # -- random sequences against a reference model -------------------------
+
+    @given(
+        capacity=st.integers(1, 6),
+        steps=st.lists(
+            st.tuples(st.sampled_from("wwarpic"), st.integers(0, 2), st.integers(1, 5)),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_sequences_keep_the_writeback_contract(self, capacity, steps):
+        cache, device = PageCache(capacity), _RecordingDevice()
+        files = ["f0", "f1", "f2"]
+        length = dict.fromkeys(files, 0)
+        token_of = {}  # token -> (file, page, batch)
+        pending, dropped, written = set(), set(), set()
+        admitted = n_batches = 0
+        for op, fi, n in steps:
+            name, other = files[fi], files[(fi + 1) % 3]
+            held = np.arange(length[name], dtype=np.int64)
+            before = len(device.writes)
+            if op == "w":  # a striped write over one or two files
+                tokens, part_ids = [], []
+                for fname, k in [(name, n)] + ([(other, 1)] if n > 2 else []):
+                    pids = np.arange(length[fname], length[fname] + k, dtype=np.int64)
+                    length[fname] += k
+                    part_ids.append((fname, pids))
+                    for p in pids.tolist():
+                        tokens.append(len(token_of))
+                        token_of[tokens[-1]] = (fname, p, n_batches)
+                n_batches += 1
+                assert cache.admit_dirty(part_ids, device, "mlog", np.array(tokens)) == len(tokens)
+                admitted += len(tokens)
+                pending |= set(tokens)
+            elif op == "a":  # a read of existing pages
+                cache.access(name, held[:n])
+            elif op == "r":  # a prefetch admits pages clean
+                cache.admit(name, held[-n:])
+            elif op == "p":  # a pinned page survives a read elsewhere
+                cache.pin(name, held[-1:])
+                cache.access(other, ids(0))
+                cache.unpin(name, held[-1:])
+            elif op == "i":  # the log was consumed: truncate
+                gone = {t for t in pending if token_of[t][0] == name}
+                dropped |= gone
+                pending -= gone
+                cache.invalidate_file(name)
+                length[name] = 0
+            else:  # "c": a checkpoint cut
+                cache.flush()
+                cache.clear()
+            for klass, tokens in device.writes[before:]:
+                assert klass == "mlog"
+                batch = {token_of[t][2] for t in tokens}
+                assert len(batch) == 1, "a write-back mixes batches"
+                (b,) = batch
+                # the whole still-dirty rest of the batch, each page once
+                assert set(tokens) == {t for t in pending if token_of[t][2] == b}
+                assert not set(tokens) & (written | dropped)
+                written |= set(tokens)
+                pending -= set(tokens)
+            assert admitted == cache.writeback_pages + cache.dropped_dirty_pages + cache.dirty_pages
+            assert cache.dirty_pages == len(pending)
+            assert cache.writeback_pages == len(written)
+            assert cache.dropped_dirty_pages == len(dropped)
+            assert cache.writeback_batches == len(device.writes)
+            assert all((token_of[t][0], token_of[t][1]) in cache for t in pending)
+            assert cache.resident_pages <= capacity
+
+
 class TestConfigKnobs:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
@@ -264,3 +487,48 @@ class TestCacheCrashResume:
                 assert report.ok, report.describe()
                 resumed += 1
         assert resumed >= 1
+
+    # -- every crash point under write-back ------------------------------
+
+    @staticmethod
+    def _sweep(graph, config, options, steps, kind):
+        """Crash (or tear a write) at every device op (write op) of the
+        run; each resumed run must be bit-identical to the uninterrupted one."""
+        ops, result = count_device_ops(
+            graph, DeltaPageRankProgram, config=config, options=options, max_supersteps=steps
+        )
+        total = ops if kind == "crash" else sum(c.batches for c in result.stats.writes.values())
+        baseline, resumed = None, 0
+        for point in range(total):
+            report = crash_resume_experiment(
+                graph, DeltaPageRankProgram, config=config, options=options,
+                crash_after_ops=point, max_supersteps=steps, fault_kind=kind, baseline=baseline,
+            )
+            baseline = report.baseline
+            assert report.crashed, point
+            if not report.no_checkpoint:
+                assert report.ok, (point, report.describe(), report.trace_mismatches[:3])
+                resumed += 1
+        causes = {e.fields["cause"] for e in baseline.trace if e.kind == "writeback"}
+        assert causes == {"evict", "cut"}
+        return resumed
+
+    @pytest.mark.parametrize("kind", ["crash", "torn"])
+    def test_every_crash_point_under_writeback(self, kind):
+        """PageRank without the send-side combine, so the multi-log
+        flushes, over an 8-page cache: faults land on eviction
+        write-backs, on the cut's flush and on everything between."""
+        config = small_test_config().with_cache(cache_bytes=8 * 4096)
+        options = EngineOptions(checkpoint_every=2, enable_precombine=False)
+        graph = lambda: small_rmat(n=256, m=4096, seed=3)
+        assert self._sweep(graph, config, options, 6, kind) > 20
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["crash", "torn"])
+    def test_every_crash_point_under_writeback_large(self, kind):
+        config = small_test_config().with_cache(cache_bytes=8 * 4096).with_io_plan(
+            "coalesce+readahead"
+        )
+        options = EngineOptions(checkpoint_every=2, enable_precombine=False, enable_edgelog=True)
+        graph = lambda: small_rmat(n=512, m=4096, seed=3)
+        assert self._sweep(graph, config, options, 10, kind) > 50

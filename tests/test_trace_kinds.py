@@ -39,10 +39,10 @@ CFG = small_test_config()
 EDGELOG = EngineOptions(enable_edgelog=True, enable_precombine=False)
 
 
-def _bfs(tracer, fs=None):
+def _bfs(tracer, fs=None, cfg=CFG, options=EDGELOG):
     g, source = bfs_chain_graph("test", seed=77)
     repro.run(
-        g, BFSProgram(source=source), config=CFG, options=EDGELOG, fs=fs,
+        g, BFSProgram(source=source), config=cfg, options=options, fs=fs,
         tracer=tracer, max_supersteps=64,
     )
 
@@ -115,6 +115,12 @@ def test_every_declared_kind_is_emitted_and_validates(tmp_path):
         _traced(_bfs),
         _traced(_pagerank, CFG.with_cache().with_io_plan("coalesce+readahead").with_devices(4)),
         _traced(_pagerank, CFG.with_workers(2).with_io_plan("coalesce")),
+        # an 8-page cache under checkpoints: dirty log batches are
+        # written back on eviction and at every cut
+        _traced(
+            _bfs, cfg=CFG.with_cache(cache_bytes=8 * CFG.ssd.page_size),
+            options=EngineOptions(enable_edgelog=True, enable_precombine=False, checkpoint_every=2),
+        ),
         *_crash_and_resume(),
         _faulted(
             _pagerank, transient,
@@ -149,7 +155,11 @@ def test_crash_resume_skips_only_the_prologue():
 
 
 OVERLAYS = {
-    "cache_stats": {"hits": 3, "misses": 1, "evictions": 0, "insertions": 1, "invalidations": 0},
+    "cache_stats": {
+        "hits": 3, "misses": 1, "evictions": 0, "insertions": 1, "invalidations": 0,
+        "rejected": 0, "writeback_batches": 0, "writeback_pages": 0,
+        "dropped_dirty_pages": 0, "dirty_pages": 1,
+    },
     "parallel_stats": {"groups": 3, "spec_us": 4.0, "saved_us": 1.0, "makespan_us": 3.0},
     "io_plan_stats": {
         "mode": "coalesce",

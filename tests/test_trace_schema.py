@@ -28,6 +28,11 @@ GOOD = {
         "evictions": 1,
         "insertions": 2,
         "invalidations": 0,
+        "rejected": 0,
+        "writeback_batches": 1,
+        "writeback_pages": 3,
+        "dropped_dirty_pages": 2,
+        "dirty_pages": 1,
         "resident_pages": 1,
     },
     "parallel_stats": {"groups": 3, "spec_us": 10.0, "saved_us": 2.5, "makespan_us": 7.5},
@@ -64,6 +69,7 @@ GOOD = {
     },
     "mlog_flush": {"unit": "mlog", "pages": 1, "time_us": 12.0},
     "elog_flush": {"pages": 2, "time_us": 30.0},
+    "writeback": {"klass": "mlog", "pages": 3, "time_us": 40.0, "cause": "evict"},
     "warm_start": {
         "roots": 1, "cone": 2, "walk_rows": 3, "scan": True, "seeds": 4, "seeds_dropped": 5,
         "io_us": 0.0,
@@ -72,7 +78,10 @@ GOOD = {
 
 #: Counters that must never decrease within a run segment, per kind.
 COUNTERS = {
-    "cache_stats": ("hits", "misses", "evictions", "insertions", "invalidations"),
+    "cache_stats": (
+        "hits", "misses", "evictions", "insertions", "invalidations", "rejected",
+        "writeback_batches", "writeback_pages", "dropped_dirty_pages",
+    ),
     "parallel_stats": ("groups", "spec_us", "saved_us", "makespan_us"),
     "io_plan_stats": (
         "plans",
@@ -245,6 +254,18 @@ def test_non_integer_cache_counter_is_rejected(tmp_path):
         ("elog_flush", {"time_us": 0.0}),
         ("elog_flush", {"pages": 1.0}),
         ("elog_flush", {"time_us": _MISSING}),
+        ("elog_flush", {"deferred": 3}),
+        ("elog_flush", {"deferred": 1.0}),
+        ("mlog_flush", {"deferred": -1}),
+        ("mlog_flush", {"time_us": -1.0, "deferred": 1}),
+        ("elog_flush", {"time_us": 0.0, "deferred": 1}),
+        ("writeback", {"klass": "ulog"}),
+        ("writeback", {"pages": 0}),
+        ("writeback", {"time_us": 0.0}),
+        ("writeback", {"cause": "run_end"}),
+        ("writeback", {"cause": _MISSING}),
+        ("cache_stats", {"dirty_pages": -1}),
+        ("cache_stats", {"writeback_pages": _MISSING}),
         ("warm_start", {"roots": -1}),
         ("warm_start", {"cone": _MISSING}),
         ("warm_start", {"walk_rows": 1.5}),
@@ -271,6 +292,14 @@ def test_empty_sort_may_have_no_runs(tmp_path):
         assert rejected(tmp_path, BEGIN, good(kind, records=0, natural_runs=0)) == []
     empty = {"records": 0, "natural_runs": 0, "intervals": 0, "survivors": 0, "item_levels": 0}
     assert rejected(tmp_path, BEGIN, good("send_reduce", **empty)) == []
+
+
+def test_fully_deferred_flush_may_be_free(tmp_path):
+    """A flush whose every page a write-back cache took charges nothing now."""
+    assert rejected(tmp_path, BEGIN, good("mlog_flush", deferred=1, time_us=0.0)) == []
+    assert rejected(tmp_path, BEGIN, good("elog_flush", deferred=2, time_us=0)) == []
+    # a partly deferred batch still charged its remainder
+    assert rejected(tmp_path, BEGIN, good("elog_flush", deferred=1)) == []
 
 
 def test_extsort_reduce_fields_hold_when_present(tmp_path):
