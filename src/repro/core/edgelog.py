@@ -213,6 +213,10 @@ class EdgeLogOptimizer:
             self._flush(full, tail)
         self._cur_first, self._next_first = self._next_first, np.full(self.n, -1, dtype=np.int64)
         self._cur_last, self._next_last = self._next_last, np.full(self.n, -1, dtype=np.int64)
+        if self._file_cur is not None:
+            # The consumed generation is dead: deleting it drops its
+            # cached pages, dirty ones unwritten (they are never read).
+            self.fs.delete(self._file_cur.name)
         self._file_cur = self._file_next
         self._file_next = self._new_file()
         self._pager.reset()

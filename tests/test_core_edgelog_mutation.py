@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import BFSProgram
+from repro.core import MultiLogVC
 from repro.core.edgelog import EdgeLogOptimizer
 from repro.core.mutation import MutationBuffer
 from repro.errors import ProgramError
 from repro.graph import GraphOnSSD, uniform_partition
+from repro.graph.datasets import bfs_chain_graph
 from repro.mem import MemoryBudget
 from repro.ssd import SimFS
 
@@ -86,6 +89,15 @@ class TestEdgeLogOptimizer:
         e.consider(np.array([1]), np.array([10]))
         e.end_superstep()
         assert fs.stats.writes.get("edgelog") is not None
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_consumed_generations_are_deleted(self, cfg, cached):
+        # Only the generation being read and the one being written live.
+        graph, source = bfs_chain_graph("test")
+        eng = MultiLogVC(graph, BFSProgram(source), cfg.with_cache() if cached else cfg)
+        assert eng.run(10).n_supersteps == 10
+        assert eng.edgelog.total_logged > 0
+        assert len([n for n in eng.fs.names() if n.startswith("elog.g")]) <= 2
 
 
 @pytest.fixture
