@@ -105,13 +105,16 @@ class GraFBoost(SuperstepEngine):
         if use_combine and isinstance(spec, str):
             # Level 1 first: the tree over its partials is the tree over
             # the raw log, bit for bit (repro.core.combine).
-            sizes, interval_natural = interval_runs(batch, self._tree)
+            sizes, interval_natural, spans = interval_runs(batch, self._tree)
             batch = precombine(batch, spec, self._tree)
-            levels = self.meter.charge_sort_reduce(sizes, interval_natural, batch.n, "sort_log")
+            levels, counted = self.meter.charge_sort_reduce(
+                sizes, interval_natural, spans, batch.n, "sort_log"
+            )
             natural = int(interval_natural.sum())
             reduce_fields = {
                 "intervals": int(sizes.shape[0]),
                 "survivors": batch.n,
+                "counted": counted,
                 "item_levels": levels,
             }
         else:

@@ -62,31 +62,40 @@ def _source_intervals(src: np.ndarray, intervals: VertexIntervals) -> np.ndarray
     return intervals.dense.take(src, mode="clip")
 
 
-def interval_runs(batch: UpdateBatch, intervals: VertexIntervals) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sizes, runs)`` of the streams a sort-reduce of ``batch`` merges.
+def interval_runs(
+    batch: UpdateBatch, intervals: VertexIntervals
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sizes, runs, spans)`` of the streams a sort-reduce of ``batch`` merges.
 
     ``batch`` is in send order.  Where its source intervals never
     decrease -- every superstep's sends, as vertices run in id order --
     each source interval that sent is one stream: ``sizes[i]`` updates
-    whose destinations form ``runs[i]`` natural runs.  Elsewhere (a seed
-    batch) the whole batch is one stream, ``([n], [natural_runs])``:
-    there level 1 reduces runs that depend on which destinations sit
-    next to each other, so no per-interval merge order is exact
+    whose destinations form ``runs[i]`` natural runs and cover
+    ``spans[i] = max - min + 1`` ids.  Elsewhere (a seed batch) the
+    whole batch is one stream, ``([n], [natural_runs], [span])``: there
+    level 1 reduces runs that depend on which destinations sit next to
+    each other, so no per-interval merge order is exact
     (``ComputeMeter.charge_sort_reduce``).
     """
     n, src, dest = batch.n, batch.src, batch.dest
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     if (src[1:] >= src[:-1]).all():
         # Ascending senders (every superstep): the streams are cut at the
         # interval bounds, with no per-update gather.
         cuts = np.searchsorted(src, intervals.boundaries[1:-1].astype(src.dtype))
     else:
         ival = _source_intervals(src, intervals)
-        if (ival[1:] < ival[:-1]).any():
-            return np.array([n]), np.array([natural_runs(dest)])
         cuts = np.flatnonzero(ival[1:] != ival[:-1]) + 1
-    bounds = np.unique(np.concatenate(([0], cuts, [n])))
-    runs = [natural_runs(dest[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    return np.diff(bounds), np.array(runs, dtype=np.int64)
+        if (ival[1:] < ival[:-1]).any():
+            cuts = cuts[:0]  # not contiguous (a seed batch): one stream
+    starts = np.unique(np.concatenate(([0], cuts[cuts < n])))
+    ends = np.append(starts[1:], n)
+    runs = np.array([natural_runs(dest[a:b]) for a, b in zip(starts, ends)], dtype=np.int64)
+    lo = np.minimum.reduceat(dest, starts).astype(np.int64)
+    hi = np.maximum.reduceat(dest, starts).astype(np.int64)
+    return ends - starts, runs, hi - lo + 1
 
 
 def _reduce_runs(batch: UpdateBatch, ufunc: np.ufunc, intervals: VertexIntervals):

@@ -549,17 +549,20 @@ class MultiLogVC(SuperstepEngine):
         batch reduced to a record per (destination, source interval) --
         level 1 of the combine tree -- after the range check has seen
         every destination as produced.  The reduce is charged as a
-        sort-reduce (DESIGN.md §15): each source interval's sends merged
-        from their natural runs of destinations (each sender's follow
-        its ascending adjacency list) and reduced on their own, then the
-        surviving records merged across intervals.
+        sort-reduce (DESIGN.md §15): each source interval's sends sorted
+        by destination -- merged from their natural runs (each sender's
+        follow its ascending adjacency list) or counted over their
+        destination range, whichever is cheaper -- and reduced on their
+        own, then the surviving records merged across intervals.
         """
         sent = sum(b.n for b in batches)
         if self.precombine and sent:
             batch = mlog.narrowed(UpdateBatch.concat(batches))
-            sizes, runs = interval_runs(batch, self.intervals)
+            sizes, runs, spans = interval_runs(batch, self.intervals)
             reduced = precombine(batch, self.program.combine, self.intervals)
-            levels = self.meter.charge_sort_reduce(sizes, runs, reduced.n, "sort_send")
+            levels, counted = self.meter.charge_sort_reduce(
+                sizes, runs, spans, reduced.n, "sort_send"
+            )
             if self.tracer.enabled:
                 self.tracer.emit(
                     "send_reduce",
@@ -567,6 +570,7 @@ class MultiLogVC(SuperstepEngine):
                     intervals=int(sizes.shape[0]),
                     natural_runs=int(runs.sum()),
                     survivors=reduced.n,
+                    counted=counted,
                     item_levels=levels,
                 )
             batches = [reduced]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,26 +74,33 @@ class ComputeMeter:
             )
 
     def charge_sort_reduce(
-        self, sizes: np.ndarray, runs: np.ndarray, survivors: int, site: str
-    ) -> float:
-        """A sort-reduce: each stream merged and reduced on its own, then
+        self, sizes: np.ndarray, runs: np.ndarray, spans: np.ndarray, survivors: int, site: str
+    ) -> Tuple[float, int]:
+        """A sort-reduce: each stream sorted and reduced on its own, then
         the ``survivors`` of all ``K = len(sizes)`` streams merged.
 
-        Charges ``sum_i sizes[i] * log2(max(runs[i], 2))`` item-levels
-        (each stream as :meth:`charge_sort` charges it, so one stream
-        costs exactly that) plus ``survivors * log2(K)`` for ``K >= 2``.
-        The streams come from :func:`~repro.core.combine.interval_runs`.
-        Returns the item-levels charged.
+        Each stream of ``n = sizes[i] > 1`` keys is charged the cheaper
+        of its two exact stable sorts: the merge of its ``runs[i]``
+        natural runs, ``n * log2(max(runs[i], 2))`` item-levels (as
+        :meth:`charge_sort` charges it), or a counting sort over its
+        ``spans[i]`` keys, ``2 * n + spans[i]`` (a histogram pass, a
+        prefix sum over the key range, a stable scatter).  The merge
+        adds ``survivors * log2(K)`` for ``K >= 2``.  The streams come
+        from :func:`~repro.core.combine.interval_runs`.  Returns the
+        item-levels charged and how many streams were charged as a
+        counting sort.
         """
-        levels = 0.0
-        for n, r in zip(sizes.tolist(), runs.tolist()):
+        levels, counted = 0.0, 0
+        for n, r, span in zip(sizes.tolist(), runs.tolist(), spans.tolist()):
             if n > 1:
-                levels += n * math.log2(max(r, 2))
+                merge, count = n * math.log2(max(r, 2)), 2 * n + span
+                counted += count < merge
+                levels += min(merge, count)
         if sizes.shape[0] >= 2:
             levels += survivors * math.log2(sizes.shape[0])
         if levels:
             self._charge(site, levels * self.config.per_sort_item_us / self.config.cores)
-        return levels
+        return levels, counted
 
     def restore(self, time_us: float) -> None:
         """Resume at a checkpointed meter reading (ledger row ``resumed``)."""

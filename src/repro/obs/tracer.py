@@ -122,10 +122,17 @@ _SORT = EventSchema(
 )
 
 #: A sort-reduce (DESIGN.md §15) merges at least one stream per source
-#: interval that sent -- one natural run each at the least -- and hands
-#: on no more records than it was given.  ``extsort`` carries the
-#: reduce's fields only where its charge is one (plain GraFBoost with a
-#: named combine); ``send_reduce`` always does.
+#: interval that sent -- one natural run each at the least -- hands on
+#: no more records than it was given, and charges at most every stream
+#: as a counting sort (``counted``).  ``extsort`` carries the reduce's
+#: fields only where its charge is one (plain GraFBoost with a named
+#: combine); ``send_reduce`` always does.
+_REDUCE_FIELDS = {
+    "intervals": COUNT,
+    "survivors": COUNT,
+    "counted": COUNT,
+    "item_levels": NON_NEGATIVE,
+}
 _REDUCE_RULES = (
     Rule(
         ("records", "survivors"),
@@ -137,6 +144,11 @@ _REDUCE_RULES = (
         lambda n, k, runs: k is None or n <= 0 or 1 <= k <= runs <= n,
         "not 1 <= intervals {intervals} <= natural_runs {natural_runs} <= records {records}",
     ),
+    Rule(
+        ("intervals", "counted"),
+        lambda k, c: c is None or k is None or 0 <= c <= k,
+        "counted {counted} outside [0, intervals {intervals}]",
+    ),
 )
 
 
@@ -146,16 +158,11 @@ def _maybe(check: Check) -> Check:
 
 
 _EXTSORT = EventSchema(
-    {
-        **_SORT.fields,
-        "intervals": _maybe(COUNT),
-        "survivors": _maybe(COUNT),
-        "item_levels": _maybe(NON_NEGATIVE),
-    },
+    {**_SORT.fields, **{f: _maybe(c) for f, c in _REDUCE_FIELDS.items()}},
     rules=_SORT.rules + _REDUCE_RULES,
 )
 _SEND_REDUCE = EventSchema(
-    {**_SORT.fields, "intervals": COUNT, "survivors": COUNT, "item_levels": NON_NEGATIVE},
+    {**_SORT.fields, **_REDUCE_FIELDS},
     rules=_SORT.rules + _REDUCE_RULES,
 )
 

@@ -240,7 +240,8 @@ def test_no_host_threads():
 #: natural merge, which moves each group's compute and so each lane's
 #: time.  ``enable_precombine`` off is the paper's post-read combine;
 #: the send-side combine moves every charge, so it has its own
-#: constants beside them.
+#: constants beside them, re-recorded when the send-side reduce's
+#: streams became charged the cheaper of a merge and a counting sort.
 GOLDEN_PARALLEL_STATS = {
     ("pagerank", 2): (40, 9690.664460550497, 4216.366837950283, 10914.297622600214),
     ("pagerank", 4): (40, 9690.664460550497, 6233.999961012433, 8896.664499538063),
@@ -248,10 +249,10 @@ GOLDEN_PARALLEL_STATS = {
     ("sssp", 4): (36, 10333.18510775601, 6096.022390477092, 6747.1627172789185),
 }
 GOLDEN_PARALLEL_STATS_PRECOMBINE = {
-    ("pagerank", 2): (40, 7376.29911247056, 3033.6214264210944, 6182.6776860494665),
-    ("pagerank", 4): (40, 7376.299112470562, 4541.802768601976, 4674.496343868586),
-    ("sssp", 2): (36, 9637.45092776002, 3729.8920870665406, 7517.5588406934785),
-    ("sssp", 4): (36, 9637.450927760017, 5587.068282355266, 5660.382645404754),
+    ("pagerank", 2): (40, 7202.891400325987, 2931.7419784529457, 6111.149421873042),
+    ("pagerank", 4): (40, 7202.891400325987, 4392.635056457401, 4650.256343868587),
+    ("sssp", 2): (36, 9594.376642612819, 3702.6406885368924, 7501.735954075928),
+    ("sssp", 4): (36, 9594.37664261282, 5547.979895687339, 5656.396746925479),
 }
 
 

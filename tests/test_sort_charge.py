@@ -4,10 +4,12 @@ Every update sort is charged ``n * log2(max(runs, 2))`` where ``runs``
 counts the maximal non-decreasing stretches of its keys in arrival
 order (:func:`repro.core.update.natural_runs`).  A send-side reduce is
 charged as the sort-reduce that computes its bits (DESIGN.md §15): each
-source interval's sends merged from their natural runs and reduced on
-their own, then the survivors merged across intervals -- pinned here
-against a ``heapq`` reference model of that algorithm.  The meter keeps
-one tally per call site beside its total; the rows must sum to the total.
+source interval's sends sorted by destination -- merged from their
+natural runs or counted over their range, whichever costs less -- and
+reduced on their own, then the survivors merged across intervals --
+pinned here against a reference model of that algorithm (a ``heapq``
+merge and a counting sort).  The meter keeps one tally per call site
+beside its total; the rows must sum to the total.
 """
 
 import functools
@@ -29,7 +31,7 @@ from repro.core.multilog import MultiLogUnit
 from repro.core.combine import interval_runs
 from repro.core.results import COMPUTE_SITES, ComputeMeter
 from repro.core.sortgroup import SortGroupUnit
-from repro.core.update import UpdateBatch, natural_runs
+from repro.core.update import UpdateBatch, natural_runs, stable_argsort_bounded
 from repro.graph import VertexIntervals, uniform_partition
 from repro.graph.datasets import small_ring, small_rmat
 from repro.mem import MemoryBudget
@@ -147,43 +149,82 @@ PROGRAMS = {
 }
 
 
+def merge_order(keys):
+    """Stable sort of ``keys`` as a ``heapq`` merge of their natural runs,
+    ties to the earlier run; returns the permutation."""
+    runs = [[0]]
+    for p in range(1, len(keys)):
+        if keys[p] < keys[p - 1]:
+            runs.append([])
+        runs[-1].append(p)
+    keyed = ([(keys[p], r, p) for p in run] for r, run in enumerate(runs))
+    return [p for _, _, p in heapq.merge(*keyed)], len(runs)
+
+
+def counting_order(keys):
+    """Stable counting sort of ``keys``: a histogram over their range, a
+    prefix sum, a scatter in input order; returns the permutation."""
+    lo = min(keys)
+    count = [0] * (max(keys) - lo + 1)
+    for k in keys:
+        count[k - lo] += 1
+    start, total = [], 0
+    for c in count:
+        start.append(total)
+        total += c
+    order = [0] * len(keys)
+    for p, k in enumerate(keys):
+        order[start[k - lo]] = p
+        start[k - lo] += 1
+    return order, len(count)
+
+
 def sort_reduce_model(batch, spec, intervals):
     """The sort-reduce the send-side charge models, one record at a time.
 
-    Per source interval (in send order): merge its natural runs of
-    destinations with ``heapq``, ties to the earlier run, and reduce each
-    equal-destination group of the merged stream with the combine's
-    ``reduceat`` -- the same function level 1 applies, so the bits are
-    NumPy's, not a left fold's.  Then merge the reduced streams by
-    (destination, interval).  Returns ``(records, item_levels)``, each
-    record ``(dest, src, data)`` with ``src`` the group's first sender.
+    Per source interval (in send order): sort its destinations stably,
+    by whichever of the two exact algorithms costs fewer item-levels --
+    the merge of its natural runs or a counting sort over its range --
+    and reduce each equal-destination group of the sorted stream with
+    the combine's ``reduceat``, the same function level 1 applies, so
+    the bits are NumPy's, not a left fold's.  Then merge the reduced
+    streams by (destination, interval).  Returns ``(records,
+    item_levels, counted)``, each record ``(dest, src, data)`` with
+    ``src`` the group's first sender, ``counted`` the streams sorted by
+    counting.
     """
     n_vertices = intervals.n_vertices
     ival = intervals.interval_of(np.clip(batch.src, 0, n_vertices - 1)).tolist()
     dest, src, data = batch.dest.tolist(), batch.src.tolist(), batch.data
     order = list(dict.fromkeys(ival))
     assert order == sorted(order), "only batches contiguous in source interval"
-    streams, levels = [], 0.0
+    streams, levels, counted = [], 0.0, 0
     for i in order:
         rows = [p for p in range(batch.n) if ival[p] == i]
-        runs = [[rows[0]]]
-        for a, b in zip(rows, rows[1:]):
-            if dest[b] < dest[a]:
-                runs.append([])
-            runs[-1].append(b)
-        keyed = ([(dest[p], r, p) for p in run] for r, run in enumerate(runs))
-        merged = [p for _, _, p in heapq.merge(*keyed)]
-        starts = [k for k in range(len(merged)) if k == 0 or dest[merged[k]] != dest[merged[k - 1]]]
-        partials = UFUNCS[spec].reduceat(data[merged], starts)
-        streams.append(
-            [(dest[merged[k]], i, src[merged[k]], x) for k, x in zip(starts, partials.tolist())]
-        )
+        keys = [dest[p] for p in rows]
+        merged, runs = merge_order(keys)
+        counting, span = counting_order(keys)
+        merge_cost, count_cost = len(rows) * math.log2(max(runs, 2)), 2 * len(rows) + span
         if len(rows) > 1:
-            levels += len(rows) * math.log2(max(len(runs), 2))
+            levels += min(merge_cost, count_cost)
+            counted += count_cost < merge_cost
+        by_dest = [rows[k] for k in (counting if count_cost < merge_cost else merged)]
+        keys = [dest[p] for p in by_dest]
+        starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
+        partials = UFUNCS[spec].reduceat(data[by_dest], starts)
+        streams.append(
+            [(dest[by_dest[k]], i, src[by_dest[k]], x) for k, x in zip(starts, partials.tolist())]
+        )
     out = list(heapq.merge(*streams, key=lambda rec: rec[:2]))
     if len(streams) >= 2:
         levels += len(out) * math.log2(len(streams))
-    return [(d, s, x) for d, _, s, x in out], levels
+    return [(d, s, x) for d, _, s, x in out], levels, counted
+
+
+def merge_only_levels(sizes, runs, survivors):
+    """The charge before counting sorts: every stream a natural merge."""
+    levels = sum(n * math.log2(max(r, 2)) for n, r in zip(sizes, runs) if n > 1)
+    return levels + (survivors * math.log2(len(sizes)) if len(sizes) >= 2 else 0.0)
 
 
 class _Sink:
@@ -206,13 +247,15 @@ def _engine(spec):
 
 def send_reduce(batch, spec, intervals):
     """MultiLogVC's send-side reduce of ``batch`` (its sources' partition
-    ``intervals``): the batch it logs and the item-levels of its
-    ``sort_send`` charge."""
+    ``intervals``): the batch it logs, the item-levels of its
+    ``sort_send`` charge and its ``send_reduce`` event's ``counted``."""
     eng = _engine(spec)
-    eng.intervals, eng.meter, sink = intervals, ComputeMeter(C), _Sink()
+    eng.intervals, eng.meter, eng.tracer = intervals, ComputeMeter(C), TraceRecorder()
+    sink = _Sink()
     assert eng._log(sink, [batch]) == batch.n
     (logged,) = sink.batches
-    return logged, eng.meter.by_site["sort_send"] / UNIT
+    counted = sum(e.fields["counted"] for e in eng.tracer.events)  # no sends, no event
+    return logged, eng.meter.by_site["sort_send"] / UNIT, counted
 
 
 def _take(batch, order):
@@ -249,12 +292,30 @@ class TestSendSideSortReduce:
     @settings(max_examples=100, deadline=None)
     def test_model_equals_precombine_and_the_charge(self, spec, case):
         batch, intervals = case
-        records, levels = sort_reduce_model(batch, spec, intervals)
-        logged, charged = send_reduce(batch, spec, intervals)
+        records, levels, counted = sort_reduce_model(batch, spec, intervals)
+        logged, charged, event_counted = send_reduce(batch, spec, intervals)
         assert logged.dest.tolist() == [d for d, _, _ in records]
         assert logged.src.tolist() == [s for _, s, _ in records]
         assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
         assert math.isclose(charged, levels, rel_tol=1e-12, abs_tol=1e-12)
+        assert event_counted == counted
+        # Never above the merge-only charge; equal to it when no stream is
+        # cheaper to count.
+        sizes, runs, spans = interval_runs(batch, intervals)
+        merge = merge_only_levels(sizes.tolist(), runs.tolist(), logged.n)
+        assert charged <= merge * (1 + 1e-12)
+        if counted == 0:
+            assert math.isclose(charged, merge, rel_tol=1e-12, abs_tol=1e-12)
+        # Per stream, the merge, the counting sort and the host's radix are
+        # one permutation: the bits are precombine's whichever is charged.
+        for a, b, r, span in zip(np.cumsum(sizes) - sizes, np.cumsum(sizes), runs, spans):
+            keys = batch.dest[a:b]
+            host = stable_argsort_bounded(keys - keys.min()).tolist()
+            (merged, merge_runs), (counting, count_span) = (
+                merge_order(keys.tolist()), counting_order(keys.tolist())
+            )
+            assert merged == counting == host
+            assert (merge_runs, count_span) == (r, span)
 
     @pytest.mark.parametrize("spec", sorted(UFUNCS))
     def test_a_sender_sending_twice_to_one_destination(self, spec):
@@ -265,22 +326,42 @@ class TestSendSideSortReduce:
         src = [1] * 6 + [2] * 7 + [5]
         data = np.random.default_rng(3).standard_normal(14) * 10.0 ** np.arange(-7, 7)
         batch = UpdateBatch.of(dest, src, data)
-        records, levels = sort_reduce_model(batch, spec, halves)
-        logged, charged = send_reduce(batch, spec, halves)
+        records, levels, counted = sort_reduce_model(batch, spec, halves)
+        logged, charged, _ = send_reduce(batch, spec, halves)
         assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
-        # Interval 0: 13 sends in 3 runs; interval 1: 1 send; 4 survivors.
+        # Interval 0: 13 sends in 3 runs over 4 ids, merged (20.6 levels
+        # against 30 counted); interval 1: 1 send; 4 survivors.
+        assert counted == 0
         assert levels == 13 * math.log2(3) + 4 * math.log2(2)
+        assert math.isclose(charged, levels, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("spec", sorted(UFUNCS))
+    def test_a_narrow_stream_is_counted(self, spec):
+        # Interval 0: 16 sends alternating over two ids, 8 runs: counted
+        # (2 * 16 + 2 = 34 levels against 16 * 3 = 48 merged); interval
+        # 1: 3 sorted sends over 9 ids, merged (3 against 15).
+        halves = VertexIntervals(np.array([0, 4, 8]))
+        dest = [1, 0] * 8 + [0, 4, 8]
+        src = [0] * 8 + [3] * 8 + [6] * 3
+        batch = UpdateBatch.of(dest, src, np.random.default_rng(5).standard_normal(19))
+        records, levels, counted = sort_reduce_model(batch, spec, halves)
+        logged, charged, event_counted = send_reduce(batch, spec, halves)
+        assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
+        assert counted == event_counted == 1
+        assert levels == 34 + 3 + 5 * math.log2(2)
         assert math.isclose(charged, levels, rel_tol=1e-12)
 
     @pytest.mark.parametrize("spec", sorted(UFUNCS))
     @given(send_batches())
     @settings(max_examples=60, deadline=None)
-    def test_non_contiguous_batch_is_one_natural_merge(self, spec, case):
+    def test_non_contiguous_batch_is_one_stream(self, spec, case):
         batch, intervals, _ = case
         batch = _take(batch, np.arange(batch.n)[::-1])  # senders descend across intervals
         assume((np.diff(intervals.interval_of(batch.src)) < 0).any())
-        _, charged = send_reduce(batch, spec, intervals)
-        assert charged * UNIT == charge(batch.n, natural_runs(batch.dest))
+        _, charged, _ = send_reduce(batch, spec, intervals)
+        span = int(batch.dest.max()) - int(batch.dest.min()) + 1
+        want = min(charge(batch.n, natural_runs(batch.dest)), (2 * batch.n + span) * UNIT)
+        assert charged * UNIT == want
 
     @pytest.mark.parametrize(
         "dest, src, sizes, runs",
@@ -295,7 +376,9 @@ class TestSendSideSortReduce:
     def test_interval_runs(self, dest, src, sizes, runs):
         halves = VertexIntervals(np.array([0, 4, 8]))
         got = interval_runs(UpdateBatch.of(dest, src, np.zeros(len(dest))), halves)
-        assert [a.tolist() for a in got] == [sizes, runs]
+        bounds = np.cumsum([0, *sizes])
+        spans = [max(dest[a:b]) - min(dest[a:b]) + 1 for a, b in zip(bounds[:-1], bounds[1:])]
+        assert [a.tolist() for a in got] == [sizes, runs, spans]
 
 
 def assert_ledger(res):
