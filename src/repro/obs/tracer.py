@@ -50,7 +50,7 @@ class Check(NamedTuple):
 class Rule(NamedTuple):
     """A cross-field rule: ``holds(*values of reads)`` (``None`` for an
     absent optional field), else ``msg`` formatted with the event's
-    fields."""
+    fields (an absent one reads ``<absent>``)."""
 
     reads: Tuple[str, ...]
     holds: Callable[..., bool]

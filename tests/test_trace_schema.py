@@ -9,11 +9,15 @@ checks and the cross-field rules -- plus one well-formed event per
 constrained kind that must pass.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.obs import TRACE_SCHEMA
+from repro.obs.tracer import Rule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from validate_trace import validate_file  # noqa: E402
@@ -313,6 +317,18 @@ def test_fully_deferred_flush_may_be_free(tmp_path):
 def test_extsort_reduce_fields_hold_when_present(tmp_path):
     reduce = {"intervals": 2, "survivors": 2, "counted": 2, "item_levels": 6.0}
     assert rejected(tmp_path, BEGIN, good("extsort", **reduce)) == []
+
+
+def test_rule_message_may_name_an_absent_field(tmp_path, monkeypatch):
+    """A failed rule is reported even when its message names a field the
+    event does not carry: the field reads ``<absent>``."""
+    rule = Rule(("intervals",), lambda k: k is not None, "counted {counted} without {intervals}")
+    schema = dataclasses.replace(TRACE_SCHEMA["extsort"], rules=(rule,))
+    monkeypatch.setitem(TRACE_SCHEMA, "extsort", schema)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(json.dumps(e) for e in (BEGIN, good("extsort", counted=1))) + "\n")
+    (err,) = validate_file(path)
+    assert err == f"{path}:2: extsort counted 1 without <absent>"
 
 
 def test_every_bad_line_is_reported(tmp_path):

@@ -28,6 +28,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.obs import TRACE_SCHEMA  # noqa: E402
 
 
+class _Fields(dict):
+    """An event's fields for a rule message; an absent one reads ``<absent>``."""
+
+    def __missing__(self, field):
+        return "<absent>"
+
+
 def _envelope_error(ev) -> str:
     """Why ``ev`` is not an event of a declared kind ('' when it is)."""
     if not isinstance(ev, dict):
@@ -101,7 +108,7 @@ def validate_file(path: Path) -> list:
             last[kind] = ev
         for rule in schema.rules:
             if failed.isdisjoint(rule.reads) and not rule.holds(*(ev.get(f) for f in rule.reads)):
-                errors.append(f"{where}: {kind} " + rule.msg.format(**ev))
+                errors.append(f"{where}: {kind} " + rule.msg.format_map(_Fields(ev)))
     if n_events == 0 and not errors:
         errors.append(f"{path}: trace is empty")
     if not errors:
