@@ -5,7 +5,8 @@ buffer cache between the engine and flash: FlashGraph's SAFS user-space
 page cache is the centerpiece of its SSD-array design, and GraphMP keeps
 hot graph data in memory with a vertex-centric sliding window.  This
 module is the equivalent for the simulation: a deterministic,
-budget-capped cache of *(file name, page id)* keys with CLOCK eviction.
+budget-capped cache of *(file name, page id)* keys with clean-first
+CLOCK eviction.
 
 The cache stores **no payload bytes** -- data already lives in host
 arrays (see :mod:`repro.ssd.file`); what it changes is *charging*.  The
@@ -17,8 +18,11 @@ Writes of most classes are charged in full when they happen
 (write-through), so the stream store's update log, the CSR image and
 checkpoints keep their torn-write and crash semantics.  The two scratch
 classes of :data:`WRITEBACK_KLASSES` are *write-back*: a striped write
-of them is admitted as one **dirty batch** and not charged.  When CLOCK
-picks any dirty page as its victim, every still-dirty page of that
+of them is admitted as one **dirty batch** and not charged.  The CLOCK
+hand evicts clean pages first (as CFLRU does for flash): a dirty victim
+costs a write-back now and a re-read when its log is consumed, a clean
+one at most the re-read, so a dirty page is evicted only when no clean
+unpinned page can be.  When it is, every still-dirty page of that
 page's batch goes to the device as one write batch and turns clean, so
 a batch is written at most once, with no more pages than it deferred,
 and never costs more than write-through did.  A dirty page that
@@ -89,7 +93,7 @@ class _DirtyBatch:
 
 
 class PageCache(Overlay):
-    """Deterministic CLOCK page cache keyed by ``(file name, page id)``.
+    """Deterministic clean-first CLOCK page cache keyed by ``(file name, page id)``.
 
     Parameters
     ----------
@@ -242,22 +246,37 @@ class PageCache(Overlay):
     def _victim_slot(self) -> int:
         """Advance the hand to a usable frame; -1 if everything is pinned.
 
-        Classic CLOCK: an empty frame is taken immediately, a referenced
-        frame gets a second chance (ref bit cleared), pinned frames are
-        passed over untouched.  Two full sweeps clear every ref bit, so
-        a third guarantees a victim unless all frames are pinned.
+        Clean-first CLOCK (DESIGN.md §10): an empty frame is taken at
+        once, a referenced frame gets a second chance (ref bit cleared),
+        pinned frames are passed over, and the victim is the first
+        unreferenced **clean** frame -- a dirty victim costs a write-back
+        now and a re-read later, a clean one at most the re-read.  The
+        first unreferenced dirty frame passed is the candidate; the hand
+        takes it when it comes back round to it without clearing a clean
+        frame's ref bit on the way (no clean unpinned frame is left), or
+        at once when every frame is dirty, so an all-dirty ring is
+        scanned no further than classic CLOCK scans it.  Three sweeps
+        find a victim unless all frames are pinned.  Classic CLOCK with
+        dirty pages admitted referenced was measured and saves far less.
         """
+        take_dirty = self._n_dirty == self.capacity
+        candidate = -1
         for _ in range(3 * self.capacity):
             slot = self._hand
-            self._hand = (self._hand + 1) % self.capacity
+            self._hand = (slot + 1) % self.capacity
             if self._keys[slot] is None:
                 return slot
             if self._pins[slot] > 0:
                 continue
             if self._ref[slot]:
                 self._ref[slot] = False
+                if self._dirty[slot] is None:
+                    candidate = -1  # this clean frame is takeable next round
                 continue
-            return slot
+            if take_dirty or self._dirty[slot] is None or slot == candidate:
+                return slot
+            if candidate < 0:
+                candidate = slot
         return -1
 
     def _insert(self, name: str, page: int) -> int:

@@ -173,11 +173,18 @@ class _RecordingDevice:
 
     tracer = NULL_TRACER
 
-    def __init__(self):
+    def __init__(self, cache=None):
         self.writes = []
+        #: per write, whether ``cache`` held no clean unpinned page then
+        self.all_dirty = []
+        self.cache = cache
 
     def write_batch(self, channels, klass, devices=None):
         self.writes.append((klass, [int(c) for c in channels]))
+        c = self.cache
+        if c is not None:
+            unpinned = [s for s in range(c.capacity) if c._keys[s] is not None and not c._pins[s]]
+            self.all_dirty.append(all(c._dirty[s] is not None for s in unpinned))
         return 10.0 + len(channels)
 
 
@@ -218,18 +225,60 @@ class TestWriteBack:
 
     def test_eviction_writes_back_the_whole_batch_once(self):
         fs = self._fs(4)
-        m = fs.create_page_file("m", "mlog")
-        through = self._write(fs.create_page_file("u", "ulog"), 3)
-        self._write(m, 3)
-        fs.cache.access("x", ids(0, 1))  # evicts two frames; one is dirty
+        u, m = fs.create_page_file("u", "ulog"), fs.create_page_file("m", "mlog")
+        through = self._write(u, 4)
+        u.truncate()  # empties the ring
+        self._write(m, 4)  # every frame dirty: the next victim must be
+        fs.cache.access("x", ids(0, 1))
         cache = fs.cache
-        assert (cache.writeback_batches, cache.writeback_pages) == (1, 3)
+        assert (cache.writeback_batches, cache.writeback_pages) == (1, 4)
         assert cache.dirty_pages == 0
-        assert fs.stats.writes["mlog"].pages == 3
+        assert fs.stats.writes["mlog"].pages == 4
         assert fs.stats.writes["mlog"].time_us == through
         m.truncate()  # clean now: nothing is dropped dirty
         assert cache.dropped_dirty_pages == 0
         assert fs.stats.writes["mlog"].batches == 1
+
+    def test_clean_frame_is_evicted_before_dirty(self):
+        c, device = PageCache(4), _RecordingDevice()
+        c.admit_dirty([("m", ids(0, 1, 2))], device, "mlog", ids(0, 1, 2))
+        c.access("f", ids(0))  # the one clean page, last on the ring
+        c.access("g", ids(0))  # no ref bit set: the hand passes three dirty frames
+        assert ("f", 0) not in c and ("g", 0) in c
+        assert all(("m", p) in c for p in range(3))
+        assert device.writes == [] and c.evictions == 1 and c.dirty_pages == 3
+
+    def test_dirty_victim_only_when_no_clean_frame_can_be_taken(self):
+        c, device = PageCache(4), _RecordingDevice()
+        c.admit_dirty([("m", ids(0, 1))], device, "mlog", ids(0, 1))
+        c.access("f", ids(0))
+        c.admit_dirty([("n", ids(0))], device, "mlog", ids(2))
+        c.access("f", ids(0))  # ref bit: a second chance, but still clean
+        # the hand passes m0 and m1, clears f0's bit, passes n0, m0 and
+        # m1, then takes f0 rather than m0, the first dirty frame it passed
+        c.access("g", ids(0))
+        assert ("f", 0) not in c and device.writes == []
+        c.pin("g", ids(0))  # the only clean frame left cannot be taken
+        c.access("h", ids(0))  # a full round: the first dirty frame, n0, goes
+        assert device.writes == [("mlog", [2])]
+        assert ("g", 0) in c and ("h", 0) in c and ("n", 0) not in c
+        assert c.dirty_pages == 2
+
+    def test_an_all_dirty_ring_is_not_searched_for_a_clean_frame(self):
+        """With every frame dirty the hand stops at the first unreferenced
+        one, as classic CLOCK does, instead of going round the ring."""
+        c, device = PageCache(64), _RecordingDevice()
+        c.admit_dirty([("m", np.arange(64))], device, "mlog", np.arange(64))
+        visited = []
+
+        class Watched(list):
+            def __getitem__(self, slot):
+                visited.append(slot)
+                return super().__getitem__(slot)
+
+        c._pins = Watched(c._pins)
+        c.access("x", ids(0))
+        assert visited == [0] and len(device.writes) == 1
 
     def test_batch_larger_than_the_cache_is_written_once(self):
         fs = self._fs(2)
@@ -321,7 +370,8 @@ class TestWriteBack:
     )
     @settings(max_examples=150, deadline=None)
     def test_random_sequences_keep_the_writeback_contract(self, capacity, steps):
-        cache, device = PageCache(capacity), _RecordingDevice()
+        cache = PageCache(capacity)
+        device = _RecordingDevice(cache)
         files = ["f0", "f1", "f2"]
         length = dict.fromkeys(files, 0)
         token_of = {}  # token -> (file, page, batch)
@@ -361,6 +411,8 @@ class TestWriteBack:
             else:  # "c": a checkpoint cut
                 cache.flush()
                 cache.clear()
+            if op != "c":  # every write-back outside a cut is an eviction's
+                assert all(device.all_dirty[before:]), "a dirty victim beside a clean one"
             for klass, tokens in device.writes[before:]:
                 assert klass == "mlog"
                 batch = {token_of[t][2] for t in tokens}
