@@ -17,7 +17,7 @@ Semantics (DESIGN.md §12):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,17 +33,6 @@ OP_DELETE = np.uint8(1)
 #: dst(4) + weight(8) + timestamp(8).  Used for log-page packing and
 #: useful-byte accounting.
 RECORD_BYTES = 25
-
-
-def record_pages(seq: int, columns: Sequence[np.ndarray], records_per_page: int) -> tuple:
-    """Cut aligned record columns into log pages: ``(payloads,
-    useful_bytes)`` as ``PageFile.append_pages`` takes them, each
-    payload ``(seq, *column slices)``, every page full but the last."""
-    n = int(columns[0].shape[0])
-    cuts = range(0, n, records_per_page)
-    payloads = [(int(seq), *(c[at : at + records_per_page] for c in columns)) for at in cuts]
-    useful = [(min(at + records_per_page, n) - at) * RECORD_BYTES for at in cuts]
-    return payloads, useful
 
 
 @dataclass
@@ -110,20 +99,11 @@ class EdgeDelta:
         """Row subset (preserving the given order); a slice gives views."""
         return EdgeDelta(self.op[idx], self.src[idx], self.dst[idx], self.w[idx], self.ts[idx])
 
-    def by_interval(self, intervals: VertexIntervals) -> Iterator[tuple]:
-        """Bucket the batch by source-vertex interval.
-
-        Yields ``(i, part)`` for each interval that owns a record,
-        ascending, ``part`` holding its records in arrival order (one
-        stable sort by interval, sliced per bucket).
-        """
+    def sorted_by_interval(self, intervals: VertexIntervals) -> "EdgeDelta":
+        """The batch sorted by source-vertex interval, ascending, each
+        interval's records in arrival order (one stable sort)."""
         iv = intervals.interval_of(self.src)
-        k = intervals.n_intervals
-        bucketed = self.take(stable_argsort_bounded(iv, k))
-        counts = np.bincount(iv, minlength=k)
-        stops = np.cumsum(counts)
-        for i in np.flatnonzero(counts).tolist():
-            yield i, bucketed.take(slice(int(stops[i] - counts[i]), int(stops[i])))
+        return self.take(stable_argsort_bounded(iv, intervals.n_intervals))
 
     def validate(self, n: int) -> None:
         """Check all endpoints lie in ``[0, n)``."""

@@ -3,11 +3,11 @@
 :class:`StreamSession` ties the pieces together:
 
 * a :class:`~repro.stream.store.StreamStore` on the session's own
-  simulated SSD holds the evolving graph (base CSR shards + one
-  multi-log-style update log per interval);
+  simulated SSD holds the evolving graph (base CSR shards + one dense
+  update log, sorted by interval within each batch);
 * :meth:`ingest` buffers update batches durably, :meth:`apply_updates`
-  merges them, :meth:`recover` replays the commit log after a
-  simulated power cut;
+  merges them, :meth:`recover` replays the log's committed batches
+  after a simulated power cut;
 * :meth:`recompute` re-runs the vertex program on the updated graph --
   *incrementally* (warm-started from the previous converged values)
   when the program supports it and the delta is small, from scratch
@@ -185,7 +185,9 @@ class StreamSession:
         Previous converged values are discarded: they were host memory,
         which the power cut lost, so the next :meth:`recompute` takes
         the full path.  Batches that were durably ingested but not yet
-        applied survive and remain pending.
+        applied survive and remain pending -- a merged batch whose
+        ``applied`` mark never reached flash among them; the next
+        :meth:`apply_updates` merges it once.
         """
         self._begin("recover")
         out = self.store.recover()

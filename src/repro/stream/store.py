@@ -1,32 +1,34 @@
-"""The on-flash evolving-graph store: base CSR + one update log per interval.
+"""The on-flash evolving-graph store: base CSR per interval + one update log.
 
-Layout (DESIGN.md §12).  Each vertex interval ``i`` owns
+Layout (DESIGN.md §12).
 
-* ``stream.i{i}.rowptr/.col/.val`` -- the interval's *base* CSR
+* ``stream.i{i}.rowptr/.col/.val`` -- interval ``i``'s *base* CSR
   (:class:`~repro.ssd.file.ArrayFile`, page-exact charging), rebuilt at
-  compaction;
-* ``stream.i{i}.log`` -- an append-only :class:`PageFile` of the update
-  records whose source lies in the interval, packed per batch and
-  tagged with the batch sequence number.  The prefix up to the last
-  applied batch *is* the interval's delta log -- inserts are live
-  edges, deletes tombstones that killed every live instance of their
-  ``(src, dst)`` pair (base or previously inserted) -- and the suffix
-  past it is the batches still pending.
+  compaction.  A rebuilt base's header records ``through_seq``, the
+  last batch it absorbed, and the lifetime tallies of the records it
+  absorbed (:data:`ABSORBED`).
+* ``stream.log`` -- one append-only :class:`PageFile` of update
+  records, striped over every channel.  ``ingest`` sorts a batch by
+  source interval (stably: each interval's run keeps arrival order),
+  packs it densely, :data:`RECORD_BYTES` a record behind a
+  :data:`LOG_HEADER_BYTES` header, and writes it as **one** striped
+  write.  Each page's header is ``(seq, pages_in_batch,
+  applied_through)``.
 
-``stream.meta`` is the commit log: an ``ingest`` marker seals each
-batch's log pages (written before it as one striped batch across every
-touched interval), an ``applied`` marker moves the pending/applied
-boundary.  Sequence numbers only grow within a log, so recovery after a
-simulated power cut is one suffix trim per log (pages past the last
-``ingest`` marker) followed by a deterministic batch-by-batch replay of
-the applied prefix into the host index -- see
-:meth:`StreamStore.recover`.
+Commit protocol.  A batch is committed once all of its pages are
+durable -- there is no commit page.  A torn write leaves part of the
+last batch as a suffix of the log, which recovery trims.  The
+``applied`` mark rides on the next write: the next ingest's headers
+carry ``applied_through``, and a compaction's new base carries its
+``through_seq``, set in the same host step as the base array.  A lost
+mark only means the batch is pending again after :meth:`recover`, and
+the next :meth:`~StreamStore.apply_updates` folds it once.
 
-Host index.  The logs are split by interval for the flash layout; the
-host-side index is one structure over all of them (:class:`_HostIndex`:
-a base CSR mirror, one delta arena, a sorted key index over each of
-the two, per-interval tallies), so a merge folds each batch with one
-call.
+Host index.  One structure over every interval (:class:`_HostIndex`: a
+base CSR mirror, one delta arena, a sorted key index over each of the
+two, per-interval tallies, and per interval the ids of the log pages
+that hold its applied records no base has absorbed yet), so a merge
+folds each batch with one call and a sweep reads each log page once.
 
 Change record.  Every fold also records what it changed, signed per
 edge identity, so a recompute takes the net edge delta since the last
@@ -36,17 +38,17 @@ diffing two whole graphs.
 Compaction.  A delete leaves its victim's bytes on flash (dead base or
 logged records) plus its own tombstone record.  When that garbage
 exceeds ``SimConfig.stream_compact_threshold`` of an interval's
-records, the interval is compacted: surviving edges are read, rewritten
-as a fresh base CSR, and the (fully applied) log truncated.  The reads
-happen *before* the host-state swap, and the swap plus truncate are
-free host operations after which durable state is already consistent
--- no meta record needed.
+records, the interval is compacted: surviving edges are read and
+rewritten as a fresh base CSR that absorbs the interval's log records.
+The reads happen *before* the host-state swap, and the swap is a free
+host operation after which durable state is already consistent.  Once
+every record on the log is absorbed, the log is trimmed whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,40 +60,47 @@ from ..graph.csr import CSRGraph, csr_order
 from ..graph.partition import VertexIntervals, static_partition
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..ssd.file import striped_read, striped_write
 from ..ssd.filesystem import SimFS
-from .delta import OP_DELETE, RECORD_BYTES, EdgeDelta, record_pages
+from .delta import OP_DELETE, RECORD_BYTES, EdgeDelta
 
 #: Storage classes of the stream store's files.
 KLASS_ROW = "stream_row"
 KLASS_COL = "stream_col"
 KLASS_VAL = "stream_val"
 KLASS_LOG = "ulog"
-KLASS_META = "stream_meta"
+
+#: Bytes of a log page's header: seq (8) + pages_in_batch (4) +
+#: applied_through (8).  A 4 KiB page holds 163 records behind it.
+LOG_HEADER_BYTES = 20
+
+#: The lifetime tallies a rebuilt base's header carries, per interval:
+#: those of the log records it absorbed, and how often it was rebuilt.
+ABSORBED = ("records_ingested", "inserts_applied", "deletes_applied", "noop_deletes", "compactions")
 
 
-def _durable(pages: list, seq: int) -> int:
-    """How many leading log pages belong to batches ``<= seq``.
+class LogPage(NamedTuple):
+    """One ``stream.log`` page: its header, then its record columns."""
 
-    Sequence numbers only grow within a log, so the rest is a suffix.
-    """
-    n = len(pages)
-    while n and pages[n - 1][0] > seq:
-        n -= 1
-    return n
+    seq: int
+    pages_in_batch: int
+    applied_through: int
+    op: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    ts: np.ndarray
+
+    def records(self) -> EdgeDelta:
+        return EdgeDelta(self.op, self.src, self.dst, self.w, self.ts)
 
 
-def _batch_runs(logs) -> Dict[int, EdgeDelta]:
-    """Group log pages by batch: ``seq -> records``.
-
-    ``logs`` gives each log's pages, intervals ascending; a batch's
-    records come out interval by interval, each in arrival order.
-    """
-    runs: Dict[int, list] = {}
-    for pages in logs:
-        for p in pages:
-            runs.setdefault(p[0], []).append(EdgeDelta(*p[1:]))
-    return {seq: EdgeDelta.concat(parts) for seq, parts in runs.items()}
+def _committed(pages: List[LogPage]) -> int:
+    """How many leading log pages belong to batches whose every page is
+    on the log; the rest is the part of a torn batch that persisted."""
+    at = 0
+    while at < len(pages) and at + pages[at].pages_in_batch <= len(pages):
+        at += pages[at].pages_in_batch
+    return at
 
 
 def _sorted_keys(rowptr: np.ndarray, col: np.ndarray, lo: int, n: int) -> tuple:
@@ -108,8 +117,7 @@ class _HostIndex:
     """The store's one host-side index, over every interval at once.
 
     Purely derived state: :meth:`StreamStore.recover` rebuilds it from
-    the base files and the applied log prefix.  The intervals split the
-    update logs on flash (paper §V-A); nothing splits the index.
+    the base files and the log's applied records.
 
     * A mirror of the base CSR: ``rowptr`` over all vertices, ``col`` /
       ``val`` the intervals' base files concatenated (interval ``i`` at
@@ -126,7 +134,11 @@ class _HostIndex:
       its base copies by binary search too.  Interval ``i``'s keys are
       the block ``base_off[i]:base_off[i + 1]`` of ``bk``.
     * Per-interval tallies, one length-k array each: ``tombstones``,
-      ``dead_base``, ``dead_delta`` and ``d_count`` (inserts logged).
+      ``dead_base``, ``dead_delta``, ``d_count`` (inserts logged) and
+      ``noops`` (tombstones that killed nothing).
+    * ``pages``: per interval, the ascending ids of the log pages that
+      hold its applied records its base has not absorbed (its delta
+      log).
     """
 
     rowptr: np.ndarray
@@ -147,6 +159,8 @@ class _HostIndex:
     dead_base: np.ndarray
     dead_delta: np.ndarray
     d_count: np.ndarray
+    noops: np.ndarray
+    pages: List[List[int]]
 
     @classmethod
     def over(cls, rowptrs: list, cols: list, vals: Optional[list]) -> "_HostIndex":
@@ -171,6 +185,7 @@ class _HostIndex:
             d_alive=np.empty(0, bool), d_key=empty, sk=empty, sp=empty, bk=bk, bp=bp,
             tombstones=np.zeros(k, np.int64), dead_base=np.zeros(k, np.int64),
             dead_delta=np.zeros(k, np.int64), d_count=np.zeros(k, np.int64),
+            noops=np.zeros(k, np.int64), pages=[[] for _ in range(k)],
         )
 
     def total_records(self) -> np.ndarray:
@@ -210,7 +225,6 @@ class StreamStore:
         self._rowptr_files = []
         self._col_files = []
         self._val_files = []
-        self._logs = []
         for i, lo, hi in intervals:
             local_rowptr = graph.rowptr[lo : hi + 1] - graph.rowptr[lo]
             col = np.array(graph.colidx[graph.rowptr[lo] : graph.rowptr[hi]], copy=True)
@@ -225,18 +239,20 @@ class StreamStore:
                 self._val_files.append(
                     fs.create_array_file(f"{name}.i{i}.val", KLASS_VAL, val, rec.weight_bytes)
                 )
-            # affinity=i: under a device array's "affinity" placement each
-            # interval's log lands whole on one device (DESIGN.md §14).
-            self._logs.append(fs.create_page_file(f"{name}.i{i}.log", KLASS_LOG, affinity=i))
+        # No affinity hint: the one log stripes over every device.
+        self._log = fs.create_page_file(f"{name}.log", KLASS_LOG)
+        k = intervals.n_intervals
+        #: The rebuilt bases' headers (durable with the base arrays):
+        #: per interval the last batch absorbed and the ABSORBED tallies.
+        self._through_seq = np.zeros(k, np.int64)
+        self._absorbed = np.zeros((k, len(ABSORBED)), np.int64)
         self._reset_index()
-        self._meta = fs.create_page_file(f"{name}.meta", KLASS_META)
-        self.records_per_page = max(1, config.ssd.page_size // RECORD_BYTES)
-        # Commit-point state (mirrors the durable meta log).
+        self.records_per_page = max(1, (config.ssd.page_size - LOG_HEADER_BYTES) // RECORD_BYTES)
+        # Commit-point state: the log's headers and the bases' through_seq.
         self.last_ingested = 0
         self.last_applied = 0
-        #: Per log, how many leading pages are applied (its delta log);
-        #: the pages past it are pending.
-        self._applied = [0] * intervals.n_intervals
+        #: Id of the first log page of a batch not yet applied.
+        self._pending_from = 0
         # Lifetime tallies behind the ``stream.*`` gauges; reset to the
         # durable state's replay at recovery.
         self.batches_ingested = 0
@@ -265,8 +281,8 @@ class StreamStore:
         reg.gauge("stream.deletes_applied", lambda: self.deletes_applied)
         reg.gauge("stream.noop_deletes", lambda: self.noop_deletes)
         reg.gauge("stream.ulog_pages_written", lambda: self.ulog_pages_written)
-        # Always 0: a merge writes no delta copy, the applied log prefix
-        # is the delta log.  Kept registered for readers keyed on it.
+        # Always 0: a merge writes no delta copy, the applied log records
+        # are the delta log.  Kept registered for readers keyed on it.
         reg.gauge("stream.delta_pages_written", lambda: 0)
         reg.gauge("stream.compactions", lambda: self.compactions)
         reg.gauge("stream.live_edges", self.live_edges)
@@ -292,27 +308,30 @@ class StreamStore:
     # -- ingestion --------------------------------------------------------
 
     def ingest(self, delta: EdgeDelta) -> Dict[str, float]:
-        """Append one update batch to the per-interval logs (durable).
+        """Append one update batch to the log (durable).
 
-        The batch is bucketed by source interval and every touched
-        log's pages are written as **one** striped batch -- the
-        multi-log's concurrent eviction (paper §V-A3).  The batch is
-        committed -- guaranteed to survive a crash -- once the meta
-        log's ``ingest`` marker, a separate later write, lands; a crash
-        before that leaves no trace of it after :meth:`recover`.
+        The batch is sorted by source interval, stably, packed densely
+        and written as **one** striped write -- the multi-log's
+        concurrent eviction (paper §V-A3).  It is committed --
+        guaranteed to survive a crash -- once the write lands; every
+        page header carries the batch's page count, so after a torn
+        write :meth:`recover` finds the batch incomplete and drops it.
+        An empty batch is one header-only page.  The headers also carry
+        ``last_applied``: this write is the previous merge's mark.
         """
         delta.validate(self.n)
         seq = self.last_ingested + 1
-        staged = []
-        for i, part in delta.by_interval(self.intervals):
-            payloads, useful = record_pages(
-                seq, (part.op, part.src, part.dst, part.w, part.ts), self.records_per_page
-            )
-            staged.append((self._logs[i], self._logs[i].stage(payloads, useful)))
-        pages = sum(int(ids.size) for _, ids in staged)
-        io_us = striped_write(staged, KLASS_LOG)
-        _, t_meta = self._meta.append_page(("ingest", seq), useful_bytes=16)
-        io_us += t_meta
+        part = delta.sorted_by_interval(self.intervals)
+        rpp = self.records_per_page
+        cuts = range(0, max(part.n, 1), rpp)
+        columns = (part.op, part.src, part.dst, part.w, part.ts)
+        payloads = [
+            LogPage(seq, len(cuts), self.last_applied, *(c[at : at + rpp] for c in columns))
+            for at in cuts
+        ]
+        useful = [(min(at + rpp, part.n) - at) * RECORD_BYTES for at in cuts]
+        _, io_us = self._log.append_pages(payloads, useful)
+        pages = len(payloads)
         self.last_ingested = seq
         self.batches_ingested += 1
         self.records_ingested += delta.n
@@ -336,60 +355,63 @@ class StreamStore:
     def apply_updates(self) -> Dict[str, float]:
         """Merge every committed-but-unapplied batch into the graph.
 
-        The pending suffix of every log is read back as **one** batch.
+        The log's pending pages are read back as **one** batch.
         Batches then merge in sequence order -- each one's per-interval
         runs, intervals ascending and records in arrival order, folded
-        into the host index in one call -- and each is sealed by an
-        ``applied`` meta marker, the only page a merge writes: the log
-        pages themselves become the delta log.  Compaction runs last,
-        once per interval over threshold.
+        into the host index in one call.  A merge writes nothing: the
+        log pages become the delta log, and the ``applied`` mark rides
+        on the next write.  Compaction runs last, once per interval
+        over threshold.
 
         After a :class:`~repro.errors.SimulatedCrashError` the host
         index may be ahead of or behind flash -- call :meth:`recover`
         before touching the store again.
         """
-        pending = [
-            (f, np.arange(a, f.n_pages, dtype=np.int64)) for f, a in zip(self._logs, self._applied)
-        ]
-        read_io = striped_read(pending, KLASS_LOG)
+        ids = np.arange(self._pending_from, self._log.n_pages, dtype=np.int64)
+        pages, read_io = self._log.read_pages(ids)
         self.apply_io_us += read_io
-        runs = _batch_runs(f.read_pages(ids, charge=False)[0] for f, ids in pending)
         stats = {
             "batches": 0, "inserts": 0, "deletes": 0, "noop_deletes": 0,
             "io_us": read_io, "compactions": 0,
         }
+        at = 0
         for seq in range(self.last_applied + 1, self.last_ingested + 1):
-            b = self._apply_one(seq, runs.get(seq, EdgeDelta.empty()))
+            batch = pages[at : at + pages[at].pages_in_batch]
+            ins, dels, noops = self._fold(EdgeDelta.concat(p.records() for p in batch))
+            self._note_pages(ids[at : at + len(batch)], batch)
+            at += len(batch)
+            self.last_applied = seq
+            self.batches_applied += 1
+            self.inserts_applied += ins
+            self.deletes_applied += dels
+            self.noop_deletes += noops
             stats["batches"] += 1
-            for k in ("inserts", "deletes", "noop_deletes", "io_us"):
-                stats[k] += b[k]
-        self._applied = [f.n_pages for f in self._logs]
+            stats["inserts"] += ins
+            stats["deletes"] += dels
+            stats["noop_deletes"] += noops
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "ingest_stats",
+                    phase="apply",
+                    seq=seq,
+                    records=sum(p.op.size for p in batch),
+                    inserts=ins,
+                    deletes=dels,
+                    noop_deletes=noops,
+                    pages=len(batch),
+                )
+        self._pending_from = self._log.n_pages
         stats["compactions"] = self.compact_if_needed()
         return stats
 
-    def _apply_one(self, seq: int, part: EdgeDelta) -> Dict[str, float]:
-        ins, dels, noops = self._fold(part)
-        out = {"inserts": ins, "deletes": dels, "noop_deletes": noops}
-        _, out["io_us"] = self._meta.append_page(("applied", seq), useful_bytes=16)
-        self.last_applied = seq
-        self.batches_applied += 1
-        self.inserts_applied += ins
-        self.deletes_applied += dels
-        self.noop_deletes += noops
-        self.apply_io_us += out["io_us"]
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "ingest_stats",
-                phase="apply",
-                seq=seq,
-                records=part.n,
-                inserts=ins,
-                deletes=dels,
-                noop_deletes=noops,
-                pages=0,
-                io_us=out["io_us"],
-            )
-        return out
+    def _note_pages(self, ids: np.ndarray, pages: List[LogPage]) -> None:
+        """Add each applied page to the delta log of every interval with
+        records on it that its base has not absorbed."""
+        ix = self._index
+        for pid, p in zip(ids.tolist(), pages):
+            for i in np.unique(self.intervals.dense[p.src]).tolist():
+                if p.seq > self._through_seq[i]:
+                    ix.pages[i].append(pid)
 
     def _fold(self, part: EdgeDelta) -> tuple:
         """Fold one batch's records into the host index, whole batch at once.
@@ -436,10 +458,12 @@ class StreamStore:
             had_live[has_del] = self._kill_live(ks[starts[has_del]]) > 0
             after_insert = np.zeros(part.n, dtype=bool)  # previous record of the key is one
             after_insert[1:] = ~dl[:-1]
-            applied = int(np.count_nonzero(dl & np.where(head, had_live[group], after_insert)))
+            noop = dl & ~np.where(head, had_live[group], after_insert)
+            applied = n_del - int(np.count_nonzero(noop))
             dead[order] = ~dl & (pos < last_del[group])
             ix.dead_delta += np.bincount(iv[dead], minlength=k)
             ix.tombstones += np.bincount(iv[is_del], minlength=k)
+            ix.noops += np.bincount(iv[order][noop], minlength=k)
         ins = ~is_del
         n_ins = part.n - n_del
         # An insert that dies on arrival nets to zero (+1, -1): unrecorded.
@@ -551,38 +575,49 @@ class StreamStore:
     # -- compaction -------------------------------------------------------
 
     def compact_if_needed(self) -> int:
-        """Compact every interval whose garbage fraction crossed the knob."""
+        """Compact every interval whose garbage fraction crossed the knob.
+
+        When no interval has a log record left that its base has not
+        absorbed, the log is trimmed whole (free, like any trim).  The
+        bases compacted here absorbed every batch, so their
+        ``through_seq`` keeps the sequence frontier.
+        """
         ix = self._index
         garbage, total = ix.garbage_records(), ix.total_records()
         thresh = self.config.stream_compact_threshold
         done = np.flatnonzero((garbage > 0) & (garbage / np.maximum(total, 1) > thresh)).tolist()
         for i in done:
             self._compact(i)
+        if done and not any(ix.pages):
+            self._log.truncate()
+            self._pending_from = 0
         return len(done)
 
     def _compact(self, i: int) -> None:
         """Rewrite interval ``i``'s survivors as a fresh base CSR.
 
-        Only a fully applied log is compacted.  The old base and the log
-        are read before any host state changes, so a crash there leaves
-        the old, consistent layout for recovery to replay; after the
-        swap the new base holds every survivor and the log is empty.
+        Only a fully applied log is compacted.  The old base and the
+        interval's log pages are read before any host state changes, so
+        a crash there leaves the old, consistent layout for recovery to
+        replay.  The new base and its header -- ``through_seq`` and the
+        absorbed tallies -- are set in one host step; from then on
+        recovery skips the interval's log records up to ``through_seq``.
         """
-        log = self._logs[i]
-        if self._applied[i] != log.n_pages:
+        if self._pending_from != self._log.n_pages:
             raise StorageError(f"compacting interval {i} with pending log pages")
+        ix = self._index
         lo, hi = self.intervals.span(i)
-        dropped = int(self._index.garbage_records()[i])
+        dropped = int(ix.garbage_records()[i])
         io_us = self._rowptr_files[i].read_all()
         io_us += self._col_files[i].read_all()
         if self.weighted:
             io_us += self._val_files[i].read_all()
-        io_us += self._read_delta(i)
+        io_us += self._read_delta([i])
         pages_read = (
             self._rowptr_files[i].n_pages
             + self._col_files[i].n_pages
             + (self._val_files[i].n_pages if self.weighted else 0)
-            + log.n_pages
+            + len(ix.pages[i])
         )
         src, dst, w = self._live(i)
         order, new_rowptr = csr_order(src - lo, dst, hi - lo, self.n)
@@ -592,8 +627,9 @@ class StreamStore:
         self._col_files[i].set_array(col)
         if self.weighted:
             self._val_files[i].set_array(val)
-        log.truncate()
-        self._applied[i] = 0
+        inserts, tombstones, noops = int(ix.d_count[i]), int(ix.tombstones[i]), int(ix.noops[i])
+        self._absorbed[i] += (inserts + tombstones, inserts, tombstones - noops, noops, 1)
+        self._through_seq[i] = self.last_applied
         self._splice(i, new_rowptr, col, val)
         io_us += self._rowptr_files[i].write_all()
         io_us += self._col_files[i].write_all()
@@ -619,7 +655,7 @@ class StreamStore:
 
     def _splice(self, i: int, rowptr: np.ndarray, col: np.ndarray, val) -> None:
         """Swap interval ``i``'s new base into the index and drop its arena
-        entries and tallies."""
+        entries, tallies and delta log."""
         ix = self._index
         lo, hi = self.intervals.span(i)
         a, b = ix.base_off[i], ix.base_off[i + 1]
@@ -645,8 +681,9 @@ class StreamStore:
             ix.sk, ix.sp = ix.sk[sk_keep], at[ix.sp[sk_keep]]
             ix.d_src, ix.d_dst, ix.d_w = ix.d_src[keep], ix.d_dst[keep], ix.d_w[keep]
             ix.d_alive, ix.d_key = ix.d_alive[keep], ix.d_key[keep]
-        for tally in (ix.tombstones, ix.dead_base, ix.dead_delta, ix.d_count):
+        for tally in (ix.tombstones, ix.dead_base, ix.dead_delta, ix.d_count, ix.noops):
             tally[i] = 0
+        ix.pages[i] = []
 
     # -- reads ------------------------------------------------------------
 
@@ -702,8 +739,8 @@ class StreamStore:
         """Charge reads for the adjacency rows of ``vertices``.
 
         The incremental path's deletion-cone walk pays for the base CSR
-        pages of every row it expands (plus each touched interval's
-        delta pages, which hold the rows' overlay edges).
+        pages of every row it expands, plus the delta log of every
+        touched interval, which holds the rows' overlay edges.
         """
         vertices = np.unique(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
@@ -711,7 +748,8 @@ class StreamStore:
         plan = self._new_plan()
         io_us = 0.0
         iv = self.intervals.interval_of(vertices)
-        for i in np.unique(iv):
+        touched = np.unique(iv)
+        for i in touched:
             vs = vertices[iv == i]
             lo, _ = self.intervals.span(i)
             rowptr = self._rowptr_files[i].array
@@ -724,7 +762,7 @@ class StreamStore:
                     rowptr[vs - lo], rowptr[vs - lo + 1], plan=plan
                 )
                 io_us += t
-            io_us += self._read_delta(i, plan)
+        io_us += self._read_delta(touched.tolist(), plan)
         return io_us + self._execute_plan(plan)
 
     def charge_seed_scan(self) -> float:
@@ -741,12 +779,14 @@ class StreamStore:
             io_us += self._col_files[i].read_all(plan=plan)
             if self.weighted:
                 io_us += self._val_files[i].read_all(plan=plan)
-            io_us += self._read_delta(i, plan)
+        io_us += self._read_delta(range(self.intervals.n_intervals), plan)
         return io_us + self._execute_plan(plan)
 
-    def _read_delta(self, i: int, plan=None) -> float:
-        """Charge a read of interval ``i``'s delta log: its log's applied prefix."""
-        _, t = self._logs[i].read_pages(np.arange(self._applied[i], dtype=np.int64), plan=plan)
+    def _read_delta(self, intervals, plan=None) -> float:
+        """Charge one read of the delta logs of ``intervals``: each log
+        page holding any of their applied records, once."""
+        ids = sorted(set().union(*(self._index.pages[i] for i in intervals)))
+        _, t = self._log.read_pages(np.array(ids, dtype=np.int64), plan=plan)
         return t
 
     # -- recovery ---------------------------------------------------------
@@ -762,66 +802,67 @@ class StreamStore:
     def recover(self) -> Dict[str, int]:
         """Rebuild a consistent state from flash after a simulated crash.
 
-        1. read the meta log; the last ``ingest``/``applied`` markers
-           define the durable sequence frontier;
-        2. trim each log's uncommitted suffix (``seq > last_ingested``;
-           sequence numbers are monotone per file), including whatever
-           prefix of a torn batch write persisted;
-        3. rebuild the host index over the base CSRs and replay the
-           applied prefix (``seq <= last_applied``) batch by batch
-           through the same fold :meth:`apply_updates` performed before
-           the crash, so the arena comes back in the same order.
+        1. read the log and trim the pages of an incomplete batch -- the
+           part of a torn write that persisted, always a suffix;
+        2. the durable frontier: ``last_ingested`` is the last committed
+           batch, ``last_applied`` the newest ``applied_through`` on the
+           log; the bases' ``through_seq`` bound both from below (an
+           empty log was trimmed after every batch was absorbed);
+        3. rebuild the host index over the base files and replay the
+           applied batches (``seq <= last_applied``) one by one through
+           the same fold :meth:`apply_updates` performed, each skipping
+           interval ``i``'s records up to its ``through_seq[i]``, so the
+           arena comes back in the same order.
 
-        The tallies are recounted from what survives: every record on
-        the kept log pages is ingested, and those of the applied prefix
-        are merged, so ``merged + pending == records_ingested``.
+        The tallies are the bases' absorbed ones plus a recount of the
+        records they did not absorb: every such record on the log is
+        ingested, and those of the applied batches are merged, so
+        ``merged + pending == records_ingested``.
 
-        Batches that were ingested but not applied remain pending and
-        are merged by the next :meth:`apply_updates`.  Returns the
-        frontier and ``pages_dropped``, the log pages trimmed.
+        Batches committed but not applied -- a merge whose mark never
+        reached flash included -- are merged by the next
+        :meth:`apply_updates`.  Returns the frontier and
+        ``pages_dropped``, the log pages trimmed.
         """
-        payloads, _ = self._meta.read_all()
-        last_ingested = 0
-        last_applied = 0
-        for p in payloads:
-            if p[0] == "ingest":
-                last_ingested = max(last_ingested, int(p[1]))
-            elif p[0] == "applied":
-                last_applied = max(last_applied, int(p[1]))
+        pages, _ = self._log.read_all(charge=False)
+        keep = _committed(pages)
+        dropped = len(pages) - keep
+        self._log.truncate_to(keep)
+        pages = pages[:keep]
+        floor = int(self._through_seq.max())
+        last_ingested = max(pages[-1].seq if pages else 0, floor)
+        last_applied = max(pages[-1].applied_through if pages else 0, floor)
         if last_applied > last_ingested:
-            raise StorageError("stream meta log corrupt: applied ahead of ingested")
+            raise StorageError("stream log corrupt: applied ahead of ingested")
         self.last_ingested = last_ingested
         self.last_applied = last_applied
-        # Reset every lifetime tally, then replay durable state.
+        self._pending_from = next(
+            (pid for pid, p in enumerate(pages) if p.seq > last_applied), keep
+        )
+        # Reset every lifetime tally to the bases' absorbed ones, then
+        # recount what they did not absorb.
+        for name, total in zip(ABSORBED, self._absorbed.sum(axis=0).tolist()):
+            setattr(self, name, total)
         self.batches_ingested = last_ingested
         self.batches_applied = last_applied
-        self.records_ingested = 0
-        self.inserts_applied = 0
-        self.deletes_applied = 0
-        self.noop_deletes = 0
-        self.ulog_pages_written = 0
-        self.compactions = 0
+        self.ulog_pages_written = keep
         self.ingest_io_us = 0.0
         self.apply_io_us = 0.0
         self.compact_io_us = 0.0
-        dropped = 0
-        applied = []
-        for i, log in enumerate(self._logs):
-            pages, _ = log.read_all(charge=False)
-            keep = _durable(pages, last_ingested)
-            dropped += log.n_pages - keep
-            log.truncate_to(keep)
-            self.ulog_pages_written += keep
-            self.records_ingested += sum(len(p[1]) for p in pages[:keep])
-            self._applied[i] = _durable(pages[:keep], last_applied)
-            applied.append(pages[: self._applied[i]])
         self._reset_index()
-        runs = _batch_runs(applied)
-        for seq in sorted(runs):
-            ins, dels, noops = self._fold(runs[seq])
+        runs: Dict[int, list] = {}
+        for pid, p in enumerate(pages):
+            live = p.seq > self._through_seq[self.intervals.dense[p.src]]
+            self.records_ingested += int(np.count_nonzero(live))
+            if p.seq <= last_applied:
+                runs.setdefault(p.seq, []).append(p.records().take(live))
+        for seq, parts in runs.items():
+            ins, dels, noops = self._fold(EdgeDelta.concat(parts))
             self.inserts_applied += ins
             self.deletes_applied += dels
             self.noop_deletes += noops
+        applied = self._pending_from
+        self._note_pages(np.arange(applied, dtype=np.int64), pages[:applied])
         self._clear_changes()
         return {
             "last_ingested": last_ingested,

@@ -18,8 +18,8 @@ master seed ``s`` is derived from ``default_rng([s, i])`` and nothing
 else.  The schedule cycles programs (PageRank, SSSP, CDLP, BFS, WCC),
 so both warm-start-capable programs and full-recompute-only programs
 are exercised, and every third case cuts power at a write op of an
-ingest or a merge, or tears an ingest's grouped log write, and recovers
-before continuing.  Deletes are drawn from the edges live
+ingest or a merge, or tears an ingest's log write, and recovers before
+continuing.  Deletes are drawn from the edges live
 when their batch starts (so they reach inserts of earlier batches), and
 every fourth case is collision-heavy: long batches over a handful of
 endpoints, where one pair is inserted and deleted several times inside
@@ -58,9 +58,10 @@ STREAM_PROGRAMS = ("pagerank", "sssp", "cdlp", "bfs", "wcc")
 #: Programs whose ``warm_start`` can take the incremental path.
 WARM_PROGRAMS = frozenset({"bfs", "sssp", "wcc"})
 
-#: Crash scenarios ``(phase, fault kind)``: power cut at any write op of
-#: an ingest (grouped log write or ``ingest`` marker) or of a merge
-#: (``applied`` marker or compaction), and a torn grouped ingest write.
+#: Crash scenarios ``(phase, fault kind)``: power cut at the write of an
+#: ingest (its dense log pages) or at any write op of a merge (its
+#: compactions; right after a merge that writes nothing), and a torn
+#: ingest write.
 CRASH_SCENARIOS = (("ingest", "crash"), ("apply", "crash"), ("ingest", "torn"))
 
 
@@ -285,14 +286,18 @@ def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> t
 
     The fault plan is armed around the chosen phase only and cuts its
     write op number ``op % n``, ``n`` counted by a dry run -- so every
-    write op of the phase is a candidate and the cut always lands.  A
-    ``torn`` scenario tears the phase's first write (ingest: the grouped
-    write of every touched log) at a seeded page.  Returns ``(note,
-    merge stats)``: the note is ``C`` when the cut fired, ``c`` when
-    the phase made no write to cut; the stats are those of the merge
-    that applied the batch -- the dry run's when the cut came after the
-    batch's ``applied`` marker (in compaction), since the batch is then
-    durable and recovery replays it.
+    write op of the phase is a candidate and the cut always lands.  An
+    ingest is one write (the batch's dense log pages); a merge writes
+    only what its compactions rewrite, and one that writes nothing is
+    cut right after it, before a later write carries its ``applied``
+    mark.  A ``torn`` scenario tears the phase's first write (ingest:
+    the batch's log write) at a seeded page.  After recovery a batch
+    that did not commit is re-submitted, and a batch whose mark was
+    lost is merged again, once.  Returns ``(note, merge stats)``: the
+    note is ``C`` when the cut fired, ``c`` when the phase made no
+    write to cut; the stats are those of the merge that applied the
+    batch -- the dry run's when the cut came in a compaction, since the
+    new base carries the batch's mark and recovery replays it.
     """
     p = case.scenario_params
     phase = p.get("phase", "ingest")
@@ -301,6 +306,11 @@ def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> t
     if phase == "apply":
         session.ingest(delta)
     n_ops, dry = _dry_run(session.store, phase, delta)
+    if phase == "apply" and n_ops == 0:
+        applied = session.apply_updates()
+        session.recover()
+        session.apply_updates()  # the lost mark: the batch folds again
+        return "C", applied
     after_ops = 0 if kind == "torn" else int(p.get("op", 0)) % max(1, n_ops)
     session.fs.device.fault_plan = FaultPlan(
         [FaultRule(op="write", kind=kind, after_ops=after_ops)], seed=case.seed
@@ -318,6 +328,8 @@ def _run_crashed_batch(session, delta, expected_seq: int, case: StreamCase) -> t
         applied = session.apply_updates()
     if fired:
         session.recover()
+        if session.store.last_applied < expected_seq - 1:
+            session.apply_updates()  # the previous batch's mark was lost
         # Re-submit only if the batch did not reach its durable commit
         # point before the cut (exactly what a client with a pending
         # acknowledgement would do).

@@ -225,32 +225,31 @@ class TestCrashRecovery:
             store.ingest(adds([(1, 6), (2, 7)]))
         fs.device.fault_plan = None
         store.recover()
-        assert store.last_ingested == 1 and store.last_applied == 1
+        # the lost write also carried batch 1's applied mark
+        assert store.last_ingested == 1 and store.last_applied == 0
         # the lost batch can be re-ingested and applied cleanly
         store.ingest(adds([(1, 6), (2, 7)]))
         store.apply_updates()
         assert store.materialize().m == g.m + 3
 
-    def test_crash_mid_apply_keeps_batch_pending(self):
+    def test_lost_applied_mark_refolds_the_batch_exactly_once(self):
         g = small_chain(8)
-        cfg = DEFAULT_CONFIG
-        fs = SimFS(cfg)
-        store = StreamStore(g, fs, cfg)
+        store, _ = store_on(g)
         store.ingest(adds([(0, 5), (5, 2), (3, 7)]))
-        # the merge's one write is its ``applied`` marker
-        fs.device.fault_plan = FaultPlan.crash_after(0, klass="stream_meta")
-        with pytest.raises(SimulatedCrashError):
-            store.apply_updates()
-        fs.device.fault_plan = None
-        store.recover()
-        # durably ingested, not applied: still pending
-        assert store.last_ingested == 1 and store.last_applied == 0
-        store.apply_updates()
-        assert store.materialize().m == g.m + 3
+        store.apply_updates()  # writes nothing: the mark rides on the next write
+        assert store.recover() == {"last_ingested": 1, "last_applied": 0, "pages_dropped": 0}
+        assert store.materialize().m == g.m and store.inserts_applied == 0
+        out = store.apply_updates()
+        assert (out["batches"], out["inserts"]) == (1, 3)
+        assert store.materialize().m == g.m + 3 and store.inserts_applied == 3
+        # the next ingest's page headers carry the mark
+        store.ingest(adds([(1, 4)]))
+        assert store.recover() == {"last_ingested": 2, "last_applied": 1, "pages_dropped": 0}
+        assert store.materialize().m == g.m + 3 and store.inserts_applied == 3
 
     def test_torn_grouped_ingest_write_is_dropped_whole(self):
         # one page per record, so the batch's single striped write spans
-        # four interval logs and tears at a page inside the third
+        # eight log pages and tears at a page inside it
         g = small_chain(8)
         cfg = DEFAULT_CONFIG
         first = adds([(0, 3), (2, 5)])
@@ -260,21 +259,19 @@ class TestCrashRecovery:
         store.records_per_page = 1
         store.ingest(first)
         store.apply_updates()
-        before = [log.n_pages for log in store._logs]
+        before = store._log.n_pages
         fs.device.fault_plan = FaultPlan([FaultRule(op="write", kind="torn")], seed=4)
         with pytest.raises(SimulatedCrashError) as exc:
             store.ingest(batch)
         fs.device.fault_plan = None
         persisted = exc.value.pages_persisted
-        # each log kept its share of the persisted prefix, in interval order
-        grown = [log.n_pages - b for log, b in zip(store._logs, before)]
-        assert grown == [min(2, max(0, persisted - 2 * k)) for k in range(4)]
-        assert grown[0] == 2 and 0 < grown[2] < 2  # crosses intervals
+        assert 0 < persisted < batch.n  # part of the batch is on the log
+        assert store._log.n_pages == before + persisted
 
         out = store.recover()
         assert out["pages_dropped"] == persisted
-        assert (store.last_ingested, store.last_applied) == (1, 1)
-        assert [log.n_pages for log in store._logs] == before
+        assert (store.last_ingested, store.last_applied) == (1, 0)
+        assert store._log.n_pages == before
         store.ingest(batch)
         store.apply_updates()
 
@@ -283,26 +280,58 @@ class TestCrashRecovery:
             ref.ingest(delta)
             ref.apply_updates()
         assert_same_graph(store.materialize(), ref.materialize())
+        assert store.records_ingested == ref.records_ingested == first.n + batch.n
+        assert store.inserts_applied == ref.inserts_applied
 
-    def test_crash_between_data_write_and_ingest_marker(self):
+    def test_batch_whose_pages_all_landed_is_committed(self):
+        # three pages in one write; the power cut comes right after it
         g = small_chain(8)
         cfg = DEFAULT_CONFIG
         batch = adds([(0, 5), (3, 7), (6, 1)])
         fs = SimFS(cfg)
         store = StreamStore(g, fs, cfg, intervals=FOUR_INTERVALS)
-        # ingest's writes: the striped data batch, then the marker
-        fs.device.fault_plan = FaultPlan([FaultRule(op="write", kind="crash", after_ops=1)])
-        with pytest.raises(SimulatedCrashError):
-            store.ingest(batch)
-        fs.device.fault_plan = None
-        assert sum(log.n_pages for log in store._logs) == 3  # all data durable
-        out = store.recover()
-        assert out == {"last_ingested": 0, "last_applied": 0, "pages_dropped": 3}
-        store.ingest(batch)
+        store.records_per_page = 1
+        out = store.ingest(batch)
+        assert out["pages"] == 3 and fs.stats.writes["ulog"].batches == 1
+        assert store.recover() == {"last_ingested": 1, "last_applied": 0, "pages_dropped": 0}
         store.apply_updates()
         ref = StreamStore(g, SimFS(cfg), cfg, intervals=FOUR_INTERVALS)
         ref.ingest(batch)
         ref.apply_updates()
+        assert_same_graph(store.materialize(), ref.materialize())
+
+    def test_empty_batch_keeps_last_ingested(self):
+        g = small_chain(8)
+        store, fs = store_on(g)
+        out = store.ingest(EdgeDelta.empty())
+        assert (out["seq"], out["pages"]) == (1, 1)  # one header-only page
+        store.apply_updates()
+        assert store.recover()["last_ingested"] == 1
+        assert store.apply_updates()["batches"] == 1
+        assert store.ingest(adds([(0, 5)]))["seq"] == 2
+        assert store.recover()["last_ingested"] == 2
+        store.apply_updates()
+        assert store.materialize().m == g.m + 1
+
+    def test_batch_after_every_interval_compacted_keeps_last_ingested(self):
+        # one delete in every interval: all four compact, their bases
+        # absorb every log record, and the log is trimmed whole
+        g = small_chain(8)
+        cfg = DEFAULT_CONFIG.with_stream(compact_threshold=0.05)
+        store = StreamStore(g, SimFS(cfg), cfg, intervals=FOUR_INTERVALS)
+        store.ingest(dels([(0, 1), (2, 3), (4, 5), (6, 7)]))
+        assert store.apply_updates()["compactions"] == 4
+        assert store._log.n_pages == 0
+        assert store.recover() == {"last_ingested": 1, "last_applied": 1, "pages_dropped": 0}
+        assert store.ingest(adds([(1, 6)]))["seq"] == 2
+        assert store.recover() == {"last_ingested": 2, "last_applied": 1, "pages_dropped": 0}
+        store.apply_updates()
+        assert store.ingest(adds([(3, 0)]))["seq"] == 3
+        store.apply_updates()
+        ref = StreamStore(g, SimFS(cfg), cfg, intervals=FOUR_INTERVALS)
+        for delta in (dels([(0, 1), (2, 3), (4, 5), (6, 7)]), adds([(1, 6)]), adds([(3, 0)])):
+            ref.ingest(delta)
+            ref.apply_updates()
         assert_same_graph(store.materialize(), ref.materialize())
 
     def test_recover_is_idempotent_when_clean(self):
@@ -312,6 +341,7 @@ class TestCrashRecovery:
         store.apply_updates()
         before = store.materialize()
         store.recover()
+        store.apply_updates()
         after = store.materialize()
         assert np.array_equal(before.edge_array()[0], after.edge_array()[0])
         assert np.array_equal(before.edge_array()[1], after.edge_array()[1])
@@ -336,6 +366,36 @@ class TestCrashRecovery:
         store.apply_updates()
         merged = store.inserts_applied + store.deletes_applied + store.noop_deletes
         assert merged == store.records_ingested == sum(d.n for d in deltas)
+
+    def test_recover_keeps_tallies_across_compactions(self):
+        # compacted bases absorb log records; their headers carry the
+        # absorbed tallies, so recovery restores every lifetime tally
+        g = small_rmat(n=128, m=512, seed=3)
+        cfg = DEFAULT_CONFIG.with_stream(compact_threshold=0.05)
+        intervals = VertexIntervals(np.array([0, 32, 64, 96, 128]))
+        store = StreamStore(g, SimFS(cfg), cfg, intervals=intervals)
+        deltas = []
+        for b in range(6):
+            s, t = store.live_edge_arrays()
+            deltas.append(random_delta(np.random.default_rng([5, b]), g.n, s, t, 60))
+            store.ingest(deltas[-1])
+            store.apply_updates()
+        tallies = (
+            "records_ingested", "inserts_applied", "deletes_applied", "noop_deletes",
+            "compactions", "batches_ingested", "batches_applied",
+        )
+        want = {t: getattr(store, t) for t in tallies}
+        assert want["records_ingested"] == 360 and want["compactions"] >= 4
+        graph = store.materialize()
+        store.recover()
+        assert store.records_ingested == 360 and store.compactions == want["compactions"]
+        merged = store.inserts_applied + store.deletes_applied + store.noop_deletes
+        unapplied = range(store.last_applied + 1, store.last_ingested + 1)
+        pending = sum(deltas[s - 1].n for s in unapplied)
+        assert merged + pending == store.records_ingested
+        store.apply_updates()  # re-folds a batch whose mark was lost, if any
+        assert {t: getattr(store, t) for t in tallies} == want
+        assert_same_graph(store.materialize(), graph)
 
 
 def _edge_multiset_diff(prev, new):
