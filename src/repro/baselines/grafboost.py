@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import EngineError
 from ..graph.partition import static_partition, uniform_partition
 from ..graph.storage import GraphOnSSD
-from ..core.combine import combine_sorted, interval_runs, precombine
+from ..core.combine import combine_sorted, precombine
 from ..core.superstep import SuperstepEngine
 from ..core.update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch, natural_runs
 from ..mem.pagebuffer import RecordPageBuffer
@@ -92,8 +92,8 @@ class GraFBoost(SuperstepEngine):
 
         ``batch`` is the superstep's non-empty log in arrival order.  A
         named combine's compute is charged like MultiLogVC's send-side
-        reduce (``ComputeMeter.charge_sort_reduce`` over the tree's
-        source intervals), anything else as one natural merge.
+        reduce (``ComputeMeter.charge_sort_reduce``: the one stable sort
+        ``precombine`` runs), anything else as one natural merge.
         """
         cfg = self.config
         raw_records = batch.n
@@ -101,24 +101,21 @@ class GraFBoost(SuperstepEngine):
         raw_dest = batch.dest  # unsorted arrival order (run membership)
         spec = self.program.combine
         use_combine = (not self.adapted) and spec is not None
+        natural = natural_runs(raw_dest)
         reduce_fields = {}
         if use_combine and isinstance(spec, str):
             # Level 1 first: the tree over its partials is the tree over
             # the raw log, bit for bit (repro.core.combine).
-            sizes, interval_natural, spans = interval_runs(batch, self._tree)
+            span = int(raw_dest.max()) - int(raw_dest.min()) + 1
             batch = precombine(batch, spec, self._tree)
-            levels, counted = self.meter.charge_sort_reduce(
-                sizes, interval_natural, spans, batch.n, "sort_log"
-            )
-            natural = int(interval_natural.sum())
+            levels, counted = self.meter.charge_sort_reduce(raw_records, natural, span, "sort_log")
             reduce_fields = {
-                "intervals": int(sizes.shape[0]),
+                "span": span,
                 "survivors": batch.n,
                 "counted": counted,
                 "item_levels": levels,
             }
         else:
-            natural = natural_runs(raw_dest)
             self.meter.charge_sort(raw_records, natural, "sort_log")
             batch = batch.sort_by_dest()
         uniq, offsets = batch.group()

@@ -321,11 +321,10 @@ class ComputeConfig:
     where a sort of ``n`` keys handed over in ``runs`` natural runs
     (maximal non-decreasing stretches) is charged as an idealised merge:
     one item-cost per item per level, over the continuous log2 of the
-    run count, with no separate run-finding pass.  A send-side reduce's
-    per-source-interval streams are each charged the cheaper of that
-    merge and a stable counting sort over their destination range,
-    ``2 * n + span`` item-levels, plus the merge of the survivors
-    across intervals (DESIGN.md §15).  The constants are
+    run count, with no separate run-finding pass.  A reduce's one
+    stable sort of its whole batch by destination is charged the
+    cheaper of that merge and a counting sort over the destination
+    range, ``2 * n + span`` item-levels (DESIGN.md §15).  The constants are
     calibrated so that the storage/compute split of BFS lands in the
     paper's 75-90% storage range (Fig. 5c); they do not affect
     *relative* engine comparisons much because all engines share the

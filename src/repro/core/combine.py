@@ -22,10 +22,11 @@ the interval holding its ``src``, the sending vertex):
 * level 2 reduces a destination's partials in ascending source-interval
   order (stable, so equal intervals keep their arrival order).
 
-:func:`precombine` is level 1 alone -- what MultiLogVC applies to a
-group's sends before they reach the log -- and :func:`combine_sorted`
-is the whole tree.  :func:`interval_runs` finds the streams that
-level 1's reduce is charged by, as a sort-reduce (DESIGN.md §15).  A partial is a run of length one, so running the
+:func:`precombine` is level 1 alone: what MultiLogVC applies to a
+group's sends before they reach the log.  It sorts the whole batch by
+destination once, stably, and reduces the runs with ``reduceat``; that
+one sort is what the reduce is charged (DESIGN.md §15).
+:func:`combine_sorted` is the whole tree.  A partial is a run of length one, so running the
 tree over partials, raw updates or any mix of the two gives the same
 bits; nothing about groups, buffers or eviction enters the definition.
 """
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..errors import ProgramError
 from ..graph.partition import VertexIntervals
-from .update import DATA_DTYPE, SRC_DTYPE, UpdateBatch, natural_runs
+from .update import DATA_DTYPE, SRC_DTYPE, UpdateBatch
 
 CombineSpec = Union[str, Callable[[np.ndarray], float]]
 
@@ -60,42 +61,6 @@ def _source_intervals(src: np.ndarray, intervals: VertexIntervals) -> np.ndarray
     # Clipped, so any src maps to some bucket (a seed may carry an
     # out-of-graph one).
     return intervals.dense.take(src, mode="clip")
-
-
-def interval_runs(
-    batch: UpdateBatch, intervals: VertexIntervals
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sizes, runs, spans)`` of the streams a sort-reduce of ``batch`` merges.
-
-    ``batch`` is in send order.  Where its source intervals never
-    decrease -- every superstep's sends, as vertices run in id order --
-    each source interval that sent is one stream: ``sizes[i]`` updates
-    whose destinations form ``runs[i]`` natural runs and cover
-    ``spans[i] = max - min + 1`` ids.  Elsewhere (a seed batch) the
-    whole batch is one stream, ``([n], [natural_runs], [span])``: there
-    level 1 reduces runs that depend on which destinations sit next to
-    each other, so no per-interval merge order is exact
-    (``ComputeMeter.charge_sort_reduce``).
-    """
-    n, src, dest = batch.n, batch.src, batch.dest
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    if (src[1:] >= src[:-1]).all():
-        # Ascending senders (every superstep): the streams are cut at the
-        # interval bounds, with no per-update gather.
-        cuts = np.searchsorted(src, intervals.boundaries[1:-1].astype(src.dtype))
-    else:
-        ival = _source_intervals(src, intervals)
-        cuts = np.flatnonzero(ival[1:] != ival[:-1]) + 1
-        if (ival[1:] < ival[:-1]).any():
-            cuts = cuts[:0]  # not contiguous (a seed batch): one stream
-    starts = np.unique(np.concatenate(([0], cuts[cuts < n])))
-    ends = np.append(starts[1:], n)
-    runs = np.array([natural_runs(dest[a:b]) for a, b in zip(starts, ends)], dtype=np.int64)
-    lo = np.minimum.reduceat(dest, starts).astype(np.int64)
-    hi = np.maximum.reduceat(dest, starts).astype(np.int64)
-    return ends - starts, runs, hi - lo + 1
 
 
 def _reduce_runs(batch: UpdateBatch, ufunc: np.ufunc, intervals: VertexIntervals):

@@ -40,7 +40,7 @@ from ..mem.budget import MemoryBudget
 from ..obs.overlay import Overlay
 from ..recovery.checkpoint import CheckpointData, CheckpointManager, _record_from_state
 from .api import InitialState, VertexProgram
-from .combine import interval_runs, precombine
+from .combine import precombine
 from .edgelog import KLASS_EDGELOG, EdgeLogOptimizer
 from .loader import GraphLoaderUnit
 from .multilog import KLASS_MLOG, MultiLogUnit
@@ -50,7 +50,7 @@ from .scheduler import ParallelGroupScheduler
 from .results import RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
 from .superstep import SuperstepEngine
-from .update import UpdateBatch
+from .update import UpdateBatch, natural_runs
 
 
 class MultiLogVC(SuperstepEngine):
@@ -548,27 +548,25 @@ class MultiLogVC(SuperstepEngine):
         program sent.  With :attr:`precombine` they first become one
         batch reduced to a record per (destination, source interval) --
         level 1 of the combine tree -- after the range check has seen
-        every destination as produced.  The reduce is charged as a
-        sort-reduce (DESIGN.md §15): each source interval's sends sorted
-        by destination -- merged from their natural runs (each sender's
-        follow its ascending adjacency list) or counted over their
-        destination range, whichever is cheaper -- and reduced on their
-        own, then the surviving records merged across intervals.
+        every destination as produced.  The reduce is charged as the one
+        stable sort by destination it runs over the whole batch
+        (DESIGN.md §15): a merge of its natural runs (each sender's
+        follow its ascending adjacency list) or a counting sort over its
+        destination range, whichever is cheaper.
         """
         sent = sum(b.n for b in batches)
         if self.precombine and sent:
             batch = mlog.narrowed(UpdateBatch.concat(batches))
-            sizes, runs, spans = interval_runs(batch, self.intervals)
+            runs = natural_runs(batch.dest)
+            span = int(batch.dest.max()) - int(batch.dest.min()) + 1
             reduced = precombine(batch, self.program.combine, self.intervals)
-            levels, counted = self.meter.charge_sort_reduce(
-                sizes, runs, spans, reduced.n, "sort_send"
-            )
+            levels, counted = self.meter.charge_sort_reduce(sent, runs, span, "sort_send")
             if self.tracer.enabled:
                 self.tracer.emit(
                     "send_reduce",
                     records=sent,
-                    intervals=int(sizes.shape[0]),
-                    natural_runs=int(runs.sum()),
+                    natural_runs=runs,
+                    span=span,
                     survivors=reduced.n,
                     counted=counted,
                     item_levels=levels,

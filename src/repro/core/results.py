@@ -73,34 +73,27 @@ class ComputeMeter:
                 site, n * math.log2(max(runs, 2)) * self.config.per_sort_item_us / self.config.cores
             )
 
-    def charge_sort_reduce(
-        self, sizes: np.ndarray, runs: np.ndarray, spans: np.ndarray, survivors: int, site: str
-    ) -> Tuple[float, int]:
-        """A sort-reduce: each stream sorted and reduced on its own, then
-        the ``survivors`` of all ``K = len(sizes)`` streams merged.
+    def charge_sort_reduce(self, n: int, runs: int, span: int, site: str) -> Tuple[float, int]:
+        """The one stable sort by destination that a reduce runs.
 
-        Each stream of ``n = sizes[i] > 1`` keys is charged the cheaper
-        of its two exact stable sorts: the merge of its ``runs[i]``
-        natural runs, ``n * log2(max(runs[i], 2))`` item-levels (as
-        :meth:`charge_sort` charges it), or a counting sort over its
-        ``spans[i]`` keys, ``2 * n + spans[i]`` (a histogram pass, a
-        prefix sum over the key range, a stable scatter).  The merge
-        adds ``survivors * log2(K)`` for ``K >= 2``.  The streams come
-        from :func:`~repro.core.combine.interval_runs`.  Returns the
-        item-levels charged and how many streams were charged as a
-        counting sort.
+        ``n`` keys in send order, in ``runs`` natural runs, over ``span =
+        max - min + 1`` destination ids: what
+        :func:`~repro.core.combine.precombine` sorts, the whole batch at
+        once, before level 1's ``reduceat`` (DESIGN.md §15).  Charged
+        the cheaper of its two exact algorithms (they give one
+        permutation): the merge of the natural runs, ``n *
+        log2(max(runs, 2))`` item-levels (as :meth:`charge_sort` charges
+        it), or a counting sort, ``2 * n + span`` (a histogram pass, a
+        prefix sum over the key range, a stable scatter).  Nothing for
+        ``n < 2``, which is not sorted.  Returns the item-levels charged
+        and whether the counting sort was the cheaper (1) or not (0).
         """
-        levels, counted = 0.0, 0
-        for n, r, span in zip(sizes.tolist(), runs.tolist(), spans.tolist()):
-            if n > 1:
-                merge, count = n * math.log2(max(r, 2)), 2 * n + span
-                counted += count < merge
-                levels += min(merge, count)
-        if sizes.shape[0] >= 2:
-            levels += survivors * math.log2(sizes.shape[0])
-        if levels:
-            self._charge(site, levels * self.config.per_sort_item_us / self.config.cores)
-        return levels, counted
+        if n < 2:
+            return 0.0, 0
+        merge, count = n * math.log2(max(runs, 2)), 2 * n + span
+        levels = min(merge, count)
+        self._charge(site, levels * self.config.per_sort_item_us / self.config.cores)
+        return levels, int(count < merge)
 
     def restore(self, time_us: float) -> None:
         """Resume at a checkpointed meter reading (ledger row ``resumed``)."""

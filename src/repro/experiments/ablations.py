@@ -151,8 +151,8 @@ def run_precombine(scale: Optional[str] = None, steps: int = 15) -> ExperimentRe
         ],
         rows=rows,
         notes=(
-            "values and messages sent are identical either way; the reduce is "
-            "charged to compute as a sort-reduce of each group's sends per source interval"
+            "values and messages sent are identical either way; the reduce is charged "
+            "to compute as the one stable sort by destination of each group's sends"
         ),
     )
 

@@ -121,16 +121,19 @@ _SORT = EventSchema(
                 "natural_runs {natural_runs} outside [1, records {records}]"),),
 )
 
-#: A sort-reduce (DESIGN.md §15) merges at least one stream per source
-#: interval that sent -- one natural run each at the least -- hands on
-#: no more records than it was given, and charges at most every stream
-#: as a counting sort (``counted``).  ``extsort`` carries the reduce's
-#: fields only where its charge is one (plain GraFBoost with a named
-#: combine); ``send_reduce`` always does.
+#: A reduce (DESIGN.md §15) is charged as one stable sort of its whole
+#: batch by destination: its ``records`` keys in ``natural_runs`` runs
+#: (the ``_SORT`` rule), over ``span = max - min + 1`` ids.  It hands on
+#: no more records than it was given, and ``counted`` is 1 where the
+#: counting sort was the cheaper algorithm, else 0.  ``extsort`` carries
+#: the reduce's fields only where its charge is one (plain GraFBoost
+#: with a named combine); ``send_reduce`` always does.
 _REDUCE_FIELDS = {
-    "intervals": COUNT,
+    "span": COUNT,
     "survivors": COUNT,
-    "counted": COUNT,
+    "counted": Check(
+        lambda v: _is_int(v) and v in (0, 1), "{field!r} must be 0 or 1, got {value!r}"
+    ),
     "item_levels": NON_NEGATIVE,
 }
 _REDUCE_RULES = (
@@ -140,14 +143,9 @@ _REDUCE_RULES = (
         "survivors {survivors} above records {records}",
     ),
     Rule(
-        ("records", "intervals", "natural_runs"),
-        lambda n, k, runs: k is None or n <= 0 or 1 <= k <= runs <= n,
-        "not 1 <= intervals {intervals} <= natural_runs {natural_runs} <= records {records}",
-    ),
-    Rule(
-        ("intervals", "counted"),
-        lambda k, c: c is None or k is None or 0 <= c <= k,
-        "counted {counted} outside [0, intervals {intervals}]",
+        ("records", "span"),
+        lambda n, span: span is None or n <= 0 or span >= 1,
+        "span {span} below 1 for records {records}",
     ),
 )
 

@@ -253,8 +253,10 @@ class StreamStore:
         self.last_applied = 0
         #: Id of the first log page of a batch not yet applied.
         self._pending_from = 0
-        # Lifetime tallies behind the ``stream.*`` gauges; reset to the
-        # durable state's replay at recovery.
+        # Lifetime tallies behind the ``stream.*`` gauges.  Recovery
+        # resets the record and batch tallies to the durable state's
+        # replay; the device-work ones (log pages written, I/O time)
+        # keep counting across it, as the device's own stats do.
         self.batches_ingested = 0
         self.batches_applied = 0
         self.records_ingested = 0
@@ -814,10 +816,12 @@ class StreamStore:
            interval ``i``'s records up to its ``through_seq[i]``, so the
            arena comes back in the same order.
 
-        The tallies are the bases' absorbed ones plus a recount of the
-        records they did not absorb: every such record on the log is
-        ingested, and those of the applied batches are merged, so
-        ``merged + pending == records_ingested``.
+        The record tallies are the bases' absorbed ones plus a recount
+        of the records they did not absorb: every such record on the
+        log is ingested, and those of the applied batches are merged, so
+        ``merged + pending == records_ingested``.  ``ulog_pages_written``
+        and the ``*_io_us`` tallies are left as they are: they count
+        device work done before the cut, which a crash does not undo.
 
         Batches committed but not applied -- a merge whose mark never
         reached flash included -- are merged by the next
@@ -839,16 +843,12 @@ class StreamStore:
         self._pending_from = next(
             (pid for pid, p in enumerate(pages) if p.seq > last_applied), keep
         )
-        # Reset every lifetime tally to the bases' absorbed ones, then
+        # Reset the record tallies to the bases' absorbed ones, then
         # recount what they did not absorb.
         for name, total in zip(ABSORBED, self._absorbed.sum(axis=0).tolist()):
             setattr(self, name, total)
         self.batches_ingested = last_ingested
         self.batches_applied = last_applied
-        self.ulog_pages_written = keep
-        self.ingest_io_us = 0.0
-        self.apply_io_us = 0.0
-        self.compact_io_us = 0.0
         self._reset_index()
         runs: Dict[int, list] = {}
         for pid, p in enumerate(pages):

@@ -63,6 +63,16 @@ record field but the I/O ones (``pages_read``, ``pages_read_by_class``,
 stats, ``cache.*`` gauges and trace moved.  No other row holds a dirty
 page, so every other row passed unchanged.
 
+When a send-side reduce became charged as the one stable sort by
+destination that ``precombine`` runs over the whole batch (DESIGN.md
+§15), with no per-source-interval streams and no cross-interval merge,
+the same rows were re-recorded: MultiLogVC's and plain GraFBoost's
+``pagerank``, ``bfs``, ``sssp`` and ``wcc`` and every stack row
+(``sort_send`` / ``sort_log`` moved, and ``send_reduce`` and the
+reducing ``extsort`` events traded ``intervals`` for ``span``, their
+``natural_runs`` now the whole batch's).  Every :data:`GOLDEN_VALUES_IO`
+row passed unrecorded: only compute time moved.
+
 Each run also checks the compute ledger: ``RunResult.compute_by_site``
 sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 """
@@ -127,10 +137,10 @@ STACKS = {
 GAUGE_PREFIXES = ("loader.", "io.", "cache.", "device.")
 
 GOLDEN = {
-    ("grafboost", "bfs"): "8dc78df0b77bed158669c2dee9182da3cb7d72a009fde0a1e74bc1924cc63361",
-    ("grafboost", "pagerank"): "612347c1286f6a8d8110707975a4870fedc405fe782b269e223229bd0e263d25",
-    ("grafboost", "sssp"): "febd08750033da56b482c3adc58b8d3519de1b936c7f5998379871c11e92f45f",
-    ("grafboost", "wcc"): "c2717c507e9d7dedc75912d3e7e06bc467d3f9c19e668c4010762e903f6f1423",
+    ("grafboost", "bfs"): "d6e4aeda134ebbf09f658e0bf8a008fbec38906f8666e16594b1804328a63d26",
+    ("grafboost", "pagerank"): "b328d88053515477f652013dac202d452f2cda03698d0ea4429f11a5a83a8aa0",
+    ("grafboost", "sssp"): "ef03b2d0003d5b98950a423e9c866976dbfa703c42e91ec0b9428a59e841a80c",
+    ("grafboost", "wcc"): "1565ef7fe125ab3dc65f35cb6985268593e21e076c79d928929ce3ff16449e51",
     ("grafboost-adapted", "bfs"): "1b0c67b9da5f22ac2515327e04975515b4a0800b4c01b31d94a1abdcd738c487",
     ("grafboost-adapted", "cdlp"): "4d5d9593f9463baabcd88a900c4569bcdc62c8c0c4a3f9bab65bc53b20e9c1b5",
     ("grafboost-adapted", "coloring"): "d331f0d430e54ac548de97eaf138251a449feb48a3e76b103a35ab042fc12ed5",
@@ -147,12 +157,12 @@ GOLDEN = {
     ("gridgraph", "pagerank"): "d6b6cdf339a8028232ed59c29943922b9d9be016f71601a8f0ad19394011da56",
     ("gridgraph", "sssp"): "00b87215ba2c46fa8685ffeb7930780285bfb04777e51956482d7519ddcb98cb",
     ("gridgraph", "wcc"): "f3f4ec32367c76349845d2ddf97371d2922741592871e1973c33cbda48a333d6",
-    ("multilogvc", "bfs"): "a2f6a2ebb06cdda841a296399b394b870cdbf6247407e40af0d20af92ad70a87",
+    ("multilogvc", "bfs"): "7350c24b2a6562a5dbb436251f52a6272f31af9fc1713d5953619483ea99a98f",
     ("multilogvc", "cdlp"): "d4818f31905bff92c0f41394495c06c64d3a0ebb3031fdb2bde3552df40e5693",
     ("multilogvc", "coloring"): "0e837b87cd93f9ac7abda86be0279473cdccdd7f4e112730a8ea1aa0bb1ed217",
-    ("multilogvc", "pagerank"): "6843f305ed4e84f7dacd834d141a6fe0de3e68429f613483987e6649f1ab70a0",
-    ("multilogvc", "sssp"): "5576ae6230246b5225e952bcaa5e0df1271463b5de6e57fb9a9748f7bd4ce802",
-    ("multilogvc", "wcc"): "687482cd38fcc92675d199efe58c66e2a299658c5e2dcc5950a58746b706e552",
+    ("multilogvc", "pagerank"): "56ed6e1ed62429934ad1cf21fa3c0ac10f27929e1bd08b3bd5f241bee4f755dd",
+    ("multilogvc", "sssp"): "cd291e8ec3b0d75386716cd049e9840ef1947f3202948ed89d217aa0dd4a3c6f",
+    ("multilogvc", "wcc"): "f1e0e039411cbf52c3ff99d8e43f4667efa6a0c423b96f29c6ca743658803c65",
     ("oracle", "bfs"): "f336301167d0e704dccc6fb75030d5dbc233cd36634f32bf7638f890fdccf774",
     ("oracle", "cdlp"): "25398f60e0cf8e55e1e00d7e9af6a709cd6128c09b9f54fc3419642e4a8bd2aa",
     ("oracle", "coloring"): "5d6111136334f3a8299ed46814ee205f79d2068c40b8ca4ba9d42c97874a4ded",
@@ -167,14 +177,14 @@ GOLDEN = {
 
 #: MultiLogVC on each of :data:`STACKS`: (stack, program) -> digest
 GOLDEN_STACKS = {
-    ("cache16+readahead", "bfs"): "2e678d59abe733abdc0f2790fd67cc4fddd01f7597cbd333af62e390e9868b0e",
-    ("cache16+readahead", "pagerank"): "114ba27296f77a06a49c674d0e5c38d7896924646485decfae2eafa5952f6245",
-    ("devices4-affinity", "bfs"): "3b3101b6d600064b945a0001c421f0f13e91ea87ac69957db1f797e22fb6eae7",
-    ("devices4-affinity", "pagerank"): "63b39c735c87e6b1b347bfaf565062e06b5cf1742338c1e282f3b460738b7887",
-    ("devices4-stripe", "bfs"): "1d541ee4fa16e36c518dda1b1db027708d0cfe20a58fad0141899950151ca751",
-    ("devices4-stripe", "pagerank"): "7349c17da66c0b06f64210699adf753cfe5b7e3125c8ef7a8a42fcb05ed7141e",
-    ("lanes2+coalesce", "bfs"): "9ab670ac380841184e5218b6eb923b6f95a2e1138f6cafcd69fe2be3a72a5038",
-    ("lanes2+coalesce", "pagerank"): "b3761050edbe57777c77e3021487ba4c7d62e0dc00cfa45287e47b2441447230",
+    ("cache16+readahead", "bfs"): "1230e04539242032f42adcef6c5d29f83b5ac8642b099d40aada947659933ea3",
+    ("cache16+readahead", "pagerank"): "cd219812c93a6bd7df0ec85f9e645da0e753c07f6b146f007dee484cd9101639",
+    ("devices4-affinity", "bfs"): "c69f1ccba80f1b1080e10dfe5133b30bc5ba2111cf020fed6fe8e32ee3f9ee1a",
+    ("devices4-affinity", "pagerank"): "8f68a2ded890960a3d94335cf0a0812da01ca23b24f3db907bd7bcf7c7064de1",
+    ("devices4-stripe", "bfs"): "676ab9cd052dde7ff34b4963f3bfbd026006827497e1833975e0c9360d76cdd1",
+    ("devices4-stripe", "pagerank"): "e117bd207c6b6979775689d8226d126180db9291f00f58f50b57e9f1c1988584",
+    ("lanes2+coalesce", "bfs"): "1dbbe6bc8dbcc77f3ecd133a3541a4e7aed738d137e245832dbc9900f51c7b08",
+    ("lanes2+coalesce", "pagerank"): "3c575ff1a16ea354a756818487337436486d6b074f988ab4c8ad240c9fa28cd0",
 }
 
 #: Values and I/O only, per row of :data:`GOLDEN` and (stack, program) of

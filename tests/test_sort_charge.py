@@ -3,17 +3,16 @@
 Every update sort is charged ``n * log2(max(runs, 2))`` where ``runs``
 counts the maximal non-decreasing stretches of its keys in arrival
 order (:func:`repro.core.update.natural_runs`).  A send-side reduce is
-charged as the sort-reduce that computes its bits (DESIGN.md §15): each
-source interval's sends sorted by destination -- merged from their
-natural runs or counted over their range, whichever costs less -- and
-reduced on their own, then the survivors merged across intervals --
-pinned here against a reference model of that algorithm (a ``heapq``
-merge and a counting sort).  The meter keeps one tally per call site
-beside its total; the rows must sum to the total.
+charged as the one stable sort by destination that computes its bits
+(DESIGN.md §15): the whole batch, merged from its natural runs or
+counted over its destination range, whichever costs less -- pinned here
+against a reference model of that algorithm (Python's stable ``sorted``
+and a counting sort), whose bits must be ``precombine``'s.  The meter
+keeps one tally per call site beside its total; the rows must sum to
+the total.
 """
 
 import functools
-import heapq
 import math
 import sys
 from pathlib import Path
@@ -28,7 +27,6 @@ from repro.algorithms import BFSProgram, DeltaPageRankProgram
 from repro.config import DEFAULT_CONFIG, small_test_config
 from repro.core import MultiLogVC
 from repro.core.multilog import MultiLogUnit
-from repro.core.combine import interval_runs
 from repro.core.results import COMPUTE_SITES, ComputeMeter
 from repro.core.sortgroup import SortGroupUnit
 from repro.core.update import UpdateBatch, natural_runs, stable_argsort_bounded
@@ -150,15 +148,10 @@ PROGRAMS = {
 
 
 def merge_order(keys):
-    """Stable sort of ``keys`` as a ``heapq`` merge of their natural runs,
-    ties to the earlier run; returns the permutation."""
-    runs = [[0]]
-    for p in range(1, len(keys)):
-        if keys[p] < keys[p - 1]:
-            runs.append([])
-        runs[-1].append(p)
-    keyed = ([(keys[p], r, p) for p in run] for r, run in enumerate(runs))
-    return [p for _, _, p in heapq.merge(*keyed)], len(runs)
+    """Stable comparison sort of ``keys`` (Python's ``sorted``, itself a
+    merge of natural runs); returns the permutation and the run count."""
+    runs = 1 + sum(b < a for a, b in zip(keys, keys[1:]))
+    return sorted(range(len(keys)), key=keys.__getitem__), runs
 
 
 def counting_order(keys):
@@ -179,52 +172,35 @@ def counting_order(keys):
     return order, len(count)
 
 
-def sort_reduce_model(batch, spec, intervals):
-    """The sort-reduce the send-side charge models, one record at a time.
+def reduce_model(batch, spec, intervals):
+    """The reduce the send-side charge models, one record at a time.
 
-    Per source interval (in send order): sort its destinations stably,
-    by whichever of the two exact algorithms costs fewer item-levels --
-    the merge of its natural runs or a counting sort over its range --
-    and reduce each equal-destination group of the sorted stream with
-    the combine's ``reduceat``, the same function level 1 applies, so
-    the bits are NumPy's, not a left fold's.  Then merge the reduced
-    streams by (destination, interval).  Returns ``(records,
-    item_levels, counted)``, each record ``(dest, src, data)`` with
-    ``src`` the group's first sender, ``counted`` the streams sorted by
-    counting.
+    The whole batch (send order) sorted stably by destination, by
+    whichever of the two exact algorithms costs fewer item-levels -- the
+    merge of its natural runs or a counting sort over its range -- then
+    level 1: each maximal run of equal (destination, source interval) of
+    the sorted batch reduced with the combine's ``reduceat``, so the bits
+    are NumPy's, not a left fold's.  Returns ``(records, item_levels,
+    counted)``, each record ``(dest, src, data)`` with ``src`` the run's
+    first sender, ``counted`` 1 where the counting sort was the cheaper.
     """
-    n_vertices = intervals.n_vertices
-    ival = intervals.interval_of(np.clip(batch.src, 0, n_vertices - 1)).tolist()
-    dest, src, data = batch.dest.tolist(), batch.src.tolist(), batch.data
-    order = list(dict.fromkeys(ival))
-    assert order == sorted(order), "only batches contiguous in source interval"
-    streams, levels, counted = [], 0.0, 0
-    for i in order:
-        rows = [p for p in range(batch.n) if ival[p] == i]
-        keys = [dest[p] for p in rows]
-        merged, runs = merge_order(keys)
-        counting, span = counting_order(keys)
-        merge_cost, count_cost = len(rows) * math.log2(max(runs, 2)), 2 * len(rows) + span
-        if len(rows) > 1:
-            levels += min(merge_cost, count_cost)
-            counted += count_cost < merge_cost
-        by_dest = [rows[k] for k in (counting if count_cost < merge_cost else merged)]
-        keys = [dest[p] for p in by_dest]
-        starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
-        partials = UFUNCS[spec].reduceat(data[by_dest], starts)
-        streams.append(
-            [(dest[by_dest[k]], i, src[by_dest[k]], x) for k, x in zip(starts, partials.tolist())]
-        )
-    out = list(heapq.merge(*streams, key=lambda rec: rec[:2]))
-    if len(streams) >= 2:
-        levels += len(out) * math.log2(len(streams))
-    return [(d, s, x) for d, _, s, x in out], levels, counted
-
-
-def merge_only_levels(sizes, runs, survivors):
-    """The charge before counting sorts: every stream a natural merge."""
-    levels = sum(n * math.log2(max(r, 2)) for n, r in zip(sizes, runs) if n > 1)
-    return levels + (survivors * math.log2(len(sizes)) if len(sizes) >= 2 else 0.0)
+    n, keys = batch.n, batch.dest.tolist()
+    if n == 0:
+        return [], 0.0, 0
+    merged, runs = merge_order(keys)
+    counting, span = counting_order(keys)
+    merge_cost, count_cost = n * math.log2(max(runs, 2)), 2 * n + span
+    counted = int(count_cost < merge_cost)  # never for one send: 1 level against 3
+    levels = min(merge_cost, count_cost) if n > 1 else 0.0
+    order = counting if counted else merged
+    ival = intervals.interval_of(np.clip(batch.src, 0, intervals.n_vertices - 1)).tolist()
+    dest, src = batch.dest.tolist(), batch.src.tolist()
+    starts = [
+        k for k in range(n)
+        if k == 0 or (dest[order[k]], ival[order[k]]) != (dest[order[k - 1]], ival[order[k - 1]])
+    ]
+    partials = UFUNCS[spec].reduceat(batch.data[order], starts).tolist()
+    return [(dest[order[k]], src[order[k]], x) for k, x in zip(starts, partials)], levels, counted
 
 
 class _Sink:
@@ -248,14 +224,16 @@ def _engine(spec):
 def send_reduce(batch, spec, intervals):
     """MultiLogVC's send-side reduce of ``batch`` (its sources' partition
     ``intervals``): the batch it logs, the item-levels of its
-    ``sort_send`` charge and its ``send_reduce`` event's ``counted``."""
+    ``sort_send`` charge and its ``send_reduce`` event's fields (None
+    for no sends, which emit none)."""
     eng = _engine(spec)
     eng.intervals, eng.meter, eng.tracer = intervals, ComputeMeter(C), TraceRecorder()
     sink = _Sink()
     assert eng._log(sink, [batch]) == batch.n
     (logged,) = sink.batches
-    counted = sum(e.fields["counted"] for e in eng.tracer.events)  # no sends, no event
-    return logged, eng.meter.by_site["sort_send"] / UNIT, counted
+    fields = [e.fields for e in eng.tracer.events if e.kind == "send_reduce"]
+    assert len(fields) == (batch.n > 0)
+    return logged, eng.meter.by_site["sort_send"] / UNIT, (fields[0] if fields else None)
 
 
 def _take(batch, order):
@@ -263,15 +241,18 @@ def _take(batch, order):
 
 
 @st.composite
-def contiguous_batches(draw):
-    """``send_batches`` in the shapes a superstep or a seed can take while
-    staying contiguous in source interval."""
+def reduce_batches(draw):
+    """``send_batches`` in the shapes a superstep or a seed can take."""
     batch, intervals, _ = draw(send_batches())
-    shape = draw(st.sampled_from(["ascending", "descending", "out-of-graph", "one-interval"]))
+    shape = draw(
+        st.sampled_from(["ascending", "descending", "seed", "out-of-graph", "wide", "one-interval"])
+    )
     n = intervals.n_vertices
     if shape == "descending":  # senders descend inside each interval
         ival = intervals.interval_of(batch.src)
         batch = _take(batch, np.lexsort((-batch.src, ival)))
+    elif shape == "seed":  # source intervals not in ascending order
+        batch = _take(batch, np.arange(batch.n)[::-1])
     elif shape == "out-of-graph":  # the clip maps them to the end intervals
         k = draw(st.integers(1, 4))
         batch = UpdateBatch.concat(
@@ -281,6 +262,8 @@ def contiguous_batches(draw):
                 UpdateBatch.of(np.arange(k)[::-1] % n, np.full(k, n + 3), -np.arange(k) - 0.25),
             ]
         )
+    elif shape == "wide":  # destinations spread thin over a wide range
+        batch = UpdateBatch.of(batch.dest * draw(st.integers(2, 5000)), batch.src, batch.data)
     elif shape == "one-interval":
         intervals = VertexIntervals(np.array([0, n]))
     return batch, intervals
@@ -288,34 +271,32 @@ def contiguous_batches(draw):
 
 class TestSendSideSortReduce:
     @pytest.mark.parametrize("spec", sorted(UFUNCS))
-    @given(contiguous_batches())
+    @given(reduce_batches())
     @settings(max_examples=100, deadline=None)
     def test_model_equals_precombine_and_the_charge(self, spec, case):
         batch, intervals = case
-        records, levels, counted = sort_reduce_model(batch, spec, intervals)
-        logged, charged, event_counted = send_reduce(batch, spec, intervals)
+        records, levels, counted = reduce_model(batch, spec, intervals)
+        logged, charged, event = send_reduce(batch, spec, intervals)
         assert logged.dest.tolist() == [d for d, _, _ in records]
         assert logged.src.tolist() == [s for _, s, _ in records]
         assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
         assert math.isclose(charged, levels, rel_tol=1e-12, abs_tol=1e-12)
-        assert event_counted == counted
-        # Never above the merge-only charge; equal to it when no stream is
-        # cheaper to count.
-        sizes, runs, spans = interval_runs(batch, intervals)
-        merge = merge_only_levels(sizes.tolist(), runs.tolist(), logged.n)
-        assert charged <= merge * (1 + 1e-12)
-        if counted == 0:
-            assert math.isclose(charged, merge, rel_tol=1e-12, abs_tol=1e-12)
-        # Per stream, the merge, the counting sort and the host's radix are
-        # one permutation: the bits are precombine's whichever is charged.
-        for a, b, r, span in zip(np.cumsum(sizes) - sizes, np.cumsum(sizes), runs, spans):
-            keys = batch.dest[a:b]
-            host = stable_argsort_bounded(keys - keys.min()).tolist()
-            (merged, merge_runs), (counting, count_span) = (
-                merge_order(keys.tolist()), counting_order(keys.tolist())
-            )
-            assert merged == counting == host
-            assert (merge_runs, count_span) == (r, span)
+        if batch.n == 0:
+            assert event is None and charged == 0.0
+            return
+        assert event["item_levels"] == levels and event["counted"] == counted
+        # The merge, the counting sort and the host's radix are one
+        # permutation: the bits are precombine's whichever is charged.
+        keys = batch.dest.tolist()
+        (merged, runs), (counting, span) = merge_order(keys), counting_order(keys)
+        assert merged == counting == stable_argsort_bounded(batch.dest - batch.dest.min()).tolist()
+        assert (event["records"], event["natural_runs"], event["span"]) == (batch.n, runs, span)
+        assert event["survivors"] == logged.n
+        # Never above either algorithm's cost; equal to the cheaper.
+        merge, count = batch.n * math.log2(max(runs, 2)), 2 * batch.n + span
+        if batch.n > 1:
+            assert charged <= merge * (1 + 1e-12) and charged <= count * (1 + 1e-12)
+            assert math.isclose(charged, min(merge, count), rel_tol=1e-12)
 
     @pytest.mark.parametrize("spec", sorted(UFUNCS))
     def test_a_sender_sending_twice_to_one_destination(self, spec):
@@ -326,59 +307,81 @@ class TestSendSideSortReduce:
         src = [1] * 6 + [2] * 7 + [5]
         data = np.random.default_rng(3).standard_normal(14) * 10.0 ** np.arange(-7, 7)
         batch = UpdateBatch.of(dest, src, data)
-        records, levels, counted = sort_reduce_model(batch, spec, halves)
-        logged, charged, _ = send_reduce(batch, spec, halves)
+        records, levels, counted = reduce_model(batch, spec, halves)
+        logged, charged, event = send_reduce(batch, spec, halves)
         assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
-        # Interval 0: 13 sends in 3 runs over 4 ids, merged (20.6 levels
-        # against 30 counted); interval 1: 1 send; 4 survivors.
-        assert counted == 0
-        assert levels == 13 * math.log2(3) + 4 * math.log2(2)
+        # 14 sends in 4 runs over 4 ids: merged (28 levels against 32
+        # counted); 4 survivors, one per (destination, source interval).
+        assert counted == event["counted"] == 0
+        assert levels == event["item_levels"] == 14 * math.log2(4)
+        assert event["survivors"] == logged.n == 4
         assert math.isclose(charged, levels, rel_tol=1e-12)
 
     @pytest.mark.parametrize("spec", sorted(UFUNCS))
     def test_a_narrow_stream_is_counted(self, spec):
-        # Interval 0: 16 sends alternating over two ids, 8 runs: counted
-        # (2 * 16 + 2 = 34 levels against 16 * 3 = 48 merged); interval
-        # 1: 3 sorted sends over 9 ids, merged (3 against 15).
+        # 19 sends over 9 ids, 16 of them alternating over two: 9 runs,
+        # counted (2 * 19 + 9 = 47 levels against 19 * log2(9) = 60.2).
         halves = VertexIntervals(np.array([0, 4, 8]))
         dest = [1, 0] * 8 + [0, 4, 8]
         src = [0] * 8 + [3] * 8 + [6] * 3
         batch = UpdateBatch.of(dest, src, np.random.default_rng(5).standard_normal(19))
-        records, levels, counted = sort_reduce_model(batch, spec, halves)
-        logged, charged, event_counted = send_reduce(batch, spec, halves)
+        records, levels, counted = reduce_model(batch, spec, halves)
+        logged, charged, event = send_reduce(batch, spec, halves)
         assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
-        assert counted == event_counted == 1
-        assert levels == 34 + 3 + 5 * math.log2(2)
+        assert counted == event["counted"] == 1
+        assert (event["natural_runs"], event["span"]) == (9, 9)
+        assert levels == 47
+        assert math.isclose(charged, levels, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("spec", sorted(UFUNCS))
+    def test_a_sparse_batch_is_merged(self, spec):
+        # 5 sends in 3 runs spread over a 65 536-id span: merged
+        # (5 * log2(3) = 7.9 levels against 2 * 5 + 65 536 counted).
+        halves = VertexIntervals(np.array([0, 4, 8]))
+        dest = [65535, 0, 40000, 7, 12]
+        batch = UpdateBatch.of(dest, [0, 1, 2, 5, 6], np.random.default_rng(7).standard_normal(5))
+        records, levels, counted = reduce_model(batch, spec, halves)
+        logged, charged, event = send_reduce(batch, spec, halves)
+        assert logged.data.tobytes() == np.array([x for _, _, x in records]).tobytes()
+        assert counted == event["counted"] == 0
+        assert (event["natural_runs"], event["span"]) == (3, 65536)
+        assert levels == 5 * math.log2(3)
         assert math.isclose(charged, levels, rel_tol=1e-12)
 
     @pytest.mark.parametrize("spec", sorted(UFUNCS))
     @given(send_batches())
     @settings(max_examples=60, deadline=None)
     def test_non_contiguous_batch_is_one_stream(self, spec, case):
+        # A seed batch (senders descending across intervals) is charged
+        # as the same destinations sent in ascending source order.
         batch, intervals, _ = case
-        batch = _take(batch, np.arange(batch.n)[::-1])  # senders descend across intervals
-        assume((np.diff(intervals.interval_of(batch.src)) < 0).any())
-        _, charged, _ = send_reduce(batch, spec, intervals)
-        span = int(batch.dest.max()) - int(batch.dest.min()) + 1
-        want = min(charge(batch.n, natural_runs(batch.dest)), (2 * batch.n + span) * UNIT)
-        assert charged * UNIT == want
+        seed = UpdateBatch(batch.dest, batch.src[::-1].copy(), batch.data)
+        assume((np.diff(intervals.interval_of(seed.src)) < 0).any())
+        _, charged, event = send_reduce(seed, spec, intervals)
+        _, want, ascending = send_reduce(batch, spec, intervals)
+        assert charged == want
+        assert {k: event[k] for k in ("records", "natural_runs", "span", "counted")} == {
+            k: ascending[k] for k in ("records", "natural_runs", "span", "counted")
+        }
 
     @pytest.mark.parametrize(
-        "dest, src, sizes, runs",
+        "dest, src, runs, span",
         [
-            ([], [], [], []),
-            ([4, 1, 2], [0, 4, 5], [1, 2], [1, 1]),  # a descent where a stream starts
-            ([4, 1, 2, 0], [1, 0, 7, 6], [2, 2], [2, 2]),  # senders descend in an interval
-            ([4, 1, 2, 0], [-1, 1, 6, 9], [2, 2], [2, 2]),  # out-of-graph senders
-            ([1, 2, 0], [5, 0, 5], [3], [2]),  # not contiguous: one stream
+            ([], [], 0, 0),
+            ([4, 1, 2], [0, 4, 5], 2, 4),  # a descent where an interval starts
+            ([4, 1, 2, 0], [1, 0, 7, 6], 3, 5),  # senders descend in an interval
+            ([4, 1, 2, 0], [-1, 1, 6, 9], 3, 5),  # out-of-graph senders
+            ([1, 2, 0], [5, 0, 5], 2, 3),  # source intervals not ascending
+            ([5], [2], 1, 1),  # one send: nothing to sort, nothing charged
         ],
     )
-    def test_interval_runs(self, dest, src, sizes, runs):
+    def test_event_carries_the_whole_batch(self, dest, src, runs, span):
         halves = VertexIntervals(np.array([0, 4, 8]))
-        got = interval_runs(UpdateBatch.of(dest, src, np.zeros(len(dest))), halves)
-        bounds = np.cumsum([0, *sizes])
-        spans = [max(dest[a:b]) - min(dest[a:b]) + 1 for a, b in zip(bounds[:-1], bounds[1:])]
-        assert [a.tolist() for a in got] == [sizes, runs, spans]
+        batch = UpdateBatch.of(dest, src, np.zeros(len(dest)))
+        _, charged, event = send_reduce(batch, "add", halves)
+        got = (0, 0) if event is None else (event["natural_runs"], event["span"])
+        assert got == (runs, span)
+        assert (charged == 0.0) == (len(dest) < 2)
 
 
 def assert_ledger(res):

@@ -386,8 +386,13 @@ class TestCrashRecovery:
         )
         want = {t: getattr(store, t) for t in tallies}
         assert want["records_ingested"] == 360 and want["compactions"] >= 4
+        # device work done before the cut: a crash does not undo it
+        device = ("ulog_pages_written", "ingest_io_us", "apply_io_us", "compact_io_us")
+        before = {t: getattr(store, t) for t in device}
+        assert all(before.values())
         graph = store.materialize()
         store.recover()
+        assert all(getattr(store, t) >= before[t] for t in device)
         assert store.records_ingested == 360 and store.compactions == want["compactions"]
         merged = store.inserts_applied + store.deletes_applied + store.noop_deletes
         unapplied = range(store.last_applied + 1, store.last_ingested + 1)
@@ -395,6 +400,7 @@ class TestCrashRecovery:
         assert merged + pending == store.records_ingested
         store.apply_updates()  # re-folds a batch whose mark was lost, if any
         assert {t: getattr(store, t) for t in tallies} == want
+        assert all(getattr(store, t) >= before[t] for t in device)
         assert_same_graph(store.materialize(), graph)
 
 

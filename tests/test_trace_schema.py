@@ -69,7 +69,7 @@ GOOD = {
     "group_sort": {"group": 0, "records": 3, "natural_runs": 2, "unique_dests": 2},
     "extsort": {"records": 3, "natural_runs": 3, "passes": 1},
     "send_reduce": {
-        "records": 9, "intervals": 2, "natural_runs": 3, "survivors": 5, "counted": 1,
+        "records": 9, "natural_runs": 3, "span": 4, "survivors": 5, "counted": 1,
         "item_levels": 17.3,
     },
     "mlog_flush": {"unit": "mlog", "pages": 1, "time_us": 12.0},
@@ -244,19 +244,19 @@ def test_non_integer_cache_counter_is_rejected(tmp_path):
         ("group_sort", {"records": "3"}),
         ("extsort", {"natural_runs": 4}),
         ("extsort", {"natural_runs": _MISSING}),
-        ("extsort", {"intervals": 4, "survivors": 2, "item_levels": 1.0}),
+        ("extsort", {"span": 0, "survivors": 2, "item_levels": 1.0}),
         ("extsort", {"survivors": 4}),
         ("extsort", {"item_levels": -1.0}),
         ("send_reduce", {"survivors": 10}),
         ("send_reduce", {"survivors": _MISSING}),
-        ("send_reduce", {"intervals": 0}),
-        ("send_reduce", {"intervals": 4}),
+        ("send_reduce", {"span": 0}),
+        ("send_reduce", {"span": -1}),
         ("send_reduce", {"natural_runs": 10}),
         ("send_reduce", {"item_levels": -1.0}),
         ("send_reduce", {"counted": _MISSING}),
         ("send_reduce", {"counted": 3}),
         ("send_reduce", {"counted": -1}),
-        ("extsort", {"intervals": 2, "survivors": 2, "counted": 3, "item_levels": 1.0}),
+        ("extsort", {"span": 2, "survivors": 2, "counted": 2, "item_levels": 1.0}),
         ("mlog_flush", {"pages": 0}),
         ("mlog_flush", {"time_us": 0}),
         ("elog_flush", {"pages": 0}),
@@ -300,7 +300,7 @@ def test_empty_sort_may_have_no_runs(tmp_path):
     for kind in ("group_sort", "extsort"):
         assert rejected(tmp_path, BEGIN, good(kind, records=0, natural_runs=0)) == []
     empty = {
-        "records": 0, "natural_runs": 0, "intervals": 0, "survivors": 0, "counted": 0,
+        "records": 0, "natural_runs": 0, "span": 0, "survivors": 0, "counted": 0,
         "item_levels": 0,
     }
     assert rejected(tmp_path, BEGIN, good("send_reduce", **empty)) == []
@@ -315,7 +315,7 @@ def test_fully_deferred_flush_may_be_free(tmp_path):
 
 
 def test_extsort_reduce_fields_hold_when_present(tmp_path):
-    reduce = {"intervals": 2, "survivors": 2, "counted": 2, "item_levels": 6.0}
+    reduce = {"span": 4, "survivors": 2, "counted": 1, "item_levels": 6.0}
     assert rejected(tmp_path, BEGIN, good("extsort", **reduce)) == []
 
 
