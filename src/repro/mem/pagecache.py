@@ -5,8 +5,20 @@ buffer cache between the engine and flash: FlashGraph's SAFS user-space
 page cache is the centerpiece of its SSD-array design, and GraphMP keeps
 hot graph data in memory with a vertex-centric sliding window.  This
 module is the equivalent for the simulation: a deterministic,
-budget-capped cache of *(file name, page id)* keys with clean-first
-CLOCK eviction.
+budget-capped cache of *(file name, page id)* keys with scan-resistant,
+clean-first CLOCK eviction.
+
+A page read on a miss enters **on probation** (LIP/BIP insertion,
+Qureshi et al., ISCA 2007): its frame is the next victim unless the
+page is referenced first.  A loop over more pages than the cache holds
+-- BFS sweeping its intervals superstep after superstep -- is the worst
+case of classic CLOCK, which evicts every page of the loop before the
+loop comes back to it; on probation the loop's new pages share one
+frame and the rest stay resident to be hit.  One read miss in
+:data:`NORMAL_INSERT_EVERY` enters at the hand instead, so a new
+working set still replaces an old one.  A frame freed by invalidation
+(a consumed log) goes on a free-slot stack and is reused in O(1),
+without the hand clearing reference bits on its way there.
 
 The cache stores **no payload bytes** -- data already lives in host
 arrays (see :mod:`repro.ssd.file`); what it changes is *charging*.  The
@@ -67,6 +79,10 @@ UNCACHED_KLASSES = frozenset({"ckpt", "retry"})
 #: ``export_state`` carries their pages.
 WRITEBACK_KLASSES = frozenset({"mlog", "edgelog"})
 
+#: One read miss in this many enters the CLOCK ring at the hand; the rest
+#: enter on probation (DESIGN.md §10).
+NORMAL_INSERT_EVERY = 32
+
 
 class _DirtyBatch:
     """One deferred striped write: its pages and how to write them back.
@@ -93,7 +109,8 @@ class _DirtyBatch:
 
 
 class PageCache(Overlay):
-    """Deterministic clean-first CLOCK page cache keyed by ``(file name, page id)``.
+    """Deterministic scan-resistant, clean-first CLOCK page cache keyed by
+    ``(file name, page id)``.
 
     Parameters
     ----------
@@ -138,7 +155,14 @@ class PageCache(Overlay):
         self._dirty: List[Optional[Tuple[int, int]]] = [None] * self.capacity
         self._map: Dict[str, Dict[int, int]] = {}
         self._hand = 0
-        self._used = 0
+        #: empty frames, lowest slot on top: a frame freed by invalidation
+        #: is reused in O(1), without the hand clearing ref bits to reach it
+        self._free: List[int] = list(range(self.capacity - 1, -1, -1))
+        #: the frame of the last read miss that entered on probation, the
+        #: next victim unless its page is referenced first; -1 for none
+        self._probation = -1
+        #: read misses since the last one that entered at the hand
+        self._since_normal = 0
         #: dirty batches by id; ids ascend, so this is creation order
         self._batches: Dict[int, _DirtyBatch] = {}
         self._next_batch = 0
@@ -159,7 +183,7 @@ class PageCache(Overlay):
     @property
     def resident_pages(self) -> int:
         """How many frames currently hold a valid page."""
-        return self._used
+        return self.capacity - len(self._free)
 
     @property
     def dirty_pages(self) -> int:
@@ -204,7 +228,7 @@ class PageCache(Overlay):
             "writeback_pages": int(self.writeback_pages),
             "dropped_dirty_pages": int(self.dropped_dirty_pages),
             "dirty_pages": int(self._n_dirty),
-            "resident_pages": int(self._used),
+            "resident_pages": self.resident_pages,
             "capacity_pages": int(self.capacity),
             "hit_rate": round(self.hit_rate, 6),
         }
@@ -220,14 +244,15 @@ class PageCache(Overlay):
         metrics.gauge(f"{self.name}.writeback_pages", lambda: self.writeback_pages)
         metrics.gauge(f"{self.name}.dropped_dirty_pages", lambda: self.dropped_dirty_pages)
         metrics.gauge(f"{self.name}.dirty_pages", lambda: self._n_dirty)
-        metrics.gauge(f"{self.name}.resident_pages", lambda: self._used)
+        metrics.gauge(f"{self.name}.resident_pages", lambda: self.resident_pages)
         metrics.gauge(f"{self.name}.capacity_pages", lambda: self.capacity)
         metrics.gauge(f"{self.name}.hit_rate", lambda: self.hit_rate)
 
     # -- CLOCK machinery -------------------------------------------------
 
     def _drop_slot(self, slot: int) -> None:
-        """Free ``slot``; a page still dirty there is dropped unwritten."""
+        """Empty ``slot`` for the caller to refill at once; a page still
+        dirty there is dropped unwritten."""
         key = self._keys[slot]
         if key is None:
             return
@@ -241,31 +266,39 @@ class PageCache(Overlay):
         self._keys[slot] = None
         self._ref[slot] = False
         self._pins[slot] = 0
-        self._used -= 1
 
     def _victim_slot(self) -> int:
-        """Advance the hand to a usable frame; -1 if everything is pinned.
+        """A usable frame, advancing the hand if needed; -1 if everything
+        is pinned.
 
-        Clean-first CLOCK (DESIGN.md §10): an empty frame is taken at
-        once, a referenced frame gets a second chance (ref bit cleared),
-        pinned frames are passed over, and the victim is the first
-        unreferenced **clean** frame -- a dirty victim costs a write-back
-        now and a re-read later, a clean one at most the re-read.  The
-        first unreferenced dirty frame passed is the candidate; the hand
-        takes it when it comes back round to it without clearing a clean
-        frame's ref bit on the way (no clean unpinned frame is left), or
-        at once when every frame is dirty, so an all-dirty ring is
-        scanned no further than classic CLOCK scans it.  Three sweeps
-        find a victim unless all frames are pinned.  Classic CLOCK with
-        dirty pages admitted referenced was measured and saves far less.
+        A free frame is taken first, then the probation frame if its page
+        is still unreferenced, clean and unpinned.  Otherwise clean-first
+        CLOCK (DESIGN.md §10): a referenced frame gets a second chance
+        (ref bit cleared), pinned frames are passed over, and the victim
+        is the first unreferenced **clean** frame -- a dirty victim costs
+        a write-back now and a re-read later, a clean one at most the
+        re-read.  The first unreferenced dirty frame passed is the
+        candidate; the hand takes it when it comes back round to it
+        without clearing a clean frame's ref bit on the way (no clean
+        unpinned frame is left), or at once when every frame is dirty,
+        so an all-dirty ring is scanned no further than classic CLOCK
+        scans it.  Three sweeps find a victim unless all frames are
+        pinned.  Classic CLOCK with dirty pages admitted referenced was
+        measured and saves far less.
         """
+        if self._free:
+            slot = self._free.pop()
+            if slot == self._probation:
+                self._probation = -1
+            return slot
+        slot, self._probation = self._probation, -1
+        if slot >= 0 and not self._ref[slot] and not self._pins[slot] and self._dirty[slot] is None:
+            return slot
         take_dirty = self._n_dirty == self.capacity
         candidate = -1
         for _ in range(3 * self.capacity):
             slot = self._hand
             self._hand = (slot + 1) % self.capacity
-            if self._keys[slot] is None:
-                return slot
             if self._pins[slot] > 0:
                 continue
             if self._ref[slot]:
@@ -279,10 +312,11 @@ class PageCache(Overlay):
                 candidate = slot
         return -1
 
-    def _insert(self, name: str, page: int) -> int:
+    def _insert(self, name: str, page: int, probation: bool = False) -> int:
         """Admit one absent page; returns its slot, or -1 if rejected.
 
-        A dirty victim first writes its whole batch back.
+        A dirty victim first writes its whole batch back.  A page admitted
+        on ``probation`` is the next victim unless it is referenced first.
         """
         slot = self._victim_slot()
         if slot < 0:
@@ -297,8 +331,9 @@ class PageCache(Overlay):
         self._keys[slot] = (name, page)
         self._ref[slot] = False
         self._map.setdefault(name, {})[page] = slot
-        self._used += 1
         self.insertions += 1
+        if probation:
+            self._probation = slot
         return slot
 
     # -- dirty batches ---------------------------------------------------
@@ -395,8 +430,10 @@ class PageCache(Overlay):
         """Look up a read batch; returns the per-page **miss** mask.
 
         Hits get their reference bit set; misses are admitted
-        (read-allocate) so the next access to the same page hits.  The
-        caller charges the device only for ``page_ids[miss_mask]``.
+        (read-allocate) on probation, all but one in
+        :data:`NORMAL_INSERT_EVERY`, so the next access to the same page
+        hits unless another page was admitted first.  The caller charges the
+        device only for ``page_ids[miss_mask]``.
         """
         ids = np.asarray(page_ids, dtype=np.int64)
         miss = np.zeros(ids.shape[0], dtype=bool)
@@ -410,7 +447,8 @@ class PageCache(Overlay):
             else:
                 self.misses += 1
                 miss[i] = True
-                self._insert(name, p)
+                self._since_normal = (self._since_normal + 1) % NORMAL_INSERT_EVERY
+                self._insert(name, p, probation=self._since_normal > 0)
                 pages = self._map.get(name)
         return miss
 
@@ -472,7 +510,7 @@ class PageCache(Overlay):
             self._keys[slot] = None
             self._ref[slot] = False
             self._pins[slot] = 0
-        self._used -= len(pages)
+            self._free.append(slot)
         self.invalidations += len(pages)
         return len(pages)
 
@@ -496,4 +534,6 @@ class PageCache(Overlay):
         self._batches.clear()
         self._map.clear()
         self._hand = 0
-        self._used = 0
+        self._free = list(range(self.capacity - 1, -1, -1))
+        self._probation = -1
+        self._since_normal = 0

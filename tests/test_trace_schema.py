@@ -285,7 +285,9 @@ def test_non_integer_cache_counter_is_rejected(tmp_path):
         ("warm_start", {"seeds": -1}),
         ("warm_start", {"seeds_dropped": _MISSING}),
     ],
-    ids=lambda x: x if isinstance(x, str) else "-".join(f"{k}={v!r}" for k, v in x.items()),
+    ids=lambda x: x if isinstance(x, str) else "-".join(
+        f"{k}={'<missing>' if v is _MISSING else repr(v)}" for k, v in x.items()
+    ),
 )
 def test_field_check_failure_is_rejected(tmp_path, kind, overrides):
     assert rejected(tmp_path, BEGIN, good(kind, **overrides)) == [2]
