@@ -217,15 +217,19 @@ class GraFBoost(SuperstepEngine):
             )
 
         # Sends are staged in the log's page buffer as they are made;
-        # sealed pages beyond the buffer budget go to flash at once.
+        # sealed pages beyond the buffer budget go to flash at once, in
+        # whole stripes as the multi-log's evictions (DESIGN.md §5).
         log_buffer = RecordPageBuffer(UPDATE_FIELDS, UPDATE_DTYPES, cfg.updates_per_page)
         log_buffer.register_metrics(self.reg, "gflog.buffer")
         buffer_capacity_pages = max(1, cfg.memory.multilog_bytes // cfg.ssd.page_size)
+        stripe = cfg.ssd.channels
 
         def stage(dests, src, datas) -> None:
             log_buffer.append_many(dests, np.full(dests.shape[0], src), datas)
             if log_buffer.pages_used > buffer_capacity_pages:
                 k = log_buffer.sealed_pages
+                if k >= stripe:
+                    k -= k % stripe
                 if k:
                     log_buffer.pop_sealed(k)  # the outbox keeps the records
                     c_flushed.inc(k)

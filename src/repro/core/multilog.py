@@ -12,7 +12,11 @@ drops below the low watermark, sealed (full) pages are appended to the
 corresponding per-interval log files -- which are interspersed across
 all SSD channels -- until the high watermark is restored.  If sealed
 pages alone cannot free enough space, the largest partial top pages are
-force-sealed and flushed too.
+force-sealed and flushed too.  A write-through eviction frees whole
+stripes: the deficit rounded down to a multiple of ``ssd.channels``
+(or all of it when it is under one stripe), so no write round of the
+batch leaves a channel idle.  Under a write-back cache the eviction is
+not charged and frees exactly the deficit.
 
 ``consume`` is the read half used by the sort-and-group unit: it pulls
 an interval group's flushed pages back from flash plus whatever is
@@ -97,6 +101,8 @@ class MultiLogUnit:
         mem = config.memory
         self._low_free = int(np.floor(mem.evict_low_free_fraction * self._capacity))
         self._high_free = int(np.floor(mem.evict_high_free_fraction * self._capacity))
+        #: eviction quantum in pages: a stripe when evictions are charged
+        self._stripe = config.ssd.channels if fs.cache is None else 1
         # Gauges over tallies the unit keeps anyway: zero hot-path cost.
         metrics.gauge(f"multilog.{name}.appended", lambda: self.appended)
         metrics.gauge(f"multilog.{name}.pages_buffered", lambda: self._pages_used)
@@ -260,10 +266,23 @@ class MultiLogUnit:
         every touched log file -- the paper's §V-A3 concurrent eviction
         across all SSD channels ("multiple log page evictions may occur
         concurrently ... most of the SSD bandwidth can be utilized").
+
+        A write batch of ``P`` pages takes ``ceil(P / C)`` write rounds
+        over ``C = ssd.channels``, so a write-through eviction frees the
+        deficit rounded *down* to whole stripes (all of it when it is
+        under one stripe).  Rounding down leaves the buffer a little
+        fuller and the next eviction comes a little sooner; rounding up
+        would flush pages that could still have filled, and force-seal
+        partial top pages on small buffers -- more pages written for the
+        same rounds.  Under a write-back cache the eviction is not
+        charged, so it frees exactly the deficit.
         """
         rpp = self._rpp
         fill = self._fill
-        target_used = self._capacity - self._high_free
+        need = self._pages_used - (self._capacity - self._high_free)
+        if need >= self._stripe:
+            need -= need % self._stripe
+        target_used = self._pages_used - need
         staged = []  # (file, page ids) per flush
         # Pass 1: sealed (full) pages, most-backed-up intervals first.
         for i in sorted(range(self.n_intervals), key=lambda i: fill[i] // rpp, reverse=True):

@@ -196,6 +196,49 @@ class TestMultiLogUnit:
         assert mlog.consume([0, 1, 2]).n == 0
 
 
+class TestWholeStripeEviction:
+    """A write-through eviction frees the deficit rounded down to whole
+    stripes of ``ssd.channels`` pages (all of it under one stripe); a
+    write-back eviction is not charged and frees exactly the deficit."""
+
+    @staticmethod
+    def _evictions(cfg, monkeypatch):
+        """(deficit, pages flushed) of every eviction of a raw-send PageRank run."""
+        from repro.algorithms import DeltaPageRankProgram
+        from repro.core.engine import MultiLogVC
+        from repro.graph.datasets import small_rmat
+        from repro.obs import TraceRecorder
+        from repro.options import EngineOptions
+
+        deficits = []
+        evict = MultiLogUnit._evict
+
+        def spy(unit):
+            deficits.append(unit.pages_buffered - (unit.capacity_pages - unit._high_free))
+            evict(unit)
+
+        monkeypatch.setattr(MultiLogUnit, "_evict", spy)
+        tracer = TraceRecorder()
+        opts = EngineOptions(min_intervals=4, enable_precombine=False)
+        graph = small_rmat(n=1024, m=4096, seed=3)
+        MultiLogVC(graph, DeltaPageRankProgram(), cfg, options=opts, tracer=tracer).run(8)
+        pages = [e.fields["pages"] for e in tracer.events if e.kind == "mlog_flush"]
+        assert len(pages) == len(deficits)
+        # Some deficits span a stripe without filling whole ones.
+        c = cfg.ssd.channels
+        assert any(d > c and d % c for d in deficits)
+        return list(zip(deficits, pages))
+
+    def test_write_through_evicts_whole_stripes(self, cfg, monkeypatch):
+        c = cfg.ssd.channels
+        for deficit, pages in self._evictions(cfg, monkeypatch):
+            assert pages == (deficit - deficit % c if deficit >= c else deficit)
+
+    def test_write_back_evicts_the_deficit(self, cfg, monkeypatch):
+        cached = cfg.with_cache("clock", 16 * cfg.ssd.page_size)
+        assert all(pages == deficit for deficit, pages in self._evictions(cached, monkeypatch))
+
+
 class TestBulkAppendEdgeCases:
     """Batch-append (ingest / _append_bulk) boundary conditions.
 
@@ -303,6 +346,8 @@ class ModelMultiLog:
         self.capacity = budget.multilog_pages
         self.low_free = int(np.floor(cfg.memory.evict_low_free_fraction * self.capacity))
         self.high_free = int(np.floor(cfg.memory.evict_high_free_fraction * self.capacity))
+        assert fs.cache is None  # the model charges every eviction: whole stripes
+        self.stripe = cfg.ssd.channels
 
     def ingest(self, dest, src, data):
         chunk = max(self.rpp, self.high_free * self.rpp)
@@ -321,7 +366,10 @@ class ModelMultiLog:
         self.appended += len(dest)
 
     def evict(self):
-        target = self.capacity - self.high_free
+        need = self.used - (self.capacity - self.high_free)
+        if need >= self.stripe:
+            need -= need % self.stripe
+        target = self.used - need
         channels, devices = [], []
 
         def flush(i, pages):
@@ -410,10 +458,10 @@ def _assert_same_log(a, a_files, b, b_files):
     assert a.counters.tolist() == b.counters.tolist()
 
 
-def _model_config(rpp, low, high):
+def _model_config(rpp, low, high, channels=4):
     """A config whose log page holds exactly ``rpp`` update records."""
     page, payload = {1: (512, 504), 4: (512, 120), 256: (4096, 8)}[rpp]
-    cfg = small_test_config()
+    cfg = small_test_config(channels=channels)
     cfg = dataclasses.replace(
         cfg,
         ssd=dataclasses.replace(cfg.ssd, page_size=page),
@@ -445,12 +493,13 @@ def multilog_cases(draw):
         )
     )
     cut = draw(st.integers(0, len(batches)))  # checkpoint after this many batches
-    return rpp, k, capacity, low, high, width, batches, cut
+    channels = draw(st.sampled_from([1, 3, 4]))  # the eviction stripe width
+    return rpp, k, capacity, low, high, width, batches, cut, channels
 
 
 def check_multilog_matches_model(case):
-    rpp, k, capacity, low, high, width, batches, cut = case
-    cfg = _model_config(rpp, low, high)
+    rpp, k, capacity, low, high, width, batches, cut, channels = case
+    cfg = _model_config(rpp, low, high, channels)
     intervals = VertexIntervals(np.arange(k + 1) * width)
     budget = dataclasses.replace(MemoryBudget.resolve(cfg, k), multilog_pages=capacity)
     n = k * width

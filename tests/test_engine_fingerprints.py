@@ -84,6 +84,16 @@ the SSD stats, ``cache.*`` gauges and trace moved (PageRank 1 360 ->
 1 302 pages read, BFS 398 -> 336; pages written unchanged).  Every
 other row passed unrecorded.
 
+When a write-through multi-log eviction began freeing whole stripes of
+``ssd.channels`` pages (DESIGN.md §5), MultiLogVC's ``cdlp`` and
+``coloring`` rows and the six ``devices4-*`` and ``lanes2+coalesce``
+stack rows were re-recorded, in every table that holds them.  Their final values bytes were checked
+equal, and every superstep record field but ``pages_read``,
+``pages_read_by_class`` (``mlog`` only), ``pages_written``,
+``storage_time_us`` and ``total_time_us`` equal.  The cached rows and
+every other row passed unrecorded: under a write-back cache the
+eviction is not charged and frees what it did before.
+
 Each run also checks the compute ledger: ``RunResult.compute_by_site``
 sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 """
@@ -169,8 +179,8 @@ GOLDEN = {
     ("gridgraph", "sssp"): "00b87215ba2c46fa8685ffeb7930780285bfb04777e51956482d7519ddcb98cb",
     ("gridgraph", "wcc"): "f3f4ec32367c76349845d2ddf97371d2922741592871e1973c33cbda48a333d6",
     ("multilogvc", "bfs"): "7350c24b2a6562a5dbb436251f52a6272f31af9fc1713d5953619483ea99a98f",
-    ("multilogvc", "cdlp"): "d4818f31905bff92c0f41394495c06c64d3a0ebb3031fdb2bde3552df40e5693",
-    ("multilogvc", "coloring"): "0e837b87cd93f9ac7abda86be0279473cdccdd7f4e112730a8ea1aa0bb1ed217",
+    ("multilogvc", "cdlp"): "3cbaf2597768335154adfa8f9b1ad26e06256fdc7b20245279db68aadcd95565",
+    ("multilogvc", "coloring"): "ff7679045174b996924e591378d8f33b88af70d031ce8d6316e73a41a6965838",
     ("multilogvc", "pagerank"): "56ed6e1ed62429934ad1cf21fa3c0ac10f27929e1bd08b3bd5f241bee4f755dd",
     ("multilogvc", "sssp"): "cd291e8ec3b0d75386716cd049e9840ef1947f3202948ed89d217aa0dd4a3c6f",
     ("multilogvc", "wcc"): "f1e0e039411cbf52c3ff99d8e43f4667efa6a0c423b96f29c6ca743658803c65",
@@ -190,12 +200,12 @@ GOLDEN = {
 GOLDEN_STACKS = {
     ("cache16+readahead", "bfs"): "e719918976382a48c063418a3aa82f1b376e1a8d8841e615830fb9d700766336",
     ("cache16+readahead", "pagerank"): "c0cbd979dab648a6f05ced88a72962c2a83cae7378032bf77ef492b7bf1abf68",
-    ("devices4-affinity", "bfs"): "c69f1ccba80f1b1080e10dfe5133b30bc5ba2111cf020fed6fe8e32ee3f9ee1a",
-    ("devices4-affinity", "pagerank"): "8f68a2ded890960a3d94335cf0a0812da01ca23b24f3db907bd7bcf7c7064de1",
-    ("devices4-stripe", "bfs"): "676ab9cd052dde7ff34b4963f3bfbd026006827497e1833975e0c9360d76cdd1",
-    ("devices4-stripe", "pagerank"): "e117bd207c6b6979775689d8226d126180db9291f00f58f50b57e9f1c1988584",
-    ("lanes2+coalesce", "bfs"): "1dbbe6bc8dbcc77f3ecd133a3541a4e7aed738d137e245832dbc9900f51c7b08",
-    ("lanes2+coalesce", "pagerank"): "3c575ff1a16ea354a756818487337436486d6b074f988ab4c8ad240c9fa28cd0",
+    ("devices4-affinity", "bfs"): "337b2fe1dae4200a1a1461455c01917dca269ea685ede70f7145359e15fcec65",
+    ("devices4-affinity", "pagerank"): "a8277ea15b10547b7c337ab2de5a20ca61141c7dcb88b7890b620d05b46c0c61",
+    ("devices4-stripe", "bfs"): "a50fef03d2a89c1332dfaebcc3bb202bcb50e309ed14e2d559dbf6fffb5a864f",
+    ("devices4-stripe", "pagerank"): "3cd3c88a7c4cc4ac332c96ba344eecb888ba3c6359dcb287e3ff535cc7cd91fe",
+    ("lanes2+coalesce", "bfs"): "a79e45d41710cdaae1acc51068dff1cd272fc5e5a673aed6a7d411e29e204fd8",
+    ("lanes2+coalesce", "pagerank"): "cdcd16d6af829ef787ff72b9ed6d5928858ad4773d86538307adac176bdbccd5",
 }
 
 #: Values and I/O only, per row of :data:`GOLDEN` and (stack, program) of
@@ -225,8 +235,8 @@ GOLDEN_VALUES_IO = {
     ("gridgraph", "sssp"): "11b672523340d410d002fbf7dc88e9df5bc39b1b1ade1f25a5cccaec438fbc42",
     ("gridgraph", "wcc"): "9ff12dfddf89a67bd527ba7d7e233dbf8317b4bc5a060a47ae4c2930e7ec6c0e",
     ("multilogvc", "bfs"): "68ccaf0ece7b548a15d989df37f3abcbd8781112058e166954d77d750e8c0b18",
-    ("multilogvc", "cdlp"): "3bcd8ed5f2c9e943cb5758ca6dac1625caa1436399f4144a641ebb9ec572260a",
-    ("multilogvc", "coloring"): "42746020d0f6b72e5481590201882a93da8e8855acbaa1ca35cf214996961979",
+    ("multilogvc", "cdlp"): "975d80b312f13594c8ebe923d7497feefd308fac0cfc646284fb12a443186fec",
+    ("multilogvc", "coloring"): "a9a38d47fd23a33ce8bc49da35b926adde7e51e7491def76a710b66bbb52f6a8",
     ("multilogvc", "pagerank"): "1268586cee7af1601894c3fd2c248d659fd81072feb778bcbe386f0a3f4c32f7",
     ("multilogvc", "sssp"): "001221ae33b77f8bcf6febfd2b558bc497d89f6ad441c1ae47dd8c1f74306b79",
     ("multilogvc", "wcc"): "996b0f284d49976ec9ffb2b865ccaf7d54ca021cc8c7bed83b3e73748f41c922",
@@ -242,12 +252,12 @@ GOLDEN_VALUES_IO = {
     ("xstream", "wcc"): "b89031cbed6404a567c149c55fb070412b96d43ee4e18b55d15132974e9d541f",
     ("cache16+readahead", "bfs"): "b90cdee177c0160ecfab85c26c93d27d6d2bcae0b7501ff265fed227b03844fc",
     ("cache16+readahead", "pagerank"): "171a1df9f378f78febb9aca4454c0166ace95e67656a14336cd37964201ebb52",
-    ("devices4-affinity", "bfs"): "4b14c4ad846d1a1557aca9f7c15098a3cf308b2be388d41952ba5109d5bd6cda",
-    ("devices4-affinity", "pagerank"): "f7dd1900e9122667c3e3d1d3ab8e3515ab3e8f3c00dd645b4e1676892a08749e",
-    ("devices4-stripe", "bfs"): "4b14c4ad846d1a1557aca9f7c15098a3cf308b2be388d41952ba5109d5bd6cda",
-    ("devices4-stripe", "pagerank"): "f7dd1900e9122667c3e3d1d3ab8e3515ab3e8f3c00dd645b4e1676892a08749e",
-    ("lanes2+coalesce", "bfs"): "7a43fd9c49ad9e81070c870984a7a1b7f5eef191d7dcb1a5ee803dc37466630f",
-    ("lanes2+coalesce", "pagerank"): "a93ec7bfc749899beff8e91f28dbcd621559ffcef96daddfacfb1ba0204168c4",
+    ("devices4-affinity", "bfs"): "734fc09c744182f47c59ff2681b0206d34e00ed6a43059ae9c34c43e7c76d04d",
+    ("devices4-affinity", "pagerank"): "9a48ea77279fe5c39be3c0681d0bf03d11a2ca3e3ac98ad347efe7d58f21db26",
+    ("devices4-stripe", "bfs"): "734fc09c744182f47c59ff2681b0206d34e00ed6a43059ae9c34c43e7c76d04d",
+    ("devices4-stripe", "pagerank"): "9a48ea77279fe5c39be3c0681d0bf03d11a2ca3e3ac98ad347efe7d58f21db26",
+    ("lanes2+coalesce", "bfs"): "2c04e0730d170a36972cab2444aa738e004d95bca54184ad31d4bacc9c93f30b",
+    ("lanes2+coalesce", "pagerank"): "ab47b5dc65c196006d8c50e2e7f464762deba5755d0cad9d95492e9a656832ef",
 }
 
 #: sha256 of the ``repro.engines()`` capability table

@@ -242,11 +242,14 @@ def test_no_host_threads():
 #: the send-side combine moves every charge, so it has its own
 #: constants beside them, re-recorded when the send-side reduce's
 #: streams became charged the cheaper of a merge and a counting sort.
+#: The raw-send constants were re-recorded when a write-through
+#: multi-log eviction began freeing whole stripes: the groups and every
+#: non-I/O record field stayed, the lanes' storage time moved.
 GOLDEN_PARALLEL_STATS = {
-    ("pagerank", 2): (40, 9690.664460550497, 4216.366837950283, 10914.297622600214),
-    ("pagerank", 4): (40, 9690.664460550497, 6233.999961012433, 8896.664499538063),
-    ("sssp", 2): (36, 10333.18510775601, 4066.7076994992126, 8776.477408256796),
-    ("sssp", 4): (36, 10333.18510775601, 6096.022390477092, 6747.1627172789185),
+    ("pagerank", 2): (40, 9095.664460550497, 4046.3668379502833, 8729.297622600212),
+    ("pagerank", 4): (40, 9095.664460550497, 5633.436418397993, 7142.228042152503),
+    ("sssp", 2): (36, 10163.18510775601, 3896.7076994992126, 8336.477408256796),
+    ("sssp", 4): (36, 10163.18510775601, 5914.088139465476, 6319.096968290533),
 }
 GOLDEN_PARALLEL_STATS_PRECOMBINE = {
     ("pagerank", 2): (40, 7202.891400325987, 2931.7419784529457, 6111.149421873042),
