@@ -51,7 +51,7 @@ class GraFBoost(SuperstepEngine):
     """Single-log external-sort-reduce engine (the log-based baseline)."""
 
     name = "grafboost"
-    COUNTERS = ("sort_runs", "sort_passes", "log_pages_flushed")
+    COUNTERS = ("sort_runs", "sort_passes")
 
     def __init__(self, graph, program, *args, **kwargs) -> None:
         if program.mutates_structure:
@@ -198,7 +198,6 @@ class GraFBoost(SuperstepEngine):
         tracer = self.tracer
         dev = self.fs.device
         files = self.storage.interval_files(0)
-        c_flushed = self.counters["log_pages_flushed"]
         if tracer.enabled:
             tracer.emit("log_stream", pages=int(self._sorted_pages))
         # Stream the sorted update log of the previous superstep.
@@ -232,7 +231,6 @@ class GraFBoost(SuperstepEngine):
                     k -= k % stripe
                 if k:
                     log_buffer.pop_sealed(k)  # the outbox keeps the records
-                    c_flushed.inc(k)
                     dev.sequential_write_time(k, KLASS_GFLOG)
                     if tracer.enabled:
                         tracer.emit("log_flush", pages=int(k), tail=False)
@@ -247,7 +245,6 @@ class GraFBoost(SuperstepEngine):
         log_buffer.force_seal()
         tail = log_buffer.pop_sealed()
         if tail:
-            c_flushed.inc(len(tail))
             dev.sequential_write_time(len(tail), KLASS_GFLOG)
             if tracer.enabled:
                 tracer.emit("log_flush", pages=len(tail), tail=True)

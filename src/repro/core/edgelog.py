@@ -27,8 +27,6 @@ remaining complete pages and the trailing partial page are one batch.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..config import SimConfig
@@ -62,7 +60,6 @@ class EdgeLogOptimizer:
         self.budget = budget
         self.name = name
         self.tracer = tracer
-        self.io_time_us = 0.0
         self._gen = 0
         # Current generation: what this superstep's loader may read.
         self._cur_first = np.full(n_vertices, -1, dtype=np.int64)
@@ -74,18 +71,26 @@ class EdgeLogOptimizer:
         self._file_next = self._new_file()
         self._pager = ByteStreamPager(config.ssd.page_size)
         self.vertices_logged = 0
-        #: run-cumulative tallies (vertices_logged resets per superstep)
+        #: run-cumulative tallies (vertices_logged resets per superstep);
+        #: ``pages_read_total`` counts every page a loader looked up,
+        #: cache hits included, where the device counts only misses
         self.considered = 0
         self.total_logged = 0
         self.pages_read_total = 0
         metrics.gauge("edgelog.considered", lambda: self.considered)
         metrics.gauge("edgelog.logged", lambda: self.total_logged)
         metrics.gauge("edgelog.pages_read", lambda: self.pages_read_total)
-        metrics.gauge("edgelog.io_time_us", lambda: self.io_time_us)
-        # Write batches and pages: the device's own per-class tallies,
-        # which a checkpoint already restores.
+        # Storage time, write batches and pages: the device's own
+        # per-class tallies, write-backs included, which a checkpoint
+        # already restores.
+        metrics.gauge(
+            "edgelog.io_time_us", lambda: self._reads().time_us + self._writes().time_us
+        )
         metrics.gauge("edgelog.flushes", lambda: self._writes().batches)
         metrics.gauge("edgelog.pages_written", lambda: self._writes().pages)
+
+    def _reads(self) -> IOCounter:
+        return self.fs.stats.reads.get(KLASS_EDGELOG, IOCounter())
 
     def _writes(self) -> IOCounter:
         return self.fs.stats.writes.get(KLASS_EDGELOG, IOCounter())
@@ -151,7 +156,6 @@ class EdgeLogOptimizer:
         """Write ``full_pages`` complete pages (and a partial tail) as one batch."""
         useful = [self._pager.page_size] * full_pages + ([tail_bytes] if tail_bytes else [])
         _, t = self._file_next.append_pages([None] * len(useful), useful)
-        self.io_time_us += t
         if self.tracer.enabled:
             pages = len(useful)
             # ``deferred`` only where a write-back cache took the batch
@@ -181,26 +185,20 @@ class EdgeLogOptimizer:
         pages = np.repeat(firsts, counts) + offsets
         return np.unique(pages)
 
-    def charge_read(self, hit_vertices: np.ndarray, plan=None) -> Tuple[float, int]:
-        """Charge reads of the log pages covering the given hit vertices.
+    def charge_read(self, hit_vertices: np.ndarray, plan=None) -> int:
+        """Read the log pages covering the given hit vertices; returns
+        how many there are.
 
         With ``plan`` (DESIGN.md §13) the page demand is queued on the
-        group's I/O plan; the caller attributes the coalesced wave time
-        via :meth:`apply_read_tally` after the plan executes, so the
-        accumulators are skipped here.
+        group's I/O plan, which charges it when it executes.  Either way
+        every page counts in ``pages_read_total``, cache hits included.
         """
         pages = self.pages_of(hit_vertices)
         if pages.size == 0 or self._file_cur is None:
-            return 0.0, 0
-        _, t = self._file_cur.read_pages(pages, plan=plan)
-        if plan is None:
-            self.apply_read_tally(t, pages.size)
-        return t, int(pages.size)
-
-    def apply_read_tally(self, t: float, n_pages: int) -> None:
-        """Add one read's time and page count to the cumulative tallies."""
-        self.io_time_us += t
-        self.pages_read_total += int(n_pages)
+            return 0
+        self._file_cur.read_pages(pages, plan=plan)
+        self.pages_read_total += int(pages.size)
+        return int(pages.size)
 
     # -- superstep boundary -------------------------------------------------------
 
@@ -258,7 +256,6 @@ class EdgeLogOptimizer:
             "considered": self.considered,
             "total_logged": self.total_logged,
             "pages_read_total": self.pages_read_total,
-            "io_time_us": self.io_time_us,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -286,4 +283,3 @@ class EdgeLogOptimizer:
         self.considered = int(state["considered"])
         self.total_logged = int(state["total_logged"])
         self.pages_read_total = int(state["pages_read_total"])
-        self.io_time_us = float(state["io_time_us"])

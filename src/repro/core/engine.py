@@ -32,7 +32,6 @@ import numpy as np
 
 from ..errors import EngineError, ProgramError, RecoveryError
 from ..graph.csr import CSRGraph
-from ..io.plan import KLASS_READAHEAD
 from ..io.planner import SuperstepIOPlanner
 from ..graph.partition import static_partition
 from ..graph.storage import GraphOnSSD
@@ -41,9 +40,9 @@ from ..obs.overlay import Overlay
 from ..recovery.checkpoint import CheckpointData, CheckpointManager, _record_from_state
 from .api import InitialState, VertexProgram
 from .combine import precombine
-from .edgelog import KLASS_EDGELOG, EdgeLogOptimizer
+from .edgelog import EdgeLogOptimizer
 from .loader import GraphLoaderUnit
-from .multilog import KLASS_MLOG, MultiLogUnit
+from .multilog import MultiLogUnit
 from .mutation import MutationBuffer
 from .pipeline import GroupPipeline, PreparedGroup, charge_rollup
 from .scheduler import ParallelGroupScheduler
@@ -338,17 +337,6 @@ class MultiLogVC(SuperstepEngine):
                         prog.needs_weights or prog.uses_edge_state,
                     )
                 outcome = plan.execute()
-                # Route each wave's time to the accumulator the
-                # uncoalesced reads would have fed (the plan's add
-                # calls all returned 0.0).
-                for klass, t in outcome.times.items():
-                    if klass == KLASS_MLOG:
-                        mlog_cur.io_time_us += t
-                    elif klass == KLASS_EDGELOG:
-                        report.io_time_us += t
-                        edgelog.apply_read_tally(t, report.edgelog_pages)
-                    elif klass != KLASS_READAHEAD and report is not None:
-                        report.io_time_us += t
             return PreparedGroup(list(group), sg, verts, report, io_plan=outcome, ranges=ranges)
 
         outbox: List[UpdateBatch] = []

@@ -37,9 +37,8 @@ from .edgelog import EdgeLogOptimizer
 
 @dataclass
 class LoadReport:
-    """Accounting for one group load."""
+    """Page counts of one group load; its storage time is the device's."""
 
-    io_time_us: float = 0.0
     rowptr_pages: int = 0
     colidx_pages: int = 0
     val_pages: int = 0
@@ -49,7 +48,6 @@ class LoadReport:
     colidx_useful: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     #: hypothetical (no edge log) colidx page counts for Fig. 9
     hypo_pages: int = 0
-    hypo_inefficient: int = 0
     avoided_inefficient: int = 0
     #: aligned with the ``active`` argument: True if the vertex's first
     #: colidx page was inefficiently used this superstep
@@ -79,13 +77,11 @@ class GraphLoaderUnit:
         self.rowptr_pages = 0
         self.colidx_pages = 0
         self.val_pages = 0
-        self.edgelog_pages = 0
         self.edgelog_hits = 0
         metrics.gauge("loader.loads", lambda: self.loads)
         metrics.gauge("loader.rowptr_pages", lambda: self.rowptr_pages)
         metrics.gauge("loader.colidx_pages", lambda: self.colidx_pages)
         metrics.gauge("loader.val_pages", lambda: self.val_pages)
-        metrics.gauge("loader.edgelog_pages", lambda: self.edgelog_pages)
         metrics.gauge("loader.edgelog_hits", lambda: self.edgelog_hits)
 
     def load_active(
@@ -114,9 +110,9 @@ class GraphLoaderUnit:
         interval at a time.
 
         With ``plan`` (DESIGN.md §13) every page read is queued on the
-        group's I/O plan instead of charged per range; the report's time
-        fields stay zero and the engine attributes the coalesced wave
-        times from the plan's outcome.  Page *counts* are unaffected.
+        group's I/O plan instead of charged per range, and the plan
+        charges it when the engine executes it.  Page *counts* are
+        unaffected.
         """
         active = np.asarray(active, dtype=np.int64)
         report = LoadReport()
@@ -158,10 +154,10 @@ class GraphLoaderUnit:
 
         for i, _, _ in r.spans():
             files = storage.interval_files(i)
-            report.io_time_us += files.rowptr._charge_read(rows.of(i), plan=plan)
-            report.io_time_us += files.colidx._charge_read(cols.of(i), plan=plan)
+            files.rowptr._charge_read(rows.of(i), plan=plan)
+            files.colidx._charge_read(cols.of(i), plan=plan)
             if vals is not None:
-                report.io_time_us += files.values._charge_read(vals.of(i), plan=plan)
+                files.values._charge_read(vals.of(i), plan=plan)
 
         # Avoided-inefficient accounting: hypothetical inefficient pages
         # not present in the actually-read page set.  Both page lists
@@ -177,21 +173,17 @@ class GraphLoaderUnit:
         report.val_pages = int(vals.pages.size) if vals is not None else 0
         report.colidx_useful = cols.useful
         report.hypo_pages = int(hypo.pages.size)
-        report.hypo_inefficient = int(np.count_nonzero(hypo_ineff))
         report.avoided_inefficient = int(np.count_nonzero(hypo_ineff & ~in_read))
         report.edgelog_hits = n_hits
 
         # Edge-log pages for all hits, read once per unique page.
         if n_hits:
-            t, n_pages = edgelog.charge_read(active[hit], plan=plan)
-            report.io_time_us += t
-            report.edgelog_pages += n_pages
+            report.edgelog_pages = edgelog.charge_read(active[hit], plan=plan)
         report.vertex_page_inefficient = ineff_flags
         self.loads += 1
         self.rowptr_pages += report.rowptr_pages
         self.colidx_pages += report.colidx_pages
         self.val_pages += report.val_pages
-        self.edgelog_pages += report.edgelog_pages
         self.edgelog_hits += report.edgelog_hits
         return report
 

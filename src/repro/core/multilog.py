@@ -95,7 +95,6 @@ class MultiLogUnit:
         #: ``SuperstepRecord.records_logged``.
         self.appended = 0
         self._pages_used = 0
-        self.io_time_us = 0.0
         self._n_vertices = intervals.n_vertices
         self._capacity = budget.multilog_pages
         mem = config.memory
@@ -108,7 +107,6 @@ class MultiLogUnit:
         metrics.gauge(f"multilog.{name}.pages_buffered", lambda: self._pages_used)
         metrics.gauge(f"multilog.{name}.flushes", lambda: self.flushes)
         metrics.gauge(f"multilog.{name}.flushed_pages", lambda: self.flushed_pages)
-        metrics.gauge(f"multilog.{name}.io_time_us", lambda: self.io_time_us)
 
     # -- geometry / introspection -------------------------------------------
 
@@ -300,7 +298,6 @@ class MultiLogUnit:
         if staged:
             t = striped_write(staged, KLASS_MLOG)
             pages = sum(int(ids.size) for _, ids in staged)
-            self.io_time_us += t
             self.flushes += 1
             self.flushed_pages += pages
             if self.tracer.enabled:
@@ -316,23 +313,19 @@ class MultiLogUnit:
         """Load and clear the logs of an interval group.
 
         Reads each interval's flushed pages back from flash (charged to
-        this unit's ``io_time_us``), drains the still-buffered records,
+        the device under ``mlog``), drains the still-buffered records,
         and resets counters.  Returns the concatenated unsorted batch.
 
         With ``plan`` (DESIGN.md §13), each log's page demand is queued
         on the plan instead of charged per file -- crucially *before*
         the ``truncate()`` below moves the file's page ids -- and the
-        caller attributes the coalesced wave time after the plan
-        executes, so per-read durations are not added here.
+        plan charges it when it executes.
         """
         parts: List[Columns] = []
         for i in interval_ids:
             f = self._files[i]
             if f is not None and f.n_pages:
-                payloads, t = f.read_all(plan=plan)
-                if plan is None:
-                    self.io_time_us += t
-                parts.extend(payloads)
+                parts.extend(f.read_all(plan=plan)[0])
                 f.truncate()
             parts.extend(self._runs[i])
             self._runs[i] = []
@@ -360,9 +353,10 @@ class MultiLogUnit:
         the checkpoint is written (DESIGN.md §10) -- so a checkpoint only
         pays for the *in-memory* tails
         (see :meth:`repro.recovery.checkpoint.CheckpointManager.write`).
-        The monotonic ``appended`` counter and the I/O tallies are
+        The monotonic ``appended`` counter and the flush tallies are
         exported too -- they feed trace fields, and post-resume traces
-        must be bit-identical to an uninterrupted run's.
+        must be bit-identical to an uninterrupted run's.  Storage time
+        is not: the device's stats, which a checkpoint carries, hold it.
         """
         files = []
         for f in self._files:
@@ -380,7 +374,6 @@ class MultiLogUnit:
             "counters": self.counters.copy(),
             "appended": self.appended,
             "pages_used": self._pages_used,
-            "io_time_us": self.io_time_us,
             "flushes": self.flushes,
             "flushed_pages": self.flushed_pages,
         }
@@ -427,6 +420,5 @@ class MultiLogUnit:
         self.counters[:] = state["counters"]
         self.appended = int(state["appended"])
         self._pages_used = int(state["pages_used"])
-        self.io_time_us = float(state["io_time_us"])
         self.flushes = int(state["flushes"])
         self.flushed_pages = int(state["flushed_pages"])

@@ -40,7 +40,6 @@ class MutationBuffer:
         self.storage = storage
         self.config = config
         self._edits: Dict[int, _IntervalEdits] = {}
-        self.io_time_us = 0.0
         self.merges = 0
 
     def _edits_for(self, interval: int) -> _IntervalEdits:
@@ -156,9 +155,9 @@ class MutationBuffer:
         files = self.storage.interval_files(interval)
         lo, hi = files.lo, files.hi
         # Charge: read the old interval data, write the new.
-        self.io_time_us += files.colidx.read_all()
+        files.colidx.read_all()
         if files.values is not None:
-            self.io_time_us += files.values.read_all()
+            files.values.read_all()
 
         # Rebuild local CSR with edits applied.
         old_rowptr = files.rowptr.array
@@ -198,10 +197,10 @@ class MutationBuffer:
         new_col = np.concatenate(cols) if cols else np.empty(0, np.int32)
         new_val = np.concatenate(wts) if wts else None
         self.storage.replace_interval(interval, new_rowptr, new_col, new_val)
-        self.io_time_us += files.colidx.write_all()
-        self.io_time_us += files.rowptr.write_all()
+        files.colidx.write_all()
+        files.rowptr.write_all()
         if files.values is not None:
-            self.io_time_us += files.values.write_all()
+            files.values.write_all()
         self.merges += 1
 
     def merge_ready(self) -> None:

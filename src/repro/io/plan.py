@@ -35,8 +35,8 @@ uncoalesced ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,13 +104,11 @@ def balance_channels(channels: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PlanOutcome:
-    """What one executed plan did, for attribution and the ``io.*`` tallies.
+    """What one executed plan did, for the ``io.*`` tallies.
 
-    ``times`` maps each demand storage class to the simulated time its
-    waves charged, so callers can route the wave cost back to the same
-    accumulators the uncoalesced reads would have fed (multi-log unit,
-    edge-log tallies, load report).  Read-ahead time is kept separate
-    under :data:`KLASS_READAHEAD`.
+    Each wave's time is recorded by the device under the wave's storage
+    class, like any read; ``time_us`` is the plan's total, read-ahead
+    (``readahead_time_us``, under :data:`KLASS_READAHEAD`) included.
     """
 
     demand_pages: int = 0
@@ -124,10 +122,6 @@ class PlanOutcome:
     baseline_time_us: float = 0.0
     readahead_pages: int = 0
     readahead_time_us: float = 0.0
-    times: Dict[str, float] = field(default_factory=dict)
-
-    def time_of(self, klass: str) -> float:
-        return self.times.get(klass, 0.0)
 
     @property
     def saved_us(self) -> float:
@@ -168,8 +162,8 @@ class IOPlan:
         miss pages' channel placement is captured via the file's current
         ``channel_offset``, immune to a later truncate of the same file.
 
-        Returns 0.0: the wave cost is attributed by the caller from
-        :class:`PlanOutcome` after :meth:`execute`.
+        Returns 0.0: the device records the wave cost when
+        :meth:`execute` charges it.
         """
         if self._executed:
             raise StorageError("IOPlan.add() after execute()")
@@ -203,8 +197,9 @@ class IOPlan:
         self,
         demand: List[Tuple[str, int, np.ndarray, Optional[np.ndarray]]],
         outcome: PlanOutcome,
-    ) -> Dict[str, float]:
-        """Charge one klass-ordered wave set for ``demand``; returns times.
+    ) -> float:
+        """Charge one klass-ordered wave set for ``demand``; returns its
+        time, summed over the classes in sorted order.
 
         The whole demand is handled as one concatenated page vector:
         runs of adjacent pages are found in one pass (a run never spans
@@ -217,7 +212,7 @@ class IOPlan:
         wave carries.
         """
         if not demand:
-            return {}
+            return 0.0
         device = self.device
         n = len(demand)
         sizes = np.array([d[2].size for d in demand], dtype=np.int64)
@@ -244,7 +239,7 @@ class IOPlan:
         page_klass = np.array([klasses.index(d[0]) for d in demand], dtype=np.int64)[entry]
         run_klass = page_klass[run_at]
 
-        times: Dict[str, float] = {}
+        times: List[float] = []
         wave_cap = device.channels * WAVE_QUEUE_DEPTH
         no_extents = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         for k, klass in enumerate(klasses):
@@ -275,11 +270,11 @@ class IOPlan:
                     scattered_devices=None if sdv is None else sdv[at : at + wave_cap],
                 )
                 outcome.waves += 1
-            times[klass] = t
-        return times
+            times.append(t)
+        return sum(times)
 
     def execute(self) -> PlanOutcome:
-        """Charge the collected demand; returns the attribution record.
+        """Charge the collected demand; returns its outcome.
 
         Waves are charged in sorted-klass order (deterministic), then
         the read-ahead wave, then prefetched pages are admitted into
@@ -292,16 +287,14 @@ class IOPlan:
         outcome = PlanOutcome(
             demand_pages=self._demand_pages, cache_hit_pages=self._cache_hit_pages
         )
-        outcome.times = self._dispatch(self._demand, outcome)
+        demand_time_us = self._dispatch(self._demand, outcome)
         if self._readahead:
             ra_demand = [
                 (KLASS_READAHEAD, int(f.channel_offset), ids, f.devices_of(ids))
                 for f, ids in self._readahead
             ]
             ra_outcome = PlanOutcome()  # keep demand tallies separate
-            outcome.readahead_time_us = self._dispatch(ra_demand, ra_outcome).get(
-                KLASS_READAHEAD, 0.0
-            )
+            outcome.readahead_time_us = self._dispatch(ra_demand, ra_outcome)
             outcome.waves += ra_outcome.waves
             pinned = []
             for f, ids in self._readahead:
@@ -313,5 +306,5 @@ class IOPlan:
                 outcome.readahead_pages += int(ids.size)
             for cache, name, ids in pinned:
                 cache.unpin(name, ids)
-        outcome.time_us = sum(outcome.times.values()) + outcome.readahead_time_us
+        outcome.time_us = demand_time_us + outcome.readahead_time_us
         return outcome

@@ -217,7 +217,11 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
                     "(records_logged {records_logged} > messages_sent {messages_sent})"),),
     ),
     # -- MultiLogVC superstep internals
-    **_free("group_plan group_load group_process edgelog_decisions mlog_rotate"),
+    **_free("group_plan group_process edgelog_decisions mlog_rotate"),
+    # one per committed group: its preparation's I/O (DESIGN.md §11)
+    "group_load": EventSchema(
+        {"group": COUNT, "intervals": COUNT, "records": COUNT, "io_time_us": NON_NEGATIVE}
+    ),
     "group_sort": _SORT,
     # one per send-side combine of a group's (or the seeds') sends
     "send_reduce": _SEND_REDUCE,
@@ -263,7 +267,9 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
                     "has more roots than cone vertices ({roots} > {cone})"),),
     ),
     # -- baseline engines
-    **_free("shard_load vertex_chunks log_stream log_flush graph_stream block_stream"),
+    **_free("shard_load vertex_chunks log_stream graph_stream block_stream"),
+    # GraFBoost's log writes: a stripe-rounded batch, or the tail at superstep end
+    "log_flush": EventSchema({"pages": _int_at_least(1), "tail": BOOL}),
     "extsort": _EXTSORT,
 }
 

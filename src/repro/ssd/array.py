@@ -16,13 +16,15 @@ determinism contract as the worker-lane overlay (DESIGN.md §11):
   per-device time vector (the same ``_batch_time_from_counts`` formula
   applied to each device's share of the batch; every member device has
   the full ``C`` channels).  The overlay accumulates per-device busy
-  clocks and a serial-vs-array time pair at the canonical commit point,
-  so it does not depend on the simulated lane count.  It surfaces
-  via ``device.*`` gauges and the per-superstep ``device_stats`` trace
-  kind, is checkpointed with the run like every overlay (DESIGN.md §7),
-  and the saving is guaranteed non-negative:
-  each device's channel histogram is dominated by the full batch's, so
-  the max over devices never exceeds the single-device batch time.
+  clocks and the array time at the canonical commit point, so it does
+  not depend on the simulated lane count; the serial time and the op
+  count it is compared with are views of the canonical stats.  It
+  surfaces via ``device.*`` gauges and the per-superstep
+  ``device_stats`` trace kind, its clocks are checkpointed with the run
+  like every overlay (DESIGN.md §7), and the saving is guaranteed
+  non-negative: each device's channel histogram is dominated by the
+  full batch's, so the max over devices never exceeds the single-device
+  batch time.
 
 Placement is deterministic and derived, never stored:
 
@@ -63,8 +65,6 @@ class DeviceArray(SimulatedSSD, Overlay):
         self.placement = config.placement
         #: Overlay state (run-cumulative, monotonically non-decreasing).
         self._dev_busy_us = np.zeros(self.num_devices, dtype=np.float64)
-        self.dev_ops = 0
-        self.serial_us = 0.0
         self.array_us = 0.0
 
     # -- placement --------------------------------------------------------
@@ -90,8 +90,6 @@ class DeviceArray(SimulatedSSD, Overlay):
     # -- overlay accumulation ---------------------------------------------
 
     def _note_device_times(self, t: float, dev_times: Optional[np.ndarray]) -> None:
-        self.dev_ops += 1
-        self.serial_us += float(t)
         if dev_times is None:
             self._dev_busy_us[0] += float(t)
             self.array_us += float(t)
@@ -132,6 +130,17 @@ class DeviceArray(SimulatedSSD, Overlay):
     # -- reporting --------------------------------------------------------
 
     @property
+    def dev_ops(self) -> int:
+        """Charged batches, reads and writes: the canonical stats' count."""
+        stats = self.stats
+        return sum(c.batches for side in (stats.reads, stats.writes) for c in side.values())
+
+    @property
+    def serial_us(self) -> float:
+        """Storage time charged as one device: the canonical total."""
+        return self.stats.total_time_us
+
+    @property
     def saved_us(self) -> float:
         """Simulated time the array saved vs charging one device serially."""
         return max(0.0, self.serial_us - self.array_us)
@@ -164,9 +173,11 @@ class DeviceArray(SimulatedSSD, Overlay):
     # -- checkpoint/resume ------------------------------------------------
 
     def overlay_state(self) -> dict:
-        """:meth:`snapshot` less the derived ``saved_us``."""
+        """:meth:`snapshot` less what derives from the canonical stats,
+        which a checkpoint carries on its own."""
         state = self.snapshot()
-        del state["saved_us"]
+        for key in ("ops", "serial_us", "saved_us"):
+            del state[key]
         return state
 
     def restore_overlay(self, state: dict) -> None:
@@ -176,14 +187,10 @@ class DeviceArray(SimulatedSSD, Overlay):
                 f"checkpoint carries {busy.size} device clocks, "
                 f"the array being resumed has {self.num_devices} devices"
             )
-        self.dev_ops = int(state["ops"])
-        self.serial_us = float(state["serial_us"])
         self.array_us = float(state["array_us"])
         self._dev_busy_us = busy
 
     def reset_stats(self) -> None:
         super().reset_stats()
         self._dev_busy_us[:] = 0.0
-        self.dev_ops = 0
-        self.serial_us = 0.0
         self.array_us = 0.0

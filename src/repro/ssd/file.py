@@ -79,7 +79,7 @@ class SimFileBase:
         queued for coalesced dispatch instead of charged here; the plan
         consults the cache itself, in this same call order, so hit/miss
         sequences match the unplanned path bit-exactly.  Returns 0.0 in
-        that case -- the wave cost is attributed from the plan's outcome.
+        that case -- the plan charges the waves when it executes.
         """
         ids = np.asarray(page_ids, dtype=np.int64)
         if plan is not None:

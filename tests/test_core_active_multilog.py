@@ -342,7 +342,6 @@ class ModelMultiLog:
         self.files = [None] * self.k
         self.counters = np.zeros(self.k, dtype=np.int64)
         self.appended = self.used = self.flushes = self.flushed_pages = 0
-        self.io_time_us = 0.0
         self.capacity = budget.multilog_pages
         self.low_free = int(np.floor(cfg.memory.evict_low_free_fraction * self.capacity))
         self.high_free = int(np.floor(cfg.memory.evict_high_free_fraction * self.capacity))
@@ -396,7 +395,7 @@ class ModelMultiLog:
                     flush(i, self.bufs[i].pop_sealed())
         if channels:
             dev = None if devices[0] is None else np.concatenate(devices)
-            self.io_time_us += self.fs.device.write_batch(np.concatenate(channels), "mlog", devices=dev)
+            self.fs.device.write_batch(np.concatenate(channels), "mlog", devices=dev)
             self.flushes += 1
             self.flushed_pages += sum(len(c) for c in channels)
 
@@ -405,9 +404,7 @@ class ModelMultiLog:
         for i in interval_ids:
             f = self.files[i]
             if f is not None and f.n_pages:
-                payloads, t = f.read_all()
-                self.io_time_us += t
-                pages += payloads
+                pages += f.read_all()[0]
                 f.truncate()
             self.used -= self.bufs[i].pages_used
             self.bufs[i].force_seal()
@@ -435,7 +432,6 @@ class ModelMultiLog:
             "counters": self.counters.copy(),
             "appended": self.appended,
             "pages_used": self.used,
-            "io_time_us": self.io_time_us,
             "flushes": self.flushes,
             "flushed_pages": self.flushed_pages,
         }
@@ -453,7 +449,7 @@ def _assert_same_log(a, a_files, b, b_files):
     """Two logs (unit or model, in any pairing) hold the same pages and tallies."""
     for fa, fb in zip(a_files, b_files):
         assert _file_pages(fa) == _file_pages(fb)
-    for field in ("flushes", "flushed_pages", "appended", "io_time_us"):
+    for field in ("flushes", "flushed_pages", "appended"):
         assert getattr(a, field) == getattr(b, field), field
     assert a.counters.tolist() == b.counters.tolist()
 
@@ -514,9 +510,11 @@ def check_multilog_matches_model(case):
     sent = 0
     for b, (size, seed, skewed) in enumerate(batches):
         if b == cut:
-            # Export -> restore on a fresh file system -> continue.
+            # Export -> restore on a fresh file system -> continue, with
+            # the device stats carried over as a checkpoint carries them.
             state = pickle.loads(pickle.dumps(unit.export_state(), protocol=PICKLE_PROTOCOL))
             resumed = fresh_unit(unit.fs.next_channel_offset)
+            resumed.fs.device.stats = unit.fs.stats.snapshot()
             resumed.restore_state(state)
         rng = np.random.default_rng(seed)
         dest = rng.integers(0, width if skewed else n, size)
@@ -537,6 +535,7 @@ def check_multilog_matches_model(case):
         if resumed is not None:
             _assert_same_log(unit, unit._files, resumed, resumed._files)
             assert unit.pages_buffered == resumed.pages_buffered
+            assert unit.fs.stats.to_dict() == resumed.fs.stats.to_dict()
 
     for group in (list(range(0, k, 2)), list(range(1, k, 2))):
         want = model.consume(group)
@@ -550,7 +549,9 @@ def check_multilog_matches_model(case):
             for g, w in zip((got.dest, got.src, got.data), want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         assert unit.pages_buffered == model.used
-        assert unit.io_time_us == model.io_time_us
+        assert unit.fs.stats.to_dict() == model.fs.stats.to_dict()
+        if resumed is not None:
+            assert resumed.fs.stats.to_dict() == model.fs.stats.to_dict()
     assert unit.pages_buffered == 0 and unit.total_messages == 0
 
 
@@ -567,7 +568,8 @@ class TestAgainstReferenceModel:
         check_multilog_matches_model(case)
 
     @staticmethod
-    def _checkpoint_blob_lengths(precombine):
+    def _checkpoint_blobs(precombine):
+        """Each checkpoint's ``(blob lengths, payload pages)``."""
         from repro.algorithms import DeltaPageRankProgram
         from repro.core.engine import MultiLogVC
         from repro.graph.datasets import small_rmat
@@ -580,19 +582,27 @@ class TestAgainstReferenceModel:
         )
         eng = MultiLogVC(small_rmat(n=256, m=2048, seed=3), DeltaPageRankProgram(), cfg, options=opts)
         eng.run(max_supersteps=8)
-        return [
-            eng.fs.get(f"ckpt.{cid}.commit").read_all(charge=False)[0][-1]["length"]
+        commits = [
+            eng.fs.get(f"ckpt.{cid}.commit").read_all(charge=False)[0][-1]
             for cid in CheckpointManager.list_ids(eng.fs)
         ]
+        return [c["length"] for c in commits], [c["n_pages"] for c in commits]
 
     def test_checkpoint_blob_lengths_golden(self):
         """The pickled multi-log state is a simulated cost: a checkpoint is
-        charged ``len(blob) / page_size`` pages.  Lengths recorded before
-        the buffers became run lists -- and before sends could be reduced
-        ahead of the log, so with that off."""
-        assert self._checkpoint_blob_lengths(False) == [50323, 53546, 53831, 52762]
+        charged ``len(blob) / page_size`` pages.  Pages recorded before the
+        buffers became run lists -- and before sends could be reduced ahead
+        of the log, so with that off.  The lengths were re-recorded, 50
+        bytes shorter each, when the units stopped exporting an I/O time
+        (the device stats hold it); the pages did not move."""
+        lengths, pages = self._checkpoint_blobs(False)
+        assert pages == [13, 14, 14, 13]
+        assert lengths == [50273, 53496, 53781, 52712]
 
     def test_checkpoint_blob_lengths_golden_precombine(self):
         """With the send-side combine the logs hold one record per
-        (destination, source interval): a smaller cut (recorded at PR 20)."""
-        assert self._checkpoint_blob_lengths(True) == [11956, 13594, 13804, 14001]
+        (destination, source interval): a smaller cut.  Lengths re-recorded
+        as above, 44 bytes shorter each; the pages did not move."""
+        lengths, pages = self._checkpoint_blobs(True)
+        assert pages == [3, 4, 4, 4]
+        assert lengths == [11912, 13550, 13760, 13957]

@@ -5,13 +5,16 @@ import pytest
 
 from repro.algorithms import BFSProgram
 from repro.core import MultiLogVC
-from repro.core.edgelog import EdgeLogOptimizer
+from repro.core.edgelog import KLASS_EDGELOG, EdgeLogOptimizer
+from repro.core.loader import GraphLoaderUnit
 from repro.core.mutation import MutationBuffer
 from repro.errors import ProgramError
 from repro.graph import GraphOnSSD, uniform_partition
 from repro.graph.datasets import bfs_chain_graph
 from repro.mem import MemoryBudget
+from repro.obs import MetricsRegistry
 from repro.ssd import SimFS
+from repro.ssd.stats import IOCounter
 
 
 @pytest.fixture
@@ -74,15 +77,16 @@ class TestEdgeLogOptimizer:
         fs, e = elog
         e.consider(np.array([1]), np.array([10]))
         e.end_superstep()
-        t, n = e.charge_read(np.array([1]))
-        assert t > 0 and n == 1
+        assert e.charge_read(np.array([1])) == 1
+        assert e.pages_read_total == 1
         assert fs.stats.reads["edgelog"].pages == 1
+        assert fs.stats.reads["edgelog"].time_us > 0
 
     def test_charge_read_no_hits(self, elog):
         fs, e = elog
         e.end_superstep()
-        t, n = e.charge_read(np.array([5]))
-        assert t == 0.0 and n == 0
+        assert e.charge_read(np.array([5])) == 0
+        assert "edgelog" not in fs.stats.reads
 
     def test_writes_charged_on_flush(self, elog):
         fs, e = elog
@@ -98,6 +102,44 @@ class TestEdgeLogOptimizer:
         assert eng.run(10).n_supersteps == 10
         assert eng.edgelog.total_logged > 0
         assert len([n for n in eng.fs.names() if n.startswith("elog.g")]) <= 2
+
+    @pytest.mark.parametrize("cache_bytes", [0, 2 << 20])
+    @pytest.mark.parametrize("io_plan", ["off", "coalesce"])
+    def test_gauges_read_the_ledger_on_every_stack(self, cfg, monkeypatch, io_plan, cache_bytes):
+        """``edgelog.pages_read`` counts every page a load asked for, cache
+        hits included, whether or not a plan batched the reads: one figure
+        in every cell, the sum of the load reports'.  Storage time is the
+        device's own ``edgelog`` rows, write-backs included, and the
+        multi-log keeps no time of its own."""
+        graph, source = bfs_chain_graph("test")
+        load = GraphLoaderUnit.load_active
+
+        def run(config):
+            reports = []
+
+            def spy(self, *args, **kwargs):
+                reports.append(load(self, *args, **kwargs))
+                return reports[-1]
+
+            monkeypatch.setattr(GraphLoaderUnit, "load_active", spy)
+            reg = MetricsRegistry()
+            eng = MultiLogVC(graph, BFSProgram(source), config, metrics=reg)
+            eng.run(64)
+            return eng.fs.stats, reg.snapshot(), sum(r.edgelog_pages for r in reports)
+
+        base = cfg.with_workers(1).with_devices(1).with_io_plan("off")
+        _, _, want = run(base)
+        stack = base.with_io_plan(io_plan)
+        if cache_bytes:
+            stack = stack.with_cache(cache_bytes=cache_bytes)
+        stats, gauges, pages = run(stack)
+        assert gauges["edgelog.pages_read"] == pages == want > 0
+        ledger = (
+            stats.reads.get(KLASS_EDGELOG, IOCounter()).time_us
+            + stats.writes.get(KLASS_EDGELOG, IOCounter()).time_us
+        )
+        assert gauges["edgelog.io_time_us"] == ledger
+        assert not [k for k in gauges if k.startswith("multilog.") and "io_time" in k]
 
 
 @pytest.fixture
@@ -164,10 +206,12 @@ class TestMutationBuffer:
         fs, gos = storage
         mb = MutationBuffer(gos, cfg)
         mb.add_edge(0, 200, 1.0)
-        before = fs.stats.total_pages
+        before = fs.stats.snapshot()
         mb.merge_interval(0)
-        assert fs.stats.total_pages > before
-        assert mb.io_time_us > 0
+        delta = fs.stats - before
+        # read the old adjacency, write the rebuilt interval back
+        assert delta.reads["csr_col"].pages > 0 and delta.read_time_us > 0
+        assert set(delta.writes) >= {"csr_row", "csr_col"} and delta.write_time_us > 0
 
     def test_merge_preserves_untouched_vertices(self, storage, cfg, rmat256w):
         fs, gos = storage

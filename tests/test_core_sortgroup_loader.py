@@ -111,18 +111,21 @@ def loader_setup(cfg, rmat256):
 class TestGraphLoader:
     def test_empty_active(self, loader_setup):
         fs, storage, loader = loader_setup
+        before = fs.stats.snapshot()
         rep = loader.load_active(np.empty(0, np.int64), False, False)
-        assert rep.io_time_us == 0.0
+        assert (fs.stats - before).total_time_us == 0.0
         assert rep.colidx_pages == 0
 
     def test_charges_rowptr_and_colidx(self, loader_setup):
         fs, storage, loader = loader_setup
+        before = fs.stats.snapshot()
         rep = loader.load_active(np.array([0, 1, 2]), False, False)
         assert rep.rowptr_pages >= 1
         assert rep.colidx_pages >= 1
-        assert rep.io_time_us > 0
-        assert "csr_row" in fs.stats.reads
-        assert "csr_col" in fs.stats.reads
+        delta = fs.stats - before
+        assert delta.reads["csr_row"].pages == rep.rowptr_pages
+        assert delta.reads["csr_col"].pages == rep.colidx_pages
+        assert delta.read_time_us > 0
 
     def test_weights_loaded_when_needed(self, loader_setup):
         fs, storage, loader = loader_setup

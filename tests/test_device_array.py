@@ -20,7 +20,7 @@ from repro.core.engine import MultiLogVC
 from repro.errors import InjectedFaultError, RecoveryError, SimulatedCrashError, StorageError
 from repro.graph.datasets import small_rmat
 from repro.graph.csr import CSRGraph
-from repro.obs import Overlay, TraceRecorder
+from repro.obs import MetricsRegistry, Overlay, TraceRecorder
 from repro.options import EngineOptions
 from repro.recovery import CheckpointManager
 from repro.recovery.validate import count_device_ops, crash_resume_experiment
@@ -124,8 +124,6 @@ class TestOverlay:
         assert not [e for e in tr.events if e.kind == "device_stats"]
 
     def test_device_gauges_registered(self):
-        from repro.obs import MetricsRegistry
-
         reg = MetricsRegistry()
         cfg = small_test_config().with_devices(2)
         MultiLogVC(GRAPH(), DeltaPageRankProgram(), cfg, metrics=reg).run(4, seed=0)
@@ -278,8 +276,11 @@ class TestCrashResume:
         ckpt = CheckpointManager.load_latest(eng.fs)
         state = ckpt.overlays["device_stats"]
         assert state["devices"] == 4
-        assert state["ops"] > 0
+        assert state["array_us"] > 0
         assert len(state["busy_us"]) == 4
+        # The op count and the serial time are views of the stats the
+        # checkpoint carries anyway.
+        assert not state.keys() & {"ops", "serial_us", "saved_us"}
 
     def test_single_device_checkpoint_has_no_overlay(self):
         eng = MultiLogVC(
@@ -308,12 +309,19 @@ class TestCrashResume:
         with pytest.raises(SimulatedCrashError):
             crash_eng.run(8, seed=0)
         ckpt = CheckpointManager.load_latest(crash_eng.fs)
-        resume_eng = MultiLogVC(graph(), DeltaPageRankProgram(), cfg, options=options)
+        reg = MetricsRegistry()
+        resume_eng = MultiLogVC(graph(), DeltaPageRankProgram(), cfg, options=options, metrics=reg)
         resume_eng.run(8, seed=0, resume_from=ckpt)
         # per-device clocks continue from the cut and end exactly where
         # the uninterrupted run's do
         assert resume_eng.fs.device.snapshot() == base_snap
-        assert base_snap["serial_us"] > ckpt.overlays["device_stats"]["serial_us"]
+        assert base_snap["serial_us"] > ckpt.stats.total_time_us
+        # the serial clock and the op count are the ledger's, after a resume too
+        stats, snap = resume_eng.fs.stats, reg.snapshot()
+        assert snap["device.serial_us"] == stats.total_time_us
+        assert snap["device.ops"] == sum(
+            c.batches for side in (stats.reads, stats.writes) for c in side.values()
+        )
 
     @pytest.mark.parametrize("placement", ["affinity", "stripe"])
     def test_resumed_run_allocates_channels_like_the_uninterrupted_one(self, placement):
@@ -348,6 +356,7 @@ class TestCrashResume:
         dev.write_batch(np.arange(12) % 4, "mlog", devices=(np.arange(12) // 4) % 3)
         state = dev.overlay_state()
         fresh = DeviceArray(cfg)
+        fresh.stats = dev.stats.snapshot()  # as a resumed engine restores it
         fresh.restore_overlay(state)
         assert fresh.snapshot() == dev.snapshot()
 

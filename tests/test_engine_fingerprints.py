@@ -94,6 +94,16 @@ equal, and every superstep record field but ``pages_read``,
 every other row passed unrecorded: under a write-back cache the
 eviction is not charged and frees what it did before.
 
+When the device stats became the one storage account, MultiLogVC's
+six :data:`GOLDEN` rows and every :data:`GOLDEN_STACKS` row were
+re-recorded: the ``loader.edgelog_pages`` gauge, which counted the
+edge-log pages ``edgelog.pages_read`` counts, left their digests.
+Values bytes, every superstep record, the SSD stats, every trace event
+and every other gauge were checked equal to the parent's, but for
+``edgelog.pages_read`` on the cached BFS row (0 -> 3: it now counts the
+cache hits of planned reads, as it always did unplanned).  Every
+:data:`GOLDEN_VALUES_IO` row passed unrecorded.
+
 Each run also checks the compute ledger: ``RunResult.compute_by_site``
 sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 """
@@ -178,12 +188,12 @@ GOLDEN = {
     ("gridgraph", "pagerank"): "d6b6cdf339a8028232ed59c29943922b9d9be016f71601a8f0ad19394011da56",
     ("gridgraph", "sssp"): "00b87215ba2c46fa8685ffeb7930780285bfb04777e51956482d7519ddcb98cb",
     ("gridgraph", "wcc"): "f3f4ec32367c76349845d2ddf97371d2922741592871e1973c33cbda48a333d6",
-    ("multilogvc", "bfs"): "7350c24b2a6562a5dbb436251f52a6272f31af9fc1713d5953619483ea99a98f",
-    ("multilogvc", "cdlp"): "3cbaf2597768335154adfa8f9b1ad26e06256fdc7b20245279db68aadcd95565",
-    ("multilogvc", "coloring"): "ff7679045174b996924e591378d8f33b88af70d031ce8d6316e73a41a6965838",
-    ("multilogvc", "pagerank"): "56ed6e1ed62429934ad1cf21fa3c0ac10f27929e1bd08b3bd5f241bee4f755dd",
-    ("multilogvc", "sssp"): "cd291e8ec3b0d75386716cd049e9840ef1947f3202948ed89d217aa0dd4a3c6f",
-    ("multilogvc", "wcc"): "f1e0e039411cbf52c3ff99d8e43f4667efa6a0c423b96f29c6ca743658803c65",
+    ("multilogvc", "bfs"): "f147b4c91142bc64882e3848822ca7877183cb362009f08198fe7c20d9b59e94",
+    ("multilogvc", "cdlp"): "8a89b5c58c01a5dd9ce6d96ecce64b4fa803df1d556f8662e079c4aaee37e953",
+    ("multilogvc", "coloring"): "f27ecaa770b8a9ae00049de80e8709e943a711942bdb6891d3df9ace549ff924",
+    ("multilogvc", "pagerank"): "b6a2183cb5b57c5c59f62dfbf46cc01fa109793e34bf9d19a47fcb154a152040",
+    ("multilogvc", "sssp"): "53f113aa715b05ab5eda8e09ccd7593bc615a1faf5c8ae2126430b1ae983871e",
+    ("multilogvc", "wcc"): "63e7bb8228f16ec9a33aa6f04d1d662220192aed5b47c2ec3767130f8edacf3b",
     ("oracle", "bfs"): "f336301167d0e704dccc6fb75030d5dbc233cd36634f32bf7638f890fdccf774",
     ("oracle", "cdlp"): "25398f60e0cf8e55e1e00d7e9af6a709cd6128c09b9f54fc3419642e4a8bd2aa",
     ("oracle", "coloring"): "5d6111136334f3a8299ed46814ee205f79d2068c40b8ca4ba9d42c97874a4ded",
@@ -198,14 +208,14 @@ GOLDEN = {
 
 #: MultiLogVC on each of :data:`STACKS`: (stack, program) -> digest
 GOLDEN_STACKS = {
-    ("cache16+readahead", "bfs"): "e719918976382a48c063418a3aa82f1b376e1a8d8841e615830fb9d700766336",
-    ("cache16+readahead", "pagerank"): "c0cbd979dab648a6f05ced88a72962c2a83cae7378032bf77ef492b7bf1abf68",
-    ("devices4-affinity", "bfs"): "337b2fe1dae4200a1a1461455c01917dca269ea685ede70f7145359e15fcec65",
-    ("devices4-affinity", "pagerank"): "a8277ea15b10547b7c337ab2de5a20ca61141c7dcb88b7890b620d05b46c0c61",
-    ("devices4-stripe", "bfs"): "a50fef03d2a89c1332dfaebcc3bb202bcb50e309ed14e2d559dbf6fffb5a864f",
-    ("devices4-stripe", "pagerank"): "3cd3c88a7c4cc4ac332c96ba344eecb888ba3c6359dcb287e3ff535cc7cd91fe",
-    ("lanes2+coalesce", "bfs"): "a79e45d41710cdaae1acc51068dff1cd272fc5e5a673aed6a7d411e29e204fd8",
-    ("lanes2+coalesce", "pagerank"): "cdcd16d6af829ef787ff72b9ed6d5928858ad4773d86538307adac176bdbccd5",
+    ("cache16+readahead", "bfs"): "180bfef910441cfaf693292375d716dcfab9f8ba4c642bc3a7d5ee57eedb7c4e",
+    ("cache16+readahead", "pagerank"): "1587f72164fdc482b1c03f5a9101f8e979c85268a200f1580f02a9b7d99c3135",
+    ("devices4-affinity", "bfs"): "8fa58856e45864555d1a074c5076b4996f5922ce04befab5ef3325b5c5593a1b",
+    ("devices4-affinity", "pagerank"): "5c605f47e73d3308c061a83827a08ee89b97c9ddb2be201e8e5d6191ace96d9d",
+    ("devices4-stripe", "bfs"): "190b3d0561702259e2878db388f5492b36544c1db1fec764e72bcdfd3575a34d",
+    ("devices4-stripe", "pagerank"): "1acb3fcfb3bd976597c2d915d1b38ccb088249308e3157302b48fc136be95143",
+    ("lanes2+coalesce", "bfs"): "32f49417db5e2fd392014aa7257784595da46157349d37c4fe95d420b5bfa149",
+    ("lanes2+coalesce", "pagerank"): "58b791f5e823b9b34a2b8214f0e5fdb4fa8ab2939d2eb9db7d7eaee836b58bfb",
 }
 
 #: Values and I/O only, per row of :data:`GOLDEN` and (stack, program) of

@@ -72,8 +72,13 @@ GOOD = {
         "records": 9, "natural_runs": 3, "span": 4, "survivors": 5, "counted": 1,
         "item_levels": 17.3,
     },
+    "group_load": {
+        "group": 0, "intervals": 2, "records": 7, "pages_by_class": {"mlog": 1},
+        "io_time_us": 25.0,
+    },
     "mlog_flush": {"unit": "mlog", "pages": 1, "time_us": 12.0},
     "elog_flush": {"pages": 2, "time_us": 30.0},
+    "log_flush": {"pages": 8, "tail": False},
     "writeback": {"klass": "mlog", "pages": 3, "time_us": 40.0, "cause": "evict"},
     "warm_start": {
         "roots": 1, "cone": 2, "walk_rows": 3, "scan": True, "seeds": 4, "seeds_dropped": 5,
@@ -185,11 +190,11 @@ def test_kinds_without_constraints_take_any_fields(tmp_path):
 
 
 def test_t_us_going_backwards_is_rejected(tmp_path):
-    assert rejected(tmp_path, BEGIN, ev("group_plan", t_us=5), ev("group_load", t_us=4)) == [3]
+    assert rejected(tmp_path, BEGIN, ev("group_plan", t_us=5), good("group_load", t_us=4)) == [3]
 
 
 def test_t_us_drop_across_run_begin_is_allowed(tmp_path):
-    lines = [BEGIN, ev("group_plan", t_us=5), {**BEGIN, "t_us": 1}, ev("group_load", t_us=2)]
+    lines = [BEGIN, ev("group_plan", t_us=5), {**BEGIN, "t_us": 1}, good("group_load", t_us=2)]
     assert rejected(tmp_path, *lines) == []
 
 
@@ -268,6 +273,13 @@ def test_non_integer_cache_counter_is_rejected(tmp_path):
         ("mlog_flush", {"deferred": -1}),
         ("mlog_flush", {"time_us": -1.0, "deferred": 1}),
         ("elog_flush", {"time_us": 0.0, "deferred": 1}),
+        ("group_load", {"group": -1}),
+        ("group_load", {"intervals": _MISSING}),
+        ("group_load", {"records": 1.0}),
+        ("group_load", {"io_time_us": -1.0}),
+        ("log_flush", {"pages": 0}),
+        ("log_flush", {"tail": 1}),
+        ("log_flush", {"tail": _MISSING}),
         ("writeback", {"klass": "ulog"}),
         ("writeback", {"pages": 0}),
         ("writeback", {"time_us": 0.0}),
