@@ -65,8 +65,3 @@ class RandomWalkProgram(VertexProgram):
         nz = counts > 0
         if nz.any():
             ctx.send_many(ctx.out_neighbors[nz], counts[nz].astype(np.float64))
-
-
-def total_walkers(values_trace_sum: float) -> float:
-    """Helper for invariant checks: visits grow by #walkers per step."""
-    return values_trace_sum

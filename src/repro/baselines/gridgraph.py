@@ -100,10 +100,6 @@ class GridGraph(SuperstepEngine):
 
     # -- geometry -------------------------------------------------------
 
-    @property
-    def n_blocks(self) -> int:
-        return self._p * self._p
-
     def block_range(self, i: int, j: int) -> Tuple[int, int]:
         k = i * self._p + j
         return int(self._block_offsets[k]), int(self._block_offsets[k + 1])

@@ -329,9 +329,7 @@ def cmd_compute(args) -> int:
     cfg = _stack_config(args, caps)
     opt_kwargs = {}
     if caps.supports_checkpoint:
-        opt_kwargs = dict(
-            checkpoint_every=args.checkpoint_every, checkpoint_mode=args.checkpoint_mode
-        )
+        opt_kwargs = dict(checkpoint_every=args.checkpoint_every)
     options = _options(args, **opt_kwargs)
 
     weighted = args.weighted or args.algorithm in _NEEDS_WEIGHTS
@@ -628,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--max-supersteps", type=int, default=15)
     comp.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                       help="write a crash-consistent checkpoint every N supersteps")
-    comp.add_argument("--checkpoint-mode", choices=("full", "incremental"), default="full")
     comp.add_argument("--checkpoint-out", default=None, metavar="PATH",
                       help="save the newest valid on-SSD checkpoint to a host file "
                            "(also after a simulated crash)")

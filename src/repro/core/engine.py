@@ -69,7 +69,7 @@ class MultiLogVC(SuperstepEngine):
     options:
         Consolidated :class:`~repro.options.EngineOptions` (mode,
         enable_edgelog, enable_fusing, enable_precombine, min_intervals,
-        intervals, checkpoint_every, checkpoint_mode).
+        intervals, checkpoint_every).
     tracer:
         Observability event sink; defaults to the ambient tracer (the
         null tracer unless :func:`repro.obs.use_tracer` is active).
@@ -193,7 +193,7 @@ class MultiLogVC(SuperstepEngine):
             else None
         )
         self.mutations = MutationBuffer(self.storage, cfg) if prog.mutates_structure else None
-        self.ckpt_mgr = CheckpointManager(self.fs, mode=self.options.checkpoint_mode)
+        self.ckpt_mgr = CheckpointManager(self.fs)
         return trace_start
 
     def _seed(self, messages: UpdateBatch) -> None:
@@ -266,7 +266,6 @@ class MultiLogVC(SuperstepEngine):
                 checkpoint_id=int(ckpt.ckpt_id),
                 checkpoint_step=int(ckpt.step),
                 start_step=int(ckpt.step) + 1,
-                checkpoint_mode=ckpt.checkpoint_mode,
                 recovery_read_pages=int(ckpt.recovery_read_pages),
                 recovery_read_time_us=float(ckpt.recovery_read_time_us),
             )
@@ -511,7 +510,6 @@ class MultiLogVC(SuperstepEngine):
                 tracer.emit(
                     "checkpoint_write",
                     ckpt_id=info.ckpt_id,
-                    incremental=info.incremental,
                     payload_pages=info.payload_pages,
                     time_us=info.time_us,
                 )

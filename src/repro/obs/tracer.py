@@ -206,7 +206,14 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
     # bookkeeping sit outside any superstep and differ between an
     # uninterrupted and a resumed run by construction.
     "run_begin": EventSchema(reconciled=False),
-    "run_resume": EventSchema(reconciled=False),
+    # A resumed run continues at the superstep after its checkpoint's cut.
+    "run_resume": EventSchema(
+        {"checkpoint_id": _int_at_least(1), "checkpoint_step": COUNT, "start_step": COUNT,
+         "recovery_read_pages": COUNT, "recovery_read_time_us": NON_NEGATIVE},
+        rules=(Rule(("checkpoint_step", "start_step"), lambda cut, start: start == cut + 1,
+                    "start_step {start_step} is not checkpoint_step {checkpoint_step} + 1"),),
+        reconciled=False,
+    ),
     **_free("run_end superstep_begin"),
     # The log never holds more records than the program sent; it holds
     # fewer only where a send-side combine reduced them first (DESIGN.md §15).
@@ -247,7 +254,11 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
         "ops serial_us array_us saved_us", placement=_one_of(PLACEMENTS), devices=_int_at_least(2)
     ),
     # -- recovery subsystem and SSD fault injection (DESIGN.md §8)
-    **_free("checkpoint_write fault_error fault_crash fault_torn fault_retry channel_degraded"),
+    # one per checkpoint: its payload pages and commit page, charged
+    "checkpoint_write": EventSchema(
+        {"ckpt_id": _int_at_least(1), "payload_pages": _int_at_least(1), "time_us": POSITIVE}
+    ),
+    **_free("fault_error fault_crash fault_torn fault_retry channel_degraded"),
     # -- streaming updates (DESIGN.md §12).  ``seq`` is the update log's
     # batch counter, monotone for the store's lifetime: a drop means the
     # commit log was corrupted.

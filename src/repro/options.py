@@ -73,10 +73,6 @@ class EngineOptions:
         Write a crash-consistent checkpoint every N supersteps
         (MultiLogVC only; 0 disables checkpointing).  See
         :mod:`repro.recovery` and DESIGN.md §8.
-    checkpoint_mode:
-        ``"full"`` (default) snapshots the whole value vector each
-        time; ``"incremental"`` stores value deltas against the
-        previous checkpoint (resolved back to a full baseline at load).
     """
 
     mode: str = "sync"
@@ -89,7 +85,6 @@ class EngineOptions:
     merge_fanout: int = 16
     grid_p: Optional[int] = None
     checkpoint_every: int = 0
-    checkpoint_mode: str = "full"
 
     def replace(self, **changes) -> "EngineOptions":
         """Return a copy with the given fields replaced.
@@ -131,10 +126,6 @@ class EngineOptions:
             raise EngineError("grid_p must be >= 1")
         if self.checkpoint_every < 0:
             raise EngineError("checkpoint_every must be >= 0")
-        if self.checkpoint_mode not in ("full", "incremental"):
-            raise EngineError(
-                f"checkpoint_mode must be 'full' or 'incremental', got {self.checkpoint_mode!r}"
-            )
 
 
 #: Which :class:`EngineOptions` fields each engine consumes.
@@ -148,7 +139,6 @@ RELEVANT_OPTIONS: Dict[str, FrozenSet[str]] = {
             "min_intervals",
             "intervals",
             "checkpoint_every",
-            "checkpoint_mode",
         }
     ),
     "graphchi": frozenset(),

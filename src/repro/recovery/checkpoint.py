@@ -38,11 +38,9 @@ device (the flash that survived the power loss), never to the resumed
 one, and is reported in the ``run_resume`` trace event, which trace
 reconciliation ignores.
 
-Incremental mode stores the value vector as a delta
-(changed indices + values) against the previous checkpoint, chained
-back to the last full checkpoint at load time.  The first checkpoint
-after a resume is always full -- the delta baseline lives on the
-crashed device and is not carried over.
+Every checkpoint is a full snapshot, so a resumed run's next checkpoint
+is the uninterrupted run's, byte for byte, and the two runs' ``SSDStats``
+are equal class by class, ``ckpt`` included.
 """
 
 from __future__ import annotations
@@ -117,17 +115,18 @@ class CheckpointWriteInfo:
 
     ckpt_id: int
     step: int
-    incremental: bool
     payload_pages: int
     time_us: float
 
 
 @dataclass
 class CheckpointData:
-    """A fully-resolved checkpoint, ready to hand to ``run(resume_from=...)``.
+    """A loaded checkpoint, ready to hand to ``run(resume_from=...)``.
 
-    ``values`` is always the complete vector -- incremental deltas are
-    resolved against their baseline chain at load time.
+    The fields up to ``records`` are the payload: :meth:`CheckpointManager.write`
+    pickles exactly those keys, in this order, and
+    :meth:`CheckpointManager.load_latest` passes them back as keywords.
+    The rest come from the commit page or the load itself.
     """
 
     ckpt_id: int
@@ -150,7 +149,6 @@ class CheckpointData:
     records: List[Dict[str, Any]]
     stats: Any  # SSDStats snapshot at the cut (post checkpoint write)
     meter_time_us: float
-    checkpoint_mode: str
     #: I/O spent loading this checkpoint (0 for host-file loads);
     #: reported in the run_resume event, ignored by reconciliation.
     recovery_read_pages: int = 0
@@ -159,7 +157,6 @@ class CheckpointData:
     overlays: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Did the run reduce sends before logging them (DESIGN.md §15)?
     precombine: bool = False
-    _extra: Dict[str, Any] = field(default_factory=dict)
 
     # -- engine-compatibility gate ------------------------------------------
 
@@ -205,27 +202,14 @@ class CheckpointData:
 class CheckpointManager:
     """Writes and loads checkpoints on a simulated file system."""
 
-    def __init__(self, fs: SimFS, name: str = "ckpt", mode: str = "full") -> None:
-        if mode not in ("full", "incremental"):
-            raise RecoveryError(f"checkpoint mode must be full/incremental, got {mode!r}")
+    def __init__(self, fs: SimFS, name: str = "ckpt") -> None:
         self.fs = fs
         self.name = name
-        self.mode = mode
         self.next_id = 1
-        self.written = 0
-        self._prev_values: Optional[np.ndarray] = None
-        self._prev_id: Optional[int] = None
 
     def resume_at(self, ckpt: CheckpointData) -> None:
-        """Continue numbering after ``ckpt``; force the next write full.
-
-        The delta baseline lives on the crashed device, so an
-        incremental checkpoint written on the resumed device could not
-        resolve its chain after a second crash.
-        """
+        """Continue numbering after ``ckpt``."""
         self.next_id = ckpt.ckpt_id + 1
-        self._prev_values = None
-        self._prev_id = None
 
     # -- write ----------------------------------------------------------------
 
@@ -257,17 +241,6 @@ class CheckpointManager:
         commit_file = self.fs.create_page_file(
             f"{self.name}.{cid}.commit", KLASS_CKPT, overwrite=True
         )
-        incremental = self.mode == "incremental" and self._prev_values is not None
-        if incremental:
-            changed = np.flatnonzero(values != self._prev_values)
-            values_payload: Dict[str, Any] = {
-                "base_id": self._prev_id,
-                "idx": changed,
-                "val": values[changed].copy(),
-            }
-        else:
-            values_payload = {"full": values.copy()}
-
         edge_state = None
         if engine.program.uses_edge_state:
             edge_state = [
@@ -285,8 +258,7 @@ class CheckpointManager:
             "boundaries": np.asarray(engine.intervals.boundaries).copy(),
             "edgelog_enabled": engine.enable_edgelog,
             "uses_edge_state": bool(engine.program.uses_edge_state),
-            "incremental": incremental,
-            "values": values_payload,
+            "values": values,
             "tracker": tracker.export_state(),
             "mlogs": {
                 mlog_cur.name: mlog_cur.export_state(),
@@ -298,7 +270,6 @@ class CheckpointManager:
             "fs_next_offset": self.fs.next_channel_offset,
             "rng_state": rng.bit_generator.state,
             "records": [_record_state(r) for r in records],
-            "checkpoint_mode": self.mode,
         }
         blob = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
         page_size = self.fs.device.page_size
@@ -319,7 +290,6 @@ class CheckpointManager:
         commit = {
             "ckpt_id": cid,
             "step": step,
-            "incremental": incremental,
             "checksum": zlib.crc32(blob),
             "length": len(blob),
             "n_pages": len(chunks),
@@ -335,14 +305,10 @@ class CheckpointManager:
         }
         commit_file.append_page(commit, useful_bytes=len(blob) % page_size, charge=False)
 
-        self._prev_values = values.copy()
-        self._prev_id = cid
         self.next_id = cid + 1
-        self.written += 1
         return CheckpointWriteInfo(
             ckpt_id=cid,
             step=step,
-            incremental=incremental,
             payload_pages=len(chunks),
             time_us=t_payload + t_commit,
         )
@@ -362,12 +328,9 @@ class CheckpointManager:
 
         Walks checkpoint ids newest-first, skipping any whose commit
         marker is missing/empty or whose payload fails the length or
-        CRC-32 check (torn writes), and resolving incremental deltas
-        back to their full baseline.  Raises :class:`RecoveryError` if
-        no checkpoint survives.
+        CRC-32 check (torn writes).  Raises :class:`RecoveryError` if no
+        checkpoint survives.
         """
-        read_pages = 0
-        read_time = 0.0
         errors: List[str] = []
         for cid in reversed(cls.list_ids(fs, name)):
             try:
@@ -375,41 +338,14 @@ class CheckpointManager:
             except RecoveryError as e:
                 errors.append(str(e))
                 continue
-            read_pages += pages
-            read_time += t
-            try:
-                values, pages, t = cls._resolve_values(fs, name, state)
-            except RecoveryError as e:
-                errors.append(str(e))
-                continue
-            read_pages += pages
-            read_time += t
             return CheckpointData(
-                ckpt_id=state["ckpt_id"],
-                step=state["step"],
-                engine_name=state["engine_name"],
-                program_name=state["program_name"],
-                mode=state["mode"],
-                n_vertices=state["n_vertices"],
-                boundaries=state["boundaries"],
-                edgelog_enabled=state["edgelog_enabled"],
-                uses_edge_state=state["uses_edge_state"],
-                values=values,
-                tracker=state["tracker"],
-                mlogs=state["mlogs"],
-                mlog_current=state["mlog_current"],
-                edgelog=state["edgelog"],
-                edge_state=state["edge_state"],
-                fs_next_offset=state["fs_next_offset"],
-                rng_state=state["rng_state"],
-                records=state["records"],
+                **state,
                 stats=commit["stats"],
                 meter_time_us=commit["meter_time_us"],
-                checkpoint_mode=state["checkpoint_mode"],
-                recovery_read_pages=read_pages,
-                recovery_read_time_us=read_time,
-                overlays=commit.get("overlays", {}),
-                precombine=commit.get("precombine", False),
+                recovery_read_pages=pages,
+                recovery_read_time_us=t,
+                overlays=commit["overlays"],
+                precombine=commit["precombine"],
             )
         detail = f" ({'; '.join(errors)})" if errors else ""
         raise RecoveryError(f"no valid checkpoint named {name!r} found{detail}")
@@ -439,14 +375,3 @@ class CheckpointManager:
         state = _canonical(pickle.loads(blob))
         pages = commit_file.n_pages + payload_file.n_pages
         return state, commit, pages, t1 + t2
-
-    @classmethod
-    def _resolve_values(cls, fs: SimFS, name: str, state: Dict[str, Any]):
-        """Resolve the (possibly incremental) value vector to a full copy."""
-        vp = state["values"]
-        if "full" in vp:
-            return vp["full"].copy(), 0, 0.0
-        base_state, _, pages, t = cls._load_one(fs, name, vp["base_id"])
-        base_values, base_pages, base_t = cls._resolve_values(fs, name, base_state)
-        base_values[vp["idx"]] = vp["val"]
-        return base_values, pages + base_pages, t + base_t

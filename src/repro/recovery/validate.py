@@ -29,7 +29,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import ConfigError, RecoveryError, SimulatedCrashError
 from ..obs import TRACE_SCHEMA
-from .checkpoint import KLASS_CKPT, CheckpointData, CheckpointManager
+from .checkpoint import CheckpointData, CheckpointManager
 
 #: Kinds a crash/resume comparison skips: the run prologue and the resume
 #: bookkeeping (the reasons are on their schema entries).
@@ -158,21 +158,6 @@ class CrashRecoveryReport:
         return ", ".join(bits)
 
 
-def run_stats_identical(base, resumed, incremental: bool = False) -> bool:
-    """Whether two runs' ``SSDStats`` are equal, class by class and in total.
-
-    With ``incremental`` the checkpoint write class is left out on both
-    sides, and with it its share of the totals: the resumed run's first
-    checkpoint is full where the uninterrupted run wrote a delta, and
-    the two blobs need not round to the same page count.
-    """
-    if incremental:
-        base, resumed = base.snapshot(), resumed.snapshot()
-        base.writes.pop(KLASS_CKPT, None)
-        resumed.writes.pop(KLASS_CKPT, None)
-    return base.to_dict() == resumed.to_dict()
-
-
 def crash_resume_experiment(
     graph_factory: Callable[[], Any],
     program_factory: Callable[[], Any],
@@ -260,16 +245,8 @@ def crash_resume_experiment(
     report.records_identical = [r.to_dict() for r in base.supersteps] == [
         r.to_dict() for r in res.supersteps
     ]
-    # The first checkpoint after a resume is always full (its delta
-    # baseline died with the crashed device), so in incremental mode the
-    # checkpoint_write events and the pages charged to the checkpoint
-    # write class legitimately differ between the two runs.
-    incremental = getattr(options, "checkpoint_mode", "full") == "incremental"
-    report.stats_identical = run_stats_identical(base.stats, res.stats, incremental)
-    exclude = NON_RECONCILED_KINDS
-    if incremental:
-        exclude = exclude | {"checkpoint_write"}
+    report.stats_identical = base.stats.to_dict() == res.stats.to_dict()
     report.trace_mismatches = reconcile_traces(
-        base.trace or [], res.trace or [], from_step=ckpt.step + 1, exclude_kinds=exclude
+        base.trace or [], res.trace or [], from_step=ckpt.step + 1
     )
     return report

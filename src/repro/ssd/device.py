@@ -264,12 +264,6 @@ class SimulatedSSD:
 
     # -- timing ----------------------------------------------------------
 
-    def _batch_time(self, channel_ids: np.ndarray, latency_us: float, read: bool = False) -> float:
-        if channel_ids.size == 0:
-            return 0.0
-        counts = np.bincount(channel_ids, minlength=self._channels)
-        return self._batch_time_from_counts(counts, latency_us, read)
-
     def _batch_time_from_counts(self, counts: np.ndarray, latency_us: float, read: bool = False):
         """Batch time of one channel histogram (a float), or one time per
         row of a ``(k, channels)`` stack of histograms (an array)."""

@@ -505,8 +505,9 @@ def generate_case(master_seed: int, index: int) -> ConformanceCase:
             options["enable_edgelog"] = False
         if scenario in ("resume", "crash_resume"):
             options["checkpoint_every"] = int(rng.choice([1, 2, 3]))
-            if rng.integers(0, 2):
-                options["checkpoint_mode"] = "incremental"
+            # Once the checkpoint-format draw; kept so every later draw,
+            # and so every generated case, stays what it was.
+            rng.integers(0, 2)
         elif scenario == "plain":
             if program in MONOTONE_PROGRAMS and rng.integers(0, 3) == 0:
                 options["mode"] = "async"

@@ -9,10 +9,12 @@ which replays green on the clean engine.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.algorithms import MISProgram
 from repro.core.multilog import MultiLogUnit
 from repro.core.update import UpdateBatch
 from repro.graph.partition import VertexIntervals
@@ -123,6 +125,25 @@ def test_seeded_tree_mutation_is_caught(monkeypatch):
     )
     outcome = run_case(case)
     assert any("values differ" in m for m in outcome.mismatches)
+
+
+def _round_zero_priorities(self, graph, superstep, rng):
+    self._n = graph.n
+    self._pri = self._round_priorities(0)
+
+
+@pytest.mark.parametrize(
+    "stub", [lambda self, graph, superstep, rng: None, _round_zero_priorities],
+    ids=["no-op", "round-0"],
+)
+def test_mis_resume_case_pins_prepare_resume(monkeypatch, stub):
+    """The saved MIS resume case resumes mid-run, so the resumed supersteps
+    read the round priorities ``prepare_resume()`` rebuilds: without them,
+    or with another round's, the replay fails."""
+    path = str(Path(__file__).parent / "cases" / "mis-resume-round-state.json")
+    assert replay_case(path).ok
+    monkeypatch.setattr(MISProgram, "prepare_resume", stub)
+    assert not replay_case(path).ok
 
 
 # -- the headline shrinker demo ---------------------------------------------

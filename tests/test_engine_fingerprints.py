@@ -272,7 +272,7 @@ GOLDEN_VALUES_IO = {
 
 #: sha256 of the ``repro.engines()`` capability table
 GOLDEN_CAPABILITIES = (
-    "6cc8e9efdc5d215ac2ae86d2d590d241e935fae264adcab28132cc74ae972b23"
+    "bd16a5c6bed2042792b05c3c5d7bec8bd47d9f9154d847cb70219ad671dfe4bb"
 )
 
 

@@ -342,7 +342,6 @@ NON_DEFAULT_SAMPLES = {
     "merge_fanout": 8,
     "grid_p": 4,
     "checkpoint_every": 2,
-    "checkpoint_mode": "incremental",
 }
 
 

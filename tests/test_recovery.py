@@ -97,9 +97,9 @@ class TestCrashRecoveryDeterminism:
         assert report.trace_mismatches == []
 
 
-class TestIncrementalCheckpoints:
-    def test_incremental_mode_recovers_values_exactly(self, cfg):
-        options = EngineOptions(checkpoint_every=2, checkpoint_mode="incremental")
+class TestLaterCheckpoints:
+    def test_resume_from_a_later_checkpoint_is_exact(self, cfg):
+        options = EngineOptions(checkpoint_every=2)
         total_ops, _ = count_device_ops(
             GRAPH, ALGORITHMS["pagerank"], config=cfg, options=options, max_supersteps=8
         )
@@ -112,53 +112,9 @@ class TestIncrementalCheckpoints:
             max_supersteps=8,
         )
         assert report.crashed and not report.no_checkpoint
-        # the delta chain resolves through >1 checkpoint
+        # numbering continues past the first checkpoint
         assert report.checkpoint_id > 1
         assert report.ok, report.describe()
-
-    def test_stats_compare_leaves_out_checkpoint_writes_only_when_incremental(self):
-        """A resumed run's first checkpoint is full where the baseline's is
-        a delta; the blobs need not round to the same page count."""
-        from repro.recovery.validate import run_stats_identical
-        from repro.ssd.stats import SSDStats
-
-        def stats(ckpt_pages, mlog_pages=40):
-            s = SSDStats()
-            s.record_read("mlog", 30, 30 * 4096, 300.0)
-            s.record_write("mlog", mlog_pages, mlog_pages * 4096, 400.0)
-            s.record_write("ckpt", ckpt_pages, ckpt_pages * 4096, 150.0)
-            return s
-
-        assert stats(59).to_dict() != stats(58).to_dict()
-        assert not run_stats_identical(stats(59), stats(58))
-        assert run_stats_identical(stats(59), stats(58), incremental=True)
-        assert run_stats_identical(stats(59), stats(59))
-        # Every other class, and the totals it feeds, still has to match.
-        assert not run_stats_identical(stats(59), stats(58, mlog_pages=41), incremental=True)
-
-    def test_incremental_writes_fewer_payload_pages_when_sparse(self, cfg):
-        """BFS activates few vertices per step, so deltas beat full snapshots."""
-        from repro.obs import TraceRecorder
-
-        def payload_pages(mode):
-            tracer = TraceRecorder()
-            eng = MultiLogVC(
-                GRAPH(),
-                BFSProgram(source=0),
-                cfg,
-                options=EngineOptions(checkpoint_every=1, checkpoint_mode=mode),
-                tracer=tracer,
-            )
-            eng.run(6)
-            writes = [
-                e.fields["payload_pages"]
-                for e in tracer.events
-                if e.kind == "checkpoint_write"
-            ]
-            assert len(writes) >= 3
-            return sum(writes[1:])  # first checkpoint is full in both modes
-
-        assert payload_pages("incremental") < payload_pages("full")
 
 
 class TestCheckpointDurability:
@@ -379,9 +335,16 @@ class TestOptionsValidation:
         with pytest.raises(EngineError):
             EngineOptions(checkpoint_every=-1).validate_for("multilogvc")
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(EngineError):
-            EngineOptions(checkpoint_mode="differential").validate_for("multilogvc")
+    def test_checkpoint_format_is_not_an_option(self, capsys):
+        """Every checkpoint is a full snapshot: there is no format to choose."""
+        from repro.cli import build_parser
+
+        with pytest.raises(TypeError):
+            EngineOptions(checkpoint_mode="full")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["compute", "pagerank", "--checkpoint-mode", "full"])
+        assert exc.value.code == 2
+        assert "--checkpoint-mode" in capsys.readouterr().err
 
     def test_checkpointing_not_offered_by_baselines(self, cfg):
         with pytest.raises(EngineError):

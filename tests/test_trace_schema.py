@@ -79,6 +79,11 @@ GOOD = {
     "mlog_flush": {"unit": "mlog", "pages": 1, "time_us": 12.0},
     "elog_flush": {"pages": 2, "time_us": 30.0},
     "log_flush": {"pages": 8, "tail": False},
+    "checkpoint_write": {"ckpt_id": 1, "payload_pages": 13, "time_us": 410.0},
+    "run_resume": {
+        "checkpoint_id": 2, "checkpoint_step": 3, "start_step": 4, "recovery_read_pages": 14,
+        "recovery_read_time_us": 0.0,
+    },
     "writeback": {"klass": "mlog", "pages": 3, "time_us": 40.0, "cause": "evict"},
     "warm_start": {
         "roots": 1, "cone": 2, "walk_rows": 3, "scan": True, "seeds": 4, "seeds_dropped": 5,
@@ -280,6 +285,22 @@ def test_non_integer_cache_counter_is_rejected(tmp_path):
         ("log_flush", {"pages": 0}),
         ("log_flush", {"tail": 1}),
         ("log_flush", {"tail": _MISSING}),
+        ("checkpoint_write", {"ckpt_id": 0}),
+        ("checkpoint_write", {"ckpt_id": _MISSING}),
+        ("checkpoint_write", {"payload_pages": 0}),
+        ("checkpoint_write", {"payload_pages": 1.0}),
+        ("checkpoint_write", {"time_us": 0.0}),
+        ("checkpoint_write", {"time_us": _MISSING}),
+        ("run_resume", {"checkpoint_id": 0}),
+        ("run_resume", {"checkpoint_id": 2.0}),
+        ("run_resume", {"checkpoint_step": -1, "start_step": 0}),
+        ("run_resume", {"start_step": _MISSING}),
+        ("run_resume", {"start_step": 3}),
+        ("run_resume", {"start_step": 5}),
+        ("run_resume", {"recovery_read_pages": -1}),
+        ("run_resume", {"recovery_read_pages": True}),
+        ("run_resume", {"recovery_read_time_us": -1.0}),
+        ("run_resume", {"recovery_read_time_us": _MISSING}),
         ("writeback", {"klass": "ulog"}),
         ("writeback", {"pages": 0}),
         ("writeback", {"time_us": 0.0}),

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Randomized crash/recovery soak (a short run per PR, 200 trials nightly in CI).
 
-Each trial draws a random workload (algorithm, checkpoint interval,
-checkpoint mode), a random storage stack (worker lanes, a tiny page
-cache or none, I/O planner mode, device count and placement) and a
+Each trial draws a random workload (algorithm, checkpoint interval), a
+random storage stack (worker lanes, a tiny page cache or none, I/O
+planner mode, device count and placement) and a
 random crash point over the run's device-batch timeline, then runs the
 full :func:`repro.recovery.crash_resume_experiment` protocol: baseline
 run, crashed run under an injected power loss, recovery from the newest
@@ -135,12 +135,11 @@ def main() -> int:
         name = names[int(rng.integers(len(names)))]
         graph_f, prog_f, max_steps = WORKLOADS[name]
         every = int(rng.integers(1, 4))
-        mode = "incremental" if rng.random() < 0.3 else "full"
-        options = EngineOptions(checkpoint_every=every, checkpoint_mode=mode)
+        options = EngineOptions(checkpoint_every=every)
         stack = draw_stack(rng)
         cfg = stack_config(stack)
 
-        key = (name, every, mode, tuple(stack.values()))
+        key = (name, every, tuple(stack.values()))
         if key not in ops_cache:
             ops_cache[key], _ = count_device_ops(
                 graph_f, prog_f, config=cfg, options=options,
@@ -150,7 +149,7 @@ def main() -> int:
 
         params = {
             "trial": trial, "seed": seed, "algorithm": name,
-            "checkpoint_every": every, "checkpoint_mode": mode, "stack": stack,
+            "checkpoint_every": every, "stack": stack,
             "crash_after_ops": crash_at, "total_ops": ops_cache[key],
         }
         report = crash_resume_experiment(
@@ -172,7 +171,7 @@ def main() -> int:
             where = dump_failure(artifact_dir, trial, params, report)
             failures.append((trial, params, where))
         print(
-            f"trial {trial:3d}  {name:8s} every={every} mode={mode:11s} "
+            f"trial {trial:3d}  {name:8s} every={every} "
             f"{stack_label(stack):40s} crash@{crash_at:3d}/{ops_cache[key]:3d}  {status}"
         )
 
