@@ -13,7 +13,7 @@ in a superstep, a resumed run must
 :func:`crash_resume_experiment` packages the whole protocol -- baseline
 run, crashed run under a :class:`~repro.ssd.faults.FaultPlan`, load of
 the surviving checkpoint, resumed run, comparison -- so tests and the
-nightly soak harness share one implementation.
+fuzzer's ``resume`` / ``crash_resume`` scenarios share one implementation.
 
 Engines are constructed from *factories* (zero-argument callables
 returning a fresh graph / program) because a crashed run may leave
@@ -98,16 +98,21 @@ def count_device_ops(
     options=None,
     seed: int = 0,
     max_supersteps: int = 15,
+    tracer=None,
 ) -> Tuple[int, Any]:
     """Run once under an empty fault plan; returns (total I/O batches, result).
 
     The empty plan makes the device count every batch in ``ops_seen``,
-    so callers can pick crash points uniformly over the whole run.
+    so callers can pick crash points uniformly over the whole run.  Given
+    a ``TraceRecorder`` as ``tracer``, the result is also a baseline
+    :func:`crash_resume_experiment` accepts.
     """
     from ..core.engine import MultiLogVC
     from ..ssd.faults import FaultPlan
 
-    engine = MultiLogVC(graph_factory(), program_factory(), config=config, options=options)
+    engine = MultiLogVC(
+        graph_factory(), program_factory(), config=config, options=options, tracer=tracer
+    )
     engine.fs.device.install_faults(FaultPlan([]))
     result = engine.run(max_supersteps=max_supersteps, seed=seed)
     return engine.fs.device.fault_plan.ops_seen, result
@@ -134,13 +139,23 @@ class CrashRecoveryReport:
         """True when recovery was exact (or the fault never fired)."""
         if not self.crashed:
             return True  # the run finished before the crash point
-        return (
-            not self.no_checkpoint
-            and self.values_identical
-            and self.records_identical
-            and self.stats_identical
-            and not self.trace_mismatches
-        )
+        return not self.no_checkpoint and not self.mismatches()
+
+    def mismatches(self) -> List[str]:
+        """How the resumed run differs from the uninterrupted one (empty
+        when it does not, or when nothing was resumed)."""
+        if self.resumed is None:
+            return []
+        out = [
+            f"resumed {what} differ from the uninterrupted run"
+            for what, same in (
+                ("values", self.values_identical),
+                ("records", self.records_identical),
+                ("stats", self.stats_identical),
+            )
+            if not same
+        ]
+        return out + [f"resumed trace: {m}" for m in self.trace_mismatches]
 
     def describe(self) -> str:
         if not self.crashed:

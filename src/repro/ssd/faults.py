@@ -23,7 +23,7 @@ vocabulary:
 * :class:`FaultPlan` -- an ordered rule list plus a seeded RNG, so a
   given (plan, workload) pair always fires at the same operation.  The
   plan also counts every matched operation (``ops_seen``), which lets
-  tests and the soak harness pick crash points uniformly over a run.
+  tests and the fuzzer pick crash points uniformly over a run.
 
 * :class:`RetryPolicy` / :class:`ChannelDegradation` -- the device-layer
   policies.  Retries back off exponentially (charged as 0-page batches
@@ -197,7 +197,7 @@ class FaultPlan:
             )
         return None
 
-    # -- convenience constructors used by tests / the soak harness -------
+    # -- convenience constructors used by tests / the fuzzer -------------
 
     @classmethod
     def crash_after(cls, n_ops: int, *, seed: int = 0, klass: Optional[str] = None) -> "FaultPlan":

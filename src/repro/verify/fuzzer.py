@@ -36,11 +36,11 @@ import numpy as np
 from .. import algorithms as alg
 from ..config import IO_PLAN_MODES, PLACEMENTS, STACK_KNOBS, MemoryConfig, SimConfig, SSDConfig
 from ..core.results import RunResult
-from ..errors import RecoveryError, SimulatedCrashError
 from ..graph.csr import CSRGraph
 from ..graph.generators import chain_edges, ring_edges, rmat_edges, star_edges
+from ..obs import TraceRecorder
 from ..options import EngineOptions
-from ..recovery.checkpoint import CheckpointManager
+from ..recovery.validate import count_device_ops, crash_resume_experiment
 from ..ssd.faults import FaultPlan, FaultRule
 from ..ssd.filesystem import SimFS
 from .compare import compare_results
@@ -291,12 +291,11 @@ def run_case(case: ConformanceCase) -> CaseOutcome:
         outcome.error = f"oracle raised {type(exc).__name__}: {exc}"
         return outcome
 
-    cfg = build_config(case.config)
     try:
         if case.scenario == "plain":
             result = _engine_run(case)
         elif case.scenario == "transient_fault":
-            fs = SimFS(cfg)
+            fs = SimFS(build_config(case.config))
             fs.device.install_faults(
                 FaultPlan(
                     [
@@ -311,68 +310,8 @@ def run_case(case: ConformanceCase) -> CaseOutcome:
                 )
             )
             result = _engine_run(case, fs=fs)
-        elif case.scenario == "resume":
-            # Clean mid-run checkpoint + resume: the resumed run must
-            # reproduce the full oracle outcome (records included).
-            fs = SimFS(cfg)
-            result = _engine_run(case, fs=fs)
-            try:
-                ckpt = CheckpointManager.load_latest(fs)
-            except RecoveryError:
-                outcome.note = "converged before first checkpoint; compared direct run"
-            else:
-                from ..runner import resume as resume_engine
-
-                result = resume_engine(
-                    build_graph(case.graph),
-                    build_program(case),
-                    ckpt,
-                    config=cfg,
-                    options=build_options(case),
-                    max_supersteps=case.max_supersteps,
-                    seed=case.seed,
-                )
-                outcome.note = f"resumed from superstep {ckpt.step}"
-        elif case.scenario == "crash_resume":
-            # Pass 1: count the run's I/O batches under an empty plan
-            # (same serial operation order a real plan sees), so the
-            # crash point can be placed as a fraction of the whole run.
-            fs0 = SimFS(cfg)
-            fs0.device.install_faults(FaultPlan([]))
-            _engine_run(case, fs=fs0)
-            total_ops = fs0.device.fault_plan.ops_seen
-            frac = float(case.scenario_params.get("frac", 0.5))
-            after_ops = max(1, min(total_ops - 1, int(frac * total_ops)))
-            fs = SimFS(cfg)
-            fs.device.install_faults(FaultPlan.crash_after(after_ops, seed=case.seed))
-            crashed = False
-            try:
-                result = _engine_run(case, fs=fs)
-            except SimulatedCrashError:
-                crashed = True
-            if crashed:
-                try:
-                    ckpt = CheckpointManager.load_latest(fs)
-                except RecoveryError:
-                    # Crash preceded the first checkpoint: recovery is a
-                    # from-scratch rerun, which must still match.
-                    result = _engine_run(case)
-                    outcome.note = "crash before first checkpoint; compared fresh rerun"
-                else:
-                    from ..runner import resume as resume_engine
-
-                    result = resume_engine(
-                        build_graph(case.graph),
-                        build_program(case),
-                        ckpt,
-                        config=cfg,
-                        options=build_options(case),
-                        max_supersteps=case.max_supersteps,
-                        seed=case.seed,
-                    )
-                    outcome.note = f"crashed, resumed from superstep {ckpt.step}"
-            else:
-                outcome.note = "run finished before the crash point"
+        elif case.scenario in ("resume", "crash_resume"):
+            result = _crash_resume(case, outcome)
         else:
             outcome.error = f"unknown scenario {case.scenario!r}"
             return outcome
@@ -380,7 +319,8 @@ def run_case(case: ConformanceCase) -> CaseOutcome:
         outcome.error = f"{type(exc).__name__}: {exc}"
         return outcome
 
-    outcome.mismatches = compare_results(
+    # The oracle's diff first, then any _crash_resume put there.
+    outcome.mismatches[:0] = compare_results(
         oracle,
         result,
         atol=float(case.compare.get("atol", 0.0)),
@@ -388,6 +328,56 @@ def run_case(case: ConformanceCase) -> CaseOutcome:
         check_records=bool(case.compare.get("check_records", True)),
     )
     return outcome
+
+
+#: ``ckpt`` writes before the second checkpoint's first: a checkpoint is
+#: its payload batch, then its commit page.
+_FIRST_CHECKPOINT_OPS = 2
+
+
+def _crash_resume(case: ConformanceCase, outcome: CaseOutcome) -> RunResult:
+    """Run a checkpoint scenario through :func:`crash_resume_experiment`.
+
+    ``crash_resume`` cuts power after ``frac`` of the run's device
+    batches.  ``resume`` cuts it at the second checkpoint's first write,
+    so the run resumes from the first checkpoint and re-executes every
+    later superstep; a run that writes fewer checkpoints is cut at its
+    last device batch, after its one checkpoint if it has one.  The
+    resumed run must equal the uninterrupted one (values, records,
+    stats, trace); those mismatches go on ``outcome``.  Returns the run
+    to compare against the oracle: the resumed one, or the uninterrupted
+    one when nothing was resumed.
+    """
+    graph_factory = lambda: build_graph(case.graph)
+    program_factory = lambda: build_program(case)
+    run = dict(
+        config=build_config(case.config),
+        options=build_options(case),
+        seed=case.seed,
+        max_supersteps=case.max_supersteps,
+    )
+    total_ops, baseline = count_device_ops(
+        graph_factory, program_factory, tracer=TraceRecorder(), **run
+    )
+    if case.scenario == "crash_resume":
+        frac = float(case.scenario_params.get("frac", 0.5))
+        crash = dict(crash_after_ops=max(1, min(total_ops - 1, int(frac * total_ops))))
+    elif sum(e.kind == "checkpoint_write" for e in baseline.trace) >= 2:
+        crash = dict(crash_after_ops=_FIRST_CHECKPOINT_OPS, fault_klass="ckpt")
+    else:
+        crash = dict(crash_after_ops=max(0, total_ops - 1))
+    report = crash_resume_experiment(
+        graph_factory, program_factory, fault_seed=case.seed, baseline=baseline, **crash, **run
+    )
+    if not report.crashed:
+        outcome.note = "run finished before the crash point; compared the uninterrupted run"
+    elif report.no_checkpoint:
+        outcome.note = "crash before first checkpoint; compared the uninterrupted run"
+    else:
+        outcome.note = f"crashed, resumed from superstep {report.checkpoint_step}"
+        outcome.mismatches.extend(report.mismatches())
+        return report.resumed
+    return report.baseline
 
 
 # -- generation --------------------------------------------------------------
@@ -554,6 +544,16 @@ def generate_case(master_seed: int, index: int) -> ConformanceCase:
     # was before this dimension existed.
     if engine == "multilogvc" and rng.integers(0, 2) == 0:
         options["enable_precombine"] = False
+    # Multi-log pressure for the checkpoint scenarios, drawn after that:
+    # four or eight times the edges (the vertices, on the shapes without
+    # an edge count) on 1 KiB pages, memory keeping its page count, so
+    # the logs spill to flash between supersteps and a crash can land on
+    # them.  Every other case is unchanged.
+    if scenario in ("resume", "crash_resume"):
+        graph["m" if "m" in graph else "n"] *= int(rng.choice([4, 8]))
+        cdict = case.config
+        cdict["total_bytes"] = 1024 * (cdict["total_bytes"] // cdict["page_size"])
+        cdict["page_size"] = 1024
     return case
 
 

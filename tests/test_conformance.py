@@ -14,10 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.verify.fuzzer as fuzzer_module
 from repro.algorithms import MISProgram
 from repro.core.multilog import MultiLogUnit
 from repro.core.update import UpdateBatch
 from repro.graph.partition import VertexIntervals
+from repro.mem.pagecache import PageCache
+from repro.recovery import count_device_ops
+from repro.ssd.array import DeviceArray
 from repro.verify import (
     ConformanceCase,
     fuzz,
@@ -28,7 +32,14 @@ from repro.verify import (
     save_case,
     shrink,
 )
-from repro.verify.fuzzer import build_graph, explicit_spec, generate_case
+from repro.verify.fuzzer import (
+    build_config,
+    build_graph,
+    build_options,
+    build_program,
+    explicit_spec,
+    generate_case,
+)
 from repro.verify.shrinker import _ddmin
 
 
@@ -144,6 +155,78 @@ def test_mis_resume_case_pins_prepare_resume(monkeypatch, stub):
     assert replay_case(path).ok
     monkeypatch.setattr(MISProgram, "prepare_resume", stub)
     assert not replay_case(path).ok
+
+
+@pytest.mark.parametrize(
+    "index, overlay, knob",
+    [(12, DeviceArray, "num_devices"), (100, PageCache, "cache_policy")],
+    ids=["device-array", "page-cache"],
+)
+def test_crash_resume_case_catches_unrestored_overlay(monkeypatch, index, overlay, knob):
+    """A resumed run must continue the device array's clocks and the
+    cache's counters from the checkpoint.  Left at the fresh engine's,
+    the values still match the oracle; only the comparison with the
+    uninterrupted run's trace tells."""
+    case = generate_case(7, index)
+    assert case.scenario == "crash_resume" and knob in case.config
+    clean = run_case(case)
+    assert clean.ok and clean.note.startswith("crashed, resumed")
+    monkeypatch.setattr(overlay, "restore_overlay", lambda self, state: None)
+    outcome = run_case(case)
+    assert any(m.startswith("resumed trace:") for m in outcome.mismatches)
+    assert not any("values" in m for m in outcome.mismatches)
+
+
+@pytest.mark.slow
+def test_resume_cases_resume_with_supersteps_left(monkeypatch):
+    """``resume`` cuts power at the second checkpoint, so every case among
+    the first 200 of seeds 0 and 7 whose run wrote two re-executes at
+    least one superstep after the load."""
+    reports = []
+    real = fuzzer_module.crash_resume_experiment
+    monkeypatch.setattr(
+        fuzzer_module,
+        "crash_resume_experiment",
+        lambda *args, **kwargs: reports.append(real(*args, **kwargs)) or reports[-1],
+    )
+    resumed = 0
+    for case in generate_cases(0, 200) + generate_cases(7, 200):
+        if case.scenario != "resume":
+            continue
+        outcome = run_case(case)
+        assert outcome.ok, outcome.describe()
+        report = reports[-1]
+        written = sum(e.kind == "checkpoint_write" for e in report.baseline.trace)
+        if written >= 2:
+            assert report.resumed is not None, case.case_id
+            assert report.resumed.n_supersteps > report.checkpoint_step + 1, case.case_id
+            resumed += 1
+    assert len(reports) == 50 and resumed >= 40
+
+
+@pytest.mark.slow
+def test_checkpoint_cases_put_multilog_pages_on_flash():
+    """At least one in five ``resume`` / ``crash_resume`` cases among the
+    first 200 of seeds 0 and 7 evicts multi-log pages, so random crash
+    points land while the logs are on flash."""
+    cases = [
+        case
+        for seed in (0, 7)
+        for case in generate_cases(seed, 200)
+        if case.scenario in ("resume", "crash_resume")
+    ]
+    spilled = 0
+    for case in cases:
+        _, run = count_device_ops(
+            lambda: build_graph(case.graph),
+            lambda: build_program(case),
+            config=build_config(case.config),
+            options=build_options(case),
+            seed=case.seed,
+            max_supersteps=case.max_supersteps,
+        )
+        spilled += "mlog" in run.stats.writes and run.stats.writes["mlog"].pages > 0
+    assert len(cases) == 100 and spilled >= 20
 
 
 # -- the headline shrinker demo ---------------------------------------------

@@ -22,6 +22,7 @@ from repro import EngineOptions
 from repro.algorithms import CommunityDetectionProgram, DeltaPageRankProgram
 from repro.config import small_test_config
 from repro.graph.datasets import small_rmat
+from repro.obs import TraceRecorder
 from repro.recovery import count_device_ops, crash_resume_experiment
 
 GRAPH = lambda: small_rmat(n=1024, m=4096, seed=3)
@@ -43,20 +44,21 @@ def check_multilog_crash_points(program, lanes, devices, precombine, stride):
     cfg = small_test_config().with_workers(lanes).with_devices(devices).with_io_plan("off")
     opts = EngineOptions(checkpoint_every=1, min_intervals=4, enable_precombine=precombine)
     factory = PROGRAMS[program]
-    _, run = count_device_ops(GRAPH, factory, config=cfg, options=opts, max_supersteps=8)
-    evictions = run.stats.writes["mlog"]
-    reads = run.stats.reads["mlog"].batches
+    _, baseline = count_device_ops(
+        GRAPH, factory, config=cfg, options=opts, max_supersteps=8, tracer=TraceRecorder()
+    )
+    evictions = baseline.stats.writes["mlog"]
+    reads = baseline.stats.reads["mlog"].batches
     # The evictions are a stripe or more on average, so the sweep cuts
     # inside multi-round eviction batches.
     assert evictions.pages >= evictions.batches * cfg.ssd.channels
-    baseline, resumed = None, 0
+    resumed = 0
     for kind, ops in (("crash", reads + evictions.batches), ("torn", evictions.batches)):
         for point in range(0, ops, stride):
             report = crash_resume_experiment(
                 GRAPH, factory, config=cfg, options=opts, crash_after_ops=point,
                 fault_klass="mlog", fault_kind=kind, max_supersteps=8, baseline=baseline,
             )
-            baseline = report.baseline
             assert report.crashed, f"{kind}@{point}: the fault never fired"
             if report.no_checkpoint:
                 continue

@@ -588,17 +588,17 @@ class TestCacheCrashResume:
     def _sweep(graph, config, options, steps, kind):
         """Crash (or tear a write) at every device op (write op) of the
         run; each resumed run must be bit-identical to the uninterrupted one."""
-        ops, result = count_device_ops(
-            graph, DeltaPageRankProgram, config=config, options=options, max_supersteps=steps
+        ops, baseline = count_device_ops(
+            graph, DeltaPageRankProgram, config=config, options=options, max_supersteps=steps,
+            tracer=TraceRecorder(),
         )
-        total = ops if kind == "crash" else sum(c.batches for c in result.stats.writes.values())
-        baseline, resumed = None, 0
+        total = ops if kind == "crash" else sum(c.batches for c in baseline.stats.writes.values())
+        resumed = 0
         for point in range(total):
             report = crash_resume_experiment(
                 graph, DeltaPageRankProgram, config=config, options=options,
                 crash_after_ops=point, max_supersteps=steps, fault_kind=kind, baseline=baseline,
             )
-            baseline = report.baseline
             assert report.crashed, point
             if not report.no_checkpoint:
                 assert report.ok, (point, report.describe(), report.trace_mismatches[:3])
