@@ -45,6 +45,11 @@ class BFSProgram(VertexProgram):
                 ctx.send_all(d + 1.0)
         ctx.deactivate()
 
+    def loads_edges(self, view) -> np.ndarray:
+        """Scatter gate: only a vertex its update improves reads its edges."""
+        d = view.combined_update(default=np.inf)
+        return (view.update_counts > 0) & (d < view.values[view.vids])
+
     def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         d = b.combined_update(default=np.inf)

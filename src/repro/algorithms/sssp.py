@@ -40,6 +40,11 @@ class SSSPProgram(VertexProgram):
                     ctx.send_many(ctx.out_neighbors, d + ctx.out_weights)
         ctx.deactivate()
 
+    def loads_edges(self, view) -> np.ndarray:
+        """Scatter gate: only a vertex its update improves reads its edges."""
+        d = view.combined_update(default=np.inf)
+        return (view.update_counts > 0) & (d < view.values[view.vids])
+
     def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         d = b.combined_update(default=np.inf)

@@ -34,6 +34,16 @@ class WCCProgram(VertexProgram):
                 ctx.send_all(m)
         ctx.deactivate()
 
+    def loads_edges(self, view) -> np.ndarray:
+        """Scatter gate: a vertex reads its edges when its update lowers
+        its label, or to announce its own id at superstep 0."""
+        counts = view.update_counts
+        m = view.combined_update(default=np.inf)
+        scatter = (counts > 0) & (m < view.values[view.vids])
+        if view.superstep == 0:
+            scatter |= counts == 0
+        return scatter
+
     def process_batch(self, b) -> None:
         """Vectorised group kernel; identical semantics to :meth:`process`."""
         counts = b.update_counts

@@ -215,25 +215,31 @@ class GraFBoost(SuperstepEngine):
                 val_pages=int(files.values.n_pages) if files.values is not None else 0,
             )
 
-        # Sends are staged in the log's page buffer as they are made;
-        # sealed pages beyond the buffer budget go to flash at once, in
-        # whole stripes as the multi-log's evictions (DESIGN.md §5).
-        log_buffer = RecordPageBuffer(UPDATE_FIELDS, UPDATE_DTYPES, cfg.updates_per_page)
+        # Sends are staged in the log's page buffer as they are made, a
+        # page of records at a time, so the buffer holds at most one
+        # page beyond its budget (as the multi-log's chunked appends);
+        # sealed pages beyond the budget go to flash at once, in whole
+        # stripes as the multi-log's evictions (DESIGN.md §5).
+        rpp = cfg.updates_per_page
+        log_buffer = RecordPageBuffer(UPDATE_FIELDS, UPDATE_DTYPES, rpp)
         log_buffer.register_metrics(self.reg, "gflog.buffer")
         buffer_capacity_pages = max(1, cfg.memory.multilog_bytes // cfg.ssd.page_size)
         stripe = cfg.ssd.channels
 
         def stage(dests, src, datas) -> None:
-            log_buffer.append_many(dests, np.full(dests.shape[0], src), datas)
-            if log_buffer.pages_used > buffer_capacity_pages:
-                k = log_buffer.sealed_pages
-                if k >= stripe:
-                    k -= k % stripe
-                if k:
-                    log_buffer.pop_sealed(k)  # the outbox keeps the records
-                    dev.sequential_write_time(k, KLASS_GFLOG)
-                    if tracer.enabled:
-                        tracer.emit("log_flush", pages=int(k), tail=False)
+            srcs = np.full(dests.shape[0], src)
+            for pos in range(0, dests.shape[0], rpp):
+                end = pos + rpp
+                log_buffer.append_many(dests[pos:end], srcs[pos:end], datas[pos:end])
+                if log_buffer.pages_used > buffer_capacity_pages:
+                    k = log_buffer.sealed_pages
+                    if k >= stripe:
+                        k -= k % stripe
+                    if k:
+                        log_buffer.pop_sealed(k)  # the outbox keeps the records
+                        dev.sequential_write_time(k, KLASS_GFLOG)
+                        if tracer.enabled:
+                            tracer.emit("log_flush", pages=int(k), tail=False)
 
         self.outbox.on_send = stage
         dirty = self._sweep(step, self.pending)

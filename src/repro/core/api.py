@@ -18,6 +18,9 @@ Contract highlights (matching the paper's model):
 * programs declaring ``uses_edge_state`` get a persistent per-out-edge
   float array (``ctx.edge_state``) aligned with ``ctx.out_neighbors``
   (how CDLP stores neighbor labels);
+* programs declaring ``loads_edges`` say, per group, which active
+  vertices will use their adjacency; MultiLogVC reads the edge pages of
+  those only (DESIGN.md §6);
 * graph mutations (``add_edge`` / ``remove_edge``) are buffered and
   merged at superstep boundaries (§V-E).
 """
@@ -32,7 +35,7 @@ import numpy as np
 
 from ..errors import ProgramError
 from ..graph.csr import CSRGraph
-from .batch import BatchContext
+from .batch import BatchContext, GroupView
 from .combine import CombineSpec, validate_combine
 from .update import UpdateBatch
 
@@ -66,6 +69,11 @@ class VertexContext:
     Engines construct one context per processed vertex.  All array
     attributes are NumPy arrays; ``updates_src``/``updates_data`` are
     empty when a vertex is active without incoming updates.
+
+    ``out_neighbors=None`` marks a vertex whose adjacency was not loaded
+    (its program's ``loads_edges`` left it out): ``degree`` is then the
+    ``degree`` argument, and reading ``out_neighbors`` or
+    ``out_weights`` raises :class:`~repro.errors.ProgramError`.
     """
 
     __slots__ = (
@@ -73,8 +81,9 @@ class VertexContext:
         "superstep",
         "updates_src",
         "updates_data",
-        "out_neighbors",
-        "out_weights",
+        "_out_neighbors",
+        "_out_weights",
+        "_degree",
         "edge_state",
         "rng",
         "_values",
@@ -92,21 +101,23 @@ class VertexContext:
         values: np.ndarray,
         updates_src: np.ndarray,
         updates_data: np.ndarray,
-        out_neighbors: np.ndarray,
+        out_neighbors: Optional[np.ndarray],
         out_weights: Optional[np.ndarray],
         edge_state: Optional[np.ndarray],
         send: Callable[[int, int, float], None],
         send_many: Callable[[np.ndarray, int, np.ndarray], None],
         rng: np.random.Generator,
         mutate: Optional[Callable[[str, int, int, float], None]] = None,
+        degree: int = 0,
     ) -> None:
         self.vid = vid
         self.superstep = superstep
         self._values = values
         self.updates_src = updates_src
         self.updates_data = updates_data
-        self.out_neighbors = out_neighbors
-        self.out_weights = out_weights
+        self._out_neighbors = out_neighbors
+        self._out_weights = out_weights
+        self._degree = degree
         self.edge_state = edge_state
         self._send = send
         self._send_many = send_many
@@ -143,8 +154,30 @@ class VertexContext:
     # -- adjacency -------------------------------------------------------------
 
     @property
+    def out_neighbors(self) -> np.ndarray:
+        """Sorted out-neighbor ids."""
+        if self._out_neighbors is None:
+            self._unloaded()
+        return self._out_neighbors
+
+    @property
+    def out_weights(self) -> Optional[np.ndarray]:
+        """Static edge weights aligned with ``out_neighbors``, or ``None``."""
+        if self._out_neighbors is None:
+            self._unloaded()
+        return self._out_weights
+
+    def _unloaded(self) -> None:
+        raise ProgramError(
+            f"vertex {self.vid}'s adjacency was not loaded: "
+            "the program's loads_edges mask left it out"
+        )
+
+    @property
     def degree(self) -> int:
-        return int(self.out_neighbors.shape[0])
+        if self._out_neighbors is None:
+            return self._degree
+        return int(self._out_neighbors.shape[0])
 
     def neighbor_index(self, u: int) -> int:
         """Position of neighbor ``u`` in ``out_neighbors`` (sorted)."""
@@ -168,8 +201,9 @@ class VertexContext:
 
     def send_all(self, data: float) -> None:
         """Send the same update to every out-neighbor (vectorised)."""
-        if self.degree:
-            self._send_many(self.out_neighbors, self.vid, np.full(self.degree, data))
+        nb = self.out_neighbors
+        if nb.shape[0]:
+            self._send_many(nb, self.vid, np.full(nb.shape[0], data))
 
     def send_many(self, dests: np.ndarray, datas: np.ndarray) -> None:
         """Send distinct updates to several out-neighbors (vectorised)."""
@@ -221,6 +255,18 @@ class VertexProgram(ABC):
         stream layer's warm start reads it both to seed messages and to
         find the edges a value depends on (DESIGN.md §12); None means
         no incremental recompute.
+    ``loads_edges``
+        Optional ``loads_edges(view) -> bool mask`` over a group's
+        :class:`~repro.core.batch.GroupView` -- its vertices, values,
+        combined updates and true out-degrees, but no adjacency: True
+        for each vertex whose adjacency the kernel will read (the
+        vertices that scatter).  MultiLogVC reads the colidx, val and
+        edge-log pages of those vertices only, row pointers still for
+        every active vertex (DESIGN.md §6); the other engines and the
+        oracle ignore it.  ``None`` (the default) loads every active
+        vertex's edges.  Needs a named ``combine`` and neither
+        ``uses_edge_state`` nor ``mutates_structure``
+        (:class:`~repro.errors.ProgramError` at class creation).
 
     Implement :meth:`process` (the paper's ``ProcessVertex``); override
     :meth:`process_batch` to vectorise it over a whole group.
@@ -232,11 +278,19 @@ class VertexProgram(ABC):
     combine: Optional[CombineSpec] = None
     mutates_structure: bool = False
     relax: Optional[Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]] = None
+    loads_edges: Optional[Callable[[GroupView], np.ndarray]] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if cls.combine is not None:
             validate_combine(cls.combine)
+        if cls.loads_edges is not None and (
+            not isinstance(cls.combine, str) or cls.uses_edge_state or cls.mutates_structure
+        ):
+            raise ProgramError(
+                f"{cls.__name__} declares loads_edges: that needs a named combine "
+                "and neither uses_edge_state nor mutates_structure"
+            )
 
     @abstractmethod
     def initial(self, graph: CSRGraph, rng: np.random.Generator) -> InitialState:
@@ -277,6 +331,8 @@ class VertexProgram(ABC):
         stay = np.zeros(batch.k, dtype=bool)
         dirty = np.zeros(batch.k, dtype=bool)
         u_lo, u_hi, off = batch.u_lo.tolist(), batch.u_hi.tolist(), batch.nb_offsets.tolist()
+        loaded = [True] * batch.k if batch.loaded is None else batch.loaded.tolist()
+        degrees = batch.degrees.tolist()
         for i, v in enumerate(batch.vids.tolist()):
             lo, hi = off[i], off[i + 1]
             ctx = VertexContext(
@@ -285,13 +341,14 @@ class VertexProgram(ABC):
                 values=batch.values,
                 updates_src=batch.usrc[u_lo[i] : u_hi[i]],
                 updates_data=batch.udata[u_lo[i] : u_hi[i]],
-                out_neighbors=batch.nb_flat[lo:hi],
+                out_neighbors=batch.nb_flat[lo:hi] if loaded[i] else None,
                 out_weights=None if batch.w_flat is None else batch.w_flat[lo:hi],
                 edge_state=None if batch.es_flat is None else batch.es_flat[lo:hi],
                 send=send,
                 send_many=send_many,
                 rng=batch.rng,
                 mutate=batch.mutate,
+                degree=degrees[i],
             )
             self.process(ctx)
             stay[i] = not ctx.deactivated

@@ -134,8 +134,15 @@ def segment_mode(
     return out
 
 
-class BatchContext:
-    """One fused interval group's active vertices, in columnar form.
+class GroupView:
+    """One fused interval group's active vertices, before any adjacency.
+
+    What a program's :meth:`~repro.core.api.VertexProgram.loads_edges`
+    hook sees (DESIGN.md §6): the group's vertices, their values, their
+    updates (one per vertex: the group is combined by then) and their
+    true out-degrees from the row pointers -- but no adjacency, since
+    the hook decides whose adjacency is read.  :class:`BatchContext`
+    extends it with the adjacency of the vertices the hook selected.
 
     Attributes
     ----------
@@ -144,7 +151,8 @@ class BatchContext:
     superstep:
         Current superstep index.
     values:
-        The full per-vertex value array (write in place).
+        The full per-vertex value array (read-only here; a kernel
+        writes it in place).
     u_lo, u_hi:
         Per-vertex slice bounds into ``usrc`` / ``udata`` (the group's
         dest-sorted update batch); equal bounds mean no updates.
@@ -152,22 +160,6 @@ class BatchContext:
         The group's update columns.
     degrees:
         Out-degree per vertex.
-    nb_offsets:
-        ``int64[k + 1]`` offsets into ``nb_flat`` (and ``w_flat``).
-    nb_flat:
-        Concatenated out-neighbor ids, aligned with ``vids`` order.
-    w_flat:
-        Concatenated static edge weights, or ``None``.
-    es_flat:
-        Mutable copy of the concatenated per-edge state, or ``None``.
-        Mutations are scattered back by the engine after the kernel;
-        call :meth:`mark_edge_state_dirty` so the write-back is charged.
-    send_batch:
-        Outgoing-update sink ``(dests, srcs, datas)``; the ``send_*``
-        helpers route through it.
-    mutate:
-        ``(op, src, dst, weight)`` structural-update callback, or
-        ``None`` when the program does not declare ``mutates_structure``.
     """
 
     def __init__(
@@ -180,13 +172,6 @@ class BatchContext:
         usrc: np.ndarray,
         udata: np.ndarray,
         degrees: np.ndarray,
-        nb_offsets: np.ndarray,
-        nb_flat: np.ndarray,
-        w_flat: Optional[np.ndarray],
-        send_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
-        rng: np.random.Generator,
-        es_flat: Optional[np.ndarray] = None,
-        mutate: Optional[Callable[[str, int, int, float], None]] = None,
     ) -> None:
         self.vids = vids
         self.superstep = superstep
@@ -196,15 +181,6 @@ class BatchContext:
         self.usrc = usrc
         self.udata = udata
         self.degrees = degrees
-        self.nb_offsets = nb_offsets
-        self.nb_flat = nb_flat
-        self.w_flat = w_flat
-        self.es_flat = es_flat
-        self.send_batch = send_batch
-        self.mutate = mutate
-        self.rng = rng
-        self._stay_mask = np.zeros(vids.shape[0], dtype=bool)
-        self._es_dirty = np.zeros(vids.shape[0], dtype=bool)
 
     # -- geometry ---------------------------------------------------------
 
@@ -248,6 +224,69 @@ class BatchContext:
         has = counts == 1
         out[has] = self.udata[self.u_lo[has]]
         return out
+
+
+class BatchContext(GroupView):
+    """One fused interval group's active vertices, in columnar form.
+
+    Adds to the :class:`GroupView` columns:
+
+    Attributes
+    ----------
+    nb_offsets:
+        ``int64[k + 1]`` offsets into ``nb_flat`` (and ``w_flat``).
+    nb_flat:
+        Concatenated out-neighbor ids, aligned with ``vids`` order.
+    w_flat:
+        Concatenated static edge weights, or ``None``.
+    loaded:
+        Per-vertex "adjacency was read" mask, or ``None`` when every
+        vertex's was.  A vertex the program's ``loads_edges`` hook left
+        out has an empty segment in ``nb_flat`` while ``degrees`` keeps
+        its true out-degree; the edge helpers raise
+        :class:`~repro.errors.ProgramError` if it is selected.
+    es_flat:
+        Mutable copy of the concatenated per-edge state, or ``None``.
+        Mutations are scattered back by the engine after the kernel;
+        call :meth:`mark_edge_state_dirty` so the write-back is charged.
+    send_batch:
+        Outgoing-update sink ``(dests, srcs, datas)``; the ``send_*``
+        helpers route through it.
+    mutate:
+        ``(op, src, dst, weight)`` structural-update callback, or
+        ``None`` when the program does not declare ``mutates_structure``.
+    """
+
+    def __init__(
+        self,
+        vids: np.ndarray,
+        superstep: int,
+        values: np.ndarray,
+        u_lo: np.ndarray,
+        u_hi: np.ndarray,
+        usrc: np.ndarray,
+        udata: np.ndarray,
+        degrees: np.ndarray,
+        nb_offsets: np.ndarray,
+        nb_flat: np.ndarray,
+        w_flat: Optional[np.ndarray],
+        send_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+        rng: np.random.Generator,
+        es_flat: Optional[np.ndarray] = None,
+        mutate: Optional[Callable[[str, int, int, float], None]] = None,
+        loaded: Optional[np.ndarray] = None,
+    ) -> None:
+        super().__init__(vids, superstep, values, u_lo, u_hi, usrc, udata, degrees)
+        self.nb_offsets = nb_offsets
+        self.nb_flat = nb_flat
+        self.w_flat = w_flat
+        self.loaded = loaded
+        self.es_flat = es_flat
+        self.send_batch = send_batch
+        self.mutate = mutate
+        self.rng = rng
+        self._stay_mask = np.zeros(vids.shape[0], dtype=bool)
+        self._es_dirty = np.zeros(vids.shape[0], dtype=bool)
 
     # -- edge state --------------------------------------------------------
 
@@ -297,11 +336,25 @@ class BatchContext:
 
     # -- messaging -----------------------------------------------------------
 
+    def _edge_selection(self, vertex_mask: np.ndarray) -> np.ndarray:
+        """Positions ``vertex_mask`` selects, all of them with adjacency loaded."""
+        mask = np.asarray(vertex_mask, dtype=bool)
+        if mask.shape != (self.k,):
+            raise ProgramError("vertex_mask must have one entry per batch vertex")
+        if self.loaded is not None:
+            unloaded = mask & ~self.loaded
+            if unloaded.any():
+                raise ProgramError(
+                    f"vertex {int(self.vids[unloaded][0])}'s adjacency was not loaded: "
+                    "the program's loads_edges mask left it out"
+                )
+        return np.flatnonzero(mask)
+
     def out_weights_of(self, vertex_mask: np.ndarray) -> np.ndarray:
         """Selected vertices' static edge weights, concatenated."""
         if self.w_flat is None:
             raise ProgramError("program must declare needs_weights")
-        sel = np.flatnonzero(np.asarray(vertex_mask, dtype=bool))
+        sel = self._edge_selection(vertex_mask)
         idx = flatten_ranges(self.nb_offsets[sel], self.nb_offsets[sel + 1])
         return self.w_flat[idx]
 
@@ -311,10 +364,7 @@ class BatchContext:
         ``vertex_mask`` selects the sending vertices; data is repeated
         per out-edge (the vectorised ``send_all``).
         """
-        mask = np.asarray(vertex_mask, dtype=bool)
-        if mask.shape != (self.k,):
-            raise ProgramError("vertex_mask must have one entry per batch vertex")
-        sel = np.flatnonzero(mask)
+        sel = self._edge_selection(vertex_mask)
         if sel.size == 0:
             return
         starts = self.nb_offsets[sel]
@@ -331,8 +381,7 @@ class BatchContext:
     def send_edge_values(self, vertex_mask: np.ndarray, edge_data: np.ndarray) -> None:
         """Send distinct per-edge payloads (``edge_data`` aligned with
         the selected vertices' concatenated out-edges)."""
-        mask = np.asarray(vertex_mask, dtype=bool)
-        sel = np.flatnonzero(mask)
+        sel = self._edge_selection(vertex_mask)
         if sel.size == 0:
             return
         starts = self.nb_offsets[sel]

@@ -9,7 +9,9 @@ steps (DESIGN.md §3).  One superstep:
 2. per group: ``LoadLog`` (read the group's multi-logs from flash plus
    buffered pages), in-memory sort by destination, ``ExtractActiveVert``;
 3. graph-loader reads only the pages of active vertices' row pointers
-   and adjacency, consulting the edge log first (§V-B2, §V-C);
+   and adjacency, consulting the edge log first (§V-B2, §V-C) -- the
+   adjacency of only those vertices the program's ``loads_edges`` hook
+   selects, when it declares one;
 4. run ``ProcessVertex`` for every active vertex; ``SendUpdate`` routes
    outgoing messages into the *next-generation* multi-log -- reduced
    first to one record per (destination, source interval) when the
@@ -39,6 +41,7 @@ from ..mem.budget import MemoryBudget
 from ..obs.overlay import Overlay
 from ..recovery.checkpoint import CheckpointData, CheckpointManager, _record_from_state
 from .api import InitialState, VertexProgram
+from .batch import BatchContext, GroupView, flatten_ranges
 from .combine import precombine
 from .edgelog import EdgeLogOptimizer
 from .loader import GraphLoaderUnit
@@ -320,12 +323,23 @@ class MultiLogVC(SuperstepEngine):
             in_span = (active_ids >= sg.vertex_lo) & (active_ids < sg.vertex_hi)
             self_act = active_ids[in_span]
             verts = np.union1d(sg.unique_dests.astype(np.int64), self_act)
-            report = ranges = None
+            report = ranges = view = edges = None
             if verts.size:
                 ranges = self.storage.group_ranges(verts)
+                view = GroupView(
+                    verts, step, self.values,
+                    np.searchsorted(sg.batch.dest, verts, side="left"),
+                    np.searchsorted(sg.batch.dest, verts, side="right"),
+                    sg.batch.src, sg.batch.data, ranges.stops - ranges.starts,
+                )
+                if prog.loads_edges is not None:
+                    # Only the vertices that will scatter read their edges.
+                    edges = np.asarray(prog.loads_edges(view), dtype=bool)
+                    if edges.shape != verts.shape:
+                        raise ProgramError("loads_edges must return one flag per group vertex")
                 report = loader.load_active(
                     verts, prog.needs_weights, prog.uses_edge_state, edgelog,
-                    plan=plan, ranges=ranges,
+                    plan=plan, ranges=ranges, edges=edges,
                 )
             outcome = None
             if plan is not None:
@@ -336,7 +350,10 @@ class MultiLogVC(SuperstepEngine):
                         prog.needs_weights or prog.uses_edge_state,
                     )
                 outcome = plan.execute()
-            return PreparedGroup(list(group), sg, verts, report, io_plan=outcome, ranges=ranges)
+            return PreparedGroup(
+                list(group), sg, verts, report, io_plan=outcome, ranges=ranges,
+                view=view, edges=edges,
+            )
 
         outbox: List[UpdateBatch] = []
 
@@ -396,7 +413,7 @@ class MultiLogVC(SuperstepEngine):
             # The one dispatch point: the program handles the whole
             # group (its own kernel, or the default per-vertex loop
             # over views of the batch -- see repro.core.batch).
-            bctx, es_plan = self._build_batch(sg, prepared.ranges, send_batch, step)
+            bctx, es_plan = self._build_batch(prepared, send_batch)
             prog.process_batch(bctx)
             sent += self._log(mlog_next, outbox)
             outbox.clear()
@@ -411,6 +428,8 @@ class MultiLogVC(SuperstepEngine):
             meter.charge_updates(int(sg.batch.n))
             meter.charge_edges(g_edges)
             if edgelog is not None:
+                # Only a vertex whose edges were read has them in memory
+                # to re-log (its inefficient-page flag is False otherwise).
                 predicted = tracker.predict_active_next_many(verts)
                 cand = predicted & report.vertex_page_inefficient & (degs > 0)
                 edgelog.consider(verts[cand], degs[cand])
@@ -429,6 +448,9 @@ class MultiLogVC(SuperstepEngine):
             updates_processed += g_updates
             edges_scanned += g_edges
             if tracer.enabled:
+                gated = {}
+                if prog.loads_edges is not None:
+                    gated["edge_vertices"] = int(np.count_nonzero(prepared.edges))
                 tracer.emit(
                     "group_process",
                     group=g_index,
@@ -436,6 +458,7 @@ class MultiLogVC(SuperstepEngine):
                     updates=int(g_updates),
                     edges=int(g_edges),
                     batched=batched,
+                    **gated,
                 )
                 if edgelog is not None:
                     tracer.emit(
@@ -562,19 +585,20 @@ class MultiLogVC(SuperstepEngine):
             mlog.ingest(batch)
         return sent
 
-    def _build_batch(self, sg, ranges, send_batch, step):
+    def _build_batch(self, prepared: PreparedGroup, send_batch):
         """Assemble the columnar :class:`~repro.core.batch.BatchContext`.
 
-        ``ranges`` is the group's
-        :meth:`~repro.graph.storage.GraphOnSSD.group_ranges` (computed
-        once at prepare time for the loader).  Adjacency for the whole
-        group is gathered with one vectorised fancy-index per interval;
-        update slices come straight from the group's dest-sorted batch
-        via binary search.  For edge-state programs the value vectors
-        are gathered as a mutable copy and a scatter plan
-        ``[(files, idx), ...]`` is returned so the engine can write
-        mutations back (per-vertex ranges are disjoint, so
-        gather/mutate/scatter is equivalent to in-place writes).
+        It extends the group's :class:`~repro.core.batch.GroupView`
+        (built at prepare time, where ``loads_edges`` saw it) with the
+        adjacency of the vertices whose edges were loaded, gathered with
+        one vectorised fancy-index per interval over the group's
+        :meth:`~repro.graph.storage.GraphOnSSD.group_ranges`.  A vertex
+        left out keeps its true degree and gets an empty segment.  For
+        edge-state programs the value vectors are gathered as a mutable
+        copy and a scatter plan ``[(files, idx), ...]`` is returned so
+        the engine can write mutations back (per-vertex ranges are
+        disjoint, so gather/mutate/scatter is equivalent to in-place
+        writes).
 
         ``send_batch`` is the outgoing-update sink (an outbox the engine
         hands to :meth:`_log` when the kernel returns).  With a
@@ -583,20 +607,20 @@ class MultiLogVC(SuperstepEngine):
         vertex runs once per superstep and only ever edits its own
         edges, so nothing the kernel buffers can change this view.
         """
-        from .batch import BatchContext, flatten_ranges
-
-        verts = ranges.vertices
-        u_lo = np.searchsorted(sg.batch.dest, verts, side="left")
-        u_hi = np.searchsorted(sg.batch.dest, verts, side="right")
+        view, ranges, edges = prepared.view, prepared.ranges, prepared.edges
+        verts = view.vids
         need_w = self.program.needs_weights
         need_es = self.program.uses_edge_state
         mutations = self.mutations
-        degrees = ranges.stops - ranges.starts
+        degrees = view.degrees
+        starts, stops = ranges.starts, ranges.stops
+        if edges is not None:
+            stops = np.where(edges, stops, starts)
         nb_parts, w_parts = [], []
         es_plan = [] if need_es else None
         for i, s, e in ranges.spans():
             files = self.storage.interval_files(i)
-            idx = flatten_ranges(ranges.starts[s:e], ranges.stops[s:e])
+            idx = flatten_ranges(starts[s:e], stops[s:e])
             nb_parts.append(files.colidx.array[idx].astype(np.int64))
             if (need_w or need_es) and files.values is not None:
                 w_parts.append(files.values.array[idx])
@@ -608,16 +632,17 @@ class MultiLogVC(SuperstepEngine):
         es_flat = vals_flat if need_es else None
         if mutations is not None:
             degrees, nb_flat, w_flat = mutations.overlay_batch(verts, degrees, nb_flat, w_flat)
-        nb_offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+        seg = degrees if edges is None else stops - starts
+        nb_offsets = np.concatenate([[0], np.cumsum(seg)]).astype(np.int64)
 
         bctx = BatchContext(
             vids=verts,
-            superstep=step,
+            superstep=view.superstep,
             values=self.values,
-            u_lo=u_lo,
-            u_hi=u_hi,
-            usrc=sg.batch.src,
-            udata=sg.batch.data,
+            u_lo=view.u_lo,
+            u_hi=view.u_hi,
+            usrc=view.usrc,
+            udata=view.udata,
             degrees=degrees,
             nb_offsets=nb_offsets,
             nb_flat=nb_flat,
@@ -626,5 +651,6 @@ class MultiLogVC(SuperstepEngine):
             rng=self.rng,
             es_flat=es_flat,
             mutate=mutations.record if mutations is not None else None,
+            loaded=edges,
         )
         return bctx, es_plan

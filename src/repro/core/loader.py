@@ -9,6 +9,11 @@ holding their row pointers and adjacency data:
 * edge-log pages for those that are (§V-C) -- dense pages holding the
   re-logged out-edges of several predicted-active vertices each.
 
+A program's ``loads_edges`` hook narrows the last two to the vertices
+that will scatter (DESIGN.md §6): every active vertex still reads its
+row pointers -- they give the degrees -- but only the selected ones
+read colidx, value and edge-log pages.
+
 Beyond charging I/O it produces the measurements the paper's analysis
 figures need: per-page useful-byte counts (Fig. 3 utilization), the
 per-vertex "was my page inefficiently used" flag that drives the
@@ -50,7 +55,8 @@ class LoadReport:
     hypo_pages: int = 0
     avoided_inefficient: int = 0
     #: aligned with the ``active`` argument: True if the vertex's first
-    #: colidx page was inefficiently used this superstep
+    #: colidx page was inefficiently used this superstep (always False
+    #: for a vertex whose edges were not loaded)
     vertex_page_inefficient: Optional[np.ndarray] = None
 
     @property
@@ -92,6 +98,7 @@ class GraphLoaderUnit:
         edgelog: Optional[EdgeLogOptimizer] = None,
         plan=None,
         ranges: Optional[GroupRanges] = None,
+        edges: Optional[np.ndarray] = None,
     ) -> LoadReport:
         """Charge the page loads for a sorted array of active vertices.
 
@@ -113,6 +120,12 @@ class GraphLoaderUnit:
         group's I/O plan instead of charged per range, and the plan
         charges it when the engine executes it.  Page *counts* are
         unaffected.
+
+        ``edges`` (aligned with ``active``; ``None``: all) selects the
+        vertices whose adjacency is read: the others read only their
+        row pointers, and every colidx figure of the report -- the
+        hypothetical no-edge-log set included -- covers the selected
+        vertices only.
         """
         active = np.asarray(active, dtype=np.int64)
         report = LoadReport()
@@ -130,7 +143,9 @@ class GraphLoaderUnit:
         hypo = storage.group_pages("colidx", iv, starts, stops)
         hypo_ineff = (hypo.useful > 0) & (hypo.useful / self._page_size < self._threshold)
 
-        # Per-vertex flag: is my first page inefficient?
+        # Per-vertex flag: is my first page inefficient?  Judged on the
+        # page density of every active vertex, loaded or not: the edge
+        # log bets on activity next superstep, not on a scatter.
         nonempty = stops > starts
         ineff_flags = np.zeros(active.shape[0], dtype=bool)
         if hypo.pages.size:
@@ -138,9 +153,18 @@ class GraphLoaderUnit:
             pos = np.minimum(pos, hypo.pages.size - 1)
             ineff_flags = hypo_ineff[pos] & nonempty
 
+        # Everything below concerns the vertices whose edges are read;
+        # only their edges reach memory to be re-logged.
+        loaded = active
+        if edges is not None:
+            ineff_flags &= edges
+            iv, starts, stops, loaded = iv[edges], starts[edges], stops[edges], active[edges]
+            hypo = storage.group_pages("colidx", iv, starts, stops)
+            hypo_ineff = (hypo.useful > 0) & (hypo.useful / self._page_size < self._threshold)
+
         # Split into edge-log hits and misses; misses read the real
         # colidx (and val) pages -- all of them when nothing hits.
-        hit = edgelog.contains_many(active) if edgelog is not None else None
+        hit = edgelog.contains_many(loaded) if edgelog is not None else None
         n_hits = int(np.count_nonzero(hit)) if hit is not None else 0
         if n_hits:
             miss = ~hit
@@ -178,7 +202,7 @@ class GraphLoaderUnit:
 
         # Edge-log pages for all hits, read once per unique page.
         if n_hits:
-            report.edgelog_pages = edgelog.charge_read(active[hit], plan=plan)
+            report.edgelog_pages = edgelog.charge_read(loaded[hit], plan=plan)
         report.vertex_page_inefficient = ineff_flags
         self.loads += 1
         self.rowptr_pages += report.rowptr_pages

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..graph.storage import GroupRanges
 from ..ssd.device import ChargeOp, SimulatedSSD
+from .batch import GroupView
 from .loader import LoadReport
 from .sortgroup import SortedGroup
 
@@ -45,6 +46,11 @@ class PreparedGroup:
     #: ``verts``' :meth:`~repro.graph.storage.GraphOnSSD.group_ranges`,
     #: shared by the loader and the batch builder (``None`` when empty)
     ranges: Optional[GroupRanges] = None
+    #: the adjacency-free view ``loads_edges`` saw (``None`` when empty)
+    view: Optional[GroupView] = None
+    #: ``loads_edges``' mask over ``verts``: whose edges were loaded
+    #: (``None``: every vertex's)
+    edges: Optional[np.ndarray] = None
 
 
 PrepareFn = Callable[[List[int]], PreparedGroup]

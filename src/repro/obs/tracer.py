@@ -224,7 +224,14 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
                     "(records_logged {records_logged} > messages_sent {messages_sent})"),),
     ),
     # -- MultiLogVC superstep internals
-    **_free("group_plan group_process edgelog_decisions mlog_rotate"),
+    **_free("group_plan edgelog_decisions mlog_rotate"),
+    # one per processed group; ``edge_vertices`` (only where the program
+    # declares ``loads_edges``) of its ``vertices`` read their edges
+    "group_process": EventSchema(
+        {"vertices": COUNT, "edge_vertices": _maybe(COUNT)},
+        rules=(Rule(("vertices", "edge_vertices"), lambda n, e: e is None or e <= n,
+                    "edge_vertices {edge_vertices} above vertices {vertices}"),),
+    ),
     # one per committed group: its preparation's I/O (DESIGN.md §11)
     "group_load": EventSchema(
         {"group": COUNT, "intervals": COUNT, "records": COUNT, "io_time_us": NON_NEGATIVE}

@@ -128,6 +128,29 @@ class TestGraFBoostCostModel:
         one_pass = -(-rmat256.m * 4 // cfg.ssd.page_size)
         assert total_colidx >= one_pass * (res.n_supersteps - 1)
 
+    def test_log_buffer_stays_within_its_share(self, cfg, monkeypatch):
+        """A hub's sends are staged a page at a time, so a non-tail
+        ``log_flush`` never finds the buffer more than one page (one
+        chunk) past its ``multilog_bytes`` share."""
+        from repro.graph.csr import CSRGraph
+        from repro.mem.pagebuffer import RecordPageBuffer
+
+        capacity = cfg.memory.multilog_bytes // cfg.ssd.page_size
+        n = 8 * capacity * cfg.updates_per_page  # the hub's sends fill 8 buffers
+        star = CSRGraph.from_edges(n, np.zeros(n - 1, np.int64), np.arange(1, n))
+        fills = []
+        pop = RecordPageBuffer.pop_sealed
+
+        def spy(self, max_pages=None):
+            if max_pages is not None:  # the tail flush drains everything
+                fills.append(self.pages_used)
+            return pop(self, max_pages)
+
+        monkeypatch.setattr(RecordPageBuffer, "pop_sealed", spy)
+        GraFBoost(star, DeltaPageRankProgram(), cfg).run(2)
+        assert len(fills) > 1
+        assert max(fills) <= capacity + 1
+
 
 class TestBaselineResultTypes:
     def test_record_shapes(self, cfg, rmat256):

@@ -102,6 +102,47 @@ class TestBatchScalarParity:
         assert is_maximal(g, r.values)
 
 
+#: the programs that declare ``loads_edges`` (factory, weighted, steps)
+GATED_PROGRAMS = [p for p in BATCH_PROGRAMS if p.id in ("bfs", "sssp", "wcc")]
+
+#: the superstep-record fields the oracle compares
+ORACLE_FIELDS = ("active_vertices", "updates_processed", "messages_sent", "edges_scanned")
+
+
+def ungated(prog: VertexProgram) -> VertexProgram:
+    """``prog`` with its scatter gate off: every active vertex loads its edges."""
+    prog.loads_edges = None
+    return prog
+
+
+class TestScatterGateParity:
+    """With the gate active, both kernels agree exactly, and the gate
+    moves only I/O: values, oracle record fields and compute time are
+    those of the same program loading every active vertex's edges."""
+
+    @pytest.mark.parametrize("factory,weighted,steps", GATED_PROGRAMS)
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_gate_moves_only_io(self, factory, weighted, steps, mode):
+        assert type(factory()).loads_edges is not None
+        batch, scalar = run_pair(factory, weighted, steps, mode, seed=2)
+        assert [r.to_dict() for r in batch.supersteps] == [r.to_dict() for r in scalar.supersteps]
+        assert batch.stats == scalar.stats
+        full = MultiLogVC(
+            graph_for(2, weighted), ungated(factory()), small_test_config(),
+            options=EngineOptions(mode=mode, min_intervals=4),
+        ).run(steps)
+        assert batch.values.tobytes() == full.values.tobytes()
+        for field in ORACLE_FIELDS:
+            assert [getattr(r, field) for r in batch.supersteps] == [
+                getattr(r, field) for r in full.supersteps
+            ]
+        assert batch.compute_time_us == full.compute_time_us
+        cols = [r.stats.reads["csr_col"].pages for r in (batch, full)]
+        assert cols[0] < cols[1]
+        rows = [r.stats.reads["csr_row"].pages for r in (batch, full)]
+        assert rows[0] == rows[1]
+
+
 def records_equal(a, b):
     """Bit-exact comparison of two SuperstepRecord lists."""
     if len(a) != len(b):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import BFSProgram
+from repro.algorithms import BFSProgram, MISProgram
 from repro.core import MultiLogVC
 from repro.core.edgelog import KLASS_EDGELOG, EdgeLogOptimizer
 from repro.core.loader import GraphLoaderUnit
 from repro.core.mutation import MutationBuffer
 from repro.errors import ProgramError
 from repro.graph import GraphOnSSD, uniform_partition
-from repro.graph.datasets import bfs_chain_graph
+from repro.graph.datasets import bfs_chain_graph, small_rmat
 from repro.mem import MemoryBudget
 from repro.obs import MetricsRegistry
 from repro.ssd import SimFS
@@ -110,8 +110,10 @@ class TestEdgeLogOptimizer:
         hits included, whether or not a plan batched the reads: one figure
         in every cell, the sum of the load reports'.  Storage time is the
         device's own ``edgelog`` rows, write-backs included, and the
-        multi-log keeps no time of its own."""
-        graph, source = bfs_chain_graph("test")
+        multi-log keeps no time of its own.  MIS is the instrument (as in
+        the edge-log ablation): BFS reads the edge pages of improving
+        vertices only, and barely re-logs any."""
+        graph = small_rmat(n=4096, m=8 * 4096, seed=3)
         load = GraphLoaderUnit.load_active
 
         def run(config):
@@ -123,7 +125,7 @@ class TestEdgeLogOptimizer:
 
             monkeypatch.setattr(GraphLoaderUnit, "load_active", spy)
             reg = MetricsRegistry()
-            eng = MultiLogVC(graph, BFSProgram(source), config, metrics=reg)
+            eng = MultiLogVC(graph, MISProgram(seed=0), config, metrics=reg)
             eng.run(64)
             return eng.fs.stats, reg.snapshot(), sum(r.edgelog_pages for r in reports)
 

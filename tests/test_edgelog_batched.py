@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro import EngineOptions
-from repro.algorithms import BFSProgram
+from repro.algorithms import BFSProgram, MISProgram
 from repro.config import MemoryConfig, SimConfig, SSDConfig
 from repro.core import engine as engine_mod
 from repro.core.edgelog import EdgeLogOptimizer
-from repro.graph.datasets import bfs_chain_graph
+from repro.graph.datasets import bfs_chain_graph, small_rmat
 from repro.mem import MemoryBudget
 from repro.obs import TraceRecorder, write_jsonl
 from repro.ssd import SimFS
@@ -209,12 +209,15 @@ def test_hub_written_when_it_completes(cfg):
 
 
 def test_engine_run_matches_eager_writer(cfg, monkeypatch):
-    """A whole BFS run: same values, records and pages; fewer write ops."""
-    g, source = bfs_chain_graph("test", seed=77)
+    """A whole MIS run: same values, records and pages; fewer write ops.
+
+    MIS, as in the edge-log ablation: its flushes span several pages,
+    where BFS reads only improving vertices' edges and re-logs few."""
+    g = small_rmat(n=4096, m=8 * 4096, seed=3)
 
     def run():
         t = TraceRecorder()
-        r = repro.run(g, BFSProgram(source=source), config=cfg, tracer=t, max_supersteps=64,
+        r = repro.run(g, MISProgram(seed=0), config=cfg, tracer=t, max_supersteps=64,
                       options=EngineOptions(enable_edgelog=True))
         return r, t
 

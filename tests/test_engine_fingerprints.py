@@ -104,6 +104,16 @@ and every other gauge were checked equal to the parent's, but for
 cache hits of planned reads, as it always did unplanned).  Every
 :data:`GOLDEN_VALUES_IO` row passed unrecorded.
 
+When BFS, SSSP and WCC began reading edge pages only for the vertices
+their update improves (``loads_edges``, DESIGN.md §6), MultiLogVC's
+``bfs``, ``sssp`` and ``wcc`` rows and the four ``bfs`` stack rows were
+re-recorded, in every table that holds them.  Their final values bytes,
+compute time and every superstep's ``active_vertices``,
+``updates_processed``, ``messages_sent`` and ``edges_scanned`` were
+checked equal to the parent's; pages, storage time, the ``loader.*``
+gauges and the trace (``group_process`` gained ``edge_vertices``)
+moved.  Every PageRank, CDLP and coloring row passed unrecorded.
+
 Each run also checks the compute ledger: ``RunResult.compute_by_site``
 sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 """
@@ -188,12 +198,12 @@ GOLDEN = {
     ("gridgraph", "pagerank"): "d6b6cdf339a8028232ed59c29943922b9d9be016f71601a8f0ad19394011da56",
     ("gridgraph", "sssp"): "00b87215ba2c46fa8685ffeb7930780285bfb04777e51956482d7519ddcb98cb",
     ("gridgraph", "wcc"): "f3f4ec32367c76349845d2ddf97371d2922741592871e1973c33cbda48a333d6",
-    ("multilogvc", "bfs"): "f147b4c91142bc64882e3848822ca7877183cb362009f08198fe7c20d9b59e94",
+    ("multilogvc", "bfs"): "43d5f975ed6d4dfedadcde61e84bbb952b03541ca36783fb09e5d8fbed8bc206",
     ("multilogvc", "cdlp"): "8a89b5c58c01a5dd9ce6d96ecce64b4fa803df1d556f8662e079c4aaee37e953",
     ("multilogvc", "coloring"): "f27ecaa770b8a9ae00049de80e8709e943a711942bdb6891d3df9ace549ff924",
     ("multilogvc", "pagerank"): "b6a2183cb5b57c5c59f62dfbf46cc01fa109793e34bf9d19a47fcb154a152040",
-    ("multilogvc", "sssp"): "53f113aa715b05ab5eda8e09ccd7593bc615a1faf5c8ae2126430b1ae983871e",
-    ("multilogvc", "wcc"): "63e7bb8228f16ec9a33aa6f04d1d662220192aed5b47c2ec3767130f8edacf3b",
+    ("multilogvc", "sssp"): "9053593521efc04fab2829de1bd8d8d9df0bf116cd2e0f734b7e6a3dbb09dbd4",
+    ("multilogvc", "wcc"): "d73d37a24c4d8b4bfdf71849ec9be7fac1ca4b9fdce3e91589c84b8642041c52",
     ("oracle", "bfs"): "f336301167d0e704dccc6fb75030d5dbc233cd36634f32bf7638f890fdccf774",
     ("oracle", "cdlp"): "25398f60e0cf8e55e1e00d7e9af6a709cd6128c09b9f54fc3419642e4a8bd2aa",
     ("oracle", "coloring"): "5d6111136334f3a8299ed46814ee205f79d2068c40b8ca4ba9d42c97874a4ded",
@@ -208,13 +218,13 @@ GOLDEN = {
 
 #: MultiLogVC on each of :data:`STACKS`: (stack, program) -> digest
 GOLDEN_STACKS = {
-    ("cache16+readahead", "bfs"): "180bfef910441cfaf693292375d716dcfab9f8ba4c642bc3a7d5ee57eedb7c4e",
+    ("cache16+readahead", "bfs"): "e15785767648618cc94deb904138ccf500cb792ceb21c5c612b8fe6e89696a9b",
     ("cache16+readahead", "pagerank"): "1587f72164fdc482b1c03f5a9101f8e979c85268a200f1580f02a9b7d99c3135",
-    ("devices4-affinity", "bfs"): "8fa58856e45864555d1a074c5076b4996f5922ce04befab5ef3325b5c5593a1b",
+    ("devices4-affinity", "bfs"): "9017014ad206df9d85313cc865b25be0cce6de0bd1eb66e10d60c1ede280678e",
     ("devices4-affinity", "pagerank"): "5c605f47e73d3308c061a83827a08ee89b97c9ddb2be201e8e5d6191ace96d9d",
-    ("devices4-stripe", "bfs"): "190b3d0561702259e2878db388f5492b36544c1db1fec764e72bcdfd3575a34d",
+    ("devices4-stripe", "bfs"): "6c8753cb74c1991987307391d4d64c8d06944f12f4c77250080e9bfcfb726291",
     ("devices4-stripe", "pagerank"): "1acb3fcfb3bd976597c2d915d1b38ccb088249308e3157302b48fc136be95143",
-    ("lanes2+coalesce", "bfs"): "32f49417db5e2fd392014aa7257784595da46157349d37c4fe95d420b5bfa149",
+    ("lanes2+coalesce", "bfs"): "eb1daf35ab85f9ed9e61c127b1f3b2793d0845ccfee61c9672334d6ed54b238d",
     ("lanes2+coalesce", "pagerank"): "58b791f5e823b9b34a2b8214f0e5fdb4fa8ab2939d2eb9db7d7eaee836b58bfb",
 }
 
@@ -244,12 +254,12 @@ GOLDEN_VALUES_IO = {
     ("gridgraph", "pagerank"): "a4d08a16b215909acd51b6afec7c7e74b9203aa0279d87d1bc6c7260c5f605bd",
     ("gridgraph", "sssp"): "11b672523340d410d002fbf7dc88e9df5bc39b1b1ade1f25a5cccaec438fbc42",
     ("gridgraph", "wcc"): "9ff12dfddf89a67bd527ba7d7e233dbf8317b4bc5a060a47ae4c2930e7ec6c0e",
-    ("multilogvc", "bfs"): "68ccaf0ece7b548a15d989df37f3abcbd8781112058e166954d77d750e8c0b18",
+    ("multilogvc", "bfs"): "c700f8ecd162474aa93fb032d7add060a533455b18e746a11fa29545b7ef7cc7",
     ("multilogvc", "cdlp"): "975d80b312f13594c8ebe923d7497feefd308fac0cfc646284fb12a443186fec",
     ("multilogvc", "coloring"): "a9a38d47fd23a33ce8bc49da35b926adde7e51e7491def76a710b66bbb52f6a8",
     ("multilogvc", "pagerank"): "1268586cee7af1601894c3fd2c248d659fd81072feb778bcbe386f0a3f4c32f7",
-    ("multilogvc", "sssp"): "001221ae33b77f8bcf6febfd2b558bc497d89f6ad441c1ae47dd8c1f74306b79",
-    ("multilogvc", "wcc"): "996b0f284d49976ec9ffb2b865ccaf7d54ca021cc8c7bed83b3e73748f41c922",
+    ("multilogvc", "sssp"): "97e14547bc0ea615ab080c7f9bd27d09e937d57b3d9da1a5ab446a8f9fd223ef",
+    ("multilogvc", "wcc"): "4ce55b69224870849351c3d8b38ba221c43aa9ff98b4bf0103e1544fa8079b36",
     ("oracle", "bfs"): "659c34b344833374e02a8b34b62c58efaa51b6f870b90c2e19423517c819fbc4",
     ("oracle", "cdlp"): "cc49de1e19e6bca9342dd8d0baeadf9980acbb07a3a63a461346915ea5e80c7f",
     ("oracle", "coloring"): "389715d1721829dff766a98cb4ee43ae91990631f34cb2b796b40e067110df11",
@@ -260,13 +270,13 @@ GOLDEN_VALUES_IO = {
     ("xstream", "pagerank"): "a4d08a16b215909acd51b6afec7c7e74b9203aa0279d87d1bc6c7260c5f605bd",
     ("xstream", "sssp"): "a42b27ddfb2791dd4a1419aae03393cd605a21c87bbcdc8be1366670b113c177",
     ("xstream", "wcc"): "b89031cbed6404a567c149c55fb070412b96d43ee4e18b55d15132974e9d541f",
-    ("cache16+readahead", "bfs"): "b90cdee177c0160ecfab85c26c93d27d6d2bcae0b7501ff265fed227b03844fc",
+    ("cache16+readahead", "bfs"): "1f3e81d9b3b660d6bff2d02948a929834b46ed524733f17f8d5891af47be3a99",
     ("cache16+readahead", "pagerank"): "171a1df9f378f78febb9aca4454c0166ace95e67656a14336cd37964201ebb52",
-    ("devices4-affinity", "bfs"): "734fc09c744182f47c59ff2681b0206d34e00ed6a43059ae9c34c43e7c76d04d",
+    ("devices4-affinity", "bfs"): "1b5d18743cf3fefccd4a5b6286e18e6c801528d973ad64bcd3804d44313f6d31",
     ("devices4-affinity", "pagerank"): "9a48ea77279fe5c39be3c0681d0bf03d11a2ca3e3ac98ad347efe7d58f21db26",
-    ("devices4-stripe", "bfs"): "734fc09c744182f47c59ff2681b0206d34e00ed6a43059ae9c34c43e7c76d04d",
+    ("devices4-stripe", "bfs"): "1b5d18743cf3fefccd4a5b6286e18e6c801528d973ad64bcd3804d44313f6d31",
     ("devices4-stripe", "pagerank"): "9a48ea77279fe5c39be3c0681d0bf03d11a2ca3e3ac98ad347efe7d58f21db26",
-    ("lanes2+coalesce", "bfs"): "2c04e0730d170a36972cab2444aa738e004d95bca54184ad31d4bacc9c93f30b",
+    ("lanes2+coalesce", "bfs"): "5abffd70a91c7e1f6733d22f580d0533b9f775f31c946de73603466b17285f03",
     ("lanes2+coalesce", "pagerank"): "ab47b5dc65c196006d8c50e2e7f464762deba5755d0cad9d95492e9a656832ef",
 }
 

@@ -21,9 +21,9 @@ import pytest
 
 import repro
 from repro import EngineOptions, GraFBoost, GraphChi, GridGraph, MultiLogVC
-from repro.algorithms import BFSProgram, DeltaPageRankProgram, GraphColoringProgram
+from repro.algorithms import BFSProgram, DeltaPageRankProgram, GraphColoringProgram, MISProgram
 from repro.errors import EngineError
-from repro.graph.datasets import bfs_chain_graph
+from repro.graph.datasets import small_rmat
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -360,9 +360,11 @@ class TestEdgeLogPagesAvoided:
         assert all(r.edgelog_pages_avoided >= 0 for r in res.supersteps)
 
     def test_elog_flush_events_sum_to_edgelog_writes(self, cfg):
-        g, source = bfs_chain_graph("test", seed=77)
+        # MIS, whose edge-log flushes span several pages (BFS re-logs
+        # few vertices: it reads only improving vertices' edges).
+        g = small_rmat(n=4096, m=8 * 4096, seed=3)
         t = TraceRecorder()
-        res = repro.run(g, BFSProgram(source=source), config=cfg, tracer=t, max_supersteps=64,
+        res = repro.run(g, MISProgram(seed=0), config=cfg, tracer=t, max_supersteps=64,
                         options=EngineOptions(enable_edgelog=True))
         flushes = [e.fields for e in t.events if e.kind == "elog_flush"]
         written = res.stats.writes["edgelog"]

@@ -245,17 +245,23 @@ def test_no_host_threads():
 #: The raw-send constants were re-recorded when a write-through
 #: multi-log eviction began freeing whole stripes: the groups and every
 #: non-I/O record field stayed, the lanes' storage time moved.
+#: The ``sssp`` rows of both tables were re-recorded when SSSP began
+#: reading edge pages only for the vertices its update improves
+#: (``loads_edges``): final values bytes and every superstep's
+#: ``active_vertices``, ``updates_processed``, ``messages_sent`` and
+#: ``edges_scanned`` were checked equal, and compute time is unchanged;
+#: 3 fewer pages read take 85 us off the lanes' storage time.
 GOLDEN_PARALLEL_STATS = {
     ("pagerank", 2): (40, 9095.664460550497, 4046.3668379502833, 8729.297622600212),
     ("pagerank", 4): (40, 9095.664460550497, 5633.436418397993, 7142.228042152503),
-    ("sssp", 2): (36, 10163.18510775601, 3896.7076994992126, 8336.477408256796),
-    ("sssp", 4): (36, 10163.18510775601, 5914.088139465476, 6319.096968290533),
+    ("sssp", 2): (36, 10078.18510775601, 3896.7076994992126, 8251.477408256796),
+    ("sssp", 4): (36, 10078.18510775601, 5914.088139465476, 6234.096968290534),
 }
 GOLDEN_PARALLEL_STATS_PRECOMBINE = {
     ("pagerank", 2): (40, 7202.891400325987, 2931.7419784529457, 6111.149421873042),
     ("pagerank", 4): (40, 7202.891400325987, 4392.635056457401, 4650.256343868587),
-    ("sssp", 2): (36, 9594.376642612819, 3702.6406885368924, 7501.735954075928),
-    ("sssp", 4): (36, 9594.37664261282, 5547.979895687339, 5656.396746925479),
+    ("sssp", 2): (36, 9509.376642612819, 3702.6406885368924, 7416.735954075928),
+    ("sssp", 4): (36, 9509.37664261282, 5547.979895687339, 5571.396746925479),
 }
 
 

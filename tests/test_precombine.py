@@ -112,6 +112,7 @@ class TestToggleChangesOnlyLogTraffic:
     def test_callable_combine_stays_post_read(self):
         class CallableMin(BFSProgram):
             combine = staticmethod(lambda data: float(data.min()))
+            loads_edges = None  # the scatter gate needs a named combine
 
         eng = MultiLogVC(GRAPH(), CallableMin(0), small_test_config())
         assert not eng.precombine

@@ -67,6 +67,9 @@ GOOD = {
     "compaction": {"interval": 0, "live": 5, "dropped": 2, "pages_read": 1, "pages_written": 1},
     "superstep_end": {"messages_sent": 8, "records_logged": 5},
     "group_sort": {"group": 0, "records": 3, "natural_runs": 2, "unique_dests": 2},
+    "group_process": {
+        "group": 0, "vertices": 5, "edge_vertices": 3, "updates": 4, "edges": 9, "batched": True,
+    },
     "extsort": {"records": 3, "natural_runs": 3, "passes": 1},
     "send_reduce": {
         "records": 9, "natural_runs": 3, "span": 4, "survivors": 5, "counted": 1,
@@ -278,6 +281,11 @@ def test_non_integer_cache_counter_is_rejected(tmp_path):
         ("mlog_flush", {"deferred": -1}),
         ("mlog_flush", {"time_us": -1.0, "deferred": 1}),
         ("elog_flush", {"time_us": 0.0, "deferred": 1}),
+        ("group_process", {"edge_vertices": 6}),
+        ("group_process", {"edge_vertices": -1}),
+        ("group_process", {"edge_vertices": 2.0}),
+        ("group_process", {"vertices": _MISSING}),
+        ("group_process", {"vertices": 1.5, "edge_vertices": _MISSING}),
         ("group_load", {"group": -1}),
         ("group_load", {"intervals": _MISSING}),
         ("group_load", {"records": 1.0}),
@@ -329,6 +337,11 @@ def test_field_check_failure_is_rejected(tmp_path, kind, overrides):
 @pytest.mark.parametrize("kind", sorted(GOOD))
 def test_well_formed_event_passes(tmp_path, kind):
     assert rejected(tmp_path, BEGIN, good(kind)) == []
+
+
+def test_ungated_group_process_has_no_edge_vertices(tmp_path):
+    assert rejected(tmp_path, BEGIN, good("group_process", edge_vertices=_MISSING)) == []
+    assert rejected(tmp_path, BEGIN, good("group_process", edge_vertices=5)) == []
 
 
 def test_empty_sort_may_have_no_runs(tmp_path):
