@@ -47,7 +47,7 @@ from .edgelog import EdgeLogOptimizer
 from .loader import GraphLoaderUnit
 from .multilog import MultiLogUnit
 from .mutation import MutationBuffer
-from .pipeline import GroupPipeline, PreparedGroup, charge_rollup
+from .pipeline import GroupPipeline, PreparedGroup
 from .scheduler import ParallelGroupScheduler
 from .results import RunResult, SuperstepRecord
 from .sortgroup import SortGroupUnit
@@ -166,7 +166,7 @@ class MultiLogVC(SuperstepEngine):
         self.pipeline = (
             ParallelGroupScheduler(self.fs.device, lanes, self.meter)
             if lanes > 1
-            else GroupPipeline(self.fs.device)
+            else GroupPipeline()
         )
         # The run's overlays (DESIGN.md §7), in trace order: their gauges
         # are registered here, their snapshots emitted at every superstep
@@ -310,7 +310,12 @@ class MultiLogVC(SuperstepEngine):
                     self.intervals.span(ng[-1])[1],
                 )
 
+        device = self.fs.device
+
         def prepare(group):
+            # The group's I/O for its group_load event: how far the
+            # ledger advances over this preparation (traced runs only).
+            before = device.stats.snapshot() if tracer.enabled else None
             plan = planner.new_plan() if planner is not None else None
             extra: Optional[UpdateBatch] = None
             if self.mode == "async":
@@ -341,7 +346,6 @@ class MultiLogVC(SuperstepEngine):
                     verts, prog.needs_weights, prog.uses_edge_state, edgelog,
                     plan=plan, ranges=ranges, edges=edges,
                 )
-            outcome = None
             if plan is not None:
                 span = next_span.get(tuple(group))
                 if span is not None:
@@ -349,10 +353,10 @@ class MultiLogVC(SuperstepEngine):
                         plan, self.storage, edgelog, active_ids, span[0], span[1],
                         prog.needs_weights or prog.uses_edge_state,
                     )
-                outcome = plan.execute()
+                planner.apply(plan.execute())
             return PreparedGroup(
-                list(group), sg, verts, report, io_plan=outcome, ranges=ranges,
-                view=view, edges=edges,
+                list(group), sg, verts, report, ranges=ranges, view=view, edges=edges,
+                io=None if before is None else device.stats - before,
             )
 
         outbox: List[UpdateBatch] = []
@@ -370,26 +374,22 @@ class MultiLogVC(SuperstepEngine):
         accessed_pages = 0
         avoided_ineff = 0
         avoided_pages = 0
-        for g_index, (prepared, charges) in enumerate(self.pipeline.run(groups, prepare)):
-            # Record the group's deferred I/O charges, then the sort
-            # charge.  group_load is stamped after the commit, so it
-            # carries the group's storage time.
-            self.fs.device.commit(charges)
-            if planner is not None:
-                planner.apply(prepared.io_plan)
+        for g_index, prepared in enumerate(self.pipeline.run(groups, prepare)):
+            # The group's reads are already on the clock; charge its
+            # sort, so group_load is stamped after both.
             sg = prepared.sg
             meter.charge_sort(sg.sort_items, sg.sort_runs, "sort_group")
             verts = prepared.verts
             report = prepared.report
             if tracer.enabled:
-                io = charge_rollup(charges)
+                io = prepared.io
                 tracer.emit(
                     "group_load",
                     group=g_index,
                     intervals=len(prepared.interval_ids),
                     records=int(sg.sort_items),
-                    pages_by_class=io["read_pages_by_class"],
-                    io_time_us=io["io_time_us"],
+                    pages_by_class={k: c.pages for k, c in io.reads.items() if c.pages},
+                    io_time_us=io.total_time_us,
                 )
                 tracer.emit(
                     "group_sort",

@@ -5,7 +5,7 @@ vertex intervals keeps the flash channels saturated (paper §V, Fig. 3).
 ``num_workers`` models that concurrency in simulated time only: groups
 still run one after another on the calling thread, so values, records,
 stats and traces cannot depend on the lane count, and the win is
-reported *alongside* the committed accounting.  Each group is assigned
+reported *alongside* the canonical accounting.  Each group is assigned
 to a lane (``group % workers``); a superstep's overlapped bound is the
 busiest lane or the busiest flash channel, whichever is larger
 (:func:`repro.ssd.device.merge_overlap`).  The cumulative counters feed
@@ -15,13 +15,13 @@ bench's ``--workers`` column is computed from them.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.overlay import Overlay
-from ..ssd.device import ChargeOp, SimulatedSSD, merge_overlap
+from ..ssd.device import SimulatedSSD, merge_overlap
 from .pipeline import GroupPipeline, PreparedGroup, PrepareFn
 from .results import ComputeMeter
 
@@ -30,8 +30,8 @@ class ParallelGroupScheduler(GroupPipeline, Overlay):
     """The group iterator plus lane/channel overlap accounting.
 
     Per superstep, each group contributes its preparation I/O plus its
-    compute time to a worker lane (``group % workers``) and its read
-    charges to per-channel busy histograms.  At superstep end the
+    compute time to a worker lane (``group % workers``) and its reads
+    to per-channel busy histograms.  At superstep end the
     overlapped bound is ``max(busiest lane, busiest channel)``; the
     difference to the serial sum is the modelled saving.  All exported
     counters are run-cumulative and monotonically non-decreasing (the
@@ -45,7 +45,7 @@ class ParallelGroupScheduler(GroupPipeline, Overlay):
     def __init__(self, device: SimulatedSSD, workers: int, meter: ComputeMeter) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        super().__init__(device)
+        self.device = device
         self.workers = workers
         self.meter = meter
         self._lane_us = np.zeros(workers, dtype=np.float64)
@@ -61,25 +61,31 @@ class ParallelGroupScheduler(GroupPipeline, Overlay):
         for k in self.STATE:
             metrics.gauge(f"scheduler.{k}", lambda k=k: getattr(self, k))
 
-    def run(
-        self, groups: Iterable[List[int]], prepare: PrepareFn
-    ) -> Iterator[Tuple[PreparedGroup, List[ChargeOp]]]:
+    def run(self, groups: Iterable[List[int]], prepare: PrepareFn) -> Iterator[PreparedGroup]:
         """:meth:`GroupPipeline.run`, noting each group on its lane.
 
-        A group's compute time is whatever the meter gained while the
-        consumer held it, so it is noted when the consumer asks for the
-        next group (or exhausts the iterator).
+        A group's I/O is how far the device's ledger advanced while it
+        was prepared.  Its compute time is whatever the meter gained
+        while the consumer held it, so it is noted when the consumer
+        asks for the next group (or exhausts the iterator).
         """
-        for g_index, (prepared, charges) in enumerate(super().run(groups, prepare)):
-            compute_before = self.meter.time_us
-            yield prepared, charges
-            self.note_group(g_index, charges, self.meter.time_us - compute_before)
+        dev, meter = self.device, self.meter
+        for g_index, group in enumerate(groups):
+            io_from, pages_from = dev.stats.total_time_us, dev.channel_read_pages.copy()
+            prepared = prepare(group)
+            io_us = dev.stats.total_time_us - io_from
+            read_pages = dev.channel_read_pages - pages_from
+            compute_from = meter.time_us
+            yield prepared
+            self.note_group(g_index, io_us, read_pages, meter.time_us - compute_from)
 
-    def note_group(self, g_index: int, charges: List[ChargeOp], compute_us: float) -> None:
-        """Record one group's lane time and channel pressure."""
-        io_us = sum(op[4] for op in charges)
+    def note_group(
+        self, g_index: int, io_us: float, read_pages: np.ndarray, compute_us: float
+    ) -> None:
+        """Record one group's lane time and channel pressure: its
+        preparation I/O time and pages read per channel."""
         self._lane_us[g_index % self.workers] += io_us + compute_us
-        self._busy_us += self.device.channel_busy_us(charges)
+        self._busy_us += read_pages * self.device.config.ssd.read_latency_us
         self.groups += 1
 
     def end_superstep(self, storage_us: float, compute_us: float) -> float:

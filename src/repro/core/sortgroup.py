@@ -145,7 +145,8 @@ class SortGroupUnit:
         updates produced by earlier groups.  ``charge_sort=False`` skips
         the compute-meter charge; the caller charges
         ``SortedGroup.sort_items`` / ``sort_runs`` itself (the engine
-        does this after it commits the group's deferred device charges).
+        does this after the group's preparation, whose device charges
+        are then already on the clock).
         The sort is charged as a natural merge of the log's arrival
         order, log first, then the extras: each flushed batch of a
         send-side combine is already dest-sorted.

@@ -28,8 +28,8 @@ changes), ``pages_read`` and per-class stats stay bit-identical to the
 unplanned engine; only batch counts and simulated time shrink.
 
 Determinism: a plan is built and executed inside one ``prepare()``
-call, under the device's deferred-charge queue, so the coalesced
-charges commit at the canonical group-order point exactly like
+call of the one in-order group loop, so the coalesced charges land in
+the device's stats when they are made, in group order, exactly like
 uncoalesced ones.
 """
 

@@ -7,11 +7,11 @@ layer (DESIGN.md §13).  It decides whether groups get an
 cumulative counters behind the ``io.*`` gauges and the
 ``io_plan_stats`` trace kind.
 
-Counter discipline mirrors the rest of the engine: per-group
-:class:`~repro.io.plan.PlanOutcome` records ride on the prepared group
-and are folded in via :meth:`apply` at the commit point, in canonical
-group order -- so the tallies (floats included) do not depend on the
-simulated lane count.
+Counter discipline mirrors the rest of the engine: each group's
+:class:`~repro.io.plan.PlanOutcome` is folded in via :meth:`apply` as
+soon as its plan executes, in the group's ``prepare()``, in group order
+-- so the tallies (floats included) do not depend on the simulated
+lane count.
 
 Read-ahead reuses the activity knowledge the engine already maintains:
 a vertex is processed by the next group only if it is in the active
@@ -61,7 +61,7 @@ class SuperstepIOPlanner(Overlay):
         self.cache = cache
         self.mode = mode
         self.readahead_budget = max(0, int(readahead_pages))
-        # Cumulative (monotonic) tallies, updated only at commit points.
+        # Cumulative (monotonic) tallies, updated only by apply().
         self.plans = 0
         self.demand_pages = 0
         self.cache_hit_pages = 0
@@ -160,7 +160,7 @@ class SuperstepIOPlanner(Overlay):
     # -- tallies ----------------------------------------------------------
 
     def apply(self, outcome: Optional[PlanOutcome]) -> None:
-        """Fold one committed group's outcome into the run tallies."""
+        """Fold one executed plan's outcome into the run tallies."""
         if outcome is None:
             return
         self.plans += 1

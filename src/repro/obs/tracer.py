@@ -18,10 +18,11 @@ untraced runs.
 Determinism contract
 --------------------
 Engines are single-threaded and emit events at the point where the
-corresponding work lands in the execution order.  MultiLogVC prepares a
-group under the device's deferred-charge queue and emits its
-``group_load`` right after the commit in
-:meth:`repro.core.engine.MultiLogVC._step`, so the event is
+corresponding work lands in the execution order.  Every charge lands on
+the device's stats when it is made, so an event emitted while
+MultiLogVC prepares a group is stamped after that group's earlier
+charges, and its ``group_load`` (emitted after the preparation and the
+group's sort charge in :meth:`repro.core.engine.MultiLogVC._step`) is
 stamped with the group's I/O already on the simulated clock.
 
 Schema
@@ -232,7 +233,7 @@ TRACE_SCHEMA: Dict[str, EventSchema] = {
         rules=(Rule(("vertices", "edge_vertices"), lambda n, e: e is None or e <= n,
                     "edge_vertices {edge_vertices} above vertices {vertices}"),),
     ),
-    # one per committed group: its preparation's I/O (DESIGN.md §11)
+    # one per prepared group: its preparation's I/O (DESIGN.md §11)
     "group_load": EventSchema(
         {"group": COUNT, "intervals": COUNT, "records": COUNT, "io_time_us": NON_NEGATIVE}
     ),

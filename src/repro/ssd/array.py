@@ -16,9 +16,10 @@ determinism contract as the worker-lane overlay (DESIGN.md §11):
   per-device time vector (the same ``_batch_time_from_counts`` formula
   applied to each device's share of the batch; every member device has
   the full ``C`` channels).  The overlay accumulates per-device busy
-  clocks and the array time at the canonical commit point, so it does
-  not depend on the simulated lane count; the serial time and the op
-  count it is compared with are views of the canonical stats.  It
+  clocks and the array time as each charge lands, in the one in-order
+  group loop, so it does not depend on the simulated lane count; the
+  serial time and the op count it is compared with are views of the
+  canonical stats.  It
   surfaces via ``device.*`` gauges and the per-superstep
   ``device_stats`` trace kind, its clocks are checkpointed with the run
   like every overlay (DESIGN.md §7), and the saving is guaranteed

@@ -25,8 +25,7 @@ payloads live in :mod:`repro.ssd.file`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,25 +37,14 @@ from .stats import SSDStats
 
 ChannelVector = Union[np.ndarray, Sequence[int]]
 
-#: One deferred charge:
-#: ``(is_read, klass, pages, bytes, simulated_us, channel_pages, dev_times)``.
-#: ``channel_pages`` is the per-channel page-count histogram of the
-#: batch (read charges only; ``None`` for writes and zero-page retry
-#: records) -- the lane overlap model (:func:`merge_overlap`) reads it to
-#: know which channels a group's preparation kept busy.  ``dev_times``
-#: is a :class:`~repro.ssd.array.DeviceArray`'s per-device time vector
-#: (DESIGN.md §14), ``None`` when unattributed (the array bills device
-#: 0).  :meth:`SimulatedSSD.commit` records neither in the canonical stats.
-ChargeOp = Tuple[bool, str, int, int, float, Optional[np.ndarray], Optional[np.ndarray]]
-
 
 def merge_overlap(lane_times_us: np.ndarray, channel_busy_us: np.ndarray) -> float:
     """Makespan of concurrent worker lanes on a channel-parallel device.
 
-    The lane model reports overlap without perturbing the committed
+    The lane model reports overlap without perturbing the canonical
     (lane-count-invariant) accounting: each simulated worker lane
     accumulates the simulated time of the groups assigned to it, and every
-    group's read charges contribute a per-channel busy histogram.  The
+    group's reads contribute a per-channel busy histogram.  The
     overlapped execution cannot finish faster than the busiest lane
     (compute + its own I/O waits) nor faster than the busiest flash
     channel (pages on one channel are pipelined, never parallel), so
@@ -93,8 +81,10 @@ class SimulatedSSD:
         self.stats = SSDStats()
         self._channels = config.ssd.channels
         self._page_size = config.ssd.page_size
-        #: armed deferred-charge queue (``None`` outside :meth:`deferred`)
-        self._queue: Optional[List[ChargeOp]] = None
+        #: Cumulative pages read per channel (reads only; reset with the
+        #: stats).  The lane overlay diffs it around a group's
+        #: preparation to know which channels that group kept busy.
+        self.channel_read_pages = np.zeros(self._channels, dtype=np.int64)
         # Fault injection (see repro.ssd.faults).  With no plan installed
         # the hot paths take the exact pre-fault code paths, so timing
         # stays bit-identical to a device without this machinery.
@@ -124,8 +114,7 @@ class SimulatedSSD:
         """The simulated storage clock: total recorded I/O time so far.
 
         This is the SSD half of the trace timestamp (engines add their
-        compute-meter time).  Deferred charges advance it only when
-        committed.
+        compute-meter time).  Every charge advances it when it is made.
         """
         return self.stats.total_time_us
 
@@ -299,61 +288,6 @@ class SimulatedSSD:
             )
         return arr
 
-    # -- deferred charging (group preparation) --------------------------
-
-    @contextmanager
-    def deferred(self):
-        """Queue charges instead of recording them.
-
-        Timing is still computed and returned to callers (it is a pure
-        function of the channel vector), but :class:`SSDStats` is not
-        touched.  The caller replays the queue with :meth:`commit`; the
-        engine does so right after a group's preparation, which gives it
-        the group's I/O as one list (``group_load`` trace roll-up, lane
-        overlay) and lands every charge before the group's compute.
-        """
-        if self._queue is not None:
-            raise StorageError("nested deferred() charging is not supported")
-        queue: List[ChargeOp] = []
-        self._queue = queue
-        try:
-            yield queue
-        finally:
-            self._queue = None
-
-    def commit(self, ops: List[ChargeOp]) -> None:
-        """Record a queue of deferred charges, in order.
-
-        The channel histogram is overlap metadata only and a device
-        array's per-device time vector feeds its overlay via
-        :meth:`_note_device_times`; the recorded stats are the same
-        without either.
-        """
-        overlay = self.num_devices > 1
-        for is_read, klass, pages, nbytes, t, _, dev_times in ops:
-            if is_read:
-                self.stats.record_read(klass, pages, nbytes, t)
-            else:
-                self.stats.record_write(klass, pages, nbytes, t)
-            if overlay:
-                self._note_device_times(t, dev_times)
-
-    def channel_busy_us(self, ops: List[ChargeOp]) -> np.ndarray:
-        """Per-channel busy time (us) implied by a deferred-charge queue.
-
-        Sums ``channel_pages * read_latency`` over every read charge
-        carrying a histogram.  Writes and retry records carry none (the
-        FTL stripes writes dynamically; commit-side writes are serial
-        anyway) and contribute nothing -- a conservative under-estimate
-        that can only shrink the modelled overlap win, never inflate it.
-        """
-        busy = np.zeros(self._channels, dtype=np.float64)
-        lat = self.config.ssd.read_latency_us
-        for op in ops:
-            if op[5] is not None:
-                busy += op[5] * lat
-        return busy
-
     def _charge(
         self,
         is_read: bool,
@@ -364,23 +298,37 @@ class SimulatedSSD:
         channel_pages: Optional[np.ndarray] = None,
         dev_times: Optional[np.ndarray] = None,
     ) -> None:
-        queue = self._queue
-        if queue is not None:
-            queue.append((is_read, klass, pages, nbytes, t, channel_pages, dev_times))
-            return
+        """Record one charge in :attr:`stats`, the one storage ledger.
+
+        ``channel_pages`` is a read's per-channel page histogram (``None``
+        for writes and zero-page retry records); ``dev_times`` is a
+        device array's per-device time vector (``None`` when
+        unattributed).  Neither changes the recorded stats.
+        """
         if is_read:
             self.stats.record_read(klass, pages, nbytes, t)
         else:
             self.stats.record_write(klass, pages, nbytes, t)
+        if channel_pages is not None:
+            self.channel_read_pages += channel_pages
         if self.num_devices > 1:
             self._note_device_times(t, dev_times)
 
+    def commit(self, *_args) -> None:
+        """Gone: every charge lands in :attr:`stats` when it is made.
+
+        The name stays only because ``benchmarks/e2e/layers.py`` looks
+        ``SimulatedSSD.commit`` up by name to wrap it; delete it with
+        that wrap.
+        """
+        raise StorageError("SimulatedSSD.commit is gone: charges land when they are made")
+
     def _note_device_times(self, t: float, dev_times: Optional[np.ndarray]) -> None:
-        """Overlay hook: fold one committed charge into per-device clocks.
+        """Overlay hook: fold one charge into per-device clocks.
 
         No-op on the single device; :class:`~repro.ssd.array.DeviceArray`
-        overrides it.  Called at the canonical commit point only, so the
-        overlay does not depend on the lane count.
+        overrides it.  Charges land in group order on the one in-order
+        loop, so the overlay does not depend on the lane count.
         """
 
     # -- device-array hooks (None on the single device) -------------------
@@ -404,7 +352,6 @@ class SimulatedSSD:
         self,
         channel_ids: ChannelVector,
         klass: str,
-        useful_bytes: Optional[int] = None,
         devices: Optional[np.ndarray] = None,
     ) -> float:
         """Charge a batch of page reads.
@@ -417,9 +364,6 @@ class SimulatedSSD:
             serialise on that channel).
         klass:
             Storage class label for accounting (e.g. ``"csr_col"``).
-        useful_bytes:
-            Ignored for timing; reserved for callers that track read
-            amplification themselves.
         devices:
             Per-page device placement, aligned with ``channel_ids``.
             Ignored on the single device; a device array derives its
@@ -511,11 +455,10 @@ class SimulatedSSD:
         over the *summed* per-channel queues, which is exactly what
         merging I/O requests before submission buys on the
         channel-parallel device.  Composes with everything
-        ``read_batch`` composes with: the deferred-charge queue (plans
-        built at prepare time commit in canonical group order), fault
-        plans (one check per submission, with the expanded channel
-        vector: scattered pages, then extents) and the overlap model
-        (the histogram rides the :data:`ChargeOp`).
+        ``read_batch`` composes with: fault plans (one check per
+        submission, with the expanded channel vector: scattered pages,
+        then extents) and the overlap model (the histogram lands in
+        :attr:`channel_read_pages`).
         """
         scattered = self._coerce(scattered_channels)
         starts, lengths = (np.asarray(a, dtype=np.int64) for a in extents)
@@ -635,3 +578,4 @@ class SimulatedSSD:
 
     def reset_stats(self) -> None:
         self.stats = SSDStats()
+        self.channel_read_pages = np.zeros(self._channels, dtype=np.int64)

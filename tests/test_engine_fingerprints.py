@@ -114,6 +114,19 @@ checked equal to the parent's; pages, storage time, the ``loader.*``
 gauges and the trace (``group_process`` gained ``edge_vertices``)
 moved.  Every PageRank, CDLP and coloring row passed unrecorded.
 
+When every charge began landing in the device stats as it is made,
+with no per-group charge queue replayed after preparation, MultiLogVC's
+``cdlp`` and ``coloring`` :data:`GOLDEN` rows and the ``cache16+readahead``
+and ``devices4-*`` :data:`GOLDEN_STACKS` rows were re-recorded.  Values
+bytes, every superstep record, the SSD stats, every gauge and every
+trace event's kind and fields were checked equal to the parent's.  The
+traces differed only in the key order of ``group_load``'s
+``pages_by_class`` (now the order of the stats, not of the group's
+charges) and in the ``t_us`` of events emitted during a group's
+preparation (the cached rows' ``writeback`` events, now stamped after
+the group's earlier reads).  Every :data:`GOLDEN_VALUES_IO` row and
+every other row passed unrecorded.
+
 Each run also checks the compute ledger: ``RunResult.compute_by_site``
 sums to ``compute_time_us`` and equals the ``compute.<site>_us`` gauges.
 """
@@ -199,8 +212,8 @@ GOLDEN = {
     ("gridgraph", "sssp"): "00b87215ba2c46fa8685ffeb7930780285bfb04777e51956482d7519ddcb98cb",
     ("gridgraph", "wcc"): "f3f4ec32367c76349845d2ddf97371d2922741592871e1973c33cbda48a333d6",
     ("multilogvc", "bfs"): "43d5f975ed6d4dfedadcde61e84bbb952b03541ca36783fb09e5d8fbed8bc206",
-    ("multilogvc", "cdlp"): "8a89b5c58c01a5dd9ce6d96ecce64b4fa803df1d556f8662e079c4aaee37e953",
-    ("multilogvc", "coloring"): "f27ecaa770b8a9ae00049de80e8709e943a711942bdb6891d3df9ace549ff924",
+    ("multilogvc", "cdlp"): "9c4b91e5e41c2f0980cc8d3c86826848ba056a13efa21a9e58c9b4714d7b20e5",
+    ("multilogvc", "coloring"): "126ebc5ae86b4593c81b8686b4dae740d63b829ec724904a448b6719cc137630",
     ("multilogvc", "pagerank"): "b6a2183cb5b57c5c59f62dfbf46cc01fa109793e34bf9d19a47fcb154a152040",
     ("multilogvc", "sssp"): "9053593521efc04fab2829de1bd8d8d9df0bf116cd2e0f734b7e6a3dbb09dbd4",
     ("multilogvc", "wcc"): "d73d37a24c4d8b4bfdf71849ec9be7fac1ca4b9fdce3e91589c84b8642041c52",
@@ -218,12 +231,12 @@ GOLDEN = {
 
 #: MultiLogVC on each of :data:`STACKS`: (stack, program) -> digest
 GOLDEN_STACKS = {
-    ("cache16+readahead", "bfs"): "e15785767648618cc94deb904138ccf500cb792ceb21c5c612b8fe6e89696a9b",
-    ("cache16+readahead", "pagerank"): "1587f72164fdc482b1c03f5a9101f8e979c85268a200f1580f02a9b7d99c3135",
-    ("devices4-affinity", "bfs"): "9017014ad206df9d85313cc865b25be0cce6de0bd1eb66e10d60c1ede280678e",
-    ("devices4-affinity", "pagerank"): "5c605f47e73d3308c061a83827a08ee89b97c9ddb2be201e8e5d6191ace96d9d",
-    ("devices4-stripe", "bfs"): "6c8753cb74c1991987307391d4d64c8d06944f12f4c77250080e9bfcfb726291",
-    ("devices4-stripe", "pagerank"): "1acb3fcfb3bd976597c2d915d1b38ccb088249308e3157302b48fc136be95143",
+    ("cache16+readahead", "bfs"): "bc89e989a1f7fa288cb5ca6bff4f21974e191ec38d46ef043e3d56e1c495d9ef",
+    ("cache16+readahead", "pagerank"): "fa3c9e678856477b6c2169b63653446289cb18af9a05fc9510a3cb6397f8b3ec",
+    ("devices4-affinity", "bfs"): "daf70adc17d1eabc20a5ad22584ee6a89dac101e8cec342fa3945eb76f7ba568",
+    ("devices4-affinity", "pagerank"): "aa3065184633c7e832be6ca86055b4fb8e90dde96c09412b4d3eed4ca906966b",
+    ("devices4-stripe", "bfs"): "1e8cd0d2454f4b1b915c3adbe46baf5a4d965ceb7aa69bdc4e71c0e10da47ccf",
+    ("devices4-stripe", "pagerank"): "35fc0e661bdfd5f770fe03341ba31dc9e02e6d02a7c534bf7a452bcc95b7beba",
     ("lanes2+coalesce", "bfs"): "eb1daf35ab85f9ed9e61c127b1f3b2793d0845ccfee61c9672334d6ed54b238d",
     ("lanes2+coalesce", "pagerank"): "58b791f5e823b9b34a2b8214f0e5fdb4fa8ab2939d2eb9db7d7eaee836b58bfb",
 }

@@ -92,9 +92,9 @@ class TestExtentTiming:
     def test_channel_counts_wrap(self, fs):
         # C=4: a 6-page extent starting on channel 3 wraps -- one page
         # per channel plus extras on channels 3 and 0
-        with fs.device.deferred() as charges:
-            fs.device.read_extent(3, 6, "csr_col")
-        assert charges[0][5].tolist() == [2, 1, 1, 2]
+        before = fs.device.channel_read_pages.copy()
+        fs.device.read_extent(3, 6, "csr_col")
+        assert (fs.device.channel_read_pages - before).tolist() == [2, 1, 1, 2]
 
     def test_extent_equals_interspersed_batch(self, fs):
         dev = fs.device

@@ -163,6 +163,7 @@ class TestSchedulerUnits:
         assert merge_overlap(np.array([1.0]), np.array([9.0])) == 9.0
 
     def test_iterator_prepares_in_order_on_demand_and_deferred(self):
+        # Preparation is deferred until the consumer asks for the group.
         device = SimulatedSSD(small_test_config())
         prepared_log = []
 
@@ -171,16 +172,28 @@ class TestSchedulerUnits:
             device.read_batch(np.array([0, 1]), "csr_col")
             return PreparedGroup(list(group), None, np.empty(0, np.int64))
 
-        it = GroupPipeline(device).run([[i] for i in range(5)], prepare)
+        it = GroupPipeline().run([[i] for i in range(5)], prepare)
         assert prepared_log == []  # nothing runs ahead of the consumer
-        for i, (prepared, charges) in enumerate(it):
+        for i, prepared in enumerate(it):
             assert prepared.interval_ids == [i]
             assert prepared_log == [[j] for j in range(i + 1)]
-            # The read was queued, not recorded: the consumer commits it.
-            assert len(charges) == 1 and charges[0][1] == "csr_col"
-            assert device.stats.pages_read == 2 * i
-            device.commit(charges)
         assert device.stats.pages_read == 10
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prepare_reads_are_in_the_ledger_when_the_group_is_yielded(self, workers):
+        device = SimulatedSSD(small_test_config())
+        meter = ComputeMeter(small_test_config().compute)
+        pipeline = (
+            ParallelGroupScheduler(device, workers, meter) if workers > 1 else GroupPipeline()
+        )
+
+        def prepare(group):
+            device.read_batch(np.array([0, 1]), "csr_col")
+            return PreparedGroup(list(group), None, np.empty(0, np.int64))
+
+        for i, _ in enumerate(pipeline.run([[0], [1], [2]], prepare)):
+            assert device.stats.pages_read == 2 * (i + 1)
+            assert device.stats.reads["csr_col"].batches == i + 1
 
     def test_lane_iterator_notes_each_group_when_the_next_is_asked_for(self):
         device = SimulatedSSD(small_test_config())
@@ -188,7 +201,7 @@ class TestSchedulerUnits:
         sched = ParallelGroupScheduler(device, 2, meter)
         prepare = lambda g: PreparedGroup(list(g), None, np.empty(0, np.int64))
         noted = []
-        for prepared, _ in sched.run([[0], [1], [2]], prepare):
+        for prepared in sched.run([[0], [1], [2]], prepare):
             noted.append(sched.groups)
             meter.time_us += 10.0  # the consumer's compute for this group
             if prepared.interval_ids == [1]:
@@ -203,17 +216,39 @@ class TestSchedulerUnits:
         with pytest.raises(ValueError):
             ParallelGroupScheduler(device, 0, ComputeMeter(small_test_config().compute))
 
+    def test_lane_iterator_takes_io_and_channel_pressure_from_the_ledger(self):
+        cfg = small_test_config()
+        device = SimulatedSSD(cfg)
+        sched = ParallelGroupScheduler(device, 2, ComputeMeter(cfg.compute))
+        reads = {0: [0, 0, 1], 1: [1]}
+
+        def prepare(group):
+            device.write_batch(np.array([0]), "mlog")  # preparation I/O too
+            device.read_batch(np.array(reads[group[0]]), "csr_col")
+            return PreparedGroup(list(group), None, np.empty(0, np.int64))
+
+        for _ in sched.run([[0], [1]], prepare):
+            device.write_batch(np.array([0, 1]), "mlog")  # the consumer's: not noted
+        ssd = cfg.ssd
+        write = ssd.batch_overhead_us + ssd.write_latency_us
+        assert list(sched._lane_us) == [
+            write + ssd.batch_overhead_us + 2 * ssd.read_latency_us,
+            write + ssd.batch_overhead_us + ssd.read_latency_us,
+        ]
+        assert list(sched._busy_us[:2]) == [2 * ssd.read_latency_us, 2 * ssd.read_latency_us]
+        assert not sched._busy_us[2:].any()
+
     def test_overlap_model_counters_monotonic(self):
         device = SimulatedSSD(small_test_config())
         model = ParallelGroupScheduler(device, 2, ComputeMeter(small_test_config().compute))
-        read = lambda t: [(True, "csr_col", 1, 4096, t, None, None)]
-        model.note_group(0, read(100.0), 10.0)
-        model.note_group(1, read(40.0), 5.0)
+        no_reads = np.zeros(device.channels, dtype=np.int64)
+        model.note_group(0, 100.0, no_reads, 10.0)
+        model.note_group(1, 40.0, no_reads, 5.0)
         saved = model.end_superstep(140.0, 15.0)
         snap1 = model.snapshot()
         assert saved > 0  # two lanes overlap: spec 155 vs bound 110
         assert snap1["groups"] == 2
-        model.note_group(0, read(50.0), 5.0)
+        model.note_group(0, 50.0, no_reads, 5.0)
         model.end_superstep(50.0, 5.0)
         snap2 = model.snapshot()
         for key in ("groups", "spec_us", "saved_us", "makespan_us"):

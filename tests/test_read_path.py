@@ -8,7 +8,7 @@ way ``test_stream_fold.py`` keeps ``ReferenceStore``.  Both paths must
 agree bit for bit: every :class:`LoadReport` field, the ordered list of
 ``(file, pages)`` each read hands to the file layer and the plan, the
 read-ahead queue, every :class:`PlanOutcome` field, the device's
-deferred charges (histograms and per-device times included), its stats
+charges (histograms and per-device times included), its stats
 after every load and its overlay, the cache's state, and where an armed
 fault plan fires.
 
@@ -35,6 +35,7 @@ from repro.io.plan import MIN_EXTENT_PAGES, WAVE_QUEUE_DEPTH, IOPlan, balance_or
 from repro.io.planner import SuperstepIOPlanner
 from repro.mem import MemoryBudget
 from repro.ssd import DeviceArray, SimFS
+from repro.ssd.device import SimulatedSSD
 from repro.ssd.faults import FaultPlan
 from repro.ssd.file import SimFileBase, pages_for_ranges
 
@@ -310,6 +311,23 @@ def recording():
         SimFileBase._charge_read, IOPlan.add = charge, add
 
 
+@contextmanager
+def charges_made():
+    """Log every charge the device records, with all its arguments."""
+    charges = []
+    charge = SimulatedSSD._charge
+
+    def spy(self, is_read, klass, pages, nbytes, t, channel_pages=None, dev_times=None):
+        charges.append((is_read, klass, pages, nbytes, t, channel_pages, dev_times))
+        return charge(self, is_read, klass, pages, nbytes, t, channel_pages, dev_times)
+
+    SimulatedSSD._charge = spy
+    try:
+        yield charges
+    finally:
+        SimulatedSSD._charge = charge
+
+
 def same_float(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
@@ -483,11 +501,7 @@ def run_loads(case, reference):
                     plan, storage, edgelog, predicted, lo, hi, need_w or use_es
                 )
         queue = [] if plan is None else [(f.name, ids.tolist()) for f, ids in plan._readahead]
-        outcome = None
-        if plan is not None:
-            with fs.device.deferred() as charges:
-                outcome = plan.execute()
-            fs.device.commit(charges)
+        outcome = plan.execute() if plan is not None else None
         stats = fs.device.stats.to_dict()
         steps.append((report, log, queue, outcome, cache_state(fs.cache), stats))
     return steps, fs.device
@@ -585,12 +599,11 @@ def run_dispatch(case, plan_cls):
     for j, spec in case["readahead"]:
         plan.add_readahead(files[j], draw_pages(rng, spec))
     error = outcome = None
-    with dev.deferred() as charges:
+    with charges_made() as charges:
         try:
             outcome = plan.execute()
         except InjectedFaultError as e:
             error = (e.op, e.klass, e.channel, str(e))
-    dev.commit(charges)
     ops_seen = dev.fault_plan.ops_seen if dev.fault_plan is not None else None
     return outcome, error, charges, dev, ops_seen
 

@@ -5,7 +5,8 @@ phase of each batch: the ingest, and the merge with the compactions it
 triggers.  The sweep then cuts power at every one of those ops, and
 separately tears every one, on four intervals with one and with three
 records per log page and a compaction threshold of 0.05 (so most merges
-compact).  After each :meth:`StreamStore.recover`:
+compact), on each storage stack of :data:`STACKS`.  After each
+:meth:`StreamStore.recover`:
 
 * every ingested record is merged or pending: ``merged + pending ==
   records_ingested``, pending being the records of the batches past
@@ -29,15 +30,24 @@ from repro.ssd import FaultPlan, FaultRule
 from repro.ssd.filesystem import SimFS
 from repro.stream import StreamStore, random_delta
 
-CFG = DEFAULT_CONFIG.with_stream(compact_threshold=0.05)
+BASE = DEFAULT_CONFIG.with_stream(compact_threshold=0.05)
+#: Storage stacks, the device count set explicitly so that
+#: ``REPRO_DEVICES`` does not pick it: one plain SSD, a 4-page CLOCK
+#: cache, a 4-SSD array, and both (under ``-m slow``).
+STACKS = {
+    "plain": BASE.with_devices(1),
+    "clock": BASE.with_devices(1).with_cache("clock", 4 * BASE.ssd.page_size),
+    "devices4": BASE.with_devices(4),
+    "clock-devices4": BASE.with_devices(4).with_cache("clock", 4 * BASE.ssd.page_size),
+}
 INTERVALS = VertexIntervals(np.array([0, 4, 8, 12, 16]))
 N_BATCHES = 4
 PHASES = ("ingest", "apply")
 
 
-def fresh(records_per_page):
+def fresh(cfg, records_per_page):
     graph = small_rmat(n=16, m=64, seed=8, weighted=True)
-    store = StreamStore(graph, SimFS(CFG), CFG, intervals=INTERVALS)
+    store = StreamStore(graph, SimFS(cfg), cfg, intervals=INTERVALS)
     store.records_per_page = records_per_page
     return store
 
@@ -50,10 +60,10 @@ def merged(store):
     return store.inserts_applied + store.deletes_applied + store.noop_deletes
 
 
-def reference(records_per_page):
+def reference(cfg, records_per_page):
     """The batches (each drawn against the graph the ones before it
     left) and the uninterrupted store that played them."""
-    ref = fresh(records_per_page)
+    ref = fresh(cfg, records_per_page)
     deltas = []
     for b in range(N_BATCHES):
         s, t = ref.live_edge_arrays()
@@ -73,9 +83,9 @@ def write_ops(store, phase, delta):
     return counter.matched
 
 
-def crash_points(records_per_page, deltas):
+def crash_points(cfg, records_per_page, deltas):
     """``(batch, phase, op)`` for every write op of the sequence."""
-    store = fresh(records_per_page)
+    store = fresh(cfg, records_per_page)
     points = []
     for b, delta in enumerate(deltas):
         for phase in PHASES:
@@ -84,9 +94,9 @@ def crash_points(records_per_page, deltas):
     return points
 
 
-def crashed_run(records_per_page, deltas, point, kind):
+def crashed_run(cfg, records_per_page, deltas, point, kind):
     b, phase, op = point
-    store = fresh(records_per_page)
+    store = fresh(cfg, records_per_page)
     for delta in deltas[:b]:
         store.ingest(delta)
         store.apply_updates()
@@ -114,17 +124,28 @@ def assert_same_graph(a, b, why):
     assert a.weights.tolist() == b.weights.tolist(), why
 
 
-@pytest.mark.parametrize("kind", ["crash", "torn"])
-@pytest.mark.parametrize("records_per_page", [1, 3])
-def test_every_write_op_of_ingest_and_merge(records_per_page, kind):
-    deltas, ref = reference(records_per_page)
+def sweep_cases():
+    """``(stack, records_per_page, kind)``; the plain stack's ids carry
+    no stack name."""
+    for stack in STACKS:
+        marks = [pytest.mark.slow] if stack == "clock-devices4" else []
+        for records_per_page in (1, 3):
+            for kind in ("crash", "torn"):
+                name = [str(records_per_page), kind] + ([stack] if stack != "plain" else [])
+                yield pytest.param(stack, records_per_page, kind, id="-".join(name), marks=marks)
+
+
+@pytest.mark.parametrize("stack, records_per_page, kind", sweep_cases())
+def test_every_write_op_of_ingest_and_merge(stack, records_per_page, kind):
+    cfg = STACKS[stack]
+    deltas, ref = reference(cfg, records_per_page)
     want = ref.materialize()
-    points = crash_points(records_per_page, deltas)
+    points = crash_points(cfg, records_per_page, deltas)
     # the sweep reaches both phases, compaction writes included
     assert ref.compactions > 0
     assert {phase for _, phase, _ in points} == set(PHASES)
     for point in points:
-        store = crashed_run(records_per_page, deltas, point, kind)
+        store = crashed_run(cfg, records_per_page, deltas, point, kind)
         assert_same_graph(store.materialize(), want, (point, kind))
         assert merged(store) == store.records_ingested, (point, kind)
         assert store.last_ingested == store.last_applied == N_BATCHES, (point, kind)
